@@ -6,7 +6,8 @@ Exit codes: 0 success, 1 usage/config error, 2 captured domain failure.
 
 Experiment configs (``run``) are JSON; paths are resolved relative to the
 config file, and the ``bundled:`` prefix names packaged resources, e.g.
-``bundled:datasets/geoquery.jsonl``.  See README for the schema.
+``bundled:datasets/geoquery.jsonl``.  See README for the schema; the
+experiment engine itself lives in :mod:`semkit.experiment`.
 """
 
 from __future__ import annotations
@@ -16,17 +17,14 @@ import json
 import sys
 from pathlib import Path
 
-from . import resources
-from .corpus import load_dataset, load_split, sample_demos
+from .corpus import load_dataset, load_split
 from .errors import SemkitError
-from .evaluation import POLICIES, canonicalize_names, report_from_verdicts, score_run, verdict_of
-from .execute import load_environment, operators_of, run_program
-from .llm import CompletionRequest, LlmClient, ReplayCache, extract_program, http_transport
-from .prompts import PromptSpec, build_prompt, load_dd_source, render_dd
-from .selection import bm25_rank, coverage_fraction, greedy_select
+from .execute import load_environment, run_program
+from .experiment import (DemoSelector, dd_text, load_config_environment, make_client,
+                         resolve_path, run_experiment)
+from .prompts import PromptSpec, build_prompt, load_dd_source
+from .resources import dd_path
 from .social import desimplify_ldcs, parse_ldcs, render_ldcs, simplify_ldcs
-
-CSV_HEADER = "seed,split,dialect,dd_variant,k,accuracy,exec_failure_rate"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,21 +33,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _resolve(path: str, base: Path | None = None) -> Path:
-    if path.startswith("bundled:"):
-        return resources.data_path(*path[len("bundled:"):].split("/"))
-    resolved = Path(path)
-    if base is not None and not resolved.is_absolute():
-        resolved = base / resolved
-    return resolved
-
-
 def cmd_execute(args) -> int:
     program_text = Path(args.program).read_text(encoding="utf-8").strip()
     if not program_text:
         print("error: empty program file", file=sys.stderr)
         return 1
-    env_object = load_environment(args.env, _resolve(args.world))
+    env_object = load_environment(args.env, resolve_path(args.world))
     outcome = run_program(args.dialect, program_text, args.env, env_object)
     print(json.dumps(outcome.to_json(), ensure_ascii=False))
     if not outcome.ok:
@@ -81,168 +70,32 @@ def cmd_simplify(args) -> int:
     return 0
 
 
-def _train_pool(dataset, split, dialect):
-    return [(ex_id, dataset[ex_id]) for ex_id in split.train_ids
-            if dialect in dataset[ex_id].programs]
-
-
-def _select_demo_ids(method: str, dataset, split, dialect: str, k: int,
-                     seed: int, query: str | None):
-    pool = _train_pool(dataset, split, dialect)
-    operator_sets = {ex_id: operators_of(dialect, ex.programs[dialect]) for ex_id, ex in pool}
-    structures = frozenset().union(*operator_sets.values()) if operator_sets else frozenset()
-    if method == "random":
-        ids = list(sample_demos(dataset, split, k, seed, dialect=dialect).ids)
-    elif method == "coverage":
-        ids = greedy_select([(ex_id, operator_sets[ex_id]) for ex_id, _ in pool],
-                            structures, k)
-    elif method == "bm25":
-        if query is None:
-            raise SemkitError("bm25 selection needs a query utterance")
-        ids = bm25_rank(query, [(ex_id, ex.utterance) for ex_id, ex in pool], k)
-    else:
-        raise SemkitError(f"unknown selection method {method!r}")
-    fraction = coverage_fraction([operator_sets[i] for i in ids], structures)
-    return ids, fraction
-
-
 def cmd_select(args) -> int:
-    dataset = load_dataset(_resolve(args.dataset))
-    split = load_split(_resolve(args.split), dataset)
-    ids, fraction = _select_demo_ids(args.method, dataset, split, args.dialect,
-                                     args.k, args.seed, args.query)
+    dataset = load_dataset(resolve_path(args.dataset))
+    split = load_split(resolve_path(args.split), dataset)
+    selector = DemoSelector(dataset, split, args.dialect)
+    if args.method == "coverage":
+        ids, fraction = selector.coverage_picks(args.k)
+    else:
+        ids = selector.select(args.method, args.k, args.seed, args.query)
+        fraction = selector.coverage_fraction(ids)
     print(json.dumps({"method": args.method, "k": args.k, "ids": ids,
                       "coverage_fraction": fraction}, ensure_ascii=False))
     return 0
 
 
-def _dd_text(environment: str, dialect: str, variant: str) -> str:
-    if variant == "none":
-        return ""
-    declarations = load_dd_source(resources.dd_path(environment, dialect))
-    return render_dd(declarations, variant)
-
-
 def cmd_prompt(args) -> int:
-    dataset = load_dataset(_resolve(args.dataset))
-    split = load_split(_resolve(args.split), dataset)
-    ids, _ = _select_demo_ids(args.method, dataset, split, args.dialect,
-                              args.k, args.seed, args.utterance)
+    dataset = load_dataset(resolve_path(args.dataset))
+    split = load_split(resolve_path(args.split), dataset)
+    ids = DemoSelector(dataset, split, args.dialect).select(args.method, args.k, args.seed,
+                                                            args.utterance)
     spec = PromptSpec(
-        dd_variant=args.dd, dd_text=_dd_text(args.env, args.dialect, args.dd),
+        dd_variant=args.dd, dd_text=dd_text(args.env, args.dialect, args.dd),
         demonstrations=tuple((dataset[i].utterance, dataset[i].programs[args.dialect])
                              for i in ids),
         test_utterance=args.utterance, dialect=args.dialect)
     sys.stdout.write(build_prompt(spec))
     return 0
-
-
-def _make_client(client_config: dict, base: Path) -> LlmClient:
-    mode = client_config.get("mode", "replay")
-    cache = None
-    if "cache" in client_config:
-        cache = ReplayCache(_resolve(client_config["cache"], base))
-    transport = None
-    if mode in ("live", "record"):
-        transport = http_transport(client_config["endpoint"],
-                                   client_config.get("api_key_env", "SEMKIT_API_KEY"))
-    return LlmClient(mode=mode, cache=cache, transport=transport)
-
-
-def _csv_row(seed, split_name, dialect, dd_variant, k, accuracy, failure_rate) -> str:
-    return (f"{seed},{split_name},{dialect},{dd_variant},{k},"
-            f"{accuracy:.6f},{failure_rate:.6f}")
-
-
-def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> dict:
-    dataset = load_dataset(_resolve(config["dataset"], base))
-    split = load_split(_resolve(config["split"], base), dataset)
-    if not split.test_ids:
-        raise SemkitError("experiment has zero test examples")
-    environment = config["environment"]
-    dialect = config["dialect"]
-    gold_dialect = config.get("gold_dialect", dialect)
-    dd_variant = config.get("dd_variant", "full")
-    selection = config.get("selection", {"method": "random", "k": 3})
-    method, k = selection["method"], int(selection["k"])
-    seeds = config["seeds"]
-    if not seeds:
-        raise SemkitError("seeds list must be nonempty")
-    jobs = max(int(config.get("jobs", jobs)), 1)
-    model = config["client"].get("model", "unspecified-model")
-    temperature = float(config["client"].get("temperature", 0.0))
-    client = _make_client(config["client"], base)
-    env_object = load_environment(
-        environment, _resolve(config.get("environment_file",
-                                         f"bundled:{resources.environment_path(environment).name}"),
-                              base))
-    policy = POLICIES[environment]
-    dd_text = _dd_text(environment, dialect, dd_variant)
-    template_id = config.get("template_id", "v1")
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    reports = []
-    per_seed_rows = []
-    for seed in seeds:
-        if method == "bm25":
-            fixed_ids = None
-        else:
-            fixed_ids, _ = _select_demo_ids(method, dataset, split, dialect, k, seed, None)
-
-        def evaluate_one(test_id, seed=seed, fixed_ids=fixed_ids):
-            example = dataset[test_id]
-            if fixed_ids is None:
-                ids, _ = _select_demo_ids("bm25", dataset, split, dialect, k,
-                                          seed, example.utterance)
-            else:
-                ids = fixed_ids
-            spec = PromptSpec(
-                dd_variant=dd_variant, dd_text=dd_text,
-                demonstrations=tuple((dataset[i].utterance, dataset[i].programs[dialect])
-                                     for i in ids),
-                test_utterance=example.utterance, dialect=dialect, template_id=template_id)
-            request = CompletionRequest(prompt=build_prompt(spec), model=model,
-                                        temperature=temperature)
-            try:
-                completion = client.complete(request)
-            except SemkitError as exc:
-                print(f"seed {seed} {test_id}: {exc}", file=sys.stderr)
-                return (test_id, "execution-failure")
-            program = extract_program(completion)
-            gold_program = example.programs[gold_dialect]
-            if policy.name_canonicalization:
-                try:
-                    program, gold_program = canonicalize_names(program, gold_program, env_object)
-                except SemkitError:
-                    return (test_id, "execution-failure")
-            pred = run_program(dialect, program, environment, env_object)
-            gold = run_program(gold_dialect, gold_program, environment, env_object)
-            return (test_id, verdict_of(pred, gold, policy))
-
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                verdicts = list(pool.map(evaluate_one, split.test_ids))
-        else:
-            verdicts = [evaluate_one(test_id) for test_id in split.test_ids]
-        report = report_from_verdicts(seed, verdicts)
-        reports.append(report)
-        (out_dir / f"report_seed{seed}.json").write_text(
-            json.dumps(report.to_json(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
-        row = _csv_row(seed, split.name, dialect, dd_variant, k,
-                       report.accuracy, report.exec_failure_rate)
-        per_seed_rows.append(row)
-        (out_dir / f"report_seed{seed}.csv").write_text(
-            CSV_HEADER + "\n" + row + "\n", encoding="utf-8")
-
-    aggregate = score_run(reports)
-    mean_row = _csv_row("mean", split.name, dialect, dd_variant, k,
-                        aggregate["mean_accuracy"], aggregate["mean_exec_failure_rate"])
-    (out_dir / "aggregate.csv").write_text(
-        CSV_HEADER + "\n" + "\n".join(per_seed_rows) + "\n" + mean_row + "\n", encoding="utf-8")
-    (out_dir / "aggregate.json").write_text(
-        json.dumps(aggregate, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
-    return aggregate
 
 
 def cmd_run(args) -> int:
@@ -252,7 +105,7 @@ def cmd_run(args) -> int:
     if args.output_dir:
         out_dir = Path(args.output_dir)
     elif "output_dir" in config:
-        out_dir = _resolve(config["output_dir"], base)
+        out_dir = resolve_path(config["output_dir"], base)
     else:
         out_dir = Path("out")  # relative to the caller, never the config's home
     aggregate = run_experiment(config, base, out_dir, jobs=args.jobs)
@@ -267,7 +120,7 @@ def cmd_bootstrap(args) -> int:
     config_path = Path(args.config)
     config = json.loads(config_path.read_text(encoding="utf-8"))
     base = config_path.parent
-    dataset = load_dataset(_resolve(config["dataset"], base))
+    dataset = load_dataset(resolve_path(config["dataset"], base))
     seed_pool = [dataset[i] for i in config["seed_ids"]]
     # ids listed as unlabeled are treated as lacking the target-dialect annotation
     unlabeled = []
@@ -276,21 +129,16 @@ def cmd_bootstrap(args) -> int:
         programs = {d: p for d, p in example.programs.items() if d != config["dialect"]}
         unlabeled.append(Example(id=example.id, utterance=example.utterance,
                                  programs=programs, tags=example.tags))
-    env_object = load_environment(
-        config["environment"],
-        _resolve(config.get("environment_file",
-                            f"bundled:{resources.environment_path(config['environment']).name}"),
-                 base))
-    client = _make_client(config["client"], base)
+    env_object = load_config_environment(config, base)
+    client = make_client(config["client"], base)
     bootstrap_config = BootstrapConfig(
         environment=config["environment"], dialect=config["dialect"],
         gold_dialect=config["gold_dialect"], model=config["client"].get("model", "m"),
         k=int(config.get("k", 3)), passes=int(config.get("passes", 3)),
         seed=int(config.get("seed", 0)),
-        dd_declarations=load_dd_source(resources.dd_path(config["environment"],
-                                                         config["dialect"])))
+        dd_declarations=load_dd_source(dd_path(config["environment"], config["dialect"])))
     pool = bootstrap_annotations(seed_pool, unlabeled, env_object, client, bootstrap_config)
-    output = _resolve(config.get("output", "pool.jsonl"), base)
+    output = resolve_path(config.get("output", "pool.jsonl"), base)
     with open(output, "w", encoding="utf-8") as fh:
         for example in pool:
             fh.write(example_to_json_line(example) + "\n")

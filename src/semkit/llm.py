@@ -32,7 +32,7 @@ from .corpus import Dataset, Example, sample_demos, Split
 from .errors import CacheMissError, SemkitError, TransportError
 from .evaluation import POLICIES, compare_outcomes
 from .execute import run_program
-from .prompts import PromptSpec, build_prompt, render_dd
+from .prompts import PromptSpec, build_prompt, default_template, render_dd
 
 DEFAULT_TEMPERATURE = 0.0
 DEFAULT_MAX_TOKENS = 512
@@ -212,6 +212,7 @@ def bootstrap_annotations(seed_pool: list[Example], unlabeled: list[Example],
     pending = [ex for ex in unlabeled if config.dialect not in ex.programs]
     policy = POLICIES[config.environment]
     dd_text = render_dd(config.dd_declarations, "full")
+    template = config.template or default_template()
     for pass_index in range(config.passes):
         if not pending:
             break
@@ -226,7 +227,7 @@ def bootstrap_annotations(seed_pool: list[Example], unlabeled: list[Example],
                 dd_variant="full", dd_text=dd_text,
                 demonstrations=tuple((d.utterance, d.programs[config.dialect]) for d in demos),
                 test_utterance=example.utterance, dialect=config.dialect)
-            request = CompletionRequest(prompt=build_prompt(spec, config.template),
+            request = CompletionRequest(prompt=build_prompt(spec, template),
                                         model=config.model)
             try:
                 completion = client.complete(request)

@@ -28,10 +28,21 @@ frequency n over N documents,
                   / (f(t,d) + k1 * (1 - b + b * |d| / avgdl))
 
 Ranking sorts by descending score with ascending id as the tiebreak.
+
+A :class:`Bm25Index` is built once per pool: it keeps a postings list of
+(document, term frequency) per term and the length norm
+``k1 * (1 - b + b * |d| / avgdl)`` per document, so a query only touches the
+documents that share a term with it.  Query terms are added in query order,
+repeats included, which keeps every score bitwise equal to the per-document
+sum above.  :func:`bm25_rank` takes either a pool of (id, text) documents or
+a prebuilt index, so many queries against one pool share a single index.
+:class:`semkit.experiment.DemoSelector` holds that index, the pool's operator
+sets and the greedy picks for one experiment.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from collections import Counter
@@ -114,37 +125,46 @@ class Bm25Index:
         self.ids = [doc_id for doc_id, _ in documents]
         self.k1 = k1
         self.b = b
-        self.term_freqs = [Counter(tokenize(text)) for _, text in documents]
-        self.doc_lens = [sum(tf.values()) for tf in self.term_freqs]
+        term_freqs = [Counter(tokenize(text)) for _, text in documents]
+        doc_lens = [sum(tf.values()) for tf in term_freqs]
         n_docs = len(documents)
-        self.avgdl = (sum(self.doc_lens) / n_docs) if n_docs else 0.0
-        df: Counter = Counter()
-        for tf in self.term_freqs:
-            df.update(tf.keys())
-        self.idf = {term: max(0.0, math.log((n_docs - n + 0.5) / (n + 0.5)))
-                    for term, n in df.items()}
+        avgdl = (sum(doc_lens) / n_docs) if n_docs else 0.0
+        self.norms = [k1 * (1 - b + b * (dl / avgdl if avgdl else 0.0)) for dl in doc_lens]
+        self.postings: dict[str, list[tuple[int, int]]] = {}
+        for position, tf in enumerate(term_freqs):
+            for term, f in tf.items():
+                self.postings.setdefault(term, []).append((position, f))
+        self.idf = {term: max(0.0, math.log((n_docs - len(docs) + 0.5) / (len(docs) + 0.5)))
+                    for term, docs in self.postings.items()}
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
     def scores(self, query: str) -> list[float]:
-        terms = tokenize(query)
-        out = []
-        for tf, dl in zip(self.term_freqs, self.doc_lens):
-            norm = self.k1 * (1 - self.b + self.b * (dl / self.avgdl if self.avgdl else 0.0))
-            score = 0.0
-            for term in terms:
-                f = tf.get(term, 0)
-                if f:
-                    score += self.idf.get(term, 0.0) * f * (self.k1 + 1) / (f + norm)
-            out.append(score)
+        out = [0.0] * len(self.ids)
+        norms = self.norms
+        scale = self.k1 + 1
+        for term in tokenize(query):  # query order, repeats included (see module docstring)
+            idf = self.idf.get(term)
+            if idf is None:
+                continue
+            for position, f in self.postings[term]:
+                out[position] += idf * f * scale / (f + norms[position])
         return out
 
 
-def bm25_rank(query: str, pool: list[tuple[str, str]], k: int,
+def bm25_rank(query: str, pool: list[tuple[str, str]] | Bm25Index, k: int,
               k1: float = BM25_K1, b: float = BM25_B) -> list[str]:
-    """Top-k pool ids by Okapi BM25 score; ties and empty queries fall back to id order."""
+    """Top-k pool ids by Okapi BM25 score; ties and empty queries fall back to id order.
+
+    ``pool`` is a list of (id, text) documents or a prebuilt :class:`Bm25Index`,
+    whose own k1 and b then apply.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > len(pool):
         raise PoolExhaustedError(f"requested k={k} from a pool of {len(pool)}")
-    index = Bm25Index(pool, k1=k1, b=b)
-    scored = sorted(zip(index.ids, index.scores(query)), key=lambda p: (-p[1], p[0]))
-    return [doc_id for doc_id, _ in scored[:k]]
+    index = pool if isinstance(pool, Bm25Index) else Bm25Index(pool, k1=k1, b=b)
+    scored = heapq.nsmallest(k, zip(index.ids, index.scores(query)),
+                             key=lambda p: (-p[1], p[0]))
+    return [doc_id for doc_id, _ in scored]

@@ -1,9 +1,14 @@
 import json
+import sys
 
 import pytest
 
 from semkit.cli import main
-from semkit.resources import data_path
+from semkit.corpus import load_dataset, load_split
+from semkit.execute import operators_of
+from semkit.prompts import PromptSpec, build_prompt, load_dd_source, render_dd
+from semkit.resources import data_path, dd_path
+from semkit.selection import bm25_rank, greedy_select
 
 SHOWCASE_FUNQL = "answer(elevation_1(highest(place(loc_2(largest(state(all)))))))"
 CANON_LDCS_FULL = ("(call SW.listValue (call SW.filter (call SW.filter (call SW.getProperty "
@@ -186,19 +191,62 @@ def test_usage_error_exit_code(capsys):
     assert exit_info.value.code == 1
 
 
+def _replay_config(tmp_path, capsys, method):
+    """The bundled replay experiment, with its cache recorded first when not ``random``.
+
+    Recorded completions answer even-numbered test examples with their gold
+    program and the rest with a wrong one, so the reports mix verdicts.
+    """
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    config = json.loads(data_path("experiment_replay.json").read_text())
+    if method != "random":
+        dataset = load_dataset(data_path("datasets", "geoquery.jsonl"))
+        by_utterance = {ex.utterance: ex for ex in dataset.examples}
+
+        def answer(prompt):
+            example = by_utterance[prompt.rsplit("query: ", 1)[1].split("\n")[0]]
+            if int(example.id.rsplit("-", 1)[1]) % 2:
+                return "def answer():\n    return -1"
+            return example.programs["pymr"]
+
+        server, url, _ = _endpoint(answer)
+        config["selection"] = {"method": method, "k": 3}
+        config["client"] = {"mode": "record", "cache": str(tmp_path / "cache.jsonl"),
+                            "model": "live-model", "endpoint": url}
+        config_path = tmp_path / "record.json"
+        config_path.write_text(json.dumps(config))
+        try:
+            code, _, _ = run(capsys, "run", "--config", str(config_path),
+                             "--output-dir", str(tmp_path / "recorded"))
+            assert code == 0
+        finally:
+            server.shutdown()
+        config["client"] = {"mode": "replay", "cache": str(tmp_path / "cache.jsonl"),
+                            "model": "live-model"}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    return config_path
+
+
 def test_run_parallel_jobs_matches_serial(tmp_path, capsys):
-    serial = tmp_path / "serial"
-    parallel = tmp_path / "parallel"
-    code, serial_out, _ = run(capsys, "run", "--config",
-                              str(data_path("experiment_replay.json")),
-                              "--output-dir", str(serial))
-    assert code == 0
-    code, parallel_out, _ = run(capsys, "run", "--config",
-                                str(data_path("experiment_replay.json")),
-                                "--output-dir", str(parallel), "--jobs", "4")
-    assert code == 0
-    assert serial_out == parallel_out
-    assert (serial / "aggregate.csv").read_bytes() == (parallel / "aggregate.csv").read_bytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so shared state sees interleavings
+    try:
+        for method in ("random", "bm25", "coverage"):
+            config_path = _replay_config(tmp_path / method, capsys, method)
+            outputs = {}
+            for jobs in ("1", "4"):
+                out_dir = tmp_path / method / f"jobs{jobs}"
+                code, out, err = run(capsys, "run", "--config", str(config_path),
+                                     "--output-dir", str(out_dir), "--jobs", jobs)
+                assert code == 0 and err == ""
+                outputs[jobs] = (out, {p.name: p.read_bytes()
+                                       for p in sorted(out_dir.iterdir())})
+            assert outputs["1"] == outputs["4"], method
+            accuracies = json.loads(outputs["1"][0])["accuracies"]
+            assert all(0.0 < a < 1.0 for a in accuracies), method
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_execute_pymr_program(tmp_path, capsys):
@@ -210,15 +258,18 @@ def test_execute_pymr_program(tmp_path, capsys):
     assert json.loads(out)["result"]["value"] == 5.0
 
 
-def _constant_endpoint(program_text):
+def _endpoint(answer):
+    """A local completion endpoint answering ``answer(prompt)``; returns the prompts it got."""
     import http.server
     import threading
 
-    body = json.dumps({"completion": program_text}).encode()
+    prompts = []
 
     class Handler(http.server.BaseHTTPRequestHandler):
         def do_POST(self):
-            self.rfile.read(int(self.headers["Content-Length"]))
+            request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            prompts.append(request["prompt"])
+            body = json.dumps({"completion": answer(request["prompt"])}).encode()
             self.send_response(200)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
@@ -229,12 +280,21 @@ def _constant_endpoint(program_text):
 
     server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server, f"http://127.0.0.1:{server.server_address[1]}/"
+    return server, f"http://127.0.0.1:{server.server_address[1]}/", prompts
+
+
+def _reference_demo_ids(method, dataset, split, dialect, k, query):
+    """Demonstrations picked from scratch for one query, sharing no state between queries."""
+    pool = [i for i in split.train_ids if dialect in dataset[i].programs]
+    if method == "bm25":
+        return bm25_rank(query, [(i, dataset[i].utterance) for i in pool], k)
+    sets = [(i, operators_of(dialect, dataset[i].programs[dialect])) for i in pool]
+    return greedy_select(sets, frozenset().union(*(s for _, s in sets)), k)
 
 
 @pytest.mark.parametrize("method", ["coverage", "bm25"])
 def test_run_record_mode_with_selection_methods(tmp_path, capsys, method):
-    server, url = _constant_endpoint("def answer():\n    return -1")
+    server, url, prompts = _endpoint(lambda prompt: "def answer():\n    return -1")
     try:
         config = json.loads(data_path("experiment_replay.json").read_text())
         config["selection"] = {"method": method, "k": 3}
@@ -252,5 +312,17 @@ def test_run_record_mode_with_selection_methods(tmp_path, capsys, method):
         assert aggregate["mean_accuracy"] == 0.0
         recorded = (tmp_path / "cache.jsonl").read_text().splitlines()
         assert len(recorded) == 10  # one request per test example
+        dataset = load_dataset(data_path("datasets", "geoquery.jsonl"))
+        split = load_split(data_path("splits", "geoquery_iid.json"), dataset)
+        dd = render_dd(load_dd_source(dd_path("geo", "pymr")), "full")
+        expected = []
+        for test_id in split.test_ids:
+            utterance = dataset[test_id].utterance
+            ids = _reference_demo_ids(method, dataset, split, "pymr", 3, utterance)
+            expected.append(build_prompt(PromptSpec(
+                dd_variant="full", dd_text=dd, test_utterance=utterance, dialect="pymr",
+                demonstrations=tuple((dataset[i].utterance, dataset[i].programs["pymr"])
+                                     for i in ids))))
+        assert prompts == expected
     finally:
         server.shutdown()

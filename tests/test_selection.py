@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from semkit.corpus import load_dataset, load_split
 from semkit.errors import PoolExhaustedError
 from semkit.execute import operators_of
+from semkit.resources import dataset_path, split_path
 from semkit.selection import Bm25Index, bm25_rank, coverage_fraction, greedy_select, setcov
 
 GOLDEN_GREEDY_K10 = ["gq-03", "gq-04", "gq-27", "gq-07", "gq-13",
@@ -200,3 +202,52 @@ def test_bm25_equals_naive_on_random_instances():
         want = [i for i, _ in sorted(zip([p[0] for p in pool], want_scores),
                                      key=lambda t: (-t[1], t[0]))]
         assert ranked == want
+
+
+def per_document_bm25_scores(query, documents, k1=1.5, b=0.75):
+    """BM25 scored one document at a time, with each term of the query added in turn."""
+    import re
+    from collections import Counter
+
+    def toks(text):
+        return re.findall(r"[a-z0-9]+", text.lower())
+
+    term_freqs = [Counter(toks(text)) for _, text in documents]
+    doc_lens = [sum(tf.values()) for tf in term_freqs]
+    avgdl = sum(doc_lens) / len(documents) if documents else 0.0
+    df = Counter(term for tf in term_freqs for term in tf)
+    idf = {term: max(0.0, math.log((len(documents) - n + 0.5) / (n + 0.5)))
+           for term, n in df.items()}
+    scores = []
+    for tf, dl in zip(term_freqs, doc_lens):
+        norm = k1 * (1 - b + b * (dl / avgdl if avgdl else 0.0))
+        score = 0.0
+        for term in toks(query):
+            f = tf.get(term, 0)
+            if f:
+                score += idf[term] * f * (k1 + 1) / (f + norm)
+        scores.append(score)
+    return scores
+
+
+@pytest.mark.parametrize("name", ["geoquery", "overnight", "smcalflow"])
+def test_bm25_prebuilt_index_matches_per_query_ranking(name):
+    dataset = load_dataset(dataset_path(name))
+    split = load_split(split_path(f"{name}_iid"), dataset)
+    pool = [(i, dataset[i].utterance) for i in split.train_ids]
+    index = Bm25Index(pool)
+    utterances = [dataset[i].utterance for i in split.test_ids]
+    words = utterances[0].split()
+    queries = [*utterances,
+               *(f"{u} {u}" for u in utterances),  # every term repeated
+               f"{words[0]} {words[-1]} {words[0]} {words[0]}",
+               "zzz qqq xyzzy", f"zzz {utterances[0]} qqq",  # unknown terms
+               "", "  ?  "]  # no terms at all
+    for query in queries:
+        scores = index.scores(query)
+        assert scores == per_document_bm25_scores(query, pool)  # bitwise
+        by_score = [i for i, _ in sorted(zip(index.ids, scores), key=lambda t: (-t[1], t[0]))]
+        for k in (1, 3, len(pool)):
+            assert bm25_rank(query, index, k) == bm25_rank(query, pool, k) == by_score[:k]
+    with pytest.raises(PoolExhaustedError):
+        bm25_rank(utterances[0], index, len(pool) + 1)
