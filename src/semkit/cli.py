@@ -19,10 +19,10 @@ from pathlib import Path
 
 from .corpus import load_dataset, load_split
 from .errors import SemkitError
-from .execute import load_environment, run_program
+from .execute import DIALECTS, ENVIRONMENTS, dialect_for, load_environment, run_program
 from .experiment import (DemoSelector, dd_text, load_config_environment, make_client,
                          resolve_path, run_experiment)
-from .prompts import PromptSpec, build_prompt, load_dd_source
+from .prompts import DD_VARIANTS, PromptSpec, build_prompt, load_dd_source
 from .resources import dd_path
 from .social import desimplify_ldcs, parse_ldcs, render_ldcs, simplify_ldcs
 
@@ -85,6 +85,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_prompt(args) -> int:
+    dialect_for(args.dialect, args.env)
     dataset = load_dataset(resolve_path(args.dataset))
     split = load_split(resolve_path(args.split), dataset)
     ids = DemoSelector(dataset, split, args.dialect).select(args.method, args.k, args.seed,
@@ -152,8 +153,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("execute", help="run one program file against an environment")
-    p.add_argument("--env", required=True, choices=("geo", "social", "calendar"))
-    p.add_argument("--dialect", required=True)
+    p.add_argument("--env", required=True, choices=tuple(ENVIRONMENTS))
+    p.add_argument("--dialect", required=True, choices=tuple(DIALECTS))
     p.add_argument("--program", required=True)
     p.add_argument("--world", required=True, help="model/db/world file (or bundled:...)")
     p.set_defaults(func=cmd_execute)
@@ -169,18 +170,17 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", required=True)
-    p.add_argument("--dialect", required=True)
+    p.add_argument("--dialect", required=True, choices=tuple(DIALECTS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--query", help="test utterance (bm25 only)")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("prompt", help="print an assembled prompt")
-    p.add_argument("--env", required=True, choices=("geo", "social", "calendar"))
-    p.add_argument("--dialect", required=True)
+    p.add_argument("--env", required=True, choices=tuple(ENVIRONMENTS))
+    p.add_argument("--dialect", required=True, choices=tuple(DIALECTS))
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", required=True)
-    p.add_argument("--dd", choices=("none", "operator-list", "no-typing", "full"),
-                   default="full")
+    p.add_argument("--dd", choices=DD_VARIANTS, default="full")
     p.add_argument("--method", choices=("random", "coverage", "bm25"), default="random")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)

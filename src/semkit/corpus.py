@@ -10,8 +10,7 @@ Split files are JSON::
 
     {"name": str, "train": [id, ...], "test": [id, ...]}
 
-Known dialect names: ``funql``, ``ldcs``, ``ldcs-simple``, ``dataflow-simple``,
-``pymr``.
+Dialect names are the keys of :data:`semkit.execute.DIALECTS`.
 
 Sampling PRNG
 -------------
@@ -34,8 +33,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import DataFormatError, PoolExhaustedError
-
-KNOWN_DIALECTS = ("funql", "ldcs", "ldcs-simple", "dataflow-simple", "pymr")
+from .execute import DIALECTS
 
 _LCG_MULT = 1664525
 _LCG_INC = 1013904223
@@ -122,10 +120,10 @@ def load_dataset(path, name: str | None = None) -> Dataset:
                 raise DataFormatError(f"{path}: line {lineno}: duplicate id {ex_id!r}")
             seen.add(ex_id)
             for dialect in programs:
-                if dialect not in KNOWN_DIALECTS:
+                if dialect not in DIALECTS:
                     raise DataFormatError(
                         f"{path}: line {lineno}: unknown dialect {dialect!r} "
-                        f"(known: {', '.join(KNOWN_DIALECTS)})"
+                        f"(known: {', '.join(DIALECTS)})"
                     )
                 if dialect not in dialects:
                     dialects.append(dialect)

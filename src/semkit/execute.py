@@ -1,43 +1,76 @@
-"""Dialect dispatch: parse, execute and extract operators for any MR dialect.
+"""The dialect registry: parse, execute and extract operators for any MR dialect.
 
-This is the seam batch tooling goes through: programs arrive as text, and
-failures of any kind (parse or runtime) come back as captured
-:class:`~semkit.outcomes.Outcome` failures rather than exceptions.
+:data:`DIALECTS` holds, per dialect, the environment it runs against and its
+parse, execute and operator-extraction steps; :data:`ENVIRONMENTS` holds the
+environment loaders.  Programs arrive as text, and failures of any kind (parse
+or runtime) come back as captured :class:`~semkit.outcomes.Outcome` failures;
+pairing a dialect with the wrong environment raises :class:`SemkitError`.
 """
 
 from __future__ import annotations
 
-from . import calflow, funql, pymr, social
+from dataclasses import dataclass
+from typing import Callable
+
+from . import calflow, funql, geo, pymr, social
 from .errors import SemkitError
 from .outcomes import Outcome
 
-DIALECT_ENVIRONMENTS = {
-    "funql": "geo",
-    "ldcs": "social",
-    "ldcs-simple": "social",
-    "dataflow-simple": "calendar",
-    "pymr": None,  # runs against any environment
+ENVIRONMENTS = {
+    "geo": geo.load_geobase,
+    "social": social.load_social_db,
+    "calendar": calflow.load_world,
 }
+
+
+@dataclass(frozen=True)
+class Dialect:
+    environment: str | None  # None: runs against any environment
+    parse: Callable  # text -> ast
+    execute: Callable  # (ast, environment, env_object) -> Outcome
+    operators: Callable  # ast -> frozenset of operator names
+
+
+# Steps look the interpreter functions up on their modules at call time, so a
+# rebound module attribute (a tracer, a test double) is the one that runs.
+DIALECTS = {
+    "funql": Dialect("geo", lambda text: funql.parse_funql(text),
+                     lambda ast, env, world: Outcome.success(funql.exec_funql(ast, world)),
+                     lambda ast: funql.extract_operators(ast)),
+    "ldcs": Dialect("social", lambda text: social.parse_ldcs(text, "full"),
+                    lambda ast, env, world: Outcome.success(
+                        social.exec_ldcs_simple(social.simplify_ldcs(ast), world)),
+                    lambda ast: social.extract_operators(ast)),
+    "ldcs-simple": Dialect("social", lambda text: social.parse_ldcs(text, "simple"),
+                           lambda ast, env, world: Outcome.success(
+                               social.exec_ldcs_simple(ast, world)),
+                           lambda ast: social.extract_operators(ast)),
+    "dataflow-simple": Dialect("calendar", lambda text: calflow.parse_dfs(text),
+                               lambda ast, env, world: Outcome.success(
+                                   calflow.exec_dfs(ast, world)[1]),
+                               lambda ast: calflow.extract_operators(ast)),
+    "pymr": Dialect(None, lambda text: pymr.parse_pymr(text),
+                    lambda ast, env, world: pymr.exec_pymr(ast, env, world),
+                    lambda ast: pymr.extract_operators(ast)),
+}
+
+
+def dialect_for(dialect: str, environment: str | None = None) -> Dialect:
+    """The registry entry of ``dialect``, checked against ``environment`` when given."""
+    if dialect not in DIALECTS:
+        raise SemkitError(f"unknown dialect {dialect!r} (known: {', '.join(DIALECTS)})")
+    entry = DIALECTS[dialect]
+    if environment is not None and (environment not in ENVIRONMENTS
+                                    or entry.environment not in (None, environment)):
+        raise SemkitError(f"dialect {dialect!r} does not run against {environment!r}")
+    return entry
 
 
 def run_program(dialect: str, text: str, environment: str, env_object) -> Outcome:
     """Parse and execute one program; never raises for program-level problems."""
-    expected = DIALECT_ENVIRONMENTS.get(dialect, "missing")
-    if expected == "missing" or (expected is not None and expected != environment):
-        raise ValueError(f"dialect {dialect!r} does not run against {environment!r}")
+    entry = dialect_for(dialect, environment)
     try:
-        if dialect == "funql":
-            return Outcome.success(funql.exec_funql(funql.parse_funql(text), env_object))
-        if dialect == "ldcs":
-            ast = social.simplify_ldcs(social.parse_ldcs(text, "full"))
-            return Outcome.success(social.exec_ldcs_simple(ast, env_object))
-        if dialect == "ldcs-simple":
-            ast = social.parse_ldcs(text, "simple")
-            return Outcome.success(social.exec_ldcs_simple(ast, env_object))
-        if dialect == "dataflow-simple":
-            _, delta = calflow.exec_dfs(calflow.parse_dfs(text), env_object)
-            return Outcome.success(delta)
-        return pymr.exec_pymr(pymr.parse_pymr(text), environment, env_object)
+        return entry.execute(entry.parse(text), environment, env_object)
     except SemkitError as exc:
         return Outcome.from_exception(exc)
     except Exception as exc:  # noqa: BLE001 - captured by contract
@@ -46,28 +79,12 @@ def run_program(dialect: str, text: str, environment: str, env_object) -> Outcom
 
 def operators_of(dialect: str, text: str) -> frozenset[str]:
     """Unigram operator set of one program, per the dialect's extraction rule."""
-    if dialect == "funql":
-        return funql.extract_operators(funql.parse_funql(text))
-    if dialect == "ldcs":
-        return social.extract_operators(social.parse_ldcs(text, "full"))
-    if dialect == "ldcs-simple":
-        return social.extract_operators(social.parse_ldcs(text, "simple"))
-    if dialect == "dataflow-simple":
-        return calflow.extract_operators(calflow.parse_dfs(text))
-    if dialect == "pymr":
-        return pymr.extract_operators(pymr.parse_pymr(text))
-    raise ValueError(f"unknown dialect {dialect!r}")
+    entry = dialect_for(dialect)
+    return entry.operators(entry.parse(text))
 
 
 def load_environment(environment: str, path):
     """Load the environment object an execution needs (model, db or world)."""
-    if environment == "geo":
-        from .geo import load_geobase
-        return load_geobase(path)
-    if environment == "social":
-        from .social import load_social_db
-        return load_social_db(path)
-    if environment == "calendar":
-        from .calflow import load_world
-        return load_world(path)
-    raise ValueError(f"unknown environment {environment!r}")
+    if environment not in ENVIRONMENTS:
+        raise SemkitError(f"unknown environment {environment!r}")
+    return ENVIRONMENTS[environment](path)

@@ -23,7 +23,7 @@ from . import resources
 from .corpus import Dataset, Split, load_dataset, load_split, sample_demos
 from .errors import SemkitError
 from .evaluation import POLICIES, canonicalize_names, report_from_verdicts, score_run, verdict_of
-from .execute import load_environment, operators_of, run_program
+from .execute import dialect_for, load_environment, operators_of, run_program
 from .llm import CompletionRequest, LlmClient, ReplayCache, extract_program, http_transport
 from .prompts import PromptSpec, build_prompt, default_template, load_dd_source, render_dd
 from .selection import Bm25Index, bm25_rank, coverage_fraction, greedy_select
@@ -143,6 +143,8 @@ def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> di
     environment = config["environment"]
     dialect = config["dialect"]
     gold_dialect = config.get("gold_dialect", dialect)
+    dialect_for(dialect, environment)
+    dialect_for(gold_dialect, environment)
     dd_variant = config.get("dd_variant", "full")
     selection = config.get("selection", {"method": "random", "k": 3})
     method, k = selection["method"], int(selection["k"])

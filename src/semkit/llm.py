@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from .corpus import Dataset, Example, sample_demos, Split
 from .errors import CacheMissError, SemkitError, TransportError
 from .evaluation import POLICIES, compare_outcomes
-from .execute import run_program
+from .execute import dialect_for, run_program
 from .prompts import PromptSpec, build_prompt, default_template, render_dd
 
 DEFAULT_TEMPERATURE = 0.0
@@ -208,6 +208,8 @@ def bootstrap_annotations(seed_pool: list[Example], unlabeled: list[Example],
     """
     if not seed_pool:
         raise ValueError("seed pool must be nonempty")
+    dialect_for(config.dialect, config.environment)
+    dialect_for(config.gold_dialect, config.environment)
     pool = list(seed_pool)
     pending = [ex for ex in unlabeled if config.dialect not in ex.programs]
     policy = POLICIES[config.environment]

@@ -198,8 +198,11 @@ def _check_expr(expr, in_call_args: bool = False) -> None:
             "generator expressions may only be the sole argument of "
             "any/all/max/min/sum/list/set", line=expr.lineno)
     elif isinstance(expr, pyast.Compare):
-        if len(expr.ops) != 1 or not isinstance(expr.ops[0], _ALLOWED_CMPOPS):
+        if len(expr.ops) != 1:
             raise UnsupportedConstructError("chained comparison", line=expr.lineno)
+        if not isinstance(expr.ops[0], _ALLOWED_CMPOPS):
+            raise UnsupportedConstructError(
+                f"operator {type(expr.ops[0]).__name__}", line=expr.lineno)
         _check_expr(expr.left)
         _check_expr(expr.comparators[0])
     elif isinstance(expr, pyast.BoolOp):
@@ -337,9 +340,6 @@ def _unwrap_person(value) -> calflow.CalPerson:
     if isinstance(value, CalendarPerson):
         return value._person
     raise MrExecError("type-mismatch", f"{value!r} is not a person")
-
-
-ENVIRONMENTS = ("geo", "social", "calendar")
 
 
 def make_binding(environment: str, env_object) -> dict:
@@ -595,10 +595,6 @@ class _Interpreter:
                 return left == right
             if isinstance(op, pyast.NotEq):
                 return left != right
-            if isinstance(op, pyast.Is):
-                return left is right
-            if isinstance(op, pyast.IsNot):
-                return left is not right
             if isinstance(op, pyast.In):
                 return left in right
             if isinstance(op, pyast.NotIn):
@@ -619,46 +615,24 @@ class _Interpreter:
 _GEO_ENTITY_TYPES = (State, City, River, Place, Country)
 
 
-def _normalize_geo(value) -> Denotation:
+def _normalize(value, entity_types, ref) -> Denotation:
     if value is None:
         return Denotation.of_entities([])
     if isinstance(value, bool):
         return Denotation.of_number(1.0 if value else 0.0)
     if isinstance(value, (int, float)):
         return Denotation.of_number(value)
-    if isinstance(value, _GEO_ENTITY_TYPES):
-        return Denotation.of_entities([entity_ref(value)])
+    if isinstance(value, entity_types):
+        return Denotation.of_entities([ref(value)])
     if isinstance(value, (list, set, frozenset, tuple)):
         items = list(value)
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items) and items:
             return Denotation.of_numbers(items)
         refs = []
         for item in items:
-            if not isinstance(item, _GEO_ENTITY_TYPES):
+            if not isinstance(item, entity_types):
                 raise MrExecError("type-mismatch", f"cannot interpret {item!r} as an answer")
-            refs.append(entity_ref(item))
-        return Denotation.of_entities(refs)
-    raise MrExecError("type-mismatch", f"cannot interpret {value!r} as an answer")
-
-
-def _normalize_social(value) -> Denotation:
-    if value is None:
-        return Denotation.of_entities([])
-    if isinstance(value, bool):
-        return Denotation.of_number(1.0 if value else 0.0)
-    if isinstance(value, (int, float)):
-        return Denotation.of_number(value)
-    if isinstance(value, (Person, str)):
-        return Denotation.of_entities([social_mod.value_ref(value)])
-    if isinstance(value, (list, set, frozenset, tuple)):
-        items = list(value)
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items) and items:
-            return Denotation.of_numbers(items)
-        refs = []
-        for item in items:
-            if not isinstance(item, (Person, str)):
-                raise MrExecError("type-mismatch", f"cannot interpret {item!r} as an answer")
-            refs.append(social_mod.value_ref(item))
+            refs.append(ref(item))
         return Denotation.of_entities(refs)
     raise MrExecError("type-mismatch", f"cannot interpret {value!r} as an answer")
 
@@ -672,8 +646,8 @@ def exec_pymr(ast: PymrAst, environment: str, env_object) -> Outcome:
         if environment == "calendar":
             return Outcome.success(WorldDelta(created=tuple(binding["api"]._created)))
         if environment == "geo":
-            return Outcome.success(_normalize_geo(result))
-        return Outcome.success(_normalize_social(result))
+            return Outcome.success(_normalize(result, _GEO_ENTITY_TYPES, entity_ref))
+        return Outcome.success(_normalize(result, (Person, str), social_mod.value_ref))
     except MrExecError as exc:
         return Outcome.from_exception(exc)
     except Exception as exc:  # noqa: BLE001 - captured by contract, never fatal

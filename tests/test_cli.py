@@ -326,3 +326,51 @@ def test_run_record_mode_with_selection_methods(tmp_path, capsys, method):
         assert prompts == expected
     finally:
         server.shutdown()
+
+
+def test_execute_unknown_dialect_is_usage_error(tmp_path, capsys):
+    program = tmp_path / "p.txt"
+    program.write_text(SHOWCASE_FUNQL)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["execute", "--env", "geo", "--dialect", "bogus", "--program", str(program),
+              "--world", "bundled:geobase.jsonl"])
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --dialect: invalid choice: 'bogus'")
+
+
+@pytest.mark.parametrize("command", ["execute", "prompt"])
+def test_dialect_environment_mismatch_is_usage_error(tmp_path, capsys, command):
+    program = tmp_path / "p.ldcs"
+    program.write_text(CANON_LDCS_FULL)
+    if command == "execute":
+        rest = ["--program", str(program), "--world", "bundled:geobase.jsonl"]
+    else:
+        rest = ["--dataset", "bundled:datasets/geoquery.jsonl",
+                "--split", "bundled:splits/geoquery_iid.json", "--utterance", "hi"]
+    code, out, err = run(capsys, command, "--env", "geo", "--dialect", "ldcs", *rest)
+    assert code == 1 and out == ""
+    assert err == "error: dialect 'ldcs' does not run against 'geo'\n"
+
+
+@pytest.mark.parametrize("command,bundled", [("run", "experiment_replay.json"),
+                                             ("bootstrap", "bootstrap_replay.json")])
+def test_gold_dialect_mismatch_fails_before_any_request(tmp_path, capsys, command, bundled):
+    server, url, prompts = _endpoint(lambda prompt: "def answer():\n    return -1")
+    try:
+        config = json.loads(data_path(bundled).read_text())
+        config["gold_dialect"] = "ldcs"
+        config["client"] = {"mode": "record", "cache": str(tmp_path / "cache.jsonl"),
+                            "model": "live-model", "endpoint": url}
+        config["output"] = str(tmp_path / "pool.jsonl")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        argv = ["--config", str(config_path)]
+        if command == "run":
+            argv += ["--output-dir", str(tmp_path / "out")]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: dialect 'ldcs' does not run against 'geo'\n"
+        assert prompts == []
+    finally:
+        server.shutdown()

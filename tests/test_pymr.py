@@ -55,6 +55,9 @@ def test_return_annotation_is_tolerated():
     ("def answer():\n    return f\"{1}\"", "f-string"),
     ("def answer():\n    return 1 if True else 2", "conditional expression"),
     ("def answer():\n    return (p for p in geo_model.states)", "generator expression"),
+    ("def answer():\n    return 1 is None", "operator Is"),
+    ("def answer():\n    return 1 is not None", "operator IsNot"),
+    ("def answer():\n    return 1 < 2 < 3", "chained comparison"),
 ])
 def test_unsupported_constructs_are_named(source, construct):
     with pytest.raises(UnsupportedConstructError) as err:
@@ -251,3 +254,49 @@ def test_boolean_conditions_follow_truthiness(geo_model):
     assert outcome.ok
     names = {e[1] for e in outcome.value.entities}
     assert names == {"texas", "colorado", "missouri"}
+
+
+def _entities(*refs):
+    return {"ok": True, "result": {"kind": "entities", "entities": [list(r) for r in refs]}}
+
+
+def _number(value):
+    return {"ok": True, "result": {"kind": "number", "value": value, "unit": None}}
+
+
+_MISMATCH_1 = {"ok": False, "error": "type-mismatch",
+               "message": "type-mismatch: cannot interpret 1 as an answer"}
+_NORMALIZATION = {
+    "geo": {
+        "one": ("geo_model.states[0]", _entities(("state", "texas"))),
+        "pair": ("[geo_model.states[0], geo_model.states[1]]",
+                 _entities(("state", "new mexico"), ("state", "texas"))),
+        "mixed": ("[geo_model.states[0], 1]", _MISMATCH_1),
+        "string": ('"texas"', {"ok": False, "error": "type-mismatch",
+                               "message": "type-mismatch: cannot interpret 'texas' as an answer"}),
+    },
+    "social": {
+        "one": ("api.people[0]", _entities(("person", "en.person.alice"))),
+        "pair": ("[api.people[1], api.people[0]]",
+                 _entities(("person", "en.person.alice"), ("person", "en.person.bob"))),
+        "mixed": ("[api.people[0], 1]", _MISMATCH_1),
+        "string": ('"texas"', _entities(("value", "texas"))),
+    },
+}
+
+
+@pytest.mark.parametrize("environment", ["geo", "social"])
+@pytest.mark.parametrize("case", [
+    ("None", _entities()),
+    ("True", _number(1.0)),
+    ("False", _number(0.0)),
+    ("7", _number(7.0)),
+    ("[3, 1.5]", _number([1.5, 3.0])),
+    ("[]", _entities()),
+    "one", "pair", "mixed", "string",
+])
+def test_answer_normalization(request, environment, case):
+    world = request.getfixturevalue({"geo": "geo_model", "social": "social_db"}[environment])
+    expr, expected = _NORMALIZATION[environment][case] if isinstance(case, str) else case
+    outcome = exec_pymr(parse_pymr(f"def answer():\n    return {expr}"), environment, world)
+    assert outcome.to_json() == expected
