@@ -183,12 +183,21 @@ class Lcg:
         return self.next() % n
 
 
-def _draw(pool: list[str], k: int, rng: Lcg) -> list[str]:
-    items = list(pool)
+def _draw(pool: list, k: int, rng: Lcg) -> list:
+    """The first ``k`` items of the documented partial Fisher-Yates shuffle of ``pool``.
+
+    Sparse: only swapped positions are recorded (position -> pool index), so a
+    draw costs O(k) whatever the pool size, and the pool is neither copied nor
+    changed.
+    """
+    n = len(pool)
+    moved: dict[int, int] = {}
+    chosen = []
     for i in range(k):
-        j = i + rng.below(len(items) - i)
-        items[i], items[j] = items[j], items[i]
-    return items[:k]
+        j = i + rng.below(n - i)
+        chosen.append(pool[moved.get(j, j)])
+        moved[j] = moved.get(i, i)
+    return chosen
 
 
 def sample_demos(
@@ -229,7 +238,8 @@ def sample_demos(
             ids = by_value[value]
             want = min(2, len(ids), max(0, k - len(chosen)))
             chosen.extend(_draw(ids, want, rng))
-        rest = [i for i in pool if i not in set(chosen)]
+        taken = set(chosen)
+        rest = [i for i in pool if i not in taken]
         remaining = k - len(chosen)
         if remaining > 0:
             chosen.extend(_draw(rest, remaining, rng))

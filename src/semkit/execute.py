@@ -9,6 +9,7 @@ pairing a dialect with the wrong environment raises :class:`SemkitError`.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -75,6 +76,26 @@ def run_program(dialect: str, text: str, environment: str, env_object) -> Outcom
         return Outcome.from_exception(exc)
     except Exception as exc:  # noqa: BLE001 - captured by contract
         return Outcome.failure("execution-error", f"{type(exc).__name__}: {exc}")
+
+
+def memoized_runs(environment: str, env_object) -> Callable[[str, str], Outcome]:
+    """A thread-safe ``run(dialect, text)`` that runs each distinct (dialect, text) once.
+
+    Later calls with the same key return the first call's outcome, so a
+    program that mutates the environment afterwards cannot change it.
+    """
+    outcomes: dict[tuple[str, str], Outcome] = {}
+    lock = threading.Lock()
+
+    def run(dialect: str, text: str) -> Outcome:
+        key = (dialect, text)
+        with lock:
+            if key not in outcomes:
+                # the module global, so a rebound run_program (tracer, test double) runs
+                outcomes[key] = run_program(dialect, text, environment, env_object)
+            return outcomes[key]
+
+    return run
 
 
 def operators_of(dialect: str, text: str) -> frozenset[str]:

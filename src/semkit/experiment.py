@@ -23,7 +23,8 @@ from . import resources
 from .corpus import Dataset, Split, load_dataset, load_split, sample_demos
 from .errors import SemkitError
 from .evaluation import POLICIES, canonicalize_names, report_from_verdicts, score_run, verdict_of
-from .execute import dialect_for, load_environment, operators_of, run_program
+from .execute import (ENVIRONMENTS, dialect_for, load_environment, memoized_runs, operators_of,
+                      run_program)
 from .llm import CompletionRequest, LlmClient, ReplayCache, extract_program, http_transport
 from .prompts import PromptSpec, build_prompt, default_template, load_dd_source, render_dd
 from .selection import Bm25Index, bm25_rank, coverage_fraction, greedy_select
@@ -43,6 +44,8 @@ def resolve_path(path: str, base: Path | None = None) -> Path:
 def load_config_environment(config: dict, base: Path):
     """The environment object a config names; ``environment_file`` defaults to the bundled one."""
     environment = config["environment"]
+    if environment not in ENVIRONMENTS:
+        raise SemkitError(f"unknown environment {environment!r}")
     default = f"bundled:{resources.environment_path(environment).name}"
     return load_environment(environment,
                             resolve_path(config.get("environment_file", default), base))
@@ -161,16 +164,7 @@ def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> di
     template_id = config.get("template_id", "v1")
     template = default_template(template_id)
     selector = DemoSelector(dataset, split, dialect)
-    gold_outcomes = {}  # (gold dialect, canonical gold text) -> Outcome
-    gold_lock = threading.Lock()
-
-    def gold_outcome(gold_program: str):
-        key = (gold_dialect, gold_program)
-        with gold_lock:
-            if key not in gold_outcomes:
-                gold_outcomes[key] = run_program(gold_dialect, gold_program, environment,
-                                                 env_object)
-            return gold_outcomes[key]
+    gold_outcome = memoized_runs(environment, env_object)  # keyed by canonical gold text
 
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
@@ -204,7 +198,7 @@ def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> di
                 except SemkitError:
                     return (test_id, "execution-failure")
             pred = run_program(dialect, program, environment, env_object)
-            return (test_id, verdict_of(pred, gold_outcome(gold_program), policy))
+            return (test_id, verdict_of(pred, gold_outcome(gold_dialect, gold_program), policy))
 
         if jobs > 1:
             from concurrent.futures import ThreadPoolExecutor

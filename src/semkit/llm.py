@@ -28,10 +28,10 @@ import time
 import urllib.request
 from dataclasses import dataclass, field
 
-from .corpus import Dataset, Example, sample_demos, Split
+from .corpus import Example, Lcg, _draw
 from .errors import CacheMissError, SemkitError, TransportError
 from .evaluation import POLICIES, compare_outcomes
-from .execute import dialect_for, run_program
+from .execute import dialect_for, memoized_runs, run_program
 from .prompts import PromptSpec, build_prompt, default_template, render_dd
 
 DEFAULT_TEMPERATURE = 0.0
@@ -201,17 +201,28 @@ def bootstrap_annotations(seed_pool: list[Example], unlabeled: list[Example],
                           env_object, client: LlmClient, config: BootstrapConfig) -> list[Example]:
     """Grow an annotation pool with LLM-proposed programs that execute correctly.
 
-    Each pass prompts with a Full-DD prompt and demonstrations sampled from
-    the current pool, executes the proposed program, checks it against the
-    gold program's outcome, and keeps only matches.  Client errors abort the
-    remainder of a pass but never discard the pool.
+    Each pass prompts with a Full-DD prompt and demonstrations drawn from the
+    pool examples annotated in ``config.dialect`` (the partial Fisher-Yates
+    draw of :func:`~semkit.corpus.sample_demos`, seeded per pass, O(k) per
+    prompt), executes the proposed program, checks it against the gold
+    program's outcome, and keeps only matches.  Gold outcomes are memoized per
+    call: each distinct gold (dialect, text) runs once, however many proposals
+    and passes are checked against it, so a proposal that mutates the
+    environment cannot change a gold outcome already computed.  Client errors
+    abort the remainder of a pass but never discard the pool.
     """
     if not seed_pool:
         raise ValueError("seed pool must be nonempty")
+    if config.k < 1:
+        raise ValueError("k must be >= 1")
     dialect_for(config.dialect, config.environment)
     dialect_for(config.gold_dialect, config.environment)
     pool = list(seed_pool)
+    annotated = [ex for ex in pool if config.dialect in ex.programs]
+    if not annotated:
+        raise SemkitError(f"no seed-pool example is annotated in {config.dialect!r}")
     pending = [ex for ex in unlabeled if config.dialect not in ex.programs]
+    gold_outcome = memoized_runs(config.environment, env_object)
     policy = POLICIES[config.environment]
     dd_text = render_dd(config.dd_declarations, "full")
     template = config.template or default_template()
@@ -224,7 +235,8 @@ def bootstrap_annotations(seed_pool: list[Example], unlabeled: list[Example],
             if aborted:
                 still_pending.append(example)
                 continue
-            demos = _sample_pool(pool, config.dialect, config.k, config.seed + pass_index)
+            demos = _draw(annotated, min(config.k, len(annotated)),
+                         Lcg(config.seed + pass_index))
             spec = PromptSpec(
                 dd_variant="full", dd_text=dd_text,
                 demonstrations=tuple((d.utterance, d.programs[config.dialect]) for d in demos),
@@ -239,22 +251,15 @@ def bootstrap_annotations(seed_pool: list[Example], unlabeled: list[Example],
                 continue
             program = extract_program(completion)
             pred = run_program(config.dialect, program, config.environment, env_object)
-            gold = run_program(config.gold_dialect, example.programs[config.gold_dialect],
-                               config.environment, env_object)
+            gold = gold_outcome(config.gold_dialect, example.programs[config.gold_dialect])
             if pred.ok and gold.ok and compare_outcomes(pred, gold, policy):
                 programs = dict(example.programs)
                 programs[config.dialect] = program
-                pool.append(Example(id=example.id, utterance=example.utterance,
-                                    programs=programs, tags=example.tags))
+                accepted = Example(id=example.id, utterance=example.utterance,
+                                   programs=programs, tags=example.tags)
+                pool.append(accepted)
+                annotated.append(accepted)
             else:
                 still_pending.append(example)
         pending = still_pending
     return pool
-
-
-def _sample_pool(pool: list[Example], dialect: str, k: int, seed: int) -> list[Example]:
-    annotated = [ex for ex in pool if dialect in ex.programs]
-    dataset = Dataset(name="pool", dialects=(dialect,), examples=tuple(annotated))
-    split = Split(name="pool", train_ids=tuple(ex.id for ex in annotated), test_ids=())
-    k = min(k, len(annotated))
-    return list(sample_demos(dataset, split, k, seed).examples)

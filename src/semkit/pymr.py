@@ -657,17 +657,11 @@ def exec_pymr(ast: PymrAst, environment: str, env_object) -> Outcome:
 def extract_operators(ast: PymrAst) -> frozenset[str]:
     """Accessed attributes, called non-builtin names, constructors, enum members."""
     found: set[str] = set()
-
-    class Visitor(pyast.NodeVisitor):
-        def visit_Attribute(self, node):
+    for node in pyast.walk(ast.func):
+        if isinstance(node, pyast.Attribute):
             if not node.attr.startswith("_"):
                 found.add(node.attr)
-            self.generic_visit(node)
-
-        def visit_Call(self, node):
-            if isinstance(node.func, pyast.Name) and node.func.id not in BUILTIN_NAMES:
-                found.add(node.func.id)
-            self.generic_visit(node)
-
-    Visitor().visit(ast.func)
+        elif (isinstance(node, pyast.Call) and isinstance(node.func, pyast.Name)
+              and node.func.id not in BUILTIN_NAMES):
+            found.add(node.func.id)
     return frozenset(found)

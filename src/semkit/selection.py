@@ -14,6 +14,11 @@ argmax go to the lowest pool index (golden traces depend on this).  Note that
 right after a reset any candidate strictly improves the (-inf) score, so a
 zero-gain candidate can legitimately be picked then.
 
+:func:`greedy_select` computes this incrementally: it keeps the set of
+structures the current cover covers, and a candidate's setcov with the cover
+is that count plus its gain |(S_z ∩ S) ∖ covered|, so the argmax is taken
+over gains and no step re-unions the cover.
+
 BM25
 ----
 Okapi scoring with k1=1.5, b=0.75 by default.  Documents and queries are
@@ -92,28 +97,29 @@ def greedy_select(pool: list[tuple[str, frozenset[str]]], structures: frozenset[
         raise ValueError("k must be >= 1")
     if k > len(pool):
         raise PoolExhaustedError(f"requested k={k} from a pool of {len(pool)}")
+    candidates = [(cand_id, cand_set & structures) for cand_id, cand_set in pool]
     selected: list[str] = []
     selected_ids: set[str] = set()
-    cover_sets: list[frozenset[str]] = []
-    current_cov = -math.inf
+    covered: set[str] = set()  # structures covered by the current cover
+    fresh = True  # the cover is empty since the start or a reset: any pick improves it
     trace: list[GreedyTrace] = []
     while len(selected) < k:
-        best_id, best_set, best_cov = None, None, -math.inf
-        for cand_id, cand_set in pool:
+        best_id, best_set, best_gain = None, None, -1
+        for cand_id, cand_set in candidates:
             if cand_id in selected_ids:
                 continue
-            cov = setcov(structures, [*cover_sets, cand_set])
-            if cov > best_cov:
-                best_id, best_set, best_cov = cand_id, cand_set, cov
-        if best_cov > current_cov:
-            current_cov = best_cov
+            gain = len(cand_set - covered)
+            if gain > best_gain:
+                best_id, best_set, best_gain = cand_id, cand_set, gain
+        if best_id is not None and (fresh or best_gain > 0):
+            fresh = False
+            covered |= best_set
             selected.append(best_id)
             selected_ids.add(best_id)
-            cover_sets.append(best_set)
-            trace.append(GreedyTrace(picked=best_id, coverage=best_cov))
+            trace.append(GreedyTrace(picked=best_id, coverage=len(covered)))
         else:
-            cover_sets = []
-            current_cov = -math.inf
+            covered = set()
+            fresh = True
             trace.append(GreedyTrace(picked=None, coverage=None))
     return (selected, trace) if with_trace else selected
 

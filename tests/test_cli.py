@@ -185,6 +185,18 @@ def test_bootstrap_command(tmp_path, capsys):
     assert len(lines) == 9
 
 
+def test_bootstrap_unknown_environment_is_an_error(tmp_path, capsys):
+    config = json.loads(data_path("bootstrap_replay.json").read_text())
+    config["environment"] = "mars"
+    config["output"] = str(tmp_path / "pool.jsonl")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "bootstrap", "--config", str(config_path))
+    assert code == 1 and out == ""
+    assert err == "error: unknown environment 'mars'\n"
+    assert not (tmp_path / "pool.jsonl").exists()
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["select", "--method", "warp"])

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from semkit.corpus import load_dataset, load_split, sample_demos, save_dataset
+from semkit.corpus import Lcg, _draw, load_dataset, load_split, sample_demos, save_dataset
 from semkit.errors import DataFormatError, PoolExhaustedError
 from semkit.resources import dataset_path
 
@@ -115,6 +115,25 @@ def test_sample_draws_without_replacement(geoquery, geoquery_split):
     demos = sample_demos(geoquery, geoquery_split, 10, seed=3)
     assert len(set(demos.ids)) == 10
     assert set(demos.ids) <= set(geoquery_split.train_ids)
+
+
+def list_copy_draw(pool, k, rng):
+    """The partial Fisher-Yates draw over a full copy of the pool, as the docstring states it."""
+    items = list(pool)
+    for i in range(k):
+        j = i + rng.below(len(items) - i)
+        items[i], items[j] = items[j], items[i]
+    return items[:k]
+
+
+def test_sparse_draw_matches_list_copy_draw():
+    for n in range(1, 61):
+        pool = [f"id-{i}" for i in range(n)]
+        for k in range(1, n + 1):
+            for seed in (0, 1, 7, 12345, 2**32 + 5):
+                assert _draw(pool, k, Lcg(seed)) == list_copy_draw(pool, k, Lcg(seed)), \
+                    (n, k, seed)
+    assert pool == [f"id-{i}" for i in range(60)]  # the pool itself is left as it was
 
 
 def test_different_seeds_differ_somewhere(geoquery, geoquery_split):

@@ -1,8 +1,10 @@
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from semkit import cli, experiment, selection
+from semkit import cli, execute, experiment, selection
 from semkit.corpus import sample_demos
 from semkit.execute import operators_of
 from semkit.experiment import DemoSelector, run_experiment
@@ -68,12 +70,33 @@ def test_gold_outcomes_are_shared_across_seeds(monkeypatch, tmp_path, geoquery,
                                                geoquery_split):
     config_path = data_path("experiment_replay.json")
     config = json.loads(config_path.read_text())
-    runs = counting(monkeypatch, experiment, "run_program")
+    predictions = counting(monkeypatch, experiment, "run_program")
+    gold_runs = counting(monkeypatch, execute, "run_program")  # the gold memo's call site
     aggregate = run_experiment(config, config_path.parent, tmp_path)
     assert aggregate["accuracies"] == [0.8, 0.7, 0.9]
     golds = {geoquery[i].programs["pymr"] for i in geoquery_split.test_ids}
     # one prediction per (seed, test example), one gold run per distinct gold program
-    assert len(runs) == len(config["seeds"]) * len(geoquery_split.test_ids) + len(golds)
+    assert len(predictions) == len(config["seeds"]) * len(geoquery_split.test_ids)
+    assert sorted(args[1] for args in gold_runs) == sorted(golds)
+
+
+def test_memoized_runs_run_each_key_once_across_threads(monkeypatch, geo_model):
+    runs = counting(monkeypatch, execute, "run_program")
+    texts = ["answer(count(state(all)))", "answer(count(river(all)))",
+             "answer(largest(state(all)))"]
+    run = execute.memoized_runs("geo", geo_model)
+    want = {text: execute.DIALECTS["funql"].execute(
+        execute.DIALECTS["funql"].parse(text), "geo", geo_model) for text in texts}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a check-then-run race would show
+    try:
+        with ThreadPoolExecutor(max_workers=8) as workers:
+            got = list(workers.map(lambda i: run("funql", texts[i % 3]), range(240),
+                                   timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(args[1] for args in runs) == sorted(texts)
+    assert got == [want[texts[i % 3]] for i in range(240)]
 
 
 def test_unknown_selection_method_is_an_error(geoquery, geoquery_split):

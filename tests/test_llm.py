@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from semkit import funql
 from semkit.corpus import Example
 from semkit.errors import CacheMissError, SemkitError, TransportError
 from semkit.evaluation import POLICIES, compare_outcomes
@@ -137,6 +138,56 @@ def test_bootstrap_fixture_grows_pool_5_to_9(geo_model, bootstrap_setup):
     assert len(pool) == 9
     added = {ex.id for ex in pool} - {ex.id for ex in seed_pool}
     assert added == {"gq-07", "gq-08", "gq-11", "gq-12"}  # gq-09's candidate was wrong
+    assert pool[:5] == seed_pool
+    assert [ex.id for ex in pool[5:]] == ["gq-07", "gq-08", "gq-11", "gq-12"]  # accept order
+
+
+def test_bootstrap_runs_each_distinct_gold_once_per_call(monkeypatch, geo_model,
+                                                          bootstrap_setup):
+    seed_pool, unlabeled, config = bootstrap_setup
+    at = [ex.id for ex in unlabeled].index("gq-09")  # rejected on every pass
+    gq09 = unlabeled[at]
+    # right behind gq-09 its twin sees the same pool, so the same (cached) prompt
+    twin = Example(id="gq-09-twin", utterance=gq09.utterance, programs=gq09.programs,
+                   tags=gq09.tags)
+    unlabeled = [*unlabeled[:at + 1], twin, *unlabeled[at + 1:]]
+    runs = []
+    original = funql.exec_funql
+
+    def counting_exec(ast, world):
+        runs.append(ast)
+        return original(ast, world)
+
+    monkeypatch.setattr(funql, "exec_funql", counting_exec)
+    golds = {ex.programs["funql"] for ex in unlabeled}
+    assert len(golds) == len(unlabeled) - 1
+    for call in (1, 2):  # the memo lives for one call
+        client = LlmClient(mode="replay", cache=ReplayCache(data_path("bootstrap_cache.jsonl")))
+        pool = bootstrap_annotations(seed_pool, unlabeled, geo_model, client, config)
+        assert len(pool) == 9
+        assert len(runs) == call * len(golds)
+
+
+def test_bootstrap_without_annotated_seed_fails_before_any_request(geo_model, bootstrap_setup):
+    _, unlabeled, config = bootstrap_setup
+    requests = []
+
+    def transport(req):
+        requests.append(req)
+        return "def answer():\n    return 1"
+
+    client = LlmClient(mode="live", transport=transport)
+    with pytest.raises(SemkitError, match="no seed-pool example is annotated in 'pymr'"):
+        bootstrap_annotations(unlabeled, unlabeled, geo_model, client, config)
+    assert requests == []
+
+
+def test_bootstrap_k_below_one_is_rejected(geo_model, bootstrap_setup, tmp_path):
+    seed_pool, unlabeled, config = bootstrap_setup
+    config.k = 0
+    client = LlmClient(mode="replay", cache=ReplayCache(tmp_path / "empty.jsonl"))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        bootstrap_annotations(seed_pool, unlabeled, geo_model, client, config)
 
 
 def test_bootstrap_added_programs_reverify_offline(geo_model, geoquery, bootstrap_setup):

@@ -6,8 +6,8 @@ from semkit import calflow
 from semkit.errors import MrParseError, UnsupportedConstructError
 from semkit.funql import exec_funql, parse_funql
 from semkit.geo import City, Country, GeoModel, Place, River, State
-from semkit.pymr import (CalendarApi, CalendarPerson, Event, Gender, SocialApi, binding_names,
-                         exec_pymr, extract_operators, parse_pymr)
+from semkit.pymr import (BUILTIN_NAMES, CalendarApi, CalendarPerson, Event, Gender, SocialApi,
+                         binding_names, exec_pymr, extract_operators, parse_pymr)
 from semkit.social import EducationRecord, EmploymentRecord, Person
 
 LARGEST_STATE_ELEVATION = ("def answer():\n"
@@ -217,6 +217,35 @@ def test_binding_names_exist_on_runtime_classes(environment):
             or (cls is Event and name in _EVENT_FIELDS)
             for cls in _SURFACE[environment].values())
         assert found, f"{environment}: {name} not on any runtime class"
+
+
+def visitor_extract_operators(program):
+    """extract_operators as a NodeVisitor, the rules it had before the single walk."""
+    found = set()
+
+    class Visitor(pyast.NodeVisitor):
+        def visit_Attribute(self, node):
+            if not node.attr.startswith("_"):
+                found.add(node.attr)
+            self.generic_visit(node)
+
+        def visit_Call(self, node):
+            if isinstance(node.func, pyast.Name) and node.func.id not in BUILTIN_NAMES:
+                found.add(node.func.id)
+            self.generic_visit(node)
+
+    Visitor().visit(program.func)
+    return frozenset(found)
+
+
+def test_extract_operators_matches_visitor_on_every_bundled_program(geoquery, overnight,
+                                                                     smcalflow):
+    programs = [ex.programs["pymr"] for dataset in (geoquery, overnight, smcalflow)
+                for ex in dataset.examples if "pymr" in ex.programs]
+    assert len(programs) >= 90
+    for text in programs:
+        program = parse_pymr(text)
+        assert extract_operators(program) == visitor_extract_operators(program), text
 
 
 def test_extract_operators_golden_bundle(smcalflow):

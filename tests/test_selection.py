@@ -7,7 +7,8 @@ from semkit.corpus import load_dataset, load_split
 from semkit.errors import PoolExhaustedError
 from semkit.execute import operators_of
 from semkit.resources import dataset_path, split_path
-from semkit.selection import Bm25Index, bm25_rank, coverage_fraction, greedy_select, setcov
+from semkit.selection import (Bm25Index, GreedyTrace, bm25_rank, coverage_fraction, greedy_select,
+                             setcov)
 
 GOLDEN_GREEDY_K10 = ["gq-03", "gq-04", "gq-27", "gq-07", "gq-13",
                      "gq-14", "gq-29", "gq-39", "gq-44", "gq-48"]
@@ -80,6 +81,49 @@ def test_greedy_golden_bundle(geoquery, geoquery_split):
     sets = dict(pool)
     fraction = coverage_fraction([sets[i] for i in selected], structures)
     assert abs(fraction - GOLDEN_COVERAGE_FRACTION) < 1e-12
+
+
+def setcov_greedy_with_trace(pool, structures, k):
+    """greedy_select as it was before the incremental gain: setcov over the whole cover."""
+    selected, selected_ids, cover_sets, trace = [], set(), [], []
+    current_cov = -math.inf
+    while len(selected) < k:
+        best_id, best_set, best_cov = None, None, -math.inf
+        for cand_id, cand_set in pool:
+            if cand_id in selected_ids:
+                continue
+            cov = setcov(structures, [*cover_sets, cand_set])
+            if cov > best_cov:
+                best_id, best_set, best_cov = cand_id, cand_set, cov
+        if best_cov > current_cov:
+            current_cov = best_cov
+            selected.append(best_id)
+            selected_ids.add(best_id)
+            cover_sets.append(best_set)
+            trace.append(GreedyTrace(picked=best_id, coverage=best_cov))
+        else:
+            cover_sets = []
+            current_cov = -math.inf
+            trace.append(GreedyTrace(picked=None, coverage=None))
+    return selected, trace
+
+
+def test_incremental_greedy_matches_setcov_greedy_on_seeded_pools():
+    resets = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        operators = [f"op{i}" for i in range(rng.randint(1, 12))]
+        n = rng.randint(1, 25)
+        pool = [(f"c{i:02d}", frozenset(rng.sample(operators, rng.randint(0, len(operators)))))
+                for i in range(n)]
+        # structures outside every candidate, and candidate operators outside the structures
+        structures = frozenset(rng.sample(operators, rng.randint(0, len(operators))) + ["extra"])
+        k = rng.randint(1, n)
+        want = setcov_greedy_with_trace(pool, structures, k)
+        assert greedy_select(pool, structures, k, with_trace=True) == want, seed
+        assert greedy_select(pool, structures, k) == want[0]
+        resets += sum(step.picked is None for step in want[1])
+    assert resets >= 100  # the seeded pools do exercise the reset path
 
 
 def test_coverage_fraction_bounds():
