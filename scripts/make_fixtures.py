@@ -115,7 +115,6 @@ def build_bootstrap_cache() -> None:
         "seed": 0,
         "client": {"mode": "replay", "cache": "bundled:bootstrap_cache.jsonl",
                    "model": MODEL},
-        "output": "pool.jsonl",
     }
     (DATA_DIR / "bootstrap_replay.json").write_text(
         json.dumps(config, indent=2) + "\n", encoding="utf-8")

@@ -139,7 +139,10 @@ def cmd_bootstrap(args) -> int:
         seed=int(config.get("seed", 0)),
         dd_declarations=load_dd_source(dd_path(config["environment"], config["dialect"])))
     pool = bootstrap_annotations(seed_pool, unlabeled, env_object, client, bootstrap_config)
-    output = resolve_path(config.get("output", "pool.jsonl"), base)
+    if "output" in config:
+        output = resolve_path(config["output"], base)
+    else:
+        output = Path("pool.jsonl")  # relative to the caller, like run's default out
     with open(output, "w", encoding="utf-8") as fh:
         for example in pool:
             fh.write(example_to_json_line(example) + "\n")

@@ -30,6 +30,7 @@ state once per step.  The first ``k`` positions are the sample, in draw order.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DataFormatError, PoolExhaustedError
@@ -151,7 +152,11 @@ def example_to_json_line(ex: Example) -> str:
 
 
 def load_split(path, dataset: Dataset) -> Split:
-    """Load a split file and check it against the dataset."""
+    """Load a split file and check it against the dataset.
+
+    Every id must name a dataset example, appear at most once within ``train``
+    and within ``test``, and not appear in both.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             record = json.load(fh)
@@ -162,6 +167,10 @@ def load_split(path, dataset: Dataset) -> Split:
     for ex_id in [*train, *test]:
         if ex_id not in dataset:
             raise DataFormatError(f"{path}: unknown example id {ex_id!r}")
+    for part, ids in (("train", train), ("test", test)):
+        repeated = sorted(ex_id for ex_id, n in Counter(ids).items() if n > 1)
+        if repeated:
+            raise DataFormatError(f"{path}: repeated {part} ids: {repeated}")
     overlap = set(train) & set(test)
     if overlap:
         raise DataFormatError(f"{path}: train/test overlap: {sorted(overlap)}")

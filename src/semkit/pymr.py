@@ -1,7 +1,7 @@
 """Restricted-Python meaning representations: parser, sandboxed evaluator, bindings.
 
-A program is a single ``def answer():`` function (no parameters, optional
-return annotation) whose body uses only the supported subset:
+A program is a single ``def answer():`` function (no parameters, no decorators,
+optional return annotation) whose body uses only the supported subset:
 
 * statements: single-target assignment, expression statement, ``return``,
   ``for ... in ...``, ``if``/``else``;
@@ -15,7 +15,8 @@ return annotation) whose body uses only the supported subset:
 
 Anything else is rejected at parse time with a structured
 unsupported-construct error (string methods, which cannot be detected
-statically in untyped code, are rejected when evaluated).  Evaluation is
+statically in untyped code, are rejected when evaluated); the same checked
+pass collects the program's operator set.  Evaluation is
 sandboxed: the only resolvable names are the environment binding (below), the
 builtin registry, and local assignments; unknown names and attributes become
 captured failures, never host behavior.
@@ -37,6 +38,8 @@ batch run can score them as incorrect without crashing.
 from __future__ import annotations
 
 import ast as pyast
+import builtins
+import operator
 from dataclasses import dataclass
 
 from . import calflow, social as social_mod
@@ -56,6 +59,7 @@ SET_METHODS = ("add", "update")
 class PymrAst:
     source: str
     func: pyast.FunctionDef
+    operators: frozenset[str]  # collected while the program is checked
 
 
 # --- parsing ----------------------------------------------------------------
@@ -78,13 +82,20 @@ _EXPR_NAMES = {
     pyast.Slice: "slice", pyast.Tuple: "tuple display",
 }
 
-_ALLOWED_BINOPS = (pyast.Add, pyast.Sub, pyast.Mult, pyast.Div)
-_ALLOWED_CMPOPS = (pyast.Eq, pyast.NotEq, pyast.Lt, pyast.LtE, pyast.Gt, pyast.GtE,
-                   pyast.In, pyast.NotIn)
+_ALLOWED_BINOPS = frozenset({pyast.Add, pyast.Sub, pyast.Mult, pyast.Div})
+_ALLOWED_CMPOPS = frozenset({pyast.Eq, pyast.NotEq, pyast.Lt, pyast.LtE, pyast.Gt, pyast.GtE,
+                             pyast.In, pyast.NotIn})
+_GENEXP_MESSAGE = ("generator expressions may only be the sole argument of "
+                   "any/all/max/min/sum/list/set")
 
 
 def parse_pymr(text: str) -> PymrAst:
-    """Parse program text, enforcing the construct subset."""
+    """Parse program text, enforcing the construct subset, and collect its operators.
+
+    One pass over the function body checks every node and collects the
+    operator set :func:`extract_operators` returns: accessed attributes not
+    starting with ``_`` and called names that are not builtins.
+    """
     try:
         module = pyast.parse(text)
     except SyntaxError as exc:
@@ -102,9 +113,19 @@ def parse_pymr(text: str) -> PymrAst:
     if (args.args or args.posonlyargs or args.kwonlyargs or args.vararg or args.kwarg
             or args.defaults or args.kw_defaults):
         raise MrParseError("answer() takes no parameters")
+    if func.decorator_list:
+        raise UnsupportedConstructError("decorator", line=func.decorator_list[0].lineno)
+    found: set[str] = set()
     for stmt in func.body:
-        _check_stmt(stmt)
-    return PymrAst(source=text, func=func)
+        _check_stmt(stmt, found)
+    if func.returns is not None:  # tolerated unchecked, so walked for operators
+        for node in pyast.walk(func.returns):
+            if type(node) is pyast.Attribute and not node.attr.startswith("_"):
+                found.add(node.attr)
+            elif (type(node) is pyast.Call and type(node.func) is pyast.Name
+                  and node.func.id not in BUILTIN_NAMES):
+                found.add(node.func.id)
+    return PymrAst(source=text, func=func, operators=frozenset(found))
 
 
 def _is_docstring(stmt) -> bool:
@@ -112,75 +133,79 @@ def _is_docstring(stmt) -> bool:
             and isinstance(stmt.value.value, str))
 
 
-def _check_stmt(stmt) -> None:
-    for cls, name in _STMT_NAMES.items():
-        if isinstance(stmt, cls):
-            raise UnsupportedConstructError(name, line=stmt.lineno)
-    if isinstance(stmt, pyast.Assign):
+def _check_stmt(stmt, found: set) -> None:
+    kind = type(stmt)
+    name = _STMT_NAMES.get(kind)
+    if name is not None:
+        raise UnsupportedConstructError(name, line=stmt.lineno)
+    if kind is pyast.Assign:
         if len(stmt.targets) != 1:
             raise UnsupportedConstructError("chained assignment", line=stmt.lineno)
-        target = stmt.targets[0]
-        if isinstance(target, pyast.Attribute):
+        target = type(stmt.targets[0])
+        if target is pyast.Attribute:
             raise UnsupportedConstructError("attribute assignment", line=stmt.lineno)
-        if not isinstance(target, pyast.Name):
+        if target is not pyast.Name:
             raise UnsupportedConstructError("destructuring assignment", line=stmt.lineno)
-        _check_expr(stmt.value)
-    elif isinstance(stmt, pyast.Expr):
-        _check_expr(stmt.value)
-    elif isinstance(stmt, pyast.Return):
+        _check_expr(stmt.value, found)
+    elif kind is pyast.Expr:
+        _check_expr(stmt.value, found)
+    elif kind is pyast.Return:
         if stmt.value is not None:
-            _check_expr(stmt.value)
-    elif isinstance(stmt, pyast.For):
+            _check_expr(stmt.value, found)
+    elif kind is pyast.For:
         if stmt.orelse:
             raise UnsupportedConstructError("for-else", line=stmt.lineno)
-        if not isinstance(stmt.target, pyast.Name):
+        if type(stmt.target) is not pyast.Name:
             raise UnsupportedConstructError("destructuring loop target", line=stmt.lineno)
-        _check_expr(stmt.iter)
+        _check_expr(stmt.iter, found)
         for inner in stmt.body:
-            _check_stmt(inner)
-    elif isinstance(stmt, pyast.If):
-        _check_expr(stmt.test)
+            _check_stmt(inner, found)
+    elif kind is pyast.If:
+        _check_expr(stmt.test, found)
         for inner in [*stmt.body, *stmt.orelse]:
-            _check_stmt(inner)
+            _check_stmt(inner, found)
     else:
-        raise UnsupportedConstructError(type(stmt).__name__.lower(),
+        raise UnsupportedConstructError(kind.__name__.lower(),
                                         line=getattr(stmt, "lineno", None))
 
 
-def _check_expr(expr, in_call_args: bool = False) -> None:
-    for cls, name in _EXPR_NAMES.items():
-        if isinstance(expr, cls):
-            raise UnsupportedConstructError(name, line=getattr(expr, "lineno", None))
-    if isinstance(expr, (pyast.Constant, pyast.Name)):
+def _check_expr(expr, found: set, in_call_args: bool = False) -> None:
+    kind = type(expr)
+    if kind is pyast.Name or kind is pyast.Constant:
         return
-    if isinstance(expr, pyast.List):
-        for item in expr.elts:
-            _check_expr(item)
-    elif isinstance(expr, pyast.Attribute):
-        _check_expr(expr.value)
-    elif isinstance(expr, pyast.Subscript):
-        if isinstance(expr.slice, pyast.Slice):
-            raise UnsupportedConstructError("slice", line=expr.lineno)
-        _check_expr(expr.value)
-        _check_expr(expr.slice)
-    elif isinstance(expr, pyast.Call):
-        _check_expr(expr.func)
-        host = expr.func.id if isinstance(expr.func, pyast.Name) else None
+    name = _EXPR_NAMES.get(kind)
+    if name is not None:
+        raise UnsupportedConstructError(name, line=getattr(expr, "lineno", None))
+    if kind is pyast.Attribute:
+        if not expr.attr.startswith("_"):
+            found.add(expr.attr)
+        _check_expr(expr.value, found)
+    elif kind is pyast.Call:
+        _check_expr(expr.func, found)
+        host = expr.func.id if type(expr.func) is pyast.Name else None
+        if host is not None and host not in BUILTIN_NAMES:
+            found.add(host)
         for arg in expr.args:
-            if isinstance(arg, pyast.GeneratorExp):
+            if type(arg) is pyast.GeneratorExp:
                 if host not in _GENEXP_HOSTS or len(expr.args) != 1:
                     raise UnsupportedConstructError(
-                        "generator expression",
-                        "generator expressions may only be the sole argument of "
-                        "any/all/max/min/sum/list/set", line=arg.lineno)
-                _check_comprehension(arg)
+                        "generator expression", _GENEXP_MESSAGE, line=arg.lineno)
+                _check_comprehension(arg, found)
             else:
-                _check_expr(arg, in_call_args=True)
+                _check_expr(arg, found, in_call_args=True)
         for kw in expr.keywords:
             if kw.arg is None:
                 raise UnsupportedConstructError("**kwargs", line=expr.lineno)
-            _check_expr(kw.value, in_call_args=True)
-    elif isinstance(expr, pyast.Lambda):
+            _check_expr(kw.value, found, in_call_args=True)
+    elif kind is pyast.List:
+        for item in expr.elts:
+            _check_expr(item, found)
+    elif kind is pyast.Subscript:
+        if type(expr.slice) is pyast.Slice:
+            raise UnsupportedConstructError("slice", line=expr.lineno)
+        _check_expr(expr.value, found)
+        _check_expr(expr.slice, found)
+    elif kind is pyast.Lambda:
         if not in_call_args:
             raise UnsupportedConstructError(
                 "lambda", "lambda is only allowed as a call argument", line=expr.lineno)
@@ -189,52 +214,48 @@ def _check_expr(expr, in_call_args: bool = False) -> None:
                 or args.vararg or args.kwarg or args.defaults):
             raise UnsupportedConstructError(
                 "lambda", "lambda must take exactly one parameter", line=expr.lineno)
-        _check_expr(expr.body)
-    elif isinstance(expr, pyast.ListComp):
-        _check_comprehension(expr)
-    elif isinstance(expr, pyast.GeneratorExp):
-        raise UnsupportedConstructError(
-            "generator expression",
-            "generator expressions may only be the sole argument of "
-            "any/all/max/min/sum/list/set", line=expr.lineno)
-    elif isinstance(expr, pyast.Compare):
+        _check_expr(expr.body, found)
+    elif kind is pyast.ListComp:
+        _check_comprehension(expr, found)
+    elif kind is pyast.GeneratorExp:
+        raise UnsupportedConstructError("generator expression", _GENEXP_MESSAGE,
+                                        line=expr.lineno)
+    elif kind is pyast.Compare:
         if len(expr.ops) != 1:
             raise UnsupportedConstructError("chained comparison", line=expr.lineno)
-        if not isinstance(expr.ops[0], _ALLOWED_CMPOPS):
+        if type(expr.ops[0]) not in _ALLOWED_CMPOPS:
             raise UnsupportedConstructError(
                 f"operator {type(expr.ops[0]).__name__}", line=expr.lineno)
-        _check_expr(expr.left)
-        _check_expr(expr.comparators[0])
-    elif isinstance(expr, pyast.BoolOp):
+        _check_expr(expr.left, found)
+        _check_expr(expr.comparators[0], found)
+    elif kind is pyast.BoolOp:
         for value in expr.values:
-            _check_expr(value)
-    elif isinstance(expr, pyast.UnaryOp):
-        if not isinstance(expr.op, (pyast.Not, pyast.USub)):
+            _check_expr(value, found)
+    elif kind is pyast.UnaryOp:
+        if type(expr.op) not in (pyast.Not, pyast.USub):
             raise UnsupportedConstructError("unary operator", line=expr.lineno)
-        _check_expr(expr.operand)
-    elif isinstance(expr, pyast.BinOp):
-        if not isinstance(expr.op, _ALLOWED_BINOPS):
+        _check_expr(expr.operand, found)
+    elif kind is pyast.BinOp:
+        if type(expr.op) not in _ALLOWED_BINOPS:
             raise UnsupportedConstructError(
                 f"operator {type(expr.op).__name__}", line=expr.lineno)
-        _check_expr(expr.left)
-        _check_expr(expr.right)
+        _check_expr(expr.left, found)
+        _check_expr(expr.right, found)
     else:
-        raise UnsupportedConstructError(type(expr).__name__.lower(),
+        raise UnsupportedConstructError(kind.__name__.lower(),
                                         line=getattr(expr, "lineno", None))
 
 
-def _check_comprehension(comp) -> None:
-    if not isinstance(comp.elt, pyast.expr):  # pragma: no cover - ast guarantees
-        raise UnsupportedConstructError("comprehension")
-    _check_expr(comp.elt)
+def _check_comprehension(comp, found: set) -> None:
+    _check_expr(comp.elt, found)
     for gen in comp.generators:
         if gen.is_async:
             raise UnsupportedConstructError("async comprehension")
-        if not isinstance(gen.target, pyast.Name):
+        if type(gen.target) is not pyast.Name:
             raise UnsupportedConstructError("destructuring comprehension target")
-        _check_expr(gen.iter)
+        _check_expr(gen.iter, found)
         for cond in gen.ifs:
-            _check_expr(cond)
+            _check_expr(cond, found)
 
 
 # --- environment bindings ----------------------------------------------------
@@ -419,10 +440,14 @@ class _Lambda:
         return self.interp.eval(self.node.body, inner)
 
 
+_BUILTINS = {name: getattr(builtins, name) for name in BUILTIN_NAMES}
+_BINOPS = {pyast.Add: operator.add, pyast.Sub: operator.sub,
+           pyast.Mult: operator.mul, pyast.Div: operator.truediv}
+
+
 class _Interpreter:
     def __init__(self, binding: dict):
         self.binding = binding
-        self.builtins = {name: getattr(__import__("builtins"), name) for name in BUILTIN_NAMES}
 
     def run(self, func: pyast.FunctionDef):
         scope: dict = {}
@@ -495,9 +520,7 @@ class _Interpreter:
         if isinstance(expr, pyast.BinOp):
             left = self.eval(expr.left, scope)
             right = self.eval(expr.right, scope)
-            ops = {pyast.Add: lambda a, b: a + b, pyast.Sub: lambda a, b: a - b,
-                   pyast.Mult: lambda a, b: a * b, pyast.Div: lambda a, b: a / b}
-            return self._arith(ops[type(expr.op)], left, right, type(expr.op).__name__)
+            return self._arith(_BINOPS[type(expr.op)], left, right, type(expr.op).__name__)
         raise MrExecError("unsupported-construct", type(expr).__name__)  # pragma: no cover
 
     @staticmethod
@@ -514,8 +537,8 @@ class _Interpreter:
             return scope[name]
         if name in self.binding:
             return self.binding[name]
-        if name in self.builtins:
-            return self.builtins[name]
+        if name in _BUILTINS:
+            return _BUILTINS[name]
         raise MrExecError("name-not-found", f"name {name!r} is not defined")
 
     def _attribute(self, base, attr: str):
@@ -655,13 +678,8 @@ def exec_pymr(ast: PymrAst, environment: str, env_object) -> Outcome:
 
 
 def extract_operators(ast: PymrAst) -> frozenset[str]:
-    """Accessed attributes, called non-builtin names, constructors, enum members."""
-    found: set[str] = set()
-    for node in pyast.walk(ast.func):
-        if isinstance(node, pyast.Attribute):
-            if not node.attr.startswith("_"):
-                found.add(node.attr)
-        elif (isinstance(node, pyast.Call) and isinstance(node.func, pyast.Name)
-              and node.func.id not in BUILTIN_NAMES):
-            found.add(node.func.id)
-    return frozenset(found)
+    """Accessed attributes, called non-builtin names, constructors, enum members.
+
+    The set is collected by :func:`parse_pymr` while it checks the program.
+    """
+    return ast.operators

@@ -92,11 +92,13 @@ def greedy_select(pool: list[tuple[str, frozenset[str]]], structures: frozenset[
     """Greedy set-coverage selection over (id, operator set) candidates.
 
     Returns the selected ids in pick order (and the step trace when asked).
+    An id is picked at most once, so the pool must hold at least k distinct ids.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > len(pool):
-        raise PoolExhaustedError(f"requested k={k} from a pool of {len(pool)}")
+    distinct = len({cand_id for cand_id, _ in pool})
+    if k > distinct:
+        raise PoolExhaustedError(f"requested k={k} from a pool of {distinct} distinct ids")
     candidates = [(cand_id, cand_set & structures) for cand_id, cand_set in pool]
     selected: list[str] = []
     selected_ids: set[str] = set()

@@ -185,6 +185,37 @@ def test_bootstrap_command(tmp_path, capsys):
     assert len(lines) == 9
 
 
+def _tree_state(root):
+    return sorted((str(path.relative_to(root)), path.read_bytes())
+                  for path in root.rglob("*") if path.is_file() and "__pycache__" not in path.parts)
+
+
+def test_bootstrap_bundled_config_writes_pool_in_working_directory(tmp_path, monkeypatch, capsys):
+    bundled = data_path("bootstrap_replay.json")
+    assert "output" not in json.loads(bundled.read_text())
+    before = _tree_state(bundled.parent)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "bootstrap", "--config", str(bundled))
+    assert code == 0
+    assert json.loads(out)["output"] == "pool.jsonl"
+    assert len((tmp_path / "pool.jsonl").read_text().splitlines()) == 9
+    assert _tree_state(bundled.parent) == before
+
+
+def test_bootstrap_explicit_output_resolves_against_config(tmp_path, monkeypatch, capsys):
+    config = json.loads(data_path("bootstrap_replay.json").read_text())
+    config["output"] = "grown.jsonl"
+    (tmp_path / "cfg").mkdir()
+    (tmp_path / "cwd").mkdir()
+    config_path = tmp_path / "cfg" / "config.json"
+    config_path.write_text(json.dumps(config))
+    monkeypatch.chdir(tmp_path / "cwd")
+    code, _, _ = run(capsys, "bootstrap", "--config", str(config_path))
+    assert code == 0
+    assert len((tmp_path / "cfg" / "grown.jsonl").read_text().splitlines()) == 9
+    assert list((tmp_path / "cwd").iterdir()) == []
+
+
 def test_bootstrap_unknown_environment_is_an_error(tmp_path, capsys):
     config = json.loads(data_path("bootstrap_replay.json").read_text())
     config["environment"] = "mars"

@@ -80,6 +80,18 @@ def test_split_valid_and_invalid(tmp_path):
         load_split(unknown, dataset)
 
 
+@pytest.mark.parametrize("payload,part", [
+    ({"train": ["x-1", "x-2", "x-1"], "test": ["x-3"]}, "train"),
+    ({"train": ["x-1"], "test": ["x-3", "x-2", "x-3"]}, "test"),
+])
+def test_split_rejects_repeated_ids(tmp_path, payload, part):
+    data = tmp_path / "d.jsonl"
+    write_jsonl(data, [record(1), record(2), record(3)])
+    repeated = "x-1" if part == "train" else "x-3"
+    with pytest.raises(DataFormatError, match=f"repeated {part} ids: \\['{repeated}'\\]"):
+        load_split_inline(tmp_path, payload, load_dataset(data))
+
+
 def test_bundled_split_sizes(geoquery, geoquery_split):
     assert len(geoquery_split.train_ids) == 40
     assert len(geoquery_split.test_ids) == 10

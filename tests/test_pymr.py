@@ -1,4 +1,6 @@
 import ast as pyast
+import random
+import re
 
 import pytest
 
@@ -58,11 +60,85 @@ def test_return_annotation_is_tolerated():
     ("def answer():\n    return 1 is None", "operator Is"),
     ("def answer():\n    return 1 is not None", "operator IsNot"),
     ("def answer():\n    return 1 < 2 < 3", "chained comparison"),
+    ("@geo_model.states.clear\ndef answer():\n    return 1", "decorator"),
 ])
 def test_unsupported_constructs_are_named(source, construct):
     with pytest.raises(UnsupportedConstructError) as err:
         parse_pymr(source)
     assert err.value.construct == construct
+
+
+_AFTER_LINE_2 = "def answer():\n    x = 1\n"
+
+
+@pytest.mark.parametrize("body,construct,line", [
+    ("    while x:\n        return 1", "while", 3),
+    ("    with x:\n        return 1", "with", 3),
+    ("    try:\n        x = 2\n    except E:\n        x = 3", "try", 3),
+    ("    raise x", "raise", 3),
+    ("    import os", "import", 3),
+    ("    from os import path", "import", 3),
+    ("    class C:\n        y = 1", "class", 3),
+    ("    def inner(): return 1", "nested function", 3),
+    ("    async def inner(): return 1", "async function", 3),
+    ("    x += 1", "augmented assignment", 3),
+    ("    y: int = 1", "annotated assignment", 3),
+    ("    del x", "del", 3),
+    ("    global x", "global", 3),
+    ("    nonlocal x", "nonlocal", 3),
+    ("    assert x", "assert", 3),
+    ("    match x:\n        case 1:\n            return 1", "match", 3),
+    ("    for y in [1]:\n        break", "break", 4),
+    ("    for y in [1]:\n        continue", "continue", 4),
+    ("    pass", "pass", 3),
+    ("    async for y in x:\n        x = y", "asyncfor", 3),
+    ("    if x:\n        x = 2\n    else:\n        while x:\n            x = 1", "while", 6),
+    ("    return {1: 2}", "dict display", 3),
+    ("    return {1}", "set display", 3),
+    ("    return {k: 1 for k in [1]}", "dict comprehension", 3),
+    ("    return {k for k in [1]}", "set comprehension", 3),
+    ("    return [(await x)]", "await", 3),
+    ("    return [(yield x)]", "yield", 3),
+    ("    return [(yield from x)]", "yield", 3),
+    ('    return f"{x}"', "f-string", 3),
+    ("    return [*x]", "starred expression", 3),
+    ("    return [(y := 1)]", "walrus assignment", 3),
+    ("    return 1 if x else 2", "conditional expression", 3),
+    ("    return geo_model.states[0:2]", "slice", 3),
+    ("    return (1, 2)", "tuple display", 3),
+    ("    a = b = 1", "chained assignment", 3),
+    ("    geo_model.states = []", "attribute assignment", 3),
+    ("    a, b = 1, 2", "destructuring assignment", 3),
+    ("    for y in [1]:\n        x = y\n    else:\n        x = 2", "for-else", 3),
+    ("    for a, b in [1]:\n        x = a", "destructuring loop target", 3),
+    ("    return max(p for p in x) + len(p for p in x)", "generator expression", 3),
+    ("    return max((p for p in x), 1)", "generator expression", 3),
+    ("    return (p for p in x)", "generator expression", 3),
+    ("    return max(**x)", "**kwargs", 3),
+    ("    return (lambda y: y)", "lambda", 3),
+    ("    return max(x, key=lambda y, z: y)", "lambda", 3),
+    ("    return 1 < x < 3", "chained comparison", 3),
+    ("    return 1 is x", "operator Is", 3),
+    ("    return 1 is not x", "operator IsNot", 3),
+    ("    return ~x", "unary operator", 3),
+    ("    return +x", "unary operator", 3),
+    ("    return x % 2", "operator Mod", 3),
+    ("    return x ** 2", "operator Pow", 3),
+    ("    return x // 2", "operator FloorDiv", 3),
+    ("    return [y async for y in x]", "async comprehension", None),
+    ("    return [1 for (a, b) in x]", "destructuring comprehension target", None),
+    ("    return [\n        1\n        for y in x\n        if y == {}\n    ]", "dict display", 6),
+])
+def test_unsupported_construct_names_and_lines(body, construct, line):
+    with pytest.raises(UnsupportedConstructError) as err:
+        parse_pymr(_AFTER_LINE_2 + body)
+    assert (err.value.construct, err.value.line) == (construct, line)
+
+
+def test_decorators_are_rejected_at_their_line():
+    with pytest.raises(UnsupportedConstructError) as err:
+        parse_pymr("\n@first\n@second\ndef answer():\n    return 1")
+    assert (err.value.construct, err.value.line) == ("decorator", 2)
 
 
 def test_syntax_error_has_line():
@@ -219,33 +295,83 @@ def test_binding_names_exist_on_runtime_classes(environment):
         assert found, f"{environment}: {name} not on any runtime class"
 
 
-def visitor_extract_operators(program):
-    """extract_operators as a NodeVisitor, the rules it had before the single walk."""
+def walk_extract_operators(program):
+    """extract_operators as one ast.walk over the function, the rule before the checked pass."""
     found = set()
-
-    class Visitor(pyast.NodeVisitor):
-        def visit_Attribute(self, node):
+    for node in pyast.walk(program.func):
+        if isinstance(node, pyast.Attribute):
             if not node.attr.startswith("_"):
                 found.add(node.attr)
-            self.generic_visit(node)
-
-        def visit_Call(self, node):
-            if isinstance(node.func, pyast.Name) and node.func.id not in BUILTIN_NAMES:
-                found.add(node.func.id)
-            self.generic_visit(node)
-
-    Visitor().visit(program.func)
+        elif (isinstance(node, pyast.Call) and isinstance(node.func, pyast.Name)
+              and node.func.id not in BUILTIN_NAMES):
+            found.add(node.func.id)
     return frozenset(found)
 
 
-def test_extract_operators_matches_visitor_on_every_bundled_program(geoquery, overnight,
-                                                                     smcalflow):
-    programs = [ex.programs["pymr"] for dataset in (geoquery, overnight, smcalflow)
-                for ex in dataset.examples if "pymr" in ex.programs]
-    assert len(programs) >= 90
+def bundled_pymr_programs(*datasets):
+    return [ex.programs["pymr"] for dataset in datasets
+            for ex in dataset.examples if "pymr" in ex.programs]
+
+
+def test_checked_pass_operators_match_walk_on_every_bundled_program(geoquery, overnight,
+                                                                    smcalflow):
+    programs = bundled_pymr_programs(geoquery, overnight, smcalflow)
+    assert len(programs) == 90
     for text in programs:
         program = parse_pymr(text)
-        assert extract_operators(program) == visitor_extract_operators(program), text
+        assert program.operators == walk_extract_operators(program), text
+        assert extract_operators(program) is program.operators
+
+
+@pytest.mark.parametrize("annotation,body,expected", [
+    # the return annotation is tolerated unchecked and walked with the same rule
+    ("-> List[State]", "return geo_model.states", {"states"}),
+    ("-> geo_model.Foo", "return geo_model.states", {"states", "Foo"}),
+    ("-> geo_model._Hidden", "return 1", set()),
+    ("-> make(geo_model.Foo)", "return 1", {"make", "Foo"}),
+    ("-> max(List[State])", "return 1", set()),
+    ("", "return geo_model._states", set()),
+    ("", "return len(geo_model.states) + abs(-1)", {"states"}),
+    ("", "return sorted([s.name for s in geo_model.states if helper(s)])",
+     {"states", "name", "helper"}),
+    ("", "return max(geo_model.states, key=lambda s: s.area)", {"states", "area"}),
+    ("", "return [x for x in geo_model.states][0].capital.name", {"states", "capital", "name"}),
+])
+def test_checked_pass_operators_match_walk_on_edge_programs(annotation, body, expected):
+    program = parse_pymr(f"def answer() {annotation}:\n    {body}")
+    assert program.operators == walk_extract_operators(program) == frozenset(expected)
+
+
+_MUTANT_TOKEN = re.compile(r"\w+|[^\w\s]")
+
+
+def token_mutants(text, rng, count):
+    """Seeded mutants of ``text``: one token dropped, or two tokens swapped."""
+    spans = [m.span() for m in _MUTANT_TOKEN.finditer(text)]
+    for _ in range(count):
+        if rng.random() < 0.5:
+            start, end = spans[rng.randrange(len(spans))]
+            yield text[:start] + text[end:]
+        else:
+            first, second = sorted(rng.sample(range(len(spans)), 2))
+            (a, b), (c, d) = spans[first], spans[second]
+            yield text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+
+
+def test_checked_pass_operators_match_walk_on_token_mutants(geoquery, overnight, smcalflow):
+    rng = random.Random(5)
+    accepted = changed = 0
+    for text in bundled_pymr_programs(geoquery, overnight, smcalflow):
+        original = parse_pymr(text).operators
+        for mutant in token_mutants(text, rng, 12):
+            try:
+                program = parse_pymr(mutant)
+            except MrParseError:
+                continue
+            accepted += 1
+            changed += program.operators != original
+            assert program.operators == walk_extract_operators(program), mutant
+    assert accepted >= 150 and changed >= 50, (accepted, changed)
 
 
 def test_extract_operators_golden_bundle(smcalflow):

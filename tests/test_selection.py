@@ -1,8 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import semkit
 from semkit.corpus import load_dataset, load_split
 from semkit.errors import PoolExhaustedError
 from semkit.execute import operators_of
@@ -70,6 +75,37 @@ def test_greedy_tie_goes_to_lowest_pool_index():
 def test_greedy_pool_exhausted():
     with pytest.raises(PoolExhaustedError):
         greedy_select([("a", frozenset({"x"}))], frozenset({"x"}), 2)
+
+
+# Run in a child process: before the distinct-id check this call never returned.
+_DUPLICATE_IDS_PROBE = """
+from semkit.errors import PoolExhaustedError
+from semkit.selection import greedy_select
+pool = [("a", frozenset({"x"})), ("a", frozenset({"y"}))]
+try:
+    greedy_select(pool, frozenset({"x", "y"}), 2)
+except PoolExhaustedError as exc:
+    print("PoolExhaustedError:", exc)
+"""
+
+
+def test_greedy_duplicate_ids_fewer_than_k_raise():
+    src = str(Path(semkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    try:
+        result = subprocess.run([sys.executable, "-c", _DUPLICATE_IDS_PROBE], env=env,
+                                capture_output=True, text=True, timeout=30)
+    except subprocess.TimeoutExpired:
+        pytest.fail("greedy_select did not return on a pool of 1 distinct id with k=2")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == ("PoolExhaustedError: requested k=2 from a pool of "
+                             "1 distinct ids\n")
+
+
+def test_greedy_duplicate_ids_enough_distinct():
+    pool = [("a", frozenset({"x"})), ("a", frozenset({"y"})), ("b", frozenset({"y"}))]
+    assert greedy_select(pool, frozenset({"x", "y"}), 2) == ["a", "b"]
 
 
 def test_greedy_golden_bundle(geoquery, geoquery_split):
