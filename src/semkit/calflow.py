@@ -34,7 +34,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .errors import DataFormatError, MrExecError, MrParseError
+from .errors import MAX_DEPTH, TOO_DEEP, DataFormatError, MrExecError, MrParseError
 from .outcomes import CreatedEvent, WorldDelta
 
 DEFAULT_DURATION_MINUTES = 30
@@ -246,86 +246,65 @@ _HEAD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _INT_RE = re.compile(r"-?\d+$")
 
 
-def _dfs_tokens(text: str):
-    tokens = []
-    buffer = ""
-    buffer_start = 0
-    for index, char in enumerate(text):
-        if char in "(),":
-            if buffer.strip():
-                tokens.append(("span", " ".join(buffer.split()), buffer_start))
-            buffer = ""
-            tokens.append((char, char, index))
-        else:
-            if not buffer.strip():
-                buffer_start = index
-            buffer += char
-    if buffer.strip():
-        tokens.append(("span", " ".join(buffer.split()), buffer_start))
-    return tokens
-
-
-class _DfsParser:
-    def __init__(self, text: str):
-        self.tokens = _dfs_tokens(text)
-        self.index = 0
-        self.length = len(text)
-
-    def peek(self):
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
-    def take(self, kind=None):
-        token = self.peek()
-        if token is None:
-            raise MrParseError("unexpected end of input", position=self.length)
-        if kind is not None and token[0] != kind:
-            raise MrParseError(f"expected {kind!r}, found {token[1]!r}", position=token[2])
-        self.index += 1
-        return token
-
-    def call(self) -> Call:
-        kind, head, pos = self.take("span")
-        if not _HEAD_RE.match(head):
-            raise MrParseError(f"bad call head {head!r}", position=pos)
-        if head not in DFS_HEADS:
-            raise MrParseError(f"unknown head {head!r}", position=pos)
-        self.take("(")
-        args = []
-        if self.peek() is not None and self.peek()[0] != ")":
-            args.append(self.arg())
-            while self.peek() is not None and self.peek()[0] == ",":
-                self.take(",")
-                args.append(self.arg())
-        self.take(")")
-        low, high = DFS_HEADS[head]
-        if len(args) < low or (high is not None and len(args) > high):
-            raise MrParseError(f"{head} takes {low}..{high if high is not None else 'n'} "
-                               f"arguments, got {len(args)}", position=pos)
-        return Call(head=head, args=tuple(args))
-
-    def arg(self):
-        token = self.peek()
-        if token is None:
-            raise MrParseError("unexpected end of input", position=self.length)
-        if token[0] == "span":
-            follower = self.tokens[self.index + 1] if self.index + 1 < len(self.tokens) else None
-            if follower is not None and follower[0] == "(":
-                return self.call()
-            self.take("span")
-            if _INT_RE.match(token[1]):
-                return NumberArg(int(token[1]))
-            return Word(token[1])
-        raise MrParseError(f"expected an argument, found {token[1]!r}", position=token[2])
+# a bare-word span, with the "(" that makes it a call head; a bracket or a comma
+_TOKEN = re.compile(r"([^\s(),][^(),]*)(\()?|(\()|(\))|(,)")
+# reader states: what the next token must be
+_HEAD, _FIRST_ARG, _ARG, _NEXT_ARG, _END = range(5)
 
 
 def parse_dfs(text: str) -> Call:
-    """Parse a Dataflow-Simple program (a single call tree)."""
-    parser = _DfsParser(text)
-    ast = parser.call()
-    leftover = parser.peek()
-    if leftover is not None:
-        raise MrParseError(f"trailing input {leftover[1]!r}", position=leftover[2])
-    return ast
+    """Parse a Dataflow-Simple program (a single call tree).
+
+    One pass over the tokens with an explicit stack of open calls, so nesting
+    is bounded by :data:`~semkit.errors.MAX_DEPTH`, not by recursion.
+    """
+    stack = []  # open calls: (head, position, arguments)
+    state = _HEAD
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        token = " ".join(match.group(1).split()) if group <= 2 else match.group()
+        if state == _END:
+            raise MrParseError(f"trailing input {token!r}", position=match.start())
+        if state == _NEXT_ARG and group == 5:
+            state = _ARG
+            continue
+        if group == 4 and state in (_FIRST_ARG, _NEXT_ARG):
+            head, pos, args = stack.pop()
+            low, high = DFS_HEADS[head]
+            if len(args) < low or (high is not None and len(args) > high):
+                raise MrParseError(f"{head} takes {low}..{high if high is not None else 'n'} "
+                                   f"arguments, got {len(args)}", position=pos)
+            value = Call(head=head, args=tuple(args))
+        elif state == _NEXT_ARG:
+            raise MrParseError(f"expected ')', found {token!r}", position=match.start())
+        elif group == 1 and state != _HEAD:
+            value = NumberArg(int(token)) if _INT_RE.match(token) else Word(token)
+        elif group > 2:
+            expected = "expected 'span'" if state == _HEAD else "expected an argument"
+            raise MrParseError(f"{expected}, found {token!r}", position=match.start())
+        else:
+            if not _HEAD_RE.match(token):
+                raise MrParseError(f"bad call head {token!r}", position=match.start())
+            if token not in DFS_HEADS:
+                raise MrParseError(f"unknown head {token!r}", position=match.start())
+            if group == 1:  # the root head, and no "(" follows
+                if match.end() < len(text):
+                    raise MrParseError(f"expected '(', found {text[match.end()]!r}",
+                                       position=match.end())
+                break  # end of input
+            if len(stack) == MAX_DEPTH:
+                raise MrParseError(TOO_DEEP, position=match.start(2))
+            stack.append((token, match.start(), []))
+            state = _FIRST_ARG
+            continue
+        if stack:
+            stack[-1][2].append(value)
+            state = _NEXT_ARG
+        else:
+            root, state = value, _END
+    if state != _END:
+        raise MrParseError("unexpected end of input", position=len(text))
+    return root
 
 
 def render_dfs(node) -> str:

@@ -32,6 +32,12 @@ class MrParseError(SemkitError):
         super().__init__(message + where)
 
 
+# The FunQL, λ-DCS and Dataflow-Simple readers reject an opening bracket that
+# nests deeper than this with a parse error at its position.
+MAX_DEPTH = 100
+TOO_DEEP = f"nesting deeper than {MAX_DEPTH} brackets"
+
+
 class UnsupportedConstructError(MrParseError):
     """A program uses a construct outside the supported subset."""
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import MrExecError, MrParseError
+from .errors import MAX_DEPTH, TOO_DEEP, MrExecError, MrParseError
 from .geo import City, Country, GeoModel, Place, River, State
 from .outcomes import Denotation
 
@@ -89,93 +89,95 @@ OPERATORS: dict[str, int] = {"answer": 1, "count": 1, "sum": 1, "most": 1, "fewe
 for _name in (*TYPE_PREDICATES, *RELATION_SUFFIXED, *EXTRACTORS, *SUPERLATIVES):
     OPERATORS[_name] = 1
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<ident>[a-z_][a-z0-9_]*)|(?P<name>'[^']*')|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)"
-)
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise MrParseError(f"unexpected character {text[pos]!r}", position=pos)
-        if match.lastgroup != "ws":
-            tokens.append((match.lastgroup, match.group(), pos))
-        pos = match.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def peek(self):
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
-    def take(self, kind: str | None = None):
-        token = self.peek()
-        if token is None:
-            raise MrParseError("unexpected end of input (unbalanced parentheses?)",
-                               position=len(self.text))
-        if kind is not None and token[0] != kind:
-            raise MrParseError(f"expected {kind}, found {token[1]!r}", position=token[2])
-        self.index += 1
-        return token
-
-    def expr(self):
-        kind, value, pos = self.take()
-        if kind == "ident":
-            if self.peek() is not None and self.peek()[0] == "lparen":
-                return self._application(value, pos)
-            if value == "all":
-                return ALL
-            raise MrParseError(f"bare identifier {value!r} (only 'all' may appear unapplied)",
-                               position=pos)
-        raise MrParseError(f"expected an operator, found {value!r}", position=pos)
-
-    def _application(self, op: str, pos: int):
-        self.take("lparen")
-        if op in ENTITY_OPS:
-            names = [self.take("name")[1][1:-1]]
-            while self.peek() is not None and self.peek()[0] == "comma":
-                self.take("comma")
-                names.append(self.take("name")[1][1:-1])
-            self.take("rparen")
-            if len(names) > 2:
-                raise MrParseError(f"{op} takes at most two names", position=pos)
-            qualifier = names[1] if len(names) == 2 else None
-            if qualifier is not None and op != "cityid":
-                raise MrParseError(f"{op} takes a single name", position=pos)
-            return EntityLiteral(kind=op, name=names[0].lower(),
-                                 qualifier=qualifier.lower() if qualifier else qualifier)
-        if op not in OPERATORS:
-            raise MrParseError(f"unknown operator {op!r}", position=pos)
-        args = [self.expr()]
-        while self.peek() is not None and self.peek()[0] == "comma":
-            self.take("comma")
-            args.append(self.expr())
-        self.take("rparen")
-        if len(args) != OPERATORS[op]:
-            raise MrParseError(
-                f"{op} takes {OPERATORS[op]} argument(s), got {len(args)}", position=pos
-            )
-        return Apply(op=op, args=tuple(args))
+# an identifier, with the "(" that applies it; a quoted name; a bracket or a comma;
+# any other non-space character is a token error
+_TOKEN = re.compile(r"([a-z_][a-z0-9_]*)\s*(\()?|('[^']*')|(\()|(\))|(,)|(\S)")
+# reader states: what the next token must be
+_EXPR, _NEXT_ARG, _NAME, _NEXT_NAME, _END = range(5)
 
 
 def parse_funql(text: str):
-    """Parse a FunQL program; the root must be a one-argument answer(...)."""
-    parser = _Parser(text)
-    ast = parser.expr()
-    leftover = parser.peek()
-    if leftover is not None:
-        raise MrParseError(f"trailing input {leftover[1]!r}", position=leftover[2])
-    if not (isinstance(ast, Apply) and ast.op == "answer"):
+    """Parse a FunQL program; the root must be a one-argument answer(...).
+
+    One pass over the tokens with an explicit stack of open applications, so
+    nesting is bounded by :data:`~semkit.errors.MAX_DEPTH`, not by recursion.
+    A character no token can start with is reported before any other error.
+    """
+    try:
+        return _read(text)
+    except MrParseError:
+        bad = next((m for m in _TOKEN.finditer(text) if m.lastindex == 7), None)
+        if bad is not None:
+            raise MrParseError(f"unexpected character {bad.group()!r}",
+                               position=bad.start()) from None
+        raise
+
+
+def _read(text: str):
+    stack = []  # open applications and entity literals: (operator, position, arguments)
+    state = _EXPR
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        token = match.group(1) or match.group()
+        if group == 7:
+            raise MrParseError(f"unexpected character {token!r}", position=match.start())
+        if state == _EXPR:
+            if group == 2:
+                if len(stack) == MAX_DEPTH:
+                    raise MrParseError(TOO_DEEP, position=match.start(2))
+                if token in ENTITY_OPS:
+                    state = _NAME
+                elif token not in OPERATORS:
+                    raise MrParseError(f"unknown operator {token!r}", position=match.start())
+                stack.append((token, match.start(), []))
+                continue
+            if token != "all" or group != 1:
+                raise MrParseError(f"bare identifier {token!r} (only 'all' may appear unapplied)"
+                                   if group == 1 else f"expected an operator, found {token!r}",
+                                   position=match.start())
+            value = ALL
+        elif state == _NAME:
+            if group != 3:
+                raise MrParseError(f"expected name, found {token!r}", position=match.start())
+            stack[-1][2].append(token[1:-1])
+            state = _NEXT_NAME
+            continue
+        elif state == _END:
+            raise MrParseError(f"trailing input {token!r}", position=match.start())
+        elif group == 6:
+            state = _NAME if state == _NEXT_NAME else _EXPR
+            continue
+        elif group != 5:
+            raise MrParseError(f"expected rparen, found {token!r}", position=match.start())
+        elif state == _NEXT_NAME:
+            value = _entity(*stack.pop())
+        else:
+            op, pos, args = stack.pop()
+            if len(args) != OPERATORS[op]:
+                raise MrParseError(f"{op} takes {OPERATORS[op]} argument(s), got {len(args)}",
+                                   position=pos)
+            value = Apply(op=op, args=tuple(args))
+        if stack:
+            stack[-1][2].append(value)
+            state = _NEXT_ARG
+        else:
+            root, state = value, _END
+    if state != _END:
+        raise MrParseError("unexpected end of input (unbalanced parentheses?)",
+                           position=len(text))
+    if not (isinstance(root, Apply) and root.op == "answer"):
         raise MrParseError("program root must be answer(...)")
-    return ast
+    return root
+
+
+def _entity(kind: str, pos: int, names: list[str]) -> EntityLiteral:
+    if len(names) > 2:
+        raise MrParseError(f"{kind} takes at most two names", position=pos)
+    qualifier = names[1] if len(names) == 2 else None
+    if qualifier is not None and kind != "cityid":
+        raise MrParseError(f"{kind} takes a single name", position=pos)
+    return EntityLiteral(kind=kind, name=names[0].lower(),
+                         qualifier=qualifier.lower() if qualifier else qualifier)
 
 
 def render_funql(ast) -> str:
@@ -206,18 +208,6 @@ def extract_operators(ast) -> frozenset[str]:
 
     walk(ast)
     return frozenset(found)
-
-
-def program_depth(text: str) -> int:
-    """Maximum parenthesis nesting depth of the program text."""
-    depth = best = 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-            best = max(best, depth)
-        elif ch == ")":
-            depth -= 1
-    return best
 
 
 # --- interpreter ----------------------------------------------------------

@@ -14,6 +14,12 @@ and literals are bare tokens.  ``simplify_ldcs`` / ``desimplify_ldcs`` convert
 between them and are exact inverses on the supported fragment; canonical
 rendering uses single spaces and parentheses only around applications.
 
+``parse_ldcs`` reads either dialect in one pass over the tokens, with an
+explicit stack: it builds the tree, checks the dialect and collects the
+operator set of the simple-dialect tree, which ``extract_operators`` returns
+without simplifying or walking the tree again.  Brackets nested deeper than
+:data:`~semkit.errors.MAX_DEPTH` are a parse error.
+
 Simple-dialect operators::
 
     listValue(set)                      size(set)            singleton(x)
@@ -33,7 +39,7 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .errors import DataFormatError, MrExecError, MrParseError
+from .errors import MAX_DEPTH, TOO_DEEP, DataFormatError, MrExecError, MrParseError
 from .outcomes import Denotation
 
 
@@ -150,74 +156,132 @@ SList = tuple  # applications are plain tuples of nodes
 class LdcsAst:
     root: object
     dialect: str  # "full" | "simple"
+    operators: frozenset[str]  # symbol unigrams of the simple-dialect tree
+    unsupported: str | None = None  # why a full-dialect tree does not simplify
 
 
-_SEXP_TOKEN = re.compile(r"\s*(\(|\)|[^\s()]+)")
-_NUMBER = re.compile(r"-?\d+(\.\d+)?$")
-
-
-def _read(tokens: list[tuple[str, int]], index: int):
-    if index >= len(tokens):
-        raise MrParseError("unexpected end of input", position=tokens[-1][1] if tokens else 0)
-    token, pos = tokens[index]
-    if token == "(":
-        items = []
-        index += 1
-        while True:
-            if index >= len(tokens):
-                raise MrParseError("missing closing parenthesis", position=pos)
-            if tokens[index][0] == ")":
-                return tuple(items), index + 1
-            node, index = _read(tokens, index)
-            items.append(node)
-    if token == ")":
-        raise MrParseError("unexpected ')'", position=pos)
-    if _NUMBER.match(token):
-        return Num(float(token)), index + 1
-    return Sym(token), index + 1
-
-
-def _check_dialect(node, dialect: str) -> None:
-    if not isinstance(node, tuple):
-        return
-    if not node:
-        raise MrParseError("empty application ()")
-    head = node[0]
-    if dialect == "full":
-        if isinstance(head, Sym) and head.text == "call":
-            if len(node) < 2 or not (isinstance(node[1], Sym) and node[1].text.startswith("SW.")):
-                raise MrParseError("dialect-mismatch: call requires an SW.-namespaced callee")
-            rest = node[2:]
-        elif isinstance(head, Sym) and head.text in ("string", "date", "number"):
-            rest = node[1:]
-        else:
-            name = head.text if isinstance(head, Sym) else str(head)
-            raise MrParseError(f"dialect-mismatch: full-dialect head {name!r} is not call/typing")
-    else:
-        if isinstance(head, Sym) and (head.text == "call" or head.text.startswith("SW.")):
-            raise MrParseError("dialect-mismatch: 'call'/'SW.' does not belong in the simple dialect")
-        rest = node[1:]
-    for child in rest:
-        _check_dialect(child, dialect)
+# "(", or the full dialect's "(call SW.<op>"; ")"; a number (the whole token);
+# any other token: a symbol
+_TOKEN = re.compile(r"(\()(?:\s*call\s+(SW\.[^\s()]*))?|(\))|(-?\d+(?:\.\d+)?(?![^\s()]))|"
+                    r"[^\s()]+")
+# how a list is checked: not at all, its dialect, its dialect and simplification;
+# a simplified "(call SW.<op>" list keeps its symbol arguments as they are read
+_FREE, _CHECKED, _SIMPLIFIED, _KEEPING = range(4)
 
 
 def parse_ldcs(text: str, dialect: str) -> LdcsAst:
-    """Parse one s-expression program in the given dialect ("full" or "simple")."""
+    """Parse one s-expression program in the given dialect ("full" or "simple").
+
+    Each list is checked as it closes.  Errors are those of a recursive reader:
+    syntax errors, else the first dialect mismatch in preorder.
+    """
     if dialect not in ("full", "simple"):
         raise ValueError(f"unknown dialect {dialect!r}")
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _SEXP_TOKEN.match(text, pos)
-        if match is None:
-            break
-        tokens.append((match.group(1), match.start(1)))
-        pos = match.end()
-    node, index = _read(tokens, 0)
-    if index != len(tokens):
-        raise MrParseError("trailing input after program", position=tokens[index][1])
-    _check_dialect(node, dialect)
-    return LdcsAst(root=node, dialect=dialect)
+    full = dialect == "full"
+    nodes: dict[str, object] = {}  # token -> its Sym or Num, shared within this parse
+    seen: set[str] = set()  # full dialect: symbols of the simplified tree
+    problems = []  # (kind, "(" position, message) of checked lists: preorder by position
+    stack = []  # the enclosing lists: (items, position, mode)
+    items = None  # the innermost open list
+    opened, mode = 0, _KEEPING if full else _FREE  # its "(" position, how it is checked
+    root = stack  # none read yet
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        if group == 3:  # ")"
+            if items is None:
+                raise MrParseError("unexpected ')'" if root is stack else
+                                   "trailing input after program", position=match.start())
+            node = tuple(items)
+            if mode == _KEEPING:
+                if not (items[1].text == "SW.singleton" and len(items) == 3
+                        and _is_entity(items[2])):
+                    seen.add(items[1].text[3:])
+            elif mode:
+                problem = _check_list(node, mode, full, seen)
+                if problem is not None:
+                    problems.append((problem[0], opened, problem[1]))
+            if not stack:
+                root, items = node, None
+                continue
+            items, opened, mode = stack.pop()
+            items.append(node)
+        elif items is None and root is not stack:
+            raise MrParseError("trailing input after program", position=match.start())
+        elif group is None or group == 4:  # a symbol or a number
+            token = match.group()
+            node = nodes.get(token)
+            if node is None:
+                node = nodes[token] = Sym(token) if group is None else Num(float(token))
+            if mode == _KEEPING and group is None:  # also a full-dialect root symbol
+                seen.add(token)
+            if items is None:
+                root = node
+            else:
+                items.append(node)
+        else:  # "(", or "(call SW.<op>"
+            if items is None:
+                mode = _SIMPLIFIED if full else _CHECKED
+            else:
+                if len(stack) + 2 > MAX_DEPTH:
+                    raise MrParseError(TOO_DEEP, position=match.start())
+                stack.append((items, opened, mode))
+                # a checked list's head is not looked into; its other lists are
+                # checked (one in callee position is already its parent's mismatch)
+                mode = _FREE if not (mode and items) else \
+                    _SIMPLIFIED if mode == _KEEPING else _CHECKED
+            opened, items = match.start(), []
+            if group == 2:
+                callee = match.group(2)
+                items = [nodes.get("call") or nodes.setdefault("call", Sym("call")),
+                         nodes.get(callee) or nodes.setdefault(callee, Sym(callee))]
+                if mode == _SIMPLIFIED:
+                    mode = _KEEPING
+    if items is not None:
+        raise MrParseError("missing closing parenthesis", position=opened)
+    if root is stack:
+        raise MrParseError("unexpected end of input", position=0)
+    problem = min(problems, default=(None, 0, None))  # "mismatch" sorts before "unsupported"
+    if problem[0] == "mismatch":
+        raise MrParseError(problem[2])
+    if not full:
+        seen = {token for token, node in nodes.items() if node.__class__ is Sym}
+    return LdcsAst(root, dialect, _operator_names(seen), problem[2])
+
+
+def _check_list(node: tuple, mode: int, full: bool, seen: set) -> tuple[str, str] | None:
+    """The dialect mismatch of a checked list or why it does not simplify; a
+    simplified ``string`` wrapper adds the symbol it keeps to ``seen``."""
+    if not node:
+        return "mismatch", "empty application ()"
+    text = node[0].text if node[0].__class__ is Sym else None
+    if not full:
+        if text is not None and (text == "call" or text.startswith("SW.")):
+            return "mismatch", "dialect-mismatch: 'call'/'SW.' does not belong in the simple dialect"
+    elif text == "call":
+        if len(node) < 2 or not (isinstance(node[1], Sym) and node[1].text.startswith("SW.")):
+            return "mismatch", "dialect-mismatch: call requires an SW.-namespaced callee"
+    elif text not in ("string", "date", "number"):
+        name = text if text is not None else str(node[0])
+        return "mismatch", f"dialect-mismatch: full-dialect head {name!r} is not call/typing"
+    elif mode != _SIMPLIFIED:
+        pass
+    elif text == "string":
+        if len(node) != 2 or not isinstance(node[1], Sym):
+            return "unsupported", "unsupported form: (string ...) must wrap one token"
+        seen.add(node[1].text)
+    elif text == "date":
+        if (len(node) != 4 or not all(isinstance(n, Num) for n in node[1:])
+                or node[2].value != -1 or node[3].value != -1):
+            return "unsupported", "unsupported form: only year-granularity (date y -1 -1) dates"
+    elif len(node) != 2 or not isinstance(node[1], Num):
+        return "unsupported", "unsupported form: (number ...) must wrap one number"
+    return None
+
+
+def _operator_names(symbols) -> frozenset[str]:
+    """Symbols as operator unigrams: an ``en.<kind>.<name>`` entity counts as its kind."""
+    return frozenset(text.split(".")[1] if text.startswith("en.") else text
+                     for text in symbols if not text.startswith("en.") or text.count(".") >= 2)
 
 
 def render_ldcs(ast: LdcsAst) -> str:
@@ -275,40 +339,28 @@ def simplify_ldcs(ast: LdcsAst) -> LdcsAst:
     """Strip call/SW./typing/singleton noise from a full-dialect program."""
     if ast.dialect != "full":
         raise ValueError("simplify_ldcs expects a full-dialect program")
-    return LdcsAst(root=_simplify(ast.root), dialect="simple")
+    if ast.unsupported is not None:
+        raise MrParseError(ast.unsupported)
+    return LdcsAst(_simplify(ast.root), "simple", ast.operators)
 
 
 def _simplify(node):
     if isinstance(node, (Sym, Num)):
         return node
-    head = node[0]
-    if head.text == "call":
-        callee = node[1].text[len("SW."):]
-        args = node[2:]
-        if callee == "singleton" and len(args) == 1 and _is_entity(args[0]):
-            return args[0]
-        return (Sym(callee), *(_simplify(a) for a in args))
-    if head.text == "string":
-        if len(node) != 2 or not isinstance(node[1], Sym):
-            raise MrParseError("unsupported form: (string ...) must wrap one token")
-        return node[1]
-    if head.text == "date":
-        if (len(node) != 4 or not all(isinstance(n, Num) for n in node[1:])
-                or node[2].value != -1 or node[3].value != -1):
-            raise MrParseError("unsupported form: only year-granularity (date y -1 -1) dates")
-        return node[1]
-    if head.text == "number":
-        if len(node) != 2 or not isinstance(node[1], Num):
-            raise MrParseError("unsupported form: (number ...) must wrap one number")
-        return node[1]
-    raise MrParseError(f"unsupported form: head {head.text!r}")  # pragma: no cover
+    if node[0].text != "call":
+        return node[1]  # the token a typing wrapper wraps
+    callee = node[1].text[len("SW."):]
+    args = node[2:]
+    if callee == "singleton" and len(args) == 1 and _is_entity(args[0]):
+        return args[0]
+    return (Sym(callee), *(_simplify(a) for a in args))
 
 
 def desimplify_ldcs(ast: LdcsAst) -> LdcsAst:
     """Restore the canonical full dialect; inverse of simplify_ldcs."""
     if ast.dialect != "simple":
         raise ValueError("desimplify_ldcs expects a simple-dialect program")
-    return LdcsAst(root=_desimplify_set(ast.root), dialect="full")
+    return LdcsAst(_desimplify_set(ast.root), "full", ast.operators)
 
 
 def _desimplify_set(node):
@@ -514,6 +566,8 @@ class _LdcsEval:
         return a == b
 
     def _keyed(self, x, prop, numeric: bool):
+        if not isinstance(prop, Sym):
+            raise MrExecError("type-mismatch", "superlative expects a property symbol")
         items = self._persons(self.eval(x), "superlative")
         keyed = []
         for person in items:
@@ -545,8 +599,9 @@ class _LdcsEval:
     def _countComparative(self, x, prop, op, count):
         if not isinstance(count, Num):
             raise MrExecError("type-mismatch", "countComparative needs a number")
-        if not isinstance(op, Sym):
-            raise MrExecError("type-mismatch", "countComparative needs an operator symbol")
+        if not isinstance(prop, Sym) or not isinstance(op, Sym):
+            raise MrExecError("type-mismatch",
+                              "countComparative needs property and operator symbols")
         items = self._persons(self.eval(x), "countComparative")
         out = []
         for person in items:
@@ -590,25 +645,13 @@ def exec_ldcs_simple(ast: LdcsAst, db: SocialDb) -> Denotation:
 
 
 def extract_operators(ast: LdcsAst) -> frozenset[str]:
-    """Heads, property/operator symbols and enum kinds of a program."""
-    node = ast.root if ast.dialect == "simple" else simplify_ldcs(ast).root
-    found: set[str] = set()
+    """Heads, property/operator symbols and enum kinds of the simple-dialect tree.
 
-    def walk(item):
-        if isinstance(item, Num):
-            return
-        if isinstance(item, Sym):
-            parts = item.text.split(".")
-            if item.text.startswith("en."):
-                if len(parts) >= 3:
-                    found.add(parts[1])
-            else:
-                found.add(item.text)
-            return
-        for child in item:
-            walk(child)
-
-    walk(node)
-    if not found:
+    ``parse_ldcs`` collects them while reading; a full-dialect program counts
+    the symbols of its simplification, so one that does not simplify raises here.
+    """
+    if ast.unsupported is not None:
+        raise MrParseError(ast.unsupported)
+    if not ast.operators:
         raise MrParseError("empty program has no operators")
-    return frozenset(found)
+    return ast.operators

@@ -5,7 +5,7 @@ import pytest
 
 from semkit.errors import MrExecError, MrParseError
 from semkit.funql import (All, Apply, EntityLiteral, exec_funql, extract_operators,
-                          parse_funql, program_depth, render_funql)
+                          parse_funql, render_funql)
 from semkit.geo import load_geobase
 from semkit.outcomes import Denotation
 from semkit.resources import environment_path
@@ -27,7 +27,6 @@ def test_parse_showcase_shape_and_depth():
         node = node.args[0]
     assert ops == ["answer", "elevation_1", "highest", "place", "loc_2", "largest", "state"]
     assert isinstance(node, All)
-    assert program_depth(SHOWCASE) == 7
 
 
 def test_unbalanced_parens_error_at_end():

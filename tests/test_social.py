@@ -4,6 +4,7 @@ import random
 import pytest
 
 from semkit.errors import MrParseError
+from semkit.execute import run_program
 from semkit.outcomes import Denotation
 from semkit.resources import environment_path
 from semkit.social import (Sym, desimplify_ldcs, exec_ldcs_simple, extract_operators,
@@ -196,3 +197,14 @@ def test_comparison_on_non_numeric_is_type_error(social_db):
         exec_ldcs_simple(
             parse_ldcs("(listValue (filter (getProperty en.person !type) "
                        "gender > en.gender.male))", "simple"), social_db)
+
+
+@pytest.mark.parametrize("program", [
+    "(superlative (getProperty en.person !type) argmax 5)",
+    "(countSuperlative (getProperty en.person !type) argmax 5)",
+    "(countComparative (getProperty en.person !type) 5 > 1)",
+    "(countComparative (getProperty en.person !type) (size en.person) > 1)",
+])
+def test_non_symbol_property_is_type_mismatch(social_db, program):
+    outcome = run_program("ldcs-simple", program, "social", social_db)
+    assert outcome.error == "type-mismatch", outcome.message
