@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 from .errors import MAX_DEPTH, TOO_DEEP, DataFormatError, MrExecError, MrParseError
 from .outcomes import CreatedEvent, WorldDelta
+from .readonly import ReadOnlyList
 
 DEFAULT_DURATION_MINUTES = 30
 DEFAULT_START_TIME = dt.time(9, 0)
@@ -114,7 +115,8 @@ def load_world(path) -> CalendarWorld:
         now = dt.datetime.fromisoformat(record["now"])
     except ValueError as exc:
         raise DataFormatError(f"{path}: bad 'now' timestamp: {exc}") from exc
-    return CalendarWorld(people=people, current_user=by_id[record["current_user"]], now=now)
+    return CalendarWorld(people=ReadOnlyList(people), current_user=by_id[record["current_user"]],
+                         now=now)
 
 
 # --- clauses ---------------------------------------------------------------

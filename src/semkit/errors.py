@@ -33,9 +33,10 @@ class MrParseError(SemkitError):
 
 
 # The FunQL, λ-DCS and Dataflow-Simple readers reject an opening bracket that
-# nests deeper than this with a parse error at its position.
+# nests deeper than this with a parse error at its position; the pymr check
+# rejects a statement or expression nested deeper, at its line.
 MAX_DEPTH = 100
-TOO_DEEP = f"nesting deeper than {MAX_DEPTH} brackets"
+TOO_DEEP = f"nesting deeper than {MAX_DEPTH} levels"
 
 
 class UnsupportedConstructError(MrParseError):
@@ -53,7 +54,7 @@ class MrExecError(SemkitError):
     ``attribute-not-found``, ``type-mismatch``, ``index-out-of-range``,
     ``unknown-person``, ``unresolvable-constraint``, ``unknown-property``,
     ``conflicting-clause``, ``invalid-datetime``, ``arity``,
-    ``unsupported-construct``.
+    ``unsupported-construct``, ``read-only``.
     """
 
     def __init__(self, code: str, message: str):

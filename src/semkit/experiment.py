@@ -2,11 +2,15 @@
 
 What does not change between seeds and test examples is built once per
 experiment and shared by all of them: the demonstration selector (see
-:class:`DemoSelector`), the rendered DD text, the prompt template and the
-gold outcomes.  Gold outcomes are keyed by (gold dialect, gold text after
-name canonicalization); :func:`~semkit.evaluation.canonicalize_names` maps
-gold names first, so the canonical gold text does not depend on the
-prediction it is scored against.
+:class:`DemoSelector`), the rendered DD text, the prompt template and one
+outcome memo (:func:`~semkit.execute.memoized_runs`).  Worlds are read-only,
+so a program's outcome depends only on its (dialect, text): the memo runs
+each distinct predicted or gold program once per experiment, whichever seed,
+example or thread asks first.  Both sides are keyed on the text actually run,
+which on calendar is the text after
+:func:`~semkit.evaluation.canonicalize_names`; it maps gold names first, so
+the canonical gold text does not depend on the prediction it is scored
+against.
 
 Config paths resolve relative to the config file; the ``bundled:`` prefix
 names packaged resources, e.g. ``bundled:datasets/geoquery.jsonl``.
@@ -23,8 +27,7 @@ from . import resources
 from .corpus import Dataset, Split, load_dataset, load_split, sample_demos
 from .errors import SemkitError
 from .evaluation import POLICIES, canonicalize_names, report_from_verdicts, score_run, verdict_of
-from .execute import (ENVIRONMENTS, dialect_for, load_environment, memoized_runs, operators_of,
-                      run_program)
+from .execute import ENVIRONMENTS, dialect_for, load_environment, memoized_runs, operators_of
 from .llm import CompletionRequest, LlmClient, ReplayCache, extract_program, http_transport
 from .prompts import PromptSpec, build_prompt, default_template, load_dd_source, render_dd
 from .selection import Bm25Index, bm25_rank, coverage_fraction, greedy_select
@@ -164,7 +167,7 @@ def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> di
     template_id = config.get("template_id", "v1")
     template = default_template(template_id)
     selector = DemoSelector(dataset, split, dialect)
-    gold_outcome = memoized_runs(environment, env_object)  # keyed by canonical gold text
+    run = memoized_runs(environment, env_object)  # predicted and gold, keyed by the text run
 
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
@@ -197,8 +200,8 @@ def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> di
                     program, gold_program = canonicalize_names(program, gold_program, env_object)
                 except SemkitError:
                     return (test_id, "execution-failure")
-            pred = run_program(dialect, program, environment, env_object)
-            return (test_id, verdict_of(pred, gold_outcome(gold_dialect, gold_program), policy))
+            return (test_id, verdict_of(run(dialect, program), run(gold_dialect, gold_program),
+                                        policy))
 
         if jobs > 1:
             from concurrent.futures import ThreadPoolExecutor

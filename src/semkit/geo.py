@@ -33,6 +33,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import DataFormatError
+from .readonly import ReadOnlyList
 
 MAJOR_CITY_MIN_POPULATION = 150_000
 MAJOR_RIVER_MIN_LENGTH_KM = 750.0
@@ -273,9 +274,14 @@ def load_geobase(path) -> GeoModel:
                 raise DataFormatError(f"{path}: state {state.name!r} borders unknown {neighbor!r}")
             state.next_to.append(states[neighbor.lower()])
 
-    model = GeoModel(
-        states=list(states.values()), cities=cities, rivers=rivers, places=places, country=country
-    )
+    for state in states.values():
+        state.next_to = ReadOnlyList(state.next_to)
+        state.rivers = ReadOnlyList(state.rivers)
+        state.cities = ReadOnlyList(state.cities)
+    for river in rivers:
+        river.traverses = ReadOnlyList(river.traverses)
+    model = GeoModel(states=ReadOnlyList(states.values()), cities=ReadOnlyList(cities),
+                     rivers=ReadOnlyList(rivers), places=ReadOnlyList(places), country=country)
     _validate(model, path)
     return model
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from .corpus import Example, Lcg, _draw
 from .errors import CacheMissError, SemkitError, TransportError
 from .evaluation import POLICIES, compare_outcomes
-from .execute import dialect_for, memoized_runs, run_program
+from .execute import dialect_for, memoized_runs
 from .prompts import PromptSpec, build_prompt, default_template, render_dd
 
 DEFAULT_TEMPERATURE = 0.0
@@ -205,11 +205,11 @@ def bootstrap_annotations(seed_pool: list[Example], unlabeled: list[Example],
     pool examples annotated in ``config.dialect`` (the partial Fisher-Yates
     draw of :func:`~semkit.corpus.sample_demos`, seeded per pass, O(k) per
     prompt), executes the proposed program, checks it against the gold
-    program's outcome, and keeps only matches.  Gold outcomes are memoized per
-    call: each distinct gold (dialect, text) runs once, however many proposals
-    and passes are checked against it, so a proposal that mutates the
-    environment cannot change a gold outcome already computed.  Client errors
-    abort the remainder of a pass but never discard the pool.
+    program's outcome, and keeps only matches.  Proposals and gold programs
+    share one outcome memo per call (:func:`~semkit.execute.memoized_runs`):
+    each distinct (dialect, text) runs once, however many proposals and passes
+    ask for it.  Client errors abort the remainder of a pass but never discard
+    the pool.
     """
     if not seed_pool:
         raise ValueError("seed pool must be nonempty")
@@ -222,7 +222,7 @@ def bootstrap_annotations(seed_pool: list[Example], unlabeled: list[Example],
     if not annotated:
         raise SemkitError(f"no seed-pool example is annotated in {config.dialect!r}")
     pending = [ex for ex in unlabeled if config.dialect not in ex.programs]
-    gold_outcome = memoized_runs(config.environment, env_object)
+    run = memoized_runs(config.environment, env_object)
     policy = POLICIES[config.environment]
     dd_text = render_dd(config.dd_declarations, "full")
     template = config.template or default_template()
@@ -250,8 +250,8 @@ def bootstrap_annotations(seed_pool: list[Example], unlabeled: list[Example],
                 still_pending.append(example)
                 continue
             program = extract_program(completion)
-            pred = run_program(config.dialect, program, config.environment, env_object)
-            gold = gold_outcome(config.gold_dialect, example.programs[config.gold_dialect])
+            pred = run(config.dialect, program)
+            gold = run(config.gold_dialect, example.programs[config.gold_dialect])
             if pred.ok and gold.ok and compare_outcomes(pred, gold, policy):
                 programs = dict(example.programs)
                 programs[config.dialect] = program

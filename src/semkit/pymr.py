@@ -43,7 +43,7 @@ import operator
 from dataclasses import dataclass
 
 from . import calflow, social as social_mod
-from .errors import MrExecError, MrParseError, UnsupportedConstructError
+from .errors import MAX_DEPTH, TOO_DEEP, MrExecError, MrParseError, UnsupportedConstructError
 from .funql import entity_ref
 from .geo import City, Country, GeoModel, Place, River, State
 from .outcomes import Denotation, Outcome, WorldDelta
@@ -94,12 +94,17 @@ def parse_pymr(text: str) -> PymrAst:
 
     One pass over the function body checks every node and collects the
     operator set :func:`extract_operators` returns: accessed attributes not
-    starting with ``_`` and called names that are not builtins.
+    starting with ``_`` and called names that are not builtins.  The same pass
+    bounds nesting by :data:`~semkit.errors.MAX_DEPTH` (each statement,
+    expression and comprehension clause is one level), so evaluation never
+    recurses deeper; input too deep for Python's own parser is rejected too.
     """
     try:
         module = pyast.parse(text)
     except SyntaxError as exc:
         raise MrParseError(f"syntax error: {exc.msg}", line=exc.lineno) from exc
+    except RecursionError:
+        raise MrParseError(TOO_DEEP) from None
     body = [s for s in module.body if not _is_docstring(s)]
     if len(body) != 1 or not isinstance(body[0], pyast.FunctionDef):
         for stmt in module.body:
@@ -117,7 +122,7 @@ def parse_pymr(text: str) -> PymrAst:
         raise UnsupportedConstructError("decorator", line=func.decorator_list[0].lineno)
     found: set[str] = set()
     for stmt in func.body:
-        _check_stmt(stmt, found)
+        _check_stmt(stmt, found, 1)
     if func.returns is not None:  # tolerated unchecked, so walked for operators
         for node in pyast.walk(func.returns):
             if type(node) is pyast.Attribute and not node.attr.startswith("_"):
@@ -133,7 +138,9 @@ def _is_docstring(stmt) -> bool:
             and isinstance(stmt.value.value, str))
 
 
-def _check_stmt(stmt, found: set) -> None:
+def _check_stmt(stmt, found: set, depth: int) -> None:
+    if depth > MAX_DEPTH:
+        raise MrParseError(TOO_DEEP, line=stmt.lineno)
     kind = type(stmt)
     name = _STMT_NAMES.get(kind)
     if name is not None:
@@ -146,42 +153,45 @@ def _check_stmt(stmt, found: set) -> None:
             raise UnsupportedConstructError("attribute assignment", line=stmt.lineno)
         if target is not pyast.Name:
             raise UnsupportedConstructError("destructuring assignment", line=stmt.lineno)
-        _check_expr(stmt.value, found)
+        _check_expr(stmt.value, found, depth + 1)
     elif kind is pyast.Expr:
-        _check_expr(stmt.value, found)
+        _check_expr(stmt.value, found, depth + 1)
     elif kind is pyast.Return:
         if stmt.value is not None:
-            _check_expr(stmt.value, found)
+            _check_expr(stmt.value, found, depth + 1)
     elif kind is pyast.For:
         if stmt.orelse:
             raise UnsupportedConstructError("for-else", line=stmt.lineno)
         if type(stmt.target) is not pyast.Name:
             raise UnsupportedConstructError("destructuring loop target", line=stmt.lineno)
-        _check_expr(stmt.iter, found)
+        _check_expr(stmt.iter, found, depth + 1)
         for inner in stmt.body:
-            _check_stmt(inner, found)
+            _check_stmt(inner, found, depth + 1)
     elif kind is pyast.If:
-        _check_expr(stmt.test, found)
+        _check_expr(stmt.test, found, depth + 1)
         for inner in [*stmt.body, *stmt.orelse]:
-            _check_stmt(inner, found)
+            _check_stmt(inner, found, depth + 1)
     else:
         raise UnsupportedConstructError(kind.__name__.lower(),
                                         line=getattr(stmt, "lineno", None))
 
 
-def _check_expr(expr, found: set, in_call_args: bool = False) -> None:
+def _check_expr(expr, found: set, depth: int, in_call_args: bool = False) -> None:
     kind = type(expr)
     if kind is pyast.Name or kind is pyast.Constant:
         return
+    if depth > MAX_DEPTH:
+        raise MrParseError(TOO_DEEP, line=expr.lineno)
+    depth += 1
     name = _EXPR_NAMES.get(kind)
     if name is not None:
         raise UnsupportedConstructError(name, line=getattr(expr, "lineno", None))
     if kind is pyast.Attribute:
         if not expr.attr.startswith("_"):
             found.add(expr.attr)
-        _check_expr(expr.value, found)
+        _check_expr(expr.value, found, depth)
     elif kind is pyast.Call:
-        _check_expr(expr.func, found)
+        _check_expr(expr.func, found, depth)
         host = expr.func.id if type(expr.func) is pyast.Name else None
         if host is not None and host not in BUILTIN_NAMES:
             found.add(host)
@@ -190,21 +200,21 @@ def _check_expr(expr, found: set, in_call_args: bool = False) -> None:
                 if host not in _GENEXP_HOSTS or len(expr.args) != 1:
                     raise UnsupportedConstructError(
                         "generator expression", _GENEXP_MESSAGE, line=arg.lineno)
-                _check_comprehension(arg, found)
+                _check_comprehension(arg, found, depth)
             else:
-                _check_expr(arg, found, in_call_args=True)
+                _check_expr(arg, found, depth, in_call_args=True)
         for kw in expr.keywords:
             if kw.arg is None:
                 raise UnsupportedConstructError("**kwargs", line=expr.lineno)
-            _check_expr(kw.value, found, in_call_args=True)
+            _check_expr(kw.value, found, depth, in_call_args=True)
     elif kind is pyast.List:
         for item in expr.elts:
-            _check_expr(item, found)
+            _check_expr(item, found, depth)
     elif kind is pyast.Subscript:
         if type(expr.slice) is pyast.Slice:
             raise UnsupportedConstructError("slice", line=expr.lineno)
-        _check_expr(expr.value, found)
-        _check_expr(expr.slice, found)
+        _check_expr(expr.value, found, depth)
+        _check_expr(expr.slice, found, depth)
     elif kind is pyast.Lambda:
         if not in_call_args:
             raise UnsupportedConstructError(
@@ -214,9 +224,9 @@ def _check_expr(expr, found: set, in_call_args: bool = False) -> None:
                 or args.vararg or args.kwarg or args.defaults):
             raise UnsupportedConstructError(
                 "lambda", "lambda must take exactly one parameter", line=expr.lineno)
-        _check_expr(expr.body, found)
+        _check_expr(expr.body, found, depth)
     elif kind is pyast.ListComp:
-        _check_comprehension(expr, found)
+        _check_comprehension(expr, found, depth)
     elif kind is pyast.GeneratorExp:
         raise UnsupportedConstructError("generator expression", _GENEXP_MESSAGE,
                                         line=expr.lineno)
@@ -226,36 +236,38 @@ def _check_expr(expr, found: set, in_call_args: bool = False) -> None:
         if type(expr.ops[0]) not in _ALLOWED_CMPOPS:
             raise UnsupportedConstructError(
                 f"operator {type(expr.ops[0]).__name__}", line=expr.lineno)
-        _check_expr(expr.left, found)
-        _check_expr(expr.comparators[0], found)
+        _check_expr(expr.left, found, depth)
+        _check_expr(expr.comparators[0], found, depth)
     elif kind is pyast.BoolOp:
         for value in expr.values:
-            _check_expr(value, found)
+            _check_expr(value, found, depth)
     elif kind is pyast.UnaryOp:
         if type(expr.op) not in (pyast.Not, pyast.USub):
             raise UnsupportedConstructError("unary operator", line=expr.lineno)
-        _check_expr(expr.operand, found)
+        _check_expr(expr.operand, found, depth)
     elif kind is pyast.BinOp:
         if type(expr.op) not in _ALLOWED_BINOPS:
             raise UnsupportedConstructError(
                 f"operator {type(expr.op).__name__}", line=expr.lineno)
-        _check_expr(expr.left, found)
-        _check_expr(expr.right, found)
+        _check_expr(expr.left, found, depth)
+        _check_expr(expr.right, found, depth)
     else:
         raise UnsupportedConstructError(kind.__name__.lower(),
                                         line=getattr(expr, "lineno", None))
 
 
-def _check_comprehension(comp, found: set) -> None:
-    _check_expr(comp.elt, found)
+def _check_comprehension(comp, found: set, depth: int) -> None:
+    # evaluation nests one level per clause, and the element inside them all
+    _check_expr(comp.elt, found, depth + len(comp.generators))
     for gen in comp.generators:
         if gen.is_async:
             raise UnsupportedConstructError("async comprehension")
         if type(gen.target) is not pyast.Name:
             raise UnsupportedConstructError("destructuring comprehension target")
-        _check_expr(gen.iter, found)
+        _check_expr(gen.iter, found, depth)
         for cond in gen.ifs:
-            _check_expr(cond, found)
+            _check_expr(cond, found, depth)
+        depth += 1
 
 
 # --- environment bindings ----------------------------------------------------

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 from .errors import MAX_DEPTH, TOO_DEEP, DataFormatError, MrExecError, MrParseError
 from .outcomes import Denotation
+from .readonly import ReadOnlyList
 
 
 @dataclass(eq=False)
@@ -129,7 +130,11 @@ def load_social_db(path) -> SocialDb:
                 raise DataFormatError(
                     f"{path}: friendship not symmetric: {person.id} -> {friend.id}"
                 )
-    return SocialDb(people=people)
+    for person in people:
+        person.friends = ReadOnlyList(person.friends)
+        person.education = ReadOnlyList(person.education)
+        person.employment = ReadOnlyList(person.employment)
+    return SocialDb(people=ReadOnlyList(people))
 
 
 # --- s-expressions --------------------------------------------------------

@@ -12,7 +12,8 @@ MAJOR_CITY = 150_000
 
 
 def load_raw_geo(path):
-    rows = [json.loads(line) for line in open(path, encoding="utf-8") if line.strip()]
+    with open(path, encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh if line.strip()]
     return {
         "states": [r for r in rows if r["kind"] == "state"],
         "cities": [r for r in rows if r["kind"] == "city"],
@@ -23,7 +24,8 @@ def load_raw_geo(path):
 
 
 def load_raw_social(path):
-    return json.load(open(path, encoding="utf-8"))["people"]
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)["people"]
 
 
 def S(s):

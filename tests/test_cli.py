@@ -234,22 +234,30 @@ def test_usage_error_exit_code(capsys):
     assert exit_info.value.code == 1
 
 
-def _replay_config(tmp_path, capsys, method):
-    """The bundled replay experiment, with its cache recorded first when not ``random``.
+WRONG = "def answer():\n    return -1"
+# empties the world it runs against, unless the world is read-only
+MUTATING = ("def answer():\n"
+            "    for state in list(geo_model.states):\n"
+            "        geo_model.states.remove(state)\n"
+            "    return -1")
+
+
+def _replay_config(tmp_path, capsys, method, wrong=None):
+    """The bundled replay experiment, with its cache recorded first when ``wrong`` is given.
 
     Recorded completions answer even-numbered test examples with their gold
-    program and the rest with a wrong one, so the reports mix verdicts.
+    program and the rest with ``wrong``, so the reports mix verdicts.
     """
     tmp_path.mkdir(parents=True, exist_ok=True)
     config = json.loads(data_path("experiment_replay.json").read_text())
-    if method != "random":
+    if wrong is not None:
         dataset = load_dataset(data_path("datasets", "geoquery.jsonl"))
         by_utterance = {ex.utterance: ex for ex in dataset.examples}
 
         def answer(prompt):
             example = by_utterance[prompt.rsplit("query: ", 1)[1].split("\n")[0]]
             if int(example.id.rsplit("-", 1)[1]) % 2:
-                return "def answer():\n    return -1"
+                return wrong
             return example.programs["pymr"]
 
         server, url, _ = _endpoint(answer)
@@ -264,6 +272,7 @@ def _replay_config(tmp_path, capsys, method):
             assert code == 0
         finally:
             server.shutdown()
+            server.server_close()
         config["client"] = {"mode": "replay", "cache": str(tmp_path / "cache.jsonl"),
                             "model": "live-model"}
     config_path = tmp_path / "config.json"
@@ -275,19 +284,27 @@ def test_run_parallel_jobs_matches_serial(tmp_path, capsys):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so shared state sees interleavings
     try:
-        for method in ("random", "bm25", "coverage"):
-            config_path = _replay_config(tmp_path / method, capsys, method)
+        split = load_split(data_path("splits", "geoquery_iid.json"),
+                           load_dataset(data_path("datasets", "geoquery.jsonl")))
+        even = [i for i in split.test_ids if int(i.rsplit("-", 1)[1]) % 2 == 0]
+        gold_share = len(even) / len(split.test_ids)
+        cases = {"random": ("random", None), "bm25": ("bm25", WRONG),
+                 "coverage": ("coverage", WRONG), "mutating": ("random", MUTATING)}
+        for case, (method, wrong) in cases.items():
+            config_path = _replay_config(tmp_path / case, capsys, method, wrong)
             outputs = {}
             for jobs in ("1", "4"):
-                out_dir = tmp_path / method / f"jobs{jobs}"
+                out_dir = tmp_path / case / f"jobs{jobs}"
                 code, out, err = run(capsys, "run", "--config", str(config_path),
                                      "--output-dir", str(out_dir), "--jobs", jobs)
                 assert code == 0 and err == ""
                 outputs[jobs] = (out, {p.name: p.read_bytes()
                                        for p in sorted(out_dir.iterdir())})
-            assert outputs["1"] == outputs["4"], method
+            assert outputs["1"] == outputs["4"], case
             accuracies = json.loads(outputs["1"][0])["accuracies"]
-            assert all(0.0 < a < 1.0 for a in accuracies), method
+            assert all(0.0 < a < 1.0 for a in accuracies), case
+            if case == "mutating":  # every gold answer still scores: no world changed
+                assert accuracies == [gold_share] * len(accuracies)
     finally:
         sys.setswitchinterval(interval)
 
@@ -369,6 +386,7 @@ def test_run_record_mode_with_selection_methods(tmp_path, capsys, method):
         assert prompts == expected
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_execute_unknown_dialect_is_usage_error(tmp_path, capsys):
@@ -417,3 +435,4 @@ def test_gold_dialect_mismatch_fails_before_any_request(tmp_path, capsys, comman
         assert prompts == []
     finally:
         server.shutdown()
+        server.server_close()

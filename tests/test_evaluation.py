@@ -108,7 +108,7 @@ def test_canonicalize_pool_exhausted(calendar_world):
 def test_renaming_invariance(tmp_path, smcalflow):
     """Consistently renaming a person across programs and world keeps verdicts."""
     rng = random.Random(1)
-    base = json.load(open(environment_path("calendar"), encoding="utf-8"))
+    base = json.loads(environment_path("calendar").read_text(encoding="utf-8"))
     example = smcalflow["sm-05"]
     for i in range(100):
         new_name = "zz" + "".join(rng.choice("abcdefghij") for _ in range(6))

@@ -1,5 +1,6 @@
 import json
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -70,14 +71,14 @@ def test_gold_outcomes_are_shared_across_seeds(monkeypatch, tmp_path, geoquery,
                                                geoquery_split):
     config_path = data_path("experiment_replay.json")
     config = json.loads(config_path.read_text())
-    predictions = counting(monkeypatch, experiment, "run_program")
-    gold_runs = counting(monkeypatch, execute, "run_program")  # the gold memo's call site
+    runs = counting(monkeypatch, execute, "run_program")  # the one memo's call site
     aggregate = run_experiment(config, config_path.parent, tmp_path)
     assert aggregate["accuracies"] == [0.8, 0.7, 0.9]
-    golds = {geoquery[i].programs["pymr"] for i in geoquery_split.test_ids}
-    # one prediction per (seed, test example), one gold run per distinct gold program
-    assert len(predictions) == len(config["seeds"]) * len(geoquery_split.test_ids)
-    assert sorted(args[1] for args in gold_runs) == sorted(golds)
+    golds = {("pymr", geoquery[i].programs["pymr"]) for i in geoquery_split.test_ids}
+    # 30 predictions and 30 gold lookups, but one run per distinct (dialect, text)
+    keys = [args[:2] for args in runs]
+    assert len(keys) == len(set(keys)) == 16
+    assert golds <= set(keys)
 
 
 def test_memoized_runs_run_each_key_once_across_threads(monkeypatch, geo_model):
@@ -97,6 +98,43 @@ def test_memoized_runs_run_each_key_once_across_threads(monkeypatch, geo_model):
         sys.setswitchinterval(interval)
     assert sorted(args[1] for args in runs) == sorted(texts)
     assert got == [want[texts[i % 3]] for i in range(240)]
+
+
+def test_memoized_runs_run_distinct_keys_concurrently(monkeypatch, geo_model):
+    b_ran = threading.Event()
+
+    def fake_run(dialect, text, environment, env_object):
+        if text == "A":  # finishes only once B has run, so B must not wait for A
+            return b_ran.wait(timeout=10)
+        b_ran.set()
+        return text
+
+    monkeypatch.setattr(execute, "run_program", fake_run)
+    run = execute.memoized_runs("geo", geo_model)
+    with ThreadPoolExecutor(max_workers=2) as workers:
+        got = list(workers.map(lambda text: run("funql", text), ["A", "B"], timeout=30))
+    assert got == [True, "B"]
+
+
+def test_memoized_runs_do_not_keep_a_run_that_raised(monkeypatch, geo_model):
+    calls = []
+
+    def flaky_run(dialect, text, environment, env_object):
+        calls.append(text)
+        if len(calls) == 1:
+            raise RuntimeError("harness failure")
+        return text
+
+    monkeypatch.setattr(execute, "run_program", flaky_run)
+    run = execute.memoized_runs("geo", geo_model)
+    with pytest.raises(RuntimeError):
+        run("funql", "A")
+    results = []  # a key left in flight would make the next caller wait forever
+    retry = threading.Thread(target=lambda: results.append(run("funql", "A")), daemon=True)
+    retry.start()
+    retry.join(timeout=10)
+    assert not retry.is_alive() and results == ["A"]
+    assert run("funql", "A") == "A" and calls == ["A", "A"]
 
 
 def test_unknown_selection_method_is_an_error(geoquery, geoquery_split):

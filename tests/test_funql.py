@@ -108,8 +108,13 @@ def test_unknown_entity_is_empty(geo_model):
     assert result == Denotation.of_entities([])
 
 
+def _geo_records():
+    text = environment_path("geo").read_text(encoding="utf-8")
+    return [json.loads(line) for line in text.splitlines()]
+
+
 def test_superlative_returns_all_ties(tmp_path):
-    records = [json.loads(line) for line in open(environment_path("geo"), encoding="utf-8")]
+    records = _geo_records()
     for rec in records:
         if rec.get("name") == "arkansas" and rec["kind"] == "state":
             rec["area"] = 135659  # equal to louisiana
@@ -122,7 +127,7 @@ def test_superlative_returns_all_ties(tmp_path):
 
 
 def test_result_invariant_under_model_permutation(tmp_path, geo_model):
-    records = [json.loads(line) for line in open(environment_path("geo"), encoding="utf-8")]
+    records = _geo_records()
     programs = [SHOWCASE, "answer(most(state(loc_1(major(city(all))))))",
                 "answer(longest(river(all)))"]
     baseline = [exec_funql(parse_funql(p), geo_model) for p in programs]

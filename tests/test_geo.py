@@ -49,7 +49,8 @@ def test_size_aliases(geo_model):
 
 
 def _records(path):
-    return [json.loads(line) for line in open(path, encoding="utf-8") if line.strip()]
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 def _write(tmp_path, records):

@@ -238,6 +238,7 @@ class _Endpoint:
 
     def close(self):
         self.server.shutdown()
+        self.server.server_close()
 
 
 def test_http_transport_round_trip(monkeypatch):

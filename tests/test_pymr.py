@@ -5,7 +5,8 @@ import re
 import pytest
 
 from semkit import calflow
-from semkit.errors import MrParseError, UnsupportedConstructError
+from semkit.errors import MAX_DEPTH, TOO_DEEP, MrParseError, UnsupportedConstructError
+from semkit.execute import run_program
 from semkit.funql import exec_funql, parse_funql
 from semkit.geo import City, Country, GeoModel, Place, River, State
 from semkit.pymr import (BUILTIN_NAMES, CalendarApi, CalendarPerson, Event, Gender, SocialApi,
@@ -215,6 +216,27 @@ def test_index_out_of_range_is_captured(geo_model):
     outcome = exec_pymr(parse_pymr(
         "def answer():\n    return geo_model.states[99]"), "geo", geo_model)
     assert not outcome.ok and outcome.error == "index-out-of-range"
+
+
+@pytest.mark.parametrize("signs", [1000, 5000])
+def test_deep_nesting_is_a_parse_error(geo_model, signs):
+    # 1000 signs pass Python's parser and hit the checked pass's budget;
+    # 5000 exhaust the recursion of Python's own parser
+    outcome = run_program("pymr", "def answer():\n    return " + "-" * signs + "1",
+                          "geo", geo_model)
+    assert not outcome.ok and outcome.error == "parse-error"
+    assert outcome.message.startswith(TOO_DEEP)
+
+
+def test_nesting_at_the_budget_runs(geo_model):
+    # the return statement is one level, each sign one more, the literal none
+    ok = "def answer():\n    return " + "-" * (MAX_DEPTH - 1) + "1"
+    assert exec_pymr(parse_pymr(ok), "geo", geo_model).value.values == (-1.0,)
+    with pytest.raises(MrParseError, match=TOO_DEEP):
+        parse_pymr(ok.replace("return ", "return -"))
+    clauses = " ".join(f"for x{i} in [1]" for i in range(MAX_DEPTH))
+    with pytest.raises(MrParseError, match=TOO_DEEP):
+        parse_pymr(f"def answer():\n    return [1 {clauses}]")
 
 
 def test_determinism(geo_model):

@@ -141,7 +141,7 @@ def test_concat_keeps_multiplicity(social_db):
 
 
 def test_denotation_invariant_under_person_permutation(tmp_path, social_db, overnight):
-    db_json = json.load(open(environment_path("social"), encoding="utf-8"))
+    db_json = json.loads(environment_path("social").read_text(encoding="utf-8"))
     programs = [ex.programs["ldcs-simple"] for ex in overnight.examples]
     baseline = [exec_ldcs_simple(parse_ldcs(p, "simple"), social_db) for p in programs]
     for seed in range(3):
