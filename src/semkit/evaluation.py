@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .calflow import CalendarWorld
 from .errors import PoolExhaustedError
 from .outcomes import Denotation, Outcome, WorldDelta
+from .resources import read_jsonl
 
 NUMBER_RELATIVE_TOLERANCE = 1e-9
 
@@ -148,18 +149,12 @@ def canonicalize_names(pred_program: str, gold_program: str,
 
 def load_predictions(path) -> list[dict]:
     """Read a predictions file: JSONL of {"id", "dialect", "program"}."""
-    import json
-
     predictions = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            for key in ("id", "dialect", "program"):
-                if key not in record:
-                    raise ValueError(f"{path}: line {lineno}: missing {key!r}")
-            predictions.append(record)
+    for lineno, record in read_jsonl(path):
+        for key in ("id", "dialect", "program"):
+            if key not in record:
+                raise ValueError(f"{path}: line {lineno}: missing {key!r}")
+        predictions.append(record)
     return predictions
 
 

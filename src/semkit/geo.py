@@ -29,11 +29,11 @@ and the country, population for cities, length for rivers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .errors import DataFormatError
 from .readonly import ReadOnlyList
+from .resources import read_jsonl
 
 MAJOR_CITY_MIN_POPULATION = 150_000
 MAJOR_RIVER_MIN_LENGTH_KM = 750.0
@@ -176,19 +176,14 @@ def find_entity(model: GeoModel, kind: str, name: str):
 def load_geobase(path) -> GeoModel:
     """Load and fully validate a geography model (see module docstring)."""
     raw = {"state": [], "city": [], "river": [], "place": [], "country": []}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}: line {lineno}: not valid JSON: {exc}") from exc
-            kind = record.get("kind")
-            if kind not in raw:
-                raise DataFormatError(f"{path}: line {lineno}: unknown kind {kind!r}")
-            record["_lineno"] = lineno
-            raw[kind].append(record)
+    for lineno, record in read_jsonl(path):
+        if not isinstance(record, dict):
+            raise DataFormatError(f"{path}: line {lineno}: expected a JSON object")
+        kind = record.get("kind")
+        if kind not in raw:
+            raise DataFormatError(f"{path}: line {lineno}: unknown kind {kind!r}")
+        record["_lineno"] = lineno
+        raw[kind].append(record)
 
     states: dict[str, State] = {}
     by_abbr: dict[str, State] = {}

@@ -25,14 +25,14 @@ import os
 import re
 import threading
 import time
-import urllib.request
 from dataclasses import dataclass, field
 
 from .corpus import Example, Lcg, _draw
-from .errors import CacheMissError, SemkitError, TransportError
+from .errors import CacheMissError, DataFormatError, SemkitError, TransportError
 from .evaluation import POLICIES, compare_outcomes
 from .execute import dialect_for, memoized_runs
 from .prompts import PromptSpec, build_prompt, default_template, render_dd
+from .resources import read_jsonl
 
 DEFAULT_TEMPERATURE = 0.0
 DEFAULT_MAX_TOKENS = 512
@@ -62,19 +62,28 @@ class CompletionRequest:
         return hashlib.sha256(self.prompt.encode("utf-8")).hexdigest()
 
 
+_ENTRY_KEYS = ("fingerprint", "prompt_sha256", "completion")  # what get() reads
+
+
 class ReplayCache:
-    """Append-only fingerprint -> completion store backed by a JSONL file."""
+    """Append-only fingerprint -> completion store backed by a JSONL file.
+
+    A line that is not a JSON object holding ``fingerprint``,
+    ``prompt_sha256`` and ``completion`` is a DataFormatError naming the line.
+    """
 
     def __init__(self, path):
         self.path = path
         self.entries: dict[str, dict] = {}
         self._write_lock = threading.Lock()  # appends serialize through one writer
         if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        entry = json.loads(line)
-                        self.entries[entry["fingerprint"]] = entry
+            for lineno, entry in read_jsonl(path):
+                if not isinstance(entry, dict):
+                    raise DataFormatError(f"{path}: line {lineno}: expected a JSON object")
+                for key in _ENTRY_KEYS:
+                    if key not in entry:
+                        raise DataFormatError(f"{path}: line {lineno}: missing field {key!r}")
+                self.entries[entry["fingerprint"]] = entry
 
     def get(self, request: CompletionRequest) -> str:
         entry = self.entries.get(request.fingerprint())
@@ -101,6 +110,7 @@ class ReplayCache:
 
 def http_transport(endpoint: str, api_key_env: str = "SEMKIT_API_KEY", timeout: float = 60.0):
     """Default live transport: JSON POST to a completion endpoint."""
+    import urllib.request  # with http.client and ssl, only live runs pay for the import
 
     def send(request: CompletionRequest) -> str:
         payload = json.dumps({

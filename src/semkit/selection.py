@@ -34,15 +34,26 @@ frequency n over N documents,
 
 Ranking sorts by descending score with ascending id as the tiebreak.
 
-A :class:`Bm25Index` is built once per pool: it keeps a postings list of
-(document, term frequency) per term and the length norm
-``k1 * (1 - b + b * |d| / avgdl)`` per document, so a query only touches the
-documents that share a term with it.  Query terms are added in query order,
-repeats included, which keeps every score bitwise equal to the per-document
-sum above.  :func:`bm25_rank` takes either a pool of (id, text) documents or
-a prebuilt index, so many queries against one pool share a single index.
-:class:`semkit.experiment.DemoSelector` holds that index, the pool's operator
-sets and the greedy picks for one experiment.
+A :class:`Bm25Index` is built once per pool, in one pass over its tokens.
+It keeps, per term, the positions of the term's occurrences in pool order (a
+document holding the term f times is listed f times), and per document the
+length norm ``k1 * (1 - b + b * |d| / avgdl)``.  A term's weights
+``idf * f * (k1 + 1) / (f + norm)`` are computed the first time a query uses
+the term, with the same expression in the same order as above, so each is the
+same float, and cached on the index as a finished (positions, weights) tuple:
+threads sharing an index may compute an entry twice but never read half of
+one.  A term with zero IDF gets no weights.  Each would be 0.0, and
+``x + 0.0 == x`` for every x but -0.0, which no score is: a sum that starts at
++0.0 never becomes -0.0.
+
+A query adds the weights of its terms in query order, repeats included, into
+a list of N floats, so every score is bitwise the per-document sum above.
+The top k are ``heapq.nlargest`` over the positions in id order, which is
+stable: equal scores fall to ascending id, and within a repeated id to pool
+order.  :func:`bm25_rank` takes either a pool of (id, text) documents or a
+prebuilt index, so many queries against one pool share a single index and its
+weights.  :class:`semkit.experiment.DemoSelector` holds that index, the pool's
+operator sets and the greedy picks for one experiment.
 """
 
 from __future__ import annotations
@@ -50,7 +61,7 @@ from __future__ import annotations
 import heapq
 import math
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .errors import PoolExhaustedError
@@ -127,37 +138,55 @@ def greedy_select(pool: list[tuple[str, frozenset[str]]], structures: frozenset[
 
 
 class Bm25Index:
-    """Okapi BM25 over a fixed pool of (id, text) documents."""
+    """Okapi BM25 over a fixed pool of (id, text) documents (layout in the module docstring)."""
 
     def __init__(self, documents: list[tuple[str, str]], k1: float = BM25_K1, b: float = BM25_B):
         self.ids = [doc_id for doc_id, _ in documents]
         self.k1 = k1
         self.b = b
-        term_freqs = [Counter(tokenize(text)) for _, text in documents]
-        doc_lens = [sum(tf.values()) for tf in term_freqs]
+        occurrences = defaultdict(list)  # term -> positions, a document repeated f times
+        doc_lens = []
+        for position, (_, text) in enumerate(documents):
+            terms = tokenize(text)
+            doc_lens.append(len(terms))
+            for term in terms:
+                occurrences[term].append(position)
         n_docs = len(documents)
         avgdl = (sum(doc_lens) / n_docs) if n_docs else 0.0
         self.norms = [k1 * (1 - b + b * (dl / avgdl if avgdl else 0.0)) for dl in doc_lens]
-        self.postings: dict[str, list[tuple[int, int]]] = {}
-        for position, tf in enumerate(term_freqs):
-            for term, f in tf.items():
-                self.postings.setdefault(term, []).append((position, f))
-        self.idf = {term: max(0.0, math.log((n_docs - len(docs) + 0.5) / (len(docs) + 0.5)))
-                    for term, docs in self.postings.items()}
+        self.occurrences = dict(occurrences)
+        self.by_id = sorted(range(n_docs), key=self.ids.__getitem__)  # ties keep position order
+        self._weights: dict[str, tuple] = {}
 
     def __len__(self) -> int:
         return len(self.ids)
 
+    def weights(self, term: str) -> tuple:
+        """(positions, weights) of the documents holding ``term``; empty for zero IDF.
+
+        Computed on first use and cached (see the module docstring).
+        """
+        entry = self._weights.get(term)
+        if entry is None:
+            entry = ((), ())
+            positions = self.occurrences.get(term)
+            if positions is not None:
+                freqs = Counter(positions)  # position -> f, in pool order
+                idf = max(0.0, math.log((len(self.ids) - len(freqs) + 0.5) / (len(freqs) + 0.5)))
+                if idf:
+                    scale = self.k1 + 1
+                    norms = self.norms
+                    entry = (tuple(freqs), tuple(idf * f * scale / (f + norms[position])
+                                                 for position, f in freqs.items()))
+            self._weights[term] = entry
+        return entry
+
     def scores(self, query: str) -> list[float]:
         out = [0.0] * len(self.ids)
-        norms = self.norms
-        scale = self.k1 + 1
         for term in tokenize(query):  # query order, repeats included (see module docstring)
-            idf = self.idf.get(term)
-            if idf is None:
-                continue
-            for position, f in self.postings[term]:
-                out[position] += idf * f * scale / (f + norms[position])
+            positions, weights = self.weights(term)
+            for position, w in zip(positions, weights):
+                out[position] += w
         return out
 
 
@@ -173,6 +202,7 @@ def bm25_rank(query: str, pool: list[tuple[str, str]] | Bm25Index, k: int,
     if k > len(pool):
         raise PoolExhaustedError(f"requested k={k} from a pool of {len(pool)}")
     index = pool if isinstance(pool, Bm25Index) else Bm25Index(pool, k1=k1, b=b)
-    scored = heapq.nsmallest(k, zip(index.ids, index.scores(query)),
-                             key=lambda p: (-p[1], p[0]))
-    return [doc_id for doc_id, _ in scored]
+    ids = index.ids
+    # nlargest is stable: equal scores keep id order (and position order within an id)
+    top = heapq.nlargest(k, index.by_id, key=index.scores(query).__getitem__)
+    return [ids[position] for position in top]

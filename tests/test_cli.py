@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import semkit
 from semkit.cli import main
 from semkit.corpus import load_dataset, load_split
 from semkit.execute import operators_of
@@ -155,6 +159,39 @@ def test_run_missing_cache_entry_degrades_to_failure_verdict(tmp_path, capsys):
     assert aggregate["accuracies"][0] == 0.7
     assert aggregate["accuracies"][1:] == [0.7, 0.9]
     assert "no cached completion" in err
+
+
+def test_run_on_a_corrupt_cache_is_an_error_line(tmp_path, capsys):
+    cache_lines = data_path("replay_cache.jsonl").read_text().splitlines()
+    cache_lines[3] = cache_lines[3][:40]  # a line cut short
+    corrupt = tmp_path / "corrupt.jsonl"
+    corrupt.write_text("\n".join(cache_lines) + "\n")
+    config = json.loads(data_path("experiment_replay.json").read_text())
+    config["client"]["cache"] = str(corrupt)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "run", "--config", str(config_path),
+                         "--output-dir", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {corrupt}: line 4: not valid JSON: ")
+    assert len(err.splitlines()) == 1  # no traceback
+
+
+_IMPORTS_PROBE = """
+import sys
+import semkit.cli, semkit.experiment
+print(sorted(name for name in ("urllib.request", "http.client", "ssl") if name in sys.modules))
+"""
+
+
+def test_importing_the_cli_leaves_the_live_transport_modules_out():
+    src = str(Path(semkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    result = subprocess.run([sys.executable, "-c", _IMPORTS_PROBE], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_run_zero_test_examples_is_config_error(tmp_path, capsys):

@@ -48,6 +48,38 @@ def test_parse_error_carries_line_number(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("line,message", [
+    ("[1, 2]", "expected a JSON object, got an array"),
+    ('"x-9"', "expected a JSON object, got a string"),
+    ("null", "expected a JSON object, got null"),
+    (json.dumps(dict(record(9), id=9)), "id must be a string, got a number"),
+    (json.dumps(dict(record(9), id=["x-9"])), "id must be a string, got an array"),
+    (json.dumps(dict(record(9), utterance=None)), "utterance must be a string, got null"),
+    (json.dumps(dict(record(9), programs=["funql"])), "programs must be an object, got an array"),
+    (json.dumps(dict(record(9), programs="funql")), "programs must be an object, got a string"),
+    (json.dumps(dict(record(9), programs={"funql": 1})),
+     "program 'funql' must be a string, got a number"),
+    (json.dumps(dict(record(9), programs={"pymr": ["def answer(): ..."]})),
+     "program 'pymr' must be a string, got an array"),
+    (json.dumps(dict(record(9), tags="abc")), "tags must be an array of strings"),
+    (json.dumps(dict(record(9), tags=["domain:geo", 1])), "tags must be an array of strings"),
+    (json.dumps(dict(record(9), tags=None)), "tags must be an array of strings"),
+    (json.dumps(dict(record(9), tags={"domain": "geo"})), "tags must be an array of strings"),
+])
+def test_malformed_record_is_a_data_format_error(tmp_path, line, message):
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps(record(1)) + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"{path}: line 2: {message}"
+
+
+def test_missing_tags_load_as_no_tags(tmp_path):
+    path = tmp_path / "d.jsonl"
+    write_jsonl(path, [{"id": "a", "utterance": "u", "programs": {"funql": "answer(1)"}}])
+    assert load_dataset(path)["a"].tags == frozenset()
+
+
 def test_bundled_geoquery_shape(geoquery):
     assert len(geoquery.examples) == 50
     assert set(geoquery.dialects) == {"funql", "pymr"}
@@ -90,6 +122,24 @@ def test_split_rejects_repeated_ids(tmp_path, payload, part):
     repeated = "x-1" if part == "train" else "x-3"
     with pytest.raises(DataFormatError, match=f"repeated {part} ids: \\['{repeated}'\\]"):
         load_split_inline(tmp_path, payload, load_dataset(data))
+
+
+@pytest.mark.parametrize("payload,message", [
+    (["x-1"], "expected a JSON object, got an array"),
+    ("x-1", "expected a JSON object, got a string"),
+    ({"train": "x-1", "test": []}, "train must be an array, got a string"),
+    ({"train": ["x-1"], "test": {"x-2": 1}}, "test must be an array, got an object"),
+    ({"train": ["x-1"], "test": None}, "test must be an array, got null"),
+    ({"train": [["x-1"]], "test": []}, "unknown example id ['x-1']"),
+])
+def test_malformed_split_is_a_data_format_error(tmp_path, payload, message):
+    data = tmp_path / "d.jsonl"
+    write_jsonl(data, [record(1), record(2), record(3)])
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataFormatError) as info:
+        load_split(path, load_dataset(data))
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_bundled_split_sizes(geoquery, geoquery_split):

@@ -66,6 +66,15 @@ def test_dangling_city_reference(tmp_path):
         load_geobase(_write(tmp_path, records))
 
 
+@pytest.mark.parametrize("line", ['["state"]', '"state"', "7"])
+def test_non_object_line_rejected(tmp_path, line):
+    path = tmp_path / "geo.jsonl"
+    path.write_text('{"kind": "country", "name": "usa"}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError) as info:
+        load_geobase(path)
+    assert str(info.value) == f"{path}: line 2: expected a JSON object"
+
+
 def test_asymmetric_borders_rejected(tmp_path):
     records = _records(environment_path("geo"))
     for rec in records:

@@ -4,7 +4,7 @@ import pytest
 
 from semkit import funql
 from semkit.corpus import Example
-from semkit.errors import CacheMissError, SemkitError, TransportError
+from semkit.errors import CacheMissError, DataFormatError, SemkitError, TransportError
 from semkit.evaluation import POLICIES, compare_outcomes
 from semkit.execute import run_program
 from semkit.llm import (BootstrapConfig, CompletionRequest, LlmClient, ReplayCache,
@@ -76,6 +76,27 @@ def test_fingerprint_collision_detected(tmp_path):
     path.write_text(json.dumps(entry) + "\n")
     with pytest.raises(SemkitError, match="collision"):
         ReplayCache(path).get(request("a"))
+
+
+ENTRY = {"fingerprint": "f", "prompt_sha256": "p", "completion": "c"}
+
+
+@pytest.mark.parametrize("line,message", [
+    ('{"fingerprint" "f"}', "not valid JSON: Expecting ':' delimiter: line 1 column 16 (char 15)"),
+    ('["f", "p", "c"]', "expected a JSON object"),
+    (json.dumps({k: v for k, v in ENTRY.items() if k != "fingerprint"}),
+     "missing field 'fingerprint'"),
+    (json.dumps({k: v for k, v in ENTRY.items() if k != "prompt_sha256"}),
+     "missing field 'prompt_sha256'"),
+    (json.dumps({k: v for k, v in ENTRY.items() if k != "completion"}),
+     "missing field 'completion'"),
+])
+def test_malformed_cache_line_is_a_data_format_error(tmp_path, line, message):
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(ENTRY) + "\n\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError) as info:
+        ReplayCache(path)
+    assert str(info.value) == f"{path}: line 3: {message}"
 
 
 def test_retries_with_backoff(tmp_path):

@@ -1,8 +1,11 @@
+import heapq
 import math
 import os
 import random
 import subprocess
 import sys
+import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,8 +15,8 @@ from semkit.corpus import load_dataset, load_split
 from semkit.errors import PoolExhaustedError
 from semkit.execute import operators_of
 from semkit.resources import dataset_path, split_path
-from semkit.selection import (Bm25Index, GreedyTrace, bm25_rank, coverage_fraction, greedy_select,
-                             setcov)
+from semkit.selection import (BM25_B, BM25_K1, Bm25Index, GreedyTrace, bm25_rank,
+                             coverage_fraction, greedy_select, setcov, tokenize)
 
 GOLDEN_GREEDY_K10 = ["gq-03", "gq-04", "gq-27", "gq-07", "gq-13",
                      "gq-14", "gq-29", "gq-39", "gq-44", "gq-48"]
@@ -310,6 +313,76 @@ def per_document_bm25_scores(query, documents, k1=1.5, b=0.75):
     return scores
 
 
+class ReferenceBm25Index:
+    """The postings-list index the occurrence-list index replaced, kept as the reference.
+
+    A (document, term frequency) postings list per term, every weight computed
+    per query into a full score list.
+    """
+
+    def __init__(self, documents, k1=BM25_K1, b=BM25_B):
+        self.ids = [doc_id for doc_id, _ in documents]
+        self.k1 = k1
+        term_freqs = [Counter(tokenize(text)) for _, text in documents]
+        doc_lens = [sum(tf.values()) for tf in term_freqs]
+        n_docs = len(documents)
+        avgdl = (sum(doc_lens) / n_docs) if n_docs else 0.0
+        self.norms = [k1 * (1 - b + b * (dl / avgdl if avgdl else 0.0)) for dl in doc_lens]
+        self.postings = {}
+        for position, tf in enumerate(term_freqs):
+            for term, f in tf.items():
+                self.postings.setdefault(term, []).append((position, f))
+        self.idf = {term: max(0.0, math.log((n_docs - len(docs) + 0.5) / (len(docs) + 0.5)))
+                    for term, docs in self.postings.items()}
+
+    def scores(self, query):
+        out = [0.0] * len(self.ids)
+        scale = self.k1 + 1
+        for term in tokenize(query):
+            idf = self.idf.get(term)
+            if idf is None:
+                continue
+            for position, f in self.postings[term]:
+                out[position] += idf * f * scale / (f + self.norms[position])
+        return out
+
+    def rank(self, query, k):
+        """The keyed ``nsmallest`` ranking: descending score, then ascending id."""
+        scored = heapq.nsmallest(k, zip(self.ids, self.scores(query)),
+                                 key=lambda p: (-p[1], p[0]))
+        return [doc_id for doc_id, _ in scored]
+
+
+def bits(scores):
+    return [score.hex() for score in scores]  # tells 0.0 from -0.0, and every last bit
+
+
+def assert_matches_reference(documents, queries, k1=BM25_K1, b=BM25_B):
+    """Scores bitwise equal and rankings equal to the reference, cold and warm."""
+    reference = ReferenceBm25Index(documents, k1, b)
+    index = Bm25Index(documents, k1, b)
+    ks = sorted({1, min(3, len(documents)), len(documents)})
+    for _ in range(2):  # the first pass fills the weight cache, the second reads it
+        for query in queries:
+            assert bm25_rank(query, index, ks[0]) == reference.rank(query, ks[0]), query
+            want = reference.scores(query)
+            assert bits(index.scores(query)) == bits(want), query
+            for k in ks:
+                assert bm25_rank(query, index, k) == reference.rank(query, k), (query, k)
+    for query in queries[:3]:  # a pool given as documents builds its own index
+        assert bm25_rank(query, documents, ks[-1], k1=k1, b=b) == reference.rank(query, ks[-1])
+
+
+def special_queries(documents):
+    """Unknown, empty, single-document and repeated-term queries over ``documents``."""
+    df = Counter(term for _, text in documents for term in set(tokenize(text)))
+    rare = sorted(term for term, n in df.items() if n == 1)[:2]
+    common = sorted(df, key=lambda term: (-df[term], term))[:2]
+    return ["", "  ?  ", "zzz qqq xyzzy", " ".join(rare), " ".join(rare + rare),
+            " ".join(common), f"{common[0]} zzz {common[0]}",
+            " ".join(common + rare + common)]
+
+
 @pytest.mark.parametrize("name", ["geoquery", "overnight", "smcalflow"])
 def test_bm25_prebuilt_index_matches_per_query_ranking(name):
     dataset = load_dataset(dataset_path(name))
@@ -331,3 +404,89 @@ def test_bm25_prebuilt_index_matches_per_query_ranking(name):
             assert bm25_rank(query, index, k) == bm25_rank(query, pool, k) == by_score[:k]
     with pytest.raises(PoolExhaustedError):
         bm25_rank(utterances[0], index, len(pool) + 1)
+    assert_matches_reference(pool, queries + [ex.utterance for ex in dataset.examples]
+                             + special_queries(pool))
+
+
+PADDING = ["quick", "november", "chat", "elbert", "total", "park", "lowest", "hall",
+           "meeting", "new", "march", "carol", "density", "population", "alex", "is", "in"]
+
+
+def padded_pool(seed, n):
+    """``n`` seeded copies of the bundled utterances, each with 0 to 4 padding words."""
+    rng = random.Random(seed)
+    utterances = [ex.utterance for name in ("geoquery", "overnight", "smcalflow")
+                  for ex in load_dataset(dataset_path(name)).examples]
+    return [(f"p{i:04d}",
+             " ".join([rng.choice(utterances), *rng.choices(PADDING, k=rng.randint(0, 4))]))
+            for i in range(n)]
+
+
+def test_bm25_matches_reference_on_a_1000_document_padded_pool():
+    pool = padded_pool(11, 1000)
+    rng = random.Random(12)
+    queries = [text for _, text in rng.sample(pool, 30)]
+    queries += [f"{q} {' '.join(rng.choices(PADDING, k=3))}" for q in queries[:10]]
+    assert_matches_reference(pool, queries + special_queries(pool))
+
+
+def test_bm25_matches_reference_on_random_pools_with_duplicate_ids():
+    rng = random.Random(13)
+    for _ in range(100):
+        pool = [(f"d{rng.randint(0, 5)}", text)
+                for _, text in random_texts(rng, rng.randint(1, 14))]
+        pool += [(f"d{rng.randint(0, 5)}", rng.choice(["", "?!", "texas texas texas"]))]
+        queries = [" ".join(rng.choices(["river", "texas", "longest", "how", "qqq"],
+                                        k=rng.randint(0, 5))) for _ in range(4)]
+        assert_matches_reference(pool, queries + special_queries(pool))
+
+
+@pytest.mark.parametrize("k1,b", [(1.2, 0.0), (1.2, 1.0), (0.5, 0.3), (2.0, 0.9), (0.0, 0.75)])
+def test_bm25_matches_reference_with_other_parameters(k1, b):
+    pool = padded_pool(14, 200) + [("empty", ""), ("short", "texas")]
+    rng = random.Random(15)
+    queries = [text for _, text in rng.sample(pool, 15)]
+    assert_matches_reference(pool, queries + special_queries(pool), k1=k1, b=b)
+
+
+def test_bm25_terms_in_every_document_have_zero_idf():
+    pool = [(f"d{i}", f"common word{i % 3} common") for i in range(6)]
+    index = Bm25Index(pool)
+    assert index.weights("common") == ((), ())
+    assert index.scores("common common") == [0.0] * 6
+    assert bm25_rank("common", index, 3) == ["d0", "d1", "d2"]
+    assert_matches_reference(pool, ["common", "common common", "common word1", "word2 common"])
+
+
+def test_bm25_query_touching_fewer_than_k_documents_falls_back_to_id_order():
+    pool = [("c", "rivers"), ("a", "states"), ("d", "texas rivers"), ("b", "lakes")]
+    assert bm25_rank("texas", pool, 3) == ["d", "a", "b"]
+    assert_matches_reference(pool, ["texas", "texas lakes"])
+
+
+def test_bm25_index_shared_between_threads_ranks_as_serial():
+    pool = padded_pool(16, 300)
+    queries = [text for _, text in random.Random(17).sample(pool, 40)]
+    serial = Bm25Index(pool)
+    want = [bm25_rank(query, serial, 3) for query in queries]
+    shared = Bm25Index(pool)  # the weight cache starts empty and fills from four threads
+    got = [None] * len(queries)
+    start = threading.Barrier(4, timeout=30)
+
+    def work(offset):
+        start.wait()
+        for i in range(offset, len(queries), 4):
+            got[i] = bm25_rank(queries[i], shared, 3)
+
+    threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside weight computations too
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
