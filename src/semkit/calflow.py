@@ -30,13 +30,13 @@ anchor date; ``NextDOW`` lands strictly after the anchor date, within 7 days.
 from __future__ import annotations
 
 import datetime as dt
-import json
 import re
 from dataclasses import dataclass
 
 from .errors import MAX_DEPTH, TOO_DEEP, DataFormatError, MrExecError, MrParseError
 from .outcomes import CreatedEvent, WorldDelta
 from .readonly import ReadOnlyList
+from .resources import read_world
 
 DEFAULT_DURATION_MINUTES = 30
 DEFAULT_START_TIME = dt.time(9, 0)
@@ -85,8 +85,7 @@ class CalendarWorld:
 
 
 def load_world(path) -> CalendarWorld:
-    with open(path, encoding="utf-8") as fh:
-        record = json.load(fh)
+    record = read_world(path, ("id", "name"), ("current_user", "now"))
     people: list[CalPerson] = []
     by_id: dict[str, CalPerson] = {}
     for raw in record["people"]:
@@ -113,7 +112,7 @@ def load_world(path) -> CalendarWorld:
         raise DataFormatError(f"{path}: current_user {record['current_user']!r} unknown")
     try:
         now = dt.datetime.fromisoformat(record["now"])
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad 'now' timestamp: {exc}") from exc
     return CalendarWorld(people=ReadOnlyList(people), current_user=by_id[record["current_user"]],
                          now=now)

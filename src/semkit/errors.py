@@ -4,7 +4,9 @@ Parse-time problems raise :class:`MrParseError` (or its
 :class:`UnsupportedConstructError` refinement); runtime problems inside an
 environment raise :class:`MrExecError` with a stable machine-readable
 ``code``.  Harness code catches ``MrExecError`` and turns it into a captured
-execution-failure outcome instead of crashing a batch run.
+execution-failure outcome instead of crashing a batch run.  A completion
+client failure (:class:`CacheMissError`, :class:`TransportError`) is the
+harness's, not the model's: scoring books it as the verdict ``harness-error``.
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ Per-environment comparison rules:
   :func:`canonicalize_names`).
 
 Numbers compare with relative tolerance 1e-9; unit tags are informative only.
-Execution failures always score as incorrect and are counted separately.
+Execution failures always score as incorrect and are counted separately;
+harness errors (the completion client failed) score as incorrect and are
+counted in neither.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def load_predictions(path) -> list[dict]:
 
 # --- scoring ------------------------------------------------------------------
 
-VERDICTS = ("correct", "wrong-result", "execution-failure")
+VERDICTS = ("correct", "wrong-result", "execution-failure", "harness-error")
 
 
 @dataclass(frozen=True)

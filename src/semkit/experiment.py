@@ -2,15 +2,17 @@
 
 What does not change between seeds and test examples is built once per
 experiment and shared by all of them: the demonstration selector (see
-:class:`DemoSelector`), the rendered DD text, the prompt template and one
-outcome memo (:func:`~semkit.execute.memoized_runs`).  Worlds are read-only,
+:class:`DemoSelector`) and the per-example step
+(:func:`~semkit.llm.example_evaluator`) with its rendered DD text, prompt
+template and outcome memo (:func:`~semkit.execute.memoized_runs`).  Each
+seed's closure only picks demonstrations, calls the step and prints each
+``harness-error`` to stderr as ``seed S ID: message``.  Worlds are read-only,
 so a program's outcome depends only on its (dialect, text): the memo runs
 each distinct predicted or gold program once per experiment, whichever seed,
 example or thread asks first.  Both sides are keyed on the text actually run,
-which on calendar is the text after
-:func:`~semkit.evaluation.canonicalize_names`; it maps gold names first, so
-the canonical gold text does not depend on the prediction it is scored
-against.
+which on calendar is the text after name canonicalization; it maps gold names
+first, so the canonical gold text does not depend on the prediction it is
+scored against.
 
 Config paths resolve relative to the config file; the ``bundled:`` prefix
 names packaged resources, e.g. ``bundled:datasets/geoquery.jsonl``.
@@ -26,10 +28,10 @@ from pathlib import Path
 from . import resources
 from .corpus import Dataset, Split, load_dataset, load_split, sample_demos
 from .errors import SemkitError
-from .evaluation import POLICIES, canonicalize_names, report_from_verdicts, score_run, verdict_of
+from .evaluation import POLICIES, report_from_verdicts, score_run
 from .execute import ENVIRONMENTS, dialect_for, load_environment, memoized_runs, operators_of
-from .llm import CompletionRequest, LlmClient, ReplayCache, extract_program, http_transport
-from .prompts import PromptSpec, build_prompt, default_template, load_dd_source, render_dd
+from .llm import LlmClient, ReplayCache, example_evaluator, http_transport
+from .prompts import default_template, load_dd_source, render_dd
 from .selection import Bm25Index, bm25_rank, coverage_fraction, greedy_select
 
 CSV_HEADER = "seed,split,dialect,dd_variant,k,accuracy,exec_failure_rate"
@@ -157,17 +159,18 @@ def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> di
     seeds = config["seeds"]
     if not seeds:
         raise SemkitError("seeds list must be nonempty")
-    jobs = max(int(config.get("jobs", jobs)), 1)
     model = config["client"].get("model", "unspecified-model")
     temperature = float(config["client"].get("temperature", 0.0))
     client = make_client(config["client"], base)
     env_object = load_config_environment(config, base)
     policy = POLICIES[environment]
-    dd = dd_text(environment, dialect, dd_variant)
-    template_id = config.get("template_id", "v1")
-    template = default_template(template_id)
+    evaluate = example_evaluator(
+        client, model, temperature, dialect, gold_dialect, dd_variant,
+        dd_text(environment, dialect, dd_variant),
+        default_template(config.get("template_id", "v1")), policy,
+        memoized_runs(environment, env_object),  # predicted and gold, keyed by the text run
+        env_object if policy.name_canonicalization else None)
     selector = DemoSelector(dataset, split, dialect)
-    run = memoized_runs(environment, env_object)  # predicted and gold, keyed by the text run
 
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
@@ -177,31 +180,13 @@ def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> di
 
         def evaluate_one(test_id, seed=seed, fixed_ids=fixed_ids):
             example = dataset[test_id]
-            if fixed_ids is None:
+            ids = fixed_ids
+            if ids is None:
                 ids = selector.select("bm25", k, seed, example.utterance)
-            else:
-                ids = fixed_ids
-            spec = PromptSpec(
-                dd_variant=dd_variant, dd_text=dd,
-                demonstrations=tuple((dataset[i].utterance, dataset[i].programs[dialect])
-                                     for i in ids),
-                test_utterance=example.utterance, dialect=dialect, template_id=template_id)
-            request = CompletionRequest(prompt=build_prompt(spec, template), model=model,
-                                        temperature=temperature)
-            try:
-                completion = client.complete(request)
-            except SemkitError as exc:
-                print(f"seed {seed} {test_id}: {exc}", file=sys.stderr)
-                return (test_id, "execution-failure")
-            program = extract_program(completion)
-            gold_program = example.programs[gold_dialect]
-            if policy.name_canonicalization:
-                try:
-                    program, gold_program = canonicalize_names(program, gold_program, env_object)
-                except SemkitError:
-                    return (test_id, "execution-failure")
-            return (test_id, verdict_of(run(dialect, program), run(gold_dialect, gold_program),
-                                        policy))
+            verdict, detail = evaluate(example, [dataset[i] for i in ids])
+            if verdict == "harness-error":
+                print(f"seed {seed} {test_id}: {detail}", file=sys.stderr)
+            return test_id, verdict
 
         if jobs > 1:
             from concurrent.futures import ThreadPoolExecutor

@@ -191,9 +191,9 @@ def load_geobase(path) -> GeoModel:
         state = State(
             name=_req(rec, "name", path).lower(),
             abbreviation=_req(rec, "abbreviation", path).lower(),
-            area=float(_req(rec, "area", path)),
-            population=int(_req(rec, "population", path)),
-            density=float(_req(rec, "density", path)),
+            area=_number(rec, "area", path),
+            population=_number(rec, "population", path, int),
+            density=_number(rec, "density", path),
         )
         if state.name in states:
             raise DataFormatError(f"{path}: duplicate state {state.name!r}")
@@ -205,7 +205,7 @@ def load_geobase(path) -> GeoModel:
         abbr = _req(rec, "state", path).lower()
         if abbr not in by_abbr:
             raise DataFormatError(f"{path}: city {rec.get('name')!r} references unknown state {abbr!r}")
-        city = City(name=_req(rec, "name", path).lower(), population=int(_req(rec, "population", path)))
+        city = City(name=_req(rec, "name", path).lower(), population=_number(rec, "population", path, int))
         city.state = by_abbr[abbr]
         city.state.cities.append(city)
         cities.append(city)
@@ -217,7 +217,7 @@ def load_geobase(path) -> GeoModel:
             raise DataFormatError(f"{path}: place {rec.get('name')!r} references unknown state {abbr!r}")
         place = Place(
             name=_req(rec, "name", path).lower(),
-            elevation=float(_req(rec, "elevation", path)),
+            elevation=_number(rec, "elevation", path),
             kind=_req(rec, "place_kind", path),
         )
         if place.kind not in ("mountain", "lake", "point", "other"):
@@ -227,7 +227,7 @@ def load_geobase(path) -> GeoModel:
 
     rivers: list[River] = []
     for rec in raw["river"]:
-        river = River(name=_req(rec, "name", path).lower(), length=float(_req(rec, "length", path)))
+        river = River(name=_req(rec, "name", path).lower(), length=_number(rec, "length", path))
         traverses = _req(rec, "traverses", path)
         if not traverses:
             raise DataFormatError(f"{path}: river {river.name!r} traverses no states")
@@ -248,8 +248,8 @@ def load_geobase(path) -> GeoModel:
     crec = raw["country"][0]
     country = Country(
         name=_req(crec, "name", path).lower(),
-        area=float(_req(crec, "area", path)),
-        population=int(_req(crec, "population", path)),
+        area=_number(crec, "area", path),
+        population=_number(crec, "population", path, int),
     )
 
     # second pass: state-level references
@@ -293,6 +293,15 @@ def _req(record: dict, key: str, path):
     if key not in record:
         raise DataFormatError(f"{path}: line {record.get('_lineno', '?')}: missing field {key!r}")
     return record[key]
+
+
+def _number(record: dict, key: str, path, convert=float):
+    value = _req(record, key, path)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DataFormatError(f"{path}: line {record.get('_lineno', '?')}: field {key!r} "
+                              f"is not a number: {value!r}") from None
 
 
 def _validate(model: GeoModel, path) -> None:

@@ -1,4 +1,4 @@
-"""Completion client with deterministic record/replay, plus annotation bootstrapping.
+"""Completion client with record/replay, the per-example evaluation step, and bootstrapping.
 
 The cache is an append-only JSONL file keyed by a request fingerprint
 (sha256 of the canonical JSON encoding of model id, prompt and temperature);
@@ -25,11 +25,12 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .corpus import Example, Lcg, _draw
-from .errors import CacheMissError, DataFormatError, SemkitError, TransportError
-from .evaluation import POLICIES, compare_outcomes
+from .errors import (CacheMissError, DataFormatError, PoolExhaustedError, SemkitError,
+                     TransportError)
+from .evaluation import POLICIES, ComparisonPolicy, canonicalize_names, verdict_of
 from .execute import dialect_for, memoized_runs
 from .prompts import PromptSpec, build_prompt, default_template, render_dd
 from .resources import read_jsonl
@@ -192,7 +193,41 @@ def extract_program(completion: str) -> str:
     return completion.strip()
 
 
-# --- annotation bootstrapping -------------------------------------------------
+# --- the per-example evaluation step and annotation bootstrapping ---------------
+
+def example_evaluator(client: LlmClient, model: str, temperature: float, dialect: str,
+                      gold_dialect: str, dd_variant: str, dd_text: str, template: str,
+                      policy: ComparisonPolicy, run, names_world=None):
+    """``evaluate(example, demos) -> (verdict, program)``, shared by run and bootstrap.
+
+    Prompt, complete, extract; run the model's program and the gold program
+    through ``run`` (the caller's outcome memo), with names canonicalized onto
+    ``names_world`` if given, and compare under ``policy``.  A client
+    ``SemkitError`` is a ``harness-error``, with its message for the program.
+    """
+
+    def evaluate(example: Example, demos) -> tuple[str, str]:
+        spec = PromptSpec(
+            dd_variant=dd_variant, dd_text=dd_text,
+            demonstrations=tuple((d.utterance, d.programs[dialect]) for d in demos),
+            test_utterance=example.utterance, dialect=dialect)
+        request = CompletionRequest(prompt=build_prompt(spec, template), model=model,
+                                    temperature=temperature)
+        try:
+            completion = client.complete(request)
+        except SemkitError as exc:
+            return "harness-error", str(exc)
+        program = extract_program(completion)
+        pred, gold = program, example.programs[gold_dialect]
+        if names_world is not None:
+            try:
+                pred, gold = canonicalize_names(pred, gold, names_world)
+            except PoolExhaustedError:
+                return "execution-failure", program
+        return verdict_of(run(dialect, pred), run(gold_dialect, gold), policy), program
+
+    return evaluate
+
 
 @dataclass
 class BootstrapConfig:
@@ -204,22 +239,20 @@ class BootstrapConfig:
     passes: int = 3
     seed: int = 0
     dd_declarations: list = field(default_factory=list)
-    template: str | None = None
 
 
 def bootstrap_annotations(seed_pool: list[Example], unlabeled: list[Example],
                           env_object, client: LlmClient, config: BootstrapConfig) -> list[Example]:
     """Grow an annotation pool with LLM-proposed programs that execute correctly.
 
-    Each pass prompts with a Full-DD prompt and demonstrations drawn from the
-    pool examples annotated in ``config.dialect`` (the partial Fisher-Yates
-    draw of :func:`~semkit.corpus.sample_demos`, seeded per pass, O(k) per
-    prompt), executes the proposed program, checks it against the gold
-    program's outcome, and keeps only matches.  Proposals and gold programs
-    share one outcome memo per call (:func:`~semkit.execute.memoized_runs`):
-    each distinct (dialect, text) runs once, however many proposals and passes
-    ask for it.  Client errors abort the remainder of a pass but never discard
-    the pool.
+    Each pass runs :func:`example_evaluator` on a Full-DD prompt with demos
+    drawn from the pool examples annotated in ``config.dialect`` (the partial
+    Fisher-Yates draw of :func:`~semkit.corpus.sample_demos`, seeded per pass,
+    O(k) per prompt) and keeps exactly the ``correct`` proposals, verbatim:
+    names are not canonicalized.  One outcome memo per call
+    (:func:`~semkit.execute.memoized_runs`) runs each distinct proposal or
+    gold program once.  A ``harness-error`` aborts the remainder of a pass but
+    never discards the pool.
     """
     if not seed_pool:
         raise ValueError("seed pool must be nonempty")
@@ -232,43 +265,23 @@ def bootstrap_annotations(seed_pool: list[Example], unlabeled: list[Example],
     if not annotated:
         raise SemkitError(f"no seed-pool example is annotated in {config.dialect!r}")
     pending = [ex for ex in unlabeled if config.dialect not in ex.programs]
-    run = memoized_runs(config.environment, env_object)
-    policy = POLICIES[config.environment]
-    dd_text = render_dd(config.dd_declarations, "full")
-    template = config.template or default_template()
+    evaluate = example_evaluator(
+        client, config.model, DEFAULT_TEMPERATURE, config.dialect, config.gold_dialect, "full",
+        render_dd(config.dd_declarations, "full"), default_template(),
+        POLICIES[config.environment], memoized_runs(config.environment, env_object))
     for pass_index in range(config.passes):
-        if not pending:
-            break
         still_pending = []
-        aborted = False
-        for example in pending:
-            if aborted:
-                still_pending.append(example)
-                continue
+        for at, example in enumerate(pending):
             demos = _draw(annotated, min(config.k, len(annotated)),
                          Lcg(config.seed + pass_index))
-            spec = PromptSpec(
-                dd_variant="full", dd_text=dd_text,
-                demonstrations=tuple((d.utterance, d.programs[config.dialect]) for d in demos),
-                test_utterance=example.utterance, dialect=config.dialect)
-            request = CompletionRequest(prompt=build_prompt(spec, template),
-                                        model=config.model)
-            try:
-                completion = client.complete(request)
-            except SemkitError:
-                aborted = True
-                still_pending.append(example)
-                continue
-            program = extract_program(completion)
-            pred = run(config.dialect, program)
-            gold = run(config.gold_dialect, example.programs[config.gold_dialect])
-            if pred.ok and gold.ok and compare_outcomes(pred, gold, policy):
-                programs = dict(example.programs)
-                programs[config.dialect] = program
-                accepted = Example(id=example.id, utterance=example.utterance,
-                                   programs=programs, tags=example.tags)
+            verdict, program = evaluate(example, demos)
+            if verdict == "correct":
+                accepted = replace(example, programs={**example.programs, config.dialect: program})
                 pool.append(accepted)
                 annotated.append(accepted)
+            elif verdict == "harness-error":
+                still_pending.extend(pending[at:])
+                break
             else:
                 still_pending.append(example)
         pending = still_pending

@@ -1,4 +1,5 @@
-"""Access to the bundled data files (corpora, environments, DD sources), and the JSONL reader."""
+"""Access to the bundled data files (corpora, environments, DD sources), and the JSONL and
+world-file readers."""
 
 from __future__ import annotations
 
@@ -36,6 +37,30 @@ def read_jsonl(path):
                 except json.JSONDecodeError as exc:
                     raise DataFormatError(f"{path}: line {lineno}: not valid JSON: {exc}") from exc
             yield lineno, record
+
+
+def read_world(path, person_keys: tuple[str, ...], top_keys: tuple[str, ...] = ()) -> dict:
+    """Decode a JSON world file: an object holding ``people`` and ``top_keys``, whose
+    ``people`` is a list of objects each holding ``person_keys``; else a DataFormatError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            record = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise DataFormatError(f"{path}: expected a JSON object at the top level")
+    for key in ("people", *top_keys):
+        if key not in record:
+            raise DataFormatError(f"{path}: missing field {key!r}")
+    if not isinstance(record["people"], list):
+        raise DataFormatError(f"{path}: 'people' must be a list")
+    for at, person in enumerate(record["people"]):
+        if not isinstance(person, dict):
+            raise DataFormatError(f"{path}: people[{at}]: expected a JSON object")
+        for key in person_keys:
+            if key not in person:
+                raise DataFormatError(f"{path}: people[{at}]: missing field {key!r}")
+    return record
 
 
 def data_path(*parts: str) -> Path:

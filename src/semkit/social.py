@@ -35,13 +35,13 @@ preserves duplicates, everything else has set semantics.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
 from .errors import MAX_DEPTH, TOO_DEEP, DataFormatError, MrExecError, MrParseError
 from .outcomes import Denotation
 from .readonly import ReadOnlyList
+from .resources import read_world
 
 
 @dataclass(eq=False)
@@ -90,9 +90,12 @@ class SocialDb:
         return self.by_id[person_id]
 
 
+_PERSON_KEYS = ("id", "name", "gender", "birthdate", "birthplace", "height",
+                "relationship_status", "is_student")
+
+
 def load_social_db(path) -> SocialDb:
-    with open(path, encoding="utf-8") as fh:
-        record = json.load(fh)
+    record = read_world(path, _PERSON_KEYS)
     people: list[Person] = []
     by_id: dict[str, Person] = {}
     for raw in record["people"]:

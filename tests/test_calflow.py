@@ -1,13 +1,15 @@
 import datetime as dt
+import json
 import random
 
 import pytest
 
 from semkit.calflow import (Call, DateTimeClause, DateTimeValues, Word,
-                            exec_dfs, extract_operators, parse_dfs, render_dfs,
+                            exec_dfs, extract_operators, load_world, parse_dfs, render_dfs,
                             resolve_datetime)
-from semkit.errors import MrExecError, MrParseError
+from semkit.errors import DataFormatError, MrExecError, MrParseError
 from semkit.execute import run_program
+from semkit.resources import environment_path
 
 SHOWCASE = "CreateEvent( AND( at_location( Central Park ) , starts_at( NextDOW( FRIDAY ) ) ) )"
 ANCHOR = dt.datetime(2023, 1, 2, 8, 0)  # a Monday
@@ -173,3 +175,25 @@ def test_extract_operators_golden(smcalflow):
     assert extract_operators(ast) == frozenset(
         {"CreateEvent", "AND", "with_attendee", "FindManager", "CurrentUser",
          "starts_at", "NextDOW", "time_by_hm", "has_duration"})
+
+
+def _world(**changes):
+    world = json.loads(environment_path("calendar").read_text(encoding="utf-8"))
+    world.update(changes)
+    return world
+
+
+@pytest.mark.parametrize("content, message", [
+    ([1], "expected a JSON object at the top level"),
+    ({"current_user": "p1", "now": "2023-01-02T08:00"}, "missing field 'people'"),
+    (_world(people="p1"), "'people' must be a list"),
+    (_world(people=[["p1", "sarah"]]), "people[0]: expected a JSON object"),
+    (_world(people=[{"name": "sarah"}]), "people[0]: missing field 'id'"),
+    (_world(now=20230102), "bad 'now' timestamp: "),
+])
+def test_world_of_the_wrong_shape_is_a_data_format_error(tmp_path, content, message):
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    with pytest.raises(DataFormatError) as info:
+        load_world(path)
+    assert str(info.value).startswith(f"{path}: {message}")

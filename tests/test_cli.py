@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -154,11 +155,37 @@ def test_run_missing_cache_entry_degrades_to_failure_verdict(tmp_path, capsys):
     config_path.write_text(json.dumps(config))
     code, out, err = run(capsys, "run", "--config", str(config_path),
                          "--output-dir", str(tmp_path / "out"))
-    assert code == 0  # the run completes; the missing entry is one failure verdict
+    assert code == 0  # the run completes; the missing entry is one harness-error verdict
     aggregate = json.loads(out)
-    assert aggregate["accuracies"][0] == 0.7
-    assert aggregate["accuracies"][1:] == [0.7, 0.9]
-    assert "no cached completion" in err
+    assert aggregate["accuracies"] == [0.7, 0.7, 0.9]
+    missed = re.fullmatch(r"seed 0 (\S+): no cached completion for fingerprint [0-9a-f]{64}\n", err)
+    assert missed is not None, err
+    report = json.loads((tmp_path / "out" / "report_seed0.json").read_text())
+    assert dict(report["verdicts"])[missed.group(1)] == "harness-error"
+    # the model is not blamed: seed 0 keeps the one execution failure of the full cache
+    assert (report["n_total"], report["n_correct"], report["n_execution_failures"]) == (10, 7, 1)
+    assert report["exec_failure_rate"] == 0.1 and report["accuracy"] == 0.7
+
+
+def test_run_jobs_comes_from_the_command_line_only(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
+    workers = []
+    real_executor = concurrent.futures.ThreadPoolExecutor
+
+    def recording_executor(max_workers=None, **kwargs):
+        workers.append(max_workers)
+        return real_executor(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_executor)
+    config = json.loads(data_path("experiment_replay.json").read_text())
+    config["jobs"] = 1  # as in the README schema of earlier versions
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code, out, _ = run(capsys, "run", "--config", str(config_path),
+                       "--output-dir", str(tmp_path / "out"), "--jobs", "4")
+    assert code == 0 and json.loads(out)["accuracies"] == [0.8, 0.7, 0.9]
+    assert workers == [4, 4, 4]  # one pool per seed
 
 
 def test_run_on_a_corrupt_cache_is_an_error_line(tmp_path, capsys):

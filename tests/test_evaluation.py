@@ -152,9 +152,12 @@ def test_verdicts_and_report():
     assert verdict_of(bad, ok, SET) == "wrong-result"
     assert verdict_of(fail, ok, SET) == "execution-failure"
     report = report_from_verdicts(0, [("a", "correct"), ("b", "wrong-result"),
-                                      ("c", "execution-failure"), ("d", "correct")])
-    assert report.n_total == 4 and report.n_correct == 2 and report.n_execution_failures == 1
-    assert report.accuracy == 0.5
+                                      ("c", "execution-failure"), ("d", "correct"),
+                                      ("e", "harness-error")])  # counts in n_total only
+    assert report.n_total == 5 and report.n_correct == 2 and report.n_execution_failures == 1
+    assert report.accuracy == 0.4 and report.exec_failure_rate == 0.2
+    assert set(report.to_json()) == {"seed", "n_total", "n_correct", "n_execution_failures",
+                                     "accuracy", "exec_failure_rate", "verdicts"}
 
 
 def test_score_run_examples():

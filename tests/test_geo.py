@@ -124,3 +124,32 @@ def test_load_order_shuffle_preserves_invariants(tmp_path):
 def test_find_entity_unknown_kind(geo_model):
     with pytest.raises(ValueError, match="kind"):
         find_entity(geo_model, "volcano", "etna")
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("state", "area"), ("state", "population"), ("state", "density"),
+    ("city", "population"), ("place", "elevation"), ("river", "length"),
+    ("country", "area"), ("country", "population")])
+def test_non_numeric_field_names_path_line_and_field(tmp_path, kind, field):
+    records = _records(environment_path("geo"))
+    at = next(i for i, rec in enumerate(records) if rec["kind"] == kind)
+    records[at][field] = "big"
+    path = _write(tmp_path, records)
+    with pytest.raises(DataFormatError) as info:
+        load_geobase(path)
+    assert str(info.value) == f"{path}: line {at + 1}: field {field!r} is not a number: 'big'"
+
+
+def test_execute_on_a_geobase_with_a_bad_field_is_an_error_line(tmp_path, capsys):
+    from semkit.cli import main
+
+    records = _records(environment_path("geo"))
+    records[0]["area"] = "big"
+    program = tmp_path / "p.funql"
+    program.write_text("answer(state(all))")
+    assert main(["execute", "--env", "geo", "--dialect", "funql", "--program", str(program),
+                 "--world", str(_write(tmp_path, records))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "line 1: field 'area'" in captured.err
+    assert len(captured.err.splitlines()) == 1

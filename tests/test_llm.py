@@ -5,7 +5,7 @@ import pytest
 from semkit import funql
 from semkit.corpus import Example
 from semkit.errors import CacheMissError, DataFormatError, SemkitError, TransportError
-from semkit.evaluation import POLICIES, compare_outcomes
+from semkit.evaluation import POLICIES, canonicalize_names, compare_outcomes
 from semkit.execute import run_program
 from semkit.llm import (BootstrapConfig, CompletionRequest, LlmClient, ReplayCache,
                         bootstrap_annotations, extract_program)
@@ -225,8 +225,40 @@ def test_bootstrap_added_programs_reverify_offline(geo_model, geoquery, bootstra
 def test_bootstrap_client_error_aborts_pass_not_pool(geo_model, bootstrap_setup, tmp_path):
     seed_pool, unlabeled, config = bootstrap_setup
     client = LlmClient(mode="replay", cache=ReplayCache(tmp_path / "empty.jsonl"))
+    requests = []
+    complete = client.complete
+    client.complete = lambda request: requests.append(request) or complete(request)
     pool = bootstrap_annotations(seed_pool, unlabeled, geo_model, client, config)
     assert [ex.id for ex in pool] == [ex.id for ex in seed_pool]
+    assert len(requests) == config.passes  # each pass stops at its first harness error
+
+
+def test_calendar_bootstrap_stores_the_model_text_verbatim(calendar_world, smcalflow):
+    sm03 = smcalflow["sm-03"]  # "set a meeting with John at 10 am"; John renamed to a world person
+    renamed = Example(id=sm03.id, utterance=sm03.utterance.replace("John", "Emma"),
+                      programs={d: p.replace("John", "Emma") for d, p in sm03.programs.items()},
+                      tags=sm03.tags)
+    unlabeled = [strip_pymr(renamed), strip_pymr(smcalflow["sm-01"])]
+    gold = {ex.utterance: ex.programs["pymr"] for ex in (renamed, smcalflow["sm-01"])}
+    prompts = []
+
+    def transport(request):  # answers each test query with its gold pymr program, fenced
+        prompts.append(request.prompt)
+        query = request.prompt.rsplit("query: ", 1)[1].split("\n", 1)[0]
+        return f"```python\n{gold[query]}\n```"
+
+    config = BootstrapConfig(
+        environment="calendar", dialect="pymr", gold_dialect="dataflow-simple",
+        model="desk-model-1", k=2, passes=2, seed=0,
+        dd_declarations=load_dd_source(dd_path("calendar", "pymr")))
+    seed_pool = [smcalflow[i] for i in ("sm-06", "sm-08", "sm-09")]
+    pool = bootstrap_annotations(seed_pool, unlabeled, calendar_world,
+                                 LlmClient(mode="live", transport=transport), config)
+    assert [ex.id for ex in pool[3:]] == ["sm-03", "sm-01"] and len(prompts) == 2
+    accepted = pool[3].programs["pymr"]
+    assert accepted == renamed.programs["pymr"] and 'find_person("Emma")' in accepted
+    assert canonicalize_names(accepted, renamed.programs["dataflow-simple"],
+                              calendar_world)[0] != accepted  # as run would have renamed it
 
 
 class _Endpoint:

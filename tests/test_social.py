@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from semkit.errors import MrParseError
+from semkit.errors import DataFormatError, MrParseError
 from semkit.execute import run_program
 from semkit.outcomes import Denotation
 from semkit.resources import environment_path
@@ -208,3 +208,24 @@ def test_comparison_on_non_numeric_is_type_error(social_db):
 def test_non_symbol_property_is_type_mismatch(social_db, program):
     outcome = run_program("ldcs-simple", program, "social", social_db)
     assert outcome.error == "type-mismatch", outcome.message
+
+
+def _db_without_first_id():
+    db = json.loads(environment_path("social").read_text(encoding="utf-8"))
+    del db["people"][0]["id"]
+    return db
+
+
+@pytest.mark.parametrize("content, message", [
+    ([1], "expected a JSON object at the top level"),
+    ({}, "missing field 'people'"),
+    ({"people": {"p1": {}}}, "'people' must be a list"),
+    ({"people": [1]}, "people[0]: expected a JSON object"),
+    (_db_without_first_id(), "people[0]: missing field 'id'"),
+])
+def test_social_db_of_the_wrong_shape_is_a_data_format_error(tmp_path, content, message):
+    path = tmp_path / "social.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    with pytest.raises(DataFormatError) as info:
+        load_social_db(path)
+    assert str(info.value) == f"{path}: {message}"
