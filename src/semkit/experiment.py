@@ -30,7 +30,8 @@ from .corpus import Dataset, Split, load_dataset, load_split, sample_demos
 from .errors import SemkitError
 from .evaluation import POLICIES, report_from_verdicts, score_run
 from .execute import ENVIRONMENTS, dialect_for, load_environment, memoized_runs, operators_of
-from .llm import LlmClient, ReplayCache, example_evaluator, http_transport
+from .llm import (DEFAULT_TEMPERATURE, LlmClient, ReplayCache, example_evaluator,
+                  http_transport)
 from .prompts import default_template, load_dd_source, render_dd
 from .selection import Bm25Index, bm25_rank, coverage_fraction, greedy_select
 
@@ -80,9 +81,12 @@ class DemoSelector:
 
     Built once per experiment and shared by its seeds and queries.  The pool's
     operator sets are extracted lazily and at most once: only coverage
-    selection and coverage fractions read them.  The BM25 index is built on
-    first use and reused by every query.  Greedy coverage picks do not depend
-    on the seed, so they are made once per k.  Safe to share between threads.
+    selection and coverage fractions read them.  Pools repeat programs (many
+    paraphrases share one), so extraction runs once per distinct program text
+    and every id holding that text gets the same set.  The BM25 index is built
+    on first use and reused by every query.  Greedy coverage picks do not
+    depend on the seed, so they are made once per k.  Safe to share between
+    threads.
     """
 
     def __init__(self, dataset: Dataset, split: Split, dialect: str):
@@ -99,10 +103,15 @@ class DemoSelector:
     def operator_sets(self) -> dict[str, frozenset[str]]:
         with self._lock:
             if self._operator_sets is None:
-                self._operator_sets = {
-                    ex_id: operators_of(self.dialect, self.dataset[ex_id].programs[self.dialect])
-                    for ex_id in self.pool}
-                self._structures = frozenset().union(*self._operator_sets.values())
+                by_text: dict[str, frozenset[str]] = {}
+                sets = {}
+                for ex_id in self.pool:
+                    text = self.dataset[ex_id].programs[self.dialect]
+                    if text not in by_text:
+                        by_text[text] = operators_of(self.dialect, text)
+                    sets[ex_id] = by_text[text]
+                self._operator_sets = sets
+                self._structures = frozenset().union(*by_text.values())
             return self._operator_sets
 
     def coverage_fraction(self, ids) -> float:
@@ -143,7 +152,18 @@ def _csv_row(seed, split_name, dialect, dd_variant, k, accuracy, failure_rate) -
             f"{accuracy:.6f},{failure_rate:.6f}")
 
 
+def config_temperature(client_config: dict) -> float:
+    """The client's sampling temperature, a JSON number within [0, 2]; else a SemkitError."""
+    temperature = client_config.get("temperature", DEFAULT_TEMPERATURE)
+    if (isinstance(temperature, bool) or not isinstance(temperature, (int, float))
+            or not 0.0 <= temperature <= 2.0):
+        raise SemkitError(f"client temperature must be a number within [0, 2], "
+                          f"not {temperature!r}")
+    return float(temperature)
+
+
 def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> dict:
+    temperature = config_temperature(config["client"])
     dataset = load_dataset(resolve_path(config["dataset"], base))
     split = load_split(resolve_path(config["split"], base), dataset)
     if not split.test_ids:
@@ -160,7 +180,6 @@ def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> di
     if not seeds:
         raise SemkitError("seeds list must be nonempty")
     model = config["client"].get("model", "unspecified-model")
-    temperature = float(config["client"].get("temperature", 0.0))
     client = make_client(config["client"], base)
     env_object = load_config_environment(config, base)
     policy = POLICIES[environment]

@@ -17,7 +17,8 @@ additionally by their state's abbreviation).  Units are normalized on ingest:
 area km2, length km, elevation m.  The loader verifies every cross-reference
 and the model invariants (symmetric borders, density within 1% of
 population/area, one capital per state, each state's high point having the
-maximum elevation among that state's places).
+maximum elevation among that state's places).  A missing field, or one of the
+wrong type, is a ``DataFormatError`` naming the line and the field.
 
 A city is "major" above ``MAJOR_CITY_MIN_POPULATION`` (the classical 150,000
 convention); a river is "major" above ``MAJOR_RIVER_MIN_LENGTH_KM``.  Both are
@@ -189,8 +190,8 @@ def load_geobase(path) -> GeoModel:
     by_abbr: dict[str, State] = {}
     for rec in raw["state"]:
         state = State(
-            name=_req(rec, "name", path).lower(),
-            abbreviation=_req(rec, "abbreviation", path).lower(),
+            name=_text(rec, "name", path).lower(),
+            abbreviation=_text(rec, "abbreviation", path).lower(),
             area=_number(rec, "area", path),
             population=_number(rec, "population", path, int),
             density=_number(rec, "density", path),
@@ -202,21 +203,22 @@ def load_geobase(path) -> GeoModel:
 
     cities: list[City] = []
     for rec in raw["city"]:
-        abbr = _req(rec, "state", path).lower()
+        abbr = _text(rec, "state", path).lower()
         if abbr not in by_abbr:
             raise DataFormatError(f"{path}: city {rec.get('name')!r} references unknown state {abbr!r}")
-        city = City(name=_req(rec, "name", path).lower(), population=_number(rec, "population", path, int))
+        city = City(name=_text(rec, "name", path).lower(),
+                    population=_number(rec, "population", path, int))
         city.state = by_abbr[abbr]
         city.state.cities.append(city)
         cities.append(city)
 
     places: list[Place] = []
     for rec in raw["place"]:
-        abbr = _req(rec, "state", path).lower()
+        abbr = _text(rec, "state", path).lower()
         if abbr not in by_abbr:
             raise DataFormatError(f"{path}: place {rec.get('name')!r} references unknown state {abbr!r}")
         place = Place(
-            name=_req(rec, "name", path).lower(),
+            name=_text(rec, "name", path).lower(),
             elevation=_number(rec, "elevation", path),
             kind=_req(rec, "place_kind", path),
         )
@@ -227,8 +229,8 @@ def load_geobase(path) -> GeoModel:
 
     rivers: list[River] = []
     for rec in raw["river"]:
-        river = River(name=_req(rec, "name", path).lower(), length=_number(rec, "length", path))
-        traverses = _req(rec, "traverses", path)
+        river = River(name=_text(rec, "name", path).lower(), length=_number(rec, "length", path))
+        traverses = _names(rec, "traverses", path)
         if not traverses:
             raise DataFormatError(f"{path}: river {river.name!r} traverses no states")
         if river.length <= 0:
@@ -247,7 +249,7 @@ def load_geobase(path) -> GeoModel:
         raise DataFormatError(f"{path}: expected exactly one country record")
     crec = raw["country"][0]
     country = Country(
-        name=_req(crec, "name", path).lower(),
+        name=_text(crec, "name", path).lower(),
         area=_number(crec, "area", path),
         population=_number(crec, "population", path, int),
     )
@@ -255,16 +257,17 @@ def load_geobase(path) -> GeoModel:
     # second pass: state-level references
     for rec in raw["state"]:
         state = states[rec["name"].lower()]
-        capital = [c for c in state.cities if c.name == rec["capital"].lower()]
+        capital_name = _text(rec, "capital", path)
+        capital = [c for c in state.cities if c.name == capital_name.lower()]
         if len(capital) != 1:
             raise DataFormatError(
                 f"{path}: state {state.name!r} needs exactly one capital city "
-                f"named {rec['capital']!r} within it, found {len(capital)}"
+                f"named {capital_name!r} within it, found {len(capital)}"
             )
         state.capital = capital[0]
         state.high_point = _state_place(path, places, state, rec, "high_point")
         state.low_point = _state_place(path, places, state, rec, "low_point")
-        for neighbor in rec["next_to"]:
+        for neighbor in _names(rec, "next_to", path):
             if neighbor.lower() not in states:
                 raise DataFormatError(f"{path}: state {state.name!r} borders unknown {neighbor!r}")
             state.next_to.append(states[neighbor.lower()])
@@ -282,7 +285,7 @@ def load_geobase(path) -> GeoModel:
 
 
 def _state_place(path, places, state, rec, key) -> Place:
-    name = _req(rec, key, path).lower()
+    name = _text(rec, key, path).lower()
     matches = [p for p in places if p.name == name and p.state is state]
     if len(matches) != 1:
         raise DataFormatError(f"{path}: state {state.name!r}: no place {name!r} in that state")
@@ -293,6 +296,22 @@ def _req(record: dict, key: str, path):
     if key not in record:
         raise DataFormatError(f"{path}: line {record.get('_lineno', '?')}: missing field {key!r}")
     return record[key]
+
+
+def _text(record: dict, key: str, path) -> str:
+    value = _req(record, key, path)
+    if not isinstance(value, str):
+        raise DataFormatError(f"{path}: line {record.get('_lineno', '?')}: field {key!r} "
+                              f"is not a string: {value!r}")
+    return value
+
+
+def _names(record: dict, key: str, path) -> list[str]:
+    value = _req(record, key, path)
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise DataFormatError(f"{path}: line {record.get('_lineno', '?')}: field {key!r} "
+                              f"is not a list of strings: {value!r}")
+    return value
 
 
 def _number(record: dict, key: str, path, convert=float):

@@ -19,6 +19,15 @@ structures the current cover covers, and a candidate's setcov with the cover
 is that count plus its gain |(S_z ∩ S) ∖ covered|, so the argmax is taken
 over gains and no step re-unions the cover.
 
+Pools repeat programs, so they repeat operator sets: candidates are grouped
+by S_z ∩ S once, and each step scans the groups, not the candidates.  Members
+of a group have equal gains, so the group offers its first unpicked member in
+pool order, and a tie between groups goes to the lowest offered pool position:
+that is the candidate the per-candidate argmax picks, so picks, resets and
+the trace are the same.  A member whose id was already picked, from its own
+group or from another under a duplicate id, is dropped when its group is
+next scanned.
+
 BM25
 ----
 Okapi scoring with k1=1.5, b=0.75 by default.  Documents and queries are
@@ -110,23 +119,33 @@ def greedy_select(pool: list[tuple[str, frozenset[str]]], structures: frozenset[
     distinct = len({cand_id for cand_id, _ in pool})
     if k > distinct:
         raise PoolExhaustedError(f"requested k={k} from a pool of {distinct} distinct ids")
-    candidates = [(cand_id, cand_set & structures) for cand_id, cand_set in pool]
+    by_set: dict[frozenset[str], list[tuple[int, str]]] = {}  # intersect each set once
+    for position, (cand_id, cand_set) in enumerate(pool):
+        by_set.setdefault(cand_set, []).append((position, cand_id))
+    # operator set within the structures -> (position, id) of its members, last first
+    groups: dict[frozenset[str], list[tuple[int, str]]] = {}
+    for cand_set, members in by_set.items():
+        groups.setdefault(cand_set & structures, []).extend(members)
+    for members in groups.values():
+        members.sort(reverse=True)
     selected: list[str] = []
     selected_ids: set[str] = set()
     covered: set[str] = set()  # structures covered by the current cover
     fresh = True  # the cover is empty since the start or a reset: any pick improves it
     trace: list[GreedyTrace] = []
     while len(selected) < k:
-        best_id, best_set, best_gain = None, None, -1
-        for cand_id, cand_set in candidates:
-            if cand_id in selected_ids:
-                continue
-            gain = len(cand_set - covered)
-            if gain > best_gain:
-                best_id, best_set, best_gain = cand_id, cand_set, gain
-        if best_id is not None and (fresh or best_gain > 0):
+        best, best_set, best_gain = None, None, -1  # best: the members of the best group
+        for cand_set, members in groups.items():
+            while members and members[-1][1] in selected_ids:
+                members.pop()  # picked from this group or, under a duplicate id, another
+            if members:
+                gain = len(cand_set - covered)
+                if gain > best_gain or (gain == best_gain and members[-1][0] < best[-1][0]):
+                    best, best_set, best_gain = members, cand_set, gain
+        if best is not None and (fresh or best_gain > 0):
             fresh = False
             covered |= best_set
+            best_id = best.pop()[1]
             selected.append(best_id)
             selected_ids.add(best_id)
             trace.append(GreedyTrace(picked=best_id, coverage=len(covered)))

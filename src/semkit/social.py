@@ -94,25 +94,65 @@ _PERSON_KEYS = ("id", "name", "gender", "birthdate", "birthplace", "height",
                 "relationship_status", "is_student")
 
 
+def _field(path, person_id, record: dict, key: str, where: str = "", convert=None):
+    """``record[key]``, passed through ``convert`` when given; a missing field or a
+    failed conversion is a DataFormatError naming the path, the person and the field."""
+    name = f"{where}{key}"
+    if key not in record:
+        raise DataFormatError(f"{path}: {person_id}: missing field {name!r}")
+    value = record[key]
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DataFormatError(f"{path}: {person_id}: field {name!r} "
+                              f"is not a number: {value!r}") from None
+
+
+def _education(path, person_id, record: dict, where: str) -> EducationRecord:
+    return EducationRecord(_field(path, person_id, record, "institution", where),
+                           _field(path, person_id, record, "start_date", where, int),
+                           _field(path, person_id, record, "end_date", where, int))
+
+
+def _employment(path, person_id, record: dict, where: str) -> EmploymentRecord:
+    return EmploymentRecord(_field(path, person_id, record, "employer", where),
+                            _field(path, person_id, record, "job_title", where),
+                            _field(path, person_id, record, "start_date", where, int),
+                            _field(path, person_id, record, "end_date", where, int))
+
+
+def _history(path, person_id, raw: dict, key: str, build) -> list:
+    """``build`` applied to each object of the optional list ``raw[key]``."""
+    records = raw.get(key, [])
+    if not isinstance(records, list):
+        raise DataFormatError(f"{path}: {person_id}: {key!r} must be a list")
+    out = []
+    for at, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise DataFormatError(f"{path}: {person_id}: {key}[{at}]: expected a JSON object")
+        out.append(build(path, person_id, record, f"{key}[{at}]."))
+    return out
+
+
 def load_social_db(path) -> SocialDb:
     record = read_world(path, _PERSON_KEYS)
     people: list[Person] = []
     by_id: dict[str, Person] = {}
     for raw in record["people"]:
+        pid = raw["id"]
         person = Person(
-            id=raw["id"],
+            id=pid,
             name=raw["name"],
             gender=raw["gender"],
-            birthdate=int(raw["birthdate"]),
+            birthdate=_field(path, pid, raw, "birthdate", convert=int),
             birthplace=raw["birthplace"],
-            height=int(raw["height"]),
+            height=_field(path, pid, raw, "height", convert=int),
             relationship_status=raw["relationship_status"],
             is_student=bool(raw["is_student"]),
-            education=[EducationRecord(e["institution"], int(e["start_date"]), int(e["end_date"]))
-                       for e in raw.get("education", [])],
-            employment=[EmploymentRecord(e["employer"], e["job_title"],
-                                         int(e["start_date"]), int(e["end_date"]))
-                        for e in raw.get("employment", [])],
+            education=_history(path, pid, raw, "education", _education),
+            employment=_history(path, pid, raw, "employment", _employment),
         )
         if person.id in by_id:
             raise DataFormatError(f"{path}: duplicate person id {person.id!r}")

@@ -500,3 +500,34 @@ def test_gold_dialect_mismatch_fails_before_any_request(tmp_path, capsys, comman
     finally:
         server.shutdown()
         server.server_close()
+
+
+def _replay_config_with(tmp_path, temperature):
+    config = json.loads(data_path("experiment_replay.json").read_text())
+    config["client"]["temperature"] = temperature
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    return ["--config", str(config_path), "--output-dir", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("temperature", [3.0, -0.5, 2.0001, "0.5", True, None, [0.0]])
+def test_bad_temperature_is_an_error_line_before_any_loading(monkeypatch, tmp_path, capsys,
+                                                            temperature):
+    from semkit import experiment
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("loaded before the temperature was checked")
+
+    for name in ("load_dataset", "load_split", "make_client", "load_config_environment"):
+        monkeypatch.setattr(experiment, name, refuse)
+    code, out, err = run(capsys, "run", *_replay_config_with(tmp_path, temperature))
+    assert code == 1 and out == ""
+    assert err == (f"error: client temperature must be a number within [0, 2], "
+                   f"not {temperature!r}\n")
+
+
+@pytest.mark.parametrize("temperature", [0, 0.0])
+def test_valid_temperature_keeps_the_request_fingerprints(tmp_path, capsys, temperature):
+    code, out, err = run(capsys, "run", *_replay_config_with(tmp_path, temperature))
+    assert code == 0 and err == ""  # every request hits the bundled replay cache
+    assert json.loads(out)["accuracies"] == [0.8, 0.7, 0.9]

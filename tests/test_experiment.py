@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -6,10 +7,10 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from semkit import cli, execute, experiment, selection
-from semkit.corpus import sample_demos
+from semkit.corpus import Dataset, Example, Split, load_dataset, load_split, sample_demos
 from semkit.execute import operators_of
 from semkit.experiment import DemoSelector, run_experiment
-from semkit.resources import data_path
+from semkit.resources import data_path, dataset_path, split_path
 from semkit.selection import coverage_fraction, greedy_select
 
 
@@ -49,7 +50,8 @@ def test_state_is_built_once(monkeypatch, geoquery, geoquery_split):
     picks = [selector.select("coverage", 10, seed) for seed in range(3)]
     for query in ("rivers in texas", "how many states", "rivers in texas"):
         selector.select("bm25", 3, 0, query)
-    assert len(extracted) == len(geoquery_split.train_ids)
+    texts = {geoquery[i].programs["funql"] for i in geoquery_split.train_ids}
+    assert len(extracted) == len(texts)  # once per distinct program text
     assert len(greedy) == 1 and len(builds) == 1
     assert picks[0] == picks[1] == picks[2]
 
@@ -65,6 +67,45 @@ def test_coverage_picks_match_a_fresh_greedy_cover(geoquery, geoquery_split):
         fraction = coverage_fraction([sets[i] for i in want], structures)
         assert selector.coverage_picks(k) == (want, fraction)
         assert selector.coverage_fraction(want) == fraction
+
+
+def repeated_pool(name: str, copies: int) -> tuple[Dataset, Split]:
+    """The bundled train examples of ``name``, each ``copies`` times under fresh ids,
+    in a seeded order: a pool whose programs repeat, as paraphrase pools do."""
+    dataset = load_dataset(dataset_path(name))
+    split = load_split(split_path(f"{name}_iid"), dataset)
+    sources = [dataset[i] for i in split.train_ids for _ in range(copies)]
+    random.Random(7).shuffle(sources)
+    examples = tuple(Example(id=f"r{n:03d}", utterance=ex.utterance, programs=ex.programs)
+                     for n, ex in enumerate(sources))
+    return (Dataset(name=name, dialects=dataset.dialects, examples=examples),
+            Split(name="repeated", train_ids=tuple(ex.id for ex in examples), test_ids=()))
+
+
+@pytest.mark.parametrize("name,dialect", [("geoquery", "funql"), ("geoquery", "pymr"),
+                                          ("overnight", "ldcs"), ("overnight", "ldcs-simple"),
+                                          ("smcalflow", "dataflow-simple")])
+def test_operators_are_extracted_once_per_distinct_text(monkeypatch, name, dialect):
+    dataset, split = repeated_pool(name, 4)
+    # a fresh per-entry extraction, before operators_of is counted
+    pool = [(i, operators_of(dialect, dataset[i].programs[dialect])) for i in split.train_ids]
+    structures = frozenset().union(*(s for _, s in pool))
+    texts = {dataset[i].programs[dialect] for i in split.train_ids}
+    assert len(texts) < len(pool)
+    extracted = counting(monkeypatch, experiment, "operators_of")
+    selector = DemoSelector(dataset, split, dialect)
+    sets = dict(pool)
+    for k in (1, 8, len(texts) + 9, 8):  # past the distinct texts, covers reset and repeat
+        want = greedy_select(pool, structures, k)
+        fraction = coverage_fraction([sets[i] for i in want], structures)
+        assert selector.coverage_picks(k) == (want, fraction), k
+        assert selector.coverage_fraction(want) == fraction
+    assert sorted(args[1] for args in extracted) == sorted(texts)
+    assert all(args[0] == dialect for args in extracted)
+    by_text = {}
+    for ex_id, operators in selector.operator_sets().items():  # one shared set per text
+        assert by_text.setdefault(dataset[ex_id].programs[dialect], operators) is operators
+    assert selector.operator_sets() == sets
 
 
 def test_gold_outcomes_are_shared_across_seeds(monkeypatch, tmp_path, geoquery,

@@ -153,3 +153,54 @@ def test_execute_on_a_geobase_with_a_bad_field_is_an_error_line(tmp_path, capsys
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "line 1: field 'area'" in captured.err
     assert len(captured.err.splitlines()) == 1
+
+
+def _first_state(records):
+    return next(i for i, rec in enumerate(records) if rec["kind"] == "state")
+
+
+@pytest.mark.parametrize("field", ["next_to", "capital", "high_point", "low_point"])
+def test_state_without_a_reference_field_names_the_line(tmp_path, field):
+    records = _records(environment_path("geo"))
+    at = _first_state(records)
+    del records[at][field]
+    path = _write(tmp_path, records)
+    with pytest.raises(DataFormatError) as info:
+        load_geobase(path)
+    assert str(info.value) == f"{path}: line {at + 1}: missing field {field!r}"
+
+
+@pytest.mark.parametrize("kind, field, value, message", [
+    ("state", "next_to", "texas", "is not a list of strings: 'texas'"),
+    ("state", "next_to", ["texas", 7], "is not a list of strings: ['texas', 7]"),
+    ("state", "next_to", None, "is not a list of strings: None"),
+    ("river", "traverses", "texas", "is not a list of strings: 'texas'"),
+    ("state", "capital", 3, "is not a string: 3"),
+    ("state", "name", ["texas"], "is not a string: ['texas']"),
+    ("city", "state", None, "is not a string: None"),
+    ("state", "high_point", 1, "is not a string: 1"),
+])
+def test_name_field_of_the_wrong_type_names_the_line(tmp_path, kind, field, value, message):
+    records = _records(environment_path("geo"))
+    at = next(i for i, rec in enumerate(records) if rec["kind"] == kind)
+    records[at][field] = value
+    path = _write(tmp_path, records)
+    with pytest.raises(DataFormatError) as info:
+        load_geobase(path)
+    assert str(info.value) == f"{path}: line {at + 1}: field {field!r} {message}"
+
+
+def test_execute_on_a_geobase_without_next_to_is_an_error_line(tmp_path, capsys):
+    from semkit.cli import main
+
+    records = _records(environment_path("geo"))
+    at = _first_state(records)
+    del records[at]["next_to"]
+    world = _write(tmp_path, records)
+    program = tmp_path / "p.funql"
+    program.write_text("answer(state(all))")
+    assert main(["execute", "--env", "geo", "--dialect", "funql", "--program", str(program),
+                 "--world", str(world)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {world}: line {at + 1}: missing field 'next_to'\n"

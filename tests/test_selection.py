@@ -165,6 +165,58 @@ def test_incremental_greedy_matches_setcov_greedy_on_seeded_pools():
     assert resets >= 100  # the seeded pools do exercise the reset path
 
 
+def repeated_set_pool(rng, duplicate_ids):
+    """A pool drawing its operator sets from a small bank, so many candidates share a set.
+
+    Some bank entries are equal sets built as separate objects, and with
+    ``duplicate_ids`` candidates draw their ids from fewer names than the pool holds.
+    """
+    operators = [f"op{i}" for i in range(rng.randint(1, 10))]
+    bank = [frozenset(rng.sample(operators, rng.randint(0, len(operators))))
+            for _ in range(rng.randint(1, 5))]
+    bank += [frozenset(set(s)) for s in bank[:2]]  # equal sets, distinct objects
+    n = rng.randint(1, 40)
+    names = rng.randint(1, n) if duplicate_ids else n
+    pool = [(f"c{rng.randrange(names) if duplicate_ids else i:02d}", rng.choice(bank))
+            for i in range(n)]
+    structures = frozenset(rng.sample(operators, rng.randint(0, len(operators))) + ["extra"])
+    return pool, structures
+
+
+@pytest.mark.parametrize("duplicate_ids", [False, True])
+def test_grouped_greedy_matches_per_candidate_greedy_on_repeated_sets(duplicate_ids):
+    resets = merged = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        pool, structures = repeated_set_pool(rng, duplicate_ids)
+        distinct = len({cand_id for cand_id, _ in pool})
+        k = rng.randint(1, distinct)
+        want = setcov_greedy_with_trace(pool, structures, k)
+        assert greedy_select(pool, structures, k, with_trace=True) == want, seed
+        assert greedy_select(pool, structures, k) == want[0] == \
+            reference_greedy(pool, structures, k), seed
+        resets += sum(step.picked is None for step in want[1])
+        raw_sets = {cand_set for _, cand_set in pool}
+        merged += len({cand_set & structures for cand_set in raw_sets}) < len(raw_sets)
+        if k < distinct:
+            with pytest.raises(PoolExhaustedError):
+                greedy_select(pool, structures, distinct + 1)
+    assert resets >= 100  # the seeded pools do exercise the reset path
+    assert merged >= 100  # and sets that differ only outside the structures
+
+
+def test_grouped_greedy_ties_between_groups_go_to_the_lowest_position():
+    x, y = frozenset({"x"}), frozenset({"y"})
+    pool = [("a", x), ("b", y), ("c", x), ("d", y), ("e", x | y)]
+    structures = frozenset({"x", "y"})
+    want = setcov_greedy_with_trace(pool, structures, 5)
+    assert want == (["e", "a", "b", "c", "d"],
+                    [GreedyTrace("e", 2), GreedyTrace(None, None), GreedyTrace("a", 1),
+                     GreedyTrace("b", 2), GreedyTrace(None, None), GreedyTrace("c", 1),
+                     GreedyTrace("d", 2)])
+    assert greedy_select(pool, structures, 5, with_trace=True) == want
+
+
 def test_coverage_fraction_bounds():
     assert coverage_fraction([frozenset({"a", "b"})], frozenset({"a", "b"})) == 1.0
     assert coverage_fraction([], frozenset({"a"})) == 0.0

@@ -229,3 +229,63 @@ def test_social_db_of_the_wrong_shape_is_a_data_format_error(tmp_path, content, 
     with pytest.raises(DataFormatError) as info:
         load_social_db(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+def _db_with(person_edit):
+    """The bundled social db with ``person_edit`` applied to alice, its first person."""
+    db = json.loads(environment_path("social").read_text(encoding="utf-8"))
+    person_edit(db["people"][0])
+    return db
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: p.update(birthdate="x"), "field 'birthdate' is not a number: 'x'"),
+    (lambda p: p.update(height=None), "field 'height' is not a number: None"),
+    (lambda p: p["education"][0].update(start_date="soon"),
+     "field 'education[0].start_date' is not a number: 'soon'"),
+    (lambda p: p["employment"][1].update(end_date=[2020]),
+     "field 'employment[1].end_date' is not a number: [2020]"),
+    (lambda p: p["education"][0].pop("institution"),
+     "missing field 'education[0].institution'"),
+    (lambda p: p["employment"][0].pop("employer"), "missing field 'employment[0].employer'"),
+    (lambda p: p["employment"][1].pop("job_title"), "missing field 'employment[1].job_title'"),
+    (lambda p: p["employment"][0].pop("start_date"),
+     "missing field 'employment[0].start_date'"),
+    (lambda p: p.update(education="brown"), "'education' must be a list"),
+    (lambda p: p.update(employment={"employer": "x"}), "'employment' must be a list"),
+    (lambda p: p["education"].append("mit"), "education[1]: expected a JSON object"),
+    (lambda p: p["employment"].insert(0, None), "employment[0]: expected a JSON object"),
+])
+def test_social_db_field_of_the_wrong_type_names_path_person_and_field(tmp_path, edit,
+                                                                       message):
+    path = tmp_path / "social.json"
+    path.write_text(json.dumps(_db_with(edit)), encoding="utf-8")
+    with pytest.raises(DataFormatError) as info:
+        load_social_db(path)
+    assert str(info.value) == f"{path}: en.person.alice: {message}"
+
+
+def test_social_db_without_history_lists_loads(tmp_path, social_db):
+    def drop_history(person):
+        del person["education"], person["employment"]
+
+    path = tmp_path / "social.json"
+    path.write_text(json.dumps(_db_with(drop_history)), encoding="utf-8")
+    alice = load_social_db(path).people[0]
+    assert alice.education == [] and alice.employment == []
+    assert alice.birthdate == social_db.people[0].birthdate
+
+
+def test_execute_on_a_social_db_with_a_bad_birthdate_is_an_error_line(tmp_path, capsys):
+    from semkit.cli import main
+
+    world = tmp_path / "social.json"
+    world.write_text(json.dumps(_db_with(lambda p: p.update(birthdate="x"))), encoding="utf-8")
+    program = tmp_path / "p.ldcs"
+    program.write_text("(listValue (getProperty en.person !type))")
+    assert main(["execute", "--env", "social", "--dialect", "ldcs-simple",
+                 "--program", str(program), "--world", str(world)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {world}: en.person.alice: field 'birthdate' "
+                            f"is not a number: 'x'\n")
