@@ -1,14 +1,14 @@
 """Calendar environment: org chart, event store, and the Dataflow-Simple MR.
 
-World files are JSON::
+World files are JSON, their fields declared in ``_WORLD`` and ``_PERSON``::
 
     {"people": [{"id": str, "name": str, "manager": id-or-absent}, ...],
      "current_user": id, "now": ISO-8601 datetime, "events": []}
 
-The manager graph must be acyclic and ``now`` is fixed per world (the bundled
-world anchors at Monday 2023-01-02 08:00).  Execution never mutates a world;
-it returns a new world plus the :class:`~semkit.outcomes.WorldDelta` of events
-created.
+``events`` is not read.  The manager graph must be acyclic and ``now`` is fixed
+per world (the bundled world anchors at Monday 2023-01-02 08:00).  Execution
+never mutates a world; it returns a new world plus the
+:class:`~semkit.outcomes.WorldDelta` of events created.
 
 Dataflow-Simple registry::
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from .errors import MAX_DEPTH, TOO_DEEP, DataFormatError, MrExecError, MrParseError
 from .outcomes import CreatedEvent, WorldDelta
 from .readonly import ReadOnlyList
-from .resources import read_world
+from .resources import ANY, STRING, Schema, read_world
 
 DEFAULT_DURATION_MINUTES = 30
 DEFAULT_START_TIME = dt.time(9, 0)
@@ -84,38 +84,39 @@ class CalendarWorld:
                              now=self.now, events=(*self.events, event))
 
 
+_WORLD = Schema(("current_user", STRING), ("now", ANY))
+_PERSON = Schema(("name", STRING), ("manager", STRING, None))
+
+
 def load_world(path) -> CalendarWorld:
-    record = read_world(path, ("id", "name"), ("current_user", "now"))
-    people: list[CalPerson] = []
+    record, people_of = read_world(path)
+    current_user, now = _WORLD.read(record, path)
     by_id: dict[str, CalPerson] = {}
-    for raw in record["people"]:
-        person = CalPerson(id=raw["id"], name=raw["name"])
-        if person.id in by_id:
-            raise DataFormatError(f"{path}: duplicate person id {person.id!r}")
-        by_id[person.id] = person
-        people.append(person)
-    for raw in record["people"]:
-        manager_id = raw.get("manager")
-        if manager_id is not None:
-            if manager_id not in by_id:
-                raise DataFormatError(f"{path}: unknown manager id {manager_id!r}")
-            by_id[raw["id"]].manager = by_id[manager_id]
+    manager_ids = {}
+    for pid, raw in people_of:
+        name, manager_ids[pid] = _PERSON.read(raw, path, pid)
+        if pid in by_id:
+            raise DataFormatError(f"{path}: duplicate person id {pid!r}")
+        by_id[pid] = CalPerson(id=pid, name=name)
+    for pid, manager_id in manager_ids.items():
+        if manager_id is not None and manager_id not in by_id:
+            raise DataFormatError(f"{path}: unknown manager id {manager_id!r}")
+        by_id[pid].manager = by_id.get(manager_id)
+    people = list(by_id.values())
     for person in people:  # cycle check: walking up must terminate
-        seen = set()
-        node = person
+        seen, node = set(), person
         while node is not None:
             if node.id in seen:
                 raise DataFormatError(f"{path}: manager cycle through {node.id!r}")
             seen.add(node.id)
             node = node.manager
-    if record["current_user"] not in by_id:
-        raise DataFormatError(f"{path}: current_user {record['current_user']!r} unknown")
+    if current_user not in by_id:
+        raise DataFormatError(f"{path}: current_user {current_user!r} unknown")
     try:
-        now = dt.datetime.fromisoformat(record["now"])
+        now = dt.datetime.fromisoformat(now)
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad 'now' timestamp: {exc}") from exc
-    return CalendarWorld(people=ReadOnlyList(people), current_user=by_id[record["current_user"]],
-                         now=now)
+    return CalendarWorld(people=ReadOnlyList(people), current_user=by_id[current_user], now=now)
 
 
 # --- clauses ---------------------------------------------------------------

@@ -153,13 +153,16 @@ def _csv_row(seed, split_name, dialect, dd_variant, k, accuracy, failure_rate) -
 
 
 def config_temperature(client_config: dict) -> float:
-    """The client's sampling temperature, a JSON number within [0, 2]; else a SemkitError."""
+    """The client's sampling temperature, a JSON number within [0, 2]; else a SemkitError.
+
+    ``-0.0`` comes back as ``0.0``: both are the same temperature, and the request
+    fingerprint encodes the float as written."""
     temperature = client_config.get("temperature", DEFAULT_TEMPERATURE)
     if (isinstance(temperature, bool) or not isinstance(temperature, (int, float))
             or not 0.0 <= temperature <= 2.0):
         raise SemkitError(f"client temperature must be a number within [0, 2], "
                           f"not {temperature!r}")
-    return float(temperature)
+    return float(temperature) + 0.0
 
 
 def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> dict:

@@ -1,7 +1,7 @@
 """Geography environment: states, cities, rivers and places.
 
 The model is loaded from a JSONL file with one entity per line, discriminated
-by ``"kind"``::
+by ``"kind"``, its fields declared in ``_SCHEMAS``::
 
     {"kind": "state", "name": str, "abbreviation": str, "capital": city name,
      "area": km2, "population": int, "density": people per km2,
@@ -18,7 +18,7 @@ area km2, length km, elevation m.  The loader verifies every cross-reference
 and the model invariants (symmetric borders, density within 1% of
 population/area, one capital per state, each state's high point having the
 maximum elevation among that state's places).  A missing field, or one of the
-wrong type, is a ``DataFormatError`` naming the line and the field.
+wrong kind, is a ``DataFormatError`` naming the line and the field.
 
 A city is "major" above ``MAJOR_CITY_MIN_POPULATION`` (the classical 150,000
 convention); a river is "major" above ``MAJOR_RIVER_MIN_LENGTH_KM``.  Both are
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from .errors import DataFormatError
 from .readonly import ReadOnlyList
-from .resources import read_jsonl
+from .resources import INTEGER, NUMBER, STRING, STRINGS, Schema, read_jsonl
 
 MAJOR_CITY_MIN_POPULATION = 150_000
 MAJOR_RIVER_MIN_LENGTH_KM = 750.0
@@ -174,153 +174,115 @@ def find_entity(model: GeoModel, kind: str, name: str):
     raise ValueError(f"unknown entity kind {kind!r}")
 
 
+_KIND = Schema(("kind", STRING))
+_SCHEMAS = {
+    "state": Schema(("name", STRING), ("abbreviation", STRING), ("area", NUMBER),
+                    ("population", INTEGER), ("density", NUMBER), ("capital", STRING),
+                    ("high_point", STRING), ("low_point", STRING), ("next_to", STRINGS)),
+    "city": Schema(("name", STRING), ("state", STRING), ("population", INTEGER)),
+    "place": Schema(("name", STRING), ("state", STRING), ("elevation", NUMBER),
+                    ("place_kind", STRING)),
+    "river": Schema(("name", STRING), ("length", NUMBER), ("traverses", STRINGS)),
+    "country": Schema(("name", STRING), ("area", NUMBER), ("population", INTEGER)),
+}
+
+
 def load_geobase(path) -> GeoModel:
     """Load and fully validate a geography model (see module docstring)."""
-    raw = {"state": [], "city": [], "river": [], "place": [], "country": []}
+    lines = {kind: [] for kind in _SCHEMAS}
     for lineno, record in read_jsonl(path):
-        if not isinstance(record, dict):
-            raise DataFormatError(f"{path}: line {lineno}: expected a JSON object")
-        kind = record.get("kind")
-        if kind not in raw:
+        (kind,) = _KIND.read(record, path, lineno)
+        if kind not in lines:
             raise DataFormatError(f"{path}: line {lineno}: unknown kind {kind!r}")
-        record["_lineno"] = lineno
-        raw[kind].append(record)
+        lines[kind].append((lineno, record))
+    raw = {kind: [schema.read(record, path, lineno) for lineno, record in lines[kind]]
+           for kind, schema in _SCHEMAS.items()}
 
     states: dict[str, State] = {}
     by_abbr: dict[str, State] = {}
-    for rec in raw["state"]:
-        state = State(
-            name=_text(rec, "name", path).lower(),
-            abbreviation=_text(rec, "abbreviation", path).lower(),
-            area=_number(rec, "area", path),
-            population=_number(rec, "population", path, int),
-            density=_number(rec, "density", path),
-        )
+    references = []
+    for name, abbreviation, area, population, density, *refs in raw["state"]:
+        state = State(name=name.lower(), abbreviation=abbreviation.lower(), area=area,
+                      population=population, density=density)
         if state.name in states:
             raise DataFormatError(f"{path}: duplicate state {state.name!r}")
         states[state.name] = state
         by_abbr[state.abbreviation] = state
+        references.append((state, *refs))
 
     cities: list[City] = []
-    for rec in raw["city"]:
-        abbr = _text(rec, "state", path).lower()
-        if abbr not in by_abbr:
-            raise DataFormatError(f"{path}: city {rec.get('name')!r} references unknown state {abbr!r}")
-        city = City(name=_text(rec, "name", path).lower(),
-                    population=_number(rec, "population", path, int))
-        city.state = by_abbr[abbr]
-        city.state.cities.append(city)
+    for name, abbr, population in raw["city"]:
+        state = by_abbr.get(abbr.lower())
+        if state is None:
+            raise DataFormatError(
+                f"{path}: city {name!r} references unknown state {abbr.lower()!r}")
+        city = City(name=name.lower(), population=population, state=state)
+        state.cities.append(city)
         cities.append(city)
 
     places: list[Place] = []
-    for rec in raw["place"]:
-        abbr = _text(rec, "state", path).lower()
-        if abbr not in by_abbr:
-            raise DataFormatError(f"{path}: place {rec.get('name')!r} references unknown state {abbr!r}")
-        place = Place(
-            name=_text(rec, "name", path).lower(),
-            elevation=_number(rec, "elevation", path),
-            kind=_req(rec, "place_kind", path),
-        )
+    for name, abbr, elevation, kind in raw["place"]:
+        state = by_abbr.get(abbr.lower())
+        if state is None:
+            raise DataFormatError(
+                f"{path}: place {name!r} references unknown state {abbr.lower()!r}")
+        place = Place(name=name.lower(), elevation=elevation, kind=kind, state=state)
         if place.kind not in ("mountain", "lake", "point", "other"):
             raise DataFormatError(f"{path}: place {place.name!r} has bad kind {place.kind!r}")
-        place.state = by_abbr[abbr]
         places.append(place)
 
     rivers: list[River] = []
-    for rec in raw["river"]:
-        river = River(name=_text(rec, "name", path).lower(), length=_number(rec, "length", path))
-        traverses = _names(rec, "traverses", path)
+    for name, length, traverses in raw["river"]:
+        river = River(name=name.lower(), length=length)
         if not traverses:
             raise DataFormatError(f"{path}: river {river.name!r} traverses no states")
         if river.length <= 0:
             raise DataFormatError(f"{path}: river {river.name!r} has non-positive length")
         for state_name in traverses:
-            if state_name.lower() not in states:
+            state = states.get(state_name.lower())
+            if state is None:
                 raise DataFormatError(
-                    f"{path}: river {river.name!r} references unknown state {state_name!r}"
-                )
-            state = states[state_name.lower()]
+                    f"{path}: river {river.name!r} references unknown state {state_name!r}")
             river.traverses.append(state)
             state.rivers.append(river)
+        river.traverses = ReadOnlyList(river.traverses)
         rivers.append(river)
 
     if len(raw["country"]) != 1:
         raise DataFormatError(f"{path}: expected exactly one country record")
-    crec = raw["country"][0]
-    country = Country(
-        name=_text(crec, "name", path).lower(),
-        area=_number(crec, "area", path),
-        population=_number(crec, "population", path, int),
-    )
+    name, area, population = raw["country"][0]
+    country = Country(name=name.lower(), area=area, population=population)
 
     # second pass: state-level references
-    for rec in raw["state"]:
-        state = states[rec["name"].lower()]
-        capital_name = _text(rec, "capital", path)
+    for state, capital_name, high_point, low_point, next_to in references:
         capital = [c for c in state.cities if c.name == capital_name.lower()]
         if len(capital) != 1:
             raise DataFormatError(
                 f"{path}: state {state.name!r} needs exactly one capital city "
-                f"named {capital_name!r} within it, found {len(capital)}"
-            )
+                f"named {capital_name!r} within it, found {len(capital)}")
         state.capital = capital[0]
-        state.high_point = _state_place(path, places, state, rec, "high_point")
-        state.low_point = _state_place(path, places, state, rec, "low_point")
-        for neighbor in _names(rec, "next_to", path):
+        state.high_point = _state_place(path, places, state, high_point)
+        state.low_point = _state_place(path, places, state, low_point)
+        for neighbor in next_to:
             if neighbor.lower() not in states:
                 raise DataFormatError(f"{path}: state {state.name!r} borders unknown {neighbor!r}")
             state.next_to.append(states[neighbor.lower()])
-
-    for state in states.values():
         state.next_to = ReadOnlyList(state.next_to)
         state.rivers = ReadOnlyList(state.rivers)
         state.cities = ReadOnlyList(state.cities)
-    for river in rivers:
-        river.traverses = ReadOnlyList(river.traverses)
+
     model = GeoModel(states=ReadOnlyList(states.values()), cities=ReadOnlyList(cities),
                      rivers=ReadOnlyList(rivers), places=ReadOnlyList(places), country=country)
     _validate(model, path)
     return model
 
 
-def _state_place(path, places, state, rec, key) -> Place:
-    name = _text(rec, key, path).lower()
+def _state_place(path, places, state, name: str) -> Place:
+    name = name.lower()
     matches = [p for p in places if p.name == name and p.state is state]
     if len(matches) != 1:
         raise DataFormatError(f"{path}: state {state.name!r}: no place {name!r} in that state")
     return matches[0]
-
-
-def _req(record: dict, key: str, path):
-    if key not in record:
-        raise DataFormatError(f"{path}: line {record.get('_lineno', '?')}: missing field {key!r}")
-    return record[key]
-
-
-def _text(record: dict, key: str, path) -> str:
-    value = _req(record, key, path)
-    if not isinstance(value, str):
-        raise DataFormatError(f"{path}: line {record.get('_lineno', '?')}: field {key!r} "
-                              f"is not a string: {value!r}")
-    return value
-
-
-def _names(record: dict, key: str, path) -> list[str]:
-    value = _req(record, key, path)
-    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
-        raise DataFormatError(f"{path}: line {record.get('_lineno', '?')}: field {key!r} "
-                              f"is not a list of strings: {value!r}")
-    return value
-
-
-def _number(record: dict, key: str, path, convert=float):
-    value = _req(record, key, path)
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DataFormatError(f"{path}: line {record.get('_lineno', '?')}: field {key!r} "
-                              f"is not a number: {value!r}") from None
 
 
 def _validate(model: GeoModel, path) -> None:

@@ -28,12 +28,11 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .corpus import Example, Lcg, _draw
-from .errors import (CacheMissError, DataFormatError, PoolExhaustedError, SemkitError,
-                     TransportError)
+from .errors import CacheMissError, PoolExhaustedError, SemkitError, TransportError
 from .evaluation import POLICIES, ComparisonPolicy, canonicalize_names, verdict_of
 from .execute import dialect_for, memoized_runs
 from .prompts import PromptSpec, build_prompt, default_template, render_dd
-from .resources import read_jsonl
+from .resources import STRING, Schema, read_jsonl
 
 DEFAULT_TEMPERATURE = 0.0
 DEFAULT_MAX_TOKENS = 512
@@ -63,14 +62,14 @@ class CompletionRequest:
         return hashlib.sha256(self.prompt.encode("utf-8")).hexdigest()
 
 
-_ENTRY_KEYS = ("fingerprint", "prompt_sha256", "completion")  # what get() reads
+_ENTRY = Schema(("fingerprint", STRING), ("prompt_sha256", STRING), ("completion", STRING))
 
 
 class ReplayCache:
     """Append-only fingerprint -> completion store backed by a JSONL file.
 
-    A line that is not a JSON object holding ``fingerprint``,
-    ``prompt_sha256`` and ``completion`` is a DataFormatError naming the line.
+    A line that is not a JSON object holding the strings ``fingerprint``, ``prompt_sha256``
+    and ``completion`` (what :meth:`get` reads) is a DataFormatError naming the line.
     """
 
     def __init__(self, path):
@@ -79,12 +78,7 @@ class ReplayCache:
         self._write_lock = threading.Lock()  # appends serialize through one writer
         if os.path.exists(path):
             for lineno, entry in read_jsonl(path):
-                if not isinstance(entry, dict):
-                    raise DataFormatError(f"{path}: line {lineno}: expected a JSON object")
-                for key in _ENTRY_KEYS:
-                    if key not in entry:
-                        raise DataFormatError(f"{path}: line {lineno}: missing field {key!r}")
-                self.entries[entry["fingerprint"]] = entry
+                self.entries[_ENTRY.read(entry, path, lineno)[0]] = entry
 
     def get(self, request: CompletionRequest) -> str:
         entry = self.entries.get(request.fingerprint())

@@ -1,5 +1,7 @@
-"""Access to the bundled data files (corpora, environments, DD sources), and the JSONL and
-world-file readers."""
+"""Access to the bundled data files (corpora, environments, DD sources), and the readers
+they go through: :func:`read_jsonl`, :func:`read_world`, and :class:`Schema`, in which
+each field a world or replay-cache loader reads is declared once as a string, a boolean,
+a number or a list of strings (lists of objects go through :func:`objects_of`)."""
 
 from __future__ import annotations
 
@@ -39,9 +41,9 @@ def read_jsonl(path):
             yield lineno, record
 
 
-def read_world(path, person_keys: tuple[str, ...], top_keys: tuple[str, ...] = ()) -> dict:
-    """Decode a JSON world file: an object holding ``people`` and ``top_keys``, whose
-    ``people`` is a list of objects each holding ``person_keys``; else a DataFormatError."""
+def read_world(path) -> tuple[dict, list[tuple[str, dict]]]:
+    """Decode a JSON world file: an object whose ``people`` is a list of objects, each
+    with a string ``id``.  Returns the object and its ``(id, person)`` pairs."""
     with open(path, encoding="utf-8") as fh:
         try:
             record = json.load(fh)
@@ -49,18 +51,99 @@ def read_world(path, person_keys: tuple[str, ...], top_keys: tuple[str, ...] = (
             raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise DataFormatError(f"{path}: expected a JSON object at the top level")
-    for key in ("people", *top_keys):
-        if key not in record:
-            raise DataFormatError(f"{path}: missing field {key!r}")
-    if not isinstance(record["people"], list):
-        raise DataFormatError(f"{path}: 'people' must be a list")
-    for at, person in enumerate(record["people"]):
-        if not isinstance(person, dict):
-            raise DataFormatError(f"{path}: people[{at}]: expected a JSON object")
-        for key in person_keys:
-            if key not in person:
-                raise DataFormatError(f"{path}: people[{at}]: missing field {key!r}")
-    return record
+    return record, [(_PERSON_ID.read(person, path, ("people", at))[0], person)
+                    for at, person in enumerate(objects_of(record, "people", path))]
+
+
+# A kind returns a JSON value as a field's value, or raises TypeError or ValueError.
+
+def _string(value):
+    if isinstance(value, str):
+        return value
+    raise TypeError
+
+
+def _boolean(value):
+    if isinstance(value, bool):
+        return value
+    raise TypeError
+
+
+def _strings(value):
+    if isinstance(value, list) and all(isinstance(item, str) for item in value):
+        return value
+    raise TypeError
+
+
+def _any(value):
+    return value
+
+
+STRING, BOOLEAN, INTEGER, NUMBER, STRINGS, ANY = _string, _boolean, int, float, _strings, _any
+_LABELS = {STRING: "string", BOOLEAN: "boolean", INTEGER: "number", NUMBER: "number",
+           STRINGS: "list of strings"}
+
+
+def _place(part) -> str:
+    """A location part: a line number, a (list key, index) pair, or an id as is."""
+    if isinstance(part, int):
+        return f"line {part}"
+    return f"{part[0]}[{part[1]}]" if isinstance(part, tuple) else part
+
+
+def _where(path, *parts) -> str:
+    return ": ".join([str(path), *(_place(part) for part in parts if part is not None)])
+
+
+def _qualified(key: str, within) -> str:
+    return key if within is None else f"{_place(within)}.{key}"
+
+
+class Schema:
+    """The declared fields of one kind of JSON object: ``(key, kind)`` pairs, in order,
+    or ``(key, kind, default)`` for a field that may be left out.
+
+    :meth:`read` returns the fields' values, or raises a DataFormatError located at
+    ``at`` (see :func:`_place`) that names the field ``k[i].key`` for an item ``i`` of a
+    list ``k`` read with ``within=(k, i)``.  A boolean is JSON true or false only; a
+    number is what ``int`` or ``float`` converts.
+    """
+
+    def __init__(self, *fields):
+        self.kinds = [(key, kind) for key, kind, *_ in fields]
+        self.defaults = {key: rest[0] for key, _, *rest in fields if rest}
+
+    def read(self, record, path, at=None, within=None) -> list:
+        if not isinstance(record, dict):
+            raise DataFormatError(f"{_where(path, at, within)}: expected a JSON object")
+        values = []
+        for key, kind in self.kinds:
+            try:
+                values.append(kind(record[key]))
+            except KeyError:
+                if key not in self.defaults:
+                    raise DataFormatError(f"{_where(path, at)}: missing field "
+                                          f"{_qualified(key, within)!r}") from None
+                values.append(self.defaults[key])
+            except (TypeError, ValueError, OverflowError):
+                raise DataFormatError(f"{_where(path, at)}: field {_qualified(key, within)!r} "
+                                      f"is not a {_LABELS[kind]}: {record[key]!r}") from None
+        return values
+
+
+def objects_of(record: dict, key: str, path, at=None, default=None) -> list:
+    """``record[key]``, which must be a list (of objects, as the Schema reading each item
+    checks); ``default`` when the key is absent, unless that is None."""
+    if key not in record:
+        if default is None:
+            raise DataFormatError(f"{_where(path, at)}: missing field {key!r}")
+        return default
+    if not isinstance(record[key], list):
+        raise DataFormatError(f"{_where(path, at)}: {key!r} must be a list")
+    return record[key]
+
+
+_PERSON_ID = Schema(("id", STRING))
 
 
 def data_path(*parts: str) -> Path:

@@ -2,7 +2,8 @@
 
 The database holds people (``en.person.*`` ids) with enum-valued attributes
 (``en.gender.male`` style id strings), year-granularity dates, friendships
-(symmetric), and education/employment history records.
+(symmetric), and education/employment history records, their fields declared in
+``_PERSON``, ``_EDUCATION`` and ``_EMPLOYMENT``.
 
 Dialects
 --------
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 from .errors import MAX_DEPTH, TOO_DEEP, DataFormatError, MrExecError, MrParseError
 from .outcomes import Denotation
 from .readonly import ReadOnlyList
-from .resources import read_world
+from .resources import BOOLEAN, INTEGER, STRING, STRINGS, Schema, objects_of, read_world
 
 
 @dataclass(eq=False)
@@ -90,80 +91,40 @@ class SocialDb:
         return self.by_id[person_id]
 
 
-_PERSON_KEYS = ("id", "name", "gender", "birthdate", "birthplace", "height",
-                "relationship_status", "is_student")
+_PERSON = Schema(("name", STRING), ("gender", STRING), ("birthdate", INTEGER),
+                 ("birthplace", STRING), ("height", INTEGER), ("relationship_status", STRING),
+                 ("is_student", BOOLEAN), ("friends", STRINGS, ()))
+_EDUCATION = Schema(("institution", STRING), ("start_date", INTEGER), ("end_date", INTEGER))
+_EMPLOYMENT = Schema(("employer", STRING), ("job_title", STRING), ("start_date", INTEGER),
+                     ("end_date", INTEGER))
 
 
-def _field(path, person_id, record: dict, key: str, where: str = "", convert=None):
-    """``record[key]``, passed through ``convert`` when given; a missing field or a
-    failed conversion is a DataFormatError naming the path, the person and the field."""
-    name = f"{where}{key}"
-    if key not in record:
-        raise DataFormatError(f"{path}: {person_id}: missing field {name!r}")
-    value = record[key]
-    if convert is None:
-        return value
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DataFormatError(f"{path}: {person_id}: field {name!r} "
-                              f"is not a number: {value!r}") from None
-
-
-def _education(path, person_id, record: dict, where: str) -> EducationRecord:
-    return EducationRecord(_field(path, person_id, record, "institution", where),
-                           _field(path, person_id, record, "start_date", where, int),
-                           _field(path, person_id, record, "end_date", where, int))
-
-
-def _employment(path, person_id, record: dict, where: str) -> EmploymentRecord:
-    return EmploymentRecord(_field(path, person_id, record, "employer", where),
-                            _field(path, person_id, record, "job_title", where),
-                            _field(path, person_id, record, "start_date", where, int),
-                            _field(path, person_id, record, "end_date", where, int))
-
-
-def _history(path, person_id, raw: dict, key: str, build) -> list:
-    """``build`` applied to each object of the optional list ``raw[key]``."""
-    records = raw.get(key, [])
-    if not isinstance(records, list):
-        raise DataFormatError(f"{path}: {person_id}: {key!r} must be a list")
-    out = []
-    for at, record in enumerate(records):
-        if not isinstance(record, dict):
-            raise DataFormatError(f"{path}: {person_id}: {key}[{at}]: expected a JSON object")
-        out.append(build(path, person_id, record, f"{key}[{at}]."))
-    return out
+def _history(path, person_id, raw: dict, key: str, schema: Schema, build) -> list:
+    """``build`` applied to each record of the optional list ``raw[key]``."""
+    return [build(*schema.read(record, path, person_id, (key, at)))
+            for at, record in enumerate(objects_of(raw, key, path, person_id, ()))]
 
 
 def load_social_db(path) -> SocialDb:
-    record = read_world(path, _PERSON_KEYS)
-    people: list[Person] = []
+    _, people_of = read_world(path)
     by_id: dict[str, Person] = {}
-    for raw in record["people"]:
-        pid = raw["id"]
-        person = Person(
-            id=pid,
-            name=raw["name"],
-            gender=raw["gender"],
-            birthdate=_field(path, pid, raw, "birthdate", convert=int),
-            birthplace=raw["birthplace"],
-            height=_field(path, pid, raw, "height", convert=int),
-            relationship_status=raw["relationship_status"],
-            is_student=bool(raw["is_student"]),
-            education=_history(path, pid, raw, "education", _education),
-            employment=_history(path, pid, raw, "employment", _employment),
-        )
-        if person.id in by_id:
-            raise DataFormatError(f"{path}: duplicate person id {person.id!r}")
+    friend_ids = {}
+    for pid, raw in people_of:
+        *attributes, friend_ids[pid] = _PERSON.read(raw, path, pid)
+        person = Person(pid, *attributes,
+                        education=_history(path, pid, raw, "education", _EDUCATION,
+                                           EducationRecord),
+                        employment=_history(path, pid, raw, "employment", _EMPLOYMENT,
+                                            EmploymentRecord))
+        if pid in by_id:
+            raise DataFormatError(f"{path}: duplicate person id {pid!r}")
         for rec in [*person.education, *person.employment]:
             if rec.start_date > rec.end_date:
-                raise DataFormatError(f"{path}: {person.id}: start_date after end_date")
-        by_id[person.id] = person
-        people.append(person)
-    for raw in record["people"]:
-        person = by_id[raw["id"]]
-        for friend_id in raw.get("friends", []):
+                raise DataFormatError(f"{path}: {pid}: start_date after end_date")
+        by_id[pid] = person
+    people = list(by_id.values())
+    for person in people:
+        for friend_id in friend_ids[person.id]:
             if friend_id not in by_id:
                 raise DataFormatError(f"{path}: {person.id}: unknown friend {friend_id!r}")
             person.friends.append(by_id[friend_id])
@@ -171,9 +132,7 @@ def load_social_db(path) -> SocialDb:
         for friend in person.friends:
             if person not in friend.friends:
                 raise DataFormatError(
-                    f"{path}: friendship not symmetric: {person.id} -> {friend.id}"
-                )
-    for person in people:
+                    f"{path}: friendship not symmetric: {person.id} -> {friend.id}")
         person.friends = ReadOnlyList(person.friends)
         person.education = ReadOnlyList(person.education)
         person.employment = ReadOnlyList(person.employment)

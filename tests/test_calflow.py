@@ -190,6 +190,14 @@ def _world(**changes):
     (_world(people=[["p1", "sarah"]]), "people[0]: expected a JSON object"),
     (_world(people=[{"name": "sarah"}]), "people[0]: missing field 'id'"),
     (_world(now=20230102), "bad 'now' timestamp: "),
+    (_world(people=[{"id": "p1", "name": 7}]), "p1: field 'name' is not a string: 7"),
+    (_world(people=[{"id": "p1"}]), "p1: missing field 'name'"),
+    (_world(people=[{"id": "p1", "name": "sarah", "manager": ["x"]}]),
+     "p1: field 'manager' is not a string: ['x']"),
+    (_world(people=[{"id": ["x"], "name": "sarah"}]),
+     "people[0]: field 'id' is not a string: ['x']"),
+    (_world(current_user=["p1"]), "field 'current_user' is not a string: ['p1']"),
+    (_world(current_user=None), "field 'current_user' is not a string: None"),
 ])
 def test_world_of_the_wrong_shape_is_a_data_format_error(tmp_path, content, message):
     path = tmp_path / "world.json"

@@ -188,9 +188,14 @@ def test_run_jobs_comes_from_the_command_line_only(tmp_path, capsys, monkeypatch
     assert workers == [4, 4, 4]  # one pool per seed
 
 
-def test_run_on_a_corrupt_cache_is_an_error_line(tmp_path, capsys):
+@pytest.mark.parametrize("corrupt_line, message", [
+    (lambda line: line[:40], "not valid JSON: "),  # a line cut short
+    (lambda line: json.dumps({**json.loads(line), "completion": 7}),
+     "field 'completion' is not a string: 7\n"),
+], ids=["cut short", "completion 7"])
+def test_run_on_a_corrupt_cache_is_an_error_line(tmp_path, capsys, corrupt_line, message):
     cache_lines = data_path("replay_cache.jsonl").read_text().splitlines()
-    cache_lines[3] = cache_lines[3][:40]  # a line cut short
+    cache_lines[3] = corrupt_line(cache_lines[3])
     corrupt = tmp_path / "corrupt.jsonl"
     corrupt.write_text("\n".join(cache_lines) + "\n")
     config = json.loads(data_path("experiment_replay.json").read_text())
@@ -200,7 +205,7 @@ def test_run_on_a_corrupt_cache_is_an_error_line(tmp_path, capsys):
     code, out, err = run(capsys, "run", "--config", str(config_path),
                          "--output-dir", str(tmp_path / "out"))
     assert code == 1 and out == ""
-    assert err.startswith(f"error: {corrupt}: line 4: not valid JSON: ")
+    assert err.startswith(f"error: {corrupt}: line 4: {message}")
     assert len(err.splitlines()) == 1  # no traceback
 
 
@@ -526,7 +531,7 @@ def test_bad_temperature_is_an_error_line_before_any_loading(monkeypatch, tmp_pa
                    f"not {temperature!r}\n")
 
 
-@pytest.mark.parametrize("temperature", [0, 0.0])
+@pytest.mark.parametrize("temperature", [0, 0.0, -0.0])
 def test_valid_temperature_keeps_the_request_fingerprints(tmp_path, capsys, temperature):
     code, out, err = run(capsys, "run", *_replay_config_with(tmp_path, temperature))
     assert code == 0 and err == ""  # every request hits the bundled replay cache

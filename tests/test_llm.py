@@ -90,6 +90,9 @@ ENTRY = {"fingerprint": "f", "prompt_sha256": "p", "completion": "c"}
      "missing field 'prompt_sha256'"),
     (json.dumps({k: v for k, v in ENTRY.items() if k != "completion"}),
      "missing field 'completion'"),
+    (json.dumps({**ENTRY, "completion": 7}), "field 'completion' is not a string: 7"),
+    (json.dumps({**ENTRY, "fingerprint": ["f"]}), "field 'fingerprint' is not a string: ['f']"),
+    (json.dumps({**ENTRY, "prompt_sha256": None}), "field 'prompt_sha256' is not a string: None"),
 ])
 def test_malformed_cache_line_is_a_data_format_error(tmp_path, line, message):
     path = tmp_path / "c.jsonl"

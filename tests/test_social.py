@@ -222,6 +222,7 @@ def _db_without_first_id():
     ({"people": {"p1": {}}}, "'people' must be a list"),
     ({"people": [1]}, "people[0]: expected a JSON object"),
     (_db_without_first_id(), "people[0]: missing field 'id'"),
+    ({"people": [{"id": ["x"]}]}, "people[0]: field 'id' is not a string: ['x']"),
 ])
 def test_social_db_of_the_wrong_shape_is_a_data_format_error(tmp_path, content, message):
     path = tmp_path / "social.json"
@@ -255,6 +256,14 @@ def _db_with(person_edit):
     (lambda p: p.update(employment={"employer": "x"}), "'employment' must be a list"),
     (lambda p: p["education"].append("mit"), "education[1]: expected a JSON object"),
     (lambda p: p["employment"].insert(0, None), "employment[0]: expected a JSON object"),
+    (lambda p: p.update(is_student="no"), "field 'is_student' is not a boolean: 'no'"),
+    (lambda p: p.update(is_student=0), "field 'is_student' is not a boolean: 0"),
+    (lambda p: p.update(gender=7), "field 'gender' is not a string: 7"),
+    (lambda p: p.pop("name"), "missing field 'name'"),
+    (lambda p: p.update(name=None), "field 'name' is not a string: None"),
+    (lambda p: p.update(friends="abc"), "field 'friends' is not a list of strings: 'abc'"),
+    (lambda p: p.update(friends=["en.person.bob", 2]),
+     "field 'friends' is not a list of strings: ['en.person.bob', 2]"),
 ])
 def test_social_db_field_of_the_wrong_type_names_path_person_and_field(tmp_path, edit,
                                                                        message):
