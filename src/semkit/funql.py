@@ -6,8 +6,8 @@ Grammar (EBNF)::
     expr    = op "(" expr { "," expr } ")"
             | entity "(" name { "," name } ")"
             | "all"
-    op      = identifier in the operator registry
-    entity  = "stateid" | "cityid" | "riverid" | "placeid" | "countryid"
+    op      = identifier in OPERATORS
+    entity  = identifier in ENTITY_OPS
     name    = "'" any chars except "'" "'"
 
 Identifiers match ``[a-z_][a-z0-9_]*``; whitespace is insignificant and the
@@ -15,26 +15,27 @@ printer emits none except after commas.
 
 Operator semantics
 ------------------
-Unary type predicates (state, city, river, place, mountain, lake, capital,
-major) intersect their input with entities of that kind.  Entity literals
-denote singleton sets (or every same-named city for ``cityid(name, '_')``).
-Relations come in suffixed pairs: for a relation rel(a, b), ``rel_1`` binds
-argument 1 to its input and returns the b's, ``rel_2`` binds argument 2 and
-returns the a's; so ``loc_2(X)`` is everything located in X and
-``traverse_2(X)`` the rivers traversing X.  Attribute extractors (area_1,
-population_1, density_1, elevation_1, len, size) turn entity sets into number
-multisets, one value per entity; ``count`` and ``sum`` reduce.  Superlatives
-(largest/smallest by size, highest/lowest by elevation, longest/shortest by
-length, largest_one/smallest_one over an extractor application) return every
-tied entity, and an empty input yields an empty result rather than an error.
+Each operator is declared once, in the table of its family: :data:`ENTITY_OPS`
+(literals, denoting singleton sets, or every same-named city for
+``cityid(name, '_')``), :data:`TYPE_PREDICATES`, :data:`RELATIONS`,
+:data:`EXTRACTORS` (entity sets to number multisets, one value per entity) and
+:data:`SUPERLATIVES`.  Relations come in suffixed pairs: for a relation
+rel(a, b), ``rel_1`` binds argument 1 to its input and returns the b's,
+``rel_2`` binds argument 2 and returns the a's; so ``loc_2(X)`` is everything
+located in X.  The step table ``_STEPS``, which the interpreter dispatches
+through, holds the families and the rest: ``count`` and ``sum`` reduce;
+``largest_one(X(S))`` / ``smallest_one`` rank S by the extractor X;
 ``most(P(rel_i(S)))`` / ``fewest`` pick the pivot entities related to the
-most/fewest members of S.
+most/fewest members of S.  Rankings return every tied entity, and an empty
+input yields an empty result rather than an error.  :data:`OPERATORS`
+(operator -> arity), which the parser checks, is derived from ``_STEPS``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import MAX_DEPTH, TOO_DEEP, MrExecError, MrParseError
 from .geo import City, Country, GeoModel, Place, River, State
@@ -52,7 +53,7 @@ ALL = All()
 
 @dataclass(frozen=True)
 class EntityLiteral:
-    kind: str  # stateid | cityid | riverid | placeid | countryid
+    kind: str  # a key of ENTITY_OPS
     name: str
     qualifier: str | None = None
 
@@ -64,30 +65,6 @@ class Apply:
 
 
 FunqlAst = object  # Apply | EntityLiteral | All
-
-TYPE_PREDICATES = ("state", "city", "river", "place", "mountain", "lake", "capital", "major")
-RELATION_SUFFIXED = (
-    "loc_1", "loc_2",
-    "next_to_1", "next_to_2",
-    "traverse_1", "traverse_2",
-    "high_point_1", "high_point_2",
-    "low_point_1", "low_point_2",
-)
-EXTRACTORS = ("area_1", "population_1", "density_1", "elevation_1", "len", "size")
-SUPERLATIVES = ("largest", "smallest", "highest", "lowest", "longest", "shortest")
-ENTITY_OPS = {
-    "stateid": "state",
-    "cityid": "city",
-    "riverid": "river",
-    "placeid": "place",
-    "countryid": "country",
-}
-
-# operator -> arity
-OPERATORS: dict[str, int] = {"answer": 1, "count": 1, "sum": 1, "most": 1, "fewest": 1,
-                             "largest_one": 1, "smallest_one": 1, "exclude": 2, "intersection": 2}
-for _name in (*TYPE_PREDICATES, *RELATION_SUFFIXED, *EXTRACTORS, *SUPERLATIVES):
-    OPERATORS[_name] = 1
 
 # an identifier, with the "(" that applies it; a quoted name; a bracket or a comma;
 # any other non-space character is a token error
@@ -240,228 +217,205 @@ def _type_error(op, value):
     raise MrExecError("type-mismatch", f"{op} cannot be applied to {got} of this shape")
 
 
-class _Evaluator:
-    def __init__(self, model: GeoModel):
-        self.model = model
+# entity literal -> the entities it denotes in a model (the first of that name,
+# or every city of that name in the state it is qualified by)
+ENTITY_OPS = {
+    "stateid": lambda m, lit: [s for s in m.states if s.name == lit.name][:1],
+    "cityid": lambda m, lit: [c for c in m.cities if c.name == lit.name
+                              and lit.qualifier in (None, "_", c.state.abbreviation)],
+    "riverid": lambda m, lit: [r for r in m.rivers if r.name == lit.name][:1],
+    "placeid": lambda m, lit: [p for p in m.places if p.name == lit.name][:1],
+    "countryid": lambda m, lit: [m.country] if m.country.name == lit.name else [],
+}
 
-    # relation images: rel_1 binds argument 1 (input x, returns {b : rel(x, b)}),
-    # rel_2 binds argument 2 (input y, returns {a : rel(a, y)})
-    def _loc_up(self, x):
-        if isinstance(x, City) or isinstance(x, Place):
-            return [x.state, self.model.country]
-        if isinstance(x, River):
-            return [*x.traverses, self.model.country]
-        if isinstance(x, State):
-            return [self.model.country]
-        return []
+# type predicate -> whether an entity passes it
+TYPE_PREDICATES = {
+    "state": lambda e: isinstance(e, State),
+    "city": lambda e: isinstance(e, City),
+    "river": lambda e: isinstance(e, River),
+    "place": lambda e: isinstance(e, Place),
+    "mountain": lambda e: isinstance(e, Place) and e.kind == "mountain",
+    "lake": lambda e: isinstance(e, Place) and e.kind == "lake",
+    "capital": lambda e: isinstance(e, City) and e.state.capital is e,
+    "major": lambda e: isinstance(e, (City, River)) and e.is_major,
+}
 
-    def _loc_down(self, y):
-        if isinstance(y, State):
-            inside = [c for c in self.model.cities if c.state is y]
-            inside += [p for p in self.model.places if p.state is y]
-            inside += [r for r in self.model.rivers if y in r.traverses]
-            return inside
-        if isinstance(y, Country):
-            return [*self.model.states, *self.model.cities, *self.model.rivers, *self.model.places]
-        return []
 
-    def relation(self, name: str):
-        base, suffix = name.rsplit("_", 1)
-        if base == "loc":
-            img1, img2 = self._loc_up, self._loc_down
-        elif base == "next_to":
-            img1 = img2 = lambda x: list(x.next_to) if isinstance(x, State) else []
-        elif base == "traverse":
-            img1 = lambda x: list(x.traverses) if isinstance(x, River) else []
-            img2 = lambda y: [r for r in self.model.rivers if y in r.traverses] \
-                if isinstance(y, State) else []
-        elif base == "high_point":
-            img1 = lambda x: [x.high_point] if isinstance(x, State) else []
-            img2 = lambda y: [s for s in self.model.states if s.high_point is y]
-        elif base == "low_point":
-            img1 = lambda x: [x.low_point] if isinstance(x, State) else []
-            img2 = lambda y: [s for s in self.model.states if s.low_point is y]
-        else:
-            raise MrExecError("type-mismatch", f"unknown relation {name}")
-        return img1 if suffix == "1" else img2
+def _located(m, x) -> list:
+    if isinstance(x, (City, Place)):
+        return [x.state, m.country]
+    if isinstance(x, River):
+        return [*x.traverses, m.country]
+    return [m.country] if isinstance(x, State) else []
 
-    def universe(self):
-        m = self.model
-        return _Entities([*m.states, *m.cities, *m.rivers, *m.places])
 
-    def literal(self, lit: EntityLiteral):
-        m = self.model
-        if lit.kind == "stateid":
-            hit = m.find_state(lit.name)
-            return _Entities([hit] if hit else [])
-        if lit.kind == "cityid":
-            matches = [c for c in m.cities if c.name == lit.name]
-            if lit.qualifier not in (None, "_"):
-                matches = [c for c in matches if c.state.abbreviation == lit.qualifier]
-            return _Entities(matches)
-        if lit.kind == "riverid":
-            hit = m.find_river(lit.name)
-            return _Entities([hit] if hit else [])
-        if lit.kind == "placeid":
-            hit = m.find_place(lit.name)
-            return _Entities([hit] if hit else [])
-        if lit.kind == "countryid":
-            return _Entities([m.country] if m.country.name == lit.name else [])
-        raise MrExecError("type-mismatch", f"unknown literal kind {lit.kind}")
+def _contents(m, y) -> list:
+    if isinstance(y, State):
+        return [*(c for c in m.cities if c.state is y), *(p for p in m.places if p.state is y),
+                *(r for r in m.rivers if y in r.traverses)]
+    if isinstance(y, Country):
+        return [*m.states, *m.cities, *m.rivers, *m.places]
+    return []
 
-    def type_filter(self, op: str, value: _Entities) -> _Entities:
-        if op == "state":
-            keep = lambda e: isinstance(e, State)
-        elif op == "city":
-            keep = lambda e: isinstance(e, City)
-        elif op == "river":
-            keep = lambda e: isinstance(e, River)
-        elif op == "place":
-            keep = lambda e: isinstance(e, Place)
-        elif op in ("mountain", "lake"):
-            keep = lambda e: isinstance(e, Place) and e.kind == op
-        elif op == "capital":
-            keep = lambda e: isinstance(e, City) and e.state.capital is e
-        elif op == "major":
-            keep = lambda e: isinstance(e, (City, River)) and e.is_major
-        else:  # pragma: no cover - registry and parser agree
-            raise MrExecError("type-mismatch", f"unknown predicate {op}")
-        return _Entities([e for e in value.items if keep(e)])
 
-    def extract(self, op: str, value: _Entities) -> _Numbers:
-        def one(entity):
-            if op == "area_1" and isinstance(entity, (State, Country)):
-                return entity.area, "km2"
-            if op == "population_1" and isinstance(entity, (State, City, Country)):
-                return entity.population, "count"
-            if op == "density_1" and isinstance(entity, State):
-                return entity.density, "per_km2"
-            if op == "elevation_1" and isinstance(entity, Place):
-                return entity.elevation, "m"
-            if op == "len" and isinstance(entity, River):
-                return entity.length, "km"
-            if op == "size" and not isinstance(entity, Place):
-                return entity.size, None
+def _borders(m, x) -> list:
+    return list(x.next_to) if isinstance(x, State) else []
+
+
+# relation operator -> the image of one entity under it: for a relation rel(a, b),
+# rel_1 binds argument 1 (input a, returns the b's), rel_2 argument 2 (input b,
+# returns the a's)
+RELATIONS = {
+    "loc_1": _located,
+    "loc_2": _contents,
+    "next_to_1": _borders,
+    "next_to_2": _borders,
+    "traverse_1": lambda m, x: list(x.traverses) if isinstance(x, River) else [],
+    "traverse_2": lambda m, y: [r for r in m.rivers if y in r.traverses]
+    if isinstance(y, State) else [],
+    "high_point_1": lambda m, x: [x.high_point] if isinstance(x, State) else [],
+    "high_point_2": lambda m, y: [s for s in m.states if s.high_point is y],
+    "low_point_1": lambda m, x: [x.low_point] if isinstance(x, State) else [],
+    "low_point_2": lambda m, y: [s for s in m.states if s.low_point is y],
+}
+
+_SIZED = (State, City, River, Country)  # what has a size: area, population or length
+
+# extractor -> (the entity kinds it is defined on, the attribute it reads, its unit,
+# whether largest_one/smallest_one rank by it)
+EXTRACTORS = {
+    "area_1": ((State, Country), "area", "km2", True),
+    "population_1": ((State, City, Country), "population", "count", True),
+    "density_1": ((State,), "density", "per_km2", True),
+    "elevation_1": ((Place,), "elevation", "m", False),
+    "len": ((River,), "length", "km", False),
+    "size": (_SIZED, "size", None, False),
+}
+_RANKABLE = "/".join(op for op, (*_, ranking) in EXTRACTORS.items() if ranking)
+
+# superlative -> (max or min, the entity kinds it ranks, the attribute it ranks by)
+SUPERLATIVES = {
+    "largest": (max, _SIZED, "size"),
+    "smallest": (min, _SIZED, "size"),
+    "highest": (max, (Place,), "elevation"),
+    "lowest": (min, (Place,), "elevation"),
+    "longest": (max, (River,), "length"),
+    "shortest": (min, (River,), "length"),
+}
+
+
+def _eval(model: GeoModel, node):
+    if isinstance(node, All):
+        return _Entities([*model.states, *model.cities, *model.rivers, *model.places])
+    if isinstance(node, EntityLiteral):
+        return _Entities(ENTITY_OPS[node.kind](model, node))
+    return _STEPS[node.op][1](model, node.op, node.args)
+
+
+def _entities(model: GeoModel, op: str, node) -> _Entities:
+    """The value of ``node``, an argument of ``op``, which must be an entity set."""
+    value = _eval(model, node)
+    if not isinstance(value, _Entities):
+        _type_error(op, value)
+    return value
+
+
+def _best(pick, keyed) -> _Entities:
+    """Every entity of the (key, entity) pairs whose key ``pick`` (max or min) selects."""
+    if not keyed:
+        return _Entities()
+    target = pick(k for k, _ in keyed)
+    return _Entities([e for k, e in keyed if k == target])
+
+
+def _rank(op: str, value: _Entities, pick, kinds, attribute: str) -> _Entities:
+    if not all(isinstance(e, kinds) for e in value.items):
+        _type_error(op, value)
+    return _best(pick, [(getattr(e, attribute), e) for e in value.items])
+
+
+def _type_filter(model, op, args):
+    keep = TYPE_PREDICATES[op]
+    return _Entities([e for e in _entities(model, op, args[0]).items if keep(e)])
+
+
+def _relate(model, op, args):
+    image = RELATIONS[op]
+    return _Entities([t for e in _entities(model, op, args[0]).items for t in image(model, e)])
+
+
+def _extract(model, op, args):
+    kinds, attribute, unit, _ = EXTRACTORS[op]
+    items = _entities(model, op, args[0]).items
+    for entity in items:
+        if not isinstance(entity, kinds):
             raise MrExecError("type-mismatch", f"{op} not defined for {_kind(entity)}")
+    return _Numbers([getattr(e, attribute) for e in items], unit if items else None)
 
-        values, unit = [], None
-        for entity in value.items:
-            v, unit = one(entity)
-            values.append(v)
-        return _Numbers(values, unit)
 
-    def superlative(self, op: str, value: _Entities) -> _Entities:
-        if not value.items:
-            return _Entities()
-        if op in ("largest", "smallest"):
-            for entity in value.items:
-                if isinstance(entity, Place):
-                    _type_error(op, value)
-            key = lambda e: e.size
-        elif op in ("highest", "lowest"):
-            for entity in value.items:
-                if not isinstance(entity, Place):
-                    _type_error(op, value)
-            key = lambda e: e.elevation
-        else:  # longest / shortest
-            for entity in value.items:
-                if not isinstance(entity, River):
-                    _type_error(op, value)
-            key = lambda e: e.length
-        pick = max if op in ("largest", "highest", "longest") else min
-        target = pick(key(e) for e in value.items)
-        return _Entities([e for e in value.items if key(e) == target])
+def _superlative(model, op, args):
+    return _rank(op, _entities(model, op, args[0]), *SUPERLATIVES[op])
 
-    def argmax_by_attribute(self, op: str, node: Apply) -> _Entities:
-        child = node.args[0]
-        if not (isinstance(child, Apply) and child.op in ("area_1", "population_1", "density_1")):
-            raise MrExecError(
-                "type-mismatch", f"{node.op} expects area_1/population_1/density_1 of a set"
-            )
-        base = self.eval(child.args[0])
-        if not isinstance(base, _Entities):
-            _type_error(node.op, base)
-        if not base.items:
-            return _Entities()
-        attr = {"area_1": "area", "population_1": "population", "density_1": "density"}[child.op]
-        try:
-            keyed = [(getattr(e, attr), e) for e in base.items]
-        except AttributeError:
-            _type_error(node.op, base)
-        pick = max if node.op == "largest_one" else min
-        target = pick(k for k, _ in keyed)
-        return _Entities([e for k, e in keyed if k == target])
 
-    def pivot_count(self, node: Apply) -> _Entities:
-        child = node.args[0]
-        if not (isinstance(child, Apply) and child.op in TYPE_PREDICATES
-                and isinstance(child.args[0], Apply) and child.args[0].op in RELATION_SUFFIXED):
-            raise MrExecError("type-mismatch", f"{node.op} expects P(rel_i(S))")
-        relation = self.relation(child.args[0].op)
-        sources = self.eval(child.args[0].args[0])
-        if not isinstance(sources, _Entities):
-            _type_error(node.op, sources)
-        pivots = self.eval(child)
-        if not pivots.items:
-            return _Entities()
-        counts = []
-        for pivot in pivots.items:
-            n = sum(1 for s in sources.items if any(t is pivot for t in relation(s)))
-            counts.append((n, pivot))
-        pick = max if node.op == "most" else min
-        target = pick(n for n, _ in counts)
-        return _Entities([p for n, p in counts if n == target])
+def _by_attribute(pick, model, op, args):
+    """largest_one(X(S)) / smallest_one: the members of S with the max or min X."""
+    child = args[0]
+    if not (isinstance(child, Apply) and child.op in EXTRACTORS and EXTRACTORS[child.op][3]):
+        raise MrExecError("type-mismatch", f"{op} expects {_RANKABLE} of a set")
+    return _rank(op, _entities(model, op, child.args[0]), pick, *EXTRACTORS[child.op][:2])
 
-    def eval(self, node):
-        if isinstance(node, All):
-            return self.universe()
-        if isinstance(node, EntityLiteral):
-            return self.literal(node)
-        op = node.op
-        if op in ("most", "fewest"):
-            return self.pivot_count(node)
-        if op in ("largest_one", "smallest_one"):
-            return self.argmax_by_attribute(op, node)
-        if op in ("exclude", "intersection"):
-            left, right = self.eval(node.args[0]), self.eval(node.args[1])
-            if not isinstance(left, _Entities) or not isinstance(right, _Entities):
-                _type_error(op, left)
-            right_ids = {id(e) for e in right.items}
-            if op == "exclude":
-                return _Entities([e for e in left.items if id(e) not in right_ids])
-            return _Entities([e for e in left.items if id(e) in right_ids])
 
-        value = self.eval(node.args[0])
-        if op == "answer":
-            return value
-        if op in TYPE_PREDICATES:
-            if not isinstance(value, _Entities):
-                _type_error(op, value)
-            return self.type_filter(op, value)
-        if op in RELATION_SUFFIXED:
-            if not isinstance(value, _Entities):
-                _type_error(op, value)
-            relation = self.relation(op)
-            out = []
-            for item in value.items:
-                out.extend(relation(item))
-            return _Entities(out)
-        if op in EXTRACTORS:
-            if not isinstance(value, _Entities):
-                _type_error(op, value)
-            return self.extract(op, value)
-        if op in SUPERLATIVES:
-            if not isinstance(value, _Entities):
-                _type_error(op, value)
-            return self.superlative(op, value)
-        if op == "count":
-            n = len(value.items) if isinstance(value, _Entities) else len(value.values)
-            return _Numbers([n], "count")
-        if op == "sum":
-            if not isinstance(value, _Numbers):
-                _type_error(op, value)
-            return _Numbers([sum(value.values)], value.unit)
-        raise MrExecError("type-mismatch", f"unhandled operator {op}")  # pragma: no cover
+def _pivot_count(pick, model, op, args):
+    """most(P(rel_i(S))) / fewest: the pivots related to the most or fewest of S."""
+    child = args[0]
+    if not (isinstance(child, Apply) and child.op in TYPE_PREDICATES
+            and isinstance(child.args[0], Apply) and child.args[0].op in RELATIONS):
+        raise MrExecError("type-mismatch", f"{op} expects P(rel_i(S))")
+    image = RELATIONS[child.args[0].op]
+    sources = _entities(model, op, child.args[0].args[0]).items
+    return _best(pick, [(sum(1 for s in sources if any(t is pivot for t in image(model, s))),
+                         pivot) for pivot in _eval(model, child).items])
+
+
+def _combine(shared, model, op, args):
+    """exclude / intersection: the left members (not) in the right set; both sides run first."""
+    left, right = _eval(model, args[0]), _eval(model, args[1])
+    if not isinstance(left, _Entities) or not isinstance(right, _Entities):
+        _type_error(op, left)
+    right_ids = {id(e) for e in right.items}
+    return _Entities([e for e in left.items if (id(e) in right_ids) == shared])
+
+
+def _count(model, op, args):
+    value = _eval(model, args[0])
+    return _Numbers([len(value.items) if isinstance(value, _Entities) else len(value.values)],
+                    "count")
+
+
+def _sum(model, op, args):
+    value = _eval(model, args[0])
+    if not isinstance(value, _Numbers):
+        _type_error(op, value)
+    return _Numbers([sum(value.values)], value.unit)
+
+
+# operator -> (arity, step(model, op, argument nodes))
+_STEPS = {
+    "answer": (1, lambda model, op, args: _eval(model, args[0])),
+    "count": (1, _count),
+    "sum": (1, _sum),
+    "exclude": (2, partial(_combine, False)),
+    "intersection": (2, partial(_combine, True)),
+    "most": (1, partial(_pivot_count, max)),
+    "fewest": (1, partial(_pivot_count, min)),
+    "largest_one": (1, partial(_by_attribute, max)),
+    "smallest_one": (1, partial(_by_attribute, min)),
+    **dict.fromkeys(TYPE_PREDICATES, (1, _type_filter)),
+    **dict.fromkeys(RELATIONS, (1, _relate)),
+    **dict.fromkeys(EXTRACTORS, (1, _extract)),
+    **dict.fromkeys(SUPERLATIVES, (1, _superlative)),
+}
+OPERATORS: dict[str, int] = {op: arity for op, (arity, _) in _STEPS.items()}
 
 
 def entity_ref(entity) -> tuple[str, str]:
@@ -473,7 +427,7 @@ def entity_ref(entity) -> tuple[str, str]:
 
 def exec_funql(ast, model: GeoModel) -> Denotation:
     """Execute a parsed program against a geography model."""
-    result = _Evaluator(model).eval(ast)
+    result = _eval(model, ast)
     if isinstance(result, _Numbers):
         return Denotation.of_numbers(result.values, result.unit)
     return Denotation.of_entities(entity_ref(e) for e in result.items)

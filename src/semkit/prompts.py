@@ -25,12 +25,15 @@ slots; demonstrations expand the query/solution block once per demo, in order.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DataFormatError, SemkitError
 from .resources import template_path
 
 DD_VARIANTS = ("none", "operator-list", "no-typing", "full")
+_SLOT = re.compile(r"(\[(?:DD|query-i|solution-i|query-test)\])")
 
 
 def load_dd_source(path) -> list[dict]:
@@ -135,23 +138,38 @@ def build_prompt(spec: PromptSpec, template: str | None = None) -> str:
         raise SemkitError("dd_variant none requires empty dd_text and vice versa")
     if spec.dd_variant == "none" and not spec.demonstrations:
         raise SemkitError("a prompt needs a domain description or at least one demonstration")
-    lines = (template or default_template(spec.template_id)).splitlines()
-    if spec.dd_variant == "none":
+    head, block, tail = _template_parts(template or default_template(spec.template_id),
+                                        spec.dd_variant != "none")
+    slots = {"[DD]": spec.dd_text, "[query-test]": spec.test_utterance}
+    parts = [_fill(head, slots)] if head else []
+    ending = [_fill(tail, slots)] if tail else []
+    demo = dict(slots)
+    for utterance, program in spec.demonstrations:
+        demo["[query-i]"], demo["[solution-i]"] = utterance, program
+        parts.append(_fill(block, demo))
+    return "\n".join(parts + ending)
+
+
+@lru_cache(maxsize=8)
+def _template_parts(template: str, with_dd: bool) -> tuple[tuple[str, ...], ...]:
+    """The lines before the demo block, the block and the lines after it, each split
+    around its slot markers (empty for a part without lines)."""
+    lines = template.splitlines()
+    if not with_dd:
         lines = lines[3:]  # the DD header block is exactly the first three lines
     query_at = next(i for i, l in enumerate(lines) if "[query-i]" in l)
     solution_at = next(i for i, l in enumerate(lines) if "[solution-i]" in l)
     block_end = solution_at + 1
     if block_end < len(lines) and lines[block_end] == "":
         block_end += 1
-    demo_block = lines[query_at:block_end]
-    expanded: list[str] = lines[:query_at]
-    for utterance, program in spec.demonstrations:
-        for line in demo_block:
-            expanded.append(
-                line.replace("[query-i]", utterance).replace("[solution-i]", program))
-    expanded.extend(lines[block_end:])
-    text = "\n".join(expanded)
-    return text.replace("[DD]", spec.dd_text).replace("[query-test]", spec.test_utterance)
+    return tuple(tuple(_SLOT.split("\n".join(part))) if part else ()
+                 for part in (lines[:query_at], lines[query_at:block_end], lines[block_end:]))
+
+
+def _fill(pieces: tuple[str, ...], slots: dict[str, str]) -> str:
+    """Template pieces joined with each marker replaced by its slot's value, so data
+    text holding a marker (a demo utterance with ``[DD]``, say) goes in as it is."""
+    return "".join(map(slots.get, pieces, pieces))
 
 
 def count_prompt_tokens(text: str, tokenizer=None) -> int:

@@ -21,14 +21,13 @@ sandboxed: the only resolvable names are the environment binding (below), the
 builtin registry, and local assignments; unknown names and attributes become
 captured failures, never host behavior.
 
-Bindings expose, per environment:
-
-* geo: ``geo_model`` (a loaded :class:`semkit.geo.GeoModel`);
-* social: ``api`` (``api.people``, ``api.find_person_by_id``) and the
-  ``Gender`` namespace;
-* calendar: ``api`` (``find_person``, ``get_current_user``, ``add_event``),
-  the ``Event`` constructor, and the ``DateTimeClause`` / ``DateTimeValues``
-  namespaces.
+Each environment's binding, closed name surface and answer reader are declared
+once, in ``_ENVIRONMENTS``.  Bindings expose ``geo_model`` (a loaded
+:class:`semkit.geo.GeoModel`) for geo; ``api`` (``api.people``,
+``api.find_person_by_id``) and the ``Gender`` namespace for social; ``api``
+(``find_person``, ``get_current_user``, ``add_event``), the ``Event``
+constructor, and the ``DateTimeClause`` / ``DateTimeValues`` namespaces for
+calendar.
 
 Runtime errors (name-not-found, attribute-not-found, type-mismatch,
 index-out-of-range, empty-input, ...) are captured into failure outcomes so a
@@ -82,9 +81,12 @@ _EXPR_NAMES = {
     pyast.Slice: "slice", pyast.Tuple: "tuple display",
 }
 
-_ALLOWED_BINOPS = frozenset({pyast.Add, pyast.Sub, pyast.Mult, pyast.Div})
-_ALLOWED_CMPOPS = frozenset({pyast.Eq, pyast.NotEq, pyast.Lt, pyast.LtE, pyast.Gt, pyast.GtE,
-                             pyast.In, pyast.NotIn})
+# the supported operators: what each evaluates to
+_BINOPS = {pyast.Add: operator.add, pyast.Sub: operator.sub,
+           pyast.Mult: operator.mul, pyast.Div: operator.truediv}
+_CMPOPS = {pyast.Eq: operator.eq, pyast.NotEq: operator.ne, pyast.Lt: operator.lt,
+           pyast.LtE: operator.le, pyast.Gt: operator.gt, pyast.GtE: operator.ge,
+           pyast.In: lambda a, b: a in b, pyast.NotIn: lambda a, b: a not in b}
 _GENEXP_MESSAGE = ("generator expressions may only be the sole argument of "
                    "any/all/max/min/sum/list/set")
 
@@ -233,7 +235,7 @@ def _check_expr(expr, found: set, depth: int, in_call_args: bool = False) -> Non
     elif kind is pyast.Compare:
         if len(expr.ops) != 1:
             raise UnsupportedConstructError("chained comparison", line=expr.lineno)
-        if type(expr.ops[0]) not in _ALLOWED_CMPOPS:
+        if type(expr.ops[0]) not in _CMPOPS:
             raise UnsupportedConstructError(
                 f"operator {type(expr.ops[0]).__name__}", line=expr.lineno)
         _check_expr(expr.left, found, depth)
@@ -246,7 +248,7 @@ def _check_expr(expr, found: set, depth: int, in_call_args: bool = False) -> Non
             raise UnsupportedConstructError("unary operator", line=expr.lineno)
         _check_expr(expr.operand, found, depth)
     elif kind is pyast.BinOp:
-        if type(expr.op) not in _ALLOWED_BINOPS:
+        if type(expr.op) not in _BINOPS:
             raise UnsupportedConstructError(
                 f"operator {type(expr.op).__name__}", line=expr.lineno)
         _check_expr(expr.left, found, depth)
@@ -375,20 +377,53 @@ def _unwrap_person(value) -> calflow.CalPerson:
     raise MrExecError("type-mismatch", f"{value!r} is not a person")
 
 
-def make_binding(environment: str, env_object) -> dict:
-    """Top-level names a program may resolve, per environment."""
-    if environment == "geo":
-        return {"geo_model": env_object}
-    if environment == "social":
-        return {"api": SocialApi(env_object), "Gender": Gender}
-    if environment == "calendar":
-        return {
-            "api": CalendarApi(env_object),
-            "Event": Event,
-            "DateTimeClause": calflow.DateTimeClause,
-            "DateTimeValues": calflow.DateTimeValues,
-        }
-    raise ValueError(f"unknown environment {environment!r}")
+# environment -> (its binding: the top-level names a program may resolve, given the
+# environment object; its closed name surface: roots, classes, members; its
+# outcome value, given the value the program returned and the binding)
+_ENVIRONMENTS = {
+    "geo": (
+        lambda model: {"geo_model": model},
+        frozenset({
+            "geo_model", "GeoModel", "State", "City", "River", "Place", "Country",
+            "find_state", "find_city", "find_river", "find_place",
+            "states", "cities", "rivers", "places", "country",
+            "name", "abbreviation", "capital", "area", "population", "density",
+            "high_point", "low_point", "next_to", "size", "is_major",
+            "length", "traverses", "elevation", "state", "kind",
+        }),
+        lambda value, binding: _normalize(value, (State, City, River, Place, Country),
+                                          entity_ref)),
+    "social": (
+        lambda db: {"api": SocialApi(db), "Gender": Gender},
+        frozenset({
+            "api", "SocialApi", "Person", "EducationRecord", "EmploymentRecord", "Gender",
+            "people", "find_person_by_id",
+            "id", "name", "gender", "birthdate", "birthplace", "height",
+            "relationship_status", "is_student", "friends", "education", "employment",
+            "institution", "employer", "job_title", "start_date", "end_date",
+            "male", "female",
+        }),
+        lambda value, binding: _normalize(value, (Person, str), social_mod.value_ref)),
+    "calendar": (
+        lambda world: {"api": CalendarApi(world), "Event": Event,
+                       "DateTimeClause": calflow.DateTimeClause,
+                       "DateTimeValues": calflow.DateTimeValues},
+        frozenset({
+            "api", "CalendarApi", "Person", "Event", "DateTimeClause", "DateTimeValues",
+            "find_person", "get_current_user", "add_event",
+            "name", "find_manager_of", "find_team_of",
+            "subject", "starts_at", "ends_at", "location", "attendees",
+            "attendees_to_avoid", "duration",
+            "get_next_dow", "date_by_mdy", "time_by_hm", "Today", "Tomorrow",
+        }),
+        lambda value, binding: WorldDelta(created=tuple(binding["api"]._created))),
+}
+
+
+def _environment(environment: str) -> tuple:
+    if environment not in _ENVIRONMENTS:
+        raise ValueError(f"unknown environment {environment!r}")
+    return _ENVIRONMENTS[environment]
 
 
 def binding_names(environment: str) -> frozenset[str]:
@@ -397,34 +432,7 @@ def binding_names(environment: str) -> frozenset[str]:
     This is exactly the set of names the corresponding full domain
     description declares (tests assert both directions).
     """
-    if environment == "geo":
-        return frozenset({
-            "geo_model", "GeoModel", "State", "City", "River", "Place", "Country",
-            "find_state", "find_city", "find_river", "find_place",
-            "states", "cities", "rivers", "places", "country",
-            "name", "abbreviation", "capital", "area", "population", "density",
-            "high_point", "low_point", "next_to", "size", "is_major",
-            "length", "traverses", "elevation", "state", "kind",
-        })
-    if environment == "social":
-        return frozenset({
-            "api", "SocialApi", "Person", "EducationRecord", "EmploymentRecord", "Gender",
-            "people", "find_person_by_id",
-            "id", "name", "gender", "birthdate", "birthplace", "height",
-            "relationship_status", "is_student", "friends", "education", "employment",
-            "institution", "employer", "job_title", "start_date", "end_date",
-            "male", "female",
-        })
-    if environment == "calendar":
-        return frozenset({
-            "api", "CalendarApi", "Person", "Event", "DateTimeClause", "DateTimeValues",
-            "find_person", "get_current_user", "add_event",
-            "name", "find_manager_of", "find_team_of",
-            "subject", "starts_at", "ends_at", "location", "attendees",
-            "attendees_to_avoid", "duration",
-            "get_next_dow", "date_by_mdy", "time_by_hm", "Today", "Tomorrow",
-        })
-    raise ValueError(f"unknown environment {environment!r}")
+    return _environment(environment)[1]
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -453,8 +461,6 @@ class _Lambda:
 
 
 _BUILTINS = {name: getattr(builtins, name) for name in BUILTIN_NAMES}
-_BINOPS = {pyast.Add: operator.add, pyast.Sub: operator.sub,
-           pyast.Mult: operator.mul, pyast.Div: operator.truediv}
 
 
 class _Interpreter:
@@ -624,31 +630,13 @@ class _Interpreter:
     def _compare(self, expr: pyast.Compare, scope: dict):
         left = self.eval(expr.left, scope)
         right = self.eval(expr.comparators[0], scope)
-        op = expr.ops[0]
         try:
-            if isinstance(op, pyast.Eq):
-                return left == right
-            if isinstance(op, pyast.NotEq):
-                return left != right
-            if isinstance(op, pyast.In):
-                return left in right
-            if isinstance(op, pyast.NotIn):
-                return left not in right
-            if isinstance(op, pyast.Lt):
-                return left < right
-            if isinstance(op, pyast.LtE):
-                return left <= right
-            if isinstance(op, pyast.Gt):
-                return left > right
-            return left >= right
+            return _CMPOPS[type(expr.ops[0])](left, right)
         except TypeError as exc:
             raise MrExecError("type-mismatch", str(exc)) from exc
 
 
 # --- outcome normalization ----------------------------------------------------
-
-_GEO_ENTITY_TYPES = (State, City, River, Place, Country)
-
 
 def _normalize(value, entity_types, ref) -> Denotation:
     if value is None:
@@ -674,15 +662,10 @@ def _normalize(value, entity_types, ref) -> Denotation:
 
 def exec_pymr(ast: PymrAst, environment: str, env_object) -> Outcome:
     """Run a parsed program against an environment; failures are captured."""
-    binding = make_binding(environment, env_object)
-    interp = _Interpreter(binding)
+    bind, _, answer = _environment(environment)
+    binding = bind(env_object)
     try:
-        result = interp.run(ast.func)
-        if environment == "calendar":
-            return Outcome.success(WorldDelta(created=tuple(binding["api"]._created)))
-        if environment == "geo":
-            return Outcome.success(_normalize(result, _GEO_ENTITY_TYPES, entity_ref))
-        return Outcome.success(_normalize(result, (Person, str), social_mod.value_ref))
+        return Outcome.success(answer(_Interpreter(binding).run(ast.func), binding))
     except MrExecError as exc:
         return Outcome.from_exception(exc)
     except Exception as exc:  # noqa: BLE001 - captured by contract, never fatal

@@ -6,6 +6,7 @@ a number or a list of strings (lists of objects go through :func:`objects_of`)."
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .errors import DataFormatError
@@ -75,11 +76,24 @@ def _strings(value):
     raise TypeError
 
 
+def _number(convert):
+    """The kind of what ``convert`` makes of a JSON value other than a boolean, if finite."""
+    def kind(value):
+        if isinstance(value, bool):
+            raise TypeError
+        number = convert(value)
+        if not math.isfinite(number):  # NaN or infinite: a JSON literal, a string or an overflow
+            raise ValueError
+        return number
+    return kind
+
+
 def _any(value):
     return value
 
 
-STRING, BOOLEAN, INTEGER, NUMBER, STRINGS, ANY = _string, _boolean, int, float, _strings, _any
+STRING, BOOLEAN, STRINGS, ANY = _string, _boolean, _strings, _any
+INTEGER, NUMBER = _number(int), _number(float)
 _LABELS = {STRING: "string", BOOLEAN: "boolean", INTEGER: "number", NUMBER: "number",
            STRINGS: "list of strings"}
 
@@ -105,8 +119,10 @@ class Schema:
 
     :meth:`read` returns the fields' values, or raises a DataFormatError located at
     ``at`` (see :func:`_place`) that names the field ``k[i].key`` for an item ``i`` of a
-    list ``k`` read with ``within=(k, i)``.  A boolean is JSON true or false only; a
-    number is what ``int`` or ``float`` converts.
+    list ``k`` read with ``within=(k, i)``.  A boolean is JSON true or false only.  A
+    number is what ``int`` or ``float`` converts, so a numeric string such as ``"170"``
+    loads too; a boolean, NaN or an infinity (a JSON literal, a string or an overflowed
+    float) is not a number.
     """
 
     def __init__(self, *fields):

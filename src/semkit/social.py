@@ -29,6 +29,9 @@ Simple-dialect operators::
     superlative(set, mode, prop)        countSuperlative(set, mode, prop)
     countComparative(set, prop, op, n)  op: = != < > <= >=       mode: argmax|argmin
 
+Each operator's argument kinds are declared once, in :data:`SIMPLE_OPS`, and each
+property's value kind and its values for one person in :data:`PROPERTIES`; the
+evaluator and the typing-wrapper restoration dispatch through both tables.
 ``!prop`` is the reverse property (value to owners); ``(getProperty en.person
 !type)`` denotes every person.  Results are entity/value lists; ``concat``
 preserves duplicates, everything else has set semantics.
@@ -36,8 +39,10 @@ preserves duplicates, everything else has set semantics.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import MAX_DEPTH, TOO_DEEP, DataFormatError, MrExecError, MrParseError
 from .outcomes import Denotation
@@ -320,21 +325,22 @@ SIMPLE_OPS: dict[str, tuple[str, ...]] = {
     "aggregate": ("mode", "set"),
 }
 
-# property -> kind of its values (drives typing-wrapper restoration and filters)
-PROPERTIES: dict[str, str] = {
-    "gender": "enum",
-    "birthdate": "date",
-    "birthplace": "enum",
-    "height": "number",
-    "relationship_status": "enum",
-    "friends": "person",
-    "institution": "enum",
-    "education_start_date": "date",
-    "education_end_date": "date",
-    "employer": "enum",
-    "job_title": "enum",
-    "employment_start_date": "date",
-    "employment_end_date": "date",
+# property -> (kind of its values, which drives typing-wrapper restoration; its
+# values for one person)
+PROPERTIES: dict[str, tuple[str, Callable[[Person], list]]] = {
+    "gender": ("enum", lambda p: [p.gender]),
+    "birthdate": ("date", lambda p: [p.birthdate]),
+    "birthplace": ("enum", lambda p: [p.birthplace]),
+    "height": ("number", lambda p: [p.height]),
+    "relationship_status": ("enum", lambda p: [p.relationship_status]),
+    "friends": ("person", lambda p: list(p.friends)),
+    "institution": ("enum", lambda p: [e.institution for e in p.education]),
+    "education_start_date": ("date", lambda p: [e.start_date for e in p.education]),
+    "education_end_date": ("date", lambda p: [e.end_date for e in p.education]),
+    "employer": ("enum", lambda p: [e.employer for e in p.employment]),
+    "job_title": ("enum", lambda p: [e.job_title for e in p.employment]),
+    "employment_start_date": ("date", lambda p: [e.start_date for e in p.employment]),
+    "employment_end_date": ("date", lambda p: [e.end_date for e in p.employment]),
 }
 
 
@@ -413,7 +419,7 @@ def _desimplify_value(node, prop: str | None):
     if isinstance(node, tuple):
         return _desimplify_app(node)
     if isinstance(node, Num):
-        kind = PROPERTIES.get(prop or "")
+        kind = PROPERTIES[prop][0] if prop in PROPERTIES else None
         if kind == "date":
             return (Sym("date"), node, Num(-1), Num(-1))
         if kind == "number":
@@ -425,42 +431,30 @@ def _desimplify_value(node, prop: str | None):
 # --- execution -------------------------------------------------------------
 
 _PERSON_TYPE = "en.person"
+# filter and countComparative operators besides = and !=, on numbers
+_ORDERS = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}
+# superlative modes and aggregate modes: what each computes
+_PICKS = {"argmax": max, "argmin": min}
+_AGGREGATES = {"sum": sum, "avg": lambda values: sum(values) / len(values), "min": min,
+               "max": max}
 
 
-def _property_values(person: Person, prop: str):
-    if prop == "gender":
-        return [person.gender]
-    if prop == "birthdate":
-        return [person.birthdate]
-    if prop == "birthplace":
-        return [person.birthplace]
-    if prop == "height":
-        return [person.height]
-    if prop == "relationship_status":
-        return [person.relationship_status]
-    if prop == "friends":
-        return list(person.friends)
-    if prop == "institution":
-        return [e.institution for e in person.education]
-    if prop == "education_start_date":
-        return [e.start_date for e in person.education]
-    if prop == "education_end_date":
-        return [e.end_date for e in person.education]
-    if prop == "employer":
-        return [e.employer for e in person.employment]
-    if prop == "job_title":
-        return [e.job_title for e in person.employment]
-    if prop == "employment_start_date":
-        return [e.start_date for e in person.employment]
-    if prop == "employment_end_date":
-        return [e.end_date for e in person.employment]
-    raise MrExecError("unknown-property", f"no property {prop!r}")
+def _property_values(person: Person, prop: str) -> list:
+    if prop not in PROPERTIES:
+        raise MrExecError("unknown-property", f"no property {prop!r}")
+    return PROPERTIES[prop][1](person)
+
+
+def _key(item):
+    """What two result items share when they are the same: a person's identity, or the
+    value of anything else."""
+    return id(item) if isinstance(item, Person) else ("v", item)
 
 
 def _dedup(items):
     out, seen = [], set()
     for item in items:
-        key = id(item) if isinstance(item, Person) else ("v", item)
+        key = _key(item)
         if key not in seen:
             seen.add(key)
             out.append(item)
@@ -500,8 +494,7 @@ class _LdcsEval:
     def _listValue(self, x):
         return self.eval(x)
 
-    def _singleton(self, x):
-        return self.eval(x)
+    _singleton = _listValue
 
     def _size(self, x):
         return [len(self.eval(x))]
@@ -528,17 +521,13 @@ class _LdcsEval:
             base = name[1:]
             if base not in PROPERTIES:
                 raise MrExecError("unknown-property", f"no property {base!r}")
-            values = set(self._value_keys(items))
+            values = {_key(v) for v in items}
             return [p for p in self.db.people
-                    if values & set(self._value_keys(_property_values(p, base)))]
+                    if not values.isdisjoint(map(_key, _property_values(p, base)))]
         out = []
         for person in self._persons(items, "getProperty"):
             out.extend(_property_values(person, name))
         return _dedup(out)
-
-    @staticmethod
-    def _value_keys(items):
-        return [id(v) if isinstance(v, Person) else ("v", v) for v in items]
 
     def _filter(self, x, prop, op, value):
         if not isinstance(prop, Sym) or not isinstance(op, Sym):
@@ -553,24 +542,16 @@ class _LdcsEval:
         return out
 
     def _compare_any(self, values, op: str, targets) -> bool:
-        if op == "=":
-            return any(self._eq(v, t) for v in values for t in targets)
-        if op == "!=":
-            return not any(self._eq(v, t) for v in values for t in targets)
+        if op in ("=", "!="):
+            return {_key(v) for v in values}.isdisjoint(map(_key, targets)) == (op == "!=")
+        order = _ORDERS.get(op)  # another operator holds for no numbers
         for v in values:
             for t in targets:
                 if not isinstance(v, (int, float)) or not isinstance(t, (int, float)):
                     raise MrExecError("type-mismatch", f"{op} needs numeric operands")
-                if (op == "<" and v < t) or (op == ">" and v > t) \
-                        or (op == "<=" and v <= t) or (op == ">=" and v >= t):
+                if order is not None and order(v, t):
                     return True
         return False
-
-    @staticmethod
-    def _eq(a, b) -> bool:
-        if isinstance(a, Person) or isinstance(b, Person):
-            return a is b
-        return a == b
 
     def _keyed(self, x, prop, numeric: bool):
         if not isinstance(prop, Sym):
@@ -596,11 +577,11 @@ class _LdcsEval:
         return self._pick(self._keyed(x, prop, numeric=False), mode)
 
     def _pick(self, keyed, mode):
-        if not isinstance(mode, Sym) or mode.text not in ("argmax", "argmin"):
+        if not isinstance(mode, Sym) or mode.text not in _PICKS:
             raise MrExecError("type-mismatch", "mode must be argmax or argmin")
         if not keyed:
             return []
-        target = max(k for k, _ in keyed) if mode.text == "argmax" else min(k for k, _ in keyed)
+        target = _PICKS[mode.text](k for k, _ in keyed)
         return [p for k, p in keyed if k == target]
 
     def _countComparative(self, x, prop, op, count):
@@ -618,16 +599,12 @@ class _LdcsEval:
         return out
 
     def _aggregate(self, mode, x):
-        if not isinstance(mode, Sym) or mode.text not in ("sum", "avg", "min", "max"):
-            raise MrExecError("type-mismatch", "aggregate mode must be sum/avg/min/max")
+        if not isinstance(mode, Sym) or mode.text not in _AGGREGATES:
+            raise MrExecError("type-mismatch", f"aggregate mode must be {'/'.join(_AGGREGATES)}")
         values = self.eval(x)
         if not values or not all(isinstance(v, (int, float)) for v in values):
             raise MrExecError("type-mismatch", "aggregate needs a nonempty number set")
-        if mode.text == "sum":
-            return [sum(values)]
-        if mode.text == "avg":
-            return [sum(values) / len(values)]
-        return [max(values) if mode.text == "max" else min(values)]
+        return [_AGGREGATES[mode.text](values)]
 
 
 def value_ref(item) -> tuple[str, str]:

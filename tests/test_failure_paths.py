@@ -1,0 +1,86 @@
+"""The failure code and message of FunQL and λ-DCS programs that fail at run time.
+
+Each case names the operator family whose failure path it pins: the message is
+part of a verdict's explanation, so it may change only on purpose.
+"""
+
+import pytest
+
+from semkit.execute import run_program
+
+PEOPLE = "(getProperty en.person !type)"
+NO_PROPERTY = ("unknown-property", "unknown-property: no property 'shoe_size'")
+
+
+def _mismatch(message):
+    return "type-mismatch", f"type-mismatch: {message}"
+
+
+CASES = [
+    # an extractor on an entity of the wrong kind names the first such entity's kind
+    ("funql", "answer(area_1(city(all)))", _mismatch("area_1 not defined for city")),
+    ("funql", "answer(population_1(river(all)))",
+     _mismatch("population_1 not defined for river")),
+    ("funql", "answer(population_1(loc_2(stateid('texas'))))",
+     _mismatch("population_1 not defined for place")),
+    ("funql", "answer(density_1(countryid('usa')))",
+     _mismatch("density_1 not defined for country")),
+    ("funql", "answer(elevation_1(state(all)))", _mismatch("elevation_1 not defined for state")),
+    ("funql", "answer(len(state(all)))", _mismatch("len not defined for state")),
+    ("funql", "answer(size(place(all)))", _mismatch("size not defined for place")),
+    ("funql", "answer(area_1(count(state(all))))",
+     _mismatch("area_1 cannot be applied to numbers of this shape")),
+    # a superlative on entities of the wrong kind, or on numbers
+    ("funql", "answer(largest(place(all)))",
+     _mismatch("largest cannot be applied to entities of this shape")),
+    ("funql", "answer(highest(state(all)))",
+     _mismatch("highest cannot be applied to entities of this shape")),
+    ("funql", "answer(shortest(city(all)))",
+     _mismatch("shortest cannot be applied to entities of this shape")),
+    ("funql", "answer(lowest(count(place(all))))",
+     _mismatch("lowest cannot be applied to numbers of this shape")),
+    # the other operators on the wrong shape
+    ("funql", "answer(sum(state(all)))", _mismatch("sum cannot be applied to entities of this shape")),
+    ("funql", "answer(state(count(city(all))))",
+     _mismatch("state cannot be applied to numbers of this shape")),
+    ("funql", "answer(loc_2(count(city(all))))",
+     _mismatch("loc_2 cannot be applied to numbers of this shape")),
+    ("funql", "answer(exclude(count(state(all)), state(all)))",
+     _mismatch("exclude cannot be applied to numbers of this shape")),
+    ("funql", "answer(exclude(state(all), count(state(all))))",
+     _mismatch("exclude cannot be applied to entities of this shape")),
+    ("funql", "answer(exclude(count(state(all)), area_1(city(all))))",  # both sides run first
+     _mismatch("area_1 not defined for city")),
+    ("funql", "answer(intersection(state(all), len(river(all))))",
+     _mismatch("intersection cannot be applied to entities of this shape")),
+    ("funql", "answer(most(state(all)))", _mismatch("most expects P(rel_i(S))")),
+    ("funql", "answer(most(count(loc_2(state(all)))))", _mismatch("most expects P(rel_i(S))")),
+    ("funql", "answer(most(state(loc_1(count(city(all))))))",
+     _mismatch("most cannot be applied to numbers of this shape")),
+    ("funql", "answer(fewest(river(next_to_2(area_1(state(all))))))",
+     _mismatch("fewest cannot be applied to numbers of this shape")),
+    ("funql", "answer(largest_one(state(all)))",
+     _mismatch("largest_one expects area_1/population_1/density_1 of a set")),
+    ("funql", "answer(largest_one(len(river(all))))",
+     _mismatch("largest_one expects area_1/population_1/density_1 of a set")),
+    ("funql", "answer(largest_one(area_1(city(all))))",
+     _mismatch("largest_one cannot be applied to entities of this shape")),
+    ("funql", "answer(smallest_one(density_1(count(state(all)))))",
+     _mismatch("smallest_one cannot be applied to numbers of this shape")),
+    # a λ-DCS property lookup on an unknown property
+    ("ldcs-simple", f"(listValue (getProperty {PEOPLE} shoe_size))", NO_PROPERTY),
+    ("ldcs-simple", f"(listValue (getProperty {PEOPLE} !shoe_size))", NO_PROPERTY),
+    ("ldcs-simple", f"(listValue (filter {PEOPLE} shoe_size = 3))", NO_PROPERTY),
+    ("ldcs-simple", f"(listValue (superlative {PEOPLE} argmax shoe_size))", NO_PROPERTY),
+    ("ldcs-simple", f"(listValue (countSuperlative {PEOPLE} argmin shoe_size))", NO_PROPERTY),
+    ("ldcs-simple", f"(listValue (countComparative {PEOPLE} shoe_size > 1))", NO_PROPERTY),
+    ("ldcs", "(call SW.listValue (call SW.filter (call SW.getProperty (call SW.singleton "
+             "en.person) (string !type)) (string shoe_size) (string =) (number 3)))", NO_PROPERTY),
+]
+
+
+@pytest.mark.parametrize("dialect,text,failure", CASES, ids=[text for _, text, _ in CASES])
+def test_run_time_failure_code_and_message(dialect, text, failure, geo_model, social_db):
+    environment, world = ("geo", geo_model) if dialect == "funql" else ("social", social_db)
+    outcome = run_program(dialect, text, environment, world)
+    assert (outcome.ok, outcome.error, outcome.message) == (False, *failure)

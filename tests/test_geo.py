@@ -140,6 +140,34 @@ def test_non_numeric_field_names_path_line_and_field(tmp_path, kind, field):
     assert str(info.value) == f"{path}: line {at + 1}: field {field!r} is not a number: 'big'"
 
 
+@pytest.mark.parametrize("field, raw, shown", [
+    ("area", "NaN", "nan"), ("area", "Infinity", "inf"), ("area", "-Infinity", "-inf"),
+    ("area", "1e999", "inf"), ("area", '"nan"', "'nan'"), ("area", '"Infinity"', "'Infinity'"),
+    ("area", '"-inf"', "'-inf'"), ("area", "true", "True"), ("density", "NaN", "nan"),
+    ("population", "true", "True"), ("population", "false", "False"),
+    ("population", "Infinity", "inf")])
+def test_boolean_or_non_finite_number_names_the_line_and_field(tmp_path, field, raw, shown):
+    records = _records(environment_path("geo"))
+    at = _first_state(records)
+    records[at][field] = "@"
+    path = _write(tmp_path, records)
+    path.write_text(path.read_text(encoding="utf-8").replace('"@"', raw), encoding="utf-8")
+    with pytest.raises(DataFormatError) as info:
+        load_geobase(path)
+    assert str(info.value) == f"{path}: line {at + 1}: field {field!r} is not a number: {shown}"
+
+
+def test_numeric_strings_still_load(tmp_path, geo_model):
+    records = _records(environment_path("geo"))
+    at = _first_state(records)
+    for field in ("area", "population", "density"):
+        records[at][field] = str(records[at][field])
+    state = load_geobase(_write(tmp_path, records)).find_state(records[at]["name"])
+    bundled = geo_model.find_state(records[at]["name"])
+    assert (state.area, state.population, state.density) == (
+        bundled.area, bundled.population, bundled.density)
+
+
 def test_execute_on_a_geobase_with_a_bad_field_is_an_error_line(tmp_path, capsys):
     from semkit.cli import main
 

@@ -82,6 +82,18 @@ def test_empty_spec_rejected():
         build_prompt(spec(dd_variant="none", dd_text="oops"))
 
 
+@pytest.mark.parametrize("marker", ["[DD]", "[query-i]", "[solution-i]", "[query-test]"])
+@pytest.mark.parametrize("field", ["utterance", "program", "dd_text", "test"])
+def test_data_text_holding_a_slot_marker_goes_in_as_it_is(field, marker):
+    def prompt(value):
+        demo = (value if field == "utterance" else "q1", value if field == "program" else "s1")
+        return build_prompt(spec(dd_text=value if field == "dd_text" else "DDTEXT",
+                                 demos=(demo, ("q2", "s2")),
+                                 test=value if field == "test" else "qt"))
+    value = f"what is {marker} here"
+    assert prompt(value) == prompt("PLACEHOLDER").replace("PLACEHOLDER", value)
+
+
 def test_prompt_injective_in_demo_order():
     a = build_prompt(spec(demos=(("q1", "s1"), ("q2", "s2"))))
     b = build_prompt(spec(demos=(("q2", "s2"), ("q1", "s1"))))

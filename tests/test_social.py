@@ -242,6 +242,11 @@ def _db_with(person_edit):
 @pytest.mark.parametrize("edit, message", [
     (lambda p: p.update(birthdate="x"), "field 'birthdate' is not a number: 'x'"),
     (lambda p: p.update(height=None), "field 'height' is not a number: None"),
+    (lambda p: p.update(birthdate=True), "field 'birthdate' is not a number: True"),
+    (lambda p: p.update(height=False), "field 'height' is not a number: False"),
+    (lambda p: p.update(height=float("nan")), "field 'height' is not a number: nan"),
+    (lambda p: p["education"][0].update(start_date=True),
+     "field 'education[0].start_date' is not a number: True"),
     (lambda p: p["education"][0].update(start_date="soon"),
      "field 'education[0].start_date' is not a number: 'soon'"),
     (lambda p: p["employment"][1].update(end_date=[2020]),
@@ -283,6 +288,14 @@ def test_social_db_without_history_lists_loads(tmp_path, social_db):
     alice = load_social_db(path).people[0]
     assert alice.education == [] and alice.employment == []
     assert alice.birthdate == social_db.people[0].birthdate
+
+
+def test_social_db_with_numeric_strings_loads(tmp_path):
+    path = tmp_path / "social.json"
+    path.write_text(json.dumps(_db_with(lambda p: p.update(height="170", birthdate="1990"))),
+                    encoding="utf-8")
+    alice = load_social_db(path).people[0]
+    assert (alice.height, alice.birthdate) == (170, 1990)
 
 
 def test_execute_on_a_social_db_with_a_bad_birthdate_is_an_error_line(tmp_path, capsys):
