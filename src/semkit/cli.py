@@ -20,10 +20,10 @@ from pathlib import Path
 from .corpus import load_dataset, load_split
 from .errors import SemkitError
 from .execute import DIALECTS, ENVIRONMENTS, dialect_for, load_environment, run_program
-from .experiment import (DemoSelector, dd_text, load_config_environment, make_client,
-                         resolve_path, run_experiment)
+from .experiment import (SELECTION_METHODS, DemoSelector, dd_text, load_config_environment,
+                         make_client, resolve_path, run_experiment)
 from .prompts import DD_VARIANTS, PromptSpec, build_prompt, load_dd_source
-from .resources import dd_path
+from .resources import INTEGER, OBJECT, STRING, STRINGS, Schema, dd_path, read_json_object
 from .social import desimplify_ldcs, parse_ldcs, render_ldcs, simplify_ldcs
 
 
@@ -101,7 +101,7 @@ def cmd_prompt(args) -> int:
 
 def cmd_run(args) -> int:
     config_path = Path(args.config)
-    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config = read_json_object(config_path)
     base = config_path.parent
     if args.output_dir:
         out_dir = Path(args.output_dir)
@@ -114,30 +114,36 @@ def cmd_run(args) -> int:
     return 0
 
 
+_BOOTSTRAP_CONFIG = Schema(("dataset", STRING), ("environment", STRING), ("dialect", STRING),
+                           ("gold_dialect", STRING), ("seed_ids", STRINGS),
+                           ("unlabeled_ids", STRINGS), ("client", OBJECT), ("k", INTEGER, 3),
+                           ("passes", INTEGER, 3), ("seed", INTEGER, 0))
+
+
 def cmd_bootstrap(args) -> int:
     from .corpus import Example, example_to_json_line
     from .llm import BootstrapConfig, bootstrap_annotations
 
     config_path = Path(args.config)
-    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config = read_json_object(config_path)
     base = config_path.parent
-    dataset = load_dataset(resolve_path(config["dataset"], base))
-    seed_pool = [dataset[i] for i in config["seed_ids"]]
+    (dataset_file, environment, dialect, gold_dialect, seed_ids, unlabeled_ids, client_config,
+     k, passes, seed) = _BOOTSTRAP_CONFIG.read(config, "bootstrap config")
+    dataset = load_dataset(resolve_path(dataset_file, base))
+    seed_pool = [dataset[i] for i in seed_ids]
     # ids listed as unlabeled are treated as lacking the target-dialect annotation
     unlabeled = []
-    for ex_id in config["unlabeled_ids"]:
+    for ex_id in unlabeled_ids:
         example = dataset[ex_id]
-        programs = {d: p for d, p in example.programs.items() if d != config["dialect"]}
+        programs = {d: p for d, p in example.programs.items() if d != dialect}
         unlabeled.append(Example(id=example.id, utterance=example.utterance,
                                  programs=programs, tags=example.tags))
     env_object = load_config_environment(config, base)
-    client = make_client(config["client"], base)
+    client = make_client(client_config, base)
     bootstrap_config = BootstrapConfig(
-        environment=config["environment"], dialect=config["dialect"],
-        gold_dialect=config["gold_dialect"], model=config["client"].get("model", "m"),
-        k=int(config.get("k", 3)), passes=int(config.get("passes", 3)),
-        seed=int(config.get("seed", 0)),
-        dd_declarations=load_dd_source(dd_path(config["environment"], config["dialect"])))
+        environment=environment, dialect=dialect, gold_dialect=gold_dialect,
+        model=client_config.get("model", "m"), k=k, passes=passes, seed=seed,
+        dd_declarations=load_dd_source(dd_path(environment, dialect)))
     pool = bootstrap_annotations(seed_pool, unlabeled, env_object, client, bootstrap_config)
     if "output" in config:
         output = resolve_path(config["output"], base)
@@ -169,7 +175,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_simplify)
 
     p = sub.add_parser("select", help="pick demonstrations from a train split")
-    p.add_argument("--method", choices=("random", "coverage", "bm25"), required=True)
+    p.add_argument("--method", choices=SELECTION_METHODS, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", required=True)
@@ -184,7 +190,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--dd", choices=DD_VARIANTS, default="full")
-    p.add_argument("--method", choices=("random", "coverage", "bm25"), default="random")
+    p.add_argument("--method", choices=SELECTION_METHODS, default="random")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--utterance", required=True)
@@ -194,7 +200,8 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--output-dir")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel per-example workers (aggregation stays single-threaded)")
+                   help="overlap up to N completion requests; programs run and are "
+                        "scored on one thread, in test order")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bootstrap", help="grow an annotation pool with verified programs")

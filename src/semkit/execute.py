@@ -9,7 +9,6 @@ pairing a dialect with the wrong environment raises :class:`SemkitError`.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -79,38 +78,22 @@ def run_program(dialect: str, text: str, environment: str, env_object) -> Outcom
 
 
 def memoized_runs(environment: str, env_object) -> Callable[[str, str], Outcome]:
-    """A thread-safe ``run(dialect, text)`` that runs each distinct (dialect, text) once.
+    """A ``run(dialect, text)`` that runs each distinct (dialect, text) once.
 
     The one outcome memo of an experiment or a bootstrap call, shared by
-    predicted and gold programs.  Loaders hand out read-only worlds, so
+    predicted and gold programs, and called from one thread only: programs run
+    on the thread that scores them.  Loaders hand out read-only worlds, so
     ``run_program`` is a pure function of (dialect, text, world) and a repeated
-    key may return the first run's outcome.  Each key has its own in-flight
-    entry: distinct keys run concurrently, and a caller that asks for a key
-    already running waits for that run instead of starting another.
+    key may return the first run's outcome.  A run that raised keeps nothing.
     """
     outcomes: dict[tuple[str, str], Outcome] = {}
-    in_flight: dict[tuple[str, str], threading.Event] = {}
-    lock = threading.Lock()
 
     def run(dialect: str, text: str) -> Outcome:
         key = (dialect, text)
-        while True:
-            with lock:
-                if key in outcomes:
-                    return outcomes[key]
-                running = in_flight.get(key)
-                if running is None:  # this caller runs the key
-                    running = in_flight[key] = threading.Event()
-                    break
-            running.wait()  # then the outcome is in, or that run raised and this caller retries
-        try:
+        if key not in outcomes:
             # the module global, so a rebound run_program (tracer, test double) runs
-            outcome = outcomes[key] = run_program(dialect, text, environment, env_object)
-        finally:
-            with lock:
-                del in_flight[key]
-            running.set()
-        return outcome
+            outcomes[key] = run_program(dialect, text, environment, env_object)
+        return outcomes[key]
 
     return run
 

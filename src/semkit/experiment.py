@@ -2,15 +2,17 @@
 
 What does not change between seeds and test examples is built once per
 experiment and shared by all of them: the demonstration selector (see
-:class:`DemoSelector`) and the per-example step
+:class:`DemoSelector`) and the per-example step's two halves
 (:func:`~semkit.llm.example_evaluator`) with its rendered DD text, prompt
 template and outcome memo (:func:`~semkit.execute.memoized_runs`).  Each
-seed's closure only picks demonstrations, calls the step and prints each
+seed builds its completion requests in test order and fetches the
+completions, overlapping up to ``jobs`` of them on worker threads; the
+calling thread then judges each example in test order and prints each
 ``harness-error`` to stderr as ``seed S ID: message``.  Worlds are read-only,
 so a program's outcome depends only on its (dialect, text): the memo runs
-each distinct predicted or gold program once per experiment, whichever seed,
-example or thread asks first.  Both sides are keyed on the text actually run,
-which on calendar is the text after name canonicalization; it maps gold names
+each distinct predicted or gold program once per experiment, whichever seed
+or example asks first.  Both sides are keyed on the text actually run, which
+on calendar is the text after name canonicalization; it maps gold names
 first, so the canonical gold text does not depend on the prediction it is
 scored against.
 
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import json
 import sys
-import threading
 from pathlib import Path
 
 from . import resources
@@ -30,12 +31,14 @@ from .corpus import Dataset, Split, load_dataset, load_split, sample_demos
 from .errors import SemkitError
 from .evaluation import POLICIES, report_from_verdicts, score_run
 from .execute import ENVIRONMENTS, dialect_for, load_environment, memoized_runs, operators_of
-from .llm import (DEFAULT_TEMPERATURE, LlmClient, ReplayCache, example_evaluator,
-                  http_transport)
-from .prompts import default_template, load_dd_source, render_dd
+from .llm import (DEFAULT_TEMPERATURE, LlmClient, ReplayCache, completion_of,
+                  example_evaluator, http_transport)
+from .prompts import DD_VARIANTS, default_template, load_dd_source, render_dd
+from .resources import INTEGER, INTEGERS, OBJECT, STRING, Schema
 from .selection import Bm25Index, bm25_rank, coverage_fraction, greedy_select
 
 CSV_HEADER = "seed,split,dialect,dd_variant,k,accuracy,exec_failure_rate"
+SELECTION_METHODS = ("random", "coverage", "bm25")
 
 
 def resolve_path(path: str, base: Path | None = None) -> Path:
@@ -85,8 +88,8 @@ class DemoSelector:
     paraphrases share one), so extraction runs once per distinct program text
     and every id holding that text gets the same set.  The BM25 index is built
     on first use and reused by every query.  Greedy coverage picks do not
-    depend on the seed, so they are made once per k.  Safe to share between
-    threads.
+    depend on the seed, so they are made once per k.  Not for sharing between
+    threads: the engine selects on its calling thread only.
     """
 
     def __init__(self, dataset: Dataset, split: Split, dialect: str):
@@ -94,25 +97,23 @@ class DemoSelector:
         self.split = split
         self.dialect = dialect
         self.pool = [ex_id for ex_id in split.train_ids if dialect in dataset[ex_id].programs]
-        self._lock = threading.RLock()
         self._operator_sets: dict[str, frozenset[str]] | None = None
         self._structures: frozenset[str] = frozenset()
         self._index: Bm25Index | None = None
         self._coverage: dict[int, tuple[list[str], float]] = {}
 
     def operator_sets(self) -> dict[str, frozenset[str]]:
-        with self._lock:
-            if self._operator_sets is None:
-                by_text: dict[str, frozenset[str]] = {}
-                sets = {}
-                for ex_id in self.pool:
-                    text = self.dataset[ex_id].programs[self.dialect]
-                    if text not in by_text:
-                        by_text[text] = operators_of(self.dialect, text)
-                    sets[ex_id] = by_text[text]
-                self._operator_sets = sets
-                self._structures = frozenset().union(*by_text.values())
-            return self._operator_sets
+        if self._operator_sets is None:
+            by_text: dict[str, frozenset[str]] = {}
+            sets = {}
+            for ex_id in self.pool:
+                text = self.dataset[ex_id].programs[self.dialect]
+                if text not in by_text:
+                    by_text[text] = operators_of(self.dialect, text)
+                sets[ex_id] = by_text[text]
+            self._operator_sets = sets
+            self._structures = frozenset().union(*by_text.values())
+        return self._operator_sets
 
     def coverage_fraction(self, ids) -> float:
         sets = self.operator_sets()
@@ -120,20 +121,18 @@ class DemoSelector:
 
     def coverage_picks(self, k: int) -> tuple[list[str], float]:
         """Greedy coverage picks for ``k`` and the fraction of pool structures they cover."""
-        with self._lock:
-            if k not in self._coverage:
-                sets = self.operator_sets()
-                ids = greedy_select([(i, sets[i]) for i in self.pool], self._structures, k)
-                self._coverage[k] = (ids, self.coverage_fraction(ids))
-            ids, fraction = self._coverage[k]
-            return list(ids), fraction
+        if k not in self._coverage:
+            sets = self.operator_sets()
+            ids = greedy_select([(i, sets[i]) for i in self.pool], self._structures, k)
+            self._coverage[k] = (ids, self.coverage_fraction(ids))
+        ids, fraction = self._coverage[k]
+        return list(ids), fraction
 
     def bm25_index(self) -> Bm25Index:
-        with self._lock:
-            if self._index is None:
-                self._index = Bm25Index(
-                    [(ex_id, self.dataset[ex_id].utterance) for ex_id in self.pool])
-            return self._index
+        if self._index is None:
+            self._index = Bm25Index(
+                [(ex_id, self.dataset[ex_id].utterance) for ex_id in self.pool])
+        return self._index
 
     def select(self, method: str, k: int, seed: int, query: str | None = None) -> list[str]:
         if method == "random":
@@ -165,31 +164,41 @@ def config_temperature(client_config: dict) -> float:
     return float(temperature) + 0.0
 
 
+_RUN_CONFIG = Schema(("client", OBJECT), ("dataset", STRING), ("split", STRING),
+                     ("environment", STRING), ("dialect", STRING), ("seeds", INTEGERS),
+                     ("gold_dialect", STRING, None), ("dd_variant", STRING, "full"),
+                     ("selection", OBJECT, {"method": "random", "k": 3}),
+                     ("template_id", STRING, "v1"))
+_SELECTION = Schema(("k", INTEGER), ("method", STRING))
+
+
 def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> dict:
-    temperature = config_temperature(config["client"])
-    dataset = load_dataset(resolve_path(config["dataset"], base))
-    split = load_split(resolve_path(config["split"], base), dataset)
-    if not split.test_ids:
-        raise SemkitError("experiment has zero test examples")
-    environment = config["environment"]
-    dialect = config["dialect"]
-    gold_dialect = config.get("gold_dialect", dialect)
+    # the whole config is checked before any dataset, split, cache or world is read
+    (client_config, dataset_file, split_file, environment, dialect, seeds, gold_dialect,
+     dd_variant, selection, template_id) = _RUN_CONFIG.read(config, "run config")
+    k, method = _SELECTION.read(selection, "run config", within="selection")
+    gold_dialect = dialect if gold_dialect is None else gold_dialect
+    temperature = config_temperature(client_config)
     dialect_for(dialect, environment)
     dialect_for(gold_dialect, environment)
-    dd_variant = config.get("dd_variant", "full")
-    selection = config.get("selection", {"method": "random", "k": 3})
-    method, k = selection["method"], int(selection["k"])
-    seeds = config["seeds"]
+    if dd_variant not in DD_VARIANTS:
+        raise SemkitError(f"unknown DD variant {dd_variant!r} (known: {', '.join(DD_VARIANTS)})")
+    if method not in SELECTION_METHODS:
+        raise SemkitError(f"unknown selection method {method!r}")
     if not seeds:
         raise SemkitError("seeds list must be nonempty")
-    model = config["client"].get("model", "unspecified-model")
-    client = make_client(config["client"], base)
+    dataset = load_dataset(resolve_path(dataset_file, base))
+    split = load_split(resolve_path(split_file, base), dataset)
+    if not split.test_ids:
+        raise SemkitError("experiment has zero test examples")
+    model = client_config.get("model", "unspecified-model")
+    client = make_client(client_config, base)
     env_object = load_config_environment(config, base)
     policy = POLICIES[environment]
-    evaluate = example_evaluator(
-        client, model, temperature, dialect, gold_dialect, dd_variant,
+    request, judge = example_evaluator(
+        model, temperature, dialect, gold_dialect, dd_variant,
         dd_text(environment, dialect, dd_variant),
-        default_template(config.get("template_id", "v1")), policy,
+        default_template(template_id), policy,
         memoized_runs(environment, env_object),  # predicted and gold, keyed by the text run
         env_object if policy.name_canonicalization else None)
     selector = DemoSelector(dataset, split, dialect)
@@ -197,25 +206,27 @@ def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> di
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
     per_seed_rows = []
+    examples = [dataset[test_id] for test_id in split.test_ids]
     for seed in seeds:
         fixed_ids = None if method == "bm25" else selector.select(method, k, seed)
-
-        def evaluate_one(test_id, seed=seed, fixed_ids=fixed_ids):
-            example = dataset[test_id]
+        requests = []
+        for example in examples:
             ids = fixed_ids
             if ids is None:
                 ids = selector.select("bm25", k, seed, example.utterance)
-            verdict, detail = evaluate(example, [dataset[i] for i in ids])
-            if verdict == "harness-error":
-                print(f"seed {seed} {test_id}: {detail}", file=sys.stderr)
-            return test_id, verdict
-
-        if jobs > 1:
+            requests.append(request(example, [dataset[i] for i in ids]))
+        if jobs > 1:  # only the completion calls, which wait on I/O, overlap
             from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                verdicts = list(pool.map(evaluate_one, split.test_ids))
+                completions = list(pool.map(lambda r: completion_of(client, r), requests))
         else:
-            verdicts = [evaluate_one(test_id) for test_id in split.test_ids]
+            completions = [completion_of(client, r) for r in requests]
+        verdicts = []
+        for example, completion in zip(examples, completions):
+            verdict, detail = judge(example, completion)
+            if verdict == "harness-error":
+                print(f"seed {seed} {example.id}: {detail}", file=sys.stderr)
+            verdicts.append((example.id, verdict))
         report = report_from_verdicts(seed, verdicts)
         reports.append(report)
         (out_dir / f"report_seed{seed}.json").write_text(

@@ -380,8 +380,9 @@ def _pivot_count(pick, model, op, args):
 def _combine(shared, model, op, args):
     """exclude / intersection: the left members (not) in the right set; both sides run first."""
     left, right = _eval(model, args[0]), _eval(model, args[1])
-    if not isinstance(left, _Entities) or not isinstance(right, _Entities):
-        _type_error(op, left)
+    for side in (left, right):  # the message names the first operand that is not entities
+        if not isinstance(side, _Entities):
+            _type_error(op, side)
     right_ids = {id(e) for e in right.items}
     return _Entities([e for e in left.items if (id(e) in right_ids) == shared])
 

@@ -15,6 +15,10 @@ inject a ``transport`` callable instead.
 Completions are post-processed by :func:`extract_program`: the first fenced
 code block wins, else the first function-shaped block (``def ...`` through the
 end of its indented body), else the whole text stripped.
+
+The per-example step (:func:`example_evaluator`) is split around the
+completion call, the one step that waits on I/O: a caller may overlap
+completions on worker threads and judge them all on its own thread.
 """
 
 from __future__ import annotations
@@ -189,28 +193,39 @@ def extract_program(completion: str) -> str:
 
 # --- the per-example evaluation step and annotation bootstrapping ---------------
 
-def example_evaluator(client: LlmClient, model: str, temperature: float, dialect: str,
-                      gold_dialect: str, dd_variant: str, dd_text: str, template: str,
-                      policy: ComparisonPolicy, run, names_world=None):
-    """``evaluate(example, demos) -> (verdict, program)``, shared by run and bootstrap.
+def completion_of(client: LlmClient, request: CompletionRequest) -> str | SemkitError:
+    """The client's completion for ``request``, or the ``SemkitError`` it raised."""
+    try:
+        return client.complete(request)
+    except SemkitError as exc:
+        return exc
 
-    Prompt, complete, extract; run the model's program and the gold program
-    through ``run`` (the caller's outcome memo), with names canonicalized onto
-    ``names_world`` if given, and compare under ``policy``.  A client
-    ``SemkitError`` is a ``harness-error``, with its message for the program.
+
+def example_evaluator(model: str, temperature: float, dialect: str, gold_dialect: str,
+                      dd_variant: str, dd_text: str, template: str, policy: ComparisonPolicy,
+                      run, names_world=None):
+    """``(request, judge)``: the per-example step shared by run and bootstrap, in two halves.
+
+    ``request(example, demos)`` assembles the prompt into a
+    :class:`CompletionRequest`.  ``judge(example, completion) -> (verdict,
+    program)`` takes the completion (see :func:`completion_of`), extracts the
+    program, runs it and the gold program through ``run`` (the caller's
+    outcome memo), with names canonicalized onto ``names_world`` if given, and
+    compares under ``policy``.  A completion that is a ``SemkitError`` is a
+    ``harness-error``, with its message for the program.
     """
 
-    def evaluate(example: Example, demos) -> tuple[str, str]:
+    def request(example: Example, demos) -> CompletionRequest:
         spec = PromptSpec(
             dd_variant=dd_variant, dd_text=dd_text,
             demonstrations=tuple((d.utterance, d.programs[dialect]) for d in demos),
             test_utterance=example.utterance, dialect=dialect)
-        request = CompletionRequest(prompt=build_prompt(spec, template), model=model,
-                                    temperature=temperature)
-        try:
-            completion = client.complete(request)
-        except SemkitError as exc:
-            return "harness-error", str(exc)
+        return CompletionRequest(prompt=build_prompt(spec, template), model=model,
+                                 temperature=temperature)
+
+    def judge(example: Example, completion: str | SemkitError) -> tuple[str, str]:
+        if isinstance(completion, SemkitError):
+            return "harness-error", str(completion)
         program = extract_program(completion)
         pred, gold = program, example.programs[gold_dialect]
         if names_world is not None:
@@ -220,7 +235,7 @@ def example_evaluator(client: LlmClient, model: str, temperature: float, dialect
                 return "execution-failure", program
         return verdict_of(run(dialect, pred), run(gold_dialect, gold), policy), program
 
-    return evaluate
+    return request, judge
 
 
 @dataclass
@@ -259,8 +274,8 @@ def bootstrap_annotations(seed_pool: list[Example], unlabeled: list[Example],
     if not annotated:
         raise SemkitError(f"no seed-pool example is annotated in {config.dialect!r}")
     pending = [ex for ex in unlabeled if config.dialect not in ex.programs]
-    evaluate = example_evaluator(
-        client, config.model, DEFAULT_TEMPERATURE, config.dialect, config.gold_dialect, "full",
+    request, judge = example_evaluator(
+        config.model, DEFAULT_TEMPERATURE, config.dialect, config.gold_dialect, "full",
         render_dd(config.dd_declarations, "full"), default_template(),
         POLICIES[config.environment], memoized_runs(config.environment, env_object))
     for pass_index in range(config.passes):
@@ -268,7 +283,7 @@ def bootstrap_annotations(seed_pool: list[Example], unlabeled: list[Example],
         for at, example in enumerate(pending):
             demos = _draw(annotated, min(config.k, len(annotated)),
                          Lcg(config.seed + pass_index))
-            verdict, program = evaluate(example, demos)
+            verdict, program = judge(example, completion_of(client, request(example, demos)))
             if verdict == "correct":
                 accepted = replace(example, programs={**example.programs, config.dialect: program})
                 pool.append(accepted)

@@ -1,7 +1,8 @@
 """Access to the bundled data files (corpora, environments, DD sources), and the readers
-they go through: :func:`read_jsonl`, :func:`read_world`, and :class:`Schema`, in which
-each field a world or replay-cache loader reads is declared once as a string, a boolean,
-a number or a list of strings (lists of objects go through :func:`objects_of`)."""
+they go through: :func:`read_jsonl`, :func:`read_json_object`, :func:`read_world`, and
+:class:`Schema`, in which each field a world, replay-cache or config loader reads is
+declared once as a string, a boolean, a number, a whole number, an object or a list of
+strings or whole numbers (lists of objects go through :func:`objects_of`)."""
 
 from __future__ import annotations
 
@@ -42,9 +43,8 @@ def read_jsonl(path):
             yield lineno, record
 
 
-def read_world(path) -> tuple[dict, list[tuple[str, dict]]]:
-    """Decode a JSON world file: an object whose ``people`` is a list of objects, each
-    with a string ``id``.  Returns the object and its ``(id, person)`` pairs."""
+def read_json_object(path) -> dict:
+    """Decode a JSON file whose top level is an object (a world or a config file)."""
     with open(path, encoding="utf-8") as fh:
         try:
             record = json.load(fh)
@@ -52,6 +52,13 @@ def read_world(path) -> tuple[dict, list[tuple[str, dict]]]:
             raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise DataFormatError(f"{path}: expected a JSON object at the top level")
+    return record
+
+
+def read_world(path) -> tuple[dict, list[tuple[str, dict]]]:
+    """Decode a JSON world file: an object whose ``people`` is a list of objects, each
+    with a string ``id``.  Returns the object and its ``(id, person)`` pairs."""
+    record = read_json_object(path)
     return record, [(_PERSON_ID.read(person, path, ("people", at))[0], person)
                     for at, person in enumerate(objects_of(record, "people", path))]
 
@@ -76,6 +83,12 @@ def _strings(value):
     raise TypeError
 
 
+def _object(value):
+    if isinstance(value, dict):
+        return value
+    raise TypeError
+
+
 def _number(convert):
     """The kind of what ``convert`` makes of a JSON value other than a boolean, if finite."""
     def kind(value):
@@ -88,14 +101,29 @@ def _number(convert):
     return kind
 
 
+def _whole(value):
+    """``int`` of a JSON number or numeric string, refusing to drop a fractional part."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError
+    return int(value)
+
+
+def _integers(value):
+    if isinstance(value, list):
+        return [INTEGER(item) for item in value]
+    raise TypeError
+
+
 def _any(value):
     return value
 
 
-STRING, BOOLEAN, STRINGS, ANY = _string, _boolean, _strings, _any
-INTEGER, NUMBER = _number(int), _number(float)
-_LABELS = {STRING: "string", BOOLEAN: "boolean", INTEGER: "number", NUMBER: "number",
-           STRINGS: "list of strings"}
+STRING, BOOLEAN, STRINGS, OBJECT, INTEGERS, ANY = (_string, _boolean, _strings, _object,
+                                                   _integers, _any)
+INTEGER, NUMBER = _number(_whole), _number(float)
+_LABELS = {STRING: "string", BOOLEAN: "boolean", INTEGER: "whole number", NUMBER: "number",
+           STRINGS: "list of strings", OBJECT: "JSON object",
+           INTEGERS: "list of whole numbers"}
 
 
 def _place(part) -> str:
@@ -122,7 +150,7 @@ class Schema:
     list ``k`` read with ``within=(k, i)``.  A boolean is JSON true or false only.  A
     number is what ``int`` or ``float`` converts, so a numeric string such as ``"170"``
     loads too; a boolean, NaN or an infinity (a JSON literal, a string or an overflowed
-    float) is not a number.
+    float) is not a number.  A whole number may be written ``170.0`` but not ``170.9``.
     """
 
     def __init__(self, *fields):

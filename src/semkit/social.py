@@ -439,10 +439,12 @@ _AGGREGATES = {"sum": sum, "avg": lambda values: sum(values) / len(values), "min
                "max": max}
 
 
-def _property_values(person: Person, prop: str) -> list:
+def _values_of(prop: str) -> Callable[[Person], list]:
+    """The values-of-one-person function of ``prop``, looked up before any set is: an
+    unknown property fails whatever the set holds, the empty set included."""
     if prop not in PROPERTIES:
         raise MrExecError("unknown-property", f"no property {prop!r}")
-    return PROPERTIES[prop][1](person)
+    return PROPERTIES[prop][1]
 
 
 def _key(item):
@@ -505,11 +507,10 @@ class _LdcsEval:
     def _getProperty(self, x, prop):
         if not isinstance(prop, Sym):
             raise MrExecError("type-mismatch", "getProperty expects a property symbol")
-        items = self.eval(x)
         name = prop.text
         if name == "!type":
             out = []
-            for item in items:
+            for item in self.eval(x):
                 if item == _PERSON_TYPE:
                     out.extend(self.db.people)
                 elif isinstance(item, Person):
@@ -517,27 +518,25 @@ class _LdcsEval:
                 else:
                     raise MrExecError("type-mismatch", f"!type of {item!r}")
             return _dedup(out)
+        values_of = _values_of(name.removeprefix("!"))
+        items = self.eval(x)
         if name.startswith("!"):
-            base = name[1:]
-            if base not in PROPERTIES:
-                raise MrExecError("unknown-property", f"no property {base!r}")
             values = {_key(v) for v in items}
-            return [p for p in self.db.people
-                    if not values.isdisjoint(map(_key, _property_values(p, base)))]
+            return [p for p in self.db.people if not values.isdisjoint(map(_key, values_of(p)))]
         out = []
         for person in self._persons(items, "getProperty"):
-            out.extend(_property_values(person, name))
+            out.extend(values_of(person))
         return _dedup(out)
 
     def _filter(self, x, prop, op, value):
         if not isinstance(prop, Sym) or not isinstance(op, Sym):
             raise MrExecError("type-mismatch", "filter expects property and operator symbols")
+        values_of = _values_of(prop.text)
         items = self._persons(self.eval(x), "filter")
         targets = self.eval(value)
         out = []
         for person in items:
-            values = _property_values(person, prop.text)
-            if self._compare_any(values, op.text, targets):
+            if self._compare_any(values_of(person), op.text, targets):
                 out.append(person)
         return out
 
@@ -556,10 +555,11 @@ class _LdcsEval:
     def _keyed(self, x, prop, numeric: bool):
         if not isinstance(prop, Sym):
             raise MrExecError("type-mismatch", "superlative expects a property symbol")
+        values_of = _values_of(prop.text)
         items = self._persons(self.eval(x), "superlative")
         keyed = []
         for person in items:
-            values = _property_values(person, prop.text)
+            values = values_of(person)
             if numeric:
                 if not values:
                     continue
@@ -590,10 +590,11 @@ class _LdcsEval:
         if not isinstance(prop, Sym) or not isinstance(op, Sym):
             raise MrExecError("type-mismatch",
                               "countComparative needs property and operator symbols")
+        values_of = _values_of(prop.text)
         items = self._persons(self.eval(x), "countComparative")
         out = []
         for person in items:
-            n = len(_property_values(person, prop.text))
+            n = len(values_of(person))
             if self._compare_any([n], op.text, [count.value]):
                 out.append(person)
         return out

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,45 @@ def test_run_missing_cache_entry_degrades_to_failure_verdict(tmp_path, capsys):
     assert report["exec_failure_rate"] == 0.1 and report["accuracy"] == 0.7
 
 
+def test_run_cache_misses_print_in_test_order_for_any_jobs(tmp_path, capsys, monkeypatch):
+    from semkit.errors import CacheMissError
+    from semkit.llm import LlmClient
+
+    cache_lines = data_path("replay_cache.jsonl").read_text().splitlines()
+    kept = [line for at, line in enumerate(cache_lines) if at not in (3, 7)]  # one seed's
+    (tmp_path / "partial.jsonl").write_text("\n".join(kept) + "\n")
+    config = json.loads(data_path("experiment_replay.json").read_text())
+    config["client"]["cache"] = str(tmp_path / "partial.jsonl")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    complete = LlmClient.complete
+    misses = []
+
+    def first_miss_answers_late(client, request):
+        try:
+            return complete(client, request)
+        except CacheMissError:
+            misses.append(request)
+            if len(misses) == 1:  # so under --jobs 4 the later miss is answered first
+                time.sleep(0.2)
+            raise
+
+    monkeypatch.setattr(LlmClient, "complete", first_miss_answers_late)
+    errs = {}
+    for jobs in ("1", "4"):
+        misses.clear()
+        code, _, errs[jobs] = run(capsys, "run", "--config", str(config_path),
+                                  "--output-dir", str(tmp_path / jobs), "--jobs", jobs)
+        assert code == 0
+    assert errs["1"] == errs["4"]
+    missed = re.findall(r"^seed (\S+) (\S+): no cached completion", errs["1"], re.MULTILINE)
+    assert len(missed) == len(errs["1"].splitlines()) == 2
+    test_ids = load_split(data_path("splits", "geoquery_iid.json"),
+                          load_dataset(data_path("datasets", "geoquery.jsonl"))).test_ids
+    order = [(config["seeds"].index(int(seed)), test_ids.index(ex_id)) for seed, ex_id in missed]
+    assert order == sorted(order)
+
+
 def test_run_jobs_comes_from_the_command_line_only(tmp_path, capsys, monkeypatch):
     import concurrent.futures
 
@@ -206,6 +246,52 @@ def test_run_on_a_corrupt_cache_is_an_error_line(tmp_path, capsys, corrupt_line,
                          "--output-dir", str(tmp_path / "out"))
     assert code == 1 and out == ""
     assert err.startswith(f"error: {corrupt}: line 4: {message}")
+    assert len(err.splitlines()) == 1  # no traceback
+
+
+def _edited(change):
+    """A config-text edit that applies ``change`` to the decoded config."""
+    def edit(text):
+        config = json.loads(text)
+        change(config)
+        return json.dumps(config)
+    return edit
+
+
+_CUT_SHORT, _IN_A_LIST = (lambda text: text[:-3]), (lambda text: f"[{text}]")
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("run", _CUT_SHORT, "{path}: not valid JSON: "),
+    ("run", _IN_A_LIST, "{path}: expected a JSON object at the top level\n"),
+    ("run", _edited(lambda c: c.pop("client")), "run config: missing field 'client'\n"),
+    ("run", _edited(lambda c: c.update(dd_variant="fancy")),
+     "unknown DD variant 'fancy' (known: none, operator-list, no-typing, full)\n"),
+    ("run", _edited(lambda c: c.update(seeds="ab")),
+     "run config: field 'seeds' is not a list of whole numbers: 'ab'\n"),
+    ("run", _edited(lambda c: c.update(selection={"k": "x"})),
+     "run config: field 'selection.k' is not a whole number: 'x'\n"),
+    ("bootstrap", _CUT_SHORT, "{path}: not valid JSON: "),
+    ("bootstrap", _IN_A_LIST, "{path}: expected a JSON object at the top level\n"),
+    ("bootstrap", _edited(lambda c: c.pop("dataset")),
+     "bootstrap config: missing field 'dataset'\n"),
+], ids=["run not JSON", "run top level a list", "run without client", "run DD fancy",
+        "run seeds ab", "run k x", "bootstrap not JSON", "bootstrap top level a list",
+        "bootstrap without dataset"])
+def test_malformed_config_is_an_error_line_before_any_file_is_read(tmp_path, capsys, command,
+                                                                   edit, message):
+    bundled = "experiment_replay.json" if command == "run" else "bootstrap_replay.json"
+    config = json.loads(data_path(bundled).read_text())
+    missing = tmp_path / "missing"  # reading any file the config names fails differently
+    config.update(dataset=str(missing / "data.jsonl"), environment_file=str(missing / "w.json"))
+    if "split" in config:
+        config["split"] = str(missing / "split.json")
+    config["client"]["cache"] = str(missing / "cache.jsonl")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(edit(json.dumps(config, indent=2)))
+    code, out, err = run(capsys, command, "--config", str(config_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: " + message.format(path=config_path)), err
     assert len(err.splitlines()) == 1  # no traceback
 
 

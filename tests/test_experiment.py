@@ -1,12 +1,10 @@
 import json
 import random
-import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from semkit import cli, execute, experiment, selection
+from semkit import cli, execute, experiment, llm, selection
 from semkit.corpus import Dataset, Example, Split, load_dataset, load_split, sample_demos
 from semkit.execute import operators_of
 from semkit.experiment import DemoSelector, run_experiment
@@ -122,39 +120,27 @@ def test_gold_outcomes_are_shared_across_seeds(monkeypatch, tmp_path, geoquery,
     assert golds <= set(keys)
 
 
-def test_memoized_runs_run_each_key_once_across_threads(monkeypatch, geo_model):
-    runs = counting(monkeypatch, execute, "run_program")
-    texts = ["answer(count(state(all)))", "answer(count(river(all)))",
-             "answer(largest(state(all)))"]
-    run = execute.memoized_runs("geo", geo_model)
-    want = {text: execute.DIALECTS["funql"].execute(
-        execute.DIALECTS["funql"].parse(text), "geo", geo_model) for text in texts}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads often, so a check-then-run race would show
-    try:
-        with ThreadPoolExecutor(max_workers=8) as workers:
-            got = list(workers.map(lambda i: run("funql", texts[i % 3]), range(240),
-                                   timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(args[1] for args in runs) == sorted(texts)
-    assert got == [want[texts[i % 3]] for i in range(240)]
+def test_jobs_overlap_only_the_completion_calls(monkeypatch, tmp_path):
+    threads = {}
 
+    def record_thread(owner, name):
+        original = getattr(owner, name)
 
-def test_memoized_runs_run_distinct_keys_concurrently(monkeypatch, geo_model):
-    b_ran = threading.Event()
+        def wrapper(*args, **kwargs):
+            threads.setdefault(name, []).append(threading.current_thread())
+            return original(*args, **kwargs)
 
-    def fake_run(dialect, text, environment, env_object):
-        if text == "A":  # finishes only once B has run, so B must not wait for A
-            return b_ran.wait(timeout=10)
-        b_ran.set()
-        return text
+        monkeypatch.setattr(owner, name, wrapper)
 
-    monkeypatch.setattr(execute, "run_program", fake_run)
-    run = execute.memoized_runs("geo", geo_model)
-    with ThreadPoolExecutor(max_workers=2) as workers:
-        got = list(workers.map(lambda text: run("funql", text), ["A", "B"], timeout=30))
-    assert got == [True, "B"]
+    record_thread(execute, "run_program")
+    record_thread(llm.LlmClient, "complete")
+    config_path = data_path("experiment_replay.json")
+    config = json.loads(config_path.read_text())
+    aggregate = run_experiment(config, config_path.parent, tmp_path, jobs=4)
+    assert aggregate["accuracies"] == [0.8, 0.7, 0.9]
+    assert len(threads["complete"]) == 30 and len(threads["run_program"]) == 16
+    assert all(t is threading.main_thread() for t in threads["run_program"])
+    assert not any(t is threading.main_thread() for t in threads["complete"])
 
 
 def test_memoized_runs_do_not_keep_a_run_that_raised(monkeypatch, geo_model):
@@ -170,12 +156,8 @@ def test_memoized_runs_do_not_keep_a_run_that_raised(monkeypatch, geo_model):
     run = execute.memoized_runs("geo", geo_model)
     with pytest.raises(RuntimeError):
         run("funql", "A")
-    results = []  # a key left in flight would make the next caller wait forever
-    retry = threading.Thread(target=lambda: results.append(run("funql", "A")), daemon=True)
-    retry.start()
-    retry.join(timeout=10)
-    assert not retry.is_alive() and results == ["A"]
-    assert run("funql", "A") == "A" and calls == ["A", "A"]
+    assert run("funql", "A") == "A" and run("funql", "A") == "A"
+    assert calls == ["A", "A"]
 
 
 def test_unknown_selection_method_is_an_error(geoquery, geoquery_split):

@@ -9,6 +9,7 @@ import pytest
 from semkit.execute import run_program
 
 PEOPLE = "(getProperty en.person !type)"
+NOBODY = f"(filter {PEOPLE} gender = en.gender.none)"
 NO_PROPERTY = ("unknown-property", "unknown-property: no property 'shoe_size'")
 
 
@@ -48,11 +49,13 @@ CASES = [
     ("funql", "answer(exclude(count(state(all)), state(all)))",
      _mismatch("exclude cannot be applied to numbers of this shape")),
     ("funql", "answer(exclude(state(all), count(state(all))))",
-     _mismatch("exclude cannot be applied to entities of this shape")),
+     _mismatch("exclude cannot be applied to numbers of this shape")),
     ("funql", "answer(exclude(count(state(all)), area_1(city(all))))",  # both sides run first
      _mismatch("area_1 not defined for city")),
     ("funql", "answer(intersection(state(all), len(river(all))))",
-     _mismatch("intersection cannot be applied to entities of this shape")),
+     _mismatch("intersection cannot be applied to numbers of this shape")),
+    ("funql", "answer(intersection(count(river(all)), len(river(all))))",
+     _mismatch("intersection cannot be applied to numbers of this shape")),
     ("funql", "answer(most(state(all)))", _mismatch("most expects P(rel_i(S))")),
     ("funql", "answer(most(count(loc_2(state(all)))))", _mismatch("most expects P(rel_i(S))")),
     ("funql", "answer(most(state(loc_1(count(city(all))))))",
@@ -76,6 +79,13 @@ CASES = [
     ("ldcs-simple", f"(listValue (countComparative {PEOPLE} shoe_size > 1))", NO_PROPERTY),
     ("ldcs", "(call SW.listValue (call SW.filter (call SW.getProperty (call SW.singleton "
              "en.person) (string !type)) (string shoe_size) (string =) (number 3)))", NO_PROPERTY),
+    # ... which the property name alone decides, on the empty set too
+    ("ldcs-simple", f"(listValue (getProperty {NOBODY} shoe_size))", NO_PROPERTY),
+    ("ldcs-simple", f"(listValue (getProperty {NOBODY} !shoe_size))", NO_PROPERTY),
+    ("ldcs-simple", f"(listValue (filter {NOBODY} shoe_size = 3))", NO_PROPERTY),
+    ("ldcs-simple", f"(listValue (superlative {NOBODY} argmax shoe_size))", NO_PROPERTY),
+    ("ldcs-simple", f"(listValue (countSuperlative {NOBODY} argmin shoe_size))", NO_PROPERTY),
+    ("ldcs-simple", f"(listValue (countComparative {NOBODY} shoe_size > 1))", NO_PROPERTY),
 ]
 
 

@@ -137,7 +137,8 @@ def test_non_numeric_field_names_path_line_and_field(tmp_path, kind, field):
     path = _write(tmp_path, records)
     with pytest.raises(DataFormatError) as info:
         load_geobase(path)
-    assert str(info.value) == f"{path}: line {at + 1}: field {field!r} is not a number: 'big'"
+    label = "whole number" if field == "population" else "number"
+    assert str(info.value) == f"{path}: line {at + 1}: field {field!r} is not a {label}: 'big'"
 
 
 @pytest.mark.parametrize("field, raw, shown", [
@@ -154,7 +155,8 @@ def test_boolean_or_non_finite_number_names_the_line_and_field(tmp_path, field, 
     path.write_text(path.read_text(encoding="utf-8").replace('"@"', raw), encoding="utf-8")
     with pytest.raises(DataFormatError) as info:
         load_geobase(path)
-    assert str(info.value) == f"{path}: line {at + 1}: field {field!r} is not a number: {shown}"
+    label = "whole number" if field == "population" else "number"
+    assert str(info.value) == f"{path}: line {at + 1}: field {field!r} is not a {label}: {shown}"
 
 
 def test_numeric_strings_still_load(tmp_path, geo_model):

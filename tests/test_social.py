@@ -240,17 +240,20 @@ def _db_with(person_edit):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda p: p.update(birthdate="x"), "field 'birthdate' is not a number: 'x'"),
-    (lambda p: p.update(height=None), "field 'height' is not a number: None"),
-    (lambda p: p.update(birthdate=True), "field 'birthdate' is not a number: True"),
-    (lambda p: p.update(height=False), "field 'height' is not a number: False"),
-    (lambda p: p.update(height=float("nan")), "field 'height' is not a number: nan"),
+    (lambda p: p.update(birthdate="x"), "field 'birthdate' is not a whole number: 'x'"),
+    (lambda p: p.update(height=None), "field 'height' is not a whole number: None"),
+    (lambda p: p.update(birthdate=True), "field 'birthdate' is not a whole number: True"),
+    (lambda p: p.update(height=False), "field 'height' is not a whole number: False"),
+    (lambda p: p.update(height=float("nan")), "field 'height' is not a whole number: nan"),
+    (lambda p: p.update(height=170.9), "field 'height' is not a whole number: 170.9"),
+    (lambda p: p["employment"][0].update(start_date=2019.5),
+     "field 'employment[0].start_date' is not a whole number: 2019.5"),
     (lambda p: p["education"][0].update(start_date=True),
-     "field 'education[0].start_date' is not a number: True"),
+     "field 'education[0].start_date' is not a whole number: True"),
     (lambda p: p["education"][0].update(start_date="soon"),
-     "field 'education[0].start_date' is not a number: 'soon'"),
+     "field 'education[0].start_date' is not a whole number: 'soon'"),
     (lambda p: p["employment"][1].update(end_date=[2020]),
-     "field 'employment[1].end_date' is not a number: [2020]"),
+     "field 'employment[1].end_date' is not a whole number: [2020]"),
     (lambda p: p["education"][0].pop("institution"),
      "missing field 'education[0].institution'"),
     (lambda p: p["employment"][0].pop("employer"), "missing field 'employment[0].employer'"),
@@ -290,12 +293,14 @@ def test_social_db_without_history_lists_loads(tmp_path, social_db):
     assert alice.birthdate == social_db.people[0].birthdate
 
 
-def test_social_db_with_numeric_strings_loads(tmp_path):
+@pytest.mark.parametrize("height, birthdate", [("170", "1990"), (170.0, 1990.0)])
+def test_social_db_with_numeric_strings_loads(tmp_path, height, birthdate):
     path = tmp_path / "social.json"
-    path.write_text(json.dumps(_db_with(lambda p: p.update(height="170", birthdate="1990"))),
+    path.write_text(json.dumps(_db_with(lambda p: p.update(height=height, birthdate=birthdate))),
                     encoding="utf-8")
     alice = load_social_db(path).people[0]
     assert (alice.height, alice.birthdate) == (170, 1990)
+    assert type(alice.height) is int and type(alice.birthdate) is int
 
 
 def test_execute_on_a_social_db_with_a_bad_birthdate_is_an_error_line(tmp_path, capsys):
@@ -310,4 +315,4 @@ def test_execute_on_a_social_db_with_a_bad_birthdate_is_an_error_line(tmp_path, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"error: {world}: en.person.alice: field 'birthdate' "
-                            f"is not a number: 'x'\n")
+                            f"is not a whole number: 'x'\n")
