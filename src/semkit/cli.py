@@ -99,14 +99,18 @@ def cmd_prompt(args) -> int:
     return 0
 
 
+_RUN_OUTPUT = Schema(("output_dir", STRING, None))
+
+
 def cmd_run(args) -> int:
     config_path = Path(args.config)
     config = read_json_object(config_path)
     base = config_path.parent
+    (output_dir,) = _RUN_OUTPUT.read(config, "run config")
     if args.output_dir:
         out_dir = Path(args.output_dir)
-    elif "output_dir" in config:
-        out_dir = resolve_path(config["output_dir"], base)
+    elif output_dir is not None:
+        out_dir = resolve_path(output_dir, base)
     else:
         out_dir = Path("out")  # relative to the caller, never the config's home
     aggregate = run_experiment(config, base, out_dir, jobs=args.jobs)
@@ -117,7 +121,8 @@ def cmd_run(args) -> int:
 _BOOTSTRAP_CONFIG = Schema(("dataset", STRING), ("environment", STRING), ("dialect", STRING),
                            ("gold_dialect", STRING), ("seed_ids", STRINGS),
                            ("unlabeled_ids", STRINGS), ("client", OBJECT), ("k", INTEGER, 3),
-                           ("passes", INTEGER, 3), ("seed", INTEGER, 0))
+                           ("passes", INTEGER, 3), ("seed", INTEGER, 0),
+                           ("environment_file", STRING, None), ("output", STRING, None))
 
 
 def cmd_bootstrap(args) -> int:
@@ -128,8 +133,14 @@ def cmd_bootstrap(args) -> int:
     config = read_json_object(config_path)
     base = config_path.parent
     (dataset_file, environment, dialect, gold_dialect, seed_ids, unlabeled_ids, client_config,
-     k, passes, seed) = _BOOTSTRAP_CONFIG.read(config, "bootstrap config")
+     k, passes, seed, environment_file, output) = _BOOTSTRAP_CONFIG.read(config,
+                                                                          "bootstrap config")
+    client, model = make_client(client_config, base, "bootstrap config")
     dataset = load_dataset(resolve_path(dataset_file, base))
+    for key, ids in (("seed_ids", seed_ids), ("unlabeled_ids", unlabeled_ids)):
+        unknown = [ex_id for ex_id in ids if ex_id not in dataset]
+        if unknown:
+            raise SemkitError(f"bootstrap config: {key} names unknown example ids: {unknown}")
     seed_pool = [dataset[i] for i in seed_ids]
     # ids listed as unlabeled are treated as lacking the target-dialect annotation
     unlabeled = []
@@ -138,17 +149,14 @@ def cmd_bootstrap(args) -> int:
         programs = {d: p for d, p in example.programs.items() if d != dialect}
         unlabeled.append(Example(id=example.id, utterance=example.utterance,
                                  programs=programs, tags=example.tags))
-    env_object = load_config_environment(config, base)
-    client = make_client(client_config, base)
+    env_object = load_config_environment(environment, environment_file, base)
     bootstrap_config = BootstrapConfig(
         environment=environment, dialect=dialect, gold_dialect=gold_dialect,
-        model=client_config.get("model", "m"), k=k, passes=passes, seed=seed,
+        model=model, k=k, passes=passes, seed=seed,
         dd_declarations=load_dd_source(dd_path(environment, dialect)))
     pool = bootstrap_annotations(seed_pool, unlabeled, env_object, client, bootstrap_config)
-    if "output" in config:
-        output = resolve_path(config["output"], base)
-    else:
-        output = Path("pool.jsonl")  # relative to the caller, like run's default out
+    # without an output key, relative to the caller, like run's default out
+    output = Path("pool.jsonl") if output is None else resolve_path(output, base)
     with open(output, "w", encoding="utf-8") as fh:
         for example in pool:
             fh.write(example_to_json_line(example) + "\n")

@@ -7,23 +7,19 @@ Dataset files are JSONL, one example per line::
     {"id": str, "utterance": str, "programs": {dialect: str, ...}, "tags": [str, ...]}
 
 ``tags`` may be left out.  Lines are read by
-:func:`semkit.resources.read_jsonl`, which skips blank lines and decodes each
-other line as ``json.loads`` would.  :func:`load_dataset` then checks each
-record in this order and raises :class:`~semkit.errors.DataFormatError`,
-naming the path and line, at the first violation: the line is not valid JSON;
-it is not an object; ``id``, ``utterance`` or ``programs`` is missing; ``id``
-is not a string; ``id`` repeats an earlier line's; ``utterance`` is not a
-string; ``programs`` is not an object; a dialect name is unknown; a program is
-not a string; ``tags`` is not an array of strings.
+:func:`semkit.resources.read_jsonl` and each record's fields through one
+:class:`~semkit.resources.Schema`; :func:`load_dataset` then rejects a
+repeated id, an unknown dialect name and a program that is not a string.
 
 Split files are JSON::
 
     {"name": str, "train": [id, ...], "test": [id, ...]}
 
-A split file that is not an object, whose ``train`` or ``test`` is not an
-array, or whose ids are unknown, repeated within a part or in both parts, is a
-``DataFormatError``.  Dialect names are the keys of
-:data:`semkit.execute.DIALECTS`.
+read by :func:`semkit.resources.read_json_object` and one ``Schema``; every
+key may be left out.  An id that is unknown, repeated within a part or in
+both parts is rejected too.  Every violation is a
+:class:`~semkit.errors.DataFormatError` naming the path (and a dataset's
+line).  Dialect names are the keys of :data:`semkit.execute.DIALECTS`.
 
 Sampling PRNG
 -------------
@@ -48,7 +44,7 @@ from dataclasses import dataclass
 
 from .errors import DataFormatError, PoolExhaustedError
 from .execute import DIALECTS
-from .resources import read_jsonl
+from .resources import OBJECT, STRING, STRINGS, Schema, read_json_object, read_jsonl
 
 _LCG_MULT = 1664525
 _LCG_INC = 1013904223
@@ -107,59 +103,31 @@ class DemoSet:
         return tuple(ex.id for ex in self.examples)
 
 
-def load_dataset(path, name: str | None = None) -> Dataset:
-    """Load a JSONL dataset, preserving file order.
+_EXAMPLE = Schema(("id", STRING), ("utterance", STRING), ("programs", OBJECT),
+                  ("tags", STRINGS, ()))
 
-    Raises DataFormatError, naming the path and line, on a line that is not a
-    JSON object of the documented shape, a duplicate id or an unknown dialect
-    name (the checks and their order are in the module docstring).
-    """
+
+def load_dataset(path, name: str | None = None) -> Dataset:
+    """Load a JSONL dataset, preserving file order (the checks are in the module docstring)."""
     examples: list[Example] = []
     seen: set[str] = set()
     dialects: list[str] = []
-
-    def bad(message: str) -> DataFormatError:
-        return DataFormatError(f"{path}: line {lineno}: {message}")
-
     for lineno, record in read_jsonl(path):
-        if not isinstance(record, dict):
-            raise bad(f"expected a JSON object, got {_json_type(record)}")
-        try:
-            ex_id = record["id"]
-            utterance = record["utterance"]
-            programs = record["programs"]
-        except KeyError as exc:
-            raise bad(f"missing field {exc}") from exc
-        tags = record.get("tags", [])
-        if not isinstance(ex_id, str):
-            raise bad(f"id must be a string, got {_json_type(ex_id)}")
+        ex_id, utterance, programs, tags = _EXAMPLE.read(record, path, lineno)
         if ex_id in seen:
-            raise bad(f"duplicate id {ex_id!r}")
+            raise DataFormatError(f"{path}: line {lineno}: duplicate id {ex_id!r}")
         seen.add(ex_id)
-        if not isinstance(utterance, str):
-            raise bad(f"utterance must be a string, got {_json_type(utterance)}")
-        if not isinstance(programs, dict):
-            raise bad(f"programs must be an object, got {_json_type(programs)}")
-        for dialect in programs:
+        for dialect, program in programs.items():
             if dialect not in DIALECTS:
-                raise bad(f"unknown dialect {dialect!r} (known: {', '.join(DIALECTS)})")
+                raise DataFormatError(f"{path}: line {lineno}: unknown dialect {dialect!r} "
+                                      f"(known: {', '.join(DIALECTS)})")
+            if not isinstance(program, str):
+                raise DataFormatError(f"{path}: line {lineno}: field 'programs.{dialect}' "
+                                      f"is not a string: {program!r}")
             if dialect not in dialects:
                 dialects.append(dialect)
-        for dialect, program in programs.items():
-            if not isinstance(program, str):
-                raise bad(f"program {dialect!r} must be a string, got {_json_type(program)}")
-        if not isinstance(tags, list) or not all(isinstance(tag, str) for tag in tags):
-            raise bad("tags must be an array of strings")
         examples.append(Example(ex_id, utterance, programs, frozenset(tags)))
     return Dataset(name=name or str(path), dialects=tuple(dialects), examples=tuple(examples))
-
-
-def _json_type(value) -> str:
-    """The JSON name of a decoded value's type."""
-    if isinstance(value, bool):
-        return "a boolean"
-    return {dict: "an object", list: "an array", str: "a string", int: "a number",
-            float: "a number"}.get(type(value), "null")
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -179,26 +147,18 @@ def example_to_json_line(ex: Example) -> str:
     return json.dumps(record, ensure_ascii=False)
 
 
+_SPLIT = Schema(("name", STRING, None), ("train", STRINGS, []), ("test", STRINGS, []))
+
+
 def load_split(path, dataset: Dataset) -> Split:
-    """Load a split file and check it against the dataset.
+    """Load a split file and check it against the dataset; ``name`` defaults to the path.
 
     Every id must name a dataset example, appear at most once within ``train``
     and within ``test``, and not appear in both.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            record = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(record, dict):
-        raise DataFormatError(f"{path}: expected a JSON object, got {_json_type(record)}")
-    train = record.get("train", [])
-    test = record.get("test", [])
-    for part, ids in (("train", train), ("test", test)):
-        if not isinstance(ids, list):
-            raise DataFormatError(f"{path}: {part} must be an array, got {_json_type(ids)}")
+    name, train, test = _SPLIT.read(read_json_object(path), path)
     for ex_id in [*train, *test]:
-        if not isinstance(ex_id, str) or ex_id not in dataset:
+        if ex_id not in dataset:
             raise DataFormatError(f"{path}: unknown example id {ex_id!r}")
     for part, ids in (("train", train), ("test", test)):
         repeated = sorted(ex_id for ex_id, n in Counter(ids).items() if n > 1)
@@ -207,7 +167,8 @@ def load_split(path, dataset: Dataset) -> Split:
     overlap = set(train) & set(test)
     if overlap:
         raise DataFormatError(f"{path}: train/test overlap: {sorted(overlap)}")
-    return Split(name=record.get("name", str(path)), train_ids=tuple(train), test_ids=tuple(test))
+    return Split(name=str(path) if name is None else name, train_ids=tuple(train),
+                 test_ids=tuple(test))
 
 
 class Lcg:

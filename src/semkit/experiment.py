@@ -50,26 +50,35 @@ def resolve_path(path: str, base: Path | None = None) -> Path:
     return resolved
 
 
-def load_config_environment(config: dict, base: Path):
+def load_config_environment(environment: str, environment_file: str | None, base: Path):
     """The environment object a config names; ``environment_file`` defaults to the bundled one."""
-    environment = config["environment"]
     if environment not in ENVIRONMENTS:
         raise SemkitError(f"unknown environment {environment!r}")
-    default = f"bundled:{resources.environment_path(environment).name}"
-    return load_environment(environment,
-                            resolve_path(config.get("environment_file", default), base))
+    if environment_file is None:
+        return load_environment(environment, resources.environment_path(environment))
+    return load_environment(environment, resolve_path(environment_file, base))
 
 
-def make_client(client_config: dict, base: Path) -> LlmClient:
-    mode = client_config.get("mode", "replay")
-    cache = None
-    if "cache" in client_config:
-        cache = ReplayCache(resolve_path(client_config["cache"], base))
-    transport = None
-    if mode in ("live", "record"):
-        transport = http_transport(client_config["endpoint"],
-                                   client_config.get("api_key_env", "SEMKIT_API_KEY"))
-    return LlmClient(mode=mode, cache=cache, transport=transport)
+CLIENT_MODES = ("live", "record", "replay")
+_CLIENT = Schema(("mode", STRING, "replay"), ("model", STRING, "unspecified-model"),
+                 ("cache", STRING, None), ("endpoint", STRING, None),
+                 ("api_key_env", STRING, "SEMKIT_API_KEY"))
+
+
+def make_client(client_config: dict, base: Path, where: str) -> tuple[LlmClient, str]:
+    """The client a config's ``client`` block declares, checked before its cache is read,
+    and the model id it asks for."""
+    mode, model, cache, endpoint, api_key_env = _CLIENT.read(client_config, where,
+                                                             within="client")
+    if mode not in CLIENT_MODES:
+        raise SemkitError(f"unknown client mode {mode!r} (known: {', '.join(CLIENT_MODES)})")
+    if mode != "replay" and endpoint is None:
+        raise SemkitError(f"client mode {mode!r} needs an endpoint")
+    if mode != "live" and cache is None:
+        raise SemkitError(f"client mode {mode!r} needs a cache")
+    cache = None if cache is None else ReplayCache(resolve_path(cache, base))
+    transport = None if mode == "replay" else http_transport(endpoint, api_key_env)
+    return LlmClient(mode=mode, cache=cache, transport=transport), model
 
 
 def dd_text(environment: str, dialect: str, variant: str) -> str:
@@ -168,14 +177,14 @@ _RUN_CONFIG = Schema(("client", OBJECT), ("dataset", STRING), ("split", STRING),
                      ("environment", STRING), ("dialect", STRING), ("seeds", INTEGERS),
                      ("gold_dialect", STRING, None), ("dd_variant", STRING, "full"),
                      ("selection", OBJECT, {"method": "random", "k": 3}),
-                     ("template_id", STRING, "v1"))
+                     ("template_id", STRING, "v1"), ("environment_file", STRING, None))
 _SELECTION = Schema(("k", INTEGER), ("method", STRING))
 
 
 def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> dict:
     # the whole config is checked before any dataset, split, cache or world is read
     (client_config, dataset_file, split_file, environment, dialect, seeds, gold_dialect,
-     dd_variant, selection, template_id) = _RUN_CONFIG.read(config, "run config")
+     dd_variant, selection, template_id, environment_file) = _RUN_CONFIG.read(config, "run config")
     k, method = _SELECTION.read(selection, "run config", within="selection")
     gold_dialect = dialect if gold_dialect is None else gold_dialect
     temperature = config_temperature(client_config)
@@ -187,13 +196,12 @@ def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> di
         raise SemkitError(f"unknown selection method {method!r}")
     if not seeds:
         raise SemkitError("seeds list must be nonempty")
+    client, model = make_client(client_config, base, "run config")
     dataset = load_dataset(resolve_path(dataset_file, base))
     split = load_split(resolve_path(split_file, base), dataset)
     if not split.test_ids:
         raise SemkitError("experiment has zero test examples")
-    model = client_config.get("model", "unspecified-model")
-    client = make_client(client_config, base)
-    env_object = load_config_environment(config, base)
+    env_object = load_config_environment(environment, environment_file, base)
     policy = POLICIES[environment]
     request, judge = example_evaluator(
         model, temperature, dialect, gold_dialect, dd_variant,

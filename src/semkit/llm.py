@@ -136,19 +136,14 @@ def http_transport(endpoint: str, api_key_env: str = "SEMKIT_API_KEY", timeout: 
 
 @dataclass
 class LlmClient:
+    """A completion client: ``replay`` and ``record`` need a cache, ``live`` and ``record``
+    a transport (:func:`semkit.experiment.make_client` checks a config's client block)."""
+
     mode: str  # "live" | "record" | "replay"
     cache: ReplayCache | None = None
     transport: object = None  # callable(CompletionRequest) -> str
     retries: int = DEFAULT_RETRIES
     backoff_seconds: float = DEFAULT_BACKOFF_SECONDS
-
-    def __post_init__(self):
-        if self.mode not in ("live", "record", "replay"):
-            raise ValueError(f"unknown client mode {self.mode!r}")
-        if self.mode in ("record", "replay") and self.cache is None:
-            raise ValueError(f"{self.mode} mode needs a cache")
-        if self.mode in ("live", "record") and self.transport is None:
-            raise ValueError(f"{self.mode} mode needs a transport")
 
     def complete(self, request: CompletionRequest) -> str:
         if self.mode == "replay":

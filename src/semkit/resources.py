@@ -1,8 +1,8 @@
 """Access to the bundled data files (corpora, environments, DD sources), and the readers
 they go through: :func:`read_jsonl`, :func:`read_json_object`, :func:`read_world`, and
-:class:`Schema`, in which each field a world, replay-cache or config loader reads is
-declared once as a string, a boolean, a number, a whole number, an object or a list of
-strings or whole numbers (lists of objects go through :func:`objects_of`)."""
+:class:`Schema`, in which each field a world, replay-cache, dataset, split, predictions or
+config loader reads is declared once as a string, a boolean, a number, a whole number, an
+object or a list of strings or whole numbers (lists of objects go through :func:`objects_of`)."""
 
 from __future__ import annotations
 

@@ -271,13 +271,32 @@ _CUT_SHORT, _IN_A_LIST = (lambda text: text[:-3]), (lambda text: f"[{text}]")
      "run config: field 'seeds' is not a list of whole numbers: 'ab'\n"),
     ("run", _edited(lambda c: c.update(selection={"k": "x"})),
      "run config: field 'selection.k' is not a whole number: 'x'\n"),
+    ("run", _edited(lambda c: c["client"].update(mode="warp")),
+     "unknown client mode 'warp' (known: live, record, replay)\n"),
+    ("run", _edited(lambda c: c["client"].update(mode="live")),
+     "client mode 'live' needs an endpoint\n"),
+    ("run", _edited(lambda c: c["client"].pop("cache")), "client mode 'replay' needs a cache\n"),
+    ("run", _edited(lambda c: c["client"].update(cache=7)),
+     "run config: field 'client.cache' is not a string: 7\n"),
+    ("run", _edited(lambda c: c["client"].update(model=7)),
+     "run config: field 'client.model' is not a string: 7\n"),
+    ("run", _edited(lambda c: c.update(output_dir=7)),
+     "run config: field 'output_dir' is not a string: 7\n"),
+    ("run", _edited(lambda c: c.update(environment_file=7)),
+     "run config: field 'environment_file' is not a string: 7\n"),
     ("bootstrap", _CUT_SHORT, "{path}: not valid JSON: "),
     ("bootstrap", _IN_A_LIST, "{path}: expected a JSON object at the top level\n"),
     ("bootstrap", _edited(lambda c: c.pop("dataset")),
      "bootstrap config: missing field 'dataset'\n"),
+    ("bootstrap", _edited(lambda c: c["client"].update(mode="warp")),
+     "unknown client mode 'warp' (known: live, record, replay)\n"),
+    ("bootstrap", _edited(lambda c: c.update(output=7)),
+     "bootstrap config: field 'output' is not a string: 7\n"),
 ], ids=["run not JSON", "run top level a list", "run without client", "run DD fancy",
-        "run seeds ab", "run k x", "bootstrap not JSON", "bootstrap top level a list",
-        "bootstrap without dataset"])
+        "run seeds ab", "run k x", "run mode warp", "run live without endpoint",
+        "run replay without cache", "run cache 7", "run model 7", "run output_dir 7",
+        "run environment_file 7", "bootstrap not JSON", "bootstrap top level a list",
+        "bootstrap without dataset", "bootstrap mode warp", "bootstrap output 7"])
 def test_malformed_config_is_an_error_line_before_any_file_is_read(tmp_path, capsys, command,
                                                                    edit, message):
     bundled = "experiment_replay.json" if command == "run" else "bootstrap_replay.json"
@@ -380,6 +399,25 @@ def test_bootstrap_unknown_environment_is_an_error(tmp_path, capsys):
     code, out, err = run(capsys, "bootstrap", "--config", str(config_path))
     assert code == 1 and out == ""
     assert err == "error: unknown environment 'mars'\n"
+    assert not (tmp_path / "pool.jsonl").exists()
+
+
+@pytest.mark.parametrize("key", ["seed_ids", "unlabeled_ids"])
+def test_bootstrap_unknown_id_is_an_error_before_any_request(tmp_path, monkeypatch, capsys, key):
+    from semkit.llm import LlmClient
+
+    def refuse(self, request):
+        raise AssertionError("a completion was requested")
+
+    monkeypatch.setattr(LlmClient, "complete", refuse)
+    config = json.loads(data_path("bootstrap_replay.json").read_text())
+    config[key] = [*config[key], "nope"]
+    config["output"] = str(tmp_path / "pool.jsonl")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "bootstrap", "--config", str(config_path))
+    assert code == 1 and out == ""
+    assert err == f"error: bootstrap config: {key} names unknown example ids: ['nope']\n"
     assert not (tmp_path / "pool.jsonl").exists()
 
 

@@ -49,22 +49,26 @@ def test_parse_error_carries_line_number(tmp_path):
 
 
 @pytest.mark.parametrize("line,message", [
-    ("[1, 2]", "expected a JSON object, got an array"),
-    ('"x-9"', "expected a JSON object, got a string"),
-    ("null", "expected a JSON object, got null"),
-    (json.dumps(dict(record(9), id=9)), "id must be a string, got a number"),
-    (json.dumps(dict(record(9), id=["x-9"])), "id must be a string, got an array"),
-    (json.dumps(dict(record(9), utterance=None)), "utterance must be a string, got null"),
-    (json.dumps(dict(record(9), programs=["funql"])), "programs must be an object, got an array"),
-    (json.dumps(dict(record(9), programs="funql")), "programs must be an object, got a string"),
+    ("[1, 2]", "expected a JSON object"),
+    ('"x-9"', "expected a JSON object"),
+    ("null", "expected a JSON object"),
+    (json.dumps(dict(record(9), id=9)), "field 'id' is not a string: 9"),
+    (json.dumps(dict(record(9), id=["x-9"])), "field 'id' is not a string: ['x-9']"),
+    (json.dumps(dict(record(9), utterance=None)), "field 'utterance' is not a string: None"),
+    (json.dumps(dict(record(9), programs=["funql"])),
+     "field 'programs' is not a JSON object: ['funql']"),
+    (json.dumps(dict(record(9), programs="funql")),
+     "field 'programs' is not a JSON object: 'funql'"),
     (json.dumps(dict(record(9), programs={"funql": 1})),
-     "program 'funql' must be a string, got a number"),
+     "field 'programs.funql' is not a string: 1"),
     (json.dumps(dict(record(9), programs={"pymr": ["def answer(): ..."]})),
-     "program 'pymr' must be a string, got an array"),
-    (json.dumps(dict(record(9), tags="abc")), "tags must be an array of strings"),
-    (json.dumps(dict(record(9), tags=["domain:geo", 1])), "tags must be an array of strings"),
-    (json.dumps(dict(record(9), tags=None)), "tags must be an array of strings"),
-    (json.dumps(dict(record(9), tags={"domain": "geo"})), "tags must be an array of strings"),
+     "field 'programs.pymr' is not a string: ['def answer(): ...']"),
+    (json.dumps(dict(record(9), tags="abc")), "field 'tags' is not a list of strings: 'abc'"),
+    (json.dumps(dict(record(9), tags=["domain:geo", 1])),
+     "field 'tags' is not a list of strings: ['domain:geo', 1]"),
+    (json.dumps(dict(record(9), tags=None)), "field 'tags' is not a list of strings: None"),
+    (json.dumps(dict(record(9), tags={"domain": "geo"})),
+     "field 'tags' is not a list of strings: {'domain': 'geo'}"),
 ])
 def test_malformed_record_is_a_data_format_error(tmp_path, line, message):
     path = tmp_path / "d.jsonl"
@@ -125,12 +129,12 @@ def test_split_rejects_repeated_ids(tmp_path, payload, part):
 
 
 @pytest.mark.parametrize("payload,message", [
-    (["x-1"], "expected a JSON object, got an array"),
-    ("x-1", "expected a JSON object, got a string"),
-    ({"train": "x-1", "test": []}, "train must be an array, got a string"),
-    ({"train": ["x-1"], "test": {"x-2": 1}}, "test must be an array, got an object"),
-    ({"train": ["x-1"], "test": None}, "test must be an array, got null"),
-    ({"train": [["x-1"]], "test": []}, "unknown example id ['x-1']"),
+    (["x-1"], "expected a JSON object at the top level"),
+    ("x-1", "expected a JSON object at the top level"),
+    ({"train": "x-1", "test": []}, "field 'train' is not a list of strings: 'x-1'"),
+    ({"train": ["x-1"], "test": {"x-2": 1}}, "field 'test' is not a list of strings: {'x-2': 1}"),
+    ({"train": ["x-1"], "test": None}, "field 'test' is not a list of strings: None"),
+    ({"train": [["x-1"]], "test": []}, "field 'train' is not a list of strings: [['x-1']]"),
 ])
 def test_malformed_split_is_a_data_format_error(tmp_path, payload, message):
     data = tmp_path / "d.jsonl"

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from semkit.calflow import load_world
-from semkit.errors import PoolExhaustedError
+from semkit.errors import DataFormatError, PoolExhaustedError
 from semkit.evaluation import (POLICIES, ComparisonPolicy, canonicalize_names,
                                compare_denotations, compare_outcomes, compare_states,
                                exact_match, report_from_verdicts, score_run, verdict_of)
@@ -214,5 +214,6 @@ def test_load_predictions(tmp_path, geoquery, geo_model):
 
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps({"id": "x"}) + "\n")
-    with pytest.raises(ValueError, match="dialect"):
+    with pytest.raises(DataFormatError) as info:
         load_predictions(bad)
+    assert str(info.value) == f"{bad}: line 1: missing field 'dialect'"
