@@ -135,6 +135,10 @@ def cmd_bootstrap(args) -> int:
     (dataset_file, environment, dialect, gold_dialect, seed_ids, unlabeled_ids, client_config,
      k, passes, seed, environment_file, output) = _BOOTSTRAP_CONFIG.read(config,
                                                                           "bootstrap config")
+    if not seed_ids:
+        raise SemkitError("bootstrap config: seed_ids must be nonempty")
+    if k < 1:
+        raise SemkitError(f"bootstrap config: k must be at least 1, not {k}")
     client, model = make_client(client_config, base, "bootstrap config")
     dataset = load_dataset(resolve_path(dataset_file, base))
     for key, ids in (("seed_ids", seed_ids), ("unlabeled_ids", unlabeled_ids)):
@@ -223,10 +227,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SemkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (SemkitError, OSError) as exc:  # OSError: a missing or unreadable file, a directory
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

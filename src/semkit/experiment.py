@@ -4,7 +4,8 @@ What does not change between seeds and test examples is built once per
 experiment and shared by all of them: the demonstration selector (see
 :class:`DemoSelector`) and the per-example step's two halves
 (:func:`~semkit.llm.example_evaluator`) with its rendered DD text, prompt
-template and outcome memo (:func:`~semkit.execute.memoized_runs`).  Each
+template, outcome memo (:func:`~semkit.execute.memoized_runs`) and the hash
+states of its prompts' constant leading text, for the request digests.  Each
 seed builds its completion requests in test order and fetches the
 completions, overlapping up to ``jobs`` of them on worker threads; the
 calling thread then judges each example in test order and prints each

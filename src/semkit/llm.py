@@ -6,6 +6,19 @@ each entry also stores the full prompt digest so fingerprint collisions are
 detected rather than silently served.  ``replay`` mode never touches the
 network — a missing entry is a :class:`~semkit.errors.CacheMissError`.
 
+Both digests are streamed.  The canonical JSON,
+``json.dumps({"model", "prompt", "temperature"}, sort_keys=True,
+ensure_ascii=False)``, escapes a string one character at a time, so the
+escape of a prompt ``lead + rest`` is the escape of ``lead`` followed by that
+of ``rest``.  A :class:`PromptLead` holds the two sha256 states after a
+leading text (the canonical JSON open inside the prompt string, and the raw
+UTF-8 prompt); a request's digests ``copy()`` them and take only the rest of
+the prompt (and, for the fingerprint, the closing quote and the temperature).
+A request without a lead streams from the empty one.  Within one experiment
+the model, temperature, header and DD never change, and under random or
+coverage selection neither do a seed's demos, so :func:`example_evaluator`
+hashes that constant text once and gives its requests its lead.
+
 The live transport posts ``{"model", "prompt", "temperature", "max_tokens",
 "stop"}`` as JSON to the configured endpoint (auth bearer token from an
 environment variable) and expects ``{"completion": str}`` back; transient
@@ -23,13 +36,16 @@ completions on worker threads and judge them all on its own thread.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
 import re
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .corpus import Example, Lcg, _draw
 from .errors import CacheMissError, PoolExhaustedError, SemkitError, TransportError
@@ -44,6 +60,37 @@ DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF_SECONDS = 0.5
 
 
+_escape = json.encoder.encode_basestring  # json.dumps's string escape under ensure_ascii=False
+
+
+class PromptLead:
+    """The sha256 states after a prompt's leading ``text``, for one model and temperature.
+
+    ``fingerprint`` has taken ``{"model": <model>, "prompt": "`` and the escaped text,
+    the canonical JSON of a request up to there; ``prompt`` has taken the text's UTF-8
+    bytes.  ``ending`` is what closes the canonical JSON after the prompt string.
+    """
+
+    __slots__ = ("model", "temperature", "text", "fingerprint", "prompt", "ending")
+
+    def __init__(self, model: str, temperature: float):  # the empty leading text
+        self.model, self.temperature, self.text = model, temperature, ""
+        self.fingerprint = hashlib.sha256(f'{{"model": {_escape(model)}, "prompt": "'.encode())
+        self.prompt = hashlib.sha256()
+        self.ending = f', "temperature": {json.dumps(temperature)}}}'.encode()
+
+    def extended(self, text: str) -> PromptLead:
+        """The lead of ``text``, which starts with this lead's text."""
+        added = text[len(self.text):]
+        lead = copy.copy(self)
+        lead.text = text
+        lead.fingerprint = self.fingerprint.copy()
+        lead.fingerprint.update(_escape(added)[1:-1].encode("utf-8"))
+        lead.prompt = self.prompt.copy()
+        lead.prompt.update(added.encode("utf-8"))
+        return lead
+
+
 @dataclass(frozen=True)
 class CompletionRequest:
     prompt: str
@@ -51,19 +98,37 @@ class CompletionRequest:
     temperature: float = DEFAULT_TEMPERATURE
     max_tokens: int = DEFAULT_MAX_TOKENS
     stop: tuple[str, ...] = ()
+    # gives a PromptLead to stream the digests from (see example_evaluator)
+    lead: Callable[[], PromptLead] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.temperature <= 2.0:
             raise ValueError("temperature must be within [0, 2]")
 
     def fingerprint(self) -> str:
-        canonical = json.dumps(
-            {"model": self.model, "prompt": self.prompt, "temperature": self.temperature},
-            sort_keys=True, ensure_ascii=False)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        """sha256 of ``json.dumps({"model", "prompt", "temperature"}, sort_keys=True,
+        ensure_ascii=False)``, streamed (see the module docstring)."""
+        lead = self._lead()
+        state = lead.fingerprint.copy()
+        state.update(_escape(self.prompt[len(lead.text):])[1:].encode("utf-8"))  # and the quote
+        state.update(lead.ending)
+        return state.hexdigest()
 
     def prompt_digest(self) -> str:
-        return hashlib.sha256(self.prompt.encode("utf-8")).hexdigest()
+        """sha256 of the prompt's UTF-8 bytes, streamed."""
+        lead = self._lead()
+        state = lead.prompt.copy()
+        state.update(self.prompt[len(lead.text):].encode("utf-8"))
+        return state.hexdigest()
+
+    def _lead(self) -> PromptLead:
+        """The given lead if it fits this request (the same temperature object, so the same
+        encoding), else the empty one."""
+        lead = None if self.lead is None else self.lead()
+        if (lead is None or lead.model != self.model or lead.temperature is not self.temperature
+                or not self.prompt.startswith(lead.text)):
+            return PromptLead(self.model, self.temperature)
+        return lead
 
 
 _ENTRY = Schema(("fingerprint", STRING), ("prompt_sha256", STRING), ("completion", STRING))
@@ -196,6 +261,9 @@ def completion_of(client: LlmClient, request: CompletionRequest) -> str | Semkit
         return exc
 
 
+_CUT = "\x00"  # stands in for data to find where a prompt stops being constant
+
+
 def example_evaluator(model: str, temperature: float, dialect: str, gold_dialect: str,
                       dd_variant: str, dd_text: str, template: str, policy: ComparisonPolicy,
                       run, names_world=None):
@@ -208,15 +276,44 @@ def example_evaluator(model: str, temperature: float, dialect: str, gold_dialect
     outcome memo), with names canonicalized onto ``names_world`` if given, and
     compares under ``policy``.  A completion that is a ``SemkitError`` is a
     ``harness-error``, with its message for the program.
+
+    Each request streams its digests from the :class:`PromptLead` of its
+    prompt's constant leading text: the text before the test utterance, which
+    depends only on the demos here.  The closure keeps that lead for the last
+    demos asked about (a one-entry memo: under random or coverage selection a
+    whole seed shares it, while BM25 and bootstrap demos rebuild it) and
+    builds it from the lead of the header and DD, the text before the first
+    demo, which is hashed once.  Leads are built on a digest's first use, so a
+    ``live`` client, which never asks for one, pays nothing for them.  Each
+    leading text is :func:`~semkit.prompts.build_prompt`'s output up to the
+    first place a stand-in for the test utterance (and for the demos, in the
+    header's case) shows: data holding the stand-in only ends a lead early.
     """
+    header = memo = None  # the header's lead; (demos, their lead)
+
+    def text_before_cut(demonstrations) -> str:
+        spec = PromptSpec(dd_variant=dd_variant, dd_text=dd_text, demonstrations=demonstrations,
+                          test_utterance=_CUT, dialect=dialect)
+        return build_prompt(spec, template).partition(_CUT)[0]
+
+    def lead(demonstrations) -> PromptLead:
+        # worker threads may race here; the loser only builds an equal lead again
+        nonlocal header, memo
+        last = memo
+        if last is None or last[0] != demonstrations:
+            if header is None:
+                header = PromptLead(model, temperature).extended(text_before_cut(((_CUT, _CUT),)))
+            text = text_before_cut(demonstrations)
+            base = header if text.startswith(header.text) else PromptLead(model, temperature)
+            last = memo = demonstrations, base.extended(text)
+        return last[1]
 
     def request(example: Example, demos) -> CompletionRequest:
-        spec = PromptSpec(
-            dd_variant=dd_variant, dd_text=dd_text,
-            demonstrations=tuple((d.utterance, d.programs[dialect]) for d in demos),
-            test_utterance=example.utterance, dialect=dialect)
+        demonstrations = tuple((d.utterance, d.programs[dialect]) for d in demos)
+        spec = PromptSpec(dd_variant=dd_variant, dd_text=dd_text, demonstrations=demonstrations,
+                          test_utterance=example.utterance, dialect=dialect)
         return CompletionRequest(prompt=build_prompt(spec, template), model=model,
-                                 temperature=temperature)
+                                 temperature=temperature, lead=partial(lead, demonstrations))
 
     def judge(example: Example, completion: str | SemkitError) -> tuple[str, str]:
         if isinstance(completion, SemkitError):

@@ -292,11 +292,16 @@ _CUT_SHORT, _IN_A_LIST = (lambda text: text[:-3]), (lambda text: f"[{text}]")
      "unknown client mode 'warp' (known: live, record, replay)\n"),
     ("bootstrap", _edited(lambda c: c.update(output=7)),
      "bootstrap config: field 'output' is not a string: 7\n"),
+    ("bootstrap", _edited(lambda c: c.update(k=0)),
+     "bootstrap config: k must be at least 1, not 0\n"),
+    ("bootstrap", _edited(lambda c: c.update(seed_ids=[])),
+     "bootstrap config: seed_ids must be nonempty\n"),
 ], ids=["run not JSON", "run top level a list", "run without client", "run DD fancy",
         "run seeds ab", "run k x", "run mode warp", "run live without endpoint",
         "run replay without cache", "run cache 7", "run model 7", "run output_dir 7",
         "run environment_file 7", "bootstrap not JSON", "bootstrap top level a list",
-        "bootstrap without dataset", "bootstrap mode warp", "bootstrap output 7"])
+        "bootstrap without dataset", "bootstrap mode warp", "bootstrap output 7",
+        "bootstrap k 0", "bootstrap no seed ids"])
 def test_malformed_config_is_an_error_line_before_any_file_is_read(tmp_path, capsys, command,
                                                                    edit, message):
     bundled = "experiment_replay.json" if command == "run" else "bootstrap_replay.json"
@@ -311,6 +316,19 @@ def test_malformed_config_is_an_error_line_before_any_file_is_read(tmp_path, cap
     code, out, err = run(capsys, command, "--config", str(config_path))
     assert code == 1 and out == ""
     assert err.startswith("error: " + message.format(path=config_path)), err
+    assert len(err.splitlines()) == 1  # no traceback
+
+
+@pytest.mark.parametrize("key", ["dataset", "split", "environment_file", "cache"])
+def test_a_config_path_naming_a_directory_is_an_error_line(tmp_path, capsys, key):
+    config = json.loads(data_path("experiment_replay.json").read_text())
+    (config["client"] if key == "cache" else config)[key] = str(tmp_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "run", "--config", str(config_path),
+                         "--output-dir", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err, err
     assert len(err.splitlines()) == 1  # no traceback
 
 

@@ -8,7 +8,8 @@ from semkit import cli, execute, experiment, llm, selection
 from semkit.corpus import Dataset, Example, Split, load_dataset, load_split, sample_demos
 from semkit.execute import operators_of
 from semkit.experiment import DemoSelector, run_experiment
-from semkit.resources import data_path, dataset_path, split_path
+from semkit.prompts import load_dd_source
+from semkit.resources import data_path, dataset_path, dd_path, split_path
 from semkit.selection import coverage_fraction, greedy_select
 
 
@@ -163,3 +164,40 @@ def test_memoized_runs_do_not_keep_a_run_that_raised(monkeypatch, geo_model):
 def test_unknown_selection_method_is_an_error(geoquery, geoquery_split):
     with pytest.raises(experiment.SemkitError, match="unknown selection method"):
         DemoSelector(geoquery, geoquery_split, "funql").select("warp", 3, 0)
+
+
+def test_run_path_goes_through_build_prompt_and_replay_get(monkeypatch, tmp_path, geoquery,
+                                                           geo_model):
+    """The layers the benchmark traces stay on the run path, and a live client, which
+    never looks a completion up, never has a digest computed."""
+    config_path = data_path("experiment_replay.json")
+    config = json.loads(config_path.read_text())
+    plain = run_experiment(config, config_path.parent, tmp_path / "plain")
+    built = counting(monkeypatch, llm, "build_prompt")
+    looked_up = counting(monkeypatch, llm.ReplayCache, "get")
+    assert run_experiment(config, config_path.parent, tmp_path / "counted") == plain
+    assert len(built) >= 1 and len(looked_up) == 30
+    for name in sorted(p.name for p in (tmp_path / "plain").iterdir()):
+        assert (tmp_path / "counted" / name).read_bytes() == \
+            (tmp_path / "plain" / name).read_bytes(), name
+
+    digests = [counting(monkeypatch, owner, name)
+               for owner, name in ((llm.CompletionRequest, "fingerprint"),
+                                   (llm.CompletionRequest, "prompt_digest"),
+                                   (llm.PromptLead, "__init__"), (llm.PromptLead, "extended"))]
+    sent = []
+
+    def transport(request):
+        sent.append(request)
+        return "def answer():\n    return 1"
+
+    bootstrap = json.loads(data_path("bootstrap_replay.json").read_text())
+    unlabeled = [Example(id=i, utterance=geoquery[i].utterance,
+                         programs={"funql": geoquery[i].programs["funql"]})
+                 for i in bootstrap["unlabeled_ids"]]
+    config = llm.BootstrapConfig(environment="geo", dialect="pymr", gold_dialect="funql",
+                                 model="desk-model-1",
+                                 dd_declarations=load_dd_source(dd_path("geo", "pymr")))
+    llm.bootstrap_annotations([geoquery[i] for i in bootstrap["seed_ids"]], unlabeled,
+                              geo_model, llm.LlmClient(mode="live", transport=transport), config)
+    assert len(sent) == 3 * len(unlabeled) and digests == [[], [], [], []]

@@ -1,20 +1,175 @@
+import hashlib
 import json
+import sys
+import threading
+from dataclasses import replace
 
 import pytest
 
 from semkit import funql
-from semkit.corpus import Example
+from semkit.corpus import Example, Lcg, load_dataset
 from semkit.errors import CacheMissError, DataFormatError, SemkitError, TransportError
 from semkit.evaluation import POLICIES, canonicalize_names, compare_outcomes
 from semkit.execute import run_program
+from semkit.experiment import dd_text
 from semkit.llm import (BootstrapConfig, CompletionRequest, LlmClient, ReplayCache,
-                        bootstrap_annotations, extract_program)
-from semkit.prompts import load_dd_source
-from semkit.resources import data_path, dd_path
+                        bootstrap_annotations, example_evaluator, extract_program)
+from semkit.prompts import DD_VARIANTS, default_template, load_dd_source
+from semkit.resources import data_path, dataset_path, dd_path
 
 
 def request(prompt="hello", model="m1"):
     return CompletionRequest(prompt=prompt, model=model)
+
+
+def reference_fingerprint(req: CompletionRequest) -> str:
+    """The fingerprint's definition, hashed in one piece."""
+    canonical = json.dumps(
+        {"model": req.model, "prompt": req.prompt, "temperature": req.temperature},
+        sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def reference_prompt_digest(req: CompletionRequest) -> str:
+    return hashlib.sha256(req.prompt.encode("utf-8")).hexdigest()
+
+
+def assert_reference_digests(req: CompletionRequest) -> tuple[str, str]:
+    digests = req.fingerprint(), req.prompt_digest()
+    assert digests == (reference_fingerprint(req), reference_prompt_digest(req)), req.prompt
+    return digests
+
+
+def evaluator_requests(dialect="pymr", dd_variant="full", dd="", model="desk-model-1",
+                       temperature=0.0, template=None):
+    return example_evaluator(model, temperature, dialect, dialect, dd_variant, dd,
+                             template or default_template(), POLICIES["geo"], run=None)[0]
+
+
+def assert_lead_ends_at_the_test_query(req: CompletionRequest, example: Example) -> None:
+    """The request streams from the lead of its own demos, which under the bundled
+    template is all of the prompt before the test utterance."""
+    assert req.lead().text + example.utterance + "\nsolution:" == req.prompt
+
+
+BUNDLED_PAIRS = [("geo", "funql", "geoquery"), ("geo", "pymr", "geoquery"),
+                 ("social", "ldcs", "overnight"), ("social", "ldcs-simple", "overnight"),
+                 ("social", "pymr", "overnight"), ("calendar", "dataflow-simple", "smcalflow"),
+                 ("calendar", "pymr", "smcalflow")]
+
+
+def test_bundled_pairs_are_every_bundled_dd_source():
+    assert sorted(dd_path(env, dialect) for env, dialect, _ in BUNDLED_PAIRS) == \
+        sorted(data_path("dd").iterdir())
+
+
+@pytest.mark.parametrize("environment, dialect, dataset", BUNDLED_PAIRS)
+def test_streamed_digests_match_the_reference_on_bundled_prompts(environment, dialect, dataset):
+    annotated = [ex for ex in load_dataset(dataset_path(dataset)).examples
+                 if dialect in ex.programs]
+    for variant in DD_VARIANTS:
+        for k in (0, 1, 3):
+            if variant == "none" and k == 0:
+                continue  # build_prompt rejects a prompt with neither
+            request_of = evaluator_requests(dialect, variant, dd_text(environment, dialect, variant))
+            first, second = annotated[:k], annotated[k:2 * k]
+            cases = [(ex, demos) for demos in (first, second, first) for ex in annotated[-4:]]
+            requests = [request_of(ex, demos) for ex, demos in cases]
+            digests = [assert_reference_digests(req) for req in requests]
+            for req, (ex, _) in zip(requests, cases):
+                assert_lead_ends_at_the_test_query(req, ex)
+            assert len(set(digests)) == (8 if k else 4)  # the third block repeats the first
+
+
+_AWKWARD = ['"', "\\", "\n", "\t", "\r", "\b", "\f", *map(chr, range(0x20)), "\x7f", "é", "ß",
+            "中文", "😀", "\u2028", "[DD]", "[query-test]", "[query-i]", "[solution-i]",
+            "query: ", "\nsolution:", "a", " ", "Texas"]
+
+
+def awkward_text(rng: Lcg) -> str:
+    return "".join(_AWKWARD[rng.below(len(_AWKWARD))] for _ in range(rng.below(12)))
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.7, 1])
+@pytest.mark.parametrize("seed", range(4))
+def test_streamed_digests_match_the_reference_on_awkward_text(seed, temperature):
+    rng = Lcg(seed)
+    examples = [Example(id=f"x{i}", utterance=awkward_text(rng),
+                        programs={"pymr": awkward_text(rng)}) for i in range(12)]
+    dd = "class State:  # " + awkward_text(rng)
+    model = 'desk "model" ünï\\' + awkward_text(rng)
+    for variant, text in (("full", dd), ("none", "")):
+        request_of = evaluator_requests(dd_variant=variant, dd=text, model=model,
+                                        temperature=temperature)
+        for at, example in enumerate(examples):
+            demos = examples[:3] if at % 4 else examples[at - 3:at] or examples[-1:]
+            assert_reference_digests(request_of(example, demos))
+
+
+def test_an_int_temperature_keeps_its_encoding():
+    example = Example("t", "q", {})
+    whole, fraction = (evaluator_requests(dd="class State: ...", temperature=t)(example, [])
+                       for t in (1, 1.0))
+    assert whole.prompt == fraction.prompt
+    assert assert_reference_digests(whole)[0] != assert_reference_digests(fraction)[0]
+
+
+def test_the_demo_memo_is_rebuilt_when_the_demos_change(geoquery):
+    """Requests are digested lazily, in any order: each one streams from its own demos."""
+    pool = [ex for ex in geoquery.examples if "pymr" in ex.programs]
+    request_of = evaluator_requests(dd=dd_text("geo", "pymr", "full"))
+    seeds = (pool[:3], pool[3:6])
+    requests = [request_of(ex, demos) for demos in seeds for ex in pool[6:9]]
+    digests = [assert_reference_digests(req) for req in requests[3:] + requests[:3]]
+    assert len(set(digests)) == len(requests)
+    for req, ex in zip(requests, pool[6:9] * 2):
+        assert_lead_ends_at_the_test_query(req, ex)
+
+
+@pytest.mark.parametrize("template", [
+    "Header\n[DD]\n\nQ: [query-i]\nA: [solution-i]\n\nTest: [query-test]\nA:",
+    "For [query-test]:\n[DD]\n\nQ: [query-i]\nA: [solution-i]\n\nQ: [query-test]\nA:",
+    "Header\n[DD]\n\nQ: [query-i] ([query-test])\nA: [solution-i]\n\n[query-test]",
+], ids=["test query unlike a demo", "test query in the header", "test query in each demo"])
+def test_streamed_digests_match_the_reference_under_other_templates(geoquery, template):
+    pool = [ex for ex in geoquery.examples if "pymr" in ex.programs]
+    request_of = evaluator_requests(dd=dd_text("geo", "pymr", "full"), template=template)
+    for demos in ([], pool[:2], [], pool[2:4], pool[2:4]):
+        for example in pool[4:6]:
+            assert_reference_digests(request_of(example, demos))
+
+
+def test_digests_streamed_on_many_threads_match_the_reference(geoquery):
+    pool = [ex for ex in geoquery.examples if "pymr" in ex.programs]
+    request_of = evaluator_requests(dd=dd_text("geo", "pymr", "full"))
+    requests = [request_of(ex, pool[at % 3:at % 3 + 3]) for at, ex in enumerate(pool[6:30])]
+    want = [(reference_fingerprint(r), reference_prompt_digest(r)) for r in requests]
+    wrong = []
+
+    def digest_all(offset):
+        for at in range(len(requests)):
+            at = (at + offset) % len(requests)
+            if (requests[at].fingerprint(), requests[at].prompt_digest()) != want[at]:
+                wrong.append(at)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=digest_all, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and wrong == []
+
+
+def test_a_request_whose_lead_does_not_fit_streams_from_the_empty_lead():
+    req = evaluator_requests(dd="class State: ...")(Example("t", "q", {}), [])
+    for changed in (replace(req, prompt="other"), replace(req, model="other"),
+                    replace(req, temperature=0.5)):
+        assert_reference_digests(changed)
 
 
 def test_temperature_bounds():
