@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from .calflow import CalendarWorld
 from .errors import PoolExhaustedError
 from .outcomes import Denotation, Outcome, WorldDelta
-from .resources import STRING, Schema, read_jsonl
 
 NUMBER_RELATIVE_TOLERANCE = 1e-9
 
@@ -147,18 +146,6 @@ def canonicalize_names(pred_program: str, gold_program: str,
         return "".join(out)
 
     return apply(pred_program, pred_spans), apply(gold_program, gold_spans)
-
-
-_PREDICTION = Schema(("id", STRING), ("dialect", STRING), ("program", STRING))
-
-
-def load_predictions(path) -> list[dict]:
-    """Read a predictions file: JSONL of {"id", "dialect", "program"}, all strings."""
-    predictions = []
-    for lineno, record in read_jsonl(path):
-        _PREDICTION.read(record, path, lineno)
-        predictions.append(record)
-    return predictions
 
 
 # --- scoring ------------------------------------------------------------------

@@ -195,6 +195,8 @@ def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> di
         raise SemkitError(f"unknown DD variant {dd_variant!r} (known: {', '.join(DD_VARIANTS)})")
     if method not in SELECTION_METHODS:
         raise SemkitError(f"unknown selection method {method!r}")
+    if k < 1:
+        raise SemkitError(f"run config: k must be at least 1, not {k}")
     if not seeds:
         raise SemkitError("seeds list must be nonempty")
     client, model = make_client(client_config, base, "run config")

@@ -17,7 +17,9 @@ the prompt (and, for the fingerprint, the closing quote and the temperature).
 A request without a lead streams from the empty one.  Within one experiment
 the model, temperature, header and DD never change, and under random or
 coverage selection neither do a seed's demos, so :func:`example_evaluator`
-hashes that constant text once and gives its requests its lead.
+hashes that constant text once and gives its requests its lead.  The text
+comes from :mod:`semkit.prompts`, the one module that knows where the test
+utterance goes: it is the prompt's first segment.
 
 The live transport posts ``{"model", "prompt", "temperature", "max_tokens",
 "stop"}`` as JSON to the configured endpoint (auth bearer token from an
@@ -36,22 +38,19 @@ completions on worker threads and judge them all on its own thread.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import os
 import re
 import threading
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 from .corpus import Example, Lcg, _draw
 from .errors import CacheMissError, PoolExhaustedError, SemkitError, TransportError
 from .evaluation import POLICIES, ComparisonPolicy, canonicalize_names, verdict_of
 from .execute import dialect_for, memoized_runs
-from .prompts import PromptSpec, build_prompt, default_template, render_dd
+from .prompts import PromptSpec, build_prompt, default_template, prompt_segments, render_dd
 from .resources import STRING, Schema, read_jsonl
 
 DEFAULT_TEMPERATURE = 0.0
@@ -64,31 +63,27 @@ _escape = json.encoder.encode_basestring  # json.dumps's string escape under ens
 
 
 class PromptLead:
-    """The sha256 states after a prompt's leading ``text``, for one model and temperature.
+    """A prompt's leading ``text`` for one model and temperature, and the sha256 states
+    after it, hashed on the first call of :meth:`states`."""
 
-    ``fingerprint`` has taken ``{"model": <model>, "prompt": "`` and the escaped text,
-    the canonical JSON of a request up to there; ``prompt`` has taken the text's UTF-8
-    bytes.  ``ending`` is what closes the canonical JSON after the prompt string.
-    """
+    __slots__ = ("model", "temperature", "text", "_states")
 
-    __slots__ = ("model", "temperature", "text", "fingerprint", "prompt", "ending")
+    def __init__(self, model: str, temperature: float, text: str = ""):
+        self.model, self.temperature, self.text, self._states = model, temperature, text, None
 
-    def __init__(self, model: str, temperature: float):  # the empty leading text
-        self.model, self.temperature, self.text = model, temperature, ""
-        self.fingerprint = hashlib.sha256(f'{{"model": {_escape(model)}, "prompt": "'.encode())
-        self.prompt = hashlib.sha256()
-        self.ending = f', "temperature": {json.dumps(temperature)}}}'.encode()
-
-    def extended(self, text: str) -> PromptLead:
-        """The lead of ``text``, which starts with this lead's text."""
-        added = text[len(self.text):]
-        lead = copy.copy(self)
-        lead.text = text
-        lead.fingerprint = self.fingerprint.copy()
-        lead.fingerprint.update(_escape(added)[1:-1].encode("utf-8"))
-        lead.prompt = self.prompt.copy()
-        lead.prompt.update(added.encode("utf-8"))
-        return lead
+    def states(self) -> tuple:
+        """``(fingerprint, prompt, ending)``: ``fingerprint`` has taken the canonical JSON of
+        a request up to the end of the text, ``{"model": <model>, "prompt": "<escaped
+        text>``; ``prompt`` has taken the text's UTF-8 bytes; ``ending`` closes the JSON
+        after the prompt string.  Copy a state before updating it.  Threads may race here:
+        the loser only hashes equal states again."""
+        if self._states is None:
+            self._states = (
+                hashlib.sha256(f'{{"model": {_escape(self.model)}, "prompt": '
+                               f'{_escape(self.text)[:-1]}'.encode("utf-8")),
+                hashlib.sha256(self.text.encode("utf-8")),
+                f', "temperature": {json.dumps(self.temperature)}}}'.encode())
+        return self._states
 
 
 @dataclass(frozen=True)
@@ -98,8 +93,8 @@ class CompletionRequest:
     temperature: float = DEFAULT_TEMPERATURE
     max_tokens: int = DEFAULT_MAX_TOKENS
     stop: tuple[str, ...] = ()
-    # gives a PromptLead to stream the digests from (see example_evaluator)
-    lead: Callable[[], PromptLead] | None = field(default=None, repr=False, compare=False)
+    # the lead of the prompt's constant leading text, to stream the digests from
+    lead: PromptLead | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.temperature <= 2.0:
@@ -109,22 +104,24 @@ class CompletionRequest:
         """sha256 of ``json.dumps({"model", "prompt", "temperature"}, sort_keys=True,
         ensure_ascii=False)``, streamed (see the module docstring)."""
         lead = self._lead()
-        state = lead.fingerprint.copy()
+        fingerprint, _, ending = lead.states()
+        state = fingerprint.copy()
         state.update(_escape(self.prompt[len(lead.text):])[1:].encode("utf-8"))  # and the quote
-        state.update(lead.ending)
+        state.update(ending)
         return state.hexdigest()
 
     def prompt_digest(self) -> str:
         """sha256 of the prompt's UTF-8 bytes, streamed."""
         lead = self._lead()
-        state = lead.prompt.copy()
+        state = lead.states()[1].copy()
         state.update(self.prompt[len(lead.text):].encode("utf-8"))
         return state.hexdigest()
 
     def _lead(self) -> PromptLead:
-        """The given lead if it fits this request (the same temperature object, so the same
-        encoding), else the empty one."""
-        lead = None if self.lead is None else self.lead()
+        """The given lead if it fits, else the empty one.  The step's leads always fit; a
+        request built by hand (``dataclasses.replace`` of another, say) may carry one of
+        another model, temperature object (so another encoding) or leading text."""
+        lead = self.lead
         if (lead is None or lead.model != self.model or lead.temperature is not self.temperature
                 or not self.prompt.startswith(lead.text)):
             return PromptLead(self.model, self.temperature)
@@ -261,9 +258,6 @@ def completion_of(client: LlmClient, request: CompletionRequest) -> str | Semkit
         return exc
 
 
-_CUT = "\x00"  # stands in for data to find where a prompt stops being constant
-
-
 def example_evaluator(model: str, temperature: float, dialect: str, gold_dialect: str,
                       dd_variant: str, dd_text: str, template: str, policy: ComparisonPolicy,
                       run, names_world=None):
@@ -277,43 +271,27 @@ def example_evaluator(model: str, temperature: float, dialect: str, gold_dialect
     compares under ``policy``.  A completion that is a ``SemkitError`` is a
     ``harness-error``, with its message for the program.
 
-    Each request streams its digests from the :class:`PromptLead` of its
-    prompt's constant leading text: the text before the test utterance, which
-    depends only on the demos here.  The closure keeps that lead for the last
-    demos asked about (a one-entry memo: under random or coverage selection a
-    whole seed shares it, while BM25 and bootstrap demos rebuild it) and
-    builds it from the lead of the header and DD, the text before the first
-    demo, which is hashed once.  Leads are built on a digest's first use, so a
-    ``live`` client, which never asks for one, pays nothing for them.  Each
-    leading text is :func:`~semkit.prompts.build_prompt`'s output up to the
-    first place a stand-in for the test utterance (and for the demos, in the
-    header's case) shows: data holding the stand-in only ends a lead early.
+    Each request carries the :class:`PromptLead` of its prompt's text before
+    the test utterance, ``segments[0]`` of
+    :func:`~semkit.prompts.prompt_segments`, which depends only on the demos
+    here.  ``request`` keeps that lead for the last demos asked about (a
+    one-entry memo: under random or coverage selection a whole seed shares it,
+    while BM25 and bootstrap demos rebuild it).  A lead hashes on a digest's
+    first use, so a ``live`` client, which never asks for one, pays nothing.
     """
-    header = memo = None  # the header's lead; (demos, their lead)
-
-    def text_before_cut(demonstrations) -> str:
-        spec = PromptSpec(dd_variant=dd_variant, dd_text=dd_text, demonstrations=demonstrations,
-                          test_utterance=_CUT, dialect=dialect)
-        return build_prompt(spec, template).partition(_CUT)[0]
-
-    def lead(demonstrations) -> PromptLead:
-        # worker threads may race here; the loser only builds an equal lead again
-        nonlocal header, memo
-        last = memo
-        if last is None or last[0] != demonstrations:
-            if header is None:
-                header = PromptLead(model, temperature).extended(text_before_cut(((_CUT, _CUT),)))
-            text = text_before_cut(demonstrations)
-            base = header if text.startswith(header.text) else PromptLead(model, temperature)
-            last = memo = demonstrations, base.extended(text)
-        return last[1]
+    memo = None  # (demos, their lead)
 
     def request(example: Example, demos) -> CompletionRequest:
+        nonlocal memo
         demonstrations = tuple((d.utterance, d.programs[dialect]) for d in demos)
         spec = PromptSpec(dd_variant=dd_variant, dd_text=dd_text, demonstrations=demonstrations,
                           test_utterance=example.utterance, dialect=dialect)
-        return CompletionRequest(prompt=build_prompt(spec, template), model=model,
-                                 temperature=temperature, lead=partial(lead, demonstrations))
+        prompt = build_prompt(spec, template)
+        if memo is None or memo[0] != demonstrations:
+            text = prompt_segments(template, dd_variant, dd_text, demonstrations)[0]
+            memo = demonstrations, PromptLead(model, temperature, text)
+        return CompletionRequest(prompt=prompt, model=model, temperature=temperature,
+                                 lead=memo[1])
 
     def judge(example: Example, completion: str | SemkitError) -> tuple[str, str]:
         if isinstance(completion, SemkitError):

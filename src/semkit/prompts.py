@@ -16,10 +16,14 @@ Rendering variants (``render_dd``):
 * ``operator-list`` — declaration names only, one per line;
 * ``none`` — empty text.
 
-Prompts are assembled from a versioned plain-text template whose first three
-lines are the DD header block (included only when a DD variant is active) and
-which carries ``[DD]``, ``[query-i]``, ``[solution-i]`` and ``[query-test]``
-slots; demonstrations expand the query/solution block once per demo, in order.
+Prompts are assembled from a versioned plain-text template holding the slots
+``[DD]``, ``[query-i]``, ``[solution-i]`` and ``[query-test]``.  Its DD header
+block, the lines through the ``[DD]`` line and the blank line after it, is
+included only when a DD variant is active.  The demo block follows it: the
+``[query-i]`` line through the ``[solution-i]`` line and the blank line after
+it, expanded once per demonstration, in order.  This module alone knows where
+the test utterance goes: :func:`prompt_segments` compiles a template, DD and
+demonstrations into the constant text around the ``[query-test]`` slots.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from .errors import DataFormatError, SemkitError
 from .resources import template_path
 
 DD_VARIANTS = ("none", "operator-list", "no-typing", "full")
-_SLOT = re.compile(r"(\[(?:DD|query-i|solution-i|query-test)\])")
+_SLOTS = re.compile(r"(\[(?:DD|query-i|solution-i)\])")  # the markers a demo block fills
+_DD_SLOT = re.compile(r"(\[DD\])")  # the one marker the lines around it fill
 
 
 def load_dd_source(path) -> list[dict]:
@@ -134,42 +139,61 @@ def default_template(template_id: str = "v1") -> str:
 
 def build_prompt(spec: PromptSpec, template: str | None = None) -> str:
     """Instantiate the prompt template; byte-deterministic in its inputs."""
-    if (spec.dd_variant == "none") != (spec.dd_text == ""):
-        raise SemkitError("dd_variant none requires empty dd_text and vice versa")
-    if spec.dd_variant == "none" and not spec.demonstrations:
-        raise SemkitError("a prompt needs a domain description or at least one demonstration")
-    head, block, tail = _template_parts(template or default_template(spec.template_id),
-                                        spec.dd_variant != "none")
-    slots = {"[DD]": spec.dd_text, "[query-test]": spec.test_utterance}
-    parts = [_fill(head, slots)] if head else []
-    ending = [_fill(tail, slots)] if tail else []
-    demo = dict(slots)
-    for utterance, program in spec.demonstrations:
-        demo["[query-i]"], demo["[solution-i]"] = utterance, program
-        parts.append(_fill(block, demo))
-    return "\n".join(parts + ending)
+    return spec.test_utterance.join(prompt_segments(
+        template or default_template(spec.template_id), spec.dd_variant, spec.dd_text,
+        spec.demonstrations))
 
 
 @lru_cache(maxsize=8)
-def _template_parts(template: str, with_dd: bool) -> tuple[tuple[str, ...], ...]:
-    """The lines before the demo block, the block and the lines after it, each split
-    around its slot markers (empty for a part without lines)."""
+def prompt_segments(template: str, dd_variant: str, dd_text: str,
+                    demonstrations: tuple[tuple[str, str], ...]) -> tuple[str, ...]:
+    """The filled template's constant text around its ``[query-test]`` slots: the prompt
+    for test utterance ``u`` is ``u.join(segments)``, so ``segments[0]`` is all of it
+    before the first slot."""
+    if (dd_variant == "none") != (dd_text == ""):
+        raise SemkitError("dd_variant none requires empty dd_text and vice versa")
+    if dd_variant == "none" and not demonstrations:
+        raise SemkitError("a prompt needs a domain description or at least one demonstration")
+    head, block, tail = _template_parts(template, dd_variant != "none")
+    slots = {"[DD]": dd_text}
+    segments, text = [], []
+    for runs, demo in [(head, ())] + [(block, demo) for demo in demonstrations] + [(tail, ())]:
+        if demo:
+            slots["[query-i]"], slots["[solution-i]"] = demo
+        for cut, run in enumerate(runs):
+            if cut:
+                segments.append("".join(text))
+                text = []
+            # a marker gets its slot's value and data text is kept, even one holding a marker
+            text += map(slots.get, run, run)
+    segments.append("".join(text)[:-1])  # each part ends in a newline, but the prompt does not
+    return tuple(segments)
+
+
+@lru_cache(maxsize=8)
+def _template_parts(template: str, with_dd: bool) -> tuple[tuple[tuple[str, ...], ...], ...]:
+    """The lines before the demo block, the block and the lines after it, each with a
+    newline after every line, cut at its ``[query-test]`` slots into runs of text split
+    around the markers the part fills."""
     lines = template.splitlines()
-    if not with_dd:
-        lines = lines[3:]  # the DD header block is exactly the first three lines
-    query_at = next(i for i, l in enumerate(lines) if "[query-i]" in l)
-    solution_at = next(i for i, l in enumerate(lines) if "[solution-i]" in l)
-    block_end = solution_at + 1
-    if block_end < len(lines) and lines[block_end] == "":
-        block_end += 1
-    return tuple(tuple(_SLOT.split("\n".join(part))) if part else ()
-                 for part in (lines[:query_at], lines[query_at:block_end], lines[block_end:]))
+    at = {}
+    for slot in ("[DD]", "[query-i]", "[solution-i]", "[query-test]"):
+        at[slot] = next((i for i, line in enumerate(lines) if slot in line), None)
+        if at[slot] is None:
+            raise SemkitError(f"prompt template has no {slot} slot")
 
+    def paragraph_end(i: int) -> int:  # past line i and the blank line after it, if any
+        return i + 2 if i + 1 < len(lines) and lines[i + 1] == "" else i + 1
 
-def _fill(pieces: tuple[str, ...], slots: dict[str, str]) -> str:
-    """Template pieces joined with each marker replaced by its slot's value, so data
-    text holding a marker (a demo utterance with ``[DD]``, say) goes in as it is."""
-    return "".join(map(slots.get, pieces, pieces))
+    header_end, query_at = paragraph_end(at["[DD]"]), at["[query-i]"]
+    if not header_end <= query_at <= at["[solution-i]"]:
+        raise SemkitError("prompt template: the demo block, from the [query-i] line to the "
+                          "[solution-i] line, must follow the DD header block")
+    block_end = paragraph_end(at["[solution-i]"])
+    parts = ((lines[0 if with_dd else header_end:query_at], _DD_SLOT),
+             (lines[query_at:block_end], _SLOTS), (lines[block_end:], _DD_SLOT))
+    return tuple(tuple(tuple(markers.split(run)) for run in "".join(
+        line + "\n" for line in part).split("[query-test]")) for part, markers in parts)
 
 
 def count_prompt_tokens(text: str, tokenizer=None) -> int:

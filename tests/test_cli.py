@@ -271,6 +271,9 @@ _CUT_SHORT, _IN_A_LIST = (lambda text: text[:-3]), (lambda text: f"[{text}]")
      "run config: field 'seeds' is not a list of whole numbers: 'ab'\n"),
     ("run", _edited(lambda c: c.update(selection={"k": "x"})),
      "run config: field 'selection.k' is not a whole number: 'x'\n"),
+    *(("run", _edited(lambda c, selection={"method": method, "k": k}: c.update(
+        selection=selection)), f"run config: k must be at least 1, not {k}\n")
+      for method in ("random", "coverage", "bm25") for k in (0, -1)),
     ("run", _edited(lambda c: c["client"].update(mode="warp")),
      "unknown client mode 'warp' (known: live, record, replay)\n"),
     ("run", _edited(lambda c: c["client"].update(mode="live")),
@@ -297,7 +300,9 @@ _CUT_SHORT, _IN_A_LIST = (lambda text: text[:-3]), (lambda text: f"[{text}]")
     ("bootstrap", _edited(lambda c: c.update(seed_ids=[])),
      "bootstrap config: seed_ids must be nonempty\n"),
 ], ids=["run not JSON", "run top level a list", "run without client", "run DD fancy",
-        "run seeds ab", "run k x", "run mode warp", "run live without endpoint",
+        "run seeds ab", "run k x",
+        *(f"run {method} k {k}" for method in ("random", "coverage", "bm25") for k in (0, -1)),
+        "run mode warp", "run live without endpoint",
         "run replay without cache", "run cache 7", "run model 7", "run output_dir 7",
         "run environment_file 7", "bootstrap not JSON", "bootstrap top level a list",
         "bootstrap without dataset", "bootstrap mode warp", "bootstrap output 7",

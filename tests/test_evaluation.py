@@ -4,7 +4,7 @@ import random
 import pytest
 
 from semkit.calflow import load_world
-from semkit.errors import DataFormatError, PoolExhaustedError
+from semkit.errors import PoolExhaustedError
 from semkit.evaluation import (POLICIES, ComparisonPolicy, canonicalize_names,
                                compare_denotations, compare_outcomes, compare_states,
                                exact_match, report_from_verdicts, score_run, verdict_of)
@@ -198,22 +198,3 @@ def test_compare_denotations_symmetric_and_reflexive():
         for a in pool:
             for b in pool:
                 assert compare_denotations(a, b, policy) == compare_denotations(b, a, policy)
-
-
-def test_load_predictions(tmp_path, geoquery, geo_model):
-    from semkit.evaluation import load_predictions
-
-    path = tmp_path / "preds.jsonl"
-    rows = [{"id": ex.id, "dialect": "pymr", "program": ex.programs["pymr"]}
-            for ex in geoquery.examples[:3]]
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    loaded = load_predictions(path)
-    assert [r["id"] for r in loaded] == [r["id"] for r in rows]
-    outcome = run_program(loaded[0]["dialect"], loaded[0]["program"], "geo", geo_model)
-    assert outcome.ok
-
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text(json.dumps({"id": "x"}) + "\n")
-    with pytest.raises(DataFormatError) as info:
-        load_predictions(bad)
-    assert str(info.value) == f"{bad}: line 1: missing field 'dialect'"

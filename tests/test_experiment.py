@@ -184,7 +184,7 @@ def test_run_path_goes_through_build_prompt_and_replay_get(monkeypatch, tmp_path
     digests = [counting(monkeypatch, owner, name)
                for owner, name in ((llm.CompletionRequest, "fingerprint"),
                                    (llm.CompletionRequest, "prompt_digest"),
-                                   (llm.PromptLead, "__init__"), (llm.PromptLead, "extended"))]
+                                   (llm.PromptLead, "states"))]
     sent = []
 
     def transport(request):
@@ -200,4 +200,4 @@ def test_run_path_goes_through_build_prompt_and_replay_get(monkeypatch, tmp_path
                                  dd_declarations=load_dd_source(dd_path("geo", "pymr")))
     llm.bootstrap_annotations([geoquery[i] for i in bootstrap["seed_ids"]], unlabeled,
                               geo_model, llm.LlmClient(mode="live", transport=transport), config)
-    assert len(sent) == 3 * len(unlabeled) and digests == [[], [], [], []]
+    assert len(sent) == 3 * len(unlabeled) and digests == [[], [], []]

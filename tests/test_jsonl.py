@@ -1,9 +1,9 @@
 """The shared JSONL reader: every line decodes as ``json.loads(line)`` does.
 
-Each reader of a JSONL file (datasets, the geobase, replay caches and
-prediction files) goes through :func:`semkit.resources.read_jsonl`.  These
-tests hold it to the per-line ``json.loads`` loop it replaced: equal records
-on every bundled file, and on a bad line the same error message and line.
+Each reader of a JSONL file (datasets, the geobase and replay caches) goes
+through :func:`semkit.resources.read_jsonl`.  These tests hold it to the
+per-line ``json.loads`` loop it replaced: equal records on every bundled
+file, and on a bad line the same error message and line.
 """
 
 import json
@@ -12,7 +12,6 @@ import pytest
 
 from semkit.corpus import Example, load_dataset
 from semkit.errors import DataFormatError
-from semkit.evaluation import load_predictions
 from semkit.geo import load_geobase
 from semkit.llm import ReplayCache
 from semkit.resources import DATA_DIR, read_jsonl
@@ -110,7 +109,6 @@ READERS = {
     "load_geobase": (load_geobase, '{"kind": "country", "name": "usa"}\n'),
     "ReplayCache": (ReplayCache, json.dumps(
         {"fingerprint": "f", "prompt_sha256": "p", "completion": "c"}) + "\n"),
-    "load_predictions": (load_predictions, '{"id": "x", "dialect": "pymr", "program": "p"}\n'),
 }
 
 

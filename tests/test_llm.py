@@ -14,7 +14,7 @@ from semkit.execute import run_program
 from semkit.experiment import dd_text
 from semkit.llm import (BootstrapConfig, CompletionRequest, LlmClient, ReplayCache,
                         bootstrap_annotations, example_evaluator, extract_program)
-from semkit.prompts import DD_VARIANTS, default_template, load_dd_source
+from semkit.prompts import DD_VARIANTS, PromptSpec, build_prompt, default_template, load_dd_source
 from semkit.resources import data_path, dataset_path, dd_path
 
 
@@ -49,7 +49,7 @@ def evaluator_requests(dialect="pymr", dd_variant="full", dd="", model="desk-mod
 def assert_lead_ends_at_the_test_query(req: CompletionRequest, example: Example) -> None:
     """The request streams from the lead of its own demos, which under the bundled
     template is all of the prompt before the test utterance."""
-    assert req.lead().text + example.utterance + "\nsolution:" == req.prompt
+    assert req.lead.text + example.utterance + "\nsolution:" == req.prompt
 
 
 BUNDLED_PAIRS = [("geo", "funql", "geoquery"), ("geo", "pymr", "geoquery"),
@@ -126,17 +126,81 @@ def test_the_demo_memo_is_rebuilt_when_the_demos_change(geoquery):
         assert_lead_ends_at_the_test_query(req, ex)
 
 
-@pytest.mark.parametrize("template", [
-    "Header\n[DD]\n\nQ: [query-i]\nA: [solution-i]\n\nTest: [query-test]\nA:",
-    "For [query-test]:\n[DD]\n\nQ: [query-i]\nA: [solution-i]\n\nQ: [query-test]\nA:",
-    "Header\n[DD]\n\nQ: [query-i] ([query-test])\nA: [solution-i]\n\n[query-test]",
-], ids=["test query unlike a demo", "test query in the header", "test query in each demo"])
+OTHER_TEMPLATES = {
+    "test query unlike a demo":
+        "Header\n[DD]\n\nQ: [query-i]\nA: [solution-i]\n\nTest: [query-test]\nA:",
+    "test query in the header":
+        "For [query-test]:\n[DD]\n\nQ: [query-i]\nA: [solution-i]\n\nQ: [query-test]\nA:",
+    "test query in each demo":
+        "Header\n[DD]\n\nQ: [query-i] ([query-test])\nA: [solution-i]\n\n[query-test]",
+}
+
+
+@pytest.mark.parametrize("template", OTHER_TEMPLATES.values(), ids=OTHER_TEMPLATES.keys())
 def test_streamed_digests_match_the_reference_under_other_templates(geoquery, template):
     pool = [ex for ex in geoquery.examples if "pymr" in ex.programs]
     request_of = evaluator_requests(dd=dd_text("geo", "pymr", "full"), template=template)
     for demos in ([], pool[:2], [], pool[2:4], pool[2:4]):
         for example in pool[4:6]:
             assert_reference_digests(request_of(example, demos))
+
+
+# sha256 of the sha256 lines of every prompt_corpus() prompt: a change to the bytes of
+# any prompt, and so to the replay-cache key of its request, shows here
+PROMPT_CORPUS_SHA256 = "be35c6a1c806ee1fdab2f35c218af6fe21ea24267f45f150bf579ec9b6d7d1e0"
+
+
+def prompt_corpus():
+    """(template, dialect, DD variant, DD text, test example, demos) of every prompt in
+    the digest tests above: the bundled pairs x DD variants x k, the awkward text and
+    the other templates."""
+    for environment, dialect, dataset in BUNDLED_PAIRS:
+        annotated = [ex for ex in load_dataset(dataset_path(dataset)).examples
+                     if dialect in ex.programs]
+        for variant in DD_VARIANTS:
+            for k in (0, 1, 3) if variant != "none" else (1, 3):
+                for demos in (annotated[:k], annotated[k:2 * k]):
+                    for example in annotated[-4:]:
+                        yield (default_template(), dialect, variant,
+                               dd_text(environment, dialect, variant), example, demos)
+    for seed in range(4):
+        rng = Lcg(seed)
+        examples = [Example(id=f"x{i}", utterance=awkward_text(rng),
+                            programs={"pymr": awkward_text(rng)}) for i in range(12)]
+        dd = "class State:  # " + awkward_text(rng)
+        for variant, text in (("full", dd), ("none", "")):
+            for at, example in enumerate(examples):
+                demos = examples[:3] if at % 4 else examples[at - 3:at] or examples[-1:]
+                yield default_template(), "pymr", variant, text, example, demos
+    pool = [ex for ex in load_dataset(dataset_path("geoquery")).examples if "pymr" in ex.programs]
+    for template in OTHER_TEMPLATES.values():
+        for demos in ([], pool[:2], pool[2:4]):
+            for example in pool[4:6]:
+                yield template, "pymr", "full", dd_text("geo", "pymr", "full"), example, demos
+
+
+def corpus_digest(prompt_digests) -> str:
+    return hashlib.sha256("".join(d + "\n" for d in prompt_digests).encode()).hexdigest()
+
+
+def test_build_prompt_reproduces_the_frozen_prompt_corpus():
+    digests = []
+    for template, dialect, variant, dd, example, demos in prompt_corpus():
+        spec = PromptSpec(dd_variant=variant, dd_text=dd, test_utterance=example.utterance,
+                          demonstrations=tuple((d.utterance, d.programs[dialect]) for d in demos),
+                          dialect=dialect)
+        digests.append(hashlib.sha256(build_prompt(spec, template).encode()).hexdigest())
+    assert corpus_digest(digests) == PROMPT_CORPUS_SHA256
+
+
+def test_the_steps_requests_reproduce_the_frozen_prompt_corpus():
+    steps, digests = {}, []
+    for template, dialect, variant, dd, example, demos in prompt_corpus():
+        if (template, dialect, variant, dd) not in steps:
+            steps[template, dialect, variant, dd] = evaluator_requests(dialect, variant, dd,
+                                                                       template=template)
+        digests.append(steps[template, dialect, variant, dd](example, demos).prompt_digest())
+    assert corpus_digest(digests) == PROMPT_CORPUS_SHA256
 
 
 def test_digests_streamed_on_many_threads_match_the_reference(geoquery):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 
@@ -131,3 +132,30 @@ def test_template_resource_loads():
     template = default_template("v1")
     for slot in ("[DD]", "[query-i]", "[solution-i]", "[query-test]"):
         assert slot in template
+
+
+TEMPLATE = "Intro\n[DD]\n\nQ: [query-i]\nA: [solution-i]\n\nQ: [query-test]\nA:"
+
+
+@pytest.mark.parametrize("slot", ["[DD]", "[query-i]", "[solution-i]", "[query-test]"])
+def test_a_template_without_a_slot_is_an_error_naming_it(slot):
+    with pytest.raises(SemkitError, match=re.escape(f"prompt template has no {slot} slot")):
+        build_prompt(spec(), TEMPLATE.replace(slot, "x"))
+
+
+@pytest.mark.parametrize("template", [
+    "Q: [query-i]\nA: [solution-i]\n\n[DD]\n\nQ: [query-test]\nA:",
+    "Intro\n[DD] Q: [query-i]\nA: [solution-i]\n\nQ: [query-test]\nA:",
+    "Intro\n[DD]\n\nA: [solution-i]\nQ: [query-i]\n\nQ: [query-test]\nA:",
+], ids=["DD after the demo block", "demo block on the DD line", "solution first"])
+def test_a_template_whose_demo_block_does_not_follow_the_dd_header_is_an_error(template):
+    with pytest.raises(SemkitError, match="must follow the DD header block"):
+        build_prompt(spec(), template)
+
+
+@pytest.mark.parametrize("header", ["[DD]\n\n", "[DD]\n", "A\nB\nC\n[DD]\n\n", "A\n[DD] (end)\n"])
+def test_the_dd_header_block_runs_through_the_dd_line_and_one_blank_line(header):
+    template = header + "Note\n\nQ: [query-i]\nA: [solution-i]\n\nQ: [query-test]\nA:"
+    rest = "Note\n\nQ: q1\nA: s1\n\nQ: qt\nA:"
+    assert build_prompt(spec(dd_variant="none", dd_text=""), template) == rest
+    assert build_prompt(spec(), template) == header.replace("[DD]", "DDTEXT") + rest
