@@ -24,7 +24,6 @@ from .experiment import (SELECTION_METHODS, DemoSelector, dd_text, load_config_e
                          make_client, resolve_path, run_experiment)
 from .prompts import DD_VARIANTS, PromptSpec, build_prompt, load_dd_source
 from .resources import INTEGER, OBJECT, STRING, STRINGS, Schema, dd_path, read_json_object
-from .social import desimplify_ldcs, parse_ldcs, render_ldcs, simplify_ldcs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,6 +47,8 @@ def cmd_execute(args) -> int:
 
 
 def cmd_simplify(args) -> int:
+    from .social import desimplify_ldcs, parse_ldcs, render_ldcs, simplify_ldcs
+
     lines = Path(args.input).read_text(encoding="utf-8").splitlines()
     out_lines = []
     for lineno, line in enumerate(lines, start=1):

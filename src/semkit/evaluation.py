@@ -21,10 +21,13 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .calflow import CalendarWorld
 from .errors import PoolExhaustedError
 from .outcomes import Denotation, Outcome, WorldDelta
+
+if TYPE_CHECKING:  # an annotation only: importing this module loads no interpreter
+    from .calflow import CalendarWorld
 
 NUMBER_RELATIVE_TOLERANCE = 1e-9
 

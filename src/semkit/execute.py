@@ -1,57 +1,79 @@
 """The dialect registry: parse, execute and extract operators for any MR dialect.
 
-:data:`DIALECTS` holds, per dialect, the environment it runs against and its
-parse, execute and operator-extraction steps; :data:`ENVIRONMENTS` holds the
-environment loaders.  Programs arrive as text, and failures of any kind (parse
-or runtime) come back as captured :class:`~semkit.outcomes.Outcome` failures;
-pairing a dialect with the wrong environment raises :class:`SemkitError`.
+:data:`DIALECTS` holds, per dialect, the environment it runs against, the
+interpreter module it needs and its parse, execute and operator-extraction
+steps; :data:`ENVIRONMENTS` names each environment's loader module and
+function.  A module named here is imported on the first call that needs it, so
+a process compiles only the interpreters it runs.  Programs arrive as text,
+and failures of any kind (parse or runtime) come back as captured
+:class:`~semkit.outcomes.Outcome` failures; pairing a dialect with the wrong
+environment raises :class:`SemkitError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
+from types import ModuleType
 from typing import Callable
 
-from . import calflow, funql, geo, pymr, social
 from .errors import SemkitError
 from .outcomes import Outcome
 
+# environment -> (loader module, loader function)
 ENVIRONMENTS = {
-    "geo": geo.load_geobase,
-    "social": social.load_social_db,
-    "calendar": calflow.load_world,
+    "geo": ("semkit.geo", "load_geobase"),
+    "social": ("semkit.social", "load_social_db"),
+    "calendar": ("semkit.calflow", "load_world"),
 }
+
+_IMPORTED: dict[str, ModuleType] = {}  # module name -> module, once its import has finished
+
+
+def _loaded(module: str) -> ModuleType:
+    """``module``, imported on its first use; after that one dict lookup.
+
+    Only a finished import is kept: a thread that asks while another thread is
+    still importing the module waits in ``import_module`` for it, where
+    ``sys.modules`` would hand it the half-initialized module.
+    """
+    found = _IMPORTED.get(module)
+    if found is None:
+        found = _IMPORTED[module] = import_module(module)
+    return found
 
 
 @dataclass(frozen=True)
 class Dialect:
     environment: str | None  # None: runs against any environment
-    parse: Callable  # text -> ast
-    execute: Callable  # (ast, environment, env_object) -> Outcome
-    operators: Callable  # ast -> frozenset of operator names
+    module: str  # the interpreter module, handed to each step as ``m``
+    parse: Callable  # (m, text) -> ast
+    execute: Callable  # (m, ast, environment, env_object) -> Outcome
+    operators: Callable  # (m, ast) -> frozenset of operator names
 
 
-# Steps look the interpreter functions up on their modules at call time, so a
+# Steps look the interpreter functions up on their module at call time, so a
 # rebound module attribute (a tracer, a test double) is the one that runs.
 DIALECTS = {
-    "funql": Dialect("geo", lambda text: funql.parse_funql(text),
-                     lambda ast, env, world: Outcome.success(funql.exec_funql(ast, world)),
-                     lambda ast: funql.extract_operators(ast)),
-    "ldcs": Dialect("social", lambda text: social.parse_ldcs(text, "full"),
-                    lambda ast, env, world: Outcome.success(
-                        social.exec_ldcs_simple(social.simplify_ldcs(ast), world)),
-                    lambda ast: social.extract_operators(ast)),
-    "ldcs-simple": Dialect("social", lambda text: social.parse_ldcs(text, "simple"),
-                           lambda ast, env, world: Outcome.success(
-                               social.exec_ldcs_simple(ast, world)),
-                           lambda ast: social.extract_operators(ast)),
-    "dataflow-simple": Dialect("calendar", lambda text: calflow.parse_dfs(text),
-                               lambda ast, env, world: Outcome.success(
-                                   calflow.exec_dfs(ast, world)[1]),
-                               lambda ast: calflow.extract_operators(ast)),
-    "pymr": Dialect(None, lambda text: pymr.parse_pymr(text),
-                    lambda ast, env, world: pymr.exec_pymr(ast, env, world),
-                    lambda ast: pymr.extract_operators(ast)),
+    "funql": Dialect("geo", "semkit.funql", lambda m, text: m.parse_funql(text),
+                     lambda m, ast, env, world: Outcome.success(m.exec_funql(ast, world)),
+                     lambda m, ast: m.extract_operators(ast)),
+    "ldcs": Dialect("social", "semkit.social", lambda m, text: m.parse_ldcs(text, "full"),
+                    lambda m, ast, env, world: Outcome.success(
+                        m.exec_ldcs_simple(m.simplify_ldcs(ast), world)),
+                    lambda m, ast: m.extract_operators(ast)),
+    "ldcs-simple": Dialect("social", "semkit.social",
+                           lambda m, text: m.parse_ldcs(text, "simple"),
+                           lambda m, ast, env, world: Outcome.success(
+                               m.exec_ldcs_simple(ast, world)),
+                           lambda m, ast: m.extract_operators(ast)),
+    "dataflow-simple": Dialect("calendar", "semkit.calflow", lambda m, text: m.parse_dfs(text),
+                               lambda m, ast, env, world: Outcome.success(
+                                   m.exec_dfs(ast, world)[1]),
+                               lambda m, ast: m.extract_operators(ast)),
+    "pymr": Dialect(None, "semkit.pymr", lambda m, text: m.parse_pymr(text),
+                    lambda m, ast, env, world: m.exec_pymr(ast, env, world),
+                    lambda m, ast: m.extract_operators(ast)),
 }
 
 
@@ -69,8 +91,9 @@ def dialect_for(dialect: str, environment: str | None = None) -> Dialect:
 def run_program(dialect: str, text: str, environment: str, env_object) -> Outcome:
     """Parse and execute one program; never raises for program-level problems."""
     entry = dialect_for(dialect, environment)
+    m = _loaded(entry.module)
     try:
-        return entry.execute(entry.parse(text), environment, env_object)
+        return entry.execute(m, entry.parse(m, text), environment, env_object)
     except SemkitError as exc:
         return Outcome.from_exception(exc)
     except Exception as exc:  # noqa: BLE001 - captured by contract
@@ -101,11 +124,13 @@ def memoized_runs(environment: str, env_object) -> Callable[[str, str], Outcome]
 def operators_of(dialect: str, text: str) -> frozenset[str]:
     """Unigram operator set of one program, per the dialect's extraction rule."""
     entry = dialect_for(dialect)
-    return entry.operators(entry.parse(text))
+    m = _loaded(entry.module)
+    return entry.operators(m, entry.parse(m, text))
 
 
 def load_environment(environment: str, path):
     """Load the environment object an execution needs (model, db or world)."""
     if environment not in ENVIRONMENTS:
         raise SemkitError(f"unknown environment {environment!r}")
-    return ENVIRONMENTS[environment](path)
+    module, loader = ENVIRONMENTS[environment]
+    return getattr(_loaded(module), loader)(path)

@@ -199,6 +199,7 @@ def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> di
         raise SemkitError(f"run config: k must be at least 1, not {k}")
     if not seeds:
         raise SemkitError("seeds list must be nonempty")
+    template = default_template(template_id)  # a bundled resource, not a file the config names
     client, model = make_client(client_config, base, "run config")
     dataset = load_dataset(resolve_path(dataset_file, base))
     split = load_split(resolve_path(split_file, base), dataset)
@@ -209,7 +210,7 @@ def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> di
     request, judge = example_evaluator(
         model, temperature, dialect, gold_dialect, dd_variant,
         dd_text(environment, dialect, dd_variant),
-        default_template(template_id), policy,
+        template, policy,
         memoized_runs(environment, env_object),  # predicted and gold, keyed by the text run
         env_object if policy.name_canonicalization else None)
     selector = DemoSelector(dataset, split, dialect)

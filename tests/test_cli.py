@@ -287,6 +287,8 @@ _CUT_SHORT, _IN_A_LIST = (lambda text: text[:-3]), (lambda text: f"[{text}]")
      "run config: field 'output_dir' is not a string: 7\n"),
     ("run", _edited(lambda c: c.update(environment_file=7)),
      "run config: field 'environment_file' is not a string: 7\n"),
+    ("run", _edited(lambda c: c.update(template_id="v9")),
+     "no bundled resource 'prompt_template_v9.txt'\n"),
     ("bootstrap", _CUT_SHORT, "{path}: not valid JSON: "),
     ("bootstrap", _IN_A_LIST, "{path}: expected a JSON object at the top level\n"),
     ("bootstrap", _edited(lambda c: c.pop("dataset")),
@@ -304,9 +306,9 @@ _CUT_SHORT, _IN_A_LIST = (lambda text: text[:-3]), (lambda text: f"[{text}]")
         *(f"run {method} k {k}" for method in ("random", "coverage", "bm25") for k in (0, -1)),
         "run mode warp", "run live without endpoint",
         "run replay without cache", "run cache 7", "run model 7", "run output_dir 7",
-        "run environment_file 7", "bootstrap not JSON", "bootstrap top level a list",
-        "bootstrap without dataset", "bootstrap mode warp", "bootstrap output 7",
-        "bootstrap k 0", "bootstrap no seed ids"])
+        "run environment_file 7", "run template v9", "bootstrap not JSON",
+        "bootstrap top level a list", "bootstrap without dataset", "bootstrap mode warp",
+        "bootstrap output 7", "bootstrap k 0", "bootstrap no seed ids"])
 def test_malformed_config_is_an_error_line_before_any_file_is_read(tmp_path, capsys, command,
                                                                    edit, message):
     bundled = "experiment_replay.json" if command == "run" else "bootstrap_replay.json"
@@ -344,14 +346,96 @@ print(sorted(name for name in ("urllib.request", "http.client", "ssl") if name i
 """
 
 
-def test_importing_the_cli_leaves_the_live_transport_modules_out():
+def _python(probe: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``probe`` in a fresh interpreter that imports this checkout's semkit."""
     src = str(Path(semkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    result = subprocess.run([sys.executable, "-c", _IMPORTS_PROBE], env=env,
-                            capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", probe, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_importing_the_cli_leaves_the_live_transport_modules_out():
+    result = _python(_IMPORTS_PROBE)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+# Prints the interpreter modules loaded after importing the CLI, after the
+# benchmark's set-up probe on the geo world, and after the first FunQL run; then
+# how many runs went through a counting exec_funql rebound before or after that run.
+_INTERPRETERS_PROBE = """
+import sys
+INTERPRETERS = ("semkit.calflow", "semkit.funql", "semkit.geo", "semkit.pymr", "semkit.social")
+loaded = lambda: print([name for name in INTERPRETERS if name in sys.modules])
+import semkit.cli, semkit.experiment
+loaded()
+import semkit
+from semkit.corpus import load_dataset, load_split
+from semkit.execute import load_environment, run_program
+from semkit.llm import ReplayCache
+from semkit.prompts import load_dd_source
+from semkit.resources import data_path, dd_path, environment_path
+load_split(data_path("splits", "geoquery_iid.json"),
+           load_dataset(data_path("datasets", "geoquery.jsonl")))
+ReplayCache(data_path("replay_cache.jsonl"))
+load_dd_source(dd_path("geo", "funql"))
+geo_model = load_environment("geo", environment_path("geo"))
+loaded()
+calls = []
+def rebind():
+    import semkit.funql as funql
+    original = funql.exec_funql
+    funql.exec_funql = lambda ast, world: calls.append(ast) or original(ast, world)
+if sys.argv[1] == "before":
+    rebind()
+first = run_program("funql", "answer(count(state(all)))", "geo", geo_model)
+loaded()
+if sys.argv[1] == "after":
+    rebind()
+second = run_program("funql", "answer(count(state(all)))", "geo", geo_model)
+print(first.ok, first == second, len(calls))
+"""
+
+
+@pytest.mark.parametrize("rebound, runs_counted", [("before", 2), ("after", 1)])
+def test_interpreters_are_imported_on_first_use(rebound, runs_counted):
+    result = _python(_INTERPRETERS_PROBE, rebound)
+    assert result.returncode == 0, result.stderr
+    cli, setup, first_run, runs = result.stdout.splitlines()
+    assert cli == "[]"
+    assert setup == "['semkit.geo']"
+    assert first_run == "['semkit.funql', 'semkit.geo']"
+    assert runs == f"True True {runs_counted}"
+
+
+# Four threads run FunQL programs from the first one on, switching as often as
+# they can: a thread that starts while another is importing the interpreter
+# must wait for it, not run against a half-initialized module.
+_FIRST_USE_THREADS_PROBE = """
+import sys, threading
+from semkit.execute import load_environment, run_program
+from semkit.resources import environment_path
+geo_model = load_environment("geo", environment_path("geo"))
+messages = []
+def runs():
+    for _ in range(50):
+        outcome = run_program("funql", "answer(count(state(all)))", "geo", geo_model)
+        messages.append(outcome.message)
+threads = [threading.Thread(target=runs) for _ in range(4)]
+sys.setswitchinterval(1e-6)
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=30)
+print(sum(thread.is_alive() for thread in threads), len(messages), sorted(set(map(str, messages))))
+"""
+
+
+def test_threads_that_first_use_an_interpreter_together_all_run_it():
+    result = _python(_FIRST_USE_THREADS_PROBE)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "0 200 ['None']"  # every run done, none failed
 
 
 def test_run_zero_test_examples_is_config_error(tmp_path, capsys):
