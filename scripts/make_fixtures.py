@@ -61,7 +61,7 @@ def build_run_cache() -> None:
             spec = PromptSpec(
                 dd_variant="full", dd_text=dd_text,
                 demonstrations=tuple((d.utterance, d.programs["pymr"]) for d in demos.examples),
-                test_utterance=example.utterance, dialect="pymr")
+                test_utterance=example.utterance)
             request = CompletionRequest(prompt=build_prompt(spec), model=MODEL, temperature=0.0)
             program = WRONG.get((seed, test_id), example.programs["pymr"])
             cache.put(request, dress(seed, index, program), {"seed": seed, "id": test_id})

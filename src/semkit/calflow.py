@@ -7,8 +7,8 @@ World files are JSON, their fields declared in ``_WORLD`` and ``_PERSON``::
 
 ``events`` is not read.  The manager graph must be acyclic and ``now`` is fixed
 per world (the bundled world anchors at Monday 2023-01-02 08:00).  Execution
-never mutates a world; it returns a new world plus the
-:class:`~semkit.outcomes.WorldDelta` of events created.
+never mutates a world; it returns the :class:`~semkit.outcomes.WorldDelta` of
+events created.
 
 Dataflow-Simple registry::
 
@@ -62,7 +62,6 @@ class CalendarWorld:
     people: list[CalPerson]
     current_user: CalPerson
     now: dt.datetime
-    events: tuple[CreatedEvent, ...] = ()
 
     def find_person(self, name: str) -> CalPerson:
         wanted = name.lower()
@@ -78,10 +77,6 @@ class CalendarWorld:
 
     def team_of(self, person: CalPerson) -> list[CalPerson]:
         return [p for p in self.people if p.manager is person.manager]
-
-    def with_event(self, event: CreatedEvent) -> "CalendarWorld":
-        return CalendarWorld(people=self.people, current_user=self.current_user,
-                             now=self.now, events=(*self.events, event))
 
 
 _WORLD = Schema(("current_user", STRING), ("now", ANY))
@@ -435,12 +430,11 @@ def build_event(draft: _EventDraft, world: CalendarWorld) -> CreatedEvent:
     )
 
 
-def exec_dfs(ast: Call, world: CalendarWorld) -> tuple[CalendarWorld, WorldDelta]:
-    """Execute a program; returns the new world and the delta of created events."""
+def exec_dfs(ast: Call, world: CalendarWorld) -> WorldDelta:
+    """Execute a program; returns the delta of created events."""
     if not isinstance(ast, Call) or ast.head != "CreateEvent":
         raise MrExecError("unresolvable-constraint", "program root must be CreateEvent")
     draft = _EventDraft()
     if ast.args:
         _apply_constraint(ast.args[0], draft, world)
-    event = build_event(draft, world)
-    return world.with_event(event), WorldDelta(created=(event,))
+    return WorldDelta(created=(build_event(draft, world),))

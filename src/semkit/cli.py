@@ -95,7 +95,7 @@ def cmd_prompt(args) -> int:
         dd_variant=args.dd, dd_text=dd_text(args.env, args.dialect, args.dd),
         demonstrations=tuple((dataset[i].utterance, dataset[i].programs[args.dialect])
                              for i in ids),
-        test_utterance=args.utterance, dialect=args.dialect)
+        test_utterance=args.utterance)
     sys.stdout.write(build_prompt(spec))
     return 0
 

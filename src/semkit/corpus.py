@@ -58,13 +58,6 @@ class Example:
     programs: dict[str, str]
     tags: frozenset[str] = frozenset()
 
-    def tag_value(self, prefix: str) -> str | None:
-        """Return the value of a "prefix:value" tag, or None."""
-        for tag in self.tags:
-            if tag.startswith(prefix + ":"):
-                return tag[len(prefix) + 1:]
-        return None
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -209,15 +202,11 @@ def sample_demos(
     k: int,
     seed: int,
     dialect: str | None = None,
-    stratify_by: str | None = None,
 ) -> DemoSet:
     """Sample ``k`` demonstrations uniformly without replacement from the train pool.
 
     Deterministic in (dataset order, split, k, seed).  When ``dialect`` is
     given, the pool is restricted to train examples annotated in that dialect.
-    When ``stratify_by`` names a tag prefix (e.g. "domain"), at least two
-    examples per tag value are drawn first (pool order per value), then the
-    remainder uniformly; default is plain uniform sampling.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -226,24 +215,5 @@ def sample_demos(
         raise PoolExhaustedError("empty train pool")
     if k > len(pool):
         raise PoolExhaustedError(f"requested k={k} from a pool of {len(pool)}")
-    rng = Lcg(seed)
-    chosen: list[str]
-    if stratify_by is None:
-        chosen = _draw(pool, k, rng)
-    else:
-        by_value: dict[str, list[str]] = {}
-        for ex_id in pool:
-            value = dataset[ex_id].tag_value(stratify_by)
-            if value is not None:
-                by_value.setdefault(value, []).append(ex_id)
-        chosen = []
-        for value in sorted(by_value):
-            ids = by_value[value]
-            want = min(2, len(ids), max(0, k - len(chosen)))
-            chosen.extend(_draw(ids, want, rng))
-        taken = set(chosen)
-        rest = [i for i in pool if i not in taken]
-        remaining = k - len(chosen)
-        if remaining > 0:
-            chosen.extend(_draw(rest, remaining, rng))
+    chosen = _draw(pool, k, Lcg(seed))
     return DemoSet(examples=tuple(dataset[i] for i in chosen), seed=seed, method="random")

@@ -5,8 +5,8 @@ Per-environment comparison rules:
 * geo: denotation comparison in *set* mode (order and multiplicity ignored);
 * social: *multiset* mode (order ignored, multiplicity kept);
 * calendar: *state* mode — the multisets of created events must match on
-  (start, end, location, attendees, avoided); the subject is ignored by
-  default, and person names mentioned in predicted/gold program texts are
+  (start, end, location, attendees, avoided); the subject is ignored, and
+  person names mentioned in predicted/gold program texts are
   first consistently mapped onto the world's people (see
   :func:`canonicalize_names`).
 
@@ -35,14 +35,13 @@ NUMBER_RELATIVE_TOLERANCE = 1e-9
 @dataclass(frozen=True)
 class ComparisonPolicy:
     mode: str  # "denotation-set" | "denotation-multiset" | "state"
-    ignore_subject: bool = True
     name_canonicalization: bool = False
 
 
 POLICIES = {
     "geo": ComparisonPolicy(mode="denotation-set"),
     "social": ComparisonPolicy(mode="denotation-multiset"),
-    "calendar": ComparisonPolicy(mode="state", ignore_subject=True, name_canonicalization=True),
+    "calendar": ComparisonPolicy(mode="state", name_canonicalization=True),
 }
 
 
@@ -69,17 +68,14 @@ def compare_denotations(pred: Denotation, gold: Denotation, policy: ComparisonPo
     return Counter(pred.entities) == Counter(gold.entities)
 
 
-def compare_states(pred: WorldDelta, gold: WorldDelta, policy: ComparisonPolicy) -> bool:
-    """Multiset equality of created events; subject excluded when ignored."""
+def compare_states(pred: WorldDelta, gold: WorldDelta) -> bool:
+    """Multiset equality of created events, their subjects left out."""
     if not isinstance(pred, WorldDelta) or not isinstance(gold, WorldDelta):
         return False
 
     def key(event):
-        parts = (event.start, event.end, event.location,
-                 tuple(sorted(event.attendees)), tuple(sorted(event.avoided)))
-        if not policy.ignore_subject:
-            parts = (*parts, event.subject)
-        return parts
+        return (event.start, event.end, event.location,
+                tuple(sorted(event.attendees)), tuple(sorted(event.avoided)))
 
     return Counter(key(e) for e in pred.created) == Counter(key(e) for e in gold.created)
 
@@ -88,7 +84,7 @@ def compare_outcomes(pred: Outcome, gold: Outcome, policy: ComparisonPolicy) -> 
     if not pred.ok or not gold.ok:
         return False
     if policy.mode == "state":
-        return compare_states(pred.value, gold.value, policy)
+        return compare_states(pred.value, gold.value)
     return compare_denotations(pred.value, gold.value, policy)
 
 

@@ -1,13 +1,16 @@
 """The dialect registry: parse, execute and extract operators for any MR dialect.
 
 :data:`DIALECTS` holds, per dialect, the environment it runs against, the
-interpreter module it needs and its parse, execute and operator-extraction
-steps; :data:`ENVIRONMENTS` names each environment's loader module and
-function.  A module named here is imported on the first call that needs it, so
-a process compiles only the interpreters it runs.  Programs arrive as text,
-and failures of any kind (parse or runtime) come back as captured
-:class:`~semkit.outcomes.Outcome` failures; pairing a dialect with the wrong
-environment raises :class:`SemkitError`.
+interpreter module it needs and its parse and execute steps; every interpreter
+module's ``extract_operators`` gives a program's operator set.
+:data:`ENVIRONMENTS` names each environment's loader module and function.  A
+module named here is imported on the first call that needs it, so a process
+compiles only the interpreters it runs.  Programs arrive as text.  An
+interpreter's ``exec_*`` returns its :class:`~semkit.outcomes.Denotation` or
+:class:`~semkit.outcomes.WorldDelta`, or raises; :func:`run_program` is the one
+place that turns either into an :class:`~semkit.outcomes.Outcome`, so failures
+of any kind (parse or runtime) come back as captured failures.  Pairing a
+dialect with the wrong environment raises :class:`SemkitError`.
 """
 
 from __future__ import annotations
@@ -48,32 +51,23 @@ class Dialect:
     environment: str | None  # None: runs against any environment
     module: str  # the interpreter module, handed to each step as ``m``
     parse: Callable  # (m, text) -> ast
-    execute: Callable  # (m, ast, environment, env_object) -> Outcome
-    operators: Callable  # (m, ast) -> frozenset of operator names
+    execute: Callable  # (m, ast, environment, env_object) -> Denotation | WorldDelta, or raises
 
 
 # Steps look the interpreter functions up on their module at call time, so a
 # rebound module attribute (a tracer, a test double) is the one that runs.
 DIALECTS = {
     "funql": Dialect("geo", "semkit.funql", lambda m, text: m.parse_funql(text),
-                     lambda m, ast, env, world: Outcome.success(m.exec_funql(ast, world)),
-                     lambda m, ast: m.extract_operators(ast)),
+                     lambda m, ast, env, world: m.exec_funql(ast, world)),
     "ldcs": Dialect("social", "semkit.social", lambda m, text: m.parse_ldcs(text, "full"),
-                    lambda m, ast, env, world: Outcome.success(
-                        m.exec_ldcs_simple(m.simplify_ldcs(ast), world)),
-                    lambda m, ast: m.extract_operators(ast)),
+                    lambda m, ast, env, world: m.exec_ldcs_simple(m.simplify_ldcs(ast), world)),
     "ldcs-simple": Dialect("social", "semkit.social",
                            lambda m, text: m.parse_ldcs(text, "simple"),
-                           lambda m, ast, env, world: Outcome.success(
-                               m.exec_ldcs_simple(ast, world)),
-                           lambda m, ast: m.extract_operators(ast)),
+                           lambda m, ast, env, world: m.exec_ldcs_simple(ast, world)),
     "dataflow-simple": Dialect("calendar", "semkit.calflow", lambda m, text: m.parse_dfs(text),
-                               lambda m, ast, env, world: Outcome.success(
-                                   m.exec_dfs(ast, world)[1]),
-                               lambda m, ast: m.extract_operators(ast)),
+                               lambda m, ast, env, world: m.exec_dfs(ast, world)),
     "pymr": Dialect(None, "semkit.pymr", lambda m, text: m.parse_pymr(text),
-                    lambda m, ast, env, world: m.exec_pymr(ast, env, world),
-                    lambda m, ast: m.extract_operators(ast)),
+                    lambda m, ast, env, world: m.exec_pymr(ast, env, world)),
 }
 
 
@@ -93,11 +87,9 @@ def run_program(dialect: str, text: str, environment: str, env_object) -> Outcom
     entry = dialect_for(dialect, environment)
     m = _loaded(entry.module)
     try:
-        return entry.execute(m, entry.parse(m, text), environment, env_object)
-    except SemkitError as exc:
+        return Outcome.success(entry.execute(m, entry.parse(m, text), environment, env_object))
+    except Exception as exc:  # noqa: BLE001 - the one capture point, by contract
         return Outcome.from_exception(exc)
-    except Exception as exc:  # noqa: BLE001 - captured by contract
-        return Outcome.failure("execution-error", f"{type(exc).__name__}: {exc}")
 
 
 def memoized_runs(environment: str, env_object) -> Callable[[str, str], Outcome]:
@@ -125,7 +117,7 @@ def operators_of(dialect: str, text: str) -> frozenset[str]:
     """Unigram operator set of one program, per the dialect's extraction rule."""
     entry = dialect_for(dialect)
     m = _loaded(entry.module)
-    return entry.operators(m, entry.parse(m, text))
+    return m.extract_operators(entry.parse(m, text))
 
 
 def load_environment(environment: str, path):

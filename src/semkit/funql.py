@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import MAX_DEPTH, TOO_DEEP, MrExecError, MrParseError
-from .geo import City, Country, GeoModel, Place, River, State
+from .geo import ENTITY_KINDS, City, Country, GeoModel, Place, River, State, entity_ref
 from .outcomes import Denotation
 
 
@@ -207,11 +207,6 @@ class _Numbers:
         self.unit = unit
 
 
-def _kind(entity) -> str:
-    return {State: "state", City: "city", River: "river",
-            Place: "place", Country: "country"}[type(entity)]
-
-
 def _type_error(op, value):
     got = "numbers" if isinstance(value, _Numbers) else "entities"
     raise MrExecError("type-mismatch", f"{op} cannot be applied to {got} of this shape")
@@ -349,7 +344,8 @@ def _extract(model, op, args):
     items = _entities(model, op, args[0]).items
     for entity in items:
         if not isinstance(entity, kinds):
-            raise MrExecError("type-mismatch", f"{op} not defined for {_kind(entity)}")
+            raise MrExecError("type-mismatch",
+                              f"{op} not defined for {ENTITY_KINDS[type(entity)]}")
     return _Numbers([getattr(e, attribute) for e in items], unit if items else None)
 
 
@@ -417,13 +413,6 @@ _STEPS = {
     **dict.fromkeys(SUPERLATIVES, (1, _superlative)),
 }
 OPERATORS: dict[str, int] = {op: arity for op, (arity, _) in _STEPS.items()}
-
-
-def entity_ref(entity) -> tuple[str, str]:
-    """Canonical (kind, name) pair; cities are qualified by state abbreviation."""
-    if isinstance(entity, City):
-        return ("city", f"{entity.name}, {entity.state.abbreviation}")
-    return (_kind(entity), entity.name)
 
 
 def exec_funql(ast, model: GeoModel) -> Denotation:

@@ -157,21 +157,15 @@ def _find_unique(items, name: str):
     return None
 
 
-def find_entity(model: GeoModel, kind: str, name: str):
-    """Case-insensitive exact-name lookup; None when absent.
+# entity type -> its kind, the first half of an entity reference
+ENTITY_KINDS = {State: "state", City: "city", River: "river", Place: "place", Country: "country"}
 
-    Cities may be ambiguous (several states can share a city name); in that
-    case all matches are returned and callers disambiguate by state.
-    """
-    if kind == "state":
-        return model.find_state(name)
-    if kind == "city":
-        return model.find_city(name)
-    if kind == "river":
-        return model.find_river(name)
-    if kind == "place":
-        return model.find_place(name)
-    raise ValueError(f"unknown entity kind {kind!r}")
+
+def entity_ref(entity) -> tuple[str, str]:
+    """Canonical (kind, name) pair; cities are qualified by state abbreviation."""
+    if isinstance(entity, City):
+        return ("city", f"{entity.name}, {entity.state.abbreviation}")
+    return (ENTITY_KINDS[type(entity)], entity.name)
 
 
 _KIND = Schema(("kind", STRING))

@@ -285,7 +285,7 @@ def example_evaluator(model: str, temperature: float, dialect: str, gold_dialect
         nonlocal memo
         demonstrations = tuple((d.utterance, d.programs[dialect]) for d in demos)
         spec = PromptSpec(dd_variant=dd_variant, dd_text=dd_text, demonstrations=demonstrations,
-                          test_utterance=example.utterance, dialect=dialect)
+                          test_utterance=example.utterance)
         prompt = build_prompt(spec, template)
         if memo is None or memo[0] != demonstrations:
             text = prompt_segments(template, dd_variant, dd_text, demonstrations)[0]

@@ -129,7 +129,6 @@ class PromptSpec:
     dd_text: str
     demonstrations: tuple[tuple[str, str], ...]  # (utterance, program)
     test_utterance: str
-    dialect: str
     template_id: str = "v1"
 
 

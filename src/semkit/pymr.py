@@ -30,8 +30,9 @@ constructor, and the ``DateTimeClause`` / ``DateTimeValues`` namespaces for
 calendar.
 
 Runtime errors (name-not-found, attribute-not-found, type-mismatch,
-index-out-of-range, empty-input, ...) are captured into failure outcomes so a
-batch run can score them as incorrect without crashing.
+index-out-of-range, empty-input, ...) raise :class:`~semkit.errors.MrExecError`;
+:func:`semkit.execute.run_program` captures them, like any other exception, into
+failure outcomes, so a batch run scores them as incorrect without crashing.
 """
 
 from __future__ import annotations
@@ -43,9 +44,8 @@ from dataclasses import dataclass
 
 from . import calflow, social as social_mod
 from .errors import MAX_DEPTH, TOO_DEEP, MrExecError, MrParseError, UnsupportedConstructError
-from .funql import entity_ref
-from .geo import City, Country, GeoModel, Place, River, State
-from .outcomes import Denotation, Outcome, WorldDelta
+from .geo import City, Country, GeoModel, Place, River, State, entity_ref
+from .outcomes import Denotation, WorldDelta
 from .social import EducationRecord, EmploymentRecord, Person, SocialDb
 
 BUILTIN_NAMES = ("max", "min", "len", "sum", "sorted", "list", "set", "any", "all", "abs")
@@ -660,16 +660,11 @@ def _normalize(value, entity_types, ref) -> Denotation:
     raise MrExecError("type-mismatch", f"cannot interpret {value!r} as an answer")
 
 
-def exec_pymr(ast: PymrAst, environment: str, env_object) -> Outcome:
-    """Run a parsed program against an environment; failures are captured."""
+def exec_pymr(ast: PymrAst, environment: str, env_object) -> Denotation | WorldDelta:
+    """Run a parsed program against an environment: its answer, or raises."""
     bind, _, answer = _environment(environment)
     binding = bind(env_object)
-    try:
-        return Outcome.success(answer(_Interpreter(binding).run(ast.func), binding))
-    except MrExecError as exc:
-        return Outcome.from_exception(exc)
-    except Exception as exc:  # noqa: BLE001 - captured by contract, never fatal
-        return Outcome.failure("execution-error", f"{type(exc).__name__}: {exc}")
+    return answer(_Interpreter(binding).run(ast.func), binding)
 
 
 def extract_operators(ast: PymrAst) -> frozenset[str]:

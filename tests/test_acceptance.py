@@ -159,7 +159,7 @@ def test_c7_evaluation_rule_properties(geo_model, calendar_world, smcalflow, tmp
     base = dict(start="2023-01-02T09:00:00", end="2023-01-02T09:30:00",
                 attendees=frozenset({"p1"}), avoided=frozenset())
     assert compare_states(WorldDelta((CreatedEvent(subject="A", **base),)),
-                          WorldDelta((CreatedEvent(subject="B", **base),)), state_policy)
+                          WorldDelta((CreatedEvent(subject="B", **base),)))
 
     from semkit.calflow import load_world
     world_json = json.loads(environment_path("calendar").read_text())

@@ -9,6 +9,7 @@ from semkit.calflow import (Call, DateTimeClause, DateTimeValues, Word,
                             resolve_datetime)
 from semkit.errors import DataFormatError, MrExecError, MrParseError
 from semkit.execute import run_program
+from semkit.outcomes import WorldDelta
 from semkit.resources import environment_path
 
 SHOWCASE = "CreateEvent( AND( at_location( Central Park ) , starts_at( NextDOW( FRIDAY ) ) ) )"
@@ -97,18 +98,18 @@ def test_next_dow_always_within_week():
 
 
 def test_exec_showcase(calendar_world):
-    world, delta = exec_dfs(parse_dfs(SHOWCASE), calendar_world)
-    assert len(delta.created) == 1
+    before = dict(vars(calendar_world))
+    delta = exec_dfs(parse_dfs(SHOWCASE), calendar_world)
+    assert isinstance(delta, WorldDelta) and len(delta.created) == 1
     event = delta.created[0]
     assert event.location == "Central Park"
     assert event.start == "2023-01-06T09:00:00"
     assert event.end == "2023-01-06T09:30:00"
-    assert world.events[-1] == event
-    assert calendar_world.events == ()  # input world untouched
+    assert vars(calendar_world) == before  # input world untouched
 
 
 def test_exec_defaults(calendar_world):
-    _, delta = exec_dfs(parse_dfs("CreateEvent()"), calendar_world)
+    delta = exec_dfs(parse_dfs("CreateEvent()"), calendar_world)
     event = delta.created[0]
     assert event.start == "2023-01-02T09:00:00"
     assert event.end == "2023-01-02T09:30:00"
@@ -118,9 +119,7 @@ def test_exec_defaults(calendar_world):
 
 def test_exec_is_pure(calendar_world):
     ast = parse_dfs(SHOWCASE)
-    _, first = exec_dfs(ast, calendar_world)
-    _, second = exec_dfs(ast, calendar_world)
-    assert first == second
+    assert exec_dfs(ast, calendar_world) == exec_dfs(ast, calendar_world)
 
 
 def test_find_manager_of_ceo_fails(calendar_world):
@@ -146,16 +145,16 @@ def test_team_is_subset_of_people_and_includes_self(calendar_world):
 def test_avoid_attendee_removes_from_team(calendar_world):
     text = ("CreateEvent( AND( with_attendee( FindTeamOf( sarah ) ) , "
             "avoid_attendee( michael ) ) )")
-    _, delta = exec_dfs(parse_dfs(text), calendar_world)
+    delta = exec_dfs(parse_dfs(text), calendar_world)
     event = delta.created[0]
     assert event.attendees == frozenset({"p1"})
     assert event.avoided == frozenset({"p2"})
 
 
 def test_duration_and_ends_at(calendar_world):
-    _, delta = exec_dfs(parse_dfs("CreateEvent( has_duration( 60 ) )"), calendar_world)
+    delta = exec_dfs(parse_dfs("CreateEvent( has_duration( 60 ) )"), calendar_world)
     assert delta.created[0].end == "2023-01-02T10:00:00"
-    _, delta = exec_dfs(parse_dfs(
+    delta = exec_dfs(parse_dfs(
         "CreateEvent( AND( starts_at( TODAY ) , ends_at( time_by_hm( 5 , pm ) ) ) )"),
         calendar_world)
     assert delta.created[0].end == "2023-01-02T17:00:00"

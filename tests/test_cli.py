@@ -409,6 +409,23 @@ def test_interpreters_are_imported_on_first_use(rebound, runs_counted):
     assert runs == f"True True {runs_counted}"
 
 
+# A geo pymr run names its entities through semkit.geo, so FunQL stays unloaded.
+_PYMR_GEO_PROBE = """
+import sys
+from semkit.execute import load_environment, run_program
+from semkit.resources import environment_path
+geo_model = load_environment("geo", environment_path("geo"))
+outcome = run_program("pymr", "def answer():\\n    return geo_model.states[0]", "geo", geo_model)
+print(outcome.ok, "semkit.funql" in sys.modules)
+"""
+
+
+def test_a_geo_pymr_run_leaves_funql_unloaded():
+    result = _python(_PYMR_GEO_PROBE)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "True False"
+
+
 # Four threads run FunQL programs from the first one on, switching as often as
 # they can: a thread that starts while another is importing the interpreter
 # must wait for it, not run against a half-initialized module.
@@ -680,7 +697,7 @@ def test_run_record_mode_with_selection_methods(tmp_path, capsys, method):
             utterance = dataset[test_id].utterance
             ids = _reference_demo_ids(method, dataset, split, "pymr", 3, utterance)
             expected.append(build_prompt(PromptSpec(
-                dd_variant="full", dd_text=dd, test_utterance=utterance, dialect="pymr",
+                dd_variant="full", dd_text=dd, test_utterance=utterance,
                 demonstrations=tuple((dataset[i].utterance, dataset[i].programs["pymr"])
                                      for i in ids))))
         assert prompts == expected

@@ -212,15 +212,6 @@ def test_pool_exhausted(geoquery, geoquery_split):
         sample_demos(geoquery, geoquery_split, 41, seed=0)
 
 
-def test_stratified_sampling_covers_domains(smcalflow, tmp_path):
-    split = load_split_inline(
-        tmp_path, {"train": [ex.id for ex in smcalflow.examples], "test": []}, smcalflow)
-    demos = sample_demos(smcalflow, split, 5, seed=1, stratify_by="domain")
-    domains = [ex.tag_value("domain") for ex in demos.examples]
-    assert domains.count("event") >= 2 and domains.count("org") >= 2
-    assert len(demos.ids) == 5 and len(set(demos.ids)) == 5
-
-
 def test_every_bundled_program_parses_in_its_dialect(geoquery, overnight, smcalflow):
     from semkit.execute import operators_of
 

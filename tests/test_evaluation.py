@@ -63,18 +63,17 @@ def event(start="2023-01-02T09:00:00", end="2023-01-02T09:30:00", subject=None,
                         attendees=frozenset(attendees), avoided=frozenset(avoided))
 
 
-def test_subject_is_ignored_by_default():
+def test_subject_is_ignored():
     a = WorldDelta((event(subject="Meeting"),))
     b = WorldDelta((event(subject="Sync-up"),))
-    assert compare_states(a, b, STATE)
-    assert not compare_states(a, b, ComparisonPolicy(mode="state", ignore_subject=False))
+    assert compare_states(a, b)
 
 
 def test_state_differences_matter():
     a = WorldDelta((event(),))
-    assert not compare_states(a, WorldDelta((event(start="2023-01-02T10:00:00"),)), STATE)
-    assert not compare_states(a, WorldDelta(()), STATE)
-    assert not compare_states(a, WorldDelta((event(attendees={"p1"}),)), STATE)
+    assert not compare_states(a, WorldDelta((event(start="2023-01-02T10:00:00"),)))
+    assert not compare_states(a, WorldDelta(()))
+    assert not compare_states(a, WorldDelta((event(attendees={"p1"}),)))
 
 
 def test_canonicalize_names_case_insensitive(calendar_world):

@@ -1,12 +1,17 @@
-"""The failure code and message of FunQL and λ-DCS programs that fail at run time.
+"""The failure code and message of programs that fail at run time.
 
 Each case names the operator family whose failure path it pins: the message is
-part of a verdict's explanation, so it may change only on purpose.
+part of a verdict's explanation, so it may change only on purpose.  Whatever an
+interpreter raises, ``run_program`` is where it becomes a failure outcome.
 """
+
+import importlib
 
 import pytest
 
-from semkit.execute import run_program
+from semkit.errors import MrExecError
+from semkit.execute import DIALECTS, run_program
+from semkit.outcomes import Outcome
 
 PEOPLE = "(getProperty en.person !type)"
 NOBODY = f"(filter {PEOPLE} gender = en.gender.none)"
@@ -94,3 +99,32 @@ def test_run_time_failure_code_and_message(dialect, text, failure, geo_model, so
     environment, world = ("geo", geo_model) if dialect == "funql" else ("social", social_db)
     outcome = run_program(dialect, text, environment, world)
     assert (outcome.ok, outcome.error, outcome.message) == (False, *failure)
+
+
+# dialect -> (the interpreter function its execute step calls, a program that parses, environment)
+EXECUTORS = {
+    "funql": ("exec_funql", "answer(count(state(all)))", "geo"),
+    "ldcs": ("exec_ldcs_simple", "(call SW.listValue (call SW.getProperty "
+                                 "(call SW.singleton en.person) (string !type)))", "social"),
+    "ldcs-simple": ("exec_ldcs_simple", f"(listValue {PEOPLE})", "social"),
+    "dataflow-simple": ("exec_dfs", "CreateEvent()", "calendar"),
+    "pymr": ("exec_pymr", "def answer():\n    return 1", "geo"),
+}
+
+
+@pytest.mark.parametrize("dialect", sorted(DIALECTS))
+def test_run_program_alone_captures_what_an_interpreter_raises(
+        dialect, monkeypatch, geo_model, social_db, calendar_world):
+    name, text, environment = EXECUTORS[dialect]
+    world = {"geo": geo_model, "social": social_db, "calendar": calendar_world}[environment]
+    module = importlib.import_module(DIALECTS[dialect].module)
+    assert run_program(dialect, text, environment, world).ok
+    for raised, expected in [
+        (MrExecError("name-not-found", "boom"),
+         Outcome.failure("name-not-found", "name-not-found: boom")),
+        (RuntimeError("boom"), Outcome.failure("execution-error", "RuntimeError: boom")),
+    ]:
+        def refuse(*args, raised=raised):
+            raise raised
+        monkeypatch.setattr(module, name, refuse)
+        assert run_program(dialect, text, environment, world) == expected

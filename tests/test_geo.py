@@ -4,7 +4,7 @@ import random
 import pytest
 
 from semkit.errors import DataFormatError
-from semkit.geo import find_entity, load_geobase
+from semkit.geo import load_geobase
 from semkit.resources import environment_path
 
 
@@ -23,20 +23,20 @@ def test_backrefs_resolved(geo_model):
     assert all(texas in river.traverses for river in texas.rivers)
 
 
-def test_find_entity_case_insensitive(geo_model):
-    assert find_entity(geo_model, "state", "Texas").name == "texas"
-    assert find_entity(geo_model, "river", "nile") is None
+def test_lookup_case_insensitive(geo_model):
+    assert geo_model.find_state("Texas").name == "texas"
+    assert geo_model.find_river("nile") is None
 
 
-def test_find_entity_duplicate_city_names(geo_model):
-    hits = find_entity(geo_model, "city", "springfield")
+def test_lookup_duplicate_city_names(geo_model):
+    hits = geo_model.find_city("springfield")
     assert isinstance(hits, list) and len(hits) == 2
     assert {c.state.abbreviation for c in hits} == {"mo", "co"}
 
 
 def test_major_city_threshold(geo_model):
-    little_rock = find_entity(geo_model, "city", "little rock")
-    topeka = find_entity(geo_model, "city", "topeka")
+    little_rock = geo_model.find_city("little rock")
+    topeka = geo_model.find_city("topeka")
     assert little_rock.is_major and not topeka.is_major
 
 
@@ -119,11 +119,6 @@ def test_load_order_shuffle_preserves_invariants(tmp_path):
                 assert state in neighbor.next_to
             own = [p for p in model.places if p.state is state]
             assert state.high_point.elevation == max(p.elevation for p in own)
-
-
-def test_find_entity_unknown_kind(geo_model):
-    with pytest.raises(ValueError, match="kind"):
-        find_entity(geo_model, "volcano", "etna")
 
 
 @pytest.mark.parametrize("kind, field", [

@@ -187,8 +187,7 @@ def test_build_prompt_reproduces_the_frozen_prompt_corpus():
     digests = []
     for template, dialect, variant, dd, example, demos in prompt_corpus():
         spec = PromptSpec(dd_variant=variant, dd_text=dd, test_utterance=example.utterance,
-                          demonstrations=tuple((d.utterance, d.programs[dialect]) for d in demos),
-                          dialect=dialect)
+                          demonstrations=tuple((d.utterance, d.programs[dialect]) for d in demos))
         digests.append(hashlib.sha256(build_prompt(spec, template).encode()).hexdigest())
     assert corpus_digest(digests) == PROMPT_CORPUS_SHA256
 

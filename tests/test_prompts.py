@@ -53,7 +53,7 @@ def test_no_typing_keeps_every_operator_name():
 
 def spec(dd_variant="full", dd_text="DDTEXT", demos=(("q1", "s1"),), test="qt"):
     return PromptSpec(dd_variant=dd_variant, dd_text=dd_text,
-                      demonstrations=tuple(demos), test_utterance=test, dialect="pymr")
+                      demonstrations=tuple(demos), test_utterance=test)
 
 
 def test_prompt_without_dd_drops_header_lines():
@@ -112,7 +112,7 @@ def golden_prompt(geoquery):
     demos = tuple((ex.utterance, ex.programs["pymr"]) for ex in geoquery.examples[:2])
     return build_prompt(PromptSpec(
         dd_variant="full", dd_text=render_dd(declarations, "full"),
-        demonstrations=demos, test_utterance="what is the longest river ?", dialect="pymr"))
+        demonstrations=demos, test_utterance="what is the longest river ?"))
 
 
 def test_golden_prompt_snapshot(geoquery):

@@ -155,30 +155,26 @@ def test_answer_signature_enforced():
 
 
 def test_exec_matches_funql_on_showcase(geo_model):
-    outcome = exec_pymr(parse_pymr(LARGEST_STATE_ELEVATION), "geo", geo_model)
+    value = exec_pymr(parse_pymr(LARGEST_STATE_ELEVATION), "geo", geo_model)
     gold = exec_funql(parse_funql(
         "answer(elevation_1(highest(place(loc_2(largest(state(all)))))))"), geo_model)
-    assert outcome.ok
-    assert outcome.value.values == gold.values == (2667.0,)
+    assert value.values == gold.values == (2667.0,)
 
 
 def test_exec_calendar_team_meeting(calendar_world):
-    outcome = exec_pymr(parse_pymr(TEAM_MEETING_CAL), "calendar", calendar_world)
-    assert outcome.ok
-    event = outcome.value.created[0]
+    event = exec_pymr(parse_pymr(TEAM_MEETING_CAL), "calendar", calendar_world).created[0]
     assert event.start == "2023-11-03T11:00:00"
     assert event.attendees == frozenset({"p1", "p2"})  # the current user's team
 
 
 def test_exec_social_matching_start_dates(social_db):
-    outcome = exec_pymr(parse_pymr(MATCHING_START_DATE_SOCIAL), "social", social_db)
-    assert outcome.ok
-    assert outcome.value.entities == (("person", "en.person.henry"),)
+    value = exec_pymr(parse_pymr(MATCHING_START_DATE_SOCIAL), "social", social_db)
+    assert value.entities == (("person", "en.person.henry"),)
 
 
 def test_unknown_name_is_captured_not_host(geo_model):
-    outcome = exec_pymr(parse_pymr("def answer():\n    return open('/etc/passwd')"),
-                        "geo", geo_model)
+    outcome = run_program("pymr", "def answer():\n    return open('/etc/passwd')",
+                          "geo", geo_model)
     assert not outcome.ok and outcome.error == "name-not-found"
 
 
@@ -188,33 +184,31 @@ def test_unknown_name_is_captured_not_host(geo_model):
     "(1).__class__",
 ])
 def test_dunder_access_is_blocked(geo_model, expr):
-    outcome = exec_pymr(parse_pymr(f"def answer():\n    return {expr}"), "geo", geo_model)
+    outcome = run_program("pymr", f"def answer():\n    return {expr}", "geo", geo_model)
     assert not outcome.ok and outcome.error == "attribute-not-found"
 
 
 def test_unknown_names_never_reach_host(geo_model):
     # names that would be dangerous or merely common builtins: all unresolved
     for name in ("eval", "exec", "__import__", "globals", "print", "range"):
-        outcome = exec_pymr(parse_pymr(f"def answer():\n    return {name}"),
-                            "geo", geo_model)
+        outcome = run_program("pymr", f"def answer():\n    return {name}", "geo", geo_model)
         assert not outcome.ok and outcome.error == "name-not-found", name
 
 
 def test_string_methods_rejected_at_runtime(geo_model):
-    outcome = exec_pymr(parse_pymr('def answer():\n    return "abc".upper()'),
-                        "geo", geo_model)
+    outcome = run_program("pymr", 'def answer():\n    return "abc".upper()', "geo", geo_model)
     assert not outcome.ok and outcome.error == "attribute-not-found"
 
 
 def test_empty_max_with_key_is_captured(geo_model):
-    outcome = exec_pymr(parse_pymr(
-        "def answer():\n    return max([], key=lambda x: x)"), "geo", geo_model)
+    outcome = run_program("pymr", "def answer():\n    return max([], key=lambda x: x)",
+                          "geo", geo_model)
     assert not outcome.ok and outcome.error == "empty-input"
 
 
 def test_index_out_of_range_is_captured(geo_model):
-    outcome = exec_pymr(parse_pymr(
-        "def answer():\n    return geo_model.states[99]"), "geo", geo_model)
+    outcome = run_program("pymr", "def answer():\n    return geo_model.states[99]",
+                          "geo", geo_model)
     assert not outcome.ok and outcome.error == "index-out-of-range"
 
 
@@ -231,7 +225,7 @@ def test_deep_nesting_is_a_parse_error(geo_model, signs):
 def test_nesting_at_the_budget_runs(geo_model):
     # the return statement is one level, each sign one more, the literal none
     ok = "def answer():\n    return " + "-" * (MAX_DEPTH - 1) + "1"
-    assert exec_pymr(parse_pymr(ok), "geo", geo_model).value.values == (-1.0,)
+    assert exec_pymr(parse_pymr(ok), "geo", geo_model).values == (-1.0,)
     with pytest.raises(MrParseError, match=TOO_DEEP):
         parse_pymr(ok.replace("return ", "return -"))
     clauses = " ".join(f"for x{i} in [1]" for i in range(MAX_DEPTH))
@@ -240,8 +234,9 @@ def test_nesting_at_the_budget_runs(geo_model):
 
 
 def test_determinism(geo_model):
-    program = parse_pymr("def answer():\n    return [s.name for s in geo_model.states]")
-    assert exec_pymr(program, "geo", geo_model) == exec_pymr(program, "geo", geo_model)
+    program = "def answer():\n    return [s.name for s in geo_model.states]"
+    assert (run_program("pymr", program, "geo", geo_model)
+            == run_program("pymr", program, "geo", geo_model))
 
 
 def test_comprehension_equals_explicit_loop(geo_model):
@@ -262,8 +257,7 @@ def test_entity_equality_is_identity(geo_model):
         "def answer():\n"
         '    texas = geo_model.find_state("texas")\n'
         "    return [s for s in geo_model.states if s == texas]")
-    outcome = exec_pymr(program, "geo", geo_model)
-    assert outcome.value.entities == (("state", "texas"),)
+    assert exec_pymr(program, "geo", geo_model).entities == (("state", "texas"),)
 
 
 def test_extract_operators_showcase():
@@ -414,7 +408,7 @@ def test_extract_operators_golden_bundle(smcalflow):
     ("sum([v for v in [1, 2, 3] if v in [2, 3]])", 5.0),
 ])
 def test_pure_computation_matches_host_semantics(geo_model, expr, expected):
-    outcome = exec_pymr(parse_pymr(f"def answer():\n    return {expr}"), "geo", geo_model)
+    outcome = run_program("pymr", f"def answer():\n    return {expr}", "geo", geo_model)
     assert outcome.ok, outcome.message
     assert outcome.value.values == (expected,)
 
@@ -427,9 +421,7 @@ def test_boolean_conditions_follow_truthiness(geo_model):
         "        if s.rivers and s.population > 5000000:\n"
         "            items.append(s)\n"
         "    return items")
-    outcome = exec_pymr(program, "geo", geo_model)
-    assert outcome.ok
-    names = {e[1] for e in outcome.value.entities}
+    names = {e[1] for e in exec_pymr(program, "geo", geo_model).entities}
     assert names == {"texas", "colorado", "missouri"}
 
 
@@ -475,5 +467,5 @@ _NORMALIZATION = {
 def test_answer_normalization(request, environment, case):
     world = request.getfixturevalue({"geo": "geo_model", "social": "social_db"}[environment])
     expr, expected = _NORMALIZATION[environment][case] if isinstance(case, str) else case
-    outcome = exec_pymr(parse_pymr(f"def answer():\n    return {expr}"), environment, world)
+    outcome = run_program("pymr", f"def answer():\n    return {expr}", environment, world)
     assert outcome.to_json() == expected
