@@ -23,7 +23,6 @@ names packaged resources, e.g. ``bundled:datasets/geoquery.jsonl``.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -35,7 +34,7 @@ from .execute import ENVIRONMENTS, dialect_for, load_environment, memoized_runs,
 from .llm import (DEFAULT_TEMPERATURE, LlmClient, ReplayCache, completion_of,
                   example_evaluator, http_transport)
 from .prompts import DD_VARIANTS, default_template, load_dd_source, render_dd
-from .resources import INTEGER, INTEGERS, OBJECT, STRING, Schema
+from .resources import INTEGER, INTEGERS, OBJECT, STRING, Schema, indented_json
 from .selection import Bm25Index, bm25_rank, coverage_fraction, greedy_select
 
 CSV_HEADER = "seed,split,dialect,dd_variant,k,accuracy,exec_failure_rate"
@@ -106,7 +105,8 @@ class DemoSelector:
         self.dataset = dataset
         self.split = split
         self.dialect = dialect
-        self.pool = [ex_id for ex_id in split.train_ids if dialect in dataset[ex_id].programs]
+        by_id = dataset.by_id
+        self.pool = [ex_id for ex_id in split.train_ids if dialect in by_id[ex_id].programs]
         self._operator_sets: dict[str, frozenset[str]] | None = None
         self._structures: frozenset[str] = frozenset()
         self._index: Bm25Index | None = None
@@ -116,8 +116,9 @@ class DemoSelector:
         if self._operator_sets is None:
             by_text: dict[str, frozenset[str]] = {}
             sets = {}
+            by_id = self.dataset.by_id
             for ex_id in self.pool:
-                text = self.dataset[ex_id].programs[self.dialect]
+                text = by_id[ex_id].programs[self.dialect]
                 if text not in by_text:
                     by_text[text] = operators_of(self.dialect, text)
                 sets[ex_id] = by_text[text]
@@ -140,8 +141,8 @@ class DemoSelector:
 
     def bm25_index(self) -> Bm25Index:
         if self._index is None:
-            self._index = Bm25Index(
-                [(ex_id, self.dataset[ex_id].utterance) for ex_id in self.pool])
+            by_id = self.dataset.by_id
+            self._index = Bm25Index([(ex_id, by_id[ex_id].utterance) for ex_id in self.pool])
         return self._index
 
     def select(self, method: str, k: int, seed: int, query: str | None = None) -> list[str]:
@@ -218,7 +219,8 @@ def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> di
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
     per_seed_rows = []
-    examples = [dataset[test_id] for test_id in split.test_ids]
+    by_id = dataset.by_id
+    examples = [by_id[test_id] for test_id in split.test_ids]
     for seed in seeds:
         fixed_ids = None if method == "bm25" else selector.select(method, k, seed)
         requests = []
@@ -226,7 +228,7 @@ def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> di
             ids = fixed_ids
             if ids is None:
                 ids = selector.select("bm25", k, seed, example.utterance)
-            requests.append(request(example, [dataset[i] for i in ids]))
+            requests.append(request(example, [by_id[i] for i in ids]))
         if jobs > 1:  # only the completion calls, which wait on I/O, overlap
             from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -242,7 +244,7 @@ def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> di
         report = report_from_verdicts(seed, verdicts)
         reports.append(report)
         (out_dir / f"report_seed{seed}.json").write_text(
-            json.dumps(report.to_json(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+            indented_json(report.to_json()) + "\n", encoding="utf-8")
         row = _csv_row(seed, split.name, dialect, dd_variant, k,
                        report.accuracy, report.exec_failure_rate)
         per_seed_rows.append(row)
@@ -254,6 +256,5 @@ def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> di
                         aggregate["mean_accuracy"], aggregate["mean_exec_failure_rate"])
     (out_dir / "aggregate.csv").write_text(
         CSV_HEADER + "\n" + "\n".join(per_seed_rows) + "\n" + mean_row + "\n", encoding="utf-8")
-    (out_dir / "aggregate.json").write_text(
-        json.dumps(aggregate, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    (out_dir / "aggregate.json").write_text(indented_json(aggregate) + "\n", encoding="utf-8")
     return aggregate

@@ -30,9 +30,15 @@ next scanned.
 
 BM25
 ----
-Okapi scoring with k1=1.5, b=0.75 by default.  Documents and queries are
-tokenized by lowercasing and splitting on non-alphanumerics.  With document
-frequency n over N documents,
+Okapi scoring with k1=1.5, b=0.75 by default.  A document's or query's tokens
+are the maximal runs of ASCII a-z and 0-9 in its ``str.lower()``, exactly
+``re.findall(r"[a-z0-9]+", text.lower())``: every other character separates,
+non-ASCII letters and digits included (``"café"`` is ``caf``, ``"１"`` and
+``"²"`` are no token), while a character that lowercases to ASCII counts as that
+letter (U+212A KELVIN SIGN is ``k``).  :func:`tokenize` computes this with one
+byte table, which turns every byte but a-z and 0-9 into a space, over the
+lowercased text encoded to ASCII with each other character replaced, then splits
+on the spaces.  With document frequency n over N documents,
 
     idf(t) = max(0, ln((N - n + 0.5) / (n + 0.5)))
 
@@ -46,10 +52,13 @@ Ranking sorts by descending score with ascending id as the tiebreak.
 A :class:`Bm25Index` is built once per pool, in one pass over its tokens.
 It keeps, per term, the positions of the term's occurrences in pool order (a
 document holding the term f times is listed f times), and per document the
-length norm ``k1 * (1 - b + b * |d| / avgdl)``.  A term's weights
-``idf * f * (k1 + 1) / (f + norm)`` are computed the first time a query uses
-the term, with the same expression in the same order as above, so each is the
-same float, and cached on the index as a finished (positions, weights) tuple:
+length norm ``k1 * (1 - b + b * |d| / avgdl)`` and ``1 + norm``.  A term's
+weights ``idf * f * (k1 + 1) / (f + norm)`` are computed the first time a query
+uses the term, in one list comprehension over its documents, with the same
+expression in the same order as above, so each is the same float; at f = 1 the
+numerator ``idf * 1 * (k1 + 1)`` is ``idf * (k1 + 1)`` exactly, so it is
+computed once per term and divided by the document's stored ``1 + norm``.  The
+weights are cached on the index as a finished (positions, weights) tuple:
 threads sharing an index may compute an entry twice but never read half of
 one.  A term with zero IDF gets no weights.  Each would be 0.0, and
 ``x + 0.0 == x`` for every x but -0.0, which no score is: a sum that starts at
@@ -57,19 +66,20 @@ one.  A term with zero IDF gets no weights.  Each would be 0.0, and
 
 A query adds the weights of its terms in query order, repeats included, into
 a list of N floats, so every score is bitwise the per-document sum above.
-The top k are ``heapq.nlargest`` over the positions in id order, which is
-stable: equal scores fall to ascending id, and within a repeated id to pool
-order.  :func:`bm25_rank` takes either a pool of (id, text) documents or a
-prebuilt index, so many queries against one pool share a single index and its
-weights.  :class:`semkit.experiment.DemoSelector` holds that index, the pool's
-operator sets and the greedy picks for one experiment.
+The top k come in two steps: ``heapq.nlargest(k, scores)`` finds the k-th
+largest score, and the keyed ``heapq.nlargest`` then ranks only the positions,
+in id order, whose score reaches it.  Those hold every member of the top k,
+and ``nlargest`` is stable: equal scores fall to ascending id, and within a
+repeated id to pool order.  :func:`bm25_rank` takes either a pool of (id, text)
+documents or a prebuilt index, so many queries against one pool share a single
+index and its weights.  :class:`semkit.experiment.DemoSelector` holds that
+index, the pool's operator sets and the greedy picks for one experiment.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -78,11 +88,14 @@ from .errors import PoolExhaustedError
 BM25_K1 = 1.5
 BM25_B = 0.75
 
-_TOKEN = re.compile(r"[a-z0-9]+")
+# every byte but ASCII a-z and 0-9 translates to a space
+_SEPARATORS = bytes(c if c in b"abcdefghijklmnopqrstuvwxyz0123456789" else 32
+                    for c in range(256))
 
 
 def tokenize(text: str) -> list[str]:
-    return _TOKEN.findall(text.lower())
+    """The maximal runs of ASCII a-z and 0-9 in ``text.lower()`` (see the module docstring)."""
+    return text.lower().encode("ascii", "replace").translate(_SEPARATORS).decode().split()
 
 
 def setcov(structures: frozenset[str], candidate_sets) -> int:
@@ -173,6 +186,7 @@ class Bm25Index:
         n_docs = len(documents)
         avgdl = (sum(doc_lens) / n_docs) if n_docs else 0.0
         self.norms = [k1 * (1 - b + b * (dl / avgdl if avgdl else 0.0)) for dl in doc_lens]
+        self.unit_denominators = [1 + norm for norm in self.norms]  # f + norm at f = 1
         self.occurrences = dict(occurrences)
         self.by_id = sorted(range(n_docs), key=self.ids.__getitem__)  # ties keep position order
         self._weights: dict[str, tuple] = {}
@@ -194,9 +208,11 @@ class Bm25Index:
                 idf = max(0.0, math.log((len(self.ids) - len(freqs) + 0.5) / (len(freqs) + 0.5)))
                 if idf:
                     scale = self.k1 + 1
-                    norms = self.norms
-                    entry = (tuple(freqs), tuple(idf * f * scale / (f + norms[position])
-                                                 for position, f in freqs.items()))
+                    unit = idf * scale  # idf * f * scale at f = 1
+                    norms, unit_denominators = self.norms, self.unit_denominators
+                    entry = (list(freqs), [unit / unit_denominators[position] if f == 1
+                                           else idf * f * scale / (f + norms[position])
+                                           for position, f in freqs.items()])
             self._weights[term] = entry
         return entry
 
@@ -221,7 +237,10 @@ def bm25_rank(query: str, pool: list[tuple[str, str]] | Bm25Index, k: int,
     if k > len(pool):
         raise PoolExhaustedError(f"requested k={k} from a pool of {len(pool)}")
     index = pool if isinstance(pool, Bm25Index) else Bm25Index(pool, k1=k1, b=b)
-    ids = index.ids
+    scores = index.scores(query)
+    kth = heapq.nlargest(k, scores)[-1]  # no position scoring below it is in the top k
     # nlargest is stable: equal scores keep id order (and position order within an id)
-    top = heapq.nlargest(k, index.by_id, key=index.scores(query).__getitem__)
+    top = heapq.nlargest(k, [position for position in index.by_id if scores[position] >= kth],
+                         key=scores.__getitem__)
+    ids = index.ids
     return [ids[position] for position in top]

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
-from semkit.corpus import Lcg, _draw, load_dataset, load_split, sample_demos, save_dataset
+from semkit.corpus import (Dataset, Example, Lcg, _draw, load_dataset, load_split, sample_demos,
+                           save_dataset)
 from semkit.errors import DataFormatError, PoolExhaustedError
 from semkit.resources import dataset_path
 
@@ -69,6 +71,16 @@ def test_parse_error_carries_line_number(tmp_path):
     (json.dumps(dict(record(9), tags=None)), "field 'tags' is not a list of strings: None"),
     (json.dumps(dict(record(9), tags={"domain": "geo"})),
      "field 'tags' is not a list of strings: {'domain': 'geo'}"),
+    (json.dumps({"utterance": "u", "programs": {}, "tags": []}), "missing field 'id'"),
+    (json.dumps({"id": "x-9", "programs": {}, "tags": []}), "missing field 'utterance'"),
+    (json.dumps({"id": "x-9", "utterance": "u", "tags": []}), "missing field 'programs'"),
+    (json.dumps(dict(record(9), id="x-1")), "duplicate id 'x-1'"),
+    (json.dumps(dict(record(9), programs={"funql": "answer(1)", "sql": "SELECT 1"})),
+     "unknown dialect 'sql' (known: funql, ldcs, ldcs-simple, dataflow-simple, pymr)"),
+    (json.dumps(dict(record(9), programs={"sql": 1})),
+     "unknown dialect 'sql' (known: funql, ldcs, ldcs-simple, dataflow-simple, pymr)"),
+    (json.dumps(dict(record(9), programs={"pymr": None, "sql": "SELECT 1"})),
+     "field 'programs.pymr' is not a string: None"),
 ])
 def test_malformed_record_is_a_data_format_error(tmp_path, line, message):
     path = tmp_path / "d.jsonl"
@@ -76,6 +88,39 @@ def test_malformed_record_is_a_data_format_error(tmp_path, line, message):
     with pytest.raises(DataFormatError) as info:
         load_dataset(path)
     assert str(info.value) == f"{path}: line 2: {message}"
+
+
+def test_loaded_examples_equal_constructed_ones(tmp_path):
+    path = tmp_path / "d.jsonl"
+    write_jsonl(path, [record(1), dict(record(2), tags=["b", "a", "b"])])
+    dataset = load_dataset(path)
+    want = (Example("x-1", "utterance 1", {"funql": "answer(count(state(all)))"}),
+            Example("x-2", "utterance 2", {"funql": "answer(count(state(all)))"},
+                    frozenset({"a", "b"})))
+    assert dataset.examples == want
+    assert [repr(ex) for ex in dataset.examples] == [repr(ex) for ex in want]
+    assert [hash(ex.tags) for ex in dataset.examples] == [hash(ex.tags) for ex in want]
+    assert dataset.by_id == {ex.id: ex for ex in want}
+    assert dataset == Dataset(name=dataset.name, dialects=("funql",), examples=want)
+
+
+def test_example_is_frozen_and_replaceable():
+    example = Example("x-1", "u", {"funql": "answer(1)"}, frozenset({"t"}))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        example.utterance = "v"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del example.tags
+    changed = dataclasses.replace(example, programs={"pymr": "x"})
+    assert changed == Example("x-1", "u", {"pymr": "x"}, frozenset({"t"}))
+    assert example.programs == {"funql": "answer(1)"}
+    assert not hasattr(example, "__dict__")  # slotted
+
+
+def test_dataset_built_from_examples_maps_their_ids():
+    examples = (Example("b", "u", {}), Example("a", "v", {}), Example("b", "w", {}))
+    dataset = Dataset(name="d", dialects=(), examples=examples)
+    assert dataset.by_id == {"b": examples[2], "a": examples[1]}  # a later example wins
+    assert "a" in dataset and "c" not in dataset and dataset["b"] is examples[2]
 
 
 def test_missing_tags_load_as_no_tags(tmp_path):
@@ -135,6 +180,13 @@ def test_split_rejects_repeated_ids(tmp_path, payload, part):
     ({"train": ["x-1"], "test": {"x-2": 1}}, "field 'test' is not a list of strings: {'x-2': 1}"),
     ({"train": ["x-1"], "test": None}, "field 'test' is not a list of strings: None"),
     ({"train": [["x-1"]], "test": []}, "field 'train' is not a list of strings: [['x-1']]"),
+    ({"train": ["x-1", "nope"], "test": ["x-2"]}, "unknown example id 'nope'"),
+    ({"train": ["x-1", "x-2", "x-1"], "test": ["nope"]}, "unknown example id 'nope'"),
+    ({"train": ["x-2", "x-1", "x-2", "x-1"], "test": ["x-3", "x-3"]},
+     "repeated train ids: ['x-1', 'x-2']"),
+    ({"train": ["x-1"], "test": ["x-3", "x-2", "x-3"]}, "repeated test ids: ['x-3']"),
+    ({"train": ["x-3", "x-1", "x-2"], "test": ["x-2", "x-3"]},
+     "train/test overlap: ['x-2', 'x-3']"),
 ])
 def test_malformed_split_is_a_data_format_error(tmp_path, payload, message):
     data = tmp_path / "d.jsonl"

@@ -84,8 +84,10 @@ def test_valid_lines_decode_as_json_loads(tmp_path, line):
 
 def test_blank_lines_are_skipped_and_counted(tmp_path):
     path = tmp_path / "f.jsonl"
-    path.write_text('\n   \n\x0c\n\t\r\n{"a": 1}\n\n{"b": 2}\n', encoding="utf-8", newline="")
-    assert list(read_jsonl(path)) == [(5, {"a": 1}), (7, {"b": 2})]
+    blank_by_str_strip_only = "\u00a0\u2003\x1c\n"
+    path.write_text('\n   \n\x0c\n\t\r\n{"a": 1}\n\n' + blank_by_str_strip_only + '{"b": 2}\n',
+                    encoding="utf-8", newline="")
+    assert list(read_jsonl(path)) == [(5, {"a": 1}), (8, {"b": 2})]
 
 
 MALFORMED = {

@@ -2,6 +2,8 @@ import heapq
 import math
 import os
 import random
+import re
+import string
 import subprocess
 import sys
 import threading
@@ -269,6 +271,33 @@ def test_greedy_coverage_never_decreases(geoquery, geoquery_split):
         cov = setcov(structures, [sets[x] for x in selected[:i]])
         assert cov >= last
         last = cov
+
+
+REFERENCE_TOKEN = re.compile(r"[a-z0-9]+")  # the tokenizer's definition
+# ASCII letters, digits, punctuation and every control and whitespace byte; non-ASCII
+# letters and digits, two of which lowercase to ASCII (U+0130 and U+212A); lone surrogates
+TOKEN_ALPHABET = (string.ascii_letters + string.digits + string.punctuation + " \x7f"
+                  + "".join(map(chr, range(0x20))) + "\u00e9\u00df\u0130\u212a\u017f\u00b2\uff11"
+                  + "\ud800\udfff")
+
+
+def test_tokenize_matches_the_regex_reference():
+    rng = random.Random(21)
+    texts = ["", *TOKEN_ALPHABET, *(f"a{c}Z{c}9" for c in TOKEN_ALPHABET)]
+    texts += ["".join(rng.choices(TOKEN_ALPHABET, k=rng.randint(0, 30))) for _ in range(5000)]
+    for text in texts:
+        assert tokenize(text) == REFERENCE_TOKEN.findall(text.lower()), repr(text)
+
+
+@pytest.mark.parametrize("text,tokens", [
+    ("", []),
+    ("What's the Capital of TEXAS?", ["what", "s", "the", "capital", "of", "texas"]),
+    ("café ﬁne 1st² １２ Straße", ["caf", "ne", "1st", "stra", "e"]),  # non-ASCII separates
+    ("\u212aELVIN \u0130stanbul", ["kelvin", "i", "stanbul"]),  # lowercased to ASCII first
+    ("a\ud800b\x00c\x1fd\te\x0bf", ["a", "b", "c", "d", "e", "f"]),
+])
+def test_tokenize_examples(text, tokens):
+    assert tokenize(text) == tokens
 
 
 def naive_bm25_scores(query, documents, k1=1.5, b=0.75):
