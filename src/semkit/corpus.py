@@ -10,12 +10,11 @@ Dataset files are JSONL, one example per line::
 :func:`semkit.resources.read_jsonl` and each record's fields through one
 :class:`~semkit.resources.Schema`; :func:`load_dataset` then rejects a
 repeated id, an unknown dialect name and a program that is not a string.  It
-reads the file in one pass, into the map from id to :class:`Example` that the
-returned :class:`Dataset` keeps as ``by_id``, and its examples are that map's
-values.  Examples are slotted frozen dataclasses; the loader stores their
-fields through the slots' descriptors, and examples without tags share one
-empty frozenset.  :func:`load_split`, :func:`sample_demos` and the
-experiment's demonstration selector look ids up in ``by_id`` directly.
+reads the file in one pass.  Examples are slotted frozen dataclasses, and
+examples without tags share one empty frozenset.  A :class:`Dataset` derives
+its map from id to example, ``by_id``, from its examples; :func:`load_split`,
+:func:`sample_demos` and the experiment's demonstration selector look ids up
+in it directly.
 
 Split files are JSON::
 
@@ -69,42 +68,18 @@ class Example:
     tags: frozenset[str] = _NO_TAGS
 
 
-_new_object = object.__new__
-_set_id, _set_utterance, _set_programs, _set_tags = (
-    vars(Example)[name].__set__ for name in Example.__slots__)
-
-
-def _read_example(ex_id: str, utterance: str, programs: dict[str, str], tags) -> Example:
-    """``Example(ex_id, utterance, programs, frozenset(tags))``, for a loader of many.
-
-    The frozen dataclass ``__init__`` stores each field through ``object.__setattr__``;
-    this stores it through the slot's own descriptor, the same store at half the cost.
-    Examples without tags share one empty frozenset.
-    """
-    example = _new_object(Example)
-    _set_id(example, ex_id)
-    _set_utterance(example, utterance)
-    _set_programs(example, programs)
-    _set_tags(example, frozenset(tags) if tags else _NO_TAGS)
-    return example
-
-
 @dataclass(frozen=True)
 class Dataset:
-    """Examples in file order; ``by_id`` maps each id to its example.
-
-    ``by_id`` is built from ``examples`` unless it is given, as :func:`load_dataset`
-    gives the map it read the examples into; a later example wins a repeated id.
-    """
+    """Examples in file order; ``by_id`` maps each id to its example (a later example
+    wins a repeated id)."""
 
     name: str
     dialects: tuple[str, ...]
     examples: tuple[Example, ...]
-    by_id: dict[str, Example] = field(default=None, repr=False, compare=False)
+    by_id: dict[str, Example] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.by_id is None:
-            object.__setattr__(self, "by_id", {ex.id: ex for ex in self.examples})
+        object.__setattr__(self, "by_id", {ex.id: ex for ex in self.examples})
 
     def __getitem__(self, example_id: str) -> Example:
         return self.by_id[example_id]
@@ -155,9 +130,9 @@ def load_dataset(path, name: str | None = None) -> Dataset:
             if not isinstance(program, str):
                 raise DataFormatError(f"{path}: line {lineno}: field 'programs.{dialect}' "
                                       f"is not a string: {program!r}")
-        by_id[ex_id] = _read_example(ex_id, utterance, programs, tags)
+        by_id[ex_id] = Example(ex_id, utterance, programs, frozenset(tags) if tags else _NO_TAGS)
     return Dataset(name=name or str(path), dialects=tuple(dialects),
-                   examples=tuple(by_id.values()), by_id=by_id)
+                   examples=tuple(by_id.values()))
 
 
 def save_dataset(dataset: Dataset, path) -> None:

@@ -23,6 +23,7 @@ names packaged resources, e.g. ``bundled:datasets/geoquery.jsonl``.
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .execute import ENVIRONMENTS, dialect_for, load_environment, memoized_runs,
 from .llm import (DEFAULT_TEMPERATURE, LlmClient, ReplayCache, completion_of,
                   example_evaluator, http_transport)
 from .prompts import DD_VARIANTS, default_template, load_dd_source, render_dd
-from .resources import INTEGER, INTEGERS, OBJECT, STRING, Schema, indented_json
+from .resources import INTEGER, INTEGERS, OBJECT, STRING, Schema
 from .selection import Bm25Index, bm25_rank, coverage_fraction, greedy_select
 
 CSV_HEADER = "seed,split,dialect,dd_variant,k,accuracy,exec_failure_rate"
@@ -244,7 +245,7 @@ def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> di
         report = report_from_verdicts(seed, verdicts)
         reports.append(report)
         (out_dir / f"report_seed{seed}.json").write_text(
-            indented_json(report.to_json()) + "\n", encoding="utf-8")
+            json.dumps(report.to_json(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
         row = _csv_row(seed, split.name, dialect, dd_variant, k,
                        report.accuracy, report.exec_failure_rate)
         per_seed_rows.append(row)
@@ -256,5 +257,6 @@ def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> di
                         aggregate["mean_accuracy"], aggregate["mean_exec_failure_rate"])
     (out_dir / "aggregate.csv").write_text(
         CSV_HEADER + "\n" + "\n".join(per_seed_rows) + "\n" + mean_row + "\n", encoding="utf-8")
-    (out_dir / "aggregate.json").write_text(indented_json(aggregate) + "\n", encoding="utf-8")
+    (out_dir / "aggregate.json").write_text(
+        json.dumps(aggregate, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
     return aggregate

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 from pathlib import Path
 
 from .errors import DataFormatError
@@ -42,65 +41,6 @@ def read_jsonl(path):
                 except json.JSONDecodeError as exc:
                     raise DataFormatError(f"{path}: line {lineno}: not valid JSON: {exc}") from exc
             yield lineno, record
-
-
-# The C encoder escapes every control character inside a string, so in its output a bare
-# NUL can only be this item separator.
-_encode_items = json.JSONEncoder(ensure_ascii=False, separators=("\0", ": ")).encode
-_CONTAINERS = (dict, list, tuple)
-
-
-def indented_json(value) -> str:
-    """``json.dumps(value, indent=2, ensure_ascii=False)``, with every scalar and key
-    encoded by json's C encoder in a single call.
-
-    ``indent`` sends ``json.dumps`` to its pure-Python encoder.  Here Python only lays out
-    the objects and lists, with a NUL standing for each scalar and key; the C encoder
-    encodes those in one NUL-separated list, and they are put in their places.  A dict
-    with a key that is not a string goes to ``json.dumps`` itself, which converts it.
-    """
-    if not isinstance(value, _CONTAINERS):
-        return _encode_items([value])[1:-1]
-    leaves: list = []
-    try:
-        layout = _layout(value, "\n", leaves)
-    except _NonStringKey:
-        return json.dumps(value, indent=2, ensure_ascii=False)
-    slots = layout.split("\0")
-    encoded = _encode_items(leaves)[1:-1].split("\0") if leaves else []
-    return "".join(chain.from_iterable(zip(slots, encoded))) + slots[-1]
-
-
-class _NonStringKey(Exception):
-    pass
-
-
-def _layout(node, newline: str, leaves: list) -> str:
-    """The dict, list or tuple ``node`` laid out as ``json.dumps(indent=2)`` lays it out at
-    the depth ``newline`` indents to, with a NUL for each scalar and key, which are
-    appended to ``leaves`` in order."""
-    if not node:
-        return "{}" if isinstance(node, dict) else "[]"
-    inner = newline + "  "
-    parts = []
-    if isinstance(node, dict):
-        for key, item in node.items():
-            if not isinstance(key, str):
-                raise _NonStringKey
-            leaves.append(key)
-            if isinstance(item, _CONTAINERS):
-                parts.append("\0: " + _layout(item, inner, leaves))
-            else:
-                leaves.append(item)
-                parts.append("\0: \0")
-        return "{" + inner + ("," + inner).join(parts) + newline + "}"
-    for item in node:
-        if isinstance(item, _CONTAINERS):
-            parts.append(_layout(item, inner, leaves))
-        else:
-            leaves.append(item)
-            parts.append("\0")
-    return "[" + inner + ("," + inner).join(parts) + newline + "]"
 
 
 def read_json_object(path) -> dict:

@@ -52,12 +52,10 @@ Ranking sorts by descending score with ascending id as the tiebreak.
 A :class:`Bm25Index` is built once per pool, in one pass over its tokens.
 It keeps, per term, the positions of the term's occurrences in pool order (a
 document holding the term f times is listed f times), and per document the
-length norm ``k1 * (1 - b + b * |d| / avgdl)`` and ``1 + norm``.  A term's
-weights ``idf * f * (k1 + 1) / (f + norm)`` are computed the first time a query
-uses the term, in one list comprehension over its documents, with the same
-expression in the same order as above, so each is the same float; at f = 1 the
-numerator ``idf * 1 * (k1 + 1)`` is ``idf * (k1 + 1)`` exactly, so it is
-computed once per term and divided by the document's stored ``1 + norm``.  The
+length norm ``k1 * (1 - b + b * |d| / avgdl)``.  A term's weights
+``idf * f * (k1 + 1) / (f + norm)`` are computed the first time a query uses
+the term, in one list comprehension over its documents, with the same
+expression in the same order as above, so each is the same float.  The
 weights are cached on the index as a finished (positions, weights) tuple:
 threads sharing an index may compute an entry twice but never read half of
 one.  A term with zero IDF gets no weights.  Each would be 0.0, and
@@ -186,7 +184,6 @@ class Bm25Index:
         n_docs = len(documents)
         avgdl = (sum(doc_lens) / n_docs) if n_docs else 0.0
         self.norms = [k1 * (1 - b + b * (dl / avgdl if avgdl else 0.0)) for dl in doc_lens]
-        self.unit_denominators = [1 + norm for norm in self.norms]  # f + norm at f = 1
         self.occurrences = dict(occurrences)
         self.by_id = sorted(range(n_docs), key=self.ids.__getitem__)  # ties keep position order
         self._weights: dict[str, tuple] = {}
@@ -208,10 +205,8 @@ class Bm25Index:
                 idf = max(0.0, math.log((len(self.ids) - len(freqs) + 0.5) / (len(freqs) + 0.5)))
                 if idf:
                     scale = self.k1 + 1
-                    unit = idf * scale  # idf * f * scale at f = 1
-                    norms, unit_denominators = self.norms, self.unit_denominators
-                    entry = (list(freqs), [unit / unit_denominators[position] if f == 1
-                                           else idf * f * scale / (f + norms[position])
+                    norms = self.norms
+                    entry = (list(freqs), [idf * f * scale / (f + norms[position])
                                            for position, f in freqs.items()])
             self._weights[term] = entry
         return entry

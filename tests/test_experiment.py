@@ -9,7 +9,7 @@ from semkit.corpus import Dataset, Example, Split, load_dataset, load_split, sam
 from semkit.execute import operators_of
 from semkit.experiment import DemoSelector, run_experiment
 from semkit.prompts import load_dd_source
-from semkit.resources import data_path, dataset_path, dd_path, indented_json, split_path
+from semkit.resources import data_path, dataset_path, dd_path, split_path
 from semkit.selection import coverage_fraction, greedy_select
 
 
@@ -201,42 +201,6 @@ def test_run_path_goes_through_build_prompt_and_replay_get(monkeypatch, tmp_path
     llm.bootstrap_annotations([geoquery[i] for i in bootstrap["seed_ids"]], unlabeled,
                               geo_model, llm.LlmClient(mode="live", transport=transport), config)
     assert len(sent) == 3 * len(unlabeled) and digests == [[], [], []]
-
-
-REPORT_VALUES = [
-    {}, [], (), {"a": {}, "b": [], "c": [[], [{}]]},
-    {"nested": {"deeper": [1, [2, {"deepest": [None, True, False]}]]}},
-    {"café": "naïve ☃ 🙂", " ": "\x00\x1f\"\\", "": ""},
-    [0.1 + 0.2, -0.0, 0.0, 1e-7, 1e22, 123456789.125, float("nan"), float("inf"),
-     -float("inf"), 10**30, -7],
-    {"seed": 3, "accuracy": 2 / 3, "verdicts": [["gq-01", "correct"], ["gq-02", "wrong-result"]]},
-    {"seeds": [0, 1, 2], "accuracies": [0.8, 0.7, 0.9], "mean_accuracy": (0.8 + 0.7 + 0.9) / 3},
-    {1: "an int key", None: [], 2.5: {}},  # keys json.dumps converts
-    "a string", 0.5, None,
-]
-
-
-@pytest.mark.parametrize("value", REPORT_VALUES, ids=range(len(REPORT_VALUES)))
-def test_indented_json_is_json_dumps_with_indent_2(value):
-    assert indented_json(value) == json.dumps(value, indent=2, ensure_ascii=False)
-
-
-def test_indented_json_matches_json_dumps_on_random_values():
-    rng = random.Random(23)
-    scalars = [None, True, False, 0, -1, 2**40, 0.1, -0.0, 1 / 3, "", "x", "é\n", "\ud800"]
-
-    def value(depth):
-        pick = rng.random()
-        if depth > 3 or pick < 0.4:
-            return rng.choice(scalars)
-        if pick < 0.7:
-            return [value(depth + 1) for _ in range(rng.randint(0, 3))]
-        return {rng.choice(["a", "b", "ü", ""]) + str(i): value(depth + 1)
-                for i in range(rng.randint(0, 3))}
-
-    for _ in range(2000):
-        tree = value(0)
-        assert indented_json(tree) == json.dumps(tree, indent=2, ensure_ascii=False)
 
 
 def test_report_files_are_json_dumps_with_indent_2(tmp_path):
