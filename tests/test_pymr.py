@@ -469,3 +469,24 @@ def test_answer_normalization(request, environment, case):
     expr, expected = _NORMALIZATION[environment][case] if isinstance(case, str) else case
     outcome = run_program("pymr", f"def answer():\n    return {expr}", environment, world)
     assert outcome.to_json() == expected
+
+
+# add_event checks an event's fields in a fixed order (subject, location, starts,
+# ends, duration, attendees, avoided) and reports the first bad one.
+@pytest.mark.parametrize("call,message", [
+    ("api.add_event(1)", "add_event expects an Event"),
+    ("api.add_event(Event(subject=1))", "subject must be a string"),
+    ("api.add_event(Event(location=1))", "location must be a string"),
+    ('api.add_event(Event(duration="x"))', "duration must be minutes"),
+    ("api.add_event(Event(duration=True))", "duration must be minutes"),
+    ("api.add_event(Event(starts_at=[1]))", "1 is not a date/time clause"),
+    ('api.add_event(Event(ends_at=["noon"]))', "'noon' is not a date/time clause"),
+    ('api.add_event(Event(attendees=["bob"]))', "'bob' is not a person"),
+    ("api.add_event(Event(attendees_to_avoid=[2]))", "2 is not a person"),
+    ("api.find_person(1)", "find_person expects a name string"),
+    ('api.add_event(Event(subject=1, attendees=["bob"]))', "subject must be a string"),
+])
+def test_calendar_api_type_checks(calendar_world, call, message):
+    outcome = run_program("pymr", f"def answer():\n    {call}", "calendar", calendar_world)
+    assert outcome.to_json() == {"ok": False, "error": "type-mismatch",
+                                 "message": f"type-mismatch: {message}"}
