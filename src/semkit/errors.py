@@ -11,6 +11,8 @@ harness's, not the model's: scoring books it as the verdict ``harness-error``.
 
 from __future__ import annotations
 
+from types import BuiltinMethodType, FunctionType, MethodType, ModuleType
+
 
 class SemkitError(Exception):
     """Base class for all toolkit errors."""
@@ -62,6 +64,25 @@ class MrExecError(SemkitError):
     def __init__(self, code: str, message: str):
         self.code = code
         super().__init__(f"{code}: {message}")
+
+
+def shown(value) -> str:
+    """``value`` as a failure message names it: its repr, or, where that repr would
+    hold a memory address or a module path, its name.
+
+    An object with the default repr is named by its class, a class outside
+    ``builtins``, a function, or a method bound to a builtin object or to an
+    object with the default repr by its qualified name (``SocialApi``,
+    ``Gender``, ``SocialApi.find_person_by_id``, ``list.append``), so the
+    message is the same in every process.
+    """
+    if isinstance(value, type):
+        return repr(value) if value.__module__ == "builtins" else value.__qualname__
+    if (isinstance(value, FunctionType)
+            or isinstance(value, BuiltinMethodType) and not isinstance(value.__self__, ModuleType)
+            or isinstance(value, MethodType) and type(value.__self__).__repr__ is object.__repr__):
+        return value.__qualname__
+    return type(value).__qualname__ if type(value).__repr__ is object.__repr__ else repr(value)
 
 
 class PoolExhaustedError(SemkitError):

@@ -43,7 +43,8 @@ import operator
 from dataclasses import dataclass
 
 from . import calflow, social as social_mod
-from .errors import MAX_DEPTH, TOO_DEEP, MrExecError, MrParseError, UnsupportedConstructError
+from .errors import (MAX_DEPTH, TOO_DEEP, MrExecError, MrParseError, UnsupportedConstructError,
+                     shown)
 from .geo import City, Country, GeoModel, Place, River, State, entity_ref
 from .outcomes import Denotation, WorldDelta
 from .social import EducationRecord, EmploymentRecord, Person, SocialDb
@@ -368,13 +369,13 @@ def _opt_str(value, what):
 def _clause(value):
     if isinstance(value, (calflow.DateClause, calflow.TimeClause)):
         return value
-    raise MrExecError("type-mismatch", f"{value!r} is not a date/time clause")
+    raise MrExecError("type-mismatch", f"{shown(value)} is not a date/time clause")
 
 
 def _unwrap_person(value) -> calflow.CalPerson:
     if isinstance(value, CalendarPerson):
         return value._person
-    raise MrExecError("type-mismatch", f"{value!r} is not a person")
+    raise MrExecError("type-mismatch", f"{shown(value)} is not a person")
 
 
 # environment -> (its binding: the top-level names a program may resolve, given the
@@ -654,10 +655,10 @@ def _normalize(value, entity_types, ref) -> Denotation:
         refs = []
         for item in items:
             if not isinstance(item, entity_types):
-                raise MrExecError("type-mismatch", f"cannot interpret {item!r} as an answer")
+                raise MrExecError("type-mismatch", f"cannot interpret {shown(item)} as an answer")
             refs.append(ref(item))
         return Denotation.of_entities(refs)
-    raise MrExecError("type-mismatch", f"cannot interpret {value!r} as an answer")
+    raise MrExecError("type-mismatch", f"cannot interpret {shown(value)} as an answer")
 
 
 def exec_pymr(ast: PymrAst, environment: str, env_object) -> Denotation | WorldDelta:

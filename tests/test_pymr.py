@@ -490,3 +490,37 @@ def test_calendar_api_type_checks(calendar_world, call, message):
     outcome = run_program("pymr", f"def answer():\n    {call}", "calendar", calendar_world)
     assert outcome.to_json() == {"ok": False, "error": "type-mismatch",
                                  "message": f"type-mismatch: {message}"}
+
+
+# A value whose repr would hold a memory address or a module path is named by
+# its class or qualified name, so a failure message is the same in every process;
+# any other value keeps its repr.
+@pytest.mark.parametrize("environment,body,message", [
+    ("social", "return api", "cannot interpret SocialApi as an answer"),
+    ("social", "return [api.people[0], api]", "cannot interpret SocialApi as an answer"),
+    ("social", "return Gender", "cannot interpret Gender as an answer"),
+    ("social", "return api.find_person_by_id",
+     "cannot interpret SocialApi.find_person_by_id as an answer"),
+    ("geo", "x = []\n    return x.append", "cannot interpret list.append as an answer"),
+    ("geo", "return set([1]).add", "cannot interpret set.add as an answer"),
+    ("geo", "x = []\n    x.append(lambda v: v)\n    return x",
+     "cannot interpret _Lambda as an answer"),
+    ("geo", "return max", "cannot interpret <built-in function max> as an answer"),
+    ("geo", "return list", "cannot interpret <class 'list'> as an answer"),
+    ("geo", "x = []\n    x.append(x)\n    return x", "cannot interpret [[...]] as an answer"),
+    ("calendar", "api.add_event(Event(attendees=[Event()]))", "Event is not a person"),
+    ("calendar", "api.add_event(Event(attendees=[api]))", "CalendarApi is not a person"),
+    ("calendar", "api.add_event(Event(attendees=[api.get_current_user().find_team_of]))",
+     "<bound method CalendarPerson.find_team_of of <person sarah>> is not a person"),
+    ("calendar", "api.add_event(Event(starts_at=[Event]))", "Event is not a date/time clause"),
+    ("calendar", "api.add_event(Event(starts_at=[api.find_person]))",
+     "CalendarApi.find_person is not a date/time clause"),
+    ("calendar", "api.add_event(Event(starts_at=[DateTimeClause.get_next_dow]))",
+     "DateTimeClause.get_next_dow is not a date/time clause"),
+])
+def test_failure_messages_name_values_without_addresses(request, environment, body, message):
+    world = request.getfixturevalue(
+        {"geo": "geo_model", "social": "social_db", "calendar": "calendar_world"}[environment])
+    outcome = run_program("pymr", f"def answer():\n    {body}", environment, world)
+    assert outcome.to_json() == {"ok": False, "error": "type-mismatch",
+                                 "message": f"type-mismatch: {message}"}
