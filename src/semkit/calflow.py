@@ -1,4 +1,4 @@
-"""Calendar environment: org chart, event store, and the Dataflow-Simple MR.
+"""Calendar environment: org chart, the Dataflow-Simple MR and the pymr surface.
 
 World files are JSON, their fields declared in ``_WORLD`` and ``_PERSON``::
 
@@ -25,6 +25,10 @@ the anchor date when only a time is given, and 30-minute duration.
 ``FindTeamOf(p)`` is everyone sharing p's manager, including p.  A
 ``date_by_mdy`` without a year resolves to the next occurrence at or after the
 anchor date; ``NextDOW`` lands strictly after the anchor date, within 7 days.
+
+One :class:`Event` record serves both dialects: Dataflow-Simple constraints fill
+it, and pymr's ``api.add_event`` checks a program's ``Event(...)`` into a new one;
+:func:`build_event` resolves either.  ``PYMR`` is what a pymr program sees.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import datetime as dt
 import re
 from dataclasses import dataclass
 
-from .errors import MAX_DEPTH, TOO_DEEP, DataFormatError, MrExecError, MrParseError
+from .errors import MAX_DEPTH, TOO_DEEP, DataFormatError, MrExecError, MrParseError, shown
 from .outcomes import CreatedEvent, WorldDelta
 from .readonly import ReadOnlyList
 from .resources import ANY, STRING, Schema, read_world
@@ -172,8 +176,6 @@ def resolve_datetime(clauses, now: dt.datetime) -> tuple[dt.datetime, dt.datetim
     times = [c for c in clauses if isinstance(c, TimeClause)]
     if len(dates) > 1 or len(times) > 1:
         raise MrExecError("conflicting-clause", "more than one date or time clause")
-    if len(dates) + len(times) != len(clauses):
-        raise MrExecError("conflicting-clause", "not a date/time clause")
     day = _resolve_date(dates[0], now) if dates else now.date()
     time = dt.time(times[0].hour, times[0].minute) if times else DEFAULT_START_TIME
     start = dt.datetime.combine(day, time)
@@ -331,15 +333,15 @@ def extract_operators(ast) -> frozenset[str]:
 
 # --- execution --------------------------------------------------------------
 
-class _EventDraft:
-    def __init__(self):
-        self.subject = None
-        self.location = None
-        self.start_clauses = []
-        self.end_clauses = []
-        self.duration = None
-        self.attendees = []
-        self.avoided = []
+class Event:
+    """One event request of either dialect (see the module docstring)."""
+
+    def __init__(self, subject=None, starts_at=None, ends_at=None, location=None,
+                 attendees=None, attendees_to_avoid=None, duration=None):
+        self.subject, self.location, self.duration = subject, location, duration
+        self.starts_at, self.ends_at, self.attendees, self.attendees_to_avoid = (
+            [] if given is None else list(given)
+            for given in (starts_at, ends_at, attendees, attendees_to_avoid))
 
 
 def _clause_value(node, world: CalendarWorld):
@@ -385,48 +387,48 @@ def _resolve_people(node, world: CalendarWorld) -> list[CalPerson]:
     raise MrExecError("unresolvable-constraint", f"cannot resolve people from {node!r}")
 
 
-def _apply_constraint(node, draft: _EventDraft, world: CalendarWorld) -> None:
+def _apply_constraint(node, event: Event, world: CalendarWorld) -> None:
     if not isinstance(node, Call):
         raise MrExecError("unresolvable-constraint", f"bad constraint {node!r}")
     if node.head == "AND":
         for arg in node.args:
-            _apply_constraint(arg, draft, world)
+            _apply_constraint(arg, event, world)
     elif node.head == "at_location":
-        draft.location = node.args[0].text
+        event.location = node.args[0].text
     elif node.head == "has_subject":
-        draft.subject = node.args[0].text
+        event.subject = node.args[0].text
     elif node.head == "starts_at":
-        draft.start_clauses.extend(_clause_value(a, world) for a in node.args)
+        event.starts_at.extend(_clause_value(a, world) for a in node.args)
     elif node.head == "ends_at":
-        draft.end_clauses.append(_clause_value(node.args[0], world))
+        event.ends_at.append(_clause_value(node.args[0], world))
     elif node.head == "has_duration":
-        draft.duration = node.args[0].value
+        event.duration = node.args[0].value
     elif node.head == "with_attendee":
-        draft.attendees.extend(_resolve_people(node.args[0], world))
+        event.attendees.extend(_resolve_people(node.args[0], world))
     elif node.head == "avoid_attendee":
-        draft.avoided.extend(_resolve_people(node.args[0], world))
+        event.attendees_to_avoid.extend(_resolve_people(node.args[0], world))
     else:
         raise MrExecError("unresolvable-constraint", f"{node.head} is not a constraint")
 
 
-def build_event(draft: _EventDraft, world: CalendarWorld) -> CreatedEvent:
-    start, end = resolve_datetime(draft.start_clauses, world.now)
-    if draft.duration is not None and draft.end_clauses:
+def build_event(event: Event, world: CalendarWorld) -> CreatedEvent:
+    start, end = resolve_datetime(event.starts_at, world.now)
+    if event.duration is not None and event.ends_at:
         raise MrExecError("conflicting-clause", "both has_duration and ends_at given")
-    if draft.duration is not None:
-        end = start + dt.timedelta(minutes=draft.duration)
-    elif draft.end_clauses:
-        clause = draft.end_clauses[0]
+    if event.duration is not None:
+        end = start + dt.timedelta(minutes=event.duration)
+    elif event.ends_at:
+        clause = event.ends_at[0]
         if not isinstance(clause, TimeClause):
             raise MrExecError("conflicting-clause", "ends_at takes a time clause")
         end = dt.datetime.combine(start.date(), dt.time(clause.hour, clause.minute))
     if not start < end:
         raise MrExecError("invalid-datetime", "event must start before it ends")
-    avoided = {p.id for p in draft.avoided}
-    attendees = {p.id for p in draft.attendees} - avoided
+    avoided = {p.id for p in event.attendees_to_avoid}
+    attendees = {p.id for p in event.attendees} - avoided
     return CreatedEvent(
-        start=start.isoformat(), end=end.isoformat(), subject=draft.subject,
-        location=draft.location, attendees=frozenset(attendees), avoided=frozenset(avoided),
+        start=start.isoformat(), end=end.isoformat(), subject=event.subject,
+        location=event.location, attendees=frozenset(attendees), avoided=frozenset(avoided),
     )
 
 
@@ -434,7 +436,101 @@ def exec_dfs(ast: Call, world: CalendarWorld) -> WorldDelta:
     """Execute a program; returns the delta of created events."""
     if not isinstance(ast, Call) or ast.head != "CreateEvent":
         raise MrExecError("unresolvable-constraint", "program root must be CreateEvent")
-    draft = _EventDraft()
+    event = Event()
     if ast.args:
-        _apply_constraint(ast.args[0], draft, world)
-    return WorldDelta(created=(build_event(draft, world),))
+        _apply_constraint(ast.args[0], event, world)
+    return WorldDelta(created=(build_event(event, world),))
+
+
+# --- the pymr surface ---------------------------------------------------------
+
+@dataclass(frozen=True, repr=False)
+class CalendarPerson:
+    """pymr-facing handle around one org-chart person; handles of one person are equal."""
+
+    _person: CalPerson
+    _world: CalendarWorld
+
+    @property
+    def name(self) -> str:
+        return self._person.name
+
+    def find_manager_of(self) -> "CalendarPerson":
+        return CalendarPerson(self._world.manager_of(self._person), self._world)
+
+    def find_team_of(self) -> list["CalendarPerson"]:
+        return [CalendarPerson(p, self._world) for p in self._world.team_of(self._person)]
+
+    def __hash__(self):
+        return hash(id(self._person))
+
+    def __repr__(self):
+        return f"<person {self.name}>"
+
+
+class CalendarApi:
+    def __init__(self, world: CalendarWorld):
+        self._world, self._created = world, []
+
+    def find_person(self, name: str) -> CalendarPerson:
+        if not isinstance(name, str):
+            raise MrExecError("type-mismatch", "find_person expects a name string")
+        return CalendarPerson(self._world.find_person(name), self._world)
+
+    def get_current_user(self) -> CalendarPerson:
+        return CalendarPerson(self._world.current_user, self._world)
+
+    def add_event(self, event: Event) -> None:
+        if not isinstance(event, Event):
+            raise MrExecError("type-mismatch", "add_event expects an Event")
+        checked = Event(  # keyword arguments run in order: the first bad field is reported
+            subject=_opt_str(event.subject, "subject"),
+            location=_opt_str(event.location, "location"),
+            starts_at=[_clause(c) for c in event.starts_at],
+            ends_at=[_clause(c) for c in event.ends_at],
+            duration=_minutes(event.duration),
+            attendees=[_unwrap_person(p) for p in event.attendees],
+            attendees_to_avoid=[_unwrap_person(p) for p in event.attendees_to_avoid])
+        self._created.append(build_event(checked, self._world))
+
+
+def _opt_str(value, what):
+    if value is not None and not isinstance(value, str):
+        raise MrExecError("type-mismatch", f"{what} must be a string")
+    return value
+
+
+def _clause(value):
+    if isinstance(value, (DateClause, TimeClause)):
+        return value
+    raise MrExecError("type-mismatch", f"{shown(value)} is not a date/time clause")
+
+
+def _minutes(value):
+    if value is not None and (not isinstance(value, (int, float)) or isinstance(value, bool)):
+        raise MrExecError("type-mismatch", "duration must be minutes")
+    return None if value is None else int(value)
+
+
+def _unwrap_person(value) -> CalPerson:
+    if isinstance(value, CalendarPerson):
+        return value._person
+    raise MrExecError("type-mismatch", f"{shown(value)} is not a person")
+
+
+# what a pymr program sees of a calendar world; the fields are laid out in semkit.pymr
+PYMR = (
+    lambda world: {"api": CalendarApi(world), "Event": Event,
+                   "DateTimeClause": DateTimeClause, "DateTimeValues": DateTimeValues},
+    frozenset({
+        "api", "CalendarApi", "Person", "Event", "DateTimeClause", "DateTimeValues",
+        "find_person", "get_current_user", "add_event",
+        "name", "find_manager_of", "find_team_of",
+        "subject", "starts_at", "ends_at", "location", "attendees",
+        "attendees_to_avoid", "duration",
+        "get_next_dow", "date_by_mdy", "time_by_hm", "Today", "Tomorrow",
+    }),
+    (CalendarApi, CalendarPerson, Event),
+    (DateTimeClause, DateTimeValues),
+    lambda value, binding: WorldDelta(created=tuple(binding["api"]._created)),
+)

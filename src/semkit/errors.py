@@ -67,18 +67,11 @@ class MrExecError(SemkitError):
 
 
 def shown(value) -> str:
-    """``value`` as a failure message names it: its repr, or, where that repr would
-    hold a memory address or a module path, its name.
-
-    An object with the default repr is named by its class, a class outside
-    ``builtins``, a function, or a method bound to a builtin object or to an
-    object with the default repr by its qualified name (``SocialApi``,
-    ``Gender``, ``SocialApi.find_person_by_id``, ``list.append``), so the
-    message is the same in every process.
-    """
-    if isinstance(value, type):
-        return repr(value) if value.__module__ == "builtins" else value.__qualname__
-    if (isinstance(value, FunctionType)
+    """``value`` as a failure message shows it: its repr, unless that would hold a
+    memory address or a module path (an object with the default repr, a class
+    outside ``builtins``, a function, a method of a builtin or default-repr
+    object); then its class's or its own qualified name, the same in every process."""
+    if (isinstance(value, (type, FunctionType)) and value.__module__ != "builtins"
             or isinstance(value, BuiltinMethodType) and not isinstance(value.__self__, ModuleType)
             or isinstance(value, MethodType) and type(value.__self__).__repr__ is object.__repr__):
         return value.__qualname__

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import MrExecError, MrParseError
+from .errors import MrExecError, MrParseError, shown
 
 EntityRef = tuple[str, str]  # (entity kind, canonical lowercase name)
 
@@ -42,6 +42,30 @@ class Denotation:
             return {"kind": "entities", "entities": [list(e) for e in self.entities]}
         values: Any = self.values[0] if len(self.values) == 1 else list(self.values)
         return {"kind": "number", "value": values, "unit": self.unit}
+
+
+def denotation_of(value, entity_types, ref) -> Denotation:
+    """A pymr program's returned value as a denotation; ``ref`` names each instance
+    of ``entity_types``, alone or in a collection."""
+    if value is None:
+        return Denotation.of_entities([])
+    if isinstance(value, bool):
+        return Denotation.of_number(1.0 if value else 0.0)
+    if isinstance(value, (int, float)):
+        return Denotation.of_number(value)
+    if isinstance(value, entity_types):
+        return Denotation.of_entities([ref(value)])
+    if isinstance(value, (list, set, frozenset, tuple)):
+        items = list(value)
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items) and items:
+            return Denotation.of_numbers(items)
+        refs = []
+        for item in items:
+            if not isinstance(item, entity_types):
+                raise MrExecError("type-mismatch", f"cannot interpret {shown(item)} as an answer")
+            refs.append(ref(item))
+        return Denotation.of_entities(refs)
+    raise MrExecError("type-mismatch", f"cannot interpret {shown(value)} as an answer")
 
 
 @dataclass(frozen=True)

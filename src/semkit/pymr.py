@@ -1,4 +1,4 @@
-"""Restricted-Python meaning representations: parser, sandboxed evaluator, bindings.
+"""Restricted-Python meaning representations: the checker and the sandboxed evaluator.
 
 A program is a single ``def answer():`` function (no parameters, no decorators,
 optional return annotation) whose body uses only the supported subset:
@@ -21,13 +21,13 @@ sandboxed: the only resolvable names are the environment binding (below), the
 builtin registry, and local assignments; unknown names and attributes become
 captured failures, never host behavior.
 
-Each environment's binding, closed name surface and answer reader are declared
-once, in ``_ENVIRONMENTS``.  Bindings expose ``geo_model`` (a loaded
-:class:`semkit.geo.GeoModel`) for geo; ``api`` (``api.people``,
-``api.find_person_by_id``) and the ``Gender`` namespace for social; ``api``
-(``find_person``, ``get_current_user``, ``add_event``), the ``Event``
-constructor, and the ``DateTimeClause`` / ``DateTimeValues`` namespaces for
-calendar.
+This module imports no environment.  Each environment's module (named in
+:data:`semkit.execute.ENVIRONMENTS`) declares what a program sees of its world as
+``PYMR = (bind, names, readable, namespaces, answer)``: ``bind(world)`` gives the
+top-level names; ``names`` is the closed name surface (:func:`binding_names`);
+instances of the ``readable`` classes and the ``namespaces`` classes themselves
+expose their attributes; ``answer(value, binding)`` turns the returned value
+into the outcome value.
 
 Runtime errors (name-not-found, attribute-not-found, type-mismatch,
 index-out-of-range, empty-input, ...) raise :class:`~semkit.errors.MrExecError`;
@@ -42,12 +42,9 @@ import builtins
 import operator
 from dataclasses import dataclass
 
-from . import calflow, social as social_mod
-from .errors import (MAX_DEPTH, TOO_DEEP, MrExecError, MrParseError, UnsupportedConstructError,
-                     shown)
-from .geo import City, Country, GeoModel, Place, River, State, entity_ref
+from . import execute
+from .errors import MAX_DEPTH, TOO_DEEP, MrExecError, MrParseError, UnsupportedConstructError
 from .outcomes import Denotation, WorldDelta
-from .social import EducationRecord, EmploymentRecord, Person, SocialDb
 
 BUILTIN_NAMES = ("max", "min", "len", "sum", "sorted", "list", "set", "any", "all", "abs")
 _GENEXP_HOSTS = ("any", "all", "max", "min", "sum", "list", "set")
@@ -57,7 +54,6 @@ SET_METHODS = ("add", "update")
 
 @dataclass(frozen=True)
 class PymrAst:
-    source: str
     func: pyast.FunctionDef
     operators: frozenset[str]  # collected while the program is checked
 
@@ -133,7 +129,7 @@ def parse_pymr(text: str) -> PymrAst:
             elif (type(node) is pyast.Call and type(node.func) is pyast.Name
                   and node.func.id not in BUILTIN_NAMES):
                 found.add(node.func.id)
-    return PymrAst(source=text, func=func, operators=frozenset(found))
+    return PymrAst(func=func, operators=frozenset(found))
 
 
 def _is_docstring(stmt) -> bool:
@@ -273,167 +269,17 @@ def _check_comprehension(comp, found: set, depth: int) -> None:
         depth += 1
 
 
-# --- environment bindings ----------------------------------------------------
+# --- environment surfaces -----------------------------------------------------
 
-class Gender:
-    male = "en.gender.male"
-    female = "en.gender.female"
-
-
-class SocialApi:
-    def __init__(self, db: SocialDb):
-        self.people = db.people
-        self._db = db
-
-    def find_person_by_id(self, person_id: str) -> Person:
-        return self._db.find_person_by_id(person_id)
-
-
-class CalendarPerson:
-    """pymr-facing handle around one org-chart person."""
-
-    def __init__(self, person: calflow.CalPerson, world: calflow.CalendarWorld):
-        self._person = person
-        self._world = world
-
-    @property
-    def name(self) -> str:
-        return self._person.name
-
-    def find_manager_of(self) -> "CalendarPerson":
-        return CalendarPerson(self._world.manager_of(self._person), self._world)
-
-    def find_team_of(self) -> list["CalendarPerson"]:
-        return [CalendarPerson(p, self._world) for p in self._world.team_of(self._person)]
-
-    def __eq__(self, other):
-        return isinstance(other, CalendarPerson) and other._person is self._person
-
-    def __hash__(self):
-        return hash(id(self._person))
-
-    def __repr__(self):
-        return f"<person {self.name}>"
-
-
-class Event:
-    """Unresolved event request; api.add_event resolves and stores it."""
-
-    def __init__(self, subject=None, starts_at=None, ends_at=None, location=None,
-                 attendees=None, attendees_to_avoid=None, duration=None):
-        self.subject = subject
-        self.starts_at = list(starts_at) if starts_at is not None else []
-        self.ends_at = list(ends_at) if ends_at is not None else []
-        self.location = location
-        self.attendees = list(attendees) if attendees is not None else []
-        self.attendees_to_avoid = list(attendees_to_avoid) if attendees_to_avoid is not None else []
-        self.duration = duration
-
-
-class CalendarApi:
-    def __init__(self, world: calflow.CalendarWorld):
-        self._world = world
-        self._created = []
-
-    def find_person(self, name: str) -> CalendarPerson:
-        if not isinstance(name, str):
-            raise MrExecError("type-mismatch", "find_person expects a name string")
-        return CalendarPerson(self._world.find_person(name), self._world)
-
-    def get_current_user(self) -> CalendarPerson:
-        return CalendarPerson(self._world.current_user, self._world)
-
-    def add_event(self, event: Event) -> None:
-        if not isinstance(event, Event):
-            raise MrExecError("type-mismatch", "add_event expects an Event")
-        draft = calflow._EventDraft()
-        draft.subject = _opt_str(event.subject, "subject")
-        draft.location = _opt_str(event.location, "location")
-        draft.start_clauses = [_clause(c) for c in event.starts_at]
-        draft.end_clauses = [_clause(c) for c in event.ends_at]
-        if event.duration is not None:
-            if not isinstance(event.duration, (int, float)) or isinstance(event.duration, bool):
-                raise MrExecError("type-mismatch", "duration must be minutes")
-            draft.duration = int(event.duration)
-        draft.attendees = [_unwrap_person(p) for p in event.attendees]
-        draft.avoided = [_unwrap_person(p) for p in event.attendees_to_avoid]
-        self._created.append(calflow.build_event(draft, self._world))
-
-
-def _opt_str(value, what):
-    if value is not None and not isinstance(value, str):
-        raise MrExecError("type-mismatch", f"{what} must be a string")
-    return value
-
-
-def _clause(value):
-    if isinstance(value, (calflow.DateClause, calflow.TimeClause)):
-        return value
-    raise MrExecError("type-mismatch", f"{shown(value)} is not a date/time clause")
-
-
-def _unwrap_person(value) -> calflow.CalPerson:
-    if isinstance(value, CalendarPerson):
-        return value._person
-    raise MrExecError("type-mismatch", f"{shown(value)} is not a person")
-
-
-# environment -> (its binding: the top-level names a program may resolve, given the
-# environment object; its closed name surface: roots, classes, members; its
-# outcome value, given the value the program returned and the binding)
-_ENVIRONMENTS = {
-    "geo": (
-        lambda model: {"geo_model": model},
-        frozenset({
-            "geo_model", "GeoModel", "State", "City", "River", "Place", "Country",
-            "find_state", "find_city", "find_river", "find_place",
-            "states", "cities", "rivers", "places", "country",
-            "name", "abbreviation", "capital", "area", "population", "density",
-            "high_point", "low_point", "next_to", "size", "is_major",
-            "length", "traverses", "elevation", "state", "kind",
-        }),
-        lambda value, binding: _normalize(value, (State, City, River, Place, Country),
-                                          entity_ref)),
-    "social": (
-        lambda db: {"api": SocialApi(db), "Gender": Gender},
-        frozenset({
-            "api", "SocialApi", "Person", "EducationRecord", "EmploymentRecord", "Gender",
-            "people", "find_person_by_id",
-            "id", "name", "gender", "birthdate", "birthplace", "height",
-            "relationship_status", "is_student", "friends", "education", "employment",
-            "institution", "employer", "job_title", "start_date", "end_date",
-            "male", "female",
-        }),
-        lambda value, binding: _normalize(value, (Person, str), social_mod.value_ref)),
-    "calendar": (
-        lambda world: {"api": CalendarApi(world), "Event": Event,
-                       "DateTimeClause": calflow.DateTimeClause,
-                       "DateTimeValues": calflow.DateTimeValues},
-        frozenset({
-            "api", "CalendarApi", "Person", "Event", "DateTimeClause", "DateTimeValues",
-            "find_person", "get_current_user", "add_event",
-            "name", "find_manager_of", "find_team_of",
-            "subject", "starts_at", "ends_at", "location", "attendees",
-            "attendees_to_avoid", "duration",
-            "get_next_dow", "date_by_mdy", "time_by_hm", "Today", "Tomorrow",
-        }),
-        lambda value, binding: WorldDelta(created=tuple(binding["api"]._created))),
-}
-
-
-def _environment(environment: str) -> tuple:
-    if environment not in _ENVIRONMENTS:
-        raise ValueError(f"unknown environment {environment!r}")
-    return _ENVIRONMENTS[environment]
+def _surface(environment: str) -> tuple:
+    """The ``PYMR`` record of the environment's module, imported on first use."""
+    return execute._loaded(execute.ENVIRONMENTS[environment][0]).PYMR
 
 
 def binding_names(environment: str) -> frozenset[str]:
-    """The closed name surface of an environment: roots, classes, members.
-
-    This is exactly the set of names the corresponding full domain
-    description declares (tests assert both directions).
-    """
-    return _environment(environment)[1]
+    """The closed name surface of an environment (roots, classes, members): exactly
+    the names its full domain description declares (tests assert both directions)."""
+    return _surface(environment)[1]
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -443,17 +289,9 @@ class _Return(Exception):
         self.value = value
 
 
-_DOMAIN_TYPES = (State, City, River, Place, Country, GeoModel,
-                 Person, EducationRecord, EmploymentRecord, SocialApi,
-                 CalendarApi, CalendarPerson, Event)
-_NAMESPACE_TYPES = (Gender, calflow.DateTimeClause, calflow.DateTimeValues)
-
-
 class _Lambda:
     def __init__(self, node: pyast.Lambda, interp: "_Interpreter", scope: dict):
-        self.node = node
-        self.interp = interp
-        self.scope = scope
+        self.node, self.interp, self.scope = node, interp, scope
 
     def __call__(self, value):
         inner = dict(self.scope)
@@ -465,8 +303,8 @@ _BUILTINS = {name: getattr(builtins, name) for name in BUILTIN_NAMES}
 
 
 class _Interpreter:
-    def __init__(self, binding: dict):
-        self.binding = binding
+    def __init__(self, binding: dict, readable: tuple, namespaces: tuple):
+        self.binding, self.readable, self.namespaces = binding, readable, namespaces
 
     def run(self, func: pyast.FunctionDef):
         scope: dict = {}
@@ -571,7 +409,7 @@ class _Interpreter:
             if attr in SET_METHODS:
                 return getattr(base, attr)
             raise MrExecError("attribute-not-found", f"sets have no attribute {attr!r}")
-        if isinstance(base, _DOMAIN_TYPES) or (isinstance(base, type) and base in _NAMESPACE_TYPES):
+        if isinstance(base, self.readable) or (isinstance(base, type) and base in self.namespaces):
             try:
                 return getattr(base, attr)
             except AttributeError as exc:
@@ -637,35 +475,11 @@ class _Interpreter:
             raise MrExecError("type-mismatch", str(exc)) from exc
 
 
-# --- outcome normalization ----------------------------------------------------
-
-def _normalize(value, entity_types, ref) -> Denotation:
-    if value is None:
-        return Denotation.of_entities([])
-    if isinstance(value, bool):
-        return Denotation.of_number(1.0 if value else 0.0)
-    if isinstance(value, (int, float)):
-        return Denotation.of_number(value)
-    if isinstance(value, entity_types):
-        return Denotation.of_entities([ref(value)])
-    if isinstance(value, (list, set, frozenset, tuple)):
-        items = list(value)
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items) and items:
-            return Denotation.of_numbers(items)
-        refs = []
-        for item in items:
-            if not isinstance(item, entity_types):
-                raise MrExecError("type-mismatch", f"cannot interpret {shown(item)} as an answer")
-            refs.append(ref(item))
-        return Denotation.of_entities(refs)
-    raise MrExecError("type-mismatch", f"cannot interpret {shown(value)} as an answer")
-
-
 def exec_pymr(ast: PymrAst, environment: str, env_object) -> Denotation | WorldDelta:
     """Run a parsed program against an environment: its answer, or raises."""
-    bind, _, answer = _environment(environment)
+    bind, _, readable, namespaces, answer = _surface(environment)
     binding = bind(env_object)
-    return answer(_Interpreter(binding).run(ast.func), binding)
+    return answer(_Interpreter(binding, readable, namespaces).run(ast.func), binding)
 
 
 def extract_operators(ast: PymrAst) -> frozenset[str]:

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import MAX_DEPTH, TOO_DEEP, DataFormatError, MrExecError, MrParseError
-from .outcomes import Denotation
+from .outcomes import Denotation, denotation_of
 from .readonly import ReadOnlyList
 from .resources import BOOLEAN, INTEGER, STRING, STRINGS, Schema, objects_of, read_world
 
@@ -142,6 +142,37 @@ def load_social_db(path) -> SocialDb:
         person.education = ReadOnlyList(person.education)
         person.employment = ReadOnlyList(person.employment)
     return SocialDb(people=ReadOnlyList(people))
+
+
+class Gender:
+    male = "en.gender.male"
+    female = "en.gender.female"
+
+
+class SocialApi:
+    def __init__(self, db: SocialDb):
+        self.people = db.people
+        self._db = db
+
+    def find_person_by_id(self, person_id: str) -> Person:
+        return self._db.find_person_by_id(person_id)
+
+
+# what a pymr program sees of a social database; the fields are laid out in semkit.pymr
+PYMR = (
+    lambda db: {"api": SocialApi(db), "Gender": Gender},
+    frozenset({
+        "api", "SocialApi", "Person", "EducationRecord", "EmploymentRecord", "Gender",
+        "people", "find_person_by_id",
+        "id", "name", "gender", "birthdate", "birthplace", "height",
+        "relationship_status", "is_student", "friends", "education", "employment",
+        "institution", "employer", "job_title", "start_date", "end_date",
+        "male", "female",
+    }),
+    (Person, EducationRecord, EmploymentRecord, SocialApi),
+    (Gender,),
+    lambda value, binding: denotation_of(value, (Person, str), value_ref),
+)
 
 
 # --- s-expressions --------------------------------------------------------

@@ -409,21 +409,32 @@ def test_interpreters_are_imported_on_first_use(rebound, runs_counted):
     assert runs == f"True True {runs_counted}"
 
 
-# A geo pymr run names its entities through semkit.geo, so FunQL stays unloaded.
-_PYMR_GEO_PROBE = """
+# Each world module declares its own pymr surface, so importing pymr loads no
+# world, and a pymr run loads its own world's module and no other world or
+# interpreter (a geo run names its entities through semkit.geo, not FunQL).
+_PYMR_PROBE = """
 import sys
+import semkit.pymr
+modules = ("semkit.calflow", "semkit.funql", "semkit.geo", "semkit.social")
+print([m for m in modules if m in sys.modules])
 from semkit.execute import load_environment, run_program
 from semkit.resources import environment_path
-geo_model = load_environment("geo", environment_path("geo"))
-outcome = run_program("pymr", "def answer():\\n    return geo_model.states[0]", "geo", geo_model)
-print(outcome.ok, "semkit.funql" in sys.modules)
+environment, body = sys.argv[1:]
+world = load_environment(environment, environment_path(environment))
+outcome = run_program("pymr", "def answer():\\n    " + body, environment, world)
+print(outcome.ok, [m for m in modules if m in sys.modules])
 """
 
 
-def test_a_geo_pymr_run_leaves_funql_unloaded():
-    result = _python(_PYMR_GEO_PROBE)
+@pytest.mark.parametrize("environment, body, world_module", [
+    ("geo", "return geo_model.states[0]", "semkit.geo"),
+    ("social", "return api.people[0]", "semkit.social"),
+    ("calendar", "api.add_event(Event())", "semkit.calflow"),
+])
+def test_a_pymr_run_loads_no_other_world(environment, body, world_module):
+    result = _python(_PYMR_PROBE, environment, body)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "True False"
+    assert result.stdout.splitlines() == ["[]", f"True [{world_module!r}]"]
 
 
 # Four threads run FunQL programs from the first one on, switching as often as

@@ -5,13 +5,13 @@ import re
 import pytest
 
 from semkit import calflow
+from semkit.calflow import CalendarApi, CalendarPerson, Event
 from semkit.errors import MAX_DEPTH, TOO_DEEP, MrParseError, UnsupportedConstructError
 from semkit.execute import run_program
 from semkit.funql import exec_funql, parse_funql
 from semkit.geo import City, Country, GeoModel, Place, River, State
-from semkit.pymr import (BUILTIN_NAMES, CalendarApi, CalendarPerson, Event, Gender, SocialApi,
-                         binding_names, exec_pymr, extract_operators, parse_pymr)
-from semkit.social import EducationRecord, EmploymentRecord, Person
+from semkit.pymr import BUILTIN_NAMES, binding_names, exec_pymr, extract_operators, parse_pymr
+from semkit.social import EducationRecord, EmploymentRecord, Gender, Person, SocialApi
 
 LARGEST_STATE_ELEVATION = ("def answer():\n"
               "    largest_state = max(geo_model.states, key=lambda x: x.size)\n"
