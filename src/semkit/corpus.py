@@ -10,7 +10,7 @@ Dataset files are JSONL, one example per line::
 :func:`semkit.resources.read_jsonl` and each record's fields through one
 :class:`~semkit.resources.Schema`; :func:`load_dataset` then rejects a
 repeated id, an unknown dialect name and a program that is not a string.  It
-reads the file in one pass.  Examples are slotted frozen dataclasses, and
+reads the file in one pass.  Examples are frozen dataclasses, and
 examples without tags share one empty frozenset.  A :class:`Dataset` derives
 its map from id to example, ``by_id``, from its examples; :func:`load_split`,
 :func:`sample_demos` and the experiment's demonstration selector look ids up
@@ -60,7 +60,7 @@ _LCG_MOD = 2**32
 _NO_TAGS: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Example:
     id: str
     utterance: str

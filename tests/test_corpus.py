@@ -108,10 +108,12 @@ def test_example_is_frozen_and_replaceable():
         example.utterance = "v"
     with pytest.raises(dataclasses.FrozenInstanceError):
         del example.tags
+    with pytest.raises(AttributeError):  # FrozenInstanceError is one
+        example.other = 1
+    assert not hasattr(example, "other")
     changed = dataclasses.replace(example, programs={"pymr": "x"})
     assert changed == Example("x-1", "u", {"pymr": "x"}, frozenset({"t"}))
     assert example.programs == {"funql": "answer(1)"}
-    assert not hasattr(example, "__dict__")  # slotted
 
 
 def test_dataset_built_from_examples_maps_their_ids():
