@@ -339,9 +339,10 @@ class Event:
     def __init__(self, subject=None, starts_at=None, ends_at=None, location=None,
                  attendees=None, attendees_to_avoid=None, duration=None):
         self.subject, self.location, self.duration = subject, location, duration
-        self.starts_at, self.ends_at, self.attendees, self.attendees_to_avoid = (
-            [] if given is None else list(given)
-            for given in (starts_at, ends_at, attendees, attendees_to_avoid))
+        self.starts_at = [] if starts_at is None else list(starts_at)
+        self.ends_at = [] if ends_at is None else list(ends_at)
+        self.attendees = [] if attendees is None else list(attendees)
+        self.attendees_to_avoid = [] if attendees_to_avoid is None else list(attendees_to_avoid)
 
 
 def _clause_value(node, world: CalendarWorld):
@@ -461,16 +462,14 @@ class CalendarPerson:
     def find_team_of(self) -> list["CalendarPerson"]:
         return [CalendarPerson(p, self._world) for p in self._world.team_of(self._person)]
 
-    def __hash__(self):
-        return hash(id(self._person))
-
     def __repr__(self):
         return f"<person {self.name}>"
 
 
 class CalendarApi:
     def __init__(self, world: CalendarWorld):
-        self._world, self._created = world, []
+        self._world = world
+        self._created = []
 
     def find_person(self, name: str) -> CalendarPerson:
         if not isinstance(name, str):
@@ -486,11 +485,12 @@ class CalendarApi:
         checked = Event(  # keyword arguments run in order: the first bad field is reported
             subject=_opt_str(event.subject, "subject"),
             location=_opt_str(event.location, "location"),
-            starts_at=[_clause(c) for c in event.starts_at],
-            ends_at=[_clause(c) for c in event.ends_at],
+            starts_at=[_typed(c, _CLAUSES, "a date/time clause") for c in event.starts_at],
+            ends_at=[_typed(c, _CLAUSES, "a date/time clause") for c in event.ends_at],
             duration=_minutes(event.duration),
-            attendees=[_unwrap_person(p) for p in event.attendees],
-            attendees_to_avoid=[_unwrap_person(p) for p in event.attendees_to_avoid])
+            attendees=[_typed(p, CalendarPerson, "a person")._person for p in event.attendees],
+            attendees_to_avoid=[_typed(p, CalendarPerson, "a person")._person
+                                for p in event.attendees_to_avoid])
         self._created.append(build_event(checked, self._world))
 
 
@@ -500,22 +500,19 @@ def _opt_str(value, what):
     return value
 
 
-def _clause(value):
-    if isinstance(value, (DateClause, TimeClause)):
+_CLAUSES = (DateClause, TimeClause)
+
+
+def _typed(value, kinds, what: str):
+    if isinstance(value, kinds):
         return value
-    raise MrExecError("type-mismatch", f"{shown(value)} is not a date/time clause")
+    raise MrExecError("type-mismatch", f"{shown(value)} is not {what}")
 
 
 def _minutes(value):
     if value is not None and (not isinstance(value, (int, float)) or isinstance(value, bool)):
         raise MrExecError("type-mismatch", "duration must be minutes")
     return None if value is None else int(value)
-
-
-def _unwrap_person(value) -> CalPerson:
-    if isinstance(value, CalendarPerson):
-        return value._person
-    raise MrExecError("type-mismatch", f"{shown(value)} is not a person")
 
 
 # what a pymr program sees of a calendar world; the fields are laid out in semkit.pymr

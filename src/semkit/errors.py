@@ -67,10 +67,10 @@ class MrExecError(SemkitError):
 
 
 def shown(value) -> str:
-    """``value`` as a failure message shows it: its repr, unless that would hold a
-    memory address or a module path (an object with the default repr, a class
-    outside ``builtins``, a function, a method of a builtin or default-repr
-    object); then its class's or its own qualified name, the same in every process."""
+    """``value`` as a failure message shows it: its repr, or, for values whose repr
+    holds a memory address or a module path (objects with the default repr, classes
+    outside ``builtins``, functions, methods of builtin or default-repr objects), its
+    class's or its own qualified name, which is the same in every process."""
     if (isinstance(value, (type, FunctionType)) and value.__module__ != "builtins"
             or isinstance(value, BuiltinMethodType) and not isinstance(value.__self__, ModuleType)
             or isinstance(value, MethodType) and type(value.__self__).__repr__ is object.__repr__):

@@ -6,12 +6,12 @@ module's ``extract_operators`` gives a program's operator set.
 :data:`ENVIRONMENTS` names each environment's loader module and function; that
 module also declares the environment's pymr surface, ``PYMR``.  A module named
 here is imported on the first call that needs it, so a process compiles only the
-interpreters and worlds it runs.  Programs arrive as text.  An
-interpreter's ``exec_*`` returns its :class:`~semkit.outcomes.Denotation` or
+interpreters and worlds it runs.  Programs arrive as text.  An interpreter's
+``exec_*`` returns its :class:`~semkit.outcomes.Denotation` or
 :class:`~semkit.outcomes.WorldDelta`, or raises; :func:`run_program` is the one
 place that turns either into an :class:`~semkit.outcomes.Outcome`, so failures
-of any kind (parse or runtime) come back as captured failures.  Pairing a
-dialect with the wrong environment raises :class:`SemkitError`.
+of any kind (parse or runtime) come back as captured failures.  Pairing a dialect
+with the wrong environment raises :class:`SemkitError`.
 """
 
 from __future__ import annotations

@@ -45,8 +45,7 @@ class Denotation:
 
 
 def denotation_of(value, entity_types, ref) -> Denotation:
-    """A pymr program's returned value as a denotation; ``ref`` names each instance
-    of ``entity_types``, alone or in a collection."""
+    """A pymr answer as a denotation; ``ref`` names each ``entity_types`` instance in it."""
     if value is None:
         return Denotation.of_entities([])
     if isinstance(value, bool):

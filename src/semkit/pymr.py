@@ -21,13 +21,12 @@ sandboxed: the only resolvable names are the environment binding (below), the
 builtin registry, and local assignments; unknown names and attributes become
 captured failures, never host behavior.
 
-This module imports no environment.  Each environment's module (named in
-:data:`semkit.execute.ENVIRONMENTS`) declares what a program sees of its world as
-``PYMR = (bind, names, readable, namespaces, answer)``: ``bind(world)`` gives the
-top-level names; ``names`` is the closed name surface (:func:`binding_names`);
-instances of the ``readable`` classes and the ``namespaces`` classes themselves
-expose their attributes; ``answer(value, binding)`` turns the returned value
-into the outcome value.
+This module imports no world.  Each world's module (named in
+:data:`semkit.execute.ENVIRONMENTS`) declares ``PYMR = (bind, names, readable,
+namespaces, answer)``: ``bind(world)`` gives the top-level names, ``names`` the
+closed name surface (:func:`binding_names`); instances of ``readable`` classes and
+``namespaces`` classes themselves expose attributes; ``answer(value, binding)``
+is the outcome value of what the program returned.
 
 Runtime errors (name-not-found, attribute-not-found, type-mismatch,
 index-out-of-range, empty-input, ...) raise :class:`~semkit.errors.MrExecError`;
@@ -277,8 +276,11 @@ def _surface(environment: str) -> tuple:
 
 
 def binding_names(environment: str) -> frozenset[str]:
-    """The closed name surface of an environment (roots, classes, members): exactly
-    the names its full domain description declares (tests assert both directions)."""
+    """The closed name surface of an environment: roots, classes, members.
+
+    This is exactly the set of names the corresponding full domain
+    description declares (tests assert both directions).
+    """
     return _surface(environment)[1]
 
 
@@ -291,7 +293,9 @@ class _Return(Exception):
 
 class _Lambda:
     def __init__(self, node: pyast.Lambda, interp: "_Interpreter", scope: dict):
-        self.node, self.interp, self.scope = node, interp, scope
+        self.node = node
+        self.interp = interp
+        self.scope = scope
 
     def __call__(self, value):
         inner = dict(self.scope)
