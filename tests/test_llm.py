@@ -6,14 +6,15 @@ from dataclasses import replace
 
 import pytest
 
-from semkit import funql
+from semkit import funql, llm
 from semkit.corpus import Example, Lcg, load_dataset
 from semkit.errors import CacheMissError, DataFormatError, SemkitError, TransportError
 from semkit.evaluation import POLICIES, canonicalize_names, compare_outcomes
 from semkit.execute import run_program
 from semkit.experiment import dd_text
-from semkit.llm import (BootstrapConfig, CompletionRequest, LlmClient, ReplayCache,
-                        bootstrap_annotations, example_evaluator, extract_program)
+from semkit.llm import (DEFAULT_BACKOFF_SECONDS, DEFAULT_RETRIES, BootstrapConfig,
+                        CompletionRequest, LlmClient, ReplayCache, bootstrap_annotations,
+                        example_evaluator, extract_program)
 from semkit.prompts import DD_VARIANTS, PromptSpec, build_prompt, default_template, load_dd_source
 from semkit.resources import data_path, dataset_path, dd_path
 
@@ -320,7 +321,9 @@ def test_malformed_cache_line_is_a_data_format_error(tmp_path, line, message):
     assert str(info.value) == f"{path}: line 3: {message}"
 
 
-def test_retries_with_backoff(tmp_path):
+def test_retries_with_backoff(monkeypatch):
+    delays = []
+    monkeypatch.setattr(llm.time, "sleep", delays.append)
     attempts = []
 
     def flaky(req):
@@ -329,16 +332,22 @@ def test_retries_with_backoff(tmp_path):
             raise TransportError("try again")
         return "finally"
 
-    client = LlmClient(mode="live", transport=flaky, retries=3, backoff_seconds=0.0)
+    client = LlmClient(mode="live", transport=flaky)
     assert client.complete(request()) == "finally"
     assert len(attempts) == 3
+    assert delays == [DEFAULT_BACKOFF_SECONDS, 2 * DEFAULT_BACKOFF_SECONDS]
 
     def always_down(req):
+        attempts.append(1)
         raise TransportError("down")
 
-    client = LlmClient(mode="live", transport=always_down, retries=2, backoff_seconds=0.0)
-    with pytest.raises(TransportError):
+    attempts.clear()
+    delays.clear()
+    client = LlmClient(mode="live", transport=always_down)
+    with pytest.raises(TransportError, match="down"):
         client.complete(request())
+    assert len(attempts) == DEFAULT_RETRIES + 1
+    assert delays == [DEFAULT_BACKOFF_SECONDS * 2 ** i for i in range(DEFAULT_RETRIES)]
 
 
 def test_extract_program_fenced():
@@ -493,10 +502,12 @@ class _Endpoint:
 
         class Handler(http.server.BaseHTTPRequestHandler):
             requests = []
+            headers_seen = []
 
             def do_POST(self):
                 length = int(self.headers["Content-Length"])
                 Handler.requests.append(json.loads(self.rfile.read(length)))
+                Handler.headers_seen.append(self.headers)
                 self.send_response(200)
                 self.send_header("Content-Length", str(len(payload_bytes)))
                 self.end_headers()
@@ -523,8 +534,12 @@ def test_http_transport_round_trip(monkeypatch):
     try:
         send = http_transport(endpoint.url)
         assert send(request("live prompt", "live-model")) == "from the endpoint"
-        seen = endpoint.handler.requests[0]
-        assert seen["model"] == "live-model" and seen["prompt"] == "live prompt"
+        assert endpoint.handler.requests == [{
+            "model": "live-model", "prompt": "live prompt", "temperature": 0.0,
+            "max_tokens": 512, "stop": []}]
+        headers = endpoint.handler.headers_seen[0]
+        assert headers["Authorization"] == "Bearer sekret"
+        assert headers["Content-Type"] == "application/json"
     finally:
         endpoint.close()
 
