@@ -60,7 +60,7 @@ def build_run_cache() -> None:
             example = dataset[test_id]
             spec = PromptSpec(
                 dd_variant="full", dd_text=dd_text,
-                demonstrations=tuple((d.utterance, d.programs["pymr"]) for d in demos.examples),
+                demonstrations=tuple((d.utterance, d.programs["pymr"]) for d in demos),
                 test_utterance=example.utterance)
             request = CompletionRequest(prompt=build_prompt(spec), model=MODEL, temperature=0.0)
             program = WRONG.get((seed, test_id), example.programs["pymr"])
@@ -146,7 +146,7 @@ def goldens() -> None:
     dataset = load_dataset(dataset_path("geoquery"), name="geoquery")
     split = load_split(split_path("geoquery_iid"), dataset)
     demos = sample_demos(dataset, split, 10, 0, dialect="pymr")
-    print("sample_demos k=10 seed=0:", list(demos.ids))
+    print("sample_demos k=10 seed=0:", [ex.id for ex in demos])
     pool = [(ex_id, operators_of("funql", dataset[ex_id].programs["funql"]))
             for ex_id in split.train_ids]
     structures = frozenset().union(*(s for _, s in pool))

@@ -8,10 +8,10 @@ demonstration selection, and prompt construction with domain descriptions.
 
 __version__ = "0.1.0"
 
-from .corpus import Dataset, DemoSet, Example, Split, load_dataset, load_split, sample_demos
+from .corpus import Dataset, Example, Split, load_dataset, load_split, sample_demos
 from .outcomes import CreatedEvent, Denotation, Outcome, WorldDelta
 
 __all__ = [
-    "Dataset", "DemoSet", "Example", "Split", "load_dataset", "load_split", "sample_demos",
+    "Dataset", "Example", "Split", "load_dataset", "load_split", "sample_demos",
     "CreatedEvent", "Denotation", "Outcome", "WorldDelta", "__version__",
 ]

@@ -98,17 +98,6 @@ class Split:
     test_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class DemoSet:
-    examples: tuple[Example, ...]
-    seed: int
-    method: str  # "random" | "coverage" | "bm25"
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(ex.id for ex in self.examples)
-
-
 _EXAMPLE = Schema(("id", STRING), ("utterance", STRING), ("programs", OBJECT),
                   ("tags", STRINGS, ()))
 
@@ -210,25 +199,17 @@ def _draw(pool: list, k: int, rng: Lcg) -> list:
     return chosen
 
 
-def sample_demos(
-    dataset: Dataset,
-    split: Split,
-    k: int,
-    seed: int,
-    dialect: str | None = None,
-) -> DemoSet:
-    """Sample ``k`` demonstrations uniformly without replacement from the train pool.
-
-    Deterministic in (dataset order, split, k, seed).  When ``dialect`` is
-    given, the pool is restricted to train examples annotated in that dialect.
-    """
+def sample_demos(dataset: Dataset, split: Split, k: int, seed: int,
+                 dialect: str) -> list[Example]:
+    """``k`` demonstrations drawn uniformly without replacement, in draw order, from the
+    train examples annotated in ``dialect``; deterministic in (dataset order, split, k,
+    seed)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     by_id = dataset.by_id
-    pool = [i for i in split.train_ids if dialect is None or dialect in by_id[i].programs]
+    pool = [i for i in split.train_ids if dialect in by_id[i].programs]
     if not pool:
         raise PoolExhaustedError("empty train pool")
     if k > len(pool):
         raise PoolExhaustedError(f"requested k={k} from a pool of {len(pool)}")
-    chosen = _draw(pool, k, Lcg(seed))
-    return DemoSet(examples=tuple(by_id[i] for i in chosen), seed=seed, method="random")
+    return [by_id[i] for i in _draw(pool, k, Lcg(seed))]

@@ -148,7 +148,7 @@ class DemoSelector:
 
     def select(self, method: str, k: int, seed: int, query: str | None = None) -> list[str]:
         if method == "random":
-            return list(sample_demos(self.dataset, self.split, k, seed, dialect=self.dialect).ids)
+            return [ex.id for ex in sample_demos(self.dataset, self.split, k, seed, self.dialect)]
         if method == "coverage":
             return self.coverage_picks(k)[0]
         if method == "bm25":

@@ -21,11 +21,12 @@ hashes that constant text once and gives its requests its lead.  The text
 comes from :mod:`semkit.prompts`, the one module that knows where the test
 utterance goes: it is the prompt's first segment.
 
-The live transport posts ``{"model", "prompt", "temperature", "max_tokens",
-"stop"}`` as JSON to the configured endpoint (auth bearer token from an
-environment variable) and expects ``{"completion": str}`` back; transient
-transport failures retry with exponential backoff.  Tests and offline runs
-inject a ``transport`` callable instead.
+The live transport posts ``{"model", "prompt", "temperature", "max_tokens":
+512, "stop": []}`` as JSON to the configured endpoint (auth bearer token from
+an environment variable, 60 s timeout) and expects ``{"completion": str}``
+back; a transport failure is retried ``DEFAULT_RETRIES`` times, sleeping
+``DEFAULT_BACKOFF_SECONDS`` and then twice as long each time.  Tests and
+offline runs inject a ``transport`` callable instead.
 
 Completions are post-processed by :func:`extract_program`: the first fenced
 code block wins, else the first function-shaped block (``def ...`` through the
@@ -57,6 +58,7 @@ DEFAULT_TEMPERATURE = 0.0
 DEFAULT_MAX_TOKENS = 512
 DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF_SECONDS = 0.5
+DEFAULT_TIMEOUT_SECONDS = 60.0
 
 
 _escape = json.encoder.encode_basestring  # json.dumps's string escape under ensure_ascii=False
@@ -91,8 +93,6 @@ class CompletionRequest:
     prompt: str
     model: str
     temperature: float = DEFAULT_TEMPERATURE
-    max_tokens: int = DEFAULT_MAX_TOKENS
-    stop: tuple[str, ...] = ()
     # the lead of the prompt's constant leading text, to stream the digests from
     lead: PromptLead | None = field(default=None, repr=False, compare=False)
 
@@ -169,15 +169,14 @@ class ReplayCache:
                 fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
 
 
-def http_transport(endpoint: str, api_key_env: str = "SEMKIT_API_KEY", timeout: float = 60.0):
+def http_transport(endpoint: str, api_key_env: str = "SEMKIT_API_KEY"):
     """Default live transport: JSON POST to a completion endpoint."""
     import urllib.request  # with http.client and ssl, only live runs pay for the import
 
     def send(request: CompletionRequest) -> str:
         payload = json.dumps({
             "model": request.model, "prompt": request.prompt,
-            "temperature": request.temperature, "max_tokens": request.max_tokens,
-            "stop": list(request.stop),
+            "temperature": request.temperature, "max_tokens": DEFAULT_MAX_TOKENS, "stop": [],
         }).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(api_key_env)
@@ -185,7 +184,7 @@ def http_transport(endpoint: str, api_key_env: str = "SEMKIT_API_KEY", timeout: 
             headers["Authorization"] = f"Bearer {api_key}"
         req = urllib.request.Request(endpoint, data=payload, headers=headers)
         try:
-            with urllib.request.urlopen(req, timeout=timeout) as resp:
+            with urllib.request.urlopen(req, timeout=DEFAULT_TIMEOUT_SECONDS) as resp:
                 body = json.loads(resp.read().decode("utf-8"))
         except (OSError, ValueError) as exc:
             raise TransportError(f"completion endpoint failed: {exc}") from exc
@@ -204,8 +203,6 @@ class LlmClient:
     mode: str  # "live" | "record" | "replay"
     cache: ReplayCache | None = None
     transport: object = None  # callable(CompletionRequest) -> str
-    retries: int = DEFAULT_RETRIES
-    backoff_seconds: float = DEFAULT_BACKOFF_SECONDS
 
     def complete(self, request: CompletionRequest) -> str:
         if self.mode == "replay":
@@ -216,12 +213,12 @@ class LlmClient:
         return completion
 
     def _send_with_retries(self, request: CompletionRequest) -> str:
-        delay = self.backoff_seconds
-        for attempt in range(self.retries + 1):
+        delay = DEFAULT_BACKOFF_SECONDS
+        for attempt in range(DEFAULT_RETRIES + 1):
             try:
                 return self.transport(request)
             except TransportError:
-                if attempt == self.retries:
+                if attempt == DEFAULT_RETRIES:
                     raise
                 time.sleep(delay)
                 delay *= 2

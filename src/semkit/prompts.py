@@ -129,7 +129,6 @@ class PromptSpec:
     dd_text: str
     demonstrations: tuple[tuple[str, str], ...]  # (utterance, program)
     test_utterance: str
-    template_id: str = "v1"
 
 
 def default_template(template_id: str = "v1") -> str:
@@ -137,10 +136,10 @@ def default_template(template_id: str = "v1") -> str:
 
 
 def build_prompt(spec: PromptSpec, template: str | None = None) -> str:
-    """Instantiate the prompt template; byte-deterministic in its inputs."""
+    """Instantiate the prompt template, :func:`default_template` if none is given;
+    byte-deterministic in its inputs."""
     return spec.test_utterance.join(prompt_segments(
-        template or default_template(spec.template_id), spec.dd_variant, spec.dd_text,
-        spec.demonstrations))
+        template or default_template(), spec.dd_variant, spec.dd_text, spec.demonstrations))
 
 
 @lru_cache(maxsize=8)

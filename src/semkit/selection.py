@@ -68,10 +68,10 @@ The top k come in two steps: ``heapq.nlargest(k, scores)`` finds the k-th
 largest score, and the keyed ``heapq.nlargest`` then ranks only the positions,
 in id order, whose score reaches it.  Those hold every member of the top k,
 and ``nlargest`` is stable: equal scores fall to ascending id, and within a
-repeated id to pool order.  :func:`bm25_rank` takes either a pool of (id, text)
-documents or a prebuilt index, so many queries against one pool share a single
-index and its weights.  :class:`semkit.experiment.DemoSelector` holds that
-index, the pool's operator sets and the greedy picks for one experiment.
+repeated id to pool order.  :func:`bm25_rank` ranks against a prebuilt index,
+so many queries against one pool share a single index and its weights.
+:class:`semkit.experiment.DemoSelector` holds that index, the pool's operator
+sets and the greedy picks for one experiment.
 """
 
 from __future__ import annotations
@@ -220,18 +220,13 @@ class Bm25Index:
         return out
 
 
-def bm25_rank(query: str, pool: list[tuple[str, str]] | Bm25Index, k: int,
-              k1: float = BM25_K1, b: float = BM25_B) -> list[str]:
-    """Top-k pool ids by Okapi BM25 score; ties and empty queries fall back to id order.
-
-    ``pool`` is a list of (id, text) documents or a prebuilt :class:`Bm25Index`,
-    whose own k1 and b then apply.
-    """
+def bm25_rank(query: str, index: Bm25Index, k: int) -> list[str]:
+    """Top-k ids of the index's pool by Okapi BM25 score, under the index's k1 and b;
+    ties and empty queries fall back to id order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > len(pool):
-        raise PoolExhaustedError(f"requested k={k} from a pool of {len(pool)}")
-    index = pool if isinstance(pool, Bm25Index) else Bm25Index(pool, k1=k1, b=b)
+    if k > len(index):
+        raise PoolExhaustedError(f"requested k={k} from a pool of {len(index)}")
     scores = index.scores(query)
     kth = heapq.nlargest(k, scores)[-1]  # no position scoring below it is in the top k
     # nlargest is stable: equal scores keep id order (and position order within an id)

@@ -22,7 +22,7 @@ from semkit.execute import operators_of, run_program
 from semkit.funql import exec_funql, parse_funql
 from semkit.outcomes import CreatedEvent, Denotation, WorldDelta
 from semkit.resources import data_path, environment_path
-from semkit.selection import bm25_rank, coverage_fraction, greedy_select
+from semkit.selection import Bm25Index, bm25_rank, coverage_fraction, greedy_select
 
 CANON_LDCS_FULL = ("(call SW.listValue (call SW.filter (call SW.filter (call SW.getProperty "
                     "(call SW.singleton en.person) (string !type)) (string gender) (string =) "
@@ -141,7 +141,7 @@ def test_c6_bm25_equals_naive_scoring():
         scores = naive_bm25_scores(query, pool)
         expected = [doc_id for doc_id, _ in sorted(
             zip([p[0] for p in pool], scores), key=lambda t: (-t[1], t[0]))]
-        assert bm25_rank(query, pool, len(pool)) == expected
+        assert bm25_rank(query, Bm25Index(pool), len(pool)) == expected
     record_acceptance(6, "BM25 ranking equals naive scoring on 1000 random instances")
 
 

@@ -14,7 +14,7 @@ from semkit.corpus import load_dataset, load_split
 from semkit.execute import operators_of
 from semkit.prompts import PromptSpec, build_prompt, load_dd_source, render_dd
 from semkit.resources import data_path, dd_path
-from semkit.selection import bm25_rank, greedy_select
+from semkit.selection import Bm25Index, bm25_rank, greedy_select
 
 SHOWCASE_FUNQL = "answer(elevation_1(highest(place(loc_2(largest(state(all)))))))"
 CANON_LDCS_FULL = ("(call SW.listValue (call SW.filter (call SW.filter (call SW.getProperty "
@@ -675,7 +675,7 @@ def _reference_demo_ids(method, dataset, split, dialect, k, query):
     """Demonstrations picked from scratch for one query, sharing no state between queries."""
     pool = [i for i in split.train_ids if dialect in dataset[i].programs]
     if method == "bm25":
-        return bm25_rank(query, [(i, dataset[i].utterance) for i in pool], k)
+        return bm25_rank(query, Bm25Index([(i, dataset[i].utterance) for i in pool]), k)
     sets = [(i, operators_of(dialect, dataset[i].programs[dialect])) for i in pool]
     return greedy_select(sets, frozenset().union(*(s for _, s in sets)), k)
 

@@ -211,7 +211,7 @@ def test_sample_single_item_pool(tmp_path):
     write_jsonl(data, [record(1)])
     dataset = load_dataset(data)
     split = load_split_inline(tmp_path, {"train": ["x-1"], "test": []}, dataset)
-    assert sample_demos(dataset, split, 1, seed=123).ids == ("x-1",)
+    assert sample_demos(dataset, split, 1, 123, "funql") == [dataset["x-1"]]
 
 
 def load_split_inline(tmp_path, payload, dataset):
@@ -221,20 +221,20 @@ def load_split_inline(tmp_path, payload, dataset):
 
 
 def test_sample_is_deterministic(geoquery, geoquery_split):
-    a = sample_demos(geoquery, geoquery_split, 5, seed=7)
-    b = sample_demos(geoquery, geoquery_split, 5, seed=7)
-    assert a.ids == b.ids
+    a = sample_demos(geoquery, geoquery_split, 5, 7, "funql")
+    b = sample_demos(geoquery, geoquery_split, 5, 7, "funql")
+    assert a == b
 
 
 def test_sample_golden_k10_seed0(geoquery, geoquery_split):
-    demos = sample_demos(geoquery, geoquery_split, 10, seed=0, dialect="pymr")
-    assert list(demos.ids) == GOLDEN_DEMO_IDS_K10_SEED0
+    demos = sample_demos(geoquery, geoquery_split, 10, 0, "pymr")
+    assert [ex.id for ex in demos] == GOLDEN_DEMO_IDS_K10_SEED0
 
 
 def test_sample_draws_without_replacement(geoquery, geoquery_split):
-    demos = sample_demos(geoquery, geoquery_split, 10, seed=3)
-    assert len(set(demos.ids)) == 10
-    assert set(demos.ids) <= set(geoquery_split.train_ids)
+    ids = {ex.id for ex in sample_demos(geoquery, geoquery_split, 10, 3, "funql")}
+    assert len(ids) == 10
+    assert ids <= set(geoquery_split.train_ids)
 
 
 def list_copy_draw(pool, k, rng):
@@ -257,13 +257,14 @@ def test_sparse_draw_matches_list_copy_draw():
 
 
 def test_different_seeds_differ_somewhere(geoquery, geoquery_split):
-    outcomes = {sample_demos(geoquery, geoquery_split, 3, seed=s).ids for s in range(100)}
+    outcomes = {tuple(ex.id for ex in sample_demos(geoquery, geoquery_split, 3, s, "funql"))
+                for s in range(100)}
     assert len(outcomes) >= 2
 
 
 def test_pool_exhausted(geoquery, geoquery_split):
     with pytest.raises(PoolExhaustedError):
-        sample_demos(geoquery, geoquery_split, 41, seed=0)
+        sample_demos(geoquery, geoquery_split, 41, 0, "funql")
 
 
 def test_every_bundled_program_parses_in_its_dialect(geoquery, overnight, smcalflow):

@@ -37,7 +37,7 @@ def test_random_and_bm25_never_extract_operators(monkeypatch, geoquery, geoquery
     monkeypatch.setattr(experiment, "operators_of", refuse)
     selector = DemoSelector(geoquery, geoquery_split, "funql")
     assert selector.select("random", 3, 7) == \
-        list(sample_demos(geoquery, geoquery_split, 3, 7, dialect="funql").ids)
+        [ex.id for ex in sample_demos(geoquery, geoquery_split, 3, 7, "funql")]
     assert len(selector.select("bm25", 3, 0, "rivers in texas")) == 3
 
 
