@@ -34,6 +34,7 @@ it, and pymr's ``api.add_event`` checks a program's ``Event(...)`` into a new on
 from __future__ import annotations
 
 import datetime as dt
+import math
 import re
 from dataclasses import dataclass
 
@@ -510,9 +511,12 @@ def _typed(value, kinds, what: str):
 
 
 def _minutes(value):
-    if value is not None and (not isinstance(value, (int, float)) or isinstance(value, bool)):
+    if value is None:
+        return None
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or isinstance(value, float) and not math.isfinite(value)):
         raise MrExecError("type-mismatch", "duration must be minutes")
-    return None if value is None else int(value)
+    return int(value)
 
 
 # what a pymr program sees of a calendar world; the fields are laid out in semkit.pymr

@@ -66,16 +66,36 @@ class MrExecError(SemkitError):
         super().__init__(f"{code}: {message}")
 
 
-def shown(value) -> str:
+# a builtin container's display around the text of its items
+_DISPLAYS = {list: "[{}]", tuple: "({})", set: "{{{}}}", frozenset: "frozenset({{{}}})"}
+
+
+def shown(value, _within=()) -> str:
     """``value`` as a failure message shows it: its repr, or, for values whose repr
     holds a memory address or a module path (objects with the default repr, classes
     outside ``builtins``, functions, methods of builtin or default-repr objects), its
-    class's or its own qualified name, which is the same in every process."""
+    class's or its own qualified name, which is the same in every process.  A list,
+    tuple or set shows its items so, and a set holding such an item lists its items
+    sorted, since their order may follow their addresses.  ``_within`` holds the ids of
+    the containers being shown, so one met again inside itself is ``[...]``, as in repr."""
     if (isinstance(value, (type, FunctionType)) and value.__module__ != "builtins"
             or isinstance(value, BuiltinMethodType) and not isinstance(value.__self__, ModuleType)
             or isinstance(value, MethodType) and type(value.__self__).__repr__ is object.__repr__):
         return value.__qualname__
-    return type(value).__qualname__ if type(value).__repr__ is object.__repr__ else repr(value)
+    kind = type(value)
+    if kind.__repr__ is object.__repr__:
+        return kind.__qualname__
+    display = _DISPLAYS.get(kind)
+    if display is None or not value:
+        return repr(value)
+    if id(value) in _within:
+        return display.format("...")
+    items = [shown(item, (*_within, id(value))) for item in value]
+    if kind is set or kind is frozenset:
+        if items == [repr(item) for item in value]:
+            return repr(value)
+        items.sort()
+    return display.format(", ".join(items) + ("," if kind is tuple and len(items) == 1 else ""))
 
 
 class PoolExhaustedError(SemkitError):

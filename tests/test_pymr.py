@@ -6,7 +6,7 @@ import pytest
 
 from semkit import calflow
 from semkit.calflow import CalendarApi, CalendarPerson, Event
-from semkit.errors import MAX_DEPTH, TOO_DEEP, MrParseError, UnsupportedConstructError
+from semkit.errors import MAX_DEPTH, TOO_DEEP, MrParseError, UnsupportedConstructError, shown
 from semkit.execute import run_program
 from semkit.funql import exec_funql, parse_funql
 from semkit.geo import City, Country, GeoModel, Place, River, State
@@ -479,6 +479,8 @@ def test_answer_normalization(request, environment, case):
     ("api.add_event(Event(location=1))", "location must be a string"),
     ('api.add_event(Event(duration="x"))', "duration must be minutes"),
     ("api.add_event(Event(duration=True))", "duration must be minutes"),
+    ("api.add_event(Event(duration=1e309))", "duration must be minutes"),
+    ("api.add_event(Event(duration=1e309 - 1e309))", "duration must be minutes"),
     ("api.add_event(Event(starts_at=[1]))", "1 is not a date/time clause"),
     ('api.add_event(Event(ends_at=["noon"]))', "'noon' is not a date/time clause"),
     ('api.add_event(Event(attendees=["bob"]))', "'bob' is not a person"),
@@ -508,6 +510,12 @@ def test_calendar_api_type_checks(calendar_world, call, message):
     ("geo", "return max", "cannot interpret <built-in function max> as an answer"),
     ("geo", "return list", "cannot interpret <class 'list'> as an answer"),
     ("geo", "x = []\n    x.append(x)\n    return x", "cannot interpret [[...]] as an answer"),
+    ("social", "return [[api]]", "cannot interpret [SocialApi] as an answer"),
+    ("social", "return [[api, api.find_person_by_id, 1]]",
+     "cannot interpret [SocialApi, SocialApi.find_person_by_id, 1] as an answer"),
+    ("social", "return [set([api, 2])]", "cannot interpret {2, SocialApi} as an answer"),
+    ("calendar", "api.add_event(Event(starts_at=[[api]]))",
+     "[CalendarApi] is not a date/time clause"),
     ("calendar", "api.add_event(Event(attendees=[Event()]))", "Event is not a person"),
     ("calendar", "api.add_event(Event(attendees=[api]))", "CalendarApi is not a person"),
     ("calendar", "api.add_event(Event(attendees=[api.get_current_user().find_team_of]))",
@@ -524,3 +532,22 @@ def test_failure_messages_name_values_without_addresses(request, environment, bo
     outcome = run_program("pymr", f"def answer():\n    {body}", environment, world)
     assert outcome.to_json() == {"ok": False, "error": "type-mismatch",
                                  "message": f"type-mismatch: {message}"}
+
+
+class Opaque:
+    """A class with the default repr, which holds the instance's address."""
+
+
+def test_shown_names_address_bearing_items_of_any_builtin_container():
+    item = Opaque()
+    cycle = [item]
+    cycle.append(cycle)
+    inner = []
+    outer = (inner,)
+    inner.append(outer)
+    for value, text in [((item,), "(Opaque,)"), ((item, [item]), "(Opaque, [Opaque])"),
+                        (frozenset({item, 3}), "frozenset({3, Opaque})"),
+                        (cycle, "[Opaque, [...]]"), (outer, "([(...)],)")]:
+        assert shown(value) == text
+    for plain in ([1, "a", 2.5, None], (1,), {10, 2, 18}, frozenset({"b", "a"}), [], set(), ()):
+        assert shown(plain) == repr(plain)
