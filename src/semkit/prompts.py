@@ -28,31 +28,38 @@ demonstrations into the constant text around the ``[query-test]`` slots.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DataFormatError, SemkitError
-from .resources import template_path
+from .resources import STRING, Schema, read_json, template_path
 
 DD_VARIANTS = ("none", "operator-list", "no-typing", "full")
 _SLOTS = re.compile(r"(\[(?:DD|query-i|solution-i)\])")  # the markers a demo block fills
 _DD_SLOT = re.compile(r"(\[DD\])")  # the one marker the lines around it fill
 
 
+_DECLARATION = Schema(("kind", STRING), ("name", STRING), ("parent", STRING, None))
+_KINDS = ("class", "method", "attribute", "constant", "enum-member", "operator")
+
+
 def load_dd_source(path) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        declarations = json.load(fh)
+    """Read a DD source: a JSON list of declarations, each an object with a string ``kind``
+    (one of the kinds above) and ``name``, and an optional string ``parent``; no two share
+    a parent and a name.  A violation is a DataFormatError naming the file and the entry."""
+    declarations = read_json(path)
+    if not isinstance(declarations, list):
+        raise DataFormatError(f"{path}: expected a JSON list of declarations")
     seen = set()
-    for decl in declarations:
-        if decl.get("kind") not in ("class", "method", "attribute", "constant",
-                                    "enum-member", "operator"):
-            raise DataFormatError(f"{path}: bad declaration kind {decl.get('kind')!r}")
-        key = (decl.get("parent"), decl["name"])
-        if key in seen:
-            raise DataFormatError(f"{path}: duplicate declaration {key}")
-        seen.add(key)
+    for at, decl in enumerate(declarations):
+        kind, name, parent = _DECLARATION.read(decl, path, ("declarations", at))
+        if kind not in _KINDS:
+            raise DataFormatError(f"{path}: declarations[{at}]: bad declaration kind {kind!r}")
+        if (parent, name) in seen:
+            raise DataFormatError(f"{path}: declarations[{at}]: duplicate declaration "
+                                  f"{(parent, name)}")
+        seen.add((parent, name))
     return declarations
 
 

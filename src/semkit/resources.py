@@ -1,7 +1,7 @@
 """Access to the bundled data files (corpora, environments, DD sources), and the readers
-they go through: :func:`read_jsonl`, :func:`read_json_object`, :func:`read_world`, and
-:class:`Schema`, in which each field a world, replay-cache, dataset, split, predictions or
-config loader reads is declared once as a string, a boolean, a number, a whole number, an
+they go through: :func:`read_jsonl`, :func:`read_json`, :func:`read_json_object`,
+:func:`read_world`, and :class:`Schema`, in which each field a world, replay-cache, dataset,
+split, DD source or config loader reads is declared once as a string, a boolean, a number, a whole number, an
 object or a list of strings or whole numbers (lists of objects go through :func:`objects_of`)."""
 
 from __future__ import annotations
@@ -43,13 +43,18 @@ def read_jsonl(path):
             yield lineno, record
 
 
-def read_json_object(path) -> dict:
-    """Decode a JSON file whose top level is an object (a world or a config file)."""
+def read_json(path):
+    """Decode a JSON file."""
     with open(path, encoding="utf-8") as fh:
         try:
-            record = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def read_json_object(path) -> dict:
+    """Decode a JSON file whose top level is an object (a world or a config file)."""
+    record = read_json(path)
     if not isinstance(record, dict):
         raise DataFormatError(f"{path}: expected a JSON object at the top level")
     return record

@@ -1,9 +1,10 @@
 import hashlib
+import json
 import re
 
 import pytest
 
-from semkit.errors import SemkitError
+from semkit.errors import DataFormatError, SemkitError
 from semkit.prompts import (PromptSpec, build_prompt, count_prompt_tokens, dd_names,
                             default_template, load_dd_source, render_dd)
 from semkit.pymr import binding_names
@@ -40,6 +41,33 @@ def test_operator_list_matches_binding_closure(environment, dialect):
     listed = set(render_dd(declarations, "operator-list").splitlines())
     assert listed == set(binding_names(environment))
     assert listed == set(dd_names(declarations))
+
+
+@pytest.mark.parametrize("declarations,message", [
+    ([1], "declarations[0]: expected a JSON object"),
+    ({"kind": "class"}, "expected a JSON list of declarations"),
+    ([{"kind": "class"}], "declarations[0]: missing field 'name'"),
+    ([{"kind": "class", "name": 3}], "declarations[0]: field 'name' is not a string: 3"),
+    ([METHOD[0], {"name": "f"}], "declarations[1]: missing field 'kind'"),
+    ([{"kind": 1, "name": "f"}], "declarations[0]: field 'kind' is not a string: 1"),
+    ([{"kind": "function", "name": "f"}], "declarations[0]: bad declaration kind 'function'"),
+    ([{**METHOD[1], "parent": ["GeoModel"]}],
+     "declarations[0]: field 'parent' is not a string: ['GeoModel']"),
+    (METHOD + [METHOD[1]], "declarations[2]: duplicate declaration ('GeoModel', 'find_state')"),
+])
+def test_malformed_dd_source_is_a_data_format_error(tmp_path, declarations, message):
+    path = tmp_path / "dd.json"
+    path.write_text(json.dumps(declarations), encoding="utf-8")
+    with pytest.raises(DataFormatError) as info:
+        load_dd_source(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_dd_source_that_is_not_json_is_a_data_format_error(tmp_path):
+    path = tmp_path / "dd.json"
+    path.write_text("[{", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="not valid JSON"):
+        load_dd_source(path)
 
 
 def test_no_typing_keeps_every_operator_name():
