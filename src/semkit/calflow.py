@@ -511,12 +511,10 @@ def _typed(value, kinds, what: str):
 
 
 def _minutes(value):
-    if value is None:
-        return None
-    if (not isinstance(value, (int, float)) or isinstance(value, bool)
-            or isinstance(value, float) and not math.isfinite(value)):
+    if value is not None and (not isinstance(value, (int, float)) or isinstance(value, bool)
+                              or not -math.inf < value < math.inf):  # NaN compares false
         raise MrExecError("type-mismatch", "duration must be minutes")
-    return int(value)
+    return None if value is None else int(value)
 
 
 # what a pymr program sees of a calendar world; the fields are laid out in semkit.pymr

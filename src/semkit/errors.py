@@ -66,7 +66,6 @@ class MrExecError(SemkitError):
         super().__init__(f"{code}: {message}")
 
 
-# a builtin container's display around the text of its items
 _DISPLAYS = {list: "[{}]", tuple: "({})", set: "{{{}}}", frozenset: "frozenset({{{}}})"}
 
 
@@ -75,9 +74,8 @@ def shown(value, _within=()) -> str:
     holds a memory address or a module path (objects with the default repr, classes
     outside ``builtins``, functions, methods of builtin or default-repr objects), its
     class's or its own qualified name, which is the same in every process.  A list,
-    tuple or set shows its items so, and a set holding such an item lists its items
-    sorted, since their order may follow their addresses.  ``_within`` holds the ids of
-    the containers being shown, so one met again inside itself is ``[...]``, as in repr."""
+    tuple or set shows its items so (a set holding such an item sorts them, as their
+    order may follow their addresses), and one within itself (``_within``) as repr does."""
     if (isinstance(value, (type, FunctionType)) and value.__module__ != "builtins"
             or isinstance(value, BuiltinMethodType) and not isinstance(value.__self__, ModuleType)
             or isinstance(value, MethodType) and type(value.__self__).__repr__ is object.__repr__):
@@ -85,17 +83,16 @@ def shown(value, _within=()) -> str:
     kind = type(value)
     if kind.__repr__ is object.__repr__:
         return kind.__qualname__
-    display = _DISPLAYS.get(kind)
-    if display is None or not value:
+    if kind not in _DISPLAYS:
         return repr(value)
     if id(value) in _within:
-        return display.format("...")
+        return _DISPLAYS[kind].format("...")
     items = [shown(item, (*_within, id(value))) for item in value]
     if kind is set or kind is frozenset:
-        if items == [repr(item) for item in value]:
+        if items == [repr(item) for item in value]:  # no item changed, or set() itself
             return repr(value)
         items.sort()
-    return display.format(", ".join(items) + ("," if kind is tuple and len(items) == 1 else ""))
+    return _DISPLAYS[kind].format(", ".join(items) + "," * (kind is tuple and len(items) == 1))
 
 
 class PoolExhaustedError(SemkitError):

@@ -22,11 +22,10 @@ comes from :mod:`semkit.prompts`, the one module that knows where the test
 utterance goes: it is the prompt's first segment.
 
 The live transport posts ``{"model", "prompt", "temperature", "max_tokens":
-512, "stop": []}`` as JSON to the configured endpoint (auth bearer token from
-an environment variable, 60 s timeout) and expects ``{"completion": str}``
-back; a transport failure is retried ``DEFAULT_RETRIES`` times, sleeping
-``DEFAULT_BACKOFF_SECONDS`` and then twice as long each time.  Tests and
-offline runs inject a ``transport`` callable instead.
+512, "stop": []}`` as JSON to the configured endpoint (bearer token from an
+environment variable, 60 s timeout) and expects ``{"completion": str}`` back;
+a transport failure is retried ``DEFAULT_RETRIES`` times, after sleeps that
+double from ``DEFAULT_BACKOFF_SECONDS``.  Tests inject a ``transport`` instead.
 
 Completions are post-processed by :func:`extract_program`: the first fenced
 code block wins, else the first function-shaped block (``def ...`` through the
@@ -169,8 +168,8 @@ class ReplayCache:
                 fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
 
 
-def http_transport(endpoint: str, api_key_env: str = "SEMKIT_API_KEY"):
-    """Default live transport: JSON POST to a completion endpoint."""
+def http_transport(endpoint: str, api_key_env: str):
+    """The live transport: JSON POST to ``endpoint``, bearer token from ``$api_key_env``."""
     import urllib.request  # with http.client and ssl, only live runs pay for the import
 
     def send(request: CompletionRequest) -> str:
@@ -311,10 +310,10 @@ class BootstrapConfig:
     dialect: str  # the dialect being annotated (programs the LLM writes)
     gold_dialect: str  # dialect providing the execution-equality gold signal
     model: str
-    k: int = 3
-    passes: int = 3
-    seed: int = 0
-    dd_declarations: list = field(default_factory=list)
+    k: int
+    passes: int
+    seed: int
+    dd_declarations: list
 
 
 def bootstrap_annotations(seed_pool: list[Example], unlabeled: list[Example],

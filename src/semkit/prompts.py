@@ -45,9 +45,8 @@ _KINDS = ("class", "method", "attribute", "constant", "enum-member", "operator")
 
 
 def load_dd_source(path) -> list[dict]:
-    """Read a DD source: a JSON list of declarations, each an object with a string ``kind``
-    (one of the kinds above) and ``name``, and an optional string ``parent``; no two share
-    a parent and a name.  A violation is a DataFormatError naming the file and the entry."""
+    """A DD source's declarations (string ``kind``, ``name`` and optional ``parent``, no two
+    with one parent and name); else a DataFormatError naming the file and the entry."""
     declarations = read_json(path)
     if not isinstance(declarations, list):
         raise DataFormatError(f"{path}: expected a JSON list of declarations")
@@ -201,9 +200,6 @@ def _template_parts(template: str, with_dd: bool) -> tuple[tuple[tuple[str, ...]
         line + "\n" for line in part).split("[query-test]")) for part, markers in parts)
 
 
-def count_prompt_tokens(text: str, tokenizer=None) -> int:
-    """Whitespace token count by default; pass a callable for model-specific counts."""
-    if tokenizer is not None:
-        counted = tokenizer(text)
-        return counted if isinstance(counted, int) else len(counted)
+def count_prompt_tokens(text: str) -> int:
+    """The number of whitespace-separated tokens in ``text``."""
     return len(text.split())

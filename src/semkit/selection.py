@@ -173,7 +173,6 @@ class Bm25Index:
     def __init__(self, documents: list[tuple[str, str]], k1: float = BM25_K1, b: float = BM25_B):
         self.ids = [doc_id for doc_id, _ in documents]
         self.k1 = k1
-        self.b = b
         occurrences = defaultdict(list)  # term -> positions, a document repeated f times
         doc_lens = []
         for position, (_, text) in enumerate(documents):

@@ -196,7 +196,7 @@ def test_run_path_goes_through_build_prompt_and_replay_get(monkeypatch, tmp_path
                          programs={"funql": geoquery[i].programs["funql"]})
                  for i in bootstrap["unlabeled_ids"]]
     config = llm.BootstrapConfig(environment="geo", dialect="pymr", gold_dialect="funql",
-                                 model="desk-model-1",
+                                 model="desk-model-1", k=3, passes=3, seed=0,
                                  dd_declarations=load_dd_source(dd_path("geo", "pymr")))
     llm.bootstrap_annotations([geoquery[i] for i in bootstrap["seed_ids"]], unlabeled,
                               geo_model, llm.LlmClient(mode="live", transport=transport), config)

@@ -532,7 +532,7 @@ def test_http_transport_round_trip(monkeypatch):
     endpoint = _Endpoint({"completion": "from the endpoint"})
     monkeypatch.setenv("SEMKIT_API_KEY", "sekret")
     try:
-        send = http_transport(endpoint.url)
+        send = http_transport(endpoint.url, "SEMKIT_API_KEY")
         assert send(request("live prompt", "live-model")) == "from the endpoint"
         assert endpoint.handler.requests == [{
             "model": "live-model", "prompt": "live prompt", "temperature": 0.0,
@@ -550,6 +550,6 @@ def test_http_transport_malformed_response():
     endpoint = _Endpoint({"unexpected": 1})
     try:
         with pytest.raises(TransportError, match="malformed"):
-            http_transport(endpoint.url)(request())
+            http_transport(endpoint.url, "SEMKIT_API_KEY")(request())
     finally:
         endpoint.close()

@@ -152,8 +152,6 @@ def test_golden_prompt_snapshot(geoquery):
 def test_count_prompt_tokens():
     assert count_prompt_tokens("") == 0
     assert count_prompt_tokens("a b  c") == 3
-    assert count_prompt_tokens("a b", tokenizer=lambda t: list(t)) == 3
-    assert count_prompt_tokens("a b", tokenizer=lambda t: 42) == 42
 
 
 def test_template_resource_loads():
