@@ -36,9 +36,10 @@ congruential generator
 
 (Numerical Recipes constants), seeded with ``seed mod 2**32`` and stepped once
 before first use.  ``k`` items are drawn without replacement by a partial
-Fisher-Yates shuffle over the pool in file order: at step ``i`` the item at
-index ``i + (state mod (n - i))`` is swapped into position ``i``, advancing the
-state once per step.  The first ``k`` positions are the sample, in draw order.
+Fisher-Yates shuffle over the pool in file order (:func:`sample_demos`: the train
+ids annotated in its dialect): at step ``i`` the item at index ``i + (state mod
+(n - i))`` is swapped into position ``i``, advancing the state once per step.
+The first ``k`` positions are the sample, in draw order.
 """
 
 from __future__ import annotations
@@ -201,9 +202,8 @@ def _draw(pool: list, k: int, rng: Lcg) -> list:
 
 def sample_demos(dataset: Dataset, split: Split, k: int, seed: int,
                  dialect: str) -> list[Example]:
-    """``k`` demonstrations drawn uniformly without replacement, in draw order, from the
-    train examples annotated in ``dialect``; deterministic in (dataset order, split, k,
-    seed)."""
+    """The examples of ``k`` train ids annotated in ``dialect``, drawn as documented above
+    and in draw order; deterministic in (dataset order, split, k, seed)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     by_id = dataset.by_id
