@@ -88,8 +88,9 @@ _WORLD = Schema(("current_user", STRING), ("now", ANY))
 _PERSON = Schema(("name", STRING), ("manager", STRING, None))
 
 
-def load_world(path) -> CalendarWorld:
-    record, people_of = read_world(path)
+def load_world(path, data=None) -> CalendarWorld:
+    """Load and check a calendar world from the file at ``path``, or from its bytes ``data``."""
+    record, people_of = read_world(path, data)
     current_user, now = _WORLD.read(record, path)
     by_id: dict[str, CalPerson] = {}
     manager_ids = {}
@@ -199,7 +200,7 @@ def _resolve_date(clause: DateClause, now: dt.datetime) -> dt.date:
         if candidate < today:
             candidate = dt.date(today.year + 1, clause.month, clause.day)
         return candidate
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # e.g. day out of range, a year past C long
         raise MrExecError("invalid-datetime", str(exc)) from exc
 
 
@@ -418,7 +419,10 @@ def build_event(event: Event, world: CalendarWorld) -> CreatedEvent:
     if event.duration is not None and event.ends_at:
         raise MrExecError("conflicting-clause", "both has_duration and ends_at given")
     if event.duration is not None:
-        end = start + dt.timedelta(minutes=event.duration)
+        try:
+            end = start + dt.timedelta(minutes=event.duration)
+        except OverflowError:  # beyond timedelta's or datetime's range
+            raise MrExecError("invalid-datetime", "event duration is out of range") from None
     elif event.ends_at:
         clause = event.ends_at[0]
         if not isinstance(clause, TimeClause):

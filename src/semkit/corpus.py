@@ -10,8 +10,15 @@ Dataset files are JSONL, one example per line::
 :func:`semkit.resources.read_jsonl` and each record's fields through one
 :class:`~semkit.resources.Schema`; :func:`load_dataset` then rejects a
 repeated id, an unknown dialect name and a program that is not a string.  It
-reads the file in one pass.  Examples are frozen dataclasses, and
-examples without tags share one empty frozenset.  A :class:`Dataset` derives
+reads the file in one pass.  Examples are frozen dataclasses, examples
+without tags share one empty frozenset, and examples with the same program
+text share one string.
+
+A process parses a dataset file once while its bytes are unchanged
+(:func:`semkit.resources.parsed`, keyed by path and ``name``): every later
+:func:`load_dataset` of it returns the same :class:`Dataset`.  Loaded
+datasets are shared by every caller and read-only by contract; nothing
+changes an example's ``programs`` in place.  A :class:`Dataset` derives
 its map from id to example, ``by_id``, from its examples; :func:`load_split`,
 :func:`sample_demos` and the experiment's demonstration selector look ids up
 in it directly.
@@ -51,7 +58,8 @@ from itertools import chain
 
 from .errors import DataFormatError, PoolExhaustedError
 from .execute import DIALECTS
-from .resources import OBJECT, STRING, STRINGS, Schema, read_json_object, read_jsonl
+from .resources import (OBJECT, STRING, STRINGS, Schema, parsed, read_json_object,
+                        read_jsonl)
 
 _LCG_MULT = 1664525
 _LCG_INC = 1013904223
@@ -104,10 +112,16 @@ _EXAMPLE = Schema(("id", STRING), ("utterance", STRING), ("programs", OBJECT),
 
 
 def load_dataset(path, name: str | None = None) -> Dataset:
-    """Load a JSONL dataset, preserving file order (the checks are in the module docstring)."""
+    """Load a JSONL dataset, preserving file order (the checks are in the module docstring);
+    parsed once per process while the file's bytes are unchanged."""
+    return parsed(("dataset", name), path, lambda data: _dataset_of(path, name, data))
+
+
+def _dataset_of(path, name: str | None, data: bytes) -> Dataset:
     by_id: dict[str, Example] = {}
     dialects: dict[str, None] = {}  # in order of first use
-    for lineno, record in read_jsonl(path):
+    texts: dict[str, str] = {}  # one str object per distinct program text
+    for lineno, record in read_jsonl(path, data):
         ex_id, utterance, programs, tags = _EXAMPLE.read(record, path, lineno)
         if ex_id in by_id:
             raise DataFormatError(f"{path}: line {lineno}: duplicate id {ex_id!r}")
@@ -120,6 +134,7 @@ def load_dataset(path, name: str | None = None) -> Dataset:
             if not isinstance(program, str):
                 raise DataFormatError(f"{path}: line {lineno}: field 'programs.{dialect}' "
                                       f"is not a string: {program!r}")
+            programs[dialect] = texts.setdefault(program, program)
         by_id[ex_id] = Example(ex_id, utterance, programs, frozenset(tags) if tags else _NO_TAGS)
     return Dataset(name=name or str(path), dialects=tuple(dialects),
                    examples=tuple(by_id.values()))

@@ -12,6 +12,11 @@ interpreters and worlds it runs.  Programs arrive as text.  An interpreter's
 place that turns either into an :class:`~semkit.outcomes.Outcome`, so failures
 of any kind (parse or runtime) come back as captured failures.  Pairing a dialect
 with the wrong environment raises :class:`SemkitError`.
+
+:func:`load_environment` parses a world file once per process while its bytes
+are unchanged (:func:`semkit.resources.parsed`): every caller with that path
+gets the same world object.  Loaded worlds are shared and read-only by
+contract; their lists refuse changes, so no program run can alter them.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from importlib import import_module
 from types import ModuleType
 from typing import Callable
 
+from . import resources
 from .errors import SemkitError
 from .outcomes import Outcome
 
@@ -122,8 +128,10 @@ def operators_of(dialect: str, text: str) -> frozenset[str]:
 
 
 def load_environment(environment: str, path):
-    """Load the environment object an execution needs (model, db or world)."""
+    """The environment object an execution needs (model, db or world), parsed once per
+    process while the file's bytes are unchanged and shared, read-only, by every caller."""
     if environment not in ENVIRONMENTS:
         raise SemkitError(f"unknown environment {environment!r}")
     module, loader = ENVIRONMENTS[environment]
-    return getattr(_loaded(module), loader)(path)
+    load = getattr(_loaded(module), loader)
+    return resources.parsed(environment, path, lambda data: load(path, data))

@@ -182,10 +182,11 @@ _SCHEMAS = {
 }
 
 
-def load_geobase(path) -> GeoModel:
-    """Load and fully validate a geography model (see module docstring)."""
+def load_geobase(path, data=None) -> GeoModel:
+    """Load and fully validate a geography model (see module docstring) from the file at
+    ``path``, or from its bytes ``data`` when given."""
     lines = {kind: [] for kind in _SCHEMAS}
-    for lineno, record in read_jsonl(path):
+    for lineno, record in read_jsonl(path, data):
         (kind,) = _KIND.read(record, path, lineno)
         if kind not in lines:
             raise DataFormatError(f"{path}: line {lineno}: unknown kind {kind!r}")

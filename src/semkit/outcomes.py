@@ -9,6 +9,7 @@ execution failure, so batch evaluation never aborts on a bad program.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -44,6 +45,13 @@ class Denotation:
         return {"kind": "number", "value": values, "unit": self.unit}
 
 
+def _finite(number):
+    """``number``, unless it is NaN or an infinity, which no answer is."""
+    if isinstance(number, float) and not math.isfinite(number):
+        raise MrExecError("type-mismatch", f"cannot interpret {shown(number)} as an answer")
+    return number
+
+
 def denotation_of(value, entity_types, ref) -> Denotation:
     """A pymr answer as a denotation; ``ref`` names each ``entity_types`` instance in it."""
     if value is None:
@@ -51,13 +59,13 @@ def denotation_of(value, entity_types, ref) -> Denotation:
     if isinstance(value, bool):
         return Denotation.of_number(1.0 if value else 0.0)
     if isinstance(value, (int, float)):
-        return Denotation.of_number(value)
+        return Denotation.of_number(_finite(value))
     if isinstance(value, entity_types):
         return Denotation.of_entities([ref(value)])
     if isinstance(value, (list, set, frozenset, tuple)):
         items = list(value)
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items) and items:
-            return Denotation.of_numbers(items)
+            return Denotation.of_numbers([_finite(v) for v in items])
         refs = []
         for item in items:
             if not isinstance(item, entity_types):

@@ -3,10 +3,13 @@ they go through: :func:`read_jsonl`, :func:`read_json`, :func:`read_json_object`
 :func:`read_world`, and :class:`Schema`, in which each field a world, replay-cache, dataset,
 split, DD source or config loader reads is declared once as a string, a boolean, a number, a
 whole number, an object or a list of strings or whole numbers (lists of objects go through
-:func:`objects_of`)."""
+:func:`objects_of`).  :func:`parsed` builds a value from a file's bytes once per process
+while those bytes are unchanged; datasets and worlds are loaded through it."""
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import math
 from pathlib import Path
@@ -19,15 +22,47 @@ _raw_decode = json.JSONDecoder().raw_decode
 _JSON_SPACE = " \t\r\n"  # the whitespace json.loads skips around a value
 
 
-def read_jsonl(path):
-    """Yield (line number, record) for each non-blank line of a JSONL file.
+_PARSED: dict[tuple, tuple[bytes, object]] = {}  # (kind, path) -> (sha256 of bytes, value)
+
+
+def parsed(kind, path, build):
+    """``build(data)`` for the bytes ``data`` of the file at ``path``, built once per process
+    while those bytes are unchanged.
+
+    Each call reads the file once and takes the sha256 of its bytes.  One entry is kept per
+    (``kind``, path as given): when its digest matches, the value built before (the same
+    object) comes back; otherwise ``build`` makes the value from the bytes just read, and it
+    replaces the entry.  A build that raises keeps nothing, so a bad file fails the same way
+    on every call.  ``kind`` names whatever else the value depends on.  Values are shared by
+    every caller, so they are read-only by contract.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).digest()
+    key = (kind, str(path))
+    entry = _PARSED.get(key)
+    if entry is None or entry[0] != digest:
+        entry = _PARSED[key] = (digest, build(data))
+    return entry[1]
+
+
+def _text(path, data):
+    """The file as ``open(path, encoding="utf-8")`` reads it, universal newlines and all;
+    decoded from ``data`` when the caller has read the file's bytes already."""
+    return io.TextIOWrapper(open(path, "rb") if data is None else io.BytesIO(data),
+                            encoding="utf-8")
+
+
+def read_jsonl(path, data=None):
+    """Yield (line number, record) for each non-blank line of a JSONL file (of its bytes
+    ``data``, when given; ``path`` then only names it).
 
     A line decodes to exactly what ``json.loads(line)`` gives.  The fast path
     decodes the line stripped of JSON whitespace in one ``raw_decode``; a line
     it cannot take whole goes to ``json.loads``, so a bad line fails with that
     call's message, as ``DataFormatError("<path>: line <n>: not valid JSON: ...")``.
     """
-    with open(path, encoding="utf-8") as fh:
+    with _text(path, data) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip(_JSON_SPACE)
             try:
@@ -44,27 +79,27 @@ def read_jsonl(path):
             yield lineno, record
 
 
-def read_json(path):
-    """Decode a JSON file."""
-    with open(path, encoding="utf-8") as fh:
+def read_json(path, data=None):
+    """Decode a JSON file (or its bytes ``data``, as :func:`read_jsonl` does)."""
+    with _text(path, data) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def read_json_object(path) -> dict:
+def read_json_object(path, data=None) -> dict:
     """Decode a JSON file whose top level is an object (a world or a config file)."""
-    record = read_json(path)
+    record = read_json(path, data)
     if not isinstance(record, dict):
         raise DataFormatError(f"{path}: expected a JSON object at the top level")
     return record
 
 
-def read_world(path) -> tuple[dict, list[tuple[str, dict]]]:
+def read_world(path, data=None) -> tuple[dict, list[tuple[str, dict]]]:
     """Decode a JSON world file: an object whose ``people`` is a list of objects, each
     with a string ``id``.  Returns the object and its ``(id, person)`` pairs."""
-    record = read_json_object(path)
+    record = read_json_object(path, data)
     return record, [(_PERSON_ID.read(person, path, ("people", at))[0], person)
                     for at, person in enumerate(objects_of(record, "people", path))]
 

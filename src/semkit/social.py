@@ -110,8 +110,9 @@ def _history(path, person_id, raw: dict, key: str, schema: Schema, build) -> lis
             for at, record in enumerate(objects_of(raw, key, path, person_id, ()))]
 
 
-def load_social_db(path) -> SocialDb:
-    _, people_of = read_world(path)
+def load_social_db(path, data=None) -> SocialDb:
+    """Load and check a social db from the file at ``path``, or from its bytes ``data``."""
+    _, people_of = read_world(path, data)
     by_id: dict[str, Person] = {}
     friend_ids = {}
     for pid, raw in people_of:

@@ -646,6 +646,24 @@ def test_execute_pymr_program(tmp_path, capsys):
     assert json.loads(out)["result"]["value"] == 5.0
 
 
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("expr,shown_as", [("1e309 - 1e309", "nan"), ("abs(-1e309)", "inf")])
+def test_execute_non_finite_answer_prints_standard_json(tmp_path, capsys, expr, shown_as):
+    program = tmp_path / "p.py"
+    program.write_text(f"def answer():\n    return {expr}\n")
+    code, out, _ = run(capsys, "execute", "--env", "geo", "--dialect", "pymr",
+                       "--program", str(program), "--world", "bundled:geobase.jsonl")
+    assert code == 2
+    assert _strict_json(out) == {"ok": False, "error": "type-mismatch",
+                                 "message": f"type-mismatch: cannot interpret {shown_as} "
+                                            f"as an answer"}
+
+
 def _endpoint(answer):
     """A local completion endpoint answering ``answer(prompt)``; returns the prompts it got."""
     import http.server

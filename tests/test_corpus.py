@@ -142,6 +142,21 @@ def test_save_load_round_trip_is_byte_identical(tmp_path, geoquery):
     assert out.read_bytes() == dataset_path("geoquery").read_bytes()
 
 
+def test_a_repeated_program_text_is_one_object(tmp_path):
+    path = tmp_path / "d.jsonl"
+    records = [record(1), record(2), record(3, "pymr")]
+    records[2]["programs"]["pymr"] = "def answer():\n    return 1"
+    records[1]["programs"]["pymr"] = "def answer():\n    return 1"
+    write_jsonl(path, records)
+    x1, x2, x3 = load_dataset(path).examples
+    assert x1.programs["funql"] is x2.programs["funql"]
+    assert x2.programs["pymr"] is x3.programs["pymr"]
+    copy = tmp_path / "copy.jsonl"
+    save_dataset(load_dataset(path), copy)
+    save_dataset(load_dataset(copy), tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == copy.read_bytes()
+
+
 def test_split_valid_and_invalid(tmp_path):
     data = tmp_path / "d.jsonl"
     write_jsonl(data, [record(1), record(2), record(3)])

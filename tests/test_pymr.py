@@ -494,6 +494,35 @@ def test_calendar_api_type_checks(calendar_world, call, message):
                                  "message": f"type-mismatch: {message}"}
 
 
+# A duration or a year past what a date can hold is a bad event time, not a crash.
+@pytest.mark.parametrize("call,message", [
+    ("api.add_event(Event(duration=100000000000))", "event duration is out of range"),
+    (f"api.add_event(Event(duration=1{'0' * 399}))", "event duration is out of range"),
+    (f"api.add_event(Event(duration=-1{'0' * 399}))", "event duration is out of range"),
+    ("api.add_event(Event(starts_at=[DateTimeClause.date_by_mdy(1, 1, 100000000000000000000)]))",
+     "Python int too large to convert to C long"),
+])
+def test_out_of_range_event_times_are_invalid_datetime(calendar_world, call, message):
+    outcome = run_program("pymr", f"def answer():\n    {call}", "calendar", calendar_world)
+    assert outcome.to_json() == {"ok": False, "error": "invalid-datetime",
+                                 "message": f"invalid-datetime: {message}"}
+
+
+# NaN and the infinities are numbers no answer holds, alone or in a list.
+@pytest.mark.parametrize("expr,shown_as", [
+    ("1e309 - 1e309", "nan"),
+    ("abs(-1e309)", "inf"),
+    ("-1e309", "-inf"),
+    ("[1, 1e309 - 1e309]", "nan"),
+    ("[2.5, -1e309]", "-inf"),
+])
+def test_non_finite_answers_are_type_mismatch(geo_model, expr, shown_as):
+    outcome = run_program("pymr", f"def answer():\n    return {expr}", "geo", geo_model)
+    assert outcome.to_json() == {"ok": False, "error": "type-mismatch",
+                                 "message": f"type-mismatch: cannot interpret {shown_as} "
+                                            f"as an answer"}
+
+
 # A value whose repr would hold a memory address or a module path is named by
 # its class or qualified name, so a failure message is the same in every process;
 # any other value keeps its repr.
