@@ -15,8 +15,10 @@ without tags share one empty frozenset, and examples with the same program
 text share one string.
 
 A process parses a dataset file once while its bytes are unchanged
-(:func:`semkit.resources.parsed`, keyed by path and ``name``): every later
-:func:`load_dataset` of it returns the same :class:`Dataset`.  Loaded
+(:func:`semkit.resources.parsed`, keyed by path): a later :func:`load_dataset`
+of it without a ``name`` returns the same :class:`Dataset`, and one with a
+``name`` a copy that holds the same examples.  That pays off where one process
+runs several experiments on a file; a single command loads it once.  Loaded
 datasets are shared by every caller and read-only by contract; nothing
 changes an example's ``programs`` in place.  A :class:`Dataset` derives
 its map from id to example, ``by_id``, from its examples; :func:`load_split`,
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 from .errors import DataFormatError, PoolExhaustedError
@@ -113,11 +115,13 @@ _EXAMPLE = Schema(("id", STRING), ("utterance", STRING), ("programs", OBJECT),
 
 def load_dataset(path, name: str | None = None) -> Dataset:
     """Load a JSONL dataset, preserving file order (the checks are in the module docstring);
-    parsed once per process while the file's bytes are unchanged."""
-    return parsed(("dataset", name), path, lambda data: _dataset_of(path, name, data))
+    parsed once per process while the file's bytes are unchanged.  ``name`` defaults to
+    the path; a named load shares the parsed examples."""
+    dataset = parsed("dataset", path, lambda data: _dataset_of(path, data))
+    return replace(dataset, name=name) if name else dataset
 
 
-def _dataset_of(path, name: str | None, data: bytes) -> Dataset:
+def _dataset_of(path, data: bytes) -> Dataset:
     by_id: dict[str, Example] = {}
     dialects: dict[str, None] = {}  # in order of first use
     texts: dict[str, str] = {}  # one str object per distinct program text
@@ -136,7 +140,7 @@ def _dataset_of(path, name: str | None, data: bytes) -> Dataset:
                                       f"is not a string: {program!r}")
             programs[dialect] = texts.setdefault(program, program)
         by_id[ex_id] = Example(ex_id, utterance, programs, frozenset(tags) if tags else _NO_TAGS)
-    return Dataset(name=name or str(path), dialects=tuple(dialects),
+    return Dataset(name=str(path), dialects=tuple(dialects),
                    examples=tuple(by_id.values()))
 
 

@@ -15,8 +15,9 @@ with the wrong environment raises :class:`SemkitError`.
 
 :func:`load_environment` parses a world file once per process while its bytes
 are unchanged (:func:`semkit.resources.parsed`): every caller with that path
-gets the same world object.  Loaded worlds are shared and read-only by
-contract; their lists refuse changes, so no program run can alter them.
+gets the same world object, which pays off where one process runs several
+experiments against it.  Loaded worlds are shared and read-only by contract;
+their lists refuse changes, so no program run can alter them.
 """
 
 from __future__ import annotations

@@ -30,11 +30,13 @@ def parsed(kind, path, build):
     while those bytes are unchanged.
 
     Each call reads the file once and takes the sha256 of its bytes.  One entry is kept per
-    (``kind``, path as given): when its digest matches, the value built before (the same
-    object) comes back; otherwise ``build`` makes the value from the bytes just read, and it
-    replaces the entry.  A build that raises keeps nothing, so a bad file fails the same way
-    on every call.  ``kind`` names whatever else the value depends on.  Values are shared by
-    every caller, so they are read-only by contract.
+    (``kind``, path as given) for the life of the process: when its digest matches, the
+    value built before (the same object) comes back; otherwise ``build`` makes the value
+    from the bytes just read, and it replaces the entry.  A build that raises keeps nothing,
+    so a bad file fails the same way on every call.  Values are shared by every caller, so
+    they are read-only by contract.  Only a process that loads one file more than once gains
+    (a caller running several experiments back to back); a single ``semkit`` command loads
+    each file once and pays the hash.
     """
     with open(path, "rb") as fh:
         data = fh.read()

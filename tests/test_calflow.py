@@ -163,12 +163,13 @@ def test_duration_and_ends_at(calendar_world):
                            "ends_at( time_by_hm( 5 , pm ) ) ) )"), calendar_world)
 
 
-
 @pytest.mark.parametrize("minutes", ["100000000000", "1" + "0" * 399])
 def test_duration_out_of_range_is_invalid_datetime(calendar_world, minutes):
     with pytest.raises(MrExecError) as info:
         exec_dfs(parse_dfs(f"CreateEvent( has_duration( {minutes} ) )"), calendar_world)
     assert str(info.value) == "invalid-datetime: event duration is out of range"
+
+
 def test_extract_operators():
     assert extract_operators(parse_dfs(SHOWCASE)) == frozenset(
         {"CreateEvent", "AND", "at_location", "starts_at", "NextDOW"})

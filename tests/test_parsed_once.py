@@ -44,7 +44,8 @@ def test_unchanged_bytes_give_the_same_object(tmp_path):
     assert load_dataset(path) is first
     assert load_dataset(str(path)) is first
     named = load_dataset(path, name="named")
-    assert named is not first and named.name == "named" and first.name == str(path)
+    assert named.name == "named" and first.name == str(path)
+    assert named.examples is first.examples and load_dataset(path) is first
     world = load_environment("geo", environment_path("geo"))
     assert load_environment("geo", environment_path("geo")) is world
 
@@ -136,10 +137,14 @@ MUTATIONS = {
             "geo_model.states[0].population = 1", "del geo_model.rivers[0]"],
     "social": ["api.people.append(1)", "api.people[0].friends.pop()",
                "api.people[0].education.clear()", "api.people[0].name = 'x'"],
+    "calendar": ["api.get_current_user().find_team_of().append(1)",
+                 "api.add_event(Event(subject='s'))", "api.get_current_user().name = 'x'",
+                 "api._world.people.clear()"],
 }
 
 
-@pytest.mark.parametrize("environment,dataset", [("geo", "geoquery"), ("social", "overnight")])
+@pytest.mark.parametrize("environment,dataset", [("geo", "geoquery"), ("social", "overnight"),
+                                                 ("calendar", "smcalflow")])
 def test_a_run_leaves_the_shared_world_unchanged(tmp_path, monkeypatch, environment, dataset):
     world = load_environment(environment, environment_path(environment))
     before = pickle.dumps(world)

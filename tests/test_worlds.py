@@ -2,12 +2,13 @@
 
 import copy
 import pickle
+from importlib import import_module
 
 import pytest
 
 from semkit.errors import MrExecError
 from semkit.evaluation import canonicalize_names
-from semkit.execute import load_environment, run_program
+from semkit.execute import ENVIRONMENTS, load_environment, run_program
 from semkit.readonly import ReadOnlyList
 from semkit.resources import environment_path
 
@@ -36,6 +37,13 @@ def _program(body: str) -> str:
 
 def _load(environment):
     return load_environment(environment, environment_path(environment))
+
+
+def _parse_anew(environment):
+    """The bundled world parsed from its file by the environment's own loader, not the
+    copy ``load_environment`` shares within the process."""
+    module, loader = ENVIRONMENTS[environment]
+    return getattr(import_module(module), loader)(environment_path(environment))
 
 
 def _gold_outcomes(datasets, worlds) -> dict:
@@ -119,7 +127,8 @@ def test_gold_outcomes_survive_every_probe(geoquery, overnight, smcalflow):
     probed = {environment: _load(environment) for environment in datasets}
     for environment, body in PROBES:
         run_program("pymr", _program(body), environment, probed[environment])
-    fresh = {environment: _load(environment) for environment in datasets}
+    fresh = {environment: _parse_anew(environment) for environment in datasets}
+    assert all(fresh[env] is not probed[env] for env in datasets)
     after = _gold_outcomes(datasets, probed)
     assert after == _gold_outcomes(datasets, fresh)
     assert len(after) > 100 and all(outcome.ok for outcome in after.values())
