@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -130,6 +131,48 @@ def test_prompt_command(capsys):
     assert code == 0
     assert out.splitlines()[0] == "Below is a description of the domain:"
     assert "query: what is the longest river ?" in out
+
+
+GEOQUERY = ("--dataset", "bundled:datasets/geoquery.jsonl",
+            "--split", "bundled:splits/geoquery_iid.json")
+
+
+@pytest.mark.parametrize("method, stdout", [
+    ("random", '{"method": "random", "k": 3, "ids": ["gq-34", "gq-08", "gq-37"], '
+               '"coverage_fraction": 0.3333333333333333}\n'),
+    ("coverage", '{"method": "coverage", "k": 3, "ids": ["gq-37", "gq-03", "gq-18"], '
+                 '"coverage_fraction": 0.5416666666666666}\n'),
+    ("bm25", '{"method": "bm25", "k": 3, "ids": ["gq-46", "gq-31", "gq-21"], '
+             '"coverage_fraction": 0.20833333333333334}\n'),
+])
+def test_select_stdout_is_pinned(capsys, method, stdout):
+    code, out, err = run(capsys, "select", "--method", method, "--k", "3", *GEOQUERY,
+                         "--dialect", "pymr", "--seed", "1",
+                         "--query", "what is the longest river in texas ?")
+    assert (code, out, err) == (0, stdout, "")
+
+
+@pytest.mark.parametrize("dd, sha256", [
+    ("none", "c9a42b7e796d44cd0a6e02d0d1747cc6354b37aae56060ce203e431e048b9ffd"),
+    ("operator-list", "cc7fe70ce71f1f8cba6149cd623e5ebdad8df41f1f689aa4a16f0fb6615bcdd7"),
+    ("no-typing", "25fdff5242a753659ffc56d75e14cb297aad538a06a1df01554054776cd599d3"),
+    ("full", "2e1b524a2f63f3ebcf71e6e8553bb62efed4d35a9350c630bf578b3acfa6a874"),
+])
+def test_prompt_stdout_is_pinned(capsys, dd, sha256):
+    code, out, err = run(capsys, "prompt", "--env", "geo", "--dialect", "pymr", *GEOQUERY,
+                         "--dd", dd, "--k", "2", "--seed", "0",
+                         "--utterance", "what is the longest river ?")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
+def test_bootstrap_output_is_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "bootstrap", "--config", str(data_path("bootstrap_replay.json")))
+    assert (code, err) == (0, "")
+    assert out == '{"pool_before": 5, "pool_after": 9, "output": "pool.jsonl"}\n'
+    assert hashlib.sha256((tmp_path / "pool.jsonl").read_bytes()).hexdigest() == \
+        "4a153e739d2cfb9adeeb97c7ac3351fbb7bd7be428f798553a4179d5f61bd757"
 
 
 def test_run_replay_experiment_twice_is_byte_identical(tmp_path, capsys):
