@@ -1,13 +1,13 @@
-"""Command-line frontend.
+"""Command-line frontend: it parses arguments, calls the engine and prints.
 
 Subcommands: execute, simplify, select, prompt, run, bootstrap.
 Machine-readable JSON goes to stdout, diagnostics to stderr.
 Exit codes: 0 success, 1 usage/config error, 2 captured domain failure.
 
-Experiment configs (``run``) are JSON; paths are resolved relative to the
-config file, and the ``bundled:`` prefix names packaged resources, e.g.
-``bundled:datasets/geoquery.jsonl``.  See README for the schema; the
-experiment engine itself lives in :mod:`semkit.experiment`.
+``run`` and ``bootstrap`` read a JSON config file and hand it, with the
+file's directory for resolving its paths, to :mod:`semkit.experiment`, which
+checks and loads it; ``select`` and ``prompt`` load their dataset and split
+through the same engine.  See README for the config schemas.
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ import json
 import sys
 from pathlib import Path
 
-from .corpus import load_dataset, load_split
 from .errors import SemkitError
 from .execute import DIALECTS, ENVIRONMENTS, dialect_for, load_environment, run_program
-from .experiment import (SELECTION_METHODS, DemoSelector, dd_text, load_config_environment,
-                         make_client, resolve_path, run_experiment)
-from .prompts import DD_VARIANTS, PromptSpec, build_prompt, load_dd_source
-from .resources import INTEGER, OBJECT, STRING, STRINGS, Schema, dd_path, read_json_object
+from .experiment import (SELECTION_METHODS, dd_text, load_selector, resolve_path, run_bootstrap,
+                         run_experiment, run_output_dir)
+from .prompts import DD_VARIANTS, PromptSpec, build_prompt
+from .resources import read_json_object
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,25 +71,18 @@ def cmd_simplify(args) -> int:
 
 
 def cmd_select(args) -> int:
-    dataset = load_dataset(resolve_path(args.dataset))
-    split = load_split(resolve_path(args.split), dataset)
-    selector = DemoSelector(dataset, split, args.dialect)
-    if args.method == "coverage":
-        ids, fraction = selector.coverage_picks(args.k)
-    else:
-        ids = selector.select(args.method, args.k, args.seed, args.query)
-        fraction = selector.coverage_fraction(ids)
+    selector = load_selector(args.dataset, args.split, args.dialect)
+    ids = selector.select(args.method, args.k, args.seed, args.query)
     print(json.dumps({"method": args.method, "k": args.k, "ids": ids,
-                      "coverage_fraction": fraction}, ensure_ascii=False))
+                      "coverage_fraction": selector.coverage_fraction(ids)}, ensure_ascii=False))
     return 0
 
 
 def cmd_prompt(args) -> int:
     dialect_for(args.dialect, args.env)
-    dataset = load_dataset(resolve_path(args.dataset))
-    split = load_split(resolve_path(args.split), dataset)
-    ids = DemoSelector(dataset, split, args.dialect).select(args.method, args.k, args.seed,
-                                                            args.utterance)
+    selector = load_selector(args.dataset, args.split, args.dialect)
+    ids = selector.select(args.method, args.k, args.seed, args.utterance)
+    dataset = selector.dataset
     spec = PromptSpec(
         dd_variant=args.dd, dd_text=dd_text(args.env, args.dialect, args.dd),
         demonstrations=tuple((dataset[i].utterance, dataset[i].programs[args.dialect])
@@ -100,73 +92,18 @@ def cmd_prompt(args) -> int:
     return 0
 
 
-_RUN_OUTPUT = Schema(("output_dir", STRING, None))
-
-
 def cmd_run(args) -> int:
     config_path = Path(args.config)
-    config = read_json_object(config_path)
-    base = config_path.parent
-    (output_dir,) = _RUN_OUTPUT.read(config, "run config")
-    if args.output_dir:
-        out_dir = Path(args.output_dir)
-    elif output_dir is not None:
-        out_dir = resolve_path(output_dir, base)
-    else:
-        out_dir = Path("out")  # relative to the caller, never the config's home
-    aggregate = run_experiment(config, base, out_dir, jobs=args.jobs)
-    print(json.dumps(aggregate, ensure_ascii=False))
+    config, base = read_json_object(config_path), config_path.parent
+    out_dir = run_output_dir(config, base, args.output_dir)
+    print(json.dumps(run_experiment(config, base, out_dir, jobs=args.jobs), ensure_ascii=False))
     return 0
 
 
-_BOOTSTRAP_CONFIG = Schema(("dataset", STRING), ("environment", STRING), ("dialect", STRING),
-                           ("gold_dialect", STRING), ("seed_ids", STRINGS),
-                           ("unlabeled_ids", STRINGS), ("client", OBJECT), ("k", INTEGER, 3),
-                           ("passes", INTEGER, 3), ("seed", INTEGER, 0),
-                           ("environment_file", STRING, None), ("output", STRING, None))
-
-
 def cmd_bootstrap(args) -> int:
-    from .corpus import Example, example_to_json_line
-    from .llm import BootstrapConfig, bootstrap_annotations
-
     config_path = Path(args.config)
-    config = read_json_object(config_path)
-    base = config_path.parent
-    (dataset_file, environment, dialect, gold_dialect, seed_ids, unlabeled_ids, client_config,
-     k, passes, seed, environment_file, output) = _BOOTSTRAP_CONFIG.read(config,
-                                                                          "bootstrap config")
-    if not seed_ids:
-        raise SemkitError("bootstrap config: seed_ids must be nonempty")
-    if k < 1:
-        raise SemkitError(f"bootstrap config: k must be at least 1, not {k}")
-    client, model = make_client(client_config, base, "bootstrap config")
-    dataset = load_dataset(resolve_path(dataset_file, base))
-    for key, ids in (("seed_ids", seed_ids), ("unlabeled_ids", unlabeled_ids)):
-        unknown = [ex_id for ex_id in ids if ex_id not in dataset]
-        if unknown:
-            raise SemkitError(f"bootstrap config: {key} names unknown example ids: {unknown}")
-    seed_pool = [dataset[i] for i in seed_ids]
-    # ids listed as unlabeled are treated as lacking the target-dialect annotation
-    unlabeled = []
-    for ex_id in unlabeled_ids:
-        example = dataset[ex_id]
-        programs = {d: p for d, p in example.programs.items() if d != dialect}
-        unlabeled.append(Example(id=example.id, utterance=example.utterance,
-                                 programs=programs, tags=example.tags))
-    env_object = load_config_environment(environment, environment_file, base)
-    bootstrap_config = BootstrapConfig(
-        environment=environment, dialect=dialect, gold_dialect=gold_dialect,
-        model=model, k=k, passes=passes, seed=seed,
-        dd_declarations=load_dd_source(dd_path(environment, dialect)))
-    pool = bootstrap_annotations(seed_pool, unlabeled, env_object, client, bootstrap_config)
-    # without an output key, relative to the caller, like run's default out
-    output = Path("pool.jsonl") if output is None else resolve_path(output, base)
-    with open(output, "w", encoding="utf-8") as fh:
-        for example in pool:
-            fh.write(example_to_json_line(example) + "\n")
-    print(json.dumps({"pool_before": len(seed_pool), "pool_after": len(pool),
-                      "output": str(output)}, ensure_ascii=False))
+    print(json.dumps(run_bootstrap(read_json_object(config_path), config_path.parent),
+                     ensure_ascii=False))
     return 0
 
 

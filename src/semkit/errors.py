@@ -73,7 +73,8 @@ def shown(value, _within=()) -> str:
     """``value`` as a failure message shows it: its repr, or, for values whose repr
     holds a memory address or a module path (objects with the default repr, classes
     outside ``builtins``, functions, methods of builtin or default-repr objects), its
-    class's or its own qualified name, which is the same in every process.  A list,
+    class's or its own qualified name, which is the same in every process.  An int
+    wider than 14284 bits shows its width, not its digits.  A list,
     tuple or set shows its items so (a set holding such an item sorts them, as their
     order may follow their addresses), and one within itself (``_within``) as repr does."""
     if (isinstance(value, (type, FunctionType)) and value.__module__ != "builtins"
@@ -83,6 +84,8 @@ def shown(value, _within=()) -> str:
     kind = type(value)
     if kind.__repr__ is object.__repr__:
         return kind.__qualname__
+    if kind is int and value.bit_length() > 14284:  # at most 4300 digits, str()'s default limit
+        return f"<int of {value.bit_length()} bits>"
     if kind not in _DISPLAYS:
         return repr(value)
     if id(value) in _within:

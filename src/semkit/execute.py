@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import import_module
-from types import ModuleType
 from typing import Callable
 
 from . import resources
@@ -37,21 +36,6 @@ ENVIRONMENTS = {
     "social": ("semkit.social", "load_social_db"),
     "calendar": ("semkit.calflow", "load_world"),
 }
-
-_IMPORTED: dict[str, ModuleType] = {}  # module name -> module, once its import has finished
-
-
-def _loaded(module: str) -> ModuleType:
-    """``module``, imported on its first use; after that one dict lookup.
-
-    Only a finished import is kept: a thread that asks while another thread is
-    still importing the module waits in ``import_module`` for it, where
-    ``sys.modules`` would hand it the half-initialized module.
-    """
-    found = _IMPORTED.get(module)
-    if found is None:
-        found = _IMPORTED[module] = import_module(module)
-    return found
 
 
 @dataclass(frozen=True)
@@ -93,7 +77,7 @@ def dialect_for(dialect: str, environment: str | None = None) -> Dialect:
 def run_program(dialect: str, text: str, environment: str, env_object) -> Outcome:
     """Parse and execute one program; never raises for program-level problems."""
     entry = dialect_for(dialect, environment)
-    m = _loaded(entry.module)
+    m = import_module(entry.module)
     try:
         return Outcome.success(entry.execute(m, entry.parse(m, text), environment, env_object))
     except Exception as exc:  # noqa: BLE001 - the one capture point, by contract
@@ -124,7 +108,7 @@ def memoized_runs(environment: str, env_object) -> Callable[[str, str], Outcome]
 def operators_of(dialect: str, text: str) -> frozenset[str]:
     """Unigram operator set of one program, per the dialect's extraction rule."""
     entry = dialect_for(dialect)
-    m = _loaded(entry.module)
+    m = import_module(entry.module)
     return m.extract_operators(entry.parse(m, text))
 
 
@@ -134,5 +118,5 @@ def load_environment(environment: str, path):
     if environment not in ENVIRONMENTS:
         raise SemkitError(f"unknown environment {environment!r}")
     module, loader = ENVIRONMENTS[environment]
-    load = getattr(_loaded(module), loader)
+    load = getattr(import_module(module), loader)
     return resources.parsed(environment, path, lambda data: load(path, data))

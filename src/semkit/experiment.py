@@ -1,21 +1,19 @@
-"""Experiment engine: run one ``semkit run`` config over its seeds and write the reports.
+"""Experiment engine: ``semkit run`` and ``semkit bootstrap`` without the command line.
 
-What does not change between seeds and test examples is built once per
-experiment and shared by all of them: the demonstration selector (see
-:class:`DemoSelector`) and the per-example step's two halves
-(:func:`~semkit.llm.example_evaluator`) with its rendered DD text, prompt
-template, outcome memo (:func:`~semkit.execute.memoized_runs`) and the hash
-states of its prompts' constant leading text, for the request digests.  Each
-seed builds its completion requests in test order and fetches the
-completions, overlapping up to ``jobs`` of them on worker threads; the
-calling thread then judges each example in test order and prints each
-``harness-error`` to stderr as ``seed S ID: message``.  Worlds are read-only,
-so a program's outcome depends only on its (dialect, text): the memo runs
-each distinct predicted or gold program once per experiment, whichever seed
-or example asks first.  Both sides are keyed on the text actually run, which
-on calendar is the text after name canonicalization; it maps gold names
-first, so the canonical gold text does not depend on the prediction it is
-scored against.
+:func:`run_experiment` composes three steps.  :func:`read_run_config` checks a
+``run`` config into a frozen :class:`RunSpec` and reads no file.
+:func:`load_run` reads, once each, the template and client, the dataset and
+split (one :class:`DemoSelector`), the world with its outcome memo
+(:func:`~semkit.execute.memoized_runs`) and the DD text, and builds the
+per-example step (:func:`~semkit.llm.example_evaluator`).  :func:`run_seed`
+builds a seed's requests in test order, fetches the completions (up to
+``jobs`` at once, on worker threads), then judges each example in test order
+on the calling thread and prints each ``harness-error`` to stderr.  Worlds are
+read-only, so the memo runs each distinct predicted or gold (dialect, text)
+once per loaded run; on calendar that is the text after name canonicalization,
+which maps gold names first, so the gold text does not depend on the
+prediction.  :func:`run_bootstrap` checks a ``bootstrap`` config, grows its
+pool and writes it.
 
 Config paths resolve relative to the config file; the ``bundled:`` prefix
 names packaged resources, e.g. ``bundled:datasets/geoquery.jsonl``.
@@ -25,17 +23,20 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 from . import resources
-from .corpus import Dataset, Split, load_dataset, load_split, sample_demos
+from .corpus import (Dataset, Example, Split, example_to_json_line, load_dataset, load_split,
+                     sample_demos)
 from .errors import SemkitError
 from .evaluation import POLICIES, report_from_verdicts, score_run
 from .execute import ENVIRONMENTS, dialect_for, load_environment, memoized_runs, operators_of
-from .llm import (DEFAULT_TEMPERATURE, LlmClient, ReplayCache, completion_of,
-                  example_evaluator, http_transport)
+from .llm import (DEFAULT_TEMPERATURE, BootstrapConfig, LlmClient, ReplayCache,
+                  bootstrap_annotations, completion_of, example_evaluator, http_transport)
 from .prompts import DD_VARIANTS, default_template, load_dd_source, render_dd
-from .resources import INTEGER, INTEGERS, OBJECT, STRING, Schema
+from .resources import INTEGER, INTEGERS, OBJECT, STRING, STRINGS, Schema
 from .selection import Bm25Index, bm25_rank, coverage_fraction, greedy_select
 
 CSV_HEADER = "seed,split,dialect,dd_variant,k,accuracy,exec_failure_rate"
@@ -55,9 +56,8 @@ def load_config_environment(environment: str, environment_file: str | None, base
     """The environment object a config names; ``environment_file`` defaults to the bundled one."""
     if environment not in ENVIRONMENTS:
         raise SemkitError(f"unknown environment {environment!r}")
-    if environment_file is None:
-        return load_environment(environment, resources.environment_path(environment))
-    return load_environment(environment, resolve_path(environment_file, base))
+    return load_environment(environment, resources.environment_path(environment)
+                            if environment_file is None else resolve_path(environment_file, base))
 
 
 CLIENT_MODES = ("live", "record", "replay")
@@ -69,8 +69,7 @@ _CLIENT = Schema(("mode", STRING, "replay"), ("model", STRING, "unspecified-mode
 def make_client(client_config: dict, base: Path, where: str) -> tuple[LlmClient, str]:
     """The client a config's ``client`` block declares, checked before its cache is read,
     and the model id it asks for."""
-    mode, model, cache, endpoint, api_key_env = _CLIENT.read(client_config, where,
-                                                             within="client")
+    mode, model, cache, endpoint, api_key_env = _CLIENT.read(client_config, where, within="client")
     if mode not in CLIENT_MODES:
         raise SemkitError(f"unknown client mode {mode!r} (known: {', '.join(CLIENT_MODES)})")
     if mode != "replay" and endpoint is None:
@@ -85,14 +84,13 @@ def make_client(client_config: dict, base: Path, where: str) -> tuple[LlmClient,
 def dd_text(environment: str, dialect: str, variant: str) -> str:
     if variant == "none":
         return ""
-    declarations = load_dd_source(resources.dd_path(environment, dialect))
-    return render_dd(declarations, variant)
+    return render_dd(load_dd_source(resources.dd_path(environment, dialect)), variant)
 
 
 class DemoSelector:
     """Demonstration selection over the train pool of one (dataset, split, dialect).
 
-    Built once per experiment and shared by its seeds and queries.  The pool's
+    Built once per loaded run and shared by its seeds and queries.  The pool's
     operator sets are extracted lazily and at most once: only coverage
     selection and coverage fractions read them.  Pools repeat programs (many
     paraphrases share one), so extraction runs once per distinct program text
@@ -158,22 +156,15 @@ class DemoSelector:
         raise SemkitError(f"unknown selection method {method!r}")
 
 
+def load_selector(dataset_file: str, split_file: str, dialect: str, base=None) -> DemoSelector:
+    """The selector over a dataset's split for ``dialect``; it holds the dataset and split."""
+    dataset = load_dataset(resolve_path(dataset_file, base))
+    return DemoSelector(dataset, load_split(resolve_path(split_file, base), dataset), dialect)
+
+
 def _csv_row(seed, split_name, dialect, dd_variant, k, accuracy, failure_rate) -> str:
     return (f"{seed},{split_name},{dialect},{dd_variant},{k},"
             f"{accuracy:.6f},{failure_rate:.6f}")
-
-
-def config_temperature(client_config: dict) -> float:
-    """The client's sampling temperature, a JSON number within [0, 2]; else a SemkitError.
-
-    ``-0.0`` comes back as ``0.0``: both are the same temperature, and the request
-    fingerprint encodes the float as written."""
-    temperature = client_config.get("temperature", DEFAULT_TEMPERATURE)
-    if (isinstance(temperature, bool) or not isinstance(temperature, (int, float))
-            or not 0.0 <= temperature <= 2.0):
-        raise SemkitError(f"client temperature must be a number within [0, 2], "
-                          f"not {temperature!r}")
-    return float(temperature) + 0.0
 
 
 _RUN_CONFIG = Schema(("client", OBJECT), ("dataset", STRING), ("split", STRING),
@@ -182,15 +173,38 @@ _RUN_CONFIG = Schema(("client", OBJECT), ("dataset", STRING), ("split", STRING),
                      ("selection", OBJECT, {"method": "random", "k": 3}),
                      ("template_id", STRING, "v1"), ("environment_file", STRING, None))
 _SELECTION = Schema(("k", INTEGER), ("method", STRING))
+_RUN_OUTPUT = Schema(("output_dir", STRING, None))
 
 
-def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> dict:
-    # the whole config is checked before any dataset, split, cache or world is read
-    (client_config, dataset_file, split_file, environment, dialect, seeds, gold_dialect,
-     dd_variant, selection, template_id, environment_file) = _RUN_CONFIG.read(config, "run config")
+@dataclass(frozen=True)
+class RunSpec:
+    """A ``run`` config once :func:`read_run_config` has checked it; paths as written."""
+
+    client: dict  # the client block; load_run checks the rest of it as it builds the client
+    dataset: str
+    split: str
+    environment: str
+    dialect: str
+    gold_dialect: str
+    seeds: tuple[int, ...]
+    dd_variant: str
+    method: str
+    k: int
+    template_id: str
+    environment_file: str | None
+    temperature: float
+
+
+def read_run_config(config: dict) -> RunSpec:
+    """The checked ``run`` config, or the SemkitError of its first fault; reads no file."""
+    (client, dataset, split, environment, dialect, seeds, gold_dialect, dd_variant, selection,
+     template_id, environment_file) = _RUN_CONFIG.read(config, "run config")
     k, method = _SELECTION.read(selection, "run config", within="selection")
     gold_dialect = dialect if gold_dialect is None else gold_dialect
-    temperature = config_temperature(client_config)
+    temperature = client.get("temperature", DEFAULT_TEMPERATURE)
+    if (isinstance(temperature, bool) or not isinstance(temperature, (int, float))
+            or not 0.0 <= temperature <= 2.0):
+        raise SemkitError(f"client temperature must be a number within [0, 2], not {temperature!r}")
     dialect_for(dialect, environment)
     dialect_for(gold_dialect, environment)
     if dd_variant not in DD_VARIANTS:
@@ -201,62 +215,136 @@ def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> di
         raise SemkitError(f"run config: k must be at least 1, not {k}")
     if not seeds:
         raise SemkitError("seeds list must be nonempty")
-    template = default_template(template_id)  # a bundled resource, not a file the config names
-    client, model = make_client(client_config, base, "run config")
-    dataset = load_dataset(resolve_path(dataset_file, base))
-    split = load_split(resolve_path(split_file, base), dataset)
-    if not split.test_ids:
-        raise SemkitError("experiment has zero test examples")
-    env_object = load_config_environment(environment, environment_file, base)
-    policy = POLICIES[environment]
-    request, judge = example_evaluator(
-        model, temperature, dialect, gold_dialect, dd_variant,
-        dd_text(environment, dialect, dd_variant),
-        template, policy,
-        memoized_runs(environment, env_object),  # predicted and gold, keyed by the text run
-        env_object if policy.name_canonicalization else None)
-    selector = DemoSelector(dataset, split, dialect)
+    # -0.0 becomes 0.0: the same temperature, and the fingerprint encodes the float as written
+    return RunSpec(client, dataset, split, environment, dialect, gold_dialect, tuple(seeds),
+                   dd_variant, method, k, template_id, environment_file, float(temperature) + 0.0)
 
+
+def run_output_dir(config: dict, base: Path, given: str | None) -> Path:
+    """``given`` (``--output-dir``), else the config's ``output_dir``, else ``./out``."""
+    (output_dir,) = _RUN_OUTPUT.read(config, "run config")
+    if given:
+        return Path(given)
+    return Path("out") if output_dir is None else resolve_path(output_dir, base)
+
+
+@dataclass(frozen=True)
+class RunState:
+    """What :func:`load_run` loaded for one spec: the same for each of its seeds."""
+
+    client: LlmClient
+    selector: DemoSelector  # over the spec's dataset and split, for its dialect
+    examples: tuple[Example, ...]  # the split's test examples, in test order
+    request: Callable  # the two halves of llm.example_evaluator
+    judge: Callable
+
+
+def load_run(spec: RunSpec, base: Path) -> RunState:
+    """Everything ``spec`` names, each read once, with its paths resolved against ``base``."""
+    template = default_template(spec.template_id)  # a bundled resource, not a file the config names
+    client, model = make_client(spec.client, base, "run config")
+    selector = load_selector(spec.dataset, spec.split, spec.dialect, base)
+    if not selector.split.test_ids:
+        raise SemkitError("experiment has zero test examples")
+    env_object = load_config_environment(spec.environment, spec.environment_file, base)
+    policy = POLICIES[spec.environment]
+    request, judge = example_evaluator(
+        model, spec.temperature, spec.dialect, spec.gold_dialect, spec.dd_variant,
+        dd_text(spec.environment, spec.dialect, spec.dd_variant), template, policy,
+        memoized_runs(spec.environment, env_object),  # predicted and gold, keyed by the text run
+        env_object if policy.name_canonicalization else None)
+    examples = tuple(selector.dataset[i] for i in selector.split.test_ids)
+    return RunState(client, selector, examples, request, judge)
+
+
+def run_seed(state: RunState, spec: RunSpec, seed: int, jobs: int = 1) -> list[tuple[str, str]]:
+    """Each test example's ``(id, verdict)`` under ``seed``, in test order; prints each
+    ``harness-error`` to stderr as ``seed S ID: message``."""
+    selector = state.selector
+    fixed_ids = None if spec.method == "bm25" else selector.select(spec.method, spec.k, seed)
+    requests = []
+    for example in state.examples:
+        ids = fixed_ids
+        if ids is None:
+            ids = selector.select("bm25", spec.k, seed, example.utterance)
+        requests.append(state.request(example, [selector.dataset[i] for i in ids]))
+    if jobs > 1:  # only the completion calls, which wait on I/O, overlap
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            completions = list(pool.map(lambda r: completion_of(state.client, r), requests))
+    else:
+        completions = [completion_of(state.client, r) for r in requests]
+    verdicts = []
+    for example, completion in zip(state.examples, completions):
+        verdict, detail = state.judge(example, completion)
+        if verdict == "harness-error":
+            print(f"seed {seed} {example.id}: {detail}", file=sys.stderr)
+        verdicts.append((example.id, verdict))
+    return verdicts
+
+
+def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> dict:
+    """Run ``config`` over its seeds and write the per-seed and aggregate reports."""
+    spec = read_run_config(config)
+    state = load_run(spec, base)
+    split_name = state.selector.split.name
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = []
-    per_seed_rows = []
-    by_id = dataset.by_id
-    examples = [by_id[test_id] for test_id in split.test_ids]
-    for seed in seeds:
-        fixed_ids = None if method == "bm25" else selector.select(method, k, seed)
-        requests = []
-        for example in examples:
-            ids = fixed_ids
-            if ids is None:
-                ids = selector.select("bm25", k, seed, example.utterance)
-            requests.append(request(example, [by_id[i] for i in ids]))
-        if jobs > 1:  # only the completion calls, which wait on I/O, overlap
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                completions = list(pool.map(lambda r: completion_of(client, r), requests))
-        else:
-            completions = [completion_of(client, r) for r in requests]
-        verdicts = []
-        for example, completion in zip(examples, completions):
-            verdict, detail = judge(example, completion)
-            if verdict == "harness-error":
-                print(f"seed {seed} {example.id}: {detail}", file=sys.stderr)
-            verdicts.append((example.id, verdict))
-        report = report_from_verdicts(seed, verdicts)
+    reports, per_seed_rows = [], []
+    for seed in spec.seeds:
+        report = report_from_verdicts(seed, run_seed(state, spec, seed, jobs))
         reports.append(report)
         (out_dir / f"report_seed{seed}.json").write_text(
             json.dumps(report.to_json(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
-        row = _csv_row(seed, split.name, dialect, dd_variant, k,
+        row = _csv_row(seed, split_name, spec.dialect, spec.dd_variant, spec.k,
                        report.accuracy, report.exec_failure_rate)
         per_seed_rows.append(row)
         (out_dir / f"report_seed{seed}.csv").write_text(
             CSV_HEADER + "\n" + row + "\n", encoding="utf-8")
 
     aggregate = score_run(reports)
-    mean_row = _csv_row("mean", split.name, dialect, dd_variant, k,
+    mean_row = _csv_row("mean", split_name, spec.dialect, spec.dd_variant, spec.k,
                         aggregate["mean_accuracy"], aggregate["mean_exec_failure_rate"])
     (out_dir / "aggregate.csv").write_text(
         CSV_HEADER + "\n" + "\n".join(per_seed_rows) + "\n" + mean_row + "\n", encoding="utf-8")
     (out_dir / "aggregate.json").write_text(
         json.dumps(aggregate, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
     return aggregate
+
+
+_BOOTSTRAP_CONFIG = Schema(("dataset", STRING), ("environment", STRING), ("dialect", STRING),
+                           ("gold_dialect", STRING), ("seed_ids", STRINGS),
+                           ("unlabeled_ids", STRINGS), ("client", OBJECT), ("k", INTEGER, 3),
+                           ("passes", INTEGER, 3), ("seed", INTEGER, 0),
+                           ("environment_file", STRING, None), ("output", STRING, None))
+
+
+def run_bootstrap(config: dict, base: Path) -> dict:
+    """Grow a ``bootstrap`` config's pool (:func:`~semkit.llm.bootstrap_annotations`), write it
+    to ``output`` (else ``./pool.jsonl``) and return the summary ``semkit bootstrap`` prints."""
+    (dataset_file, environment, dialect, gold_dialect, seed_ids, unlabeled_ids, client_config,
+     k, passes, seed, environment_file, output) = _BOOTSTRAP_CONFIG.read(config,
+                                                                          "bootstrap config")
+    if not seed_ids:
+        raise SemkitError("bootstrap config: seed_ids must be nonempty")
+    if k < 1:
+        raise SemkitError(f"bootstrap config: k must be at least 1, not {k}")
+    client, model = make_client(client_config, base, "bootstrap config")
+    dataset = load_dataset(resolve_path(dataset_file, base))
+    for key, ids in (("seed_ids", seed_ids), ("unlabeled_ids", unlabeled_ids)):
+        if unknown := [ex_id for ex_id in ids if ex_id not in dataset]:
+            raise SemkitError(f"bootstrap config: {key} names unknown example ids: {unknown}")
+    seed_pool = [dataset[i] for i in seed_ids]
+    # ids listed as unlabeled are treated as lacking the target-dialect annotation
+    unlabeled = [replace(dataset[i], programs={d: p for d, p in dataset[i].programs.items()
+                                               if d != dialect}) for i in unlabeled_ids]
+    env_object = load_config_environment(environment, environment_file, base)
+    bootstrap_config = BootstrapConfig(
+        environment=environment, dialect=dialect, gold_dialect=gold_dialect,
+        model=model, k=k, passes=passes, seed=seed,
+        dd_declarations=load_dd_source(resources.dd_path(environment, dialect)))
+    pool = bootstrap_annotations(seed_pool, unlabeled, env_object, client, bootstrap_config)
+    output = Path("pool.jsonl") if output is None else resolve_path(output, base)
+    with open(output, "w", encoding="utf-8") as fh:
+        for example in pool:
+            fh.write(example_to_json_line(example) + "\n")
+    return {"pool_before": len(seed_pool), "pool_after": len(pool), "output": str(output)}

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DataFormatError
+from .errors import DataFormatError, MrExecError
 from .outcomes import denotation_of
 from .readonly import ReadOnlyList
 from .resources import INTEGER, NUMBER, STRING, STRINGS, Schema, read_jsonl
@@ -138,7 +138,7 @@ class GeoModel:
 
     def find_city(self, name: str):
         """Single city, or a list when several share the name, or None."""
-        matches = [c for c in self.cities if c.name == name.lower()]
+        matches = _named(self.cities, name)
         if not matches:
             return None
         return matches[0] if len(matches) == 1 else matches
@@ -150,12 +150,16 @@ class GeoModel:
         return _find_unique(self.places, name)
 
 
-def _find_unique(items, name: str):
+def _named(items, name: str) -> list:
+    if not isinstance(name, str):
+        raise MrExecError("type-mismatch", "a geo lookup expects a name string")
     name = name.lower()
-    for item in items:
-        if item.name == name:
-            return item
-    return None
+    return [item for item in items if item.name == name]
+
+
+def _find_unique(items, name: str):
+    matches = _named(items, name)
+    return matches[0] if matches else None
 
 
 # entity type -> its kind, the first half of an entity reference

@@ -9,7 +9,7 @@ execution failure, so batch evaluation never aborts on a bad program.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -46,8 +46,8 @@ class Denotation:
 
 
 def _finite(number):
-    """``number``, unless it is NaN or an infinity, which no answer is."""
-    if isinstance(number, float) and not math.isfinite(number):
+    """``number``, unless it is NaN, an infinity or an int past the largest float: no answer is."""
+    if not -sys.float_info.max <= number <= sys.float_info.max:  # exact for ints of any size
         raise MrExecError("type-mismatch", f"cannot interpret {shown(number)} as an answer")
     return number
 

@@ -40,6 +40,7 @@ import ast as pyast
 import builtins
 import operator
 from dataclasses import dataclass
+from importlib import import_module
 
 from . import execute
 from .errors import MAX_DEPTH, TOO_DEEP, MrExecError, MrParseError, UnsupportedConstructError
@@ -272,7 +273,7 @@ def _check_comprehension(comp, found: set, depth: int) -> None:
 
 def _surface(environment: str) -> tuple:
     """The ``PYMR`` record of the environment's module, imported on first use."""
-    return execute._loaded(execute.ENVIRONMENTS[environment][0]).PYMR
+    return import_module(execute.ENVIRONMENTS[environment][0]).PYMR
 
 
 def binding_names(environment: str) -> frozenset[str]:

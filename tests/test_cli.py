@@ -1,4 +1,6 @@
+import builtins
 import hashlib
+import io
 import json
 import os
 import re
@@ -12,7 +14,9 @@ import pytest
 import semkit
 from semkit.cli import main
 from semkit.corpus import load_dataset, load_split
+from semkit.errors import SemkitError
 from semkit.execute import operators_of
+from semkit.experiment import read_run_config
 from semkit.prompts import PromptSpec, build_prompt, load_dd_source, render_dd
 from semkit.resources import data_path, dd_path
 from semkit.selection import Bm25Index, bm25_rank, greedy_select
@@ -304,7 +308,7 @@ def _edited(change):
 _CUT_SHORT, _IN_A_LIST = (lambda text: text[:-3]), (lambda text: f"[{text}]")
 
 
-@pytest.mark.parametrize("command, edit, message", [
+CONFIG_ERRORS = [
     ("run", _CUT_SHORT, "{path}: not valid JSON: "),
     ("run", _IN_A_LIST, "{path}: expected a JSON object at the top level\n"),
     ("run", _edited(lambda c: c.pop("client")), "run config: missing field 'client'\n"),
@@ -344,14 +348,25 @@ _CUT_SHORT, _IN_A_LIST = (lambda text: text[:-3]), (lambda text: f"[{text}]")
      "bootstrap config: k must be at least 1, not 0\n"),
     ("bootstrap", _edited(lambda c: c.update(seed_ids=[])),
      "bootstrap config: seed_ids must be nonempty\n"),
-], ids=["run not JSON", "run top level a list", "run without client", "run DD fancy",
-        "run seeds ab", "run k x",
-        *(f"run {method} k {k}" for method in ("random", "coverage", "bm25") for k in (0, -1)),
-        "run mode warp", "run live without endpoint",
-        "run replay without cache", "run cache 7", "run model 7", "run output_dir 7",
-        "run environment_file 7", "run template v9", "bootstrap not JSON",
-        "bootstrap top level a list", "bootstrap without dataset", "bootstrap mode warp",
-        "bootstrap output 7", "bootstrap k 0", "bootstrap no seed ids"])
+]
+CONFIG_ERROR_IDS = [
+    "run not JSON", "run top level a list", "run without client", "run DD fancy",
+    "run seeds ab", "run k x",
+    *(f"run {method} k {k}" for method in ("random", "coverage", "bm25") for k in (0, -1)),
+    "run mode warp", "run live without endpoint",
+    "run replay without cache", "run cache 7", "run model 7", "run output_dir 7",
+    "run environment_file 7", "run template v9", "bootstrap not JSON",
+    "bootstrap top level a list", "bootstrap without dataset", "bootstrap mode warp",
+    "bootstrap output 7", "bootstrap k 0", "bootstrap no seed ids"]
+# The run-config cases that fail before the prompt template is read: the client
+# block's own checks come after it, and output_dir is read by run_output_dir.
+RUN_SPEC_ERRORS = [(edit, message, name) for (command, edit, message), name
+                   in zip(CONFIG_ERRORS, CONFIG_ERROR_IDS)
+                   if name in ("run without client", "run DD fancy", "run seeds ab", "run k x",
+                               "run environment_file 7") or re.fullmatch(r"run \w+ k -?\d", name)]
+
+
+@pytest.mark.parametrize("command, edit, message", CONFIG_ERRORS, ids=CONFIG_ERROR_IDS)
 def test_malformed_config_is_an_error_line_before_any_file_is_read(tmp_path, capsys, command,
                                                                    edit, message):
     bundled = "experiment_replay.json" if command == "run" else "bootstrap_replay.json"
@@ -367,6 +382,41 @@ def test_malformed_config_is_an_error_line_before_any_file_is_read(tmp_path, cap
     assert code == 1 and out == ""
     assert err.startswith("error: " + message.format(path=config_path)), err
     assert len(err.splitlines()) == 1  # no traceback
+
+
+def _refuse_to_open(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file was opened")
+
+    monkeypatch.setattr(builtins, "open", refuse)
+    monkeypatch.setattr(io, "open", refuse)
+
+
+@pytest.mark.parametrize("edit, message", [case[:2] for case in RUN_SPEC_ERRORS],
+                         ids=[case[2] for case in RUN_SPEC_ERRORS])
+def test_read_run_config_gives_the_error_line_without_opening_a_file(monkeypatch, edit,
+                                                                     message):
+    config = json.loads(edit(data_path("experiment_replay.json").read_text()))
+    _refuse_to_open(monkeypatch)
+    with pytest.raises(SemkitError) as raised:
+        read_run_config(config)
+    assert f"{raised.value}\n" == message
+
+
+def test_read_run_config_opens_no_file_for_a_valid_config(monkeypatch):
+    config = json.loads(data_path("experiment_replay.json").read_text())
+    _refuse_to_open(monkeypatch)
+    spec = read_run_config(config)
+    assert (spec.dialect, spec.gold_dialect, spec.seeds, spec.method, spec.k) == \
+        ("pymr", "pymr", (0, 1, 2), "random", 3)
+
+
+def test_the_cli_reads_and_loads_no_config_itself():
+    from semkit import cli
+
+    for name in ("load_dataset", "load_split", "load_dd_source", "make_client",
+                 "load_config_environment", "Schema", "DemoSelector"):
+        assert not hasattr(cli, name), name
 
 
 @pytest.mark.parametrize("key", ["dataset", "split", "environment_file", "cache"])
@@ -843,12 +893,17 @@ def test_bad_temperature_is_an_error_line_before_any_loading(monkeypatch, tmp_pa
     def refuse(*args, **kwargs):
         raise AssertionError("loaded before the temperature was checked")
 
-    for name in ("load_dataset", "load_split", "make_client", "load_config_environment"):
-        monkeypatch.setattr(experiment, name, refuse)
-    code, out, err = run(capsys, "run", *_replay_config_with(tmp_path, temperature))
+    # load_run reads the template first, then builds the client and loads the rest
+    monkeypatch.setattr(experiment, "load_run", refuse)
+    argv = _replay_config_with(tmp_path, temperature)
+    message = f"client temperature must be a number within [0, 2], not {temperature!r}"
+    code, out, err = run(capsys, "run", *argv)
     assert code == 1 and out == ""
-    assert err == (f"error: client temperature must be a number within [0, 2], "
-                   f"not {temperature!r}\n")
+    assert err == f"error: {message}\n"
+    config = json.loads(Path(argv[1]).read_text())
+    _refuse_to_open(monkeypatch)
+    with pytest.raises(SemkitError, match=re.escape(message)):
+        read_run_config(config)
 
 
 @pytest.mark.parametrize("temperature", [0, 0.0, -0.0])

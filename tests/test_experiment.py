@@ -212,3 +212,27 @@ def test_report_files_are_json_dumps_with_indent_2(tmp_path):
     for seed in config["seeds"]:
         text = (out / f"report_seed{seed}.json").read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n"
+
+
+def test_run_seed_gives_each_seed_report_its_verdicts(tmp_path):
+    config_path = data_path("experiment_replay.json")
+    config = json.loads(config_path.read_text())
+    run_experiment(config, config_path.parent, tmp_path)
+    spec = experiment.read_run_config(config)
+    state = experiment.load_run(spec, config_path.parent)
+    for seed in spec.seeds:
+        report = json.loads((tmp_path / f"report_seed{seed}.json").read_text())
+        for jobs in (1, 4):
+            verdicts = experiment.run_seed(state, spec, seed, jobs)
+            assert [list(v) for v in verdicts] == report["verdicts"], (seed, jobs)
+
+
+def test_a_run_loads_each_piece_once_for_all_its_seeds(monkeypatch, tmp_path):
+    loads = {name: counting(monkeypatch, experiment, name)
+             for name in ("default_template", "make_client", "load_dataset", "load_split",
+                          "load_environment", "load_dd_source", "memoized_runs")}
+    config_path = data_path("experiment_replay.json")
+    config = json.loads(config_path.read_text())
+    assert len(config["seeds"]) == 3
+    run_experiment(config, config_path.parent, tmp_path)
+    assert {name: len(calls) for name, calls in loads.items()} == dict.fromkeys(loads, 1)

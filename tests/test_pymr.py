@@ -523,6 +523,43 @@ def test_non_finite_answers_are_type_mismatch(geo_model, expr, shown_as):
                                             f"as an answer"}
 
 
+# An int past the largest float is no answer either, alone or in a list.  One
+# past str()'s 4300-digit limit is named by its width: 10 ** 9 squared nine times
+# is 10 ** 4608.
+SQUARED_NINE_TIMES = "x = 1000000000\n    for i in [1, 2, 3, 4, 5, 6, 7, 8, 9]:\n        x = x * x\n    "
+
+
+@pytest.mark.parametrize("environment,body,shown_as", [
+    ("geo", f"return 1{'0' * 400}", f"1{'0' * 400}"),
+    ("geo", f"return -1{'0' * 400}", f"-1{'0' * 400}"),
+    ("geo", f"return [2, 1{'0' * 400}]", f"1{'0' * 400}"),
+    ("geo", SQUARED_NINE_TIMES + "return x", "<int of 15308 bits>"),
+    ("geo", SQUARED_NINE_TIMES + "return [x, geo_model.states[0]]", "<int of 15308 bits>"),
+    ("social", SQUARED_NINE_TIMES + "return [x, api.people[0]]", "<int of 15308 bits>"),
+])
+def test_huge_int_answers_are_type_mismatch(request, environment, body, shown_as):
+    world = request.getfixturevalue({"geo": "geo_model", "social": "social_db"}[environment])
+    outcome = run_program("pymr", f"def answer():\n    {body}", environment, world)
+    assert outcome.to_json() == {"ok": False, "error": "type-mismatch",
+                                 "message": f"type-mismatch: cannot interpret {shown_as} "
+                                            f"as an answer"}
+
+
+def test_ints_up_to_14284_bits_show_their_digits():
+    assert shown(2 ** 14284 - 1) == str(2 ** 14284 - 1)  # 4300 digits
+    assert shown(-2 ** 14284) == "<int of 14285 bits>"
+    assert shown([1, 10 ** 4608]) == "[1, <int of 15308 bits>]"
+
+
+# Geo lookups take a name string; any other argument is the program's type-mismatch.
+@pytest.mark.parametrize("call", ["geo_model.find_state(5)", "geo_model.find_city(5)",
+                                  "geo_model.find_river(None)", 'geo_model.find_place(["texas"])'])
+def test_geo_lookups_refuse_a_name_that_is_not_a_string(geo_model, call):
+    outcome = run_program("pymr", f"def answer():\n    return {call}", "geo", geo_model)
+    assert outcome.to_json() == {"ok": False, "error": "type-mismatch",
+                                 "message": "type-mismatch: a geo lookup expects a name string"}
+
+
 # A value whose repr would hold a memory address or a module path is named by
 # its class or qualified name, so a failure message is the same in every process;
 # any other value keeps its repr.
