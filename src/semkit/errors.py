@@ -73,10 +73,10 @@ def shown(value, _within=()) -> str:
     """``value`` as a failure message shows it: its repr, or, for values whose repr
     holds a memory address or a module path (objects with the default repr, classes
     outside ``builtins``, functions, methods of builtin or default-repr objects), its
-    class's or its own qualified name, which is the same in every process.  An int
-    wider than 14284 bits shows its width, not its digits.  A list,
+    class's or its own qualified name, which is the same in every process.  A list,
     tuple or set shows its items so (a set holding such an item sorts them, as their
-    order may follow their addresses), and one within itself (``_within``) as repr does."""
+    order may follow their addresses), and one within itself (``_within``) as repr does.
+    An int wider than 14284 bits shows its width, not its digits."""
     if (isinstance(value, (type, FunctionType)) and value.__module__ != "builtins"
             or isinstance(value, BuiltinMethodType) and not isinstance(value.__self__, ModuleType)
             or isinstance(value, MethodType) and type(value.__self__).__repr__ is object.__repr__):
@@ -92,9 +92,10 @@ def shown(value, _within=()) -> str:
         return _DISPLAYS[kind].format("...")
     items = [shown(item, (*_within, id(value))) for item in value]
     if kind is set or kind is frozenset:
-        if items == [repr(item) for item in value]:  # no item changed, or set() itself
+        if not items:  # set() or frozenset()
             return repr(value)
-        items.sort()
+        if items != [shown(item) if type(item) is int else repr(item) for item in value]:
+            items.sort()  # a renamed item: the set's order may follow its address
     return _DISPLAYS[kind].format(", ".join(items) + "," * (kind is tuple and len(items) == 1))
 
 

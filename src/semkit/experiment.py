@@ -56,8 +56,9 @@ def load_config_environment(environment: str, environment_file: str | None, base
     """The environment object a config names; ``environment_file`` defaults to the bundled one."""
     if environment not in ENVIRONMENTS:
         raise SemkitError(f"unknown environment {environment!r}")
-    return load_environment(environment, resources.environment_path(environment)
-                            if environment_file is None else resolve_path(environment_file, base))
+    if environment_file is None:
+        return load_environment(environment, resources.environment_path(environment))
+    return load_environment(environment, resolve_path(environment_file, base))
 
 
 CLIENT_MODES = ("live", "record", "replay")
@@ -69,7 +70,8 @@ _CLIENT = Schema(("mode", STRING, "replay"), ("model", STRING, "unspecified-mode
 def make_client(client_config: dict, base: Path, where: str) -> tuple[LlmClient, str]:
     """The client a config's ``client`` block declares, checked before its cache is read,
     and the model id it asks for."""
-    mode, model, cache, endpoint, api_key_env = _CLIENT.read(client_config, where, within="client")
+    mode, model, cache, endpoint, api_key_env = _CLIENT.read(client_config, where,
+                                                             within="client")
     if mode not in CLIENT_MODES:
         raise SemkitError(f"unknown client mode {mode!r} (known: {', '.join(CLIENT_MODES)})")
     if mode != "replay" and endpoint is None:
@@ -84,7 +86,8 @@ def make_client(client_config: dict, base: Path, where: str) -> tuple[LlmClient,
 def dd_text(environment: str, dialect: str, variant: str) -> str:
     if variant == "none":
         return ""
-    return render_dd(load_dd_source(resources.dd_path(environment, dialect)), variant)
+    declarations = load_dd_source(resources.dd_path(environment, dialect))
+    return render_dd(declarations, variant)
 
 
 class DemoSelector:

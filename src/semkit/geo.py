@@ -134,7 +134,7 @@ class GeoModel:
     country: Country
 
     def find_state(self, name: str) -> State | None:
-        return _find_unique(self.states, name)
+        return next(iter(_named(self.states, name)), None)
 
     def find_city(self, name: str):
         """Single city, or a list when several share the name, or None."""
@@ -144,22 +144,18 @@ class GeoModel:
         return matches[0] if len(matches) == 1 else matches
 
     def find_river(self, name: str) -> River | None:
-        return _find_unique(self.rivers, name)
+        return next(iter(_named(self.rivers, name)), None)
 
     def find_place(self, name: str) -> Place | None:
-        return _find_unique(self.places, name)
+        return next(iter(_named(self.places, name)), None)
 
 
 def _named(items, name: str) -> list:
+    """The items called ``name``, in any case; a name that is not a string is a type-mismatch."""
     if not isinstance(name, str):
         raise MrExecError("type-mismatch", "a geo lookup expects a name string")
     name = name.lower()
     return [item for item in items if item.name == name]
-
-
-def _find_unique(items, name: str):
-    matches = _named(items, name)
-    return matches[0] if matches else None
 
 
 # entity type -> its kind, the first half of an entity reference

@@ -536,6 +536,7 @@ SQUARED_NINE_TIMES = "x = 1000000000\n    for i in [1, 2, 3, 4, 5, 6, 7, 8, 9]:\
     ("geo", SQUARED_NINE_TIMES + "return x", "<int of 15308 bits>"),
     ("geo", SQUARED_NINE_TIMES + "return [x, geo_model.states[0]]", "<int of 15308 bits>"),
     ("social", SQUARED_NINE_TIMES + "return [x, api.people[0]]", "<int of 15308 bits>"),
+    ("geo", SQUARED_NINE_TIMES + "return [set([x, 1])]", "{<int of 15308 bits>, 1}"),
 ])
 def test_huge_int_answers_are_type_mismatch(request, environment, body, shown_as):
     world = request.getfixturevalue({"geo": "geo_model", "social": "social_db"}[environment])
@@ -549,6 +550,8 @@ def test_ints_up_to_14284_bits_show_their_digits():
     assert shown(2 ** 14284 - 1) == str(2 ** 14284 - 1)  # 4300 digits
     assert shown(-2 ** 14284) == "<int of 14285 bits>"
     assert shown([1, 10 ** 4608]) == "[1, <int of 15308 bits>]"
+    assert [shown(s) for s in (set(), frozenset(), {10, 9, 100}, frozenset({2}))] == \
+        ["set()", "frozenset()", repr({10, 9, 100}), "frozenset({2})"]
 
 
 # Geo lookups take a name string; any other argument is the program's type-mismatch.
