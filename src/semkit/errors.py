@@ -74,8 +74,8 @@ def shown(value, _within=()) -> str:
     holds a memory address or a module path (objects with the default repr, classes
     outside ``builtins``, functions, methods of builtin or default-repr objects), its
     class's or its own qualified name, which is the same in every process.  A list,
-    tuple or set shows its items so (a set holding such an item sorts them, as their
-    order may follow their addresses), and one within itself (``_within``) as repr does.
+    tuple or set shows its items so (a set sorts them, as their order may follow the
+    string hash seed or their addresses), and one within itself (``_within``) as repr does.
     An int wider than 14284 bits shows its width, not its digits."""
     if (isinstance(value, (type, FunctionType)) and value.__module__ != "builtins"
             or isinstance(value, BuiltinMethodType) and not isinstance(value.__self__, ModuleType)
@@ -94,8 +94,7 @@ def shown(value, _within=()) -> str:
     if kind is set or kind is frozenset:
         if not items:  # set() or frozenset()
             return repr(value)
-        if items != [shown(item) if type(item) is int else repr(item) for item in value]:
-            items.sort()  # a renamed item: the set's order may follow its address
+        items.sort()
     return _DISPLAYS[kind].format(", ".join(items) + "," * (kind is tuple and len(items) == 1))
 
 

@@ -26,8 +26,8 @@ from typing import TYPE_CHECKING
 from .errors import PoolExhaustedError
 from .outcomes import Denotation, Outcome, WorldDelta
 
-if TYPE_CHECKING:  # an annotation only: importing this module loads no interpreter
-    from .calflow import CalendarWorld
+if TYPE_CHECKING:  # an annotation only: importing this module loads no world
+    from .calendar_world import CalendarWorld
 
 NUMBER_RELATIVE_TOLERANCE = 1e-9
 

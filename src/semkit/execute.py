@@ -33,8 +33,8 @@ from .outcomes import Outcome
 # environment -> (loader module, loader function)
 ENVIRONMENTS = {
     "geo": ("semkit.geo", "load_geobase"),
-    "social": ("semkit.social", "load_social_db"),
-    "calendar": ("semkit.calflow", "load_world"),
+    "social": ("semkit.social_db", "load_social_db"),
+    "calendar": ("semkit.calendar_world", "load_world"),
 }
 
 

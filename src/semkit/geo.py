@@ -125,7 +125,7 @@ class Country:
         return f"<country {self.name}>"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)  # shown by its class name, not as the whole world
 class GeoModel:
     states: list[State]
     cities: list[City]

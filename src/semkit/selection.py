@@ -56,11 +56,9 @@ length norm ``k1 * (1 - b + b * |d| / avgdl)``.  A term's weights
 ``idf * f * (k1 + 1) / (f + norm)`` are computed the first time a query uses
 the term, in one list comprehension over its documents, with the same
 expression in the same order as above, so each is the same float.  The
-weights are cached on the index as a finished (positions, weights) tuple:
-threads sharing an index may compute an entry twice but never read half of
-one.  A term with zero IDF gets no weights.  Each would be 0.0, and
-``x + 0.0 == x`` for every x but -0.0, which no score is: a sum that starts at
-+0.0 never becomes -0.0.
+weights are cached on the index as a (positions, weights) tuple.  A term with
+zero IDF gets no weights.  Each would be 0.0, and ``x + 0.0 == x`` for every x
+but -0.0, which no score is: a sum that starts at +0.0 never becomes -0.0.
 
 A query adds the weights of its terms in query order, repeats included, into
 a list of N floats, so every score is bitwise the per-document sum above.

@@ -1,12 +1,5 @@
-"""Social-network environment: people database and the two λ-DCS dialects.
+"""The two λ-DCS dialects over the people database of :mod:`semkit.social_db`.
 
-The database holds people (``en.person.*`` ids) with enum-valued attributes
-(``en.gender.male`` style id strings), year-granularity dates, friendships
-(symmetric), and education/employment history records, their fields declared in
-``_PERSON``, ``_EDUCATION`` and ``_EMPLOYMENT``.
-
-Dialects
---------
 The *full* dialect wraps every application in ``(call SW.op ...)``, every
 string in ``(string x)``, years in ``(date y -1 -1)``, plain numbers in
 ``(number n)``, and bare entities in set position in ``(call SW.singleton e)``.
@@ -41,139 +34,12 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from .errors import MAX_DEPTH, TOO_DEEP, DataFormatError, MrExecError, MrParseError
-from .outcomes import Denotation, denotation_of
-from .readonly import ReadOnlyList
-from .resources import BOOLEAN, INTEGER, STRING, STRINGS, Schema, objects_of, read_world
-
-
-@dataclass(eq=False)
-class EducationRecord:
-    institution: str
-    start_date: int
-    end_date: int
-
-
-@dataclass(eq=False)
-class EmploymentRecord:
-    employer: str
-    job_title: str
-    start_date: int
-    end_date: int
-
-
-@dataclass(eq=False)
-class Person:
-    id: str
-    name: str
-    gender: str
-    birthdate: int
-    birthplace: str
-    height: int
-    relationship_status: str
-    is_student: bool
-    friends: list["Person"] = field(default_factory=list)
-    education: list[EducationRecord] = field(default_factory=list)
-    employment: list[EmploymentRecord] = field(default_factory=list)
-
-    def __repr__(self):
-        return f"<{self.id}>"
-
-
-@dataclass(eq=False)
-class SocialDb:
-    people: list[Person]
-
-    def __post_init__(self):
-        self.by_id = {p.id: p for p in self.people}
-
-    def find_person_by_id(self, person_id: str) -> Person:
-        if person_id not in self.by_id:
-            raise MrExecError("name-not-found", f"no person {person_id!r}")
-        return self.by_id[person_id]
-
-
-_PERSON = Schema(("name", STRING), ("gender", STRING), ("birthdate", INTEGER),
-                 ("birthplace", STRING), ("height", INTEGER), ("relationship_status", STRING),
-                 ("is_student", BOOLEAN), ("friends", STRINGS, ()))
-_EDUCATION = Schema(("institution", STRING), ("start_date", INTEGER), ("end_date", INTEGER))
-_EMPLOYMENT = Schema(("employer", STRING), ("job_title", STRING), ("start_date", INTEGER),
-                     ("end_date", INTEGER))
-
-
-def _history(path, person_id, raw: dict, key: str, schema: Schema, build) -> list:
-    """``build`` applied to each record of the optional list ``raw[key]``."""
-    return [build(*schema.read(record, path, person_id, (key, at)))
-            for at, record in enumerate(objects_of(raw, key, path, person_id, ()))]
-
-
-def load_social_db(path, data=None) -> SocialDb:
-    """Load and check a social db from the file at ``path``, or from its bytes ``data``."""
-    _, people_of = read_world(path, data)
-    by_id: dict[str, Person] = {}
-    friend_ids = {}
-    for pid, raw in people_of:
-        *attributes, friend_ids[pid] = _PERSON.read(raw, path, pid)
-        person = Person(pid, *attributes,
-                        education=_history(path, pid, raw, "education", _EDUCATION,
-                                           EducationRecord),
-                        employment=_history(path, pid, raw, "employment", _EMPLOYMENT,
-                                            EmploymentRecord))
-        if pid in by_id:
-            raise DataFormatError(f"{path}: duplicate person id {pid!r}")
-        for rec in [*person.education, *person.employment]:
-            if rec.start_date > rec.end_date:
-                raise DataFormatError(f"{path}: {pid}: start_date after end_date")
-        by_id[pid] = person
-    people = list(by_id.values())
-    for person in people:
-        for friend_id in friend_ids[person.id]:
-            if friend_id not in by_id:
-                raise DataFormatError(f"{path}: {person.id}: unknown friend {friend_id!r}")
-            person.friends.append(by_id[friend_id])
-    for person in people:
-        for friend in person.friends:
-            if person not in friend.friends:
-                raise DataFormatError(
-                    f"{path}: friendship not symmetric: {person.id} -> {friend.id}")
-        person.friends = ReadOnlyList(person.friends)
-        person.education = ReadOnlyList(person.education)
-        person.employment = ReadOnlyList(person.employment)
-    return SocialDb(people=ReadOnlyList(people))
-
-
-class Gender:
-    male = "en.gender.male"
-    female = "en.gender.female"
-
-
-class SocialApi:
-    def __init__(self, db: SocialDb):
-        self.people = db.people
-        self._db = db
-
-    def find_person_by_id(self, person_id: str) -> Person:
-        return self._db.find_person_by_id(person_id)
-
-
-# what a pymr program sees of a social database; the fields are laid out in semkit.pymr
-PYMR = (
-    lambda db: {"api": SocialApi(db), "Gender": Gender},
-    frozenset({
-        "api", "SocialApi", "Person", "EducationRecord", "EmploymentRecord", "Gender",
-        "people", "find_person_by_id",
-        "id", "name", "gender", "birthdate", "birthplace", "height",
-        "relationship_status", "is_student", "friends", "education", "employment",
-        "institution", "employer", "job_title", "start_date", "end_date",
-        "male", "female",
-    }),
-    (Person, EducationRecord, EmploymentRecord, SocialApi),
-    (Gender,),
-    lambda value, binding: denotation_of(value, (Person, str), value_ref),
-)
+from .errors import MAX_DEPTH, TOO_DEEP, MrExecError, MrParseError
+from .outcomes import Denotation
+from .social_db import Person, SocialDb, value_ref
 
 
 # --- s-expressions --------------------------------------------------------
@@ -638,15 +504,6 @@ class _LdcsEval:
         if not values or not all(isinstance(v, (int, float)) for v in values):
             raise MrExecError("type-mismatch", "aggregate needs a nonempty number set")
         return [_AGGREGATES[mode.text](values)]
-
-
-def value_ref(item) -> tuple[str, str]:
-    """Canonical (kind, id) pair for a social execution result item."""
-    if isinstance(item, Person):
-        return ("person", item.id)
-    parts = str(item).split(".")
-    kind = parts[1] if len(parts) >= 3 and parts[0] == "en" else "value"
-    return (kind, str(item))
 
 
 def exec_ldcs_simple(ast: LdcsAst, db: SocialDb) -> Denotation:

@@ -2,11 +2,11 @@ import time
 
 import pytest
 
-from semkit.calflow import load_world
+from semkit.calendar_world import load_world
 from semkit.corpus import load_dataset, load_split
 from semkit.geo import load_geobase
 from semkit.resources import dataset_path, environment_path, split_path
-from semkit.social import load_social_db
+from semkit.social_db import load_social_db
 
 _SESSION_START = time.monotonic()
 ACCEPTANCE_LINES: list[str] = []

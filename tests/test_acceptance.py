@@ -161,7 +161,7 @@ def test_c7_evaluation_rule_properties(geo_model, calendar_world, smcalflow, tmp
     assert compare_states(WorldDelta((CreatedEvent(subject="A", **base),)),
                           WorldDelta((CreatedEvent(subject="B", **base),)))
 
-    from semkit.calflow import load_world
+    from semkit.calendar_world import load_world
     world_json = json.loads(environment_path("calendar").read_text())
     example = smcalflow["sm-16"]
     for i in range(100):
@@ -190,7 +190,7 @@ def test_c7_evaluation_rule_properties(geo_model, calendar_world, smcalflow, tmp
 def test_c8_next_dow_lands_within_week():
     import datetime as dt
 
-    from semkit.calflow import DateTimeClause, resolve_datetime
+    from semkit.calendar_world import DateTimeClause, resolve_datetime
 
     rng = random.Random(17)
     days = ["monday", "tuesday", "wednesday", "thursday", "friday", "saturday", "sunday"]

@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from semkit.calflow import (Call, DateTimeClause, DateTimeValues, Word,
-                            exec_dfs, extract_operators, load_world, parse_dfs, render_dfs,
-                            resolve_datetime)
+from semkit.calendar_world import DateTimeClause, DateTimeValues, load_world, resolve_datetime
+from semkit.calflow import Call, Word, exec_dfs, extract_operators, parse_dfs, render_dfs
 from semkit.errors import DataFormatError, MrExecError, MrParseError
 from semkit.execute import run_program
 from semkit.outcomes import WorldDelta

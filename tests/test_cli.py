@@ -439,10 +439,11 @@ print(sorted(name for name in ("urllib.request", "http.client", "ssl") if name i
 """
 
 
-def _python(probe: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``probe`` in a fresh interpreter that imports this checkout's semkit."""
+def _python(probe: str, *args: str, **variables: str) -> subprocess.CompletedProcess:
+    """Run ``probe`` in a fresh interpreter that imports this checkout's semkit, with
+    the environment ``variables`` set."""
     src = str(Path(semkit.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **variables, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run([sys.executable, "-c", probe, *args], env=env,
                           capture_output=True, text=True, timeout=60)
@@ -454,51 +455,68 @@ def test_importing_the_cli_leaves_the_live_transport_modules_out():
     assert result.stdout.strip() == "[]"
 
 
-# Prints the interpreter modules loaded after importing the CLI, after the
-# benchmark's set-up probe on the geo world, and after the first FunQL run; then
-# how many runs went through a counting exec_funql rebound before or after that run.
+# Prints the interpreter and world modules loaded after importing the CLI, after
+# the benchmark's set-up probe on one world, and after that world's first program
+# in its native dialect; then how many runs went through a counting execute
+# function rebound before or after that run.
 _INTERPRETERS_PROBE = """
 import sys
-INTERPRETERS = ("semkit.calflow", "semkit.funql", "semkit.geo", "semkit.pymr", "semkit.social")
-loaded = lambda: print([name for name in INTERPRETERS if name in sys.modules])
+from importlib import import_module
+MODULES = ("semkit.calendar_world", "semkit.calflow", "semkit.funql", "semkit.geo",
+           "semkit.pymr", "semkit.social", "semkit.social_db")
+loaded = lambda: print([name for name in MODULES if name in sys.modules])
 import semkit.cli, semkit.experiment
 loaded()
+environment, dataset, dialect, program, interpreter, execute, rebound = sys.argv[1:]
 import semkit
 from semkit.corpus import load_dataset, load_split
 from semkit.execute import load_environment, run_program
 from semkit.llm import ReplayCache
 from semkit.prompts import load_dd_source
 from semkit.resources import data_path, dd_path, environment_path
-load_split(data_path("splits", "geoquery_iid.json"),
-           load_dataset(data_path("datasets", "geoquery.jsonl")))
+load_split(data_path("splits", dataset + "_iid.json"),
+           load_dataset(data_path("datasets", dataset + ".jsonl")))
 ReplayCache(data_path("replay_cache.jsonl"))
-load_dd_source(dd_path("geo", "funql"))
-geo_model = load_environment("geo", environment_path("geo"))
+load_dd_source(dd_path(environment, dialect))
+world = load_environment(environment, environment_path(environment))
 loaded()
 calls = []
 def rebind():
-    import semkit.funql as funql
-    original = funql.exec_funql
-    funql.exec_funql = lambda ast, world: calls.append(ast) or original(ast, world)
-if sys.argv[1] == "before":
+    module = import_module(interpreter)
+    original = getattr(module, execute)
+    setattr(module, execute, lambda ast, world: calls.append(ast) or original(ast, world))
+if rebound == "before":
     rebind()
-first = run_program("funql", "answer(count(state(all)))", "geo", geo_model)
+first = run_program(dialect, program, environment, world)
 loaded()
-if sys.argv[1] == "after":
+if rebound == "after":
     rebind()
-second = run_program("funql", "answer(count(state(all)))", "geo", geo_model)
+second = run_program(dialect, program, environment, world)
 print(first.ok, first == second, len(calls))
 """
 
 
+@pytest.mark.parametrize("environment, dataset, dialect, program, interpreter, execute, world", [
+    ("geo", "geoquery", "funql", "answer(count(state(all)))", "semkit.funql", "exec_funql",
+     "semkit.geo"),
+    ("social", "overnight", "ldcs",
+     "(call SW.listValue (call SW.getProperty en.person (string !type)))", "semkit.social",
+     "exec_ldcs_simple", "semkit.social_db"),
+    ("calendar", "smcalflow", "dataflow-simple",
+     "CreateEvent( AND( at_location( Central Park ) , starts_at( NextDOW( FRIDAY ) ) ) )",
+     "semkit.calflow", "exec_dfs", "semkit.calendar_world"),
+], ids=["geo", "social", "calendar"])
 @pytest.mark.parametrize("rebound, runs_counted", [("before", 2), ("after", 1)])
-def test_interpreters_are_imported_on_first_use(rebound, runs_counted):
-    result = _python(_INTERPRETERS_PROBE, rebound)
+def test_interpreters_are_imported_on_first_use(environment, dataset, dialect, program,
+                                                interpreter, execute, world, rebound,
+                                                runs_counted):
+    result = _python(_INTERPRETERS_PROBE, environment, dataset, dialect, program, interpreter,
+                     execute, rebound)
     assert result.returncode == 0, result.stderr
     cli, setup, first_run, runs = result.stdout.splitlines()
     assert cli == "[]"
-    assert setup == "['semkit.geo']"
-    assert first_run == "['semkit.funql', 'semkit.geo']"
+    assert setup == f"[{world!r}]"
+    assert first_run == repr(sorted([interpreter, world]))
     assert runs == f"True True {runs_counted}"
 
 
@@ -508,7 +526,8 @@ def test_interpreters_are_imported_on_first_use(rebound, runs_counted):
 _PYMR_PROBE = """
 import sys
 import semkit.pymr
-modules = ("semkit.calflow", "semkit.funql", "semkit.geo", "semkit.social")
+modules = ("semkit.calendar_world", "semkit.calflow", "semkit.funql", "semkit.geo",
+           "semkit.social", "semkit.social_db")
 print([m for m in modules if m in sys.modules])
 from semkit.execute import load_environment, run_program
 from semkit.resources import environment_path
@@ -521,13 +540,40 @@ print(outcome.ok, [m for m in modules if m in sys.modules])
 
 @pytest.mark.parametrize("environment, body, world_module", [
     ("geo", "return geo_model.states[0]", "semkit.geo"),
-    ("social", "return api.people[0]", "semkit.social"),
-    ("calendar", "api.add_event(Event())", "semkit.calflow"),
+    ("social", "return api.people[0]", "semkit.social_db"),
+    ("calendar", "api.add_event(Event())", "semkit.calendar_world"),
 ])
 def test_a_pymr_run_loads_no_other_world(environment, body, world_module):
     result = _python(_PYMR_PROBE, environment, body)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["[]", f"True [{world_module!r}]"]
+
+
+# Prints the failure message of one geo pymr program.
+_MESSAGE_PROBE = """
+import sys
+from semkit.execute import load_environment, run_program
+from semkit.resources import environment_path
+geo_model = load_environment("geo", environment_path("geo"))
+print(run_program("pymr", "def answer():\\n    " + sys.argv[1], "geo", geo_model).message)
+"""
+
+
+# A set's order follows the string hash seed or its items' addresses; its message
+# does not, as shown sorts the items.
+@pytest.mark.parametrize("body, shown_as", [
+    ('return [set(["alpha", "beta", "gamma", "delta"])]', "{'alpha', 'beta', 'delta', 'gamma'}"),
+    ("return [set(geo_model.states)]",
+     "{<state arkansas>, <state colorado>, <state kansas>, <state louisiana>, <state missouri>, "
+     "<state new mexico>, <state oklahoma>, <state texas>}"),
+])
+def test_a_set_in_a_failure_message_is_the_same_under_any_hash_seed(body, shown_as):
+    messages = set()
+    for hash_seed in ("1", "2"):
+        result = _python(_MESSAGE_PROBE, body, PYTHONHASHSEED=hash_seed)
+        assert result.returncode == 0, result.stderr
+        messages.add(result.stdout)
+    assert messages == {f"type-mismatch: cannot interpret {shown_as} as an answer\n"}
 
 
 # Four threads run FunQL programs from the first one on, switching as often as

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from semkit.calflow import load_world
+from semkit.calendar_world import load_world
 from semkit.errors import PoolExhaustedError
 from semkit.evaluation import (POLICIES, ComparisonPolicy, canonicalize_names,
                                compare_denotations, compare_outcomes, compare_states,

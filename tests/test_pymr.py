@@ -4,14 +4,14 @@ import re
 
 import pytest
 
-from semkit import calflow
-from semkit.calflow import CalendarApi, CalendarPerson, Event
+from semkit.calendar_world import (CalendarApi, CalendarPerson, DateTimeClause, DateTimeValues,
+                                   Event)
 from semkit.errors import MAX_DEPTH, TOO_DEEP, MrParseError, UnsupportedConstructError, shown
 from semkit.execute import run_program
 from semkit.funql import exec_funql, parse_funql
 from semkit.geo import City, Country, GeoModel, Place, River, State
 from semkit.pymr import BUILTIN_NAMES, binding_names, exec_pymr, extract_operators, parse_pymr
-from semkit.social import EducationRecord, EmploymentRecord, Gender, Person, SocialApi
+from semkit.social_db import EducationRecord, EmploymentRecord, Gender, Person, SocialApi
 
 LARGEST_STATE_ELEVATION = ("def answer():\n"
               "    largest_state = max(geo_model.states, key=lambda x: x.size)\n"
@@ -283,8 +283,7 @@ _SURFACE = {
     "social": {"SocialApi": SocialApi, "Person": Person, "EducationRecord": EducationRecord,
                "EmploymentRecord": EmploymentRecord, "Gender": Gender},
     "calendar": {"CalendarApi": CalendarApi, "Person": CalendarPerson, "Event": Event,
-                 "DateTimeClause": calflow.DateTimeClause,
-                 "DateTimeValues": calflow.DateTimeValues},
+                 "DateTimeClause": DateTimeClause, "DateTimeValues": DateTimeValues},
 }
 
 _ROOTS = {"geo": {"geo_model"}, "social": {"api"}, "calendar": {"api"}}
@@ -536,7 +535,7 @@ SQUARED_NINE_TIMES = "x = 1000000000\n    for i in [1, 2, 3, 4, 5, 6, 7, 8, 9]:\
     ("geo", SQUARED_NINE_TIMES + "return x", "<int of 15308 bits>"),
     ("geo", SQUARED_NINE_TIMES + "return [x, geo_model.states[0]]", "<int of 15308 bits>"),
     ("social", SQUARED_NINE_TIMES + "return [x, api.people[0]]", "<int of 15308 bits>"),
-    ("geo", SQUARED_NINE_TIMES + "return [set([x, 1])]", "{<int of 15308 bits>, 1}"),
+    ("geo", SQUARED_NINE_TIMES + "return [set([x, 1])]", "{1, <int of 15308 bits>}"),
 ])
 def test_huge_int_answers_are_type_mismatch(request, environment, body, shown_as):
     world = request.getfixturevalue({"geo": "geo_model", "social": "social_db"}[environment])
@@ -551,7 +550,7 @@ def test_ints_up_to_14284_bits_show_their_digits():
     assert shown(-2 ** 14284) == "<int of 14285 bits>"
     assert shown([1, 10 ** 4608]) == "[1, <int of 15308 bits>]"
     assert [shown(s) for s in (set(), frozenset(), {10, 9, 100}, frozenset({2}))] == \
-        ["set()", "frozenset()", repr({10, 9, 100}), "frozenset({2})"]
+        ["set()", "frozenset()", "{10, 100, 9}", "frozenset({2})"]
 
 
 # Geo lookups take a name string; any other argument is the program's type-mismatch.
@@ -564,8 +563,8 @@ def test_geo_lookups_refuse_a_name_that_is_not_a_string(geo_model, call):
 
 
 # A value whose repr would hold a memory address or a module path is named by
-# its class or qualified name, so a failure message is the same in every process;
-# any other value keeps its repr.
+# its class or qualified name, and a set's items are sorted, so a failure message
+# is the same in every process; any other value keeps its repr.
 @pytest.mark.parametrize("environment,body,message", [
     ("social", "return api", "cannot interpret SocialApi as an answer"),
     ("social", "return [api.people[0], api]", "cannot interpret SocialApi as an answer"),
@@ -583,6 +582,12 @@ def test_geo_lookups_refuse_a_name_that_is_not_a_string(geo_model, call):
     ("social", "return [[api, api.find_person_by_id, 1]]",
      "cannot interpret [SocialApi, SocialApi.find_person_by_id, 1] as an answer"),
     ("social", "return [set([api, 2])]", "cannot interpret {2, SocialApi} as an answer"),
+    ("geo", "return geo_model", "cannot interpret GeoModel as an answer"),
+    ("geo", 'return [set(["alpha", "beta", "gamma", "delta"])]',
+     "cannot interpret {'alpha', 'beta', 'delta', 'gamma'} as an answer"),
+    ("geo", "return [set(geo_model.states)]",
+     "cannot interpret {<state arkansas>, <state colorado>, <state kansas>, <state louisiana>, "
+     "<state missouri>, <state new mexico>, <state oklahoma>, <state texas>} as an answer"),
     ("calendar", "api.add_event(Event(starts_at=[[api]]))",
      "[CalendarApi] is not a date/time clause"),
     ("calendar", "api.add_event(Event(attendees=[Event()]))", "Event is not a person"),
@@ -616,7 +621,9 @@ def test_shown_names_address_bearing_items_of_any_builtin_container():
     inner.append(outer)
     for value, text in [((item,), "(Opaque,)"), ((item, [item]), "(Opaque, [Opaque])"),
                         (frozenset({item, 3}), "frozenset({3, Opaque})"),
-                        (cycle, "[Opaque, [...]]"), (outer, "([(...)],)")]:
+                        (cycle, "[Opaque, [...]]"), (outer, "([(...)],)"),
+                        ({10, 2, 18}, "{10, 18, 2}"),
+                        (frozenset({"b", "a"}), "frozenset({'a', 'b'})")]:
         assert shown(value) == text
-    for plain in ([1, "a", 2.5, None], (1,), {10, 2, 18}, frozenset({"b", "a"}), [], set(), ()):
+    for plain in ([1, "a", 2.5, None], (1,), [], set(), ()):
         assert shown(plain) == repr(plain)

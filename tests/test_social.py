@@ -7,8 +7,9 @@ from semkit.errors import DataFormatError, MrParseError
 from semkit.execute import run_program
 from semkit.outcomes import Denotation
 from semkit.resources import environment_path
-from semkit.social import (Sym, desimplify_ldcs, exec_ldcs_simple, extract_operators,
-                           load_social_db, parse_ldcs, render_ldcs, simplify_ldcs)
+from semkit.social import (Sym, desimplify_ldcs, exec_ldcs_simple, extract_operators, parse_ldcs,
+                           render_ldcs, simplify_ldcs)
+from semkit.social_db import load_social_db
 
 CANON_FULL = ("(call SW.listValue (call SW.filter (call SW.filter (call SW.getProperty "
                "(call SW.singleton en.person) (string !type)) (string gender) (string =) "
