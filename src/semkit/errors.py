@@ -74,8 +74,9 @@ def shown(value, _within=()) -> str:
     holds a memory address or a module path (objects with the default repr, classes
     outside ``builtins``, functions, methods of builtin or default-repr objects), its
     class's or its own qualified name, which is the same in every process.  A list,
-    tuple or set shows its items so (a set sorts them, as their order may follow the
-    string hash seed or their addresses), and one within itself (``_within``) as repr does.
+    tuple or set shows its items so (a set sorts them, ints and floats by value first,
+    then the rest by their text, as their order may follow the string hash seed or
+    their addresses), and one within itself (``_within``) as repr does.
     An int wider than 14284 bits shows its width, not its digits."""
     if (isinstance(value, (type, FunctionType)) and value.__module__ != "builtins"
             or isinstance(value, BuiltinMethodType) and not isinstance(value.__self__, ModuleType)
@@ -94,8 +95,16 @@ def shown(value, _within=()) -> str:
     if kind is set or kind is frozenset:
         if not items:  # set() or frozenset()
             return repr(value)
-        items.sort()
+        items = [text for _, text in sorted(zip(map(_rank, value), items))]
     return _DISPLAYS[kind].format(", ".join(items) + "," * (kind is tuple and len(items) == 1))
+
+
+def _rank(item) -> tuple:
+    """A set item's sort key ahead of its text: ints and floats (not bools or NaN)
+    by value, before all else."""
+    if type(item) in (int, float) and item == item:
+        return (0, item)
+    return (1, 0)
 
 
 class PoolExhaustedError(SemkitError):

@@ -550,7 +550,7 @@ def test_ints_up_to_14284_bits_show_their_digits():
     assert shown(-2 ** 14284) == "<int of 14285 bits>"
     assert shown([1, 10 ** 4608]) == "[1, <int of 15308 bits>]"
     assert [shown(s) for s in (set(), frozenset(), {10, 9, 100}, frozenset({2}))] == \
-        ["set()", "frozenset()", "{10, 100, 9}", "frozenset({2})"]
+        ["set()", "frozenset()", "{9, 10, 100}", "frozenset({2})"]
 
 
 # Geo lookups take a name string; any other argument is the program's type-mismatch.
@@ -622,7 +622,8 @@ def test_shown_names_address_bearing_items_of_any_builtin_container():
     for value, text in [((item,), "(Opaque,)"), ((item, [item]), "(Opaque, [Opaque])"),
                         (frozenset({item, 3}), "frozenset({3, Opaque})"),
                         (cycle, "[Opaque, [...]]"), (outer, "([(...)],)"),
-                        ({10, 2, 18}, "{10, 18, 2}"),
+                        ({10, 2, 18}, "{2, 10, 18}"),
+                        ({True, 2.5, -1, "b"}, "{-1, 2.5, 'b', True}"),
                         (frozenset({"b", "a"}), "frozenset({'a', 'b'})")]:
         assert shown(value) == text
     for plain in ([1, "a", 2.5, None], (1,), [], set(), ()):
