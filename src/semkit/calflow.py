@@ -200,22 +200,30 @@ def _resolve_people(node, world: CalendarWorld) -> list[CalPerson]:
     raise MrExecError("unresolvable-constraint", f"cannot resolve people from {node!r}")
 
 
+# a constraint that sets one Event field, at most once: head -> (field, argument kind, what
+# the argument must be)
+_SINGLE = {"at_location": ("location", Word, "words"), "has_subject": ("subject", Word, "words"),
+           "has_duration": ("duration", NumberArg, "minutes")}
+
+
 def _apply_constraint(node, event: Event, world: CalendarWorld) -> None:
     if not isinstance(node, Call):
         raise MrExecError("unresolvable-constraint", f"bad constraint {node!r}")
     if node.head == "AND":
         for arg in node.args:
             _apply_constraint(arg, event, world)
-    elif node.head == "at_location":
-        event.location = node.args[0].text
-    elif node.head == "has_subject":
-        event.subject = node.args[0].text
+    elif node.head in _SINGLE:
+        field, kind, what = _SINGLE[node.head]
+        arg = node.args[0]
+        if not isinstance(arg, kind):
+            raise MrExecError("type-mismatch", f"{field} must be {what}")
+        if getattr(event, field) is not None:
+            raise MrExecError("conflicting-clause", f"more than one {node.head} clause")
+        setattr(event, field, arg.text if kind is Word else arg.value)
     elif node.head == "starts_at":
         event.starts_at.extend(_clause_value(a, world) for a in node.args)
     elif node.head == "ends_at":
         event.ends_at.append(_clause_value(node.args[0], world))
-    elif node.head == "has_duration":
-        event.duration = node.args[0].value
     elif node.head == "with_attendee":
         event.attendees.extend(_resolve_people(node.args[0], world))
     elif node.head == "avoid_attendee":

@@ -22,7 +22,7 @@ from .execute import DIALECTS, ENVIRONMENTS, dialect_for, load_environment, run_
 from .experiment import (SELECTION_METHODS, dd_text, load_selector, resolve_path, run_bootstrap,
                          run_experiment, run_output_dir)
 from .prompts import DD_VARIANTS, PromptSpec, build_prompt
-from .resources import read_json_object
+from .resources import read_json_object, write_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,7 +64,7 @@ def cmd_simplify(args) -> int:
             return 2
     text = "\n".join(out_lines) + "\n"
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        write_text(args.output, text)
     else:
         sys.stdout.write(text)
     return 0

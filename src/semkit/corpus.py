@@ -61,7 +61,7 @@ from itertools import chain
 from .errors import DataFormatError, PoolExhaustedError
 from .execute import DIALECTS
 from .resources import (OBJECT, STRING, STRINGS, Schema, parsed, read_json_object,
-                        read_jsonl)
+                        read_jsonl, write_text)
 
 _LCG_MULT = 1664525
 _LCG_INC = 1013904223
@@ -145,10 +145,14 @@ def _dataset_of(path, data: bytes) -> Dataset:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write a dataset back to JSONL; load/save round-trips byte-identically."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in dataset.examples:
-            fh.write(example_to_json_line(ex) + "\n")
+    """Write a dataset back to JSONL; load/save round-trips byte-identically.
+
+    An existing file is rewritten in place (:func:`semkit.resources.write_text`): it ends up
+    holding the same bytes as if truncated and rewritten, and a write that fails part-way
+    leaves no old byte; but after an operating-system crash the file may hold old bytes, or
+    a mix of old and new, which a truncate-and-rewrite on ext4 would not.
+    """
+    write_text(path, "".join(example_to_json_line(ex) + "\n" for ex in dataset.examples))
 
 
 def example_to_json_line(ex: Example) -> str:

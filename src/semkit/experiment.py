@@ -36,7 +36,7 @@ from .execute import ENVIRONMENTS, dialect_for, load_environment, memoized_runs,
 from .llm import (DEFAULT_TEMPERATURE, BootstrapConfig, LlmClient, ReplayCache,
                   bootstrap_annotations, completion_of, example_evaluator, http_transport)
 from .prompts import DD_VARIANTS, default_template, load_dd_source, render_dd
-from .resources import INTEGER, INTEGERS, OBJECT, STRING, STRINGS, Schema
+from .resources import INTEGER, INTEGERS, OBJECT, STRING, STRINGS, Schema, write_text
 from .selection import Bm25Index, bm25_rank, coverage_fraction, greedy_select
 
 CSV_HEADER = "seed,split,dialect,dd_variant,k,accuracy,exec_failure_rate"
@@ -296,21 +296,20 @@ def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> di
     for seed in spec.seeds:
         report = report_from_verdicts(seed, run_seed(state, spec, seed, jobs))
         reports.append(report)
-        (out_dir / f"report_seed{seed}.json").write_text(
-            json.dumps(report.to_json(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+        write_text(out_dir / f"report_seed{seed}.json",
+                   json.dumps(report.to_json(), indent=2, ensure_ascii=False) + "\n")
         row = _csv_row(seed, split_name, spec.dialect, spec.dd_variant, spec.k,
                        report.accuracy, report.exec_failure_rate)
         per_seed_rows.append(row)
-        (out_dir / f"report_seed{seed}.csv").write_text(
-            CSV_HEADER + "\n" + row + "\n", encoding="utf-8")
+        write_text(out_dir / f"report_seed{seed}.csv", CSV_HEADER + "\n" + row + "\n")
 
     aggregate = score_run(reports)
     mean_row = _csv_row("mean", split_name, spec.dialect, spec.dd_variant, spec.k,
                         aggregate["mean_accuracy"], aggregate["mean_exec_failure_rate"])
-    (out_dir / "aggregate.csv").write_text(
-        CSV_HEADER + "\n" + "\n".join(per_seed_rows) + "\n" + mean_row + "\n", encoding="utf-8")
-    (out_dir / "aggregate.json").write_text(
-        json.dumps(aggregate, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    write_text(out_dir / "aggregate.csv",
+               CSV_HEADER + "\n" + "\n".join(per_seed_rows) + "\n" + mean_row + "\n")
+    write_text(out_dir / "aggregate.json",
+               json.dumps(aggregate, indent=2, ensure_ascii=False) + "\n")
     return aggregate
 
 
@@ -347,7 +346,5 @@ def run_bootstrap(config: dict, base: Path) -> dict:
         dd_declarations=load_dd_source(resources.dd_path(environment, dialect)))
     pool = bootstrap_annotations(seed_pool, unlabeled, env_object, client, bootstrap_config)
     output = Path("pool.jsonl") if output is None else resolve_path(output, base)
-    with open(output, "w", encoding="utf-8") as fh:
-        for example in pool:
-            fh.write(example_to_json_line(example) + "\n")
+    write_text(output, "".join(example_to_json_line(example) + "\n" for example in pool))
     return {"pool_before": len(seed_pool), "pool_after": len(pool), "output": str(output)}

@@ -4,7 +4,8 @@ they go through: :func:`read_jsonl`, :func:`read_json`, :func:`read_json_object`
 split, DD source or config loader reads is declared once as a string, a boolean, a number, a
 whole number, an object or a list of strings or whole numbers (lists of objects go through
 :func:`objects_of`).  :func:`parsed` builds a value from a file's bytes once per process
-while those bytes are unchanged; datasets and worlds are loaded through it."""
+while those bytes are unchanged; datasets and worlds are loaded through it.
+:func:`write_text` is the one writer of every file semkit writes."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import hashlib
 import io
 import json
 import math
+import os
 from pathlib import Path
 
 from .errors import DataFormatError
@@ -46,6 +48,37 @@ def parsed(kind, path, build):
     if entry is None or entry[0] != digest:
         entry = _PARSED[key] = (digest, build(data))
     return entry[1]
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, rewriting an existing file in place.
+
+    The file ends up holding exactly the bytes ``Path.write_text(text, encoding="utf-8")``
+    writes on POSIX (no newline translation; semkit is tested on Linux only), created with
+    mode ``0o666`` less the umask when it is new.  An existing file is not truncated to zero
+    first: the new bytes overwrite it from the start and the file is cut to their length
+    only if it was longer.  ext4 (``auto_da_alloc``) starts writing back a file truncated to
+    zero and rewritten as it is closed; skipping that writeback is the whole saving, and it
+    is what that writeback is for: after an operating-system crash or power loss, a file
+    rewritten here may have the new length but hold old bytes, or a mix of old and new,
+    where ``open(path, "w")`` would have left the new bytes or an empty file.  Within a
+    running system it is no more atomic than ``open(path, "w")``: a write that raises
+    part-way cuts the file to the new bytes written so far and re-raises, so no byte of the
+    old content survives.  Text that does not encode raises before the file is opened.  A
+    device such as ``/dev/null`` reports size 0, so it is written to and never cut.
+    """
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        old, written = os.fstat(fd).st_size, 0
+        try:
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            if old > written:
+                os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def _text(path, data):

@@ -169,6 +169,25 @@ def test_duration_out_of_range_is_invalid_datetime(calendar_world, minutes):
     assert str(info.value) == "invalid-datetime: event duration is out of range"
 
 
+@pytest.mark.parametrize("program, message", [
+    ("CreateEvent( has_duration( long ) )", "type-mismatch: duration must be minutes"),
+    ("CreateEvent( has_duration( CurrentUser() ) )", "type-mismatch: duration must be minutes"),
+    ("CreateEvent( at_location( NextDOW( FRIDAY ) ) )", "type-mismatch: location must be words"),
+    ("CreateEvent( at_location( 5 ) )", "type-mismatch: location must be words"),
+    ("CreateEvent( has_subject( CurrentUser() ) )", "type-mismatch: subject must be words"),
+    ("CreateEvent( AND( has_duration( 30 ) , has_duration( 40 ) ) )",
+     "conflicting-clause: more than one has_duration clause"),
+    ("CreateEvent( AND( at_location( Central Park ) , at_location( Central Park ) ) )",
+     "conflicting-clause: more than one at_location clause"),
+    ("CreateEvent( AND( has_subject( lunch ) , AND( has_subject( dinner ) ) ) )",
+     "conflicting-clause: more than one has_subject clause"),
+])
+def test_single_valued_constraint_checks_its_argument_and_appears_once(calendar_world,
+                                                                       program, message):
+    outcome = run_program("dataflow-simple", program, "calendar", calendar_world)
+    assert not outcome.ok and outcome.message == message
+
+
 def test_extract_operators():
     assert extract_operators(parse_dfs(SHOWCASE)) == frozenset(
         {"CreateEvent", "AND", "at_location", "starts_at", "NextDOW"})
