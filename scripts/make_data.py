@@ -617,38 +617,21 @@ def write_split(path: Path, name: str, all_ids: list, test_ids: list) -> None:
 
 
 def verify(geo_ds, on_ds, cal_ds) -> None:
-    from semkit.evaluation import POLICIES, canonicalize_names, compare_outcomes
-    from semkit.execute import load_environment, run_program
+    from semkit.evaluation import scorer
+    from semkit.execute import load_environment
     from semkit.resources import environment_path
 
-    model = load_environment("geo", environment_path("geo"))
-    for ex in geo_ds.examples:
-        a = run_program("funql", ex.programs["funql"], "geo", model)
-        b = run_program("pymr", ex.programs["pymr"], "geo", model)
-        assert a.ok, (ex.id, a.message)
-        assert b.ok, (ex.id, b.message)
-        assert compare_outcomes(b, a, POLICIES["geo"]), (ex.id, a.value, b.value)
-
-    db = load_environment("social", environment_path("social"))
-    for ex in on_ds.examples:
-        a = run_program("ldcs-simple", ex.programs["ldcs-simple"], "social", db)
-        full = run_program("ldcs", ex.programs["ldcs"], "social", db)
-        b = run_program("pymr", ex.programs["pymr"], "social", db)
-        assert a.ok, (ex.id, a.message)
-        assert full.ok, (ex.id, full.message)
-        assert b.ok, (ex.id, b.message)
-        assert compare_outcomes(b, a, POLICIES["social"]), (ex.id, a.value, b.value)
-        assert compare_outcomes(full, a, POLICIES["social"]), ex.id
-
-    world = load_environment("calendar", environment_path("calendar"))
-    for ex in cal_ds.examples:
-        pred_text, gold_text = canonicalize_names(
-            ex.programs["pymr"], ex.programs["dataflow-simple"], world)
-        a = run_program("dataflow-simple", gold_text, "calendar", world)
-        b = run_program("pymr", pred_text, "calendar", world)
-        assert a.ok, (ex.id, a.message)
-        assert b.ok, (ex.id, b.message)
-        assert compare_outcomes(b, a, POLICIES["calendar"]), (ex.id, a.value, b.value)
+    # environment, dataset, and the (dialect, gold dialect) pairs that must score correct
+    for environment, dataset, pairs in (
+            ("geo", geo_ds, [("pymr", "funql")]),
+            ("social", on_ds, [("pymr", "ldcs-simple"), ("ldcs", "ldcs-simple")]),
+            ("calendar", cal_ds, [("pymr", "dataflow-simple")])):
+        score = scorer(environment, load_environment(environment, environment_path(environment)))
+        for ex in dataset.examples:
+            for dialect, gold_dialect in pairs:
+                verdict = score(dialect, ex.programs[dialect], gold_dialect,
+                                ex.programs[gold_dialect])
+                assert verdict == "correct", (ex.id, dialect, verdict)
     print("verify: all cross-dialect pairs agree")
 
 

@@ -15,8 +15,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from semkit.corpus import load_dataset, load_split, sample_demos
+from semkit.corpus import load_dataset, load_split
 from semkit.execute import operators_of
+from semkit.experiment import DemoSelector
 from semkit.llm import CompletionRequest, ReplayCache
 from semkit.prompts import PromptSpec, build_prompt, load_dd_source, render_dd
 from semkit.resources import DATA_DIR, dataset_path, dd_path, split_path
@@ -54,8 +55,9 @@ def build_run_cache() -> None:
     cache_file = DATA_DIR / "replay_cache.jsonl"
     cache_file.unlink(missing_ok=True)
     cache = ReplayCache(cache_file)
+    selector = DemoSelector(dataset, split, "pymr")
     for seed in (0, 1, 2):
-        demos = sample_demos(dataset, split, 3, seed, dialect="pymr")
+        demos = [dataset[i] for i in selector.select("random", 3, seed)]
         for index, test_id in enumerate(split.test_ids):
             example = dataset[test_id]
             spec = PromptSpec(
@@ -145,8 +147,8 @@ def build_bootstrap_cache() -> None:
 def goldens() -> None:
     dataset = load_dataset(dataset_path("geoquery"), name="geoquery")
     split = load_split(split_path("geoquery_iid"), dataset)
-    demos = sample_demos(dataset, split, 10, 0, dialect="pymr")
-    print("sample_demos k=10 seed=0:", [ex.id for ex in demos])
+    demo_ids = DemoSelector(dataset, split, "pymr").select("random", 10, 0)
+    print("sample_demos k=10 seed=0:", demo_ids)
     pool = [(ex_id, operators_of("funql", dataset[ex_id].programs["funql"]))
             for ex_id in split.train_ids]
     structures = frozenset().union(*(s for _, s in pool))

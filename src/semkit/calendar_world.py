@@ -11,7 +11,8 @@ never mutates a world; it returns the :class:`~semkit.outcomes.WorldDelta` of
 events created.
 
 Defaults: start time 09:00 when only a date is given, the anchor date when only
-a time is given, and 30-minute duration.  ``FindTeamOf(p)`` (``find_team_of`` in
+a time is given, and 30-minute duration.  An event takes at most one
+``ends_at`` clause, and not with a duration.  ``FindTeamOf(p)`` (``find_team_of`` in
 pymr) is everyone sharing p's manager, including p.  A ``date_by_mdy`` without a
 year resolves to the next occurrence at or after the anchor date; ``NextDOW``
 (``get_next_dow``) lands strictly after the anchor date, within 7 days.
@@ -219,6 +220,8 @@ def build_event(event: Event, world: CalendarWorld) -> CreatedEvent:
         except OverflowError:  # beyond timedelta's or datetime's range
             raise MrExecError("invalid-datetime", "event duration is out of range") from None
     elif event.ends_at:
+        if len(event.ends_at) > 1:
+            raise MrExecError("conflicting-clause", "more than one ends_at clause")
         clause = event.ends_at[0]
         if not isinstance(clause, TimeClause):
             raise MrExecError("conflicting-clause", "ends_at takes a time clause")

@@ -21,9 +21,8 @@ of it without a ``name`` returns the same :class:`Dataset`, and one with a
 runs several experiments on a file; a single command loads it once.  Loaded
 datasets are shared by every caller and read-only by contract; nothing
 changes an example's ``programs`` in place.  A :class:`Dataset` derives
-its map from id to example, ``by_id``, from its examples; :func:`load_split`,
-:func:`sample_demos` and the experiment's demonstration selector look ids up
-in it directly.
+its map from id to example, ``by_id``, from its examples; :func:`load_split`
+and the experiment's demonstration selector look ids up in it directly.
 
 Split files are JSON::
 
@@ -45,8 +44,9 @@ congruential generator
 
 (Numerical Recipes constants), seeded with ``seed mod 2**32`` and stepped once
 before first use.  ``k`` items are drawn without replacement by a partial
-Fisher-Yates shuffle over the pool in file order (:func:`sample_demos`: the train
-ids annotated in its dialect): at step ``i`` the item at index ``i + (state mod
+Fisher-Yates shuffle over a pool the caller gives (:func:`sample_demos`; ``semkit
+run`` passes the train ids annotated in its dialect, in split order, and bootstrap
+its annotated pool examples): at step ``i`` the item at index ``i + (state mod
 (n - i))`` is swapped into position ``i``, advancing the state once per step.
 The first ``k`` positions are the sample, in draw order.
 """
@@ -206,14 +206,22 @@ class Lcg:
         return self.next() % n
 
 
-def _draw(pool: list, k: int, rng: Lcg) -> list:
-    """The first ``k`` items of the documented partial Fisher-Yates shuffle of ``pool``.
+def sample_demos(pool: list, k: int, seed: int) -> list:
+    """The first ``k`` items of the documented partial Fisher-Yates shuffle of ``pool`` under
+    ``seed``, in draw order; deterministic in (pool order, k, seed).
 
     Sparse: only swapped positions are recorded (position -> pool index), so a
     draw costs O(k) whatever the pool size, and the pool is neither copied nor
     changed.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     n = len(pool)
+    if not n:
+        raise PoolExhaustedError("empty train pool")
+    if k > n:
+        raise PoolExhaustedError(f"requested k={k} from a pool of {n}")
+    rng = Lcg(seed)
     moved: dict[int, int] = {}
     chosen = []
     for i in range(k):
@@ -221,18 +229,3 @@ def _draw(pool: list, k: int, rng: Lcg) -> list:
         chosen.append(pool[moved.get(j, j)])
         moved[j] = moved.get(i, i)
     return chosen
-
-
-def sample_demos(dataset: Dataset, split: Split, k: int, seed: int,
-                 dialect: str) -> list[Example]:
-    """The examples of ``k`` train ids annotated in ``dialect``, drawn as documented above
-    and in draw order; deterministic in (dataset order, split, k, seed)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    by_id = dataset.by_id
-    pool = [i for i in split.train_ids if dialect in by_id[i].programs]
-    if not pool:
-        raise PoolExhaustedError("empty train pool")
-    if k > len(pool):
-        raise PoolExhaustedError(f"requested k={k} from a pool of {len(pool)}")
-    return [by_id[i] for i in _draw(pool, k, Lcg(seed))]

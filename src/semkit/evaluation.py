@@ -1,6 +1,7 @@
-"""Execution-based and exact-match evaluation.
+"""Execution-based and exact-match evaluation.  :func:`scorer` is the one rule that judges a
+predicted program against its gold program, for ``run``, ``bootstrap`` and the data generator.
 
-Per-environment comparison rules:
+Per-environment comparison rules (:data:`POLICIES`):
 
 * geo: denotation comparison in *set* mode (order and multiplicity ignored);
 * social: *multiset* mode (order ignored, multiplicity kept);
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import PoolExhaustedError
+from .execute import memoized_runs
 from .outcomes import Denotation, Outcome, WorldDelta
 
 if TYPE_CHECKING:  # an annotation only: importing this module loads no world
@@ -184,6 +186,25 @@ def verdict_of(pred: Outcome, gold: Outcome, policy: ComparisonPolicy) -> str:
     if not pred.ok:
         return "execution-failure"
     return "correct" if compare_outcomes(pred, gold, policy) else "wrong-result"
+
+
+def scorer(environment: str, world):
+    """``score(dialect, pred, gold_dialect, gold) -> verdict`` under ``POLICIES[environment]``,
+    with one outcome memo (:func:`~semkit.execute.memoized_runs`) for both texts.  Names are
+    canonicalized where the policy asks; a pair naming more people than ``world`` has is the
+    prediction's ``execution-failure``."""
+    policy = POLICIES[environment]
+    run = memoized_runs(environment, world)
+
+    def score(dialect: str, pred: str, gold_dialect: str, gold: str) -> str:
+        if policy.name_canonicalization:  # module globals, so a tracer's rebinding runs
+            try:
+                pred, gold = canonicalize_names(pred, gold, world)
+            except PoolExhaustedError:
+                return "execution-failure"
+        return verdict_of(run(dialect, pred), run(gold_dialect, gold), policy)
+
+    return score
 
 
 def report_from_verdicts(seed: int, verdicts) -> AccuracyReport:

@@ -3,17 +3,17 @@
 :func:`run_experiment` composes three steps.  :func:`read_run_config` checks a
 ``run`` config into a frozen :class:`RunSpec` and reads no file.
 :func:`load_run` reads, once each, the template and client, the dataset and
-split (one :class:`DemoSelector`), the world with its outcome memo
-(:func:`~semkit.execute.memoized_runs`) and the DD text, and builds the
-per-example step (:func:`~semkit.llm.example_evaluator`).  :func:`run_seed`
-builds a seed's requests in test order, fetches the completions (up to
-``jobs`` at once, on worker threads), then judges each example in test order
-on the calling thread and prints each ``harness-error`` to stderr.  Worlds are
-read-only, so the memo runs each distinct predicted or gold (dialect, text)
-once per loaded run; on calendar that is the text after name canonicalization,
-which maps gold names first, so the gold text does not depend on the
-prediction.  :func:`run_bootstrap` checks a ``bootstrap`` config, grows its
-pool and writes it.
+split (one :class:`DemoSelector`), the world and the DD text, and builds the
+per-example step (:func:`~semkit.llm.example_evaluator`), whose one
+:func:`~semkit.evaluation.scorer` holds the run's outcome memo.
+:func:`run_seed` builds a seed's requests in test order, fetches the
+completions (up to ``jobs`` at once, on worker threads), then judges each
+example in test order on the calling thread and prints each ``harness-error``
+to stderr.  Worlds are read-only, so the memo runs each distinct predicted or
+gold (dialect, text) once per loaded run; on calendar that is the text after
+name canonicalization, which maps gold names first, so the gold text does not
+depend on the prediction.  :func:`run_bootstrap` checks a ``bootstrap``
+config, grows its pool (judged by the same step) and writes it.
 
 Config paths resolve relative to the config file; the ``bundled:`` prefix
 names packaged resources, e.g. ``bundled:datasets/geoquery.jsonl``.
@@ -31,8 +31,8 @@ from . import resources
 from .corpus import (Dataset, Example, Split, example_to_json_line, load_dataset, load_split,
                      sample_demos)
 from .errors import SemkitError
-from .evaluation import POLICIES, report_from_verdicts, score_run
-from .execute import ENVIRONMENTS, dialect_for, load_environment, memoized_runs, operators_of
+from .evaluation import report_from_verdicts, score_run
+from .execute import ENVIRONMENTS, dialect_for, load_environment, operators_of
 from .llm import (DEFAULT_TEMPERATURE, BootstrapConfig, LlmClient, ReplayCache,
                   bootstrap_annotations, completion_of, example_evaluator, http_transport)
 from .prompts import DD_VARIANTS, default_template, load_dd_source, render_dd
@@ -93,14 +93,14 @@ def dd_text(environment: str, dialect: str, variant: str) -> str:
 class DemoSelector:
     """Demonstration selection over the train pool of one (dataset, split, dialect).
 
-    Built once per loaded run and shared by its seeds and queries.  The pool's
-    operator sets are extracted lazily and at most once: only coverage
-    selection and coverage fractions read them.  Pools repeat programs (many
-    paraphrases share one), so extraction runs once per distinct program text
-    and every id holding that text gets the same set.  The BM25 index is built
-    on first use and reused by every query.  Greedy coverage picks do not
-    depend on the seed, so they are made once per k.  Not for sharing between
-    threads: the engine selects on its calling thread only.
+    Built once per loaded run and shared by its seeds and queries; every method
+    picks from :attr:`pool`.  The pool's operator sets are extracted lazily and
+    at most once: only coverage selection and coverage fractions read them.
+    Pools repeat programs (many paraphrases share one), so extraction runs once
+    per distinct program text and every id holding that text gets the same set.
+    The BM25 index is built on first use and reused by every query.  Greedy
+    coverage picks do not depend on the seed, so they are made once per k.  Not
+    for sharing between threads: the engine selects on its calling thread only.
     """
 
     def __init__(self, dataset: Dataset, split: Split, dialect: str):
@@ -149,7 +149,7 @@ class DemoSelector:
 
     def select(self, method: str, k: int, seed: int, query: str | None = None) -> list[str]:
         if method == "random":
-            return [ex.id for ex in sample_demos(self.dataset, self.split, k, seed, self.dialect)]
+            return sample_demos(self.pool, k, seed)
         if method == "coverage":
             return self.coverage_picks(k)[0]
         if method == "bm25":
@@ -250,12 +250,10 @@ def load_run(spec: RunSpec, base: Path) -> RunState:
     if not selector.split.test_ids:
         raise SemkitError("experiment has zero test examples")
     env_object = load_config_environment(spec.environment, spec.environment_file, base)
-    policy = POLICIES[spec.environment]
     request, judge = example_evaluator(
         model, spec.temperature, spec.dialect, spec.gold_dialect, spec.dd_variant,
-        dd_text(spec.environment, spec.dialect, spec.dd_variant), template, policy,
-        memoized_runs(spec.environment, env_object),  # predicted and gold, keyed by the text run
-        env_object if policy.name_canonicalization else None)
+        dd_text(spec.environment, spec.dialect, spec.dd_variant), template, spec.environment,
+        env_object)
     examples = tuple(selector.dataset[i] for i in selector.split.test_ids)
     return RunState(client, selector, examples, request, judge)
 

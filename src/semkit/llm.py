@@ -33,7 +33,8 @@ end of its indented body), else the whole text stripped.
 
 The per-example step (:func:`example_evaluator`) is split around the
 completion call, the one step that waits on I/O: a caller may overlap
-completions on worker threads and judge them all on its own thread.
+completions on worker threads and judge them all on its own thread.  The
+judging half scores the extracted program with :func:`semkit.evaluation.scorer`.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 
-from .corpus import Example, Lcg, _draw
-from .errors import CacheMissError, PoolExhaustedError, SemkitError, TransportError
-from .evaluation import POLICIES, ComparisonPolicy, canonicalize_names, verdict_of
-from .execute import dialect_for, memoized_runs
+from .corpus import Example, sample_demos
+from .errors import CacheMissError, SemkitError, TransportError
+from .evaluation import scorer
+from .execute import dialect_for
 from .prompts import PromptSpec, build_prompt, default_template, prompt_segments, render_dd
 from .resources import STRING, Schema, read_jsonl
 
@@ -255,16 +256,15 @@ def completion_of(client: LlmClient, request: CompletionRequest) -> str | Semkit
 
 
 def example_evaluator(model: str, temperature: float, dialect: str, gold_dialect: str,
-                      dd_variant: str, dd_text: str, template: str, policy: ComparisonPolicy,
-                      run, names_world=None):
+                      dd_variant: str, dd_text: str, template: str, environment: str, world):
     """``(request, judge)``: the per-example step shared by run and bootstrap, in two halves.
 
     ``request(example, demos)`` assembles the prompt into a
     :class:`CompletionRequest`.  ``judge(example, completion) -> (verdict,
     program)`` takes the completion (see :func:`completion_of`), extracts the
-    program, runs it and the gold program through ``run`` (the caller's
-    outcome memo), with names canonicalized onto ``names_world`` if given, and
-    compares under ``policy``.  A completion that is a ``SemkitError`` is a
+    program and scores it against the example's gold program with one
+    :func:`~semkit.evaluation.scorer` of ``environment`` and ``world`` (so one
+    outcome memo per step).  A completion that is a ``SemkitError`` is a
     ``harness-error``, with its message for the program.
 
     Each request carries the :class:`PromptLead` of its prompt's text before
@@ -276,6 +276,7 @@ def example_evaluator(model: str, temperature: float, dialect: str, gold_dialect
     first use, so a ``live`` client, which never asks for one, pays nothing.
     """
     memo = None  # (demos, their lead)
+    score = scorer(environment, world)
 
     def request(example: Example, demos) -> CompletionRequest:
         nonlocal memo
@@ -293,13 +294,7 @@ def example_evaluator(model: str, temperature: float, dialect: str, gold_dialect
         if isinstance(completion, SemkitError):
             return "harness-error", str(completion)
         program = extract_program(completion)
-        pred, gold = program, example.programs[gold_dialect]
-        if names_world is not None:
-            try:
-                pred, gold = canonicalize_names(pred, gold, names_world)
-            except PoolExhaustedError:
-                return "execution-failure", program
-        return verdict_of(run(dialect, pred), run(gold_dialect, gold), policy), program
+        return score(dialect, program, gold_dialect, example.programs[gold_dialect]), program
 
     return request, judge
 
@@ -321,12 +316,12 @@ def bootstrap_annotations(seed_pool: list[Example], unlabeled: list[Example],
     """Grow an annotation pool with LLM-proposed programs that execute correctly.
 
     Each pass runs :func:`example_evaluator` on a Full-DD prompt with demos
-    drawn from the pool examples annotated in ``config.dialect`` (the partial
-    Fisher-Yates draw of :func:`~semkit.corpus.sample_demos`, seeded per pass,
-    O(k) per prompt) and keeps exactly the ``correct`` proposals, verbatim:
-    names are not canonicalized.  One outcome memo per call
-    (:func:`~semkit.execute.memoized_runs`) runs each distinct proposal or
-    gold program once.  A ``harness-error`` aborts the remainder of a pass but
+    drawn from the pool examples annotated in ``config.dialect``
+    (:func:`~semkit.corpus.sample_demos`, seeded per pass, O(k) per prompt).
+    A proposal is judged as ``semkit run`` judges it (on calendar, after name
+    canonicalization) and kept, as written, exactly when it is ``correct``.
+    The step's one outcome memo runs each distinct proposal or gold program
+    once per call.  A ``harness-error`` aborts the remainder of a pass but
     never discards the pool.
     """
     if not seed_pool:
@@ -342,13 +337,13 @@ def bootstrap_annotations(seed_pool: list[Example], unlabeled: list[Example],
     pending = [ex for ex in unlabeled if config.dialect not in ex.programs]
     request, judge = example_evaluator(
         config.model, DEFAULT_TEMPERATURE, config.dialect, config.gold_dialect, "full",
-        render_dd(config.dd_declarations, "full"), default_template(),
-        POLICIES[config.environment], memoized_runs(config.environment, env_object))
+        render_dd(config.dd_declarations, "full"), default_template(), config.environment,
+        env_object)
     for pass_index in range(config.passes):
         still_pending = []
         for at, example in enumerate(pending):
-            demos = _draw(annotated, min(config.k, len(annotated)),
-                         Lcg(config.seed + pass_index))
+            demos = sample_demos(annotated, min(config.k, len(annotated)),
+                                 config.seed + pass_index)
             verdict, program = judge(example, completion_of(client, request(example, demos)))
             if verdict == "correct":
                 accepted = replace(example, programs={**example.programs, config.dialect: program})

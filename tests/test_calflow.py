@@ -162,6 +162,19 @@ def test_duration_and_ends_at(calendar_world):
                            "ends_at( time_by_hm( 5 , pm ) ) ) )"), calendar_world)
 
 
+@pytest.mark.parametrize("dialect, program", [
+    ("dataflow-simple", "CreateEvent( AND( ends_at( time_by_hm( 5 , pm ) ) , "
+                        "ends_at( time_by_hm( 6 , pm ) ) ) )"),
+    ("pymr", "def answer():\n    api.add_event(Event(ends_at=["
+             'DateTimeClause.time_by_hm(hour=5, am_or_pm="pm"), '
+             'DateTimeClause.time_by_hm(hour=6, am_or_pm="pm")]))'),
+])
+def test_a_second_ends_at_is_a_conflicting_clause(calendar_world, dialect, program):
+    outcome = run_program(dialect, program, "calendar", calendar_world)
+    assert outcome.to_json() == {"ok": False, "error": "conflicting-clause",
+                                 "message": "conflicting-clause: more than one ends_at clause"}
+
+
 @pytest.mark.parametrize("minutes", ["100000000000", "1" + "0" * 399])
 def test_duration_out_of_range_is_invalid_datetime(calendar_world, minutes):
     with pytest.raises(MrExecError) as info:

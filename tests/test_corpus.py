@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from semkit.corpus import (Dataset, Example, Lcg, _draw, load_dataset, load_split, sample_demos,
+from semkit.corpus import (Dataset, Example, Lcg, load_dataset, load_split, sample_demos,
                            save_dataset)
 from semkit.errors import DataFormatError, PoolExhaustedError
+from semkit.experiment import DemoSelector
 from semkit.resources import dataset_path
 
 GOLDEN_DEMO_IDS_K10_SEED0 = ["gq-03", "gq-41", "gq-08", "gq-48", "gq-43",
@@ -221,12 +222,17 @@ def test_bundled_split_sizes(geoquery, geoquery_split):
     assert not set(geoquery_split.train_ids) & set(geoquery_split.test_ids)
 
 
+def train_pool(dataset, split, dialect):
+    """The pool ``semkit run`` draws random demos from."""
+    return DemoSelector(dataset, split, dialect).pool
+
+
 def test_sample_single_item_pool(tmp_path):
     data = tmp_path / "d.jsonl"
     write_jsonl(data, [record(1)])
     dataset = load_dataset(data)
     split = load_split_inline(tmp_path, {"train": ["x-1"], "test": []}, dataset)
-    assert sample_demos(dataset, split, 1, 123, "funql") == [dataset["x-1"]]
+    assert sample_demos(train_pool(dataset, split, "funql"), 1, 123) == ["x-1"]
 
 
 def load_split_inline(tmp_path, payload, dataset):
@@ -236,18 +242,17 @@ def load_split_inline(tmp_path, payload, dataset):
 
 
 def test_sample_is_deterministic(geoquery, geoquery_split):
-    a = sample_demos(geoquery, geoquery_split, 5, 7, "funql")
-    b = sample_demos(geoquery, geoquery_split, 5, 7, "funql")
-    assert a == b
+    pool = train_pool(geoquery, geoquery_split, "funql")
+    assert sample_demos(pool, 5, 7) == sample_demos(pool, 5, 7)
 
 
 def test_sample_golden_k10_seed0(geoquery, geoquery_split):
-    demos = sample_demos(geoquery, geoquery_split, 10, 0, "pymr")
-    assert [ex.id for ex in demos] == GOLDEN_DEMO_IDS_K10_SEED0
+    demos = sample_demos(train_pool(geoquery, geoquery_split, "pymr"), 10, 0)
+    assert demos == GOLDEN_DEMO_IDS_K10_SEED0
 
 
 def test_sample_draws_without_replacement(geoquery, geoquery_split):
-    ids = {ex.id for ex in sample_demos(geoquery, geoquery_split, 10, 3, "funql")}
+    ids = set(sample_demos(train_pool(geoquery, geoquery_split, "funql"), 10, 3))
     assert len(ids) == 10
     assert ids <= set(geoquery_split.train_ids)
 
@@ -266,20 +271,25 @@ def test_sparse_draw_matches_list_copy_draw():
         pool = [f"id-{i}" for i in range(n)]
         for k in range(1, n + 1):
             for seed in (0, 1, 7, 12345, 2**32 + 5):
-                assert _draw(pool, k, Lcg(seed)) == list_copy_draw(pool, k, Lcg(seed)), \
+                assert sample_demos(pool, k, seed) == list_copy_draw(pool, k, Lcg(seed)), \
                     (n, k, seed)
     assert pool == [f"id-{i}" for i in range(60)]  # the pool itself is left as it was
 
 
 def test_different_seeds_differ_somewhere(geoquery, geoquery_split):
-    outcomes = {tuple(ex.id for ex in sample_demos(geoquery, geoquery_split, 3, s, "funql"))
-                for s in range(100)}
-    assert len(outcomes) >= 2
+    pool = train_pool(geoquery, geoquery_split, "funql")
+    assert len({tuple(sample_demos(pool, 3, s)) for s in range(100)}) >= 2
 
 
-def test_pool_exhausted(geoquery, geoquery_split):
-    with pytest.raises(PoolExhaustedError):
-        sample_demos(geoquery, geoquery_split, 41, 0, "funql")
+@pytest.mark.parametrize("size, k, error, message", [
+    (40, 41, PoolExhaustedError, "requested k=41 from a pool of 40"),
+    (0, 1, PoolExhaustedError, "empty train pool"),
+    (40, 0, ValueError, "k must be >= 1"),
+])
+def test_pool_exhausted(size, k, error, message):
+    with pytest.raises(error) as info:
+        sample_demos([f"id-{i}" for i in range(size)], k, 0)
+    assert str(info.value) == message
 
 
 def test_every_bundled_program_parses_in_its_dialect(geoquery, overnight, smcalflow):

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
+from semkit import evaluation, execute
 from semkit.calendar_world import load_world
 from semkit.errors import PoolExhaustedError
 from semkit.evaluation import (POLICIES, ComparisonPolicy, canonicalize_names,
                                compare_denotations, compare_outcomes, compare_states,
-                               exact_match, report_from_verdicts, score_run, verdict_of)
+                               exact_match, report_from_verdicts, score_run, scorer, verdict_of)
 from semkit.execute import run_program
 from semkit.funql import exec_funql, parse_funql
 from semkit.outcomes import CreatedEvent, Denotation, Outcome, WorldDelta
@@ -96,12 +97,48 @@ def test_canonicalize_is_consistent_and_idempotent(calendar_world):
     assert identical_a == identical_b
 
 
+# seven distinct people; the bundled calendar world has six
+CROWD = ("CreateEvent( AND( with_attendee( A ) , with_attendee( B ) , with_attendee( C ) , "
+         "with_attendee( D ) , with_attendee( E ) , with_attendee( F ) , "
+         "with_attendee( G ) ) )")
+
+
 def test_canonicalize_pool_exhausted(calendar_world):
-    gold = ("CreateEvent( AND( with_attendee( A ) , with_attendee( B ) , with_attendee( C ) , "
-            "with_attendee( D ) , with_attendee( E ) , with_attendee( F ) , "
-            "with_attendee( G ) ) )")
     with pytest.raises(PoolExhaustedError):
-        canonicalize_names(gold, gold, calendar_world)
+        canonicalize_names(CROWD, CROWD, calendar_world)
+
+
+def test_calendar_scorer_canonicalizes_names(calendar_world, smcalflow):
+    score = scorer("calendar", calendar_world)
+    sm07 = smcalflow["sm-07"]  # names Mary, who is not in the world
+    pymr, dfs = sm07.programs["pymr"], sm07.programs["dataflow-simple"]
+    assert run_program("pymr", pymr, "calendar", calendar_world).error == "unknown-person"
+    assert score("pymr", pymr, "dataflow-simple", dfs) == "correct"
+    # a pair naming more people than the world has is the prediction's failure
+    assert score("dataflow-simple", CROWD, "dataflow-simple", dfs) == "execution-failure"
+    assert score("pymr", pymr, "dataflow-simple", CROWD) == "execution-failure"
+
+
+def test_geo_scorer_keeps_names_and_runs_each_program_once(monkeypatch, geo_model):
+    def refuse(*args):
+        raise AssertionError("canonicalize_names called")
+
+    runs = []
+
+    def counting_run(dialect, text, environment, env_object):
+        runs.append(text)
+        return run_program(dialect, text, environment, env_object)
+
+    monkeypatch.setattr(evaluation, "canonicalize_names", refuse)
+    monkeypatch.setattr(execute, "run_program", counting_run)
+    states, rivers = "answer(count(state(all)))", "answer(count(river(all)))"
+    score = scorer("geo", geo_model)
+    assert score("funql", states, "funql", states) == "correct"
+    assert score("funql", rivers, "funql", states) == "wrong-result"
+    assert score("funql", "answer(", "funql", states) == "execution-failure"
+    assert runs == [states, rivers, "answer("]
+    assert scorer("geo", geo_model)("funql", states, "funql", states) == "correct"
+    assert runs == [states, rivers, "answer(", states]  # each scorer has its own memo
 
 
 def test_renaming_invariance(tmp_path, smcalflow):

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from semkit import cli, execute, experiment, llm, selection
+from semkit import cli, evaluation, execute, experiment, llm, selection
 from semkit.corpus import Dataset, Example, Split, load_dataset, load_split, sample_demos
 from semkit.execute import operators_of
 from semkit.experiment import DemoSelector, run_experiment
@@ -36,8 +36,8 @@ def test_random_and_bm25_never_extract_operators(monkeypatch, geoquery, geoquery
 
     monkeypatch.setattr(experiment, "operators_of", refuse)
     selector = DemoSelector(geoquery, geoquery_split, "funql")
-    assert selector.select("random", 3, 7) == \
-        [ex.id for ex in sample_demos(geoquery, geoquery_split, 3, 7, "funql")]
+    assert selector.select("random", 3, 7) == sample_demos(
+        [i for i in geoquery_split.train_ids if "funql" in geoquery[i].programs], 3, 7)
     assert len(selector.select("bm25", 3, 0, "rivers in texas")) == 3
 
 
@@ -230,7 +230,8 @@ def test_run_seed_gives_each_seed_report_its_verdicts(tmp_path):
 def test_a_run_loads_each_piece_once_for_all_its_seeds(monkeypatch, tmp_path):
     loads = {name: counting(monkeypatch, experiment, name)
              for name in ("default_template", "make_client", "load_dataset", "load_split",
-                          "load_environment", "load_dd_source", "memoized_runs")}
+                          "load_environment", "load_dd_source")}
+    loads["memoized_runs"] = counting(monkeypatch, evaluation, "memoized_runs")
     config_path = data_path("experiment_replay.json")
     config = json.loads(config_path.read_text())
     assert len(config["seeds"]) == 3

@@ -6,12 +6,12 @@ from dataclasses import replace
 
 import pytest
 
-from semkit import funql, llm
+from semkit import experiment, funql, llm
 from semkit.corpus import Example, Lcg, load_dataset
 from semkit.errors import CacheMissError, DataFormatError, SemkitError, TransportError
 from semkit.evaluation import POLICIES, canonicalize_names, compare_outcomes
 from semkit.execute import run_program
-from semkit.experiment import dd_text
+from semkit.experiment import dd_text, run_bootstrap, run_experiment
 from semkit.llm import (DEFAULT_BACKOFF_SECONDS, DEFAULT_RETRIES, BootstrapConfig,
                         CompletionRequest, LlmClient, ReplayCache, bootstrap_annotations,
                         example_evaluator, extract_program)
@@ -44,7 +44,7 @@ def assert_reference_digests(req: CompletionRequest) -> tuple[str, str]:
 def evaluator_requests(dialect="pymr", dd_variant="full", dd="", model="desk-model-1",
                        temperature=0.0, template=None):
     return example_evaluator(model, temperature, dialect, dialect, dd_variant, dd,
-                             template or default_template(), POLICIES["geo"], run=None)[0]
+                             template or default_template(), "geo", None)[0]
 
 
 def assert_lead_ends_at_the_test_query(req: CompletionRequest, example: Example) -> None:
@@ -489,6 +489,74 @@ def test_calendar_bootstrap_stores_the_model_text_verbatim(calendar_world, smcal
     assert accepted == renamed.programs["pymr"] and 'find_person("Emma")' in accepted
     assert canonicalize_names(accepted, renamed.programs["dataflow-simple"],
                               calendar_world)[0] != accepted  # as run would have renamed it
+
+
+def gold_echo(dataset, answers=None) -> LlmClient:
+    """A live client that answers each test query with ``answers[id]`` where given, else
+    with that example's gold pymr program, fenced."""
+    by_utterance = {ex.utterance: ex for ex in dataset.examples}
+    answers = answers or {}
+
+    def transport(request):
+        query = request.prompt.rsplit("query: ", 1)[1].split("\n", 1)[0]
+        example = by_utterance[query]
+        return f"```python\n{answers.get(example.id, example.programs['pymr'])}\n```"
+
+    return LlmClient(mode="live", transport=transport)
+
+
+def test_calendar_bootstrap_judges_gold_programs_as_run_does(calendar_world, smcalflow):
+    """Gold pymr programs name people the world lacks (sm-07's Mary, sm-10's Alex and Sam);
+    bootstrap canonicalizes names before judging, as run does, so it accepts all 15, each
+    stored as written."""
+    config = BootstrapConfig(
+        environment="calendar", dialect="pymr", gold_dialect="dataflow-simple",
+        model="desk-model-1", k=3, passes=1, seed=0,
+        dd_declarations=load_dd_source(dd_path("calendar", "pymr")))
+    seed_pool, rest = list(smcalflow.examples[:5]), list(smcalflow.examples[5:])
+    assert len(rest) == 15
+    pool = bootstrap_annotations(seed_pool, [strip_pymr(ex) for ex in rest], calendar_world,
+                                 gold_echo(smcalflow), config)
+    assert pool == seed_pool + rest
+
+
+CALENDAR_TEST_IDS = ["sm-04", "sm-08", "sm-12", "sm-16", "sm-20"]
+# seven distinct people; the bundled calendar world has six
+CROWD = ("def answer():\n    api.add_event(Event(attendees=["
+         + ", ".join(f'api.find_person("{name}")' for name in "ABCDEFG") + "]))")
+
+
+@pytest.mark.parametrize("command", ["run", "bootstrap"])
+def test_run_and_bootstrap_judge_a_calendar_program_alike(monkeypatch, tmp_path, smcalflow,
+                                                          command):
+    verdicts = {}
+    evaluator = llm.example_evaluator
+
+    def recording(*args):
+        request, judge = evaluator(*args)
+
+        def recorded(example, completion):
+            verdict, program = judge(example, completion)
+            verdicts[example.id] = verdict
+            return verdict, program
+
+        return request, recorded
+
+    client = gold_echo(smcalflow, {"sm-16": CROWD})
+    monkeypatch.setattr(experiment, "make_client", lambda *args: (client, "desk-model-1"))
+    for module in (experiment, llm):
+        monkeypatch.setattr(module, "example_evaluator", recording)
+    config = {"dataset": "bundled:datasets/smcalflow.jsonl", "environment": "calendar",
+              "dialect": "pymr", "gold_dialect": "dataflow-simple", "client": {}}
+    if command == "run":
+        run_experiment({**config, "split": "bundled:splits/smcalflow_iid.json", "seeds": [0]},
+                       tmp_path, tmp_path / "out")
+    else:
+        run_bootstrap({**config, "seed_ids": ["sm-01", "sm-02", "sm-03", "sm-05", "sm-06"],
+                       "unlabeled_ids": CALENDAR_TEST_IDS, "passes": 1,
+                       "output": str(tmp_path / "pool.jsonl")}, tmp_path)
+    assert verdicts == {**dict.fromkeys(CALENDAR_TEST_IDS, "correct"),
+                        "sm-16": "execution-failure"}
 
 
 class _Endpoint:

@@ -608,6 +608,20 @@ def test_failure_messages_name_values_without_addresses(request, environment, bo
                                  "message": f"type-mismatch: {message}"}
 
 
+@pytest.mark.parametrize("body,message", [
+    ("return 1 / 0", "division-by-zero: division by zero"),
+    ("for x in 3:\n        y = x\n    return 1", "type-mismatch: cannot iterate over int"),
+    ("x = 1\n    return x()", "type-mismatch: int is not callable"),
+    ('return [1]["a"]', "type-mismatch: indices must be integers"),
+    ("x = 5\n    return x[0]", "type-mismatch: cannot index int"),
+    ("return set().pop", "attribute-not-found: sets have no attribute 'pop'"),
+    ("return len(1)", "type-mismatch: object of type 'int' has no len()"),
+])
+def test_runtime_failures_are_named(geo_model, body, message):
+    outcome = run_program("pymr", f"def answer():\n    {body}", "geo", geo_model)
+    assert outcome.to_json() == {"ok": False, "error": message.split(":")[0], "message": message}
+
+
 class Opaque:
     """A class with the default repr, which holds the instance's address."""
 

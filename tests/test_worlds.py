@@ -1,16 +1,20 @@
 """Read-only worlds: no program can change what a later program is run against."""
 
 import copy
+import json
 import pickle
 from importlib import import_module
 
 import pytest
 
-from semkit.errors import MrExecError
+from semkit.calendar_world import load_world
+from semkit.errors import DataFormatError, MrExecError
 from semkit.evaluation import canonicalize_names
 from semkit.execute import ENVIRONMENTS, load_environment, run_program
+from semkit.geo import load_geobase
 from semkit.readonly import ReadOnlyList
 from semkit.resources import environment_path
+from semkit.social_db import load_social_db
 
 GEO_PROBES = [
     "s = geo_model.states\n    s.remove(s[0])",
@@ -132,3 +136,90 @@ def test_gold_outcomes_survive_every_probe(geoquery, overnight, smcalflow):
     after = _gold_outcomes(datasets, probed)
     assert after == _gold_outcomes(datasets, fresh)
     assert len(after) > 100 and all(outcome.ok for outcome in after.values())
+
+
+# --- world files the loaders refuse --------------------------------------------
+# Each case breaks one fact of a copy of the bundled world, and the loader, given the
+# copy's bytes, names that fact.
+
+def _update(kind, name, **fields):
+    """An edit of the bundled geobase record of ``kind`` called ``name``."""
+    def edit(records):
+        next(r for r in records if r["kind"] == kind and r["name"] == name).update(fields)
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda records: records.append({"kind": "lake"}), "line 37: unknown kind 'lake'"),
+    (lambda records: records.append(dict(records[0])), "duplicate state 'texas'"),
+    (_update("city", "austin", state="zz"), "city 'austin' references unknown state 'zz'"),
+    (_update("place", "black mesa", state="zz"),
+     "place 'black mesa' references unknown state 'zz'"),
+    (_update("river", "red", traverses=["texas", "utah"]),
+     "river 'red' references unknown state 'utah'"),
+    (_update("place", "black mesa", place_kind="hill"), "place 'black mesa' has bad kind 'hill'"),
+    (_update("river", "red", traverses=[]), "river 'red' traverses no states"),
+    (_update("river", "red", length=0), "river 'red' has non-positive length"),
+    (lambda records: records.pop(), "expected exactly one country record"),
+    (lambda records: records.append(dict(records[-1])), "expected exactly one country record"),
+    (_update("state", "texas", capital="topeka"),
+     "state 'texas' needs exactly one capital city named 'topeka' within it, found 0"),
+    (_update("state", "texas", next_to=["new mexico", "oklahoma", "mexico"]),
+     "state 'texas' borders unknown 'mexico'"),
+    (_update("state", "texas", high_point="wheeler peak"),
+     "state 'texas': no place 'wheeler peak' in that state"),
+    (_update("state", "texas", low_point="black mesa"),
+     "state 'texas': no place 'black mesa' in that state"),
+])
+def test_geobase_refusals_name_the_fault(edit, message):
+    lines = environment_path("geo").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    edit(records)
+    data = "\n".join(json.dumps(r) for r in records).encode("utf-8")
+    with pytest.raises(DataFormatError) as info:
+        load_geobase("geo.jsonl", data)
+    assert str(info.value) == f"geo.jsonl: {message}"
+
+
+def _person(person_id, **fields):
+    """An edit of the bundled world's person ``person_id``."""
+    def edit(world):
+        next(p for p in world["people"] if p["id"] == person_id).update(fields)
+    return edit
+
+
+def _refusal(environment, loader, edit) -> str:
+    """The message ``loader`` refuses the bundled ``environment`` world with, once edited."""
+    world = json.loads(environment_path(environment).read_text(encoding="utf-8"))
+    edit(world)
+    with pytest.raises(DataFormatError) as info:
+        loader("world.json", json.dumps(world).encode("utf-8"))
+    return str(info.value)
+
+
+def _alice_studies_backwards(world):
+    world["people"][0]["education"][0]["start_date"] = 2009  # her end_date is 2008
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda world: world["people"].append(dict(world["people"][0])),
+     "duplicate person id 'en.person.alice'"),
+    (_alice_studies_backwards, "en.person.alice: start_date after end_date"),
+    (_person("en.person.dan", friends=["en.person.bob", "en.person.zed"]),
+     "en.person.dan: unknown friend 'en.person.zed'"),
+    (_person("en.person.dan", friends=[]),
+     "friendship not symmetric: en.person.bob -> en.person.dan"),
+])
+def test_social_db_refusals_name_the_fault(edit, message):
+    assert _refusal("social", load_social_db, edit) == f"world.json: {message}"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda world: world["people"].append({"id": "p1", "name": "zoe"}),
+     "duplicate person id 'p1'"),
+    (_person("p1", manager="p9"), "unknown manager id 'p9'"),
+    (_person("p6", manager="p1"), "manager cycle through 'p1'"),
+    (lambda world: world.update(current_user="p9"), "current_user 'p9' unknown"),
+])
+def test_calendar_world_refusals_name_the_fault(edit, message):
+    assert _refusal("calendar", load_world, edit) == f"world.json: {message}"
