@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass
 
 from .errors import DataFormatError, MrExecError, shown
 from .outcomes import CreatedEvent, WorldDelta
-from .readonly import ReadOnlyList
+from .readonly import ReadOnlyList, Value
 from .resources import ANY, STRING, Schema, read_world
 
 
@@ -44,21 +43,21 @@ WEEKDAYS = {
 }
 
 
-@dataclass(eq=False)
 class CalPerson:
-    id: str
-    name: str
-    manager: "CalPerson | None" = None
+    __slots__ = ("id", "name", "manager")
+
+    def __init__(self, id: str, name: str, manager: CalPerson | None = None):
+        self.id, self.name, self.manager = id, name, manager
 
     def __repr__(self):
         return f"<person {self.name}>"
 
 
-@dataclass(eq=False)
 class CalendarWorld:
-    people: list[CalPerson]
-    current_user: CalPerson
-    now: dt.datetime
+    __slots__ = ("people", "current_user", "now")
+
+    def __init__(self, people: list[CalPerson], current_user: CalPerson, now: dt.datetime):
+        self.people, self.current_user, self.now = people, current_user, now
 
     def find_person(self, name: str) -> CalPerson:
         wanted = name.lower()
@@ -114,19 +113,24 @@ def load_world(path, data=None) -> CalendarWorld:
 
 # --- clauses ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DateClause:
-    kind: str  # "next_dow" | "today" | "tomorrow" | "mdy"
-    weekday: int | None = None
-    month: int | None = None
-    day: int | None = None
-    year: int | None = None
+class DateClause(Value):
+    __slots__ = ("kind", "weekday", "month", "day", "year")
+
+    def __init__(self, kind: str, weekday: int | None = None, month: int | None = None,
+                 day: int | None = None, year: int | None = None):
+        object.__setattr__(self, "kind", kind)  # "next_dow" | "today" | "tomorrow" | "mdy"
+        object.__setattr__(self, "weekday", weekday)
+        object.__setattr__(self, "month", month)
+        object.__setattr__(self, "day", day)
+        object.__setattr__(self, "year", year)
 
 
-@dataclass(frozen=True)
-class TimeClause:
-    hour: int
-    minute: int = 0
+class TimeClause(Value):
+    __slots__ = ("hour", "minute")
+
+    def __init__(self, hour: int, minute: int = 0):
+        object.__setattr__(self, "hour", hour)
+        object.__setattr__(self, "minute", minute)
 
 
 class DateTimeClause:
@@ -238,12 +242,14 @@ def build_event(event: Event, world: CalendarWorld) -> CreatedEvent:
 
 # --- the pymr surface ---------------------------------------------------------
 
-@dataclass(frozen=True, repr=False)
-class CalendarPerson:
+class CalendarPerson(Value):
     """pymr-facing handle around one org-chart person; handles of one person are equal."""
 
-    _person: CalPerson
-    _world: CalendarWorld
+    __slots__ = ("_person", "_world")
+
+    def __init__(self, _person: CalPerson, _world: CalendarWorld):
+        object.__setattr__(self, "_person", _person)
+        object.__setattr__(self, "_world", _world)
 
     @property
     def name(self) -> str:

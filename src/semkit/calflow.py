@@ -18,7 +18,7 @@ closing parenthesis.  A program's constraints fill one
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .calendar_world import (CalendarWorld, CalPerson, DateTimeClause, DateTimeValues, Event,
                              build_event)
@@ -28,19 +28,16 @@ from .outcomes import WorldDelta
 
 # --- Dataflow-Simple AST ----------------------------------------------------
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     head: str
     args: tuple = ()
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class NumberArg:
+class NumberArg(NamedTuple):
     value: int
 
 

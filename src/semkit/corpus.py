@@ -10,7 +10,7 @@ Dataset files are JSONL, one example per line::
 :func:`semkit.resources.read_jsonl` and each record's fields through one
 :class:`~semkit.resources.Schema`; :func:`load_dataset` then rejects a
 repeated id, an unknown dialect name and a program that is not a string.  It
-reads the file in one pass.  Examples are frozen dataclasses, examples
+reads the file in one pass.  Examples are named tuples, examples
 without tags share one empty frozenset, and examples with the same program
 text share one string.
 
@@ -55,11 +55,12 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import DataFormatError, PoolExhaustedError
 from .execute import DIALECTS
+from .readonly import Value
 from .resources import (OBJECT, STRING, STRINGS, Schema, parsed, read_json_object,
                         read_jsonl, write_text)
 
@@ -71,26 +72,24 @@ _LCG_MOD = 2**32
 _NO_TAGS: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class Example:
+class Example(NamedTuple):
     id: str
     utterance: str
     programs: dict[str, str]
     tags: frozenset[str] = _NO_TAGS
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Value):
     """Examples in file order; ``by_id`` maps each id to its example (a later example
-    wins a repeated id)."""
+    wins a repeated id).  Datasets are equal when their name, dialects and examples are."""
 
-    name: str
-    dialects: tuple[str, ...]
-    examples: tuple[Example, ...]
-    by_id: dict[str, Example] = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "dialects", "examples", "by_id")
 
-    def __post_init__(self):
-        object.__setattr__(self, "by_id", {ex.id: ex for ex in self.examples})
+    def __init__(self, name: str, dialects: tuple[str, ...], examples: tuple[Example, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "dialects", dialects)
+        object.__setattr__(self, "examples", examples)
+        object.__setattr__(self, "by_id", {ex.id: ex for ex in examples})
 
     def __getitem__(self, example_id: str) -> Example:
         return self.by_id[example_id]
@@ -102,8 +101,7 @@ class Dataset:
         return len(self.examples)
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(NamedTuple):
     name: str
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
@@ -118,7 +116,7 @@ def load_dataset(path, name: str | None = None) -> Dataset:
     parsed once per process while the file's bytes are unchanged.  ``name`` defaults to
     the path; a named load shares the parsed examples."""
     dataset = parsed("dataset", path, lambda data: _dataset_of(path, data))
-    return replace(dataset, name=name) if name else dataset
+    return Dataset(name, dataset.dialects, dataset.examples) if name else dataset
 
 
 def _dataset_of(path, data: bytes) -> Dataset:

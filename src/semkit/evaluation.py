@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PoolExhaustedError
 from .execute import memoized_runs
@@ -34,8 +33,7 @@ if TYPE_CHECKING:  # an annotation only: importing this module loads no world
 NUMBER_RELATIVE_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class ComparisonPolicy:
+class ComparisonPolicy(NamedTuple):
     mode: str  # "denotation-set" | "denotation-multiset" | "state"
     name_canonicalization: bool = False
 
@@ -154,8 +152,7 @@ def canonicalize_names(pred_program: str, gold_program: str,
 VERDICTS = ("correct", "wrong-result", "execution-failure", "harness-error")
 
 
-@dataclass(frozen=True)
-class AccuracyReport:
+class AccuracyReport(NamedTuple):
     seed: int
     n_total: int
     n_correct: int

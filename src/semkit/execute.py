@@ -22,9 +22,8 @@ their lists refuse changes, so no program run can alter them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import import_module
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import resources
 from .errors import SemkitError
@@ -38,8 +37,7 @@ ENVIRONMENTS = {
 }
 
 
-@dataclass(frozen=True)
-class Dialect:
+class Dialect(NamedTuple):
     environment: str | None  # None: runs against any environment
     module: str  # the interpreter module, handed to each step as ``m``
     parse: Callable  # (m, text) -> ast

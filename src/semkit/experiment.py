@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import resources
 from .corpus import (Dataset, Example, Split, example_to_json_line, load_dataset, load_split,
@@ -98,9 +97,10 @@ class DemoSelector:
     at most once: only coverage selection and coverage fractions read them.
     Pools repeat programs (many paraphrases share one), so extraction runs once
     per distinct program text and every id holding that text gets the same set.
-    The BM25 index is built on first use and reused by every query.  Greedy
-    coverage picks do not depend on the seed, so they are made once per k.  Not
-    for sharing between threads: the engine selects on its calling thread only.
+    The BM25 index is built on first use and reused by every query.  Neither
+    greedy coverage picks nor BM25 picks depend on the seed, so they are made
+    once per k and once per (query, k).  Not for sharing between threads: the
+    engine selects on its calling thread only.
     """
 
     def __init__(self, dataset: Dataset, split: Split, dialect: str):
@@ -113,6 +113,7 @@ class DemoSelector:
         self._structures: frozenset[str] = frozenset()
         self._index: Bm25Index | None = None
         self._coverage: dict[int, tuple[list[str], float]] = {}
+        self._bm25: dict[tuple[str, int], list[str]] = {}
 
     def operator_sets(self) -> dict[str, frozenset[str]]:
         if self._operator_sets is None:
@@ -155,7 +156,9 @@ class DemoSelector:
         if method == "bm25":
             if query is None:
                 raise SemkitError("bm25 selection needs a query utterance")
-            return bm25_rank(query, self.bm25_index(), k)
+            if (query, k) not in self._bm25:
+                self._bm25[query, k] = bm25_rank(query, self.bm25_index(), k)
+            return list(self._bm25[query, k])
         raise SemkitError(f"unknown selection method {method!r}")
 
 
@@ -179,8 +182,7 @@ _SELECTION = Schema(("k", INTEGER), ("method", STRING))
 _RUN_OUTPUT = Schema(("output_dir", STRING, None))
 
 
-@dataclass(frozen=True)
-class RunSpec:
+class RunSpec(NamedTuple):
     """A ``run`` config once :func:`read_run_config` has checked it; paths as written."""
 
     client: dict  # the client block; load_run checks the rest of it as it builds the client
@@ -231,8 +233,7 @@ def run_output_dir(config: dict, base: Path, given: str | None) -> Path:
     return Path("out") if output_dir is None else resolve_path(output_dir, base)
 
 
-@dataclass(frozen=True)
-class RunState:
+class RunState(NamedTuple):
     """What :func:`load_run` loaded for one spec: the same for each of its seeds."""
 
     client: LlmClient
@@ -335,7 +336,7 @@ def run_bootstrap(config: dict, base: Path) -> dict:
             raise SemkitError(f"bootstrap config: {key} names unknown example ids: {unknown}")
     seed_pool = [dataset[i] for i in seed_ids]
     # ids listed as unlabeled are treated as lacking the target-dialect annotation
-    unlabeled = [replace(dataset[i], programs={d: p for d, p in dataset[i].programs.items()
+    unlabeled = [dataset[i]._replace(programs={d: p for d, p in dataset[i].programs.items()
                                                if d != dialect}) for i in unlabeled_ids]
     env_object = load_config_environment(environment, environment_file, base)
     bootstrap_config = BootstrapConfig(

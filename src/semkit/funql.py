@@ -34,16 +34,18 @@ input yields an empty result rather than an error.  :data:`OPERATORS`
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .errors import MAX_DEPTH, TOO_DEEP, MrExecError, MrParseError
 from .geo import ENTITY_KINDS, City, Country, GeoModel, Place, River, State, entity_ref
 from .outcomes import Denotation
+from .readonly import Value
 
 
-@dataclass(frozen=True)
-class All:
+class All(Value):
+    __slots__ = ()
+
     def __repr__(self):
         return "All"
 
@@ -51,15 +53,13 @@ class All:
 ALL = All()
 
 
-@dataclass(frozen=True)
-class EntityLiteral:
+class EntityLiteral(NamedTuple):
     kind: str  # a key of ENTITY_OPS
     name: str
     qualifier: str | None = None
 
 
-@dataclass(frozen=True)
-class Apply:
+class Apply(NamedTuple):
     op: str
     args: tuple
 

@@ -30,8 +30,6 @@ and the country, population for cities, length for rivers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import DataFormatError, MrExecError
 from .outcomes import denotation_of
 from .readonly import ReadOnlyList
@@ -42,11 +40,12 @@ MAJOR_RIVER_MIN_LENGTH_KM = 750.0
 DENSITY_RELATIVE_TOLERANCE = 0.01
 
 
-@dataclass(eq=False)
 class City:
-    name: str
-    population: int
-    state: "State" = None  # resolved by the loader
+    __slots__ = ("name", "population", "state")
+
+    def __init__(self, name: str, population: int, state: State = None):
+        self.name, self.population = name, population
+        self.state = state  # resolved by the loader
 
     @property
     def is_major(self) -> bool:
@@ -60,22 +59,22 @@ class City:
         return f"<city {self.name}, {self.state.abbreviation}>"
 
 
-@dataclass(eq=False)
 class Place:
-    name: str
-    elevation: float
-    kind: str
-    state: "State" = None
+    __slots__ = ("name", "elevation", "kind", "state")
+
+    def __init__(self, name: str, elevation: float, kind: str, state: State = None):
+        self.name, self.elevation, self.kind, self.state = name, elevation, kind, state
 
     def __repr__(self):
         return f"<place {self.name}>"
 
 
-@dataclass(eq=False)
 class River:
-    name: str
-    length: float
-    traverses: list["State"] = field(default_factory=list)
+    __slots__ = ("name", "length", "traverses")
+
+    def __init__(self, name: str, length: float, traverses: list[State] | None = None):
+        self.name, self.length = name, length
+        self.traverses = [] if traverses is None else traverses
 
     @property
     def is_major(self) -> bool:
@@ -89,19 +88,20 @@ class River:
         return f"<river {self.name}>"
 
 
-@dataclass(eq=False)
 class State:
-    name: str
-    abbreviation: str
-    area: float
-    population: int
-    density: float
-    capital: City = None
-    high_point: Place = None
-    low_point: Place = None
-    next_to: list["State"] = field(default_factory=list)
-    rivers: list[River] = field(default_factory=list)
-    cities: list[City] = field(default_factory=list)
+    __slots__ = ("name", "abbreviation", "area", "population", "density", "capital",
+                 "high_point", "low_point", "next_to", "rivers", "cities")
+
+    def __init__(self, name: str, abbreviation: str, area: float, population: int,
+                 density: float, capital: City = None, high_point: Place = None,
+                 low_point: Place = None, next_to: list[State] | None = None,
+                 rivers: list[River] | None = None, cities: list[City] | None = None):
+        self.name, self.abbreviation, self.area = name, abbreviation, area
+        self.population, self.density, self.capital = population, density, capital
+        self.high_point, self.low_point = high_point, low_point
+        self.next_to = [] if next_to is None else next_to
+        self.rivers = [] if rivers is None else rivers
+        self.cities = [] if cities is None else cities
 
     @property
     def size(self) -> float:
@@ -111,11 +111,11 @@ class State:
         return f"<state {self.name}>"
 
 
-@dataclass(eq=False)
 class Country:
-    name: str
-    area: float
-    population: int
+    __slots__ = ("name", "area", "population")
+
+    def __init__(self, name: str, area: float, population: int):
+        self.name, self.area, self.population = name, area, population
 
     @property
     def size(self) -> float:
@@ -125,13 +125,13 @@ class Country:
         return f"<country {self.name}>"
 
 
-@dataclass(eq=False, repr=False)  # shown by its class name, not as the whole world
-class GeoModel:
-    states: list[State]
-    cities: list[City]
-    rivers: list[River]
-    places: list[Place]
-    country: Country
+class GeoModel:  # no __repr__: shown by its class name, not as the whole world
+    __slots__ = ("states", "cities", "rivers", "places", "country")
+
+    def __init__(self, states: list[State], cities: list[City], rivers: list[River],
+                 places: list[Place], country: Country):
+        self.states, self.cities, self.rivers = states, cities, rivers
+        self.places, self.country = places, country
 
     def find_state(self, name: str) -> State | None:
         return next(iter(_named(self.states, name)), None)

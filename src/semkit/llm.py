@@ -45,13 +45,13 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field, replace
 
 from .corpus import Example, sample_demos
 from .errors import CacheMissError, SemkitError, TransportError
 from .evaluation import scorer
 from .execute import dialect_for
 from .prompts import PromptSpec, build_prompt, default_template, prompt_segments, render_dd
+from .readonly import Frozen
 from .resources import STRING, Schema, read_jsonl
 
 DEFAULT_TEMPERATURE = 0.0
@@ -88,17 +88,20 @@ class PromptLead:
         return self._states
 
 
-@dataclass(frozen=True)
-class CompletionRequest:
-    prompt: str
-    model: str
-    temperature: float = DEFAULT_TEMPERATURE
-    # the lead of the prompt's constant leading text, to stream the digests from
-    lead: PromptLead | None = field(default=None, repr=False, compare=False)
+class CompletionRequest(Frozen):
+    """One prompt for one model and temperature; ``lead`` is the lead of the prompt's
+    constant leading text, to stream the digests from."""
 
-    def __post_init__(self):
-        if not 0.0 <= self.temperature <= 2.0:
+    __slots__ = ("prompt", "model", "temperature", "lead")
+
+    def __init__(self, prompt: str, model: str, temperature: float = DEFAULT_TEMPERATURE,
+                 lead: PromptLead | None = None):
+        if not 0.0 <= temperature <= 2.0:
             raise ValueError("temperature must be within [0, 2]")
+        object.__setattr__(self, "prompt", prompt)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "temperature", temperature)
+        object.__setattr__(self, "lead", lead)
 
     def fingerprint(self) -> str:
         """sha256 of ``json.dumps({"model", "prompt", "temperature"}, sort_keys=True,
@@ -119,7 +122,7 @@ class CompletionRequest:
 
     def _lead(self) -> PromptLead:
         """The given lead if it fits, else the empty one.  The step's leads always fit; a
-        request built by hand (``dataclasses.replace`` of another, say) may carry one of
+        request built by hand (a copy of another with one field changed, say) may carry one of
         another model, temperature object (so another encoding) or leading text."""
         lead = self.lead
         if (lead is None or lead.model != self.model or lead.temperature is not self.temperature
@@ -195,14 +198,16 @@ def http_transport(endpoint: str, api_key_env: str):
     return send
 
 
-@dataclass
 class LlmClient:
     """A completion client: ``replay`` and ``record`` need a cache, ``live`` and ``record``
     a transport (:func:`semkit.experiment.make_client` checks a config's client block)."""
 
-    mode: str  # "live" | "record" | "replay"
-    cache: ReplayCache | None = None
-    transport: object = None  # callable(CompletionRequest) -> str
+    __slots__ = ("mode", "cache", "transport")
+
+    def __init__(self, mode: str, cache: ReplayCache | None = None, transport=None):
+        self.mode = mode  # "live" | "record" | "replay"
+        self.cache = cache
+        self.transport = transport  # callable(CompletionRequest) -> str
 
     def complete(self, request: CompletionRequest) -> str:
         if self.mode == "replay":
@@ -299,16 +304,18 @@ def example_evaluator(model: str, temperature: float, dialect: str, gold_dialect
     return request, judge
 
 
-@dataclass
 class BootstrapConfig:
-    environment: str
-    dialect: str  # the dialect being annotated (programs the LLM writes)
-    gold_dialect: str  # dialect providing the execution-equality gold signal
-    model: str
-    k: int
-    passes: int
-    seed: int
-    dd_declarations: list
+    """``dialect`` is the dialect being annotated (programs the LLM writes), ``gold_dialect``
+    the dialect providing the execution-equality gold signal."""
+
+    __slots__ = ("environment", "dialect", "gold_dialect", "model", "k", "passes", "seed",
+                 "dd_declarations")
+
+    def __init__(self, environment: str, dialect: str, gold_dialect: str, model: str, k: int,
+                 passes: int, seed: int, dd_declarations: list):
+        self.environment, self.dialect, self.gold_dialect = environment, dialect, gold_dialect
+        self.model, self.k, self.passes, self.seed = model, k, passes, seed
+        self.dd_declarations = dd_declarations
 
 
 def bootstrap_annotations(seed_pool: list[Example], unlabeled: list[Example],
@@ -346,7 +353,7 @@ def bootstrap_annotations(seed_pool: list[Example], unlabeled: list[Example],
                                  config.seed + pass_index)
             verdict, program = judge(example, completion_of(client, request(example, demos)))
             if verdict == "correct":
-                accepted = replace(example, programs={**example.programs, config.dialect: program})
+                accepted = example._replace(programs={**example.programs, config.dialect: program})
                 pool.append(accepted)
                 annotated.append(accepted)
             elif verdict == "harness-error":

@@ -10,16 +10,14 @@ execution failure, so batch evaluation never aborts on a bad program.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import MrExecError, MrParseError, shown
 
 EntityRef = tuple[str, str]  # (entity kind, canonical lowercase name)
 
 
-@dataclass(frozen=True)
-class Denotation:
+class Denotation(NamedTuple):
     kind: str  # "entities" | "number"
     entities: tuple[EntityRef, ...] = ()
     values: tuple[float, ...] = ()
@@ -75,8 +73,7 @@ def denotation_of(value, entity_types, ref) -> Denotation:
     raise MrExecError("type-mismatch", f"cannot interpret {shown(value)} as an answer")
 
 
-@dataclass(frozen=True)
-class CreatedEvent:
+class CreatedEvent(NamedTuple):
     """One concrete calendar event, fully resolved."""
 
     start: str  # ISO-8601
@@ -97,16 +94,14 @@ class CreatedEvent:
         }
 
 
-@dataclass(frozen=True)
-class WorldDelta:
+class WorldDelta(NamedTuple):
     created: tuple[CreatedEvent, ...] = ()
 
     def to_json(self) -> dict:
         return {"kind": "delta", "created": [e.to_json() for e in self.created]}
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """Result of running one program: a value or a captured failure."""
 
     ok: bool

@@ -29,8 +29,8 @@ demonstrations into the constant text around the ``[query-test]`` slots.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DataFormatError, SemkitError
 from .resources import STRING, Schema, read_json, template_path
@@ -129,8 +129,7 @@ def render_dd(declarations: list[dict], variant: str) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class PromptSpec:
+class PromptSpec(NamedTuple):
     dd_variant: str
     dd_text: str
     demonstrations: tuple[tuple[str, str], ...]  # (utterance, program)

@@ -39,8 +39,8 @@ from __future__ import annotations
 import ast as pyast
 import builtins
 import operator
-from dataclasses import dataclass
 from importlib import import_module
+from typing import NamedTuple
 
 from . import execute
 from .errors import MAX_DEPTH, TOO_DEEP, MrExecError, MrParseError, UnsupportedConstructError
@@ -52,8 +52,7 @@ LIST_METHODS = ("append", "extend", "remove")
 SET_METHODS = ("add", "update")
 
 
-@dataclass(frozen=True)
-class PymrAst:
+class PymrAst(NamedTuple):
     func: pyast.FunctionDef
     operators: frozenset[str]  # collected while the program is checked
 

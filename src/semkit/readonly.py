@@ -1,9 +1,11 @@
-"""Read-only collections for the environment worlds.
+"""Read-only collections for the environment worlds, and the base of immutable records.
 
 Each environment loader hands out every collection it built as a
 :class:`ReadOnlyList`, so a program can read a world but never change what a
 later program, gold programs included, is run against.  That makes
-``run_program`` a pure function of (dialect, text, world).
+``run_program`` a pure function of (dialect, text, world).  A record that must
+not be a tuple and must not change once built derives from :class:`Frozen`, or from
+:class:`Value` when it compares by its fields.
 """
 
 from __future__ import annotations
@@ -30,3 +32,42 @@ class ReadOnlyList(list):
 
     def __reduce__(self):  # copy and pickle rebuild from the items, not by appending
         return ReadOnlyList, (list(self),)
+
+
+class Frozen:
+    """Base of an immutable ``__slots__`` record.  A subclass's ``__init__`` sets each field
+    once, through ``object.__setattr__``; after that, assigning or deleting an attribute
+    raises ``AttributeError``.  Copy and pickle restore the fields the same way.  A frozen
+    record compares by identity; a :class:`Value` by its fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):  # (None, {slot: value}), as object.__reduce_ex__ gives it
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class Value(Frozen):
+    """A frozen record that compares and hashes as the tuple of its fields, against records
+    of its own class only, and shows itself as ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"

@@ -77,7 +77,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PoolExhaustedError
 
@@ -108,8 +108,7 @@ def coverage_fraction(candidate_sets, structures: frozenset[str]) -> float:
     return setcov(structures, candidate_sets) / len(structures)
 
 
-@dataclass(frozen=True)
-class GreedyTrace:
+class GreedyTrace(NamedTuple):
     """One greedy step: which candidate was taken, or a cover reset."""
 
     picked: str | None  # candidate id, None for a reset

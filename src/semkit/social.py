@@ -34,24 +34,28 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import MAX_DEPTH, TOO_DEEP, MrExecError, MrParseError
 from .outcomes import Denotation
+from .readonly import Frozen, Value
 from .social_db import Person, SocialDb, value_ref
 
 
 # --- s-expressions --------------------------------------------------------
 
-@dataclass(frozen=True)
-class Sym:
-    text: str
+class Sym(Value):
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        object.__setattr__(self, "text", text)
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class Num(Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
     def render(self) -> str:
         if float(self.value).is_integer():
@@ -62,12 +66,18 @@ class Num:
 SList = tuple  # applications are plain tuples of nodes
 
 
-@dataclass(frozen=True)
-class LdcsAst:
-    root: object
-    dialect: str  # "full" | "simple"
-    operators: frozenset[str]  # symbol unigrams of the simple-dialect tree
-    unsupported: str | None = None  # why a full-dialect tree does not simplify
+class LdcsAst(Frozen):
+    """``operators`` holds the symbol unigrams of the simple-dialect tree; ``unsupported``
+    says why a full-dialect tree does not simplify."""
+
+    __slots__ = ("root", "dialect", "operators", "unsupported")
+
+    def __init__(self, root, dialect: str, operators: frozenset[str],
+                 unsupported: str | None = None):
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "dialect", dialect)  # "full" | "simple"
+        object.__setattr__(self, "operators", operators)
+        object.__setattr__(self, "unsupported", unsupported)
 
 
 # "(", or the full dialect's "(call SW.<op>"; ")"; a number (the whole token);

@@ -11,53 +11,61 @@ pymr program sees; the λ-DCS dialects that run against the database live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import DataFormatError, MrExecError
 from .outcomes import denotation_of
 from .readonly import ReadOnlyList
 from .resources import BOOLEAN, INTEGER, STRING, STRINGS, Schema, objects_of, read_world
 
 
-@dataclass(eq=False)
 class EducationRecord:
-    institution: str
-    start_date: int
-    end_date: int
+    __slots__ = ("institution", "start_date", "end_date")
+
+    def __init__(self, institution: str, start_date: int, end_date: int):
+        self.institution, self.start_date, self.end_date = institution, start_date, end_date
+
+    def __repr__(self):
+        return (f"EducationRecord(institution={self.institution!r}, "
+                f"start_date={self.start_date!r}, end_date={self.end_date!r})")
 
 
-@dataclass(eq=False)
 class EmploymentRecord:
-    employer: str
-    job_title: str
-    start_date: int
-    end_date: int
+    __slots__ = ("employer", "job_title", "start_date", "end_date")
+
+    def __init__(self, employer: str, job_title: str, start_date: int, end_date: int):
+        self.employer, self.job_title = employer, job_title
+        self.start_date, self.end_date = start_date, end_date
+
+    def __repr__(self):
+        return (f"EmploymentRecord(employer={self.employer!r}, job_title={self.job_title!r}, "
+                f"start_date={self.start_date!r}, end_date={self.end_date!r})")
 
 
-@dataclass(eq=False)
 class Person:
-    id: str
-    name: str
-    gender: str
-    birthdate: int
-    birthplace: str
-    height: int
-    relationship_status: str
-    is_student: bool
-    friends: list["Person"] = field(default_factory=list)
-    education: list[EducationRecord] = field(default_factory=list)
-    employment: list[EmploymentRecord] = field(default_factory=list)
+    __slots__ = ("id", "name", "gender", "birthdate", "birthplace", "height",
+                 "relationship_status", "is_student", "friends", "education", "employment")
+
+    def __init__(self, id: str, name: str, gender: str, birthdate: int, birthplace: str,
+                 height: int, relationship_status: str, is_student: bool,
+                 friends: list[Person] | None = None,
+                 education: list[EducationRecord] | None = None,
+                 employment: list[EmploymentRecord] | None = None):
+        self.id, self.name, self.gender, self.birthdate = id, name, gender, birthdate
+        self.birthplace, self.height = birthplace, height
+        self.relationship_status, self.is_student = relationship_status, is_student
+        self.friends = [] if friends is None else friends
+        self.education = [] if education is None else education
+        self.employment = [] if employment is None else employment
 
     def __repr__(self):
         return f"<{self.id}>"
 
 
-@dataclass(eq=False)
 class SocialDb:
-    people: list[Person]
+    __slots__ = ("people", "by_id")
 
-    def __post_init__(self):
-        self.by_id = {p.id: p for p in self.people}
+    def __init__(self, people: list[Person]):
+        self.people = people
+        self.by_id = {p.id: p for p in people}
 
     def find_person_by_id(self, person_id: str) -> Person:
         if person_id not in self.by_id:

@@ -97,14 +97,15 @@ def test_next_dow_always_within_week():
 
 
 def test_exec_showcase(calendar_world):
-    before = dict(vars(calendar_world))
+    fields = type(calendar_world).__slots__
+    before = {name: getattr(calendar_world, name) for name in fields}
     delta = exec_dfs(parse_dfs(SHOWCASE), calendar_world)
     assert isinstance(delta, WorldDelta) and len(delta.created) == 1
     event = delta.created[0]
     assert event.location == "Central Park"
     assert event.start == "2023-01-06T09:00:00"
     assert event.end == "2023-01-06T09:30:00"
-    assert vars(calendar_world) == before  # input world untouched
+    assert {name: getattr(calendar_world, name) for name in fields} == before  # world untouched
 
 
 def test_exec_defaults(calendar_world):

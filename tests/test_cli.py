@@ -549,6 +549,43 @@ def test_a_pymr_run_loads_no_other_world(environment, body, world_module):
     assert result.stdout.splitlines() == ["[]", f"True [{world_module!r}]"]
 
 
+# Records are written out, so no semkit module, bundled world, dataset, replay cache or
+# DD source brings in ``dataclasses``, whose import and generated methods cost start-up.
+_RECORDS_PROBE = """
+import json
+import pkgutil
+import sys
+from importlib import import_module
+import semkit
+for module in pkgutil.iter_modules(semkit.__path__):
+    import_module("semkit." + module.name)
+from semkit.corpus import load_dataset, load_split
+from semkit.execute import DIALECTS, ENVIRONMENTS, load_environment
+from semkit.llm import ReplayCache
+from semkit.prompts import load_dd_source
+from semkit.resources import data_path, dataset_path, dd_path, environment_path, split_path
+for name in ("geoquery", "overnight", "smcalflow"):
+    load_split(split_path(name + "_iid"), load_dataset(dataset_path(name)))
+for environment in ENVIRONMENTS:
+    load_environment(environment, environment_path(environment))
+    for dialect, entry in DIALECTS.items():
+        if entry.environment in (None, environment):
+            load_dd_source(dd_path(environment, dialect))
+for cache in ("replay_cache.jsonl", "bootstrap_cache.jsonl"):
+    ReplayCache(data_path(cache))
+print(json.dumps(sorted(m for m in sys.modules if m == "dataclasses" or m.startswith("semkit."))))
+"""
+
+
+def test_a_process_that_loads_everything_bundled_never_imports_dataclasses():
+    result = _python(_RECORDS_PROBE)
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout)
+    assert "dataclasses" not in loaded
+    modules = Path(semkit.__file__).parent.glob("*.py")
+    assert loaded == sorted(f"semkit.{m.stem}" for m in modules if m.stem != "__init__")
+
+
 # Prints the failure message of one geo pymr program.
 _MESSAGE_PROBE = """
 import sys

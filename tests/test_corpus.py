@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -105,14 +104,14 @@ def test_loaded_examples_equal_constructed_ones(tmp_path):
 
 def test_example_is_frozen_and_replaceable():
     example = Example("x-1", "u", {"funql": "answer(1)"}, frozenset({"t"}))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         example.utterance = "v"
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         del example.tags
-    with pytest.raises(AttributeError):  # FrozenInstanceError is one
+    with pytest.raises(AttributeError):
         example.other = 1
     assert not hasattr(example, "other")
-    changed = dataclasses.replace(example, programs={"pymr": "x"})
+    changed = example._replace(programs={"pymr": "x"})
     assert changed == Example("x-1", "u", {"pymr": "x"}, frozenset({"t"}))
     assert example.programs == {"funql": "answer(1)"}
 

@@ -2,7 +2,6 @@ import hashlib
 import json
 import sys
 import threading
-from dataclasses import replace
 
 import pytest
 
@@ -231,8 +230,9 @@ def test_digests_streamed_on_many_threads_match_the_reference(geoquery):
 
 def test_a_request_whose_lead_does_not_fit_streams_from_the_empty_lead():
     req = evaluator_requests(dd="class State: ...")(Example("t", "q", {}), [])
-    for changed in (replace(req, prompt="other"), replace(req, model="other"),
-                    replace(req, temperature=0.5)):
+    for changed in (CompletionRequest("other", req.model, req.temperature, req.lead),
+                    CompletionRequest(req.prompt, "other", req.temperature, req.lead),
+                    CompletionRequest(req.prompt, req.model, 0.5, req.lead)):
         assert_reference_digests(changed)
 
 
@@ -452,12 +452,14 @@ def test_bootstrap_added_programs_reverify_offline(geo_model, geoquery, bootstra
         assert pred.ok and gold.ok and compare_outcomes(pred, gold, policy), example.id
 
 
-def test_bootstrap_client_error_aborts_pass_not_pool(geo_model, bootstrap_setup, tmp_path):
+def test_bootstrap_client_error_aborts_pass_not_pool(geo_model, bootstrap_setup, tmp_path,
+                                                     monkeypatch):
     seed_pool, unlabeled, config = bootstrap_setup
     client = LlmClient(mode="replay", cache=ReplayCache(tmp_path / "empty.jsonl"))
     requests = []
-    complete = client.complete
-    client.complete = lambda request: requests.append(request) or complete(request)
+    complete = LlmClient.complete
+    monkeypatch.setattr(LlmClient, "complete",
+                        lambda self, request: requests.append(request) or complete(self, request))
     pool = bootstrap_annotations(seed_pool, unlabeled, geo_model, client, config)
     assert [ex.id for ex in pool] == [ex.id for ex in seed_pool]
     assert len(requests) == config.passes  # each pass stops at its first harness error
