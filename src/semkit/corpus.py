@@ -84,6 +84,7 @@ class Dataset(Value):
     wins a repeated id).  Datasets are equal when their name, dialects and examples are."""
 
     __slots__ = ("name", "dialects", "examples", "by_id")
+    _fields = ("name", "dialects", "examples")
 
     def __init__(self, name: str, dialects: tuple[str, ...], examples: tuple[Example, ...]):
         object.__setattr__(self, "name", name)

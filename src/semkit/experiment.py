@@ -97,10 +97,9 @@ class DemoSelector:
     at most once: only coverage selection and coverage fractions read them.
     Pools repeat programs (many paraphrases share one), so extraction runs once
     per distinct program text and every id holding that text gets the same set.
-    The BM25 index is built on first use and reused by every query.  Neither
-    greedy coverage picks nor BM25 picks depend on the seed, so they are made
-    once per k and once per (query, k).  Not for sharing between threads: the
-    engine selects on its calling thread only.
+    The BM25 index is built on first use and reused by every query.  Greedy
+    coverage picks do not depend on the seed, so they are made once per k.  Not
+    for sharing between threads: the engine selects on its calling thread only.
     """
 
     def __init__(self, dataset: Dataset, split: Split, dialect: str):
@@ -113,7 +112,6 @@ class DemoSelector:
         self._structures: frozenset[str] = frozenset()
         self._index: Bm25Index | None = None
         self._coverage: dict[int, tuple[list[str], float]] = {}
-        self._bm25: dict[tuple[str, int], list[str]] = {}
 
     def operator_sets(self) -> dict[str, frozenset[str]]:
         if self._operator_sets is None:
@@ -156,9 +154,7 @@ class DemoSelector:
         if method == "bm25":
             if query is None:
                 raise SemkitError("bm25 selection needs a query utterance")
-            if (query, k) not in self._bm25:
-                self._bm25[query, k] = bm25_rank(query, self.bm25_index(), k)
-            return list(self._bm25[query, k])
+            return bm25_rank(query, self.bm25_index(), k)
         raise SemkitError(f"unknown selection method {method!r}")
 
 

@@ -55,12 +55,18 @@ class Frozen:
 
 class Value(Frozen):
     """A frozen record that compares and hashes as the tuple of its fields, against records
-    of its own class only, and shows itself as ``Name(field=value, ...)``."""
+    of its own class only, and shows itself as ``Name(field=value, ...)``.  Its fields are
+    its class's ``_fields``, which default to its ``__slots__``; a slot left out of
+    ``_fields`` (a map derived from the fields, say) takes no part in eq, hash or repr."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
+
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         return self._values() == other._values() if type(other) is type(self) else NotImplemented
@@ -69,5 +75,5 @@ class Value(Frozen):
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"

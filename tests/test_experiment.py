@@ -1,4 +1,3 @@
-import hashlib
 import json
 import random
 import threading
@@ -54,32 +53,6 @@ def test_state_is_built_once(monkeypatch, geoquery, geoquery_split):
     assert len(extracted) == len(texts)  # once per distinct program text
     assert len(greedy) == 1 and len(builds) == 1
     assert picks[0] == picks[1] == picks[2]
-
-
-def test_a_bm25_run_ranks_each_test_utterance_once_for_all_its_seeds(monkeypatch, tmp_path,
-                                                                     geoquery, geoquery_split):
-    config_path = data_path("experiment_replay.json")
-    config = dict(json.loads(config_path.read_text()), selection={"method": "bm25", "k": 3})
-    assert config["seeds"] == [0, 1, 2]
-    gold = {geoquery[i].utterance: geoquery[i].programs["pymr"] for i in geoquery_split.test_ids}
-
-    def complete(client, request):  # the gold program for two prompts in three, by digest
-        utterance = request.prompt[len(request.lead.text):-len("\nsolution:")]
-        if int(request.prompt_digest(), 16) % 3:
-            return gold[utterance]
-        return "def answer():\n    return 0"
-
-    monkeypatch.setattr(llm.LlmClient, "complete", complete)
-    ranked = counting(monkeypatch, experiment, "bm25_rank")
-    aggregate = run_experiment(config, config_path.parent, tmp_path)
-    assert sorted(args[0] for args in ranked) == sorted(gold)
-    assert aggregate["accuracies"] == [0.8, 0.8, 0.8]
-    digest = hashlib.sha256()
-    for path in sorted(tmp_path.iterdir()):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    # the outputs of ranking every utterance once per seed, as selection did before
-    assert digest.hexdigest() == \
-        "bd3f0cf355ad1fc366402400b6ac745a376981c937929510047129fbf9a240de"
 
 
 def test_coverage_picks_match_a_fresh_greedy_cover(geoquery, geoquery_split):

@@ -303,8 +303,7 @@ def test_binding_names_exist_on_runtime_classes(environment):
     names -= _INSTANCE_ATTRS[environment]
     for name in sorted(names):
         found = any(
-            name in getattr(cls, "__slots__", ()) or hasattr(cls, name)
-            or (cls is Event and name in _EVENT_FIELDS)
+            hasattr(cls, name) or (cls is Event and name in _EVENT_FIELDS)
             for cls in _SURFACE[environment].values())
         assert found, f"{environment}: {name} not on any runtime class"
 

@@ -95,7 +95,7 @@ def test_programs_see_clause_and_person_equality_and_hashing():
 
 
 def _fields(record) -> tuple:
-    return record._fields if isinstance(record, tuple) else type(record).__slots__
+    return getattr(record, "_fields", type(record).__slots__)
 
 
 _FUNC = pyast.parse("def answer():\n    return 1").body[0]
@@ -187,3 +187,11 @@ def test_a_dataset_derives_its_map_and_keeps_it():
         dataset.by_id = {}
     with pytest.raises(TypeError):
         Dataset("d", (), (), by_id={})
+
+
+def test_a_dataset_compares_hashes_and_shows_itself_without_its_map():
+    dataset = Dataset("d", ("funql",), (_EXAMPLE,))
+    assert repr(dataset) == ("Dataset(name='d', dialects=('funql',), examples=(Example(id='x', "
+                             "utterance='u', programs={'funql': 'answer(1)'}, "
+                             "tags=frozenset()),))")
+    assert hash(Dataset("e", (), ())) == hash(("e", (), ()))
