@@ -17,9 +17,9 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from semkit.corpus import load_dataset, load_split
 from semkit.execute import operators_of
-from semkit.experiment import DemoSelector
+from semkit.experiment import DemoSelector, dd_text
 from semkit.llm import CompletionRequest, ReplayCache
-from semkit.prompts import PromptSpec, build_prompt, load_dd_source, render_dd
+from semkit.prompts import build_prompt, default_template, load_dd_source
 from semkit.resources import DATA_DIR, dataset_path, dd_path, split_path
 from semkit.selection import coverage_fraction, greedy_select
 
@@ -49,9 +49,9 @@ def dress(seed: int, index: int, program: str) -> str:
 
 
 def build_run_cache() -> None:
-    dataset = load_dataset(dataset_path("geoquery"), name="geoquery")
+    dataset = load_dataset(dataset_path("geoquery"))
     split = load_split(split_path("geoquery_iid"), dataset)
-    dd_text = render_dd(load_dd_source(dd_path("geo", "pymr")), "full")
+    template, dd = default_template(), dd_text("geo", "pymr", "full")
     cache_file = DATA_DIR / "replay_cache.jsonl"
     cache_file.unlink(missing_ok=True)
     cache = ReplayCache(cache_file)
@@ -60,11 +60,10 @@ def build_run_cache() -> None:
         demos = [dataset[i] for i in selector.select("random", 3, seed)]
         for index, test_id in enumerate(split.test_ids):
             example = dataset[test_id]
-            spec = PromptSpec(
-                dd_variant="full", dd_text=dd_text,
-                demonstrations=tuple((d.utterance, d.programs["pymr"]) for d in demos),
-                test_utterance=example.utterance)
-            request = CompletionRequest(prompt=build_prompt(spec), model=MODEL, temperature=0.0)
+            prompt = build_prompt(template, "full", dd,
+                                  tuple((d.utterance, d.programs["pymr"]) for d in demos),
+                                  example.utterance)
+            request = CompletionRequest(prompt=prompt, model=MODEL, temperature=0.0)
             program = WRONG.get((seed, test_id), example.programs["pymr"])
             cache.put(request, dress(seed, index, program), {"seed": seed, "id": test_id})
     config = {
@@ -94,7 +93,7 @@ BOOTSTRAP_WRONG = {
 def build_bootstrap_cache() -> None:
     from semkit.llm import LlmClient
 
-    dataset = load_dataset(dataset_path("geoquery"), name="geoquery")
+    dataset = load_dataset(dataset_path("geoquery"))
     by_utterance = {ex.utterance: ex for ex in dataset.examples}
     cache_file = DATA_DIR / "bootstrap_cache.jsonl"
     cache_file.unlink(missing_ok=True)
@@ -145,7 +144,7 @@ def build_bootstrap_cache() -> None:
 
 
 def goldens() -> None:
-    dataset = load_dataset(dataset_path("geoquery"), name="geoquery")
+    dataset = load_dataset(dataset_path("geoquery"))
     split = load_split(split_path("geoquery_iid"), dataset)
     demo_ids = DemoSelector(dataset, split, "pymr").select("random", 10, 0)
     print("sample_demos k=10 seed=0:", demo_ids)

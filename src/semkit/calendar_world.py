@@ -46,8 +46,8 @@ WEEKDAYS = {
 class CalPerson:
     __slots__ = ("id", "name", "manager")
 
-    def __init__(self, id: str, name: str, manager: CalPerson | None = None):
-        self.id, self.name, self.manager = id, name, manager
+    def __init__(self, id: str, name: str):
+        self.id, self.name, self.manager = id, name, None  # the loader sets the manager
 
     def __repr__(self):
         return f"<person {self.name}>"
@@ -145,18 +145,29 @@ class DateTimeClause:
 
     @staticmethod
     def date_by_mdy(month: int, day: int, year: int | None = None) -> DateClause:
-        if not 1 <= int(month) <= 12 or not 1 <= int(day) <= 31:
+        whole_month, whole_day = _whole(month, "month"), _whole(day, "day")
+        if not 1 <= whole_month <= 12 or not 1 <= whole_day <= 31:
             raise MrExecError("invalid-datetime", f"bad month/day {month}/{day}")
-        return DateClause(kind="mdy", month=int(month), day=int(day),
-                          year=None if year is None else int(year))
+        return DateClause(kind="mdy", month=whole_month, day=whole_day,
+                          year=None if year is None else _whole(year, "year"))
 
     @staticmethod
     def time_by_hm(hour: int, am_or_pm: str) -> TimeClause:
-        hour = int(hour)
+        hour = _whole(hour, "hour")
         if not 1 <= hour <= 12 or str(am_or_pm).lower() not in ("am", "pm"):
             raise MrExecError("invalid-datetime", f"bad time {hour} {am_or_pm}")
         hour24 = hour % 12 + (12 if str(am_or_pm).lower() == "pm" else 0)
         return TimeClause(hour=hour24)
+
+
+def _whole(value, what: str) -> int:
+    """``value`` cut to a whole number, as ``int()`` cuts it; a value that is not a finite
+    int or float is invalid-datetime."""
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not -math.inf < value < math.inf):  # NaN compares false
+        raise MrExecError("invalid-datetime",
+                          f"{what} must be a finite number, not {shown(value)}")
+    return int(value)
 
 
 class DateTimeValues:

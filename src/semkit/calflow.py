@@ -41,8 +41,6 @@ class NumberArg(NamedTuple):
     value: int
 
 
-DfsAst = Call
-
 # head -> (min args, max args or None)
 DFS_HEADS: dict[str, tuple[int, int | None]] = {
     "CreateEvent": (0, 1),

@@ -21,7 +21,7 @@ from .errors import SemkitError
 from .execute import DIALECTS, ENVIRONMENTS, dialect_for, load_environment, run_program
 from .experiment import (SELECTION_METHODS, dd_text, load_selector, resolve_path, run_bootstrap,
                          run_experiment, run_output_dir)
-from .prompts import DD_VARIANTS, PromptSpec, build_prompt
+from .prompts import DD_VARIANTS, build_prompt, default_template
 from .resources import read_json_object, write_text
 
 
@@ -83,12 +83,11 @@ def cmd_prompt(args) -> int:
     selector = load_selector(args.dataset, args.split, args.dialect)
     ids = selector.select(args.method, args.k, args.seed, args.utterance)
     dataset = selector.dataset
-    spec = PromptSpec(
-        dd_variant=args.dd, dd_text=dd_text(args.env, args.dialect, args.dd),
-        demonstrations=tuple((dataset[i].utterance, dataset[i].programs[args.dialect])
-                             for i in ids),
-        test_utterance=args.utterance)
-    sys.stdout.write(build_prompt(spec))
+    demonstrations = tuple((dataset[i].utterance, dataset[i].programs[args.dialect])
+                           for i in ids)
+    sys.stdout.write(build_prompt(default_template(), args.dd,
+                                  dd_text(args.env, args.dialect, args.dd), demonstrations,
+                                  args.utterance))
     return 0
 
 

@@ -16,8 +16,7 @@ text share one string.
 
 A process parses a dataset file once while its bytes are unchanged
 (:func:`semkit.resources.parsed`, keyed by path): a later :func:`load_dataset`
-of it without a ``name`` returns the same :class:`Dataset`, and one with a
-``name`` a copy that holds the same examples.  That pays off where one process
+of it returns the same :class:`Dataset`.  That pays off where one process
 runs several experiments on a file; a single command loads it once.  Loaded
 datasets are shared by every caller and read-only by contract; nothing
 changes an example's ``programs`` in place.  A :class:`Dataset` derives
@@ -112,12 +111,10 @@ _EXAMPLE = Schema(("id", STRING), ("utterance", STRING), ("programs", OBJECT),
                   ("tags", STRINGS, ()))
 
 
-def load_dataset(path, name: str | None = None) -> Dataset:
-    """Load a JSONL dataset, preserving file order (the checks are in the module docstring);
-    parsed once per process while the file's bytes are unchanged.  ``name`` defaults to
-    the path; a named load shares the parsed examples."""
-    dataset = parsed("dataset", path, lambda data: _dataset_of(path, data))
-    return Dataset(name, dataset.dialects, dataset.examples) if name else dataset
+def load_dataset(path) -> Dataset:
+    """Load a JSONL dataset named by its path, preserving file order (the checks are in the
+    module docstring); parsed once per process while the file's bytes are unchanged."""
+    return parsed("dataset", path, lambda data: _dataset_of(path, data))
 
 
 def _dataset_of(path, data: bytes) -> Dataset:

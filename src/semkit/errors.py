@@ -56,9 +56,9 @@ class MrExecError(SemkitError):
 
     ``code`` is one of a small stable vocabulary, e.g. ``name-not-found``,
     ``attribute-not-found``, ``type-mismatch``, ``index-out-of-range``,
-    ``unknown-person``, ``unresolvable-constraint``, ``unknown-property``,
-    ``conflicting-clause``, ``invalid-datetime``, ``arity``,
-    ``unsupported-construct``, ``read-only``.
+    ``empty-input``, ``item-not-found``, ``unknown-person``,
+    ``unresolvable-constraint``, ``unknown-property``, ``conflicting-clause``,
+    ``invalid-datetime``, ``arity``, ``unsupported-construct``, ``read-only``.
     """
 
     def __init__(self, code: str, message: str):

@@ -325,6 +325,8 @@ def run_bootstrap(config: dict, base: Path) -> dict:
         raise SemkitError("bootstrap config: seed_ids must be nonempty")
     if k < 1:
         raise SemkitError(f"bootstrap config: k must be at least 1, not {k}")
+    dialect_for(dialect, environment)  # before any file is read
+    dialect_for(gold_dialect, environment)
     client, model = make_client(client_config, base, "bootstrap config")
     dataset = load_dataset(resolve_path(dataset_file, base))
     for key, ids in (("seed_ids", seed_ids), ("unlabeled_ids", unlabeled_ids)):

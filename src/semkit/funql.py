@@ -64,8 +64,6 @@ class Apply(NamedTuple):
     args: tuple
 
 
-FunqlAst = object  # Apply | EntityLiteral | All
-
 # an identifier, with the "(" that applies it; a quoted name; a bracket or a comma;
 # any other non-space character is a token error
 _TOKEN = re.compile(r"([a-z_][a-z0-9_]*)\s*(\()?|('[^']*')|(\()|(\))|(,)|(\S)")

@@ -72,9 +72,9 @@ class Place:
 class River:
     __slots__ = ("name", "length", "traverses")
 
-    def __init__(self, name: str, length: float, traverses: list[State] | None = None):
+    def __init__(self, name: str, length: float):
         self.name, self.length = name, length
-        self.traverses = [] if traverses is None else traverses
+        self.traverses = []  # the loader fills it
 
     @property
     def is_major(self) -> bool:
@@ -93,15 +93,11 @@ class State:
                  "high_point", "low_point", "next_to", "rivers", "cities")
 
     def __init__(self, name: str, abbreviation: str, area: float, population: int,
-                 density: float, capital: City = None, high_point: Place = None,
-                 low_point: Place = None, next_to: list[State] | None = None,
-                 rivers: list[River] | None = None, cities: list[City] | None = None):
+                 density: float):
         self.name, self.abbreviation, self.area = name, abbreviation, area
-        self.population, self.density, self.capital = population, density, capital
-        self.high_point, self.low_point = high_point, low_point
-        self.next_to = [] if next_to is None else next_to
-        self.rivers = [] if rivers is None else rivers
-        self.cities = [] if cities is None else cities
+        self.population, self.density = population, density
+        self.capital = self.high_point = self.low_point = None  # references the loader fills
+        self.next_to, self.rivers, self.cities = [], [], []
 
     @property
     def size(self) -> float:

@@ -50,7 +50,7 @@ from .corpus import Example, sample_demos
 from .errors import CacheMissError, SemkitError, TransportError
 from .evaluation import scorer
 from .execute import dialect_for
-from .prompts import PromptSpec, build_prompt, default_template, prompt_segments, render_dd
+from .prompts import build_prompt, default_template, prompt_segments, render_dd
 from .readonly import Frozen
 from .resources import STRING, Schema, read_jsonl
 
@@ -150,9 +150,10 @@ class ReplayCache:
                 self.entries[_ENTRY.read(entry, path, lineno)[0]] = entry
 
     def get(self, request: CompletionRequest) -> str:
-        entry = self.entries.get(request.fingerprint())
+        fingerprint = request.fingerprint()
+        entry = self.entries.get(fingerprint)
         if entry is None:
-            raise CacheMissError(request.fingerprint())
+            raise CacheMissError(fingerprint)
         if entry["prompt_sha256"] != request.prompt_digest():
             raise SemkitError("fingerprint collision: cached prompt digest differs")
         return entry["completion"]
@@ -286,9 +287,7 @@ def example_evaluator(model: str, temperature: float, dialect: str, gold_dialect
     def request(example: Example, demos) -> CompletionRequest:
         nonlocal memo
         demonstrations = tuple((d.utterance, d.programs[dialect]) for d in demos)
-        spec = PromptSpec(dd_variant=dd_variant, dd_text=dd_text, demonstrations=demonstrations,
-                          test_utterance=example.utterance)
-        prompt = build_prompt(spec, template)
+        prompt = build_prompt(template, dd_variant, dd_text, demonstrations, example.utterance)
         if memo is None or memo[0] != demonstrations:
             text = prompt_segments(template, dd_variant, dd_text, demonstrations)[0]
             memo = demonstrations, PromptLead(model, temperature, text)

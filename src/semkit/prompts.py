@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import DataFormatError, SemkitError
 from .resources import STRING, Schema, read_json, template_path
@@ -129,22 +128,15 @@ def render_dd(declarations: list[dict], variant: str) -> str:
     return "\n".join(lines)
 
 
-class PromptSpec(NamedTuple):
-    dd_variant: str
-    dd_text: str
-    demonstrations: tuple[tuple[str, str], ...]  # (utterance, program)
-    test_utterance: str
-
-
 def default_template(template_id: str = "v1") -> str:
     return template_path(template_id).read_text(encoding="utf-8")
 
 
-def build_prompt(spec: PromptSpec, template: str | None = None) -> str:
-    """Instantiate the prompt template, :func:`default_template` if none is given;
-    byte-deterministic in its inputs."""
-    return spec.test_utterance.join(prompt_segments(
-        template or default_template(), spec.dd_variant, spec.dd_text, spec.demonstrations))
+def build_prompt(template: str, dd_variant: str, dd_text: str,
+                 demonstrations: tuple[tuple[str, str], ...], test_utterance: str) -> str:
+    """Instantiate ``template`` with a DD, (utterance, program) demonstrations and the test
+    utterance; byte-deterministic in its inputs."""
+    return test_utterance.join(prompt_segments(template, dd_variant, dd_text, demonstrations))
 
 
 @lru_cache(maxsize=8)
@@ -198,7 +190,3 @@ def _template_parts(template: str, with_dd: bool) -> tuple[tuple[tuple[str, ...]
     return tuple(tuple(tuple(markers.split(run)) for run in "".join(
         line + "\n" for line in part).split("[query-test]")) for part, markers in parts)
 
-
-def count_prompt_tokens(text: str) -> int:
-    """The number of whitespace-separated tokens in ``text``."""
-    return len(text.split())

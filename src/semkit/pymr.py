@@ -29,9 +29,10 @@ closed name surface (:func:`binding_names`); instances of ``readable`` classes a
 is the outcome value of what the program returned.
 
 Runtime errors (name-not-found, attribute-not-found, type-mismatch,
-index-out-of-range, empty-input, ...) raise :class:`~semkit.errors.MrExecError`;
-:func:`semkit.execute.run_program` captures them, like any other exception, into
-failure outcomes, so a batch run scores them as incorrect without crashing.
+index-out-of-range, empty-input, item-not-found, ...) raise
+:class:`~semkit.errors.MrExecError`; :func:`semkit.execute.run_program` captures
+them, like any other exception, into failure outcomes, so a batch run scores
+them as incorrect without crashing.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import ast as pyast
 import builtins
 import operator
 from importlib import import_module
+from types import BuiltinMethodType
 from typing import NamedTuple
 
 from . import execute
@@ -449,7 +451,11 @@ class _Interpreter:
         except MrExecError:
             raise
         except ValueError as exc:
-            raise MrExecError("empty-input", str(exc)) from exc
+            if func is max or func is min:  # of an empty sequence
+                raise MrExecError("empty-input", str(exc)) from exc
+            if func.__class__ is BuiltinMethodType and func.__name__ == "remove":  # list.remove
+                raise MrExecError("item-not-found", str(exc)) from exc
+            raise
         except TypeError as exc:
             raise MrExecError("type-mismatch", str(exc)) from exc
 

@@ -30,8 +30,9 @@ next scanned.
 
 BM25
 ----
-Okapi scoring with k1=1.5, b=0.75 by default.  A document's or query's tokens
-are the maximal runs of ASCII a-z and 0-9 in its ``str.lower()``, exactly
+Okapi scoring with the constants k1 = ``BM25_K1`` (1.5) and b = ``BM25_B``
+(0.75).  A document's or query's tokens are the maximal runs of ASCII a-z and
+0-9 in its ``str.lower()``, exactly
 ``re.findall(r"[a-z0-9]+", text.lower())``: every other character separates,
 non-ASCII letters and digits included (``"café"`` is ``caf``, ``"１"`` and
 ``"²"`` are no token), while a character that lowercases to ASCII counts as that
@@ -167,9 +168,8 @@ def greedy_select(pool: list[tuple[str, frozenset[str]]], structures: frozenset[
 class Bm25Index:
     """Okapi BM25 over a fixed pool of (id, text) documents (layout in the module docstring)."""
 
-    def __init__(self, documents: list[tuple[str, str]], k1: float = BM25_K1, b: float = BM25_B):
+    def __init__(self, documents: list[tuple[str, str]]):
         self.ids = [doc_id for doc_id, _ in documents]
-        self.k1 = k1
         occurrences = defaultdict(list)  # term -> positions, a document repeated f times
         doc_lens = []
         for position, (_, text) in enumerate(documents):
@@ -179,6 +179,7 @@ class Bm25Index:
                 occurrences[term].append(position)
         n_docs = len(documents)
         avgdl = (sum(doc_lens) / n_docs) if n_docs else 0.0
+        k1, b = BM25_K1, BM25_B
         self.norms = [k1 * (1 - b + b * (dl / avgdl if avgdl else 0.0)) for dl in doc_lens]
         self.occurrences = dict(occurrences)
         self.by_id = sorted(range(n_docs), key=self.ids.__getitem__)  # ties keep position order
@@ -200,7 +201,7 @@ class Bm25Index:
                 freqs = Counter(positions)  # position -> f, in pool order
                 idf = max(0.0, math.log((len(self.ids) - len(freqs) + 0.5) / (len(freqs) + 0.5)))
                 if idf:
-                    scale = self.k1 + 1
+                    scale = BM25_K1 + 1
                     norms = self.norms
                     entry = (list(freqs), [idf * f * scale / (f + norms[position])
                                            for position, f in freqs.items()])
@@ -217,7 +218,7 @@ class Bm25Index:
 
 
 def bm25_rank(query: str, index: Bm25Index, k: int) -> list[str]:
-    """Top-k ids of the index's pool by Okapi BM25 score, under the index's k1 and b;
+    """Top-k ids of the index's pool by Okapi BM25 score;
     ties and empty queries fall back to id order."""
     if k < 1:
         raise ValueError("k must be >= 1")

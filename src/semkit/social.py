@@ -63,9 +63,6 @@ class Num(Value):
         return repr(self.value)
 
 
-SList = tuple  # applications are plain tuples of nodes
-
-
 class LdcsAst(Frozen):
     """``operators`` holds the symbol unigrams of the simple-dialect tree; ``unsupported``
     says why a full-dialect tree does not simplify."""

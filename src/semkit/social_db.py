@@ -46,13 +46,12 @@ class Person:
 
     def __init__(self, id: str, name: str, gender: str, birthdate: int, birthplace: str,
                  height: int, relationship_status: str, is_student: bool,
-                 friends: list[Person] | None = None,
                  education: list[EducationRecord] | None = None,
                  employment: list[EmploymentRecord] | None = None):
         self.id, self.name, self.gender, self.birthdate = id, name, gender, birthdate
         self.birthplace, self.height = birthplace, height
         self.relationship_status, self.is_student = relationship_status, is_student
-        self.friends = [] if friends is None else friends
+        self.friends = []  # the loader fills it
         self.education = [] if education is None else education
         self.employment = [] if employment is None else employment
 

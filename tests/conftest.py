@@ -47,7 +47,7 @@ def calendar_world():
 
 @pytest.fixture(scope="session")
 def geoquery():
-    return load_dataset(dataset_path("geoquery"), name="geoquery")
+    return load_dataset(dataset_path("geoquery"))
 
 
 @pytest.fixture(scope="session")
@@ -57,9 +57,9 @@ def geoquery_split(geoquery):
 
 @pytest.fixture(scope="session")
 def overnight():
-    return load_dataset(dataset_path("overnight"), name="overnight")
+    return load_dataset(dataset_path("overnight"))
 
 
 @pytest.fixture(scope="session")
 def smcalflow():
-    return load_dataset(dataset_path("smcalflow"), name="smcalflow")
+    return load_dataset(dataset_path("smcalflow"))

@@ -17,7 +17,7 @@ from semkit.corpus import load_dataset, load_split
 from semkit.errors import SemkitError
 from semkit.execute import operators_of
 from semkit.experiment import read_run_config
-from semkit.prompts import PromptSpec, build_prompt, load_dd_source, render_dd
+from semkit.prompts import build_prompt, default_template, load_dd_source, render_dd
 from semkit.resources import data_path, dd_path
 from semkit.selection import Bm25Index, bm25_rank, greedy_select
 
@@ -709,8 +709,24 @@ def test_bootstrap_unknown_environment_is_an_error(tmp_path, capsys):
     config_path.write_text(json.dumps(config))
     code, out, err = run(capsys, "bootstrap", "--config", str(config_path))
     assert code == 1 and out == ""
-    assert err == "error: unknown environment 'mars'\n"
+    assert err == "error: dialect 'pymr' does not run against 'mars'\n"  # as for run
     assert not (tmp_path / "pool.jsonl").exists()
+
+
+@pytest.mark.parametrize("key,dialect", [("dialect", "ldcs"), ("gold_dialect", "dataflow-simple")])
+def test_bootstrap_checks_its_dialect_pairing_before_reading_a_file(tmp_path, capsys, key,
+                                                                     dialect):
+    config = json.loads(data_path("bootstrap_replay.json").read_text())
+    config[key] = dialect
+    config["dataset"] = "missing.jsonl"
+    config["client"]["cache"] = str(tmp_path / "missing-cache.jsonl")
+    config["output"] = str(tmp_path / "pool.jsonl")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "bootstrap", "--config", str(config_path))
+    assert code == 1 and out == ""
+    assert err == f"error: dialect {dialect!r} does not run against 'geo'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 @pytest.mark.parametrize("key", ["seed_ids", "unlabeled_ids"])
@@ -901,10 +917,10 @@ def test_run_record_mode_with_selection_methods(tmp_path, capsys, method):
         for test_id in split.test_ids:
             utterance = dataset[test_id].utterance
             ids = _reference_demo_ids(method, dataset, split, "pymr", 3, utterance)
-            expected.append(build_prompt(PromptSpec(
-                dd_variant="full", dd_text=dd, test_utterance=utterance,
-                demonstrations=tuple((dataset[i].utterance, dataset[i].programs["pymr"])
-                                     for i in ids))))
+            expected.append(build_prompt(
+                default_template(), "full", dd,
+                tuple((dataset[i].utterance, dataset[i].programs["pymr"]) for i in ids),
+                utterance))
         assert prompts == expected
     finally:
         server.shutdown()

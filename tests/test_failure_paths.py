@@ -22,6 +22,9 @@ def _mismatch(message):
     return "type-mismatch", f"type-mismatch: {message}"
 
 
+NOT_NUMBERS = _mismatch("aggregate needs a nonempty number set")
+
+
 CASES = [
     # an extractor on an entity of the wrong kind names the first such entity's kind
     ("funql", "answer(area_1(city(all)))", _mismatch("area_1 not defined for city")),
@@ -91,12 +94,91 @@ CASES = [
     ("ldcs-simple", f"(listValue (superlative {NOBODY} argmax shoe_size))", NO_PROPERTY),
     ("ldcs-simple", f"(listValue (countSuperlative {NOBODY} argmin shoe_size))", NO_PROPERTY),
     ("ldcs-simple", f"(listValue (countComparative {NOBODY} shoe_size > 1))", NO_PROPERTY),
+    # λ-DCS: an unbound symbol, an unknown operator and the wrong number of arguments
+    ("ldcs-simple", "(listValue nobody)",
+     ("unknown-property", "unknown-property: unbound symbol 'nobody'")),
+    ("ldcs-simple", "(frobnicate en.person)",
+     ("unknown-property", "unknown-property: unknown operator 'frobnicate'")),
+    ("ldcs-simple", "((listValue en.person))",
+     ("unknown-property", "unknown-property: unknown operator None")),
+    ("ldcs-simple", "(listValue)", ("arity", "arity: listValue takes 1 arguments")),
+    ("ldcs-simple", "(size en.person en.person)", ("arity", "arity: size takes 1 arguments")),
+    # ... filter and getProperty of what is not people, and !type of what is not a person
+    ("ldcs-simple", "(filter en.gender.male gender = en.gender.male)",
+     _mismatch("filter expects people, got 'en.gender.male'")),
+    ("ldcs-simple", "(getProperty (size en.person) height)",
+     _mismatch("getProperty expects people, got 1")),
+    ("ldcs-simple", f"(getProperty {PEOPLE} (size {PEOPLE}))",
+     _mismatch("getProperty expects a property symbol")),
+    ("ldcs-simple", f"(getProperty (getProperty {PEOPLE} height) !type)",
+     _mismatch("!type of 170")),
+    # ... a superlative of a non-numeric property or in a mode that is not argmax/argmin
+    ("ldcs-simple", f"(superlative {PEOPLE} argmax gender)", _mismatch("gender is not numeric")),
+    ("ldcs-simple", f"(superlative {PEOPLE} biggest height)",
+     _mismatch("mode must be argmax or argmin")),
+    ("ldcs-simple", f"(countSuperlative {PEOPLE} (size en.person) friends)",
+     _mismatch("mode must be argmax or argmin")),
+    # ... a count that is not a number, a bad or empty aggregate, and a mixed result
+    ("ldcs-simple", f"(countComparative {PEOPLE} friends > en.gender.male)",
+     _mismatch("countComparative needs a number")),
+    ("ldcs-simple", f"(countComparative {PEOPLE} friends > (size {PEOPLE}))",
+     _mismatch("countComparative needs a number")),
+    ("ldcs-simple", f"(aggregate median (getProperty {PEOPLE} height))",
+     _mismatch("aggregate mode must be sum/avg/min/max")),
+    ("ldcs-simple", f"(aggregate sum {NOBODY})", NOT_NUMBERS),
+    ("ldcs-simple", f"(aggregate sum {PEOPLE})", NOT_NUMBERS),
+    ("ldcs-simple", f"(concat (size {PEOPLE}) {PEOPLE})",
+     _mismatch("mixed numbers and entities in a result")),
+    # Dataflow-Simple: a date word other than TODAY/TOMORROW, and clauses with bad arguments
+    ("dataflow-simple", "CreateEvent( starts_at( YESTERDAY ) )",
+     ("conflicting-clause", "conflicting-clause: 'YESTERDAY' is not a date/time clause")),
+    ("dataflow-simple", "CreateEvent( starts_at( NextDOW( 5 ) ) )",
+     ("invalid-datetime", "invalid-datetime: NextDOW needs a day word")),
+    ("dataflow-simple", "CreateEvent( starts_at( NextDOW( Blursday ) ) )",
+     ("invalid-datetime", "invalid-datetime: unknown day of week 'Blursday'")),
+    ("dataflow-simple", "CreateEvent( starts_at( date_by_mdy( may , 1 ) ) )",
+     ("invalid-datetime", "invalid-datetime: date_by_mdy needs numbers")),
+    ("dataflow-simple", "CreateEvent( starts_at( date_by_mdy( 13 , 1 ) ) )",
+     ("invalid-datetime", "invalid-datetime: bad month/day 13/1")),
+    ("dataflow-simple", "CreateEvent( starts_at( time_by_hm( five , pm ) ) )",
+     ("invalid-datetime", "invalid-datetime: time_by_hm needs a number and am/pm")),
+    ("dataflow-simple", "CreateEvent( starts_at( time_by_hm( 5 , 6 ) ) )",
+     ("invalid-datetime", "invalid-datetime: time_by_hm needs a number and am/pm")),
+    ("dataflow-simple", "CreateEvent( starts_at( time_by_hm( 5 , noon ) ) )",
+     ("invalid-datetime", "invalid-datetime: bad time 5 noon")),
+    # ... what is not a date/time clause in starts_at, and people that do not resolve
+    ("dataflow-simple", "CreateEvent( starts_at( CurrentUser() ) )",
+     ("conflicting-clause",
+      "conflicting-clause: not a date/time clause: Call(head='CurrentUser', args=())")),
+    ("dataflow-simple", "CreateEvent( starts_at( 5 ) )",
+     ("conflicting-clause", "conflicting-clause: not a date/time clause: NumberArg(value=5)")),
+    ("dataflow-simple", "CreateEvent( with_attendee( 5 ) )",
+     ("unresolvable-constraint",
+      "unresolvable-constraint: cannot resolve people from NumberArg(value=5)")),
+    ("dataflow-simple", "CreateEvent( avoid_attendee( NextDOW( FRIDAY ) ) )",
+     ("unresolvable-constraint", "unresolvable-constraint: cannot resolve people from "
+                                 "Call(head='NextDOW', args=(Word(text='FRIDAY'),))")),
+    # ... a head that is no constraint, and a root that is not CreateEvent
+    ("dataflow-simple", "CreateEvent( FindManager( CurrentUser() ) )",
+     ("unresolvable-constraint", "unresolvable-constraint: FindManager is not a constraint")),
+    ("dataflow-simple", "CreateEvent( Central Park )",
+     ("unresolvable-constraint",
+      "unresolvable-constraint: bad constraint Word(text='Central Park')")),
+    ("dataflow-simple", "AND( at_location( Central Park ) )",
+     ("unresolvable-constraint", "unresolvable-constraint: program root must be CreateEvent")),
+    ("dataflow-simple", "NextDOW( FRIDAY )",
+     ("unresolvable-constraint", "unresolvable-constraint: program root must be CreateEvent")),
 ]
+
+ENVIRONMENT_OF = {"funql": "geo", "ldcs": "social", "ldcs-simple": "social",
+                  "dataflow-simple": "calendar"}
 
 
 @pytest.mark.parametrize("dialect,text,failure", CASES, ids=[text for _, text, _ in CASES])
-def test_run_time_failure_code_and_message(dialect, text, failure, geo_model, social_db):
-    environment, world = ("geo", geo_model) if dialect == "funql" else ("social", social_db)
+def test_run_time_failure_code_and_message(dialect, text, failure, geo_model, social_db,
+                                           calendar_world):
+    environment = ENVIRONMENT_OF[dialect]
+    world = {"geo": geo_model, "social": social_db, "calendar": calendar_world}[environment]
     outcome = run_program(dialect, text, environment, world)
     assert (outcome.ok, outcome.error, outcome.message) == (False, *failure)
 

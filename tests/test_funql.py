@@ -4,6 +4,7 @@ import random
 import pytest
 
 from semkit.errors import MrExecError, MrParseError
+from semkit.execute import run_program
 from semkit.funql import (All, Apply, EntityLiteral, exec_funql, extract_operators,
                           parse_funql, render_funql)
 from semkit.geo import load_geobase
@@ -101,6 +102,16 @@ def test_empty_superlative_is_empty_not_crash(geo_model):
 def test_type_error_is_raised(geo_model):
     with pytest.raises(MrExecError, match="type-mismatch"):
         exec_funql(parse_funql("answer(highest(count(state(all))))"), geo_model)
+
+
+@pytest.mark.parametrize("text,located", [
+    ("answer(loc_1(riverid('red')))",  # the states a river traverses, and the country
+     [("country", "usa"), ("state", "louisiana"), ("state", "oklahoma"), ("state", "texas")]),
+    ("answer(loc_1(stateid('texas')))", [("country", "usa")]),
+])
+def test_loc_1_of_a_river_and_of_a_state(geo_model, text, located):
+    outcome = run_program("funql", text, "geo", geo_model)
+    assert outcome.ok and outcome.value == Denotation.of_entities(located)
 
 
 def test_unknown_entity_is_empty(geo_model):

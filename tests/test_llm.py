@@ -14,7 +14,7 @@ from semkit.experiment import dd_text, run_bootstrap, run_experiment
 from semkit.llm import (DEFAULT_BACKOFF_SECONDS, DEFAULT_RETRIES, BootstrapConfig,
                         CompletionRequest, LlmClient, ReplayCache, bootstrap_annotations,
                         example_evaluator, extract_program)
-from semkit.prompts import DD_VARIANTS, PromptSpec, build_prompt, default_template, load_dd_source
+from semkit.prompts import DD_VARIANTS, build_prompt, default_template, load_dd_source
 from semkit.resources import data_path, dataset_path, dd_path
 
 
@@ -186,9 +186,10 @@ def corpus_digest(prompt_digests) -> str:
 def test_build_prompt_reproduces_the_frozen_prompt_corpus():
     digests = []
     for template, dialect, variant, dd, example, demos in prompt_corpus():
-        spec = PromptSpec(dd_variant=variant, dd_text=dd, test_utterance=example.utterance,
-                          demonstrations=tuple((d.utterance, d.programs[dialect]) for d in demos))
-        digests.append(hashlib.sha256(build_prompt(spec, template).encode()).hexdigest())
+        prompt = build_prompt(template, variant, dd,
+                              tuple((d.utterance, d.programs[dialect]) for d in demos),
+                              example.utterance)
+        digests.append(hashlib.sha256(prompt.encode()).hexdigest())
     assert corpus_digest(digests) == PROMPT_CORPUS_SHA256
 
 

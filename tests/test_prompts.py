@@ -5,8 +5,7 @@ import re
 import pytest
 
 from semkit.errors import DataFormatError, SemkitError
-from semkit.prompts import (PromptSpec, build_prompt, count_prompt_tokens, dd_names,
-                            default_template, load_dd_source, render_dd)
+from semkit.prompts import build_prompt, dd_names, default_template, load_dd_source, render_dd
 from semkit.pymr import binding_names
 from semkit.resources import dd_path
 
@@ -79,26 +78,25 @@ def test_no_typing_keeps_every_operator_name():
         assert annotation not in untyped
 
 
-def spec(dd_variant="full", dd_text="DDTEXT", demos=(("q1", "s1"),), test="qt"):
-    return PromptSpec(dd_variant=dd_variant, dd_text=dd_text,
-                      demonstrations=tuple(demos), test_utterance=test)
+def build(dd_variant="full", dd_text="DDTEXT", demos=(("q1", "s1"),), test="qt", template=None):
+    return build_prompt(template or default_template(), dd_variant, dd_text, tuple(demos), test)
 
 
 def test_prompt_without_dd_drops_header_lines():
-    text = build_prompt(spec(dd_variant="none", dd_text=""))
+    text = build(dd_variant="none", dd_text="")
     assert text.splitlines()[0] == "query: q1"
     assert "description of the domain" not in text
 
 
 def test_prompt_with_dd_and_zero_demos():
-    text = build_prompt(spec(demos=()))
+    text = build(demos=())
     assert "DDTEXT" in text
     assert "query: qt" in text
     assert "q1" not in text
 
 
 def test_prompt_demo_and_test_slots():
-    text = build_prompt(spec(demos=(("first q", "first s"), ("second q", "second s"))))
+    text = build(demos=(("first q", "first s"), ("second q", "second s")))
     assert text.index("first q") < text.index("first s") < text.index("second q")
     assert text.rstrip().endswith("solution:")
     assert "query: qt" in text
@@ -106,9 +104,9 @@ def test_prompt_demo_and_test_slots():
 
 def test_empty_spec_rejected():
     with pytest.raises(SemkitError):
-        build_prompt(spec(dd_variant="none", dd_text="", demos=()))
+        build(dd_variant="none", dd_text="", demos=())
     with pytest.raises(SemkitError):
-        build_prompt(spec(dd_variant="none", dd_text="oops"))
+        build(dd_variant="none", dd_text="oops")
 
 
 @pytest.mark.parametrize("marker", ["[DD]", "[query-i]", "[solution-i]", "[query-test]"])
@@ -116,42 +114,35 @@ def test_empty_spec_rejected():
 def test_data_text_holding_a_slot_marker_goes_in_as_it_is(field, marker):
     def prompt(value):
         demo = (value if field == "utterance" else "q1", value if field == "program" else "s1")
-        return build_prompt(spec(dd_text=value if field == "dd_text" else "DDTEXT",
-                                 demos=(demo, ("q2", "s2")),
-                                 test=value if field == "test" else "qt"))
+        return build(dd_text=value if field == "dd_text" else "DDTEXT",
+                     demos=(demo, ("q2", "s2")), test=value if field == "test" else "qt")
     value = f"what is {marker} here"
     assert prompt(value) == prompt("PLACEHOLDER").replace("PLACEHOLDER", value)
 
 
 def test_prompt_injective_in_demo_order():
-    a = build_prompt(spec(demos=(("q1", "s1"), ("q2", "s2"))))
-    b = build_prompt(spec(demos=(("q2", "s2"), ("q1", "s1"))))
+    a = build(demos=(("q1", "s1"), ("q2", "s2")))
+    b = build(demos=(("q2", "s2"), ("q1", "s1")))
     assert a != b
 
 
 def test_prompt_length_monotone_in_k(geoquery):
     demos = [(ex.utterance, ex.programs["pymr"]) for ex in geoquery.examples[:6]]
-    lengths = [len(build_prompt(spec(demos=tuple(demos[:k])))) for k in range(1, 7)]
+    lengths = [len(build(demos=tuple(demos[:k]))) for k in range(1, 7)]
     assert lengths == sorted(lengths)
 
 
 def golden_prompt(geoquery):
     declarations = load_dd_source(dd_path("geo", "pymr"))
     demos = tuple((ex.utterance, ex.programs["pymr"]) for ex in geoquery.examples[:2])
-    return build_prompt(PromptSpec(
-        dd_variant="full", dd_text=render_dd(declarations, "full"),
-        demonstrations=demos, test_utterance="what is the longest river ?"))
+    return build_prompt(default_template(), "full", render_dd(declarations, "full"), demos,
+                        "what is the longest river ?")
 
 
 def test_golden_prompt_snapshot(geoquery):
     text = golden_prompt(geoquery)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_PROMPT_SHA256
-    assert count_prompt_tokens(text) == GOLDEN_PROMPT_TOKENS
-
-
-def test_count_prompt_tokens():
-    assert count_prompt_tokens("") == 0
-    assert count_prompt_tokens("a b  c") == 3
+    assert len(text.split()) == GOLDEN_PROMPT_TOKENS
 
 
 def test_template_resource_loads():
@@ -166,7 +157,7 @@ TEMPLATE = "Intro\n[DD]\n\nQ: [query-i]\nA: [solution-i]\n\nQ: [query-test]\nA:"
 @pytest.mark.parametrize("slot", ["[DD]", "[query-i]", "[solution-i]", "[query-test]"])
 def test_a_template_without_a_slot_is_an_error_naming_it(slot):
     with pytest.raises(SemkitError, match=re.escape(f"prompt template has no {slot} slot")):
-        build_prompt(spec(), TEMPLATE.replace(slot, "x"))
+        build(template=TEMPLATE.replace(slot, "x"))
 
 
 @pytest.mark.parametrize("template", [
@@ -176,12 +167,12 @@ def test_a_template_without_a_slot_is_an_error_naming_it(slot):
 ], ids=["DD after the demo block", "demo block on the DD line", "solution first"])
 def test_a_template_whose_demo_block_does_not_follow_the_dd_header_is_an_error(template):
     with pytest.raises(SemkitError, match="must follow the DD header block"):
-        build_prompt(spec(), template)
+        build(template=template)
 
 
 @pytest.mark.parametrize("header", ["[DD]\n\n", "[DD]\n", "A\nB\nC\n[DD]\n\n", "A\n[DD] (end)\n"])
 def test_the_dd_header_block_runs_through_the_dd_line_and_one_blank_line(header):
     template = header + "Note\n\nQ: [query-i]\nA: [solution-i]\n\nQ: [query-test]\nA:"
     rest = "Note\n\nQ: q1\nA: s1\n\nQ: qt\nA:"
-    assert build_prompt(spec(dd_variant="none", dd_text=""), template) == rest
-    assert build_prompt(spec(), template) == header.replace("[DD]", "DDTEXT") + rest
+    assert build(dd_variant="none", dd_text="", template=template) == rest
+    assert build(template=template) == header.replace("[DD]", "DDTEXT") + rest

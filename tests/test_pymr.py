@@ -206,6 +206,43 @@ def test_empty_max_with_key_is_captured(geo_model):
     assert not outcome.ok and outcome.error == "empty-input"
 
 
+def test_removing_a_missing_item_is_item_not_found(geo_model):
+    outcome = run_program("pymr", "def answer():\n    x = [1]\n    x.remove(2)\n    return x",
+                          "geo", geo_model)
+    assert outcome.to_json() == {"ok": False, "error": "item-not-found",
+                                 "message": "item-not-found: list.remove(x): x not in list"}
+
+
+# A clause argument that is not a finite number is a bad date or time, whatever its type.
+@pytest.mark.parametrize("clause,message", [
+    ('date_by_mdy("may", 1)', "month must be a finite number, not 'may'"),
+    ('date_by_mdy(1, "first")', "day must be a finite number, not 'first'"),
+    ('date_by_mdy("5", 1)', "month must be a finite number, not '5'"),
+    ("date_by_mdy(1e400, 1)", "month must be a finite number, not inf"),
+    ("date_by_mdy(1e309 - 1e309, 1)", "month must be a finite number, not nan"),
+    ("date_by_mdy(True, 1)", "month must be a finite number, not True"),
+    ("date_by_mdy(1, 1, -1e400)", "year must be a finite number, not -inf"),
+    ('date_by_mdy(1, 1, "2024")', "year must be a finite number, not '2024'"),
+    ('time_by_hm("five", "pm")', "hour must be a finite number, not 'five'"),
+    ('time_by_hm(None, "pm")', "hour must be a finite number, not None"),
+    ('time_by_hm([5], "pm")', "hour must be a finite number, not [5]"),
+])
+def test_non_numeric_clause_arguments_are_invalid_datetime(calendar_world, clause, message):
+    program = f"def answer():\n    api.add_event(Event(starts_at=[DateTimeClause.{clause}]))"
+    outcome = run_program("pymr", program, "calendar", calendar_world)
+    assert outcome.to_json() == {"ok": False, "error": "invalid-datetime",
+                                 "message": f"invalid-datetime: {message}"}
+
+
+def test_a_fractional_hour_or_month_is_cut_to_a_whole_one(calendar_world):
+    def start(clause):
+        program = f"def answer():\n    api.add_event(Event(starts_at=[DateTimeClause.{clause}]))"
+        outcome = run_program("pymr", program, "calendar", calendar_world)
+        return outcome.value.created[0].start
+    assert start('time_by_hm(5.5, "pm")') == start('time_by_hm(5, "pm")') == "2023-01-02T17:00:00"
+    assert start("date_by_mdy(2.9, 3.5)") == start("date_by_mdy(2, 3)") == "2023-02-03T09:00:00"
+
+
 def test_index_out_of_range_is_captured(geo_model):
     outcome = run_program("pymr", "def answer():\n    return geo_model.states[99]",
                           "geo", geo_model)

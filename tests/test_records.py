@@ -20,7 +20,6 @@ from semkit.experiment import RunSpec, RunState
 from semkit.funql import ALL, All, Apply, EntityLiteral
 from semkit.llm import CompletionRequest
 from semkit.outcomes import CreatedEvent, Denotation, Outcome, WorldDelta
-from semkit.prompts import PromptSpec
 from semkit.pymr import PymrAst
 from semkit.resources import environment_path
 from semkit.selection import GreedyTrace
@@ -118,8 +117,6 @@ VALUES = [
     (AccuracyReport(0, 1, 1, 0), AccuracyReport(0, 1, 1, 0, ()), AccuracyReport(1, 1, 1, 0)),
     (_EXAMPLE, Example("x", "u", {"funql": "answer(1)"}), _EXAMPLE._replace(id="y")),
     (Split("s", ("a",), ()), Split("s", ("a",), ()), Split("s", (), ("a",))),
-    (PromptSpec("full", "dd", (), "q"), PromptSpec("full", "dd", (), "q"),
-     PromptSpec("none", "dd", (), "q")),
     (GreedyTrace("a", 1), GreedyTrace("a", 1), GreedyTrace(None, 1)),
     (RunSpec(*_SPEC), RunSpec(*_SPEC), RunSpec(*_SPEC)._replace(k=4)),
     (RunState(*_STATE), RunState(*_STATE), RunState(*_STATE)._replace(judge=len)),

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import semkit
+from semkit import selection
 from semkit.corpus import load_dataset, load_split
 from semkit.errors import PoolExhaustedError
 from semkit.execute import operators_of
@@ -438,10 +439,10 @@ def bits(scores):
     return [score.hex() for score in scores]  # tells 0.0 from -0.0, and every last bit
 
 
-def assert_matches_reference(documents, queries, k1=BM25_K1, b=BM25_B):
+def assert_matches_reference(documents, queries):
     """Scores bitwise equal and rankings equal to the reference, cold and warm."""
-    reference = ReferenceBm25Index(documents, k1, b)
-    index = Bm25Index(documents, k1, b)
+    reference = ReferenceBm25Index(documents, selection.BM25_K1, selection.BM25_B)
+    index = Bm25Index(documents)
     ks = sorted({1, min(3, len(documents)), len(documents)})
     for _ in range(2):  # the first pass fills the weight cache, the second reads it
         for query in queries:
@@ -522,11 +523,13 @@ def test_bm25_matches_reference_on_random_pools_with_duplicate_ids():
 
 
 @pytest.mark.parametrize("k1,b", [(1.2, 0.0), (1.2, 1.0), (0.5, 0.3), (2.0, 0.9), (0.0, 0.75)])
-def test_bm25_matches_reference_with_other_parameters(k1, b):
+def test_bm25_matches_reference_with_other_parameters(k1, b, monkeypatch):
+    monkeypatch.setattr(selection, "BM25_K1", k1)
+    monkeypatch.setattr(selection, "BM25_B", b)
     pool = padded_pool(14, 200) + [("empty", ""), ("short", "texas")]
     rng = random.Random(15)
     queries = [text for _, text in rng.sample(pool, 15)]
-    assert_matches_reference(pool, queries + special_queries(pool), k1=k1, b=b)
+    assert_matches_reference(pool, queries + special_queries(pool))
 
 
 def test_bm25_terms_in_every_document_have_zero_idf():

@@ -121,6 +121,12 @@ def test_exec_direct_lookup(social_db):
     assert result == Denotation.of_numbers([170])
 
 
+def test_type_of_a_person_is_the_person_type(social_db):
+    outcome = run_program("ldcs-simple", "(listValue (getProperty en.person.alice !type))",
+                          "social", social_db)
+    assert outcome.ok and outcome.value == Denotation.of_entities([("value", "en.person")])
+
+
 def test_exec_person_count(social_db):
     result = exec_ldcs_simple(
         parse_ldcs("(listValue (size (getProperty en.person !type)))", "simple"), social_db)
