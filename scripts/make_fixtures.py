@@ -17,9 +17,9 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from semkit.corpus import load_dataset, load_split
 from semkit.execute import operators_of
-from semkit.experiment import DemoSelector, dd_text
+from semkit.experiment import DemoSelector, load_run, read_run_config
 from semkit.llm import CompletionRequest, ReplayCache
-from semkit.prompts import build_prompt, default_template, load_dd_source
+from semkit.prompts import load_dd_source
 from semkit.resources import DATA_DIR, dataset_path, dd_path, split_path
 from semkit.selection import coverage_fraction, greedy_select
 
@@ -49,23 +49,6 @@ def dress(seed: int, index: int, program: str) -> str:
 
 
 def build_run_cache() -> None:
-    dataset = load_dataset(dataset_path("geoquery"))
-    split = load_split(split_path("geoquery_iid"), dataset)
-    template, dd = default_template(), dd_text("geo", "pymr", "full")
-    cache_file = DATA_DIR / "replay_cache.jsonl"
-    cache_file.unlink(missing_ok=True)
-    cache = ReplayCache(cache_file)
-    selector = DemoSelector(dataset, split, "pymr")
-    for seed in (0, 1, 2):
-        demos = [dataset[i] for i in selector.select("random", 3, seed)]
-        for index, test_id in enumerate(split.test_ids):
-            example = dataset[test_id]
-            prompt = build_prompt(template, "full", dd,
-                                  tuple((d.utterance, d.programs["pymr"]) for d in demos),
-                                  example.utterance)
-            request = CompletionRequest(prompt=prompt, model=MODEL, temperature=0.0)
-            program = WRONG.get((seed, test_id), example.programs["pymr"])
-            cache.put(request, dress(seed, index, program), {"seed": seed, "id": test_id})
     config = {
         "name": "geoquery-pymr-replay",
         "dataset": "bundled:datasets/geoquery.jsonl",
@@ -80,6 +63,17 @@ def build_run_cache() -> None:
     }
     (DATA_DIR / "experiment_replay.json").write_text(
         json.dumps(config, indent=2) + "\n", encoding="utf-8")
+    (DATA_DIR / "replay_cache.jsonl").write_text("", encoding="utf-8")
+    # the run's own demos and request half, so the cache holds the requests a run sends
+    spec = read_run_config(config)
+    state = load_run(spec, DATA_DIR)
+    selector = state.selector
+    for seed in spec.seeds:
+        demos = [selector.dataset[i] for i in selector.select(spec.method, spec.k, seed)]
+        for index, example in enumerate(state.examples):
+            program = WRONG.get((seed, example.id), example.programs["pymr"])
+            state.client.cache.put(state.request(example, demos), dress(seed, index, program),
+                                   {"seed": seed, "id": example.id})
 
 
 BOOTSTRAP_SEED_IDS = ["gq-01", "gq-02", "gq-03", "gq-04", "gq-06"]

@@ -159,7 +159,7 @@ def _clause_value(node, world: CalendarWorld):
             return DateTimeValues.Today
         if upper == "TOMORROW":
             return DateTimeValues.Tomorrow
-        raise MrExecError("conflicting-clause", f"{node.text!r} is not a date/time clause")
+        raise MrExecError("invalid-datetime", f"{render_dfs(node)!r} is not a date/time clause")
     if isinstance(node, Call):
         if node.head == "NextDOW":
             if not isinstance(node.args[0], Word):
@@ -175,7 +175,7 @@ def _clause_value(node, world: CalendarWorld):
             if not isinstance(hour, NumberArg) or not isinstance(ampm, Word):
                 raise MrExecError("invalid-datetime", "time_by_hm needs a number and am/pm")
             return DateTimeClause.time_by_hm(hour.value, ampm.text)
-    raise MrExecError("conflicting-clause", f"not a date/time clause: {node!r}")
+    raise MrExecError("type-mismatch", f"not a date/time clause: {render_dfs(node)}")
 
 
 def _resolve_people(node, world: CalendarWorld) -> list[CalPerson]:
@@ -192,7 +192,7 @@ def _resolve_people(node, world: CalendarWorld) -> list[CalPerson]:
             for person in _resolve_people(node.args[0], world):
                 out.extend(world.team_of(person))
             return out
-    raise MrExecError("unresolvable-constraint", f"cannot resolve people from {node!r}")
+    raise MrExecError("type-mismatch", f"not people: {render_dfs(node)}")
 
 
 # a constraint that sets one Event field, at most once: head -> (field, argument kind, what
@@ -203,7 +203,7 @@ _SINGLE = {"at_location": ("location", Word, "words"), "has_subject": ("subject"
 
 def _apply_constraint(node, event: Event, world: CalendarWorld) -> None:
     if not isinstance(node, Call):
-        raise MrExecError("unresolvable-constraint", f"bad constraint {node!r}")
+        raise MrExecError("unresolvable-constraint", f"bad constraint {render_dfs(node)!r}")
     if node.head == "AND":
         for arg in node.args:
             _apply_constraint(arg, event, world)

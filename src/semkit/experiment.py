@@ -173,7 +173,7 @@ _RUN_CONFIG = Schema(("client", OBJECT), ("dataset", STRING), ("split", STRING),
                      ("environment", STRING), ("dialect", STRING), ("seeds", INTEGERS),
                      ("gold_dialect", STRING, None), ("dd_variant", STRING, "full"),
                      ("selection", OBJECT, {"method": "random", "k": 3}),
-                     ("template_id", STRING, "v1"), ("environment_file", STRING, None))
+                     ("environment_file", STRING, None))
 _SELECTION = Schema(("k", INTEGER), ("method", STRING))
 _RUN_OUTPUT = Schema(("output_dir", STRING, None))
 
@@ -191,7 +191,6 @@ class RunSpec(NamedTuple):
     dd_variant: str
     method: str
     k: int
-    template_id: str
     environment_file: str | None
     temperature: float
 
@@ -199,7 +198,7 @@ class RunSpec(NamedTuple):
 def read_run_config(config: dict) -> RunSpec:
     """The checked ``run`` config, or the SemkitError of its first fault; reads no file."""
     (client, dataset, split, environment, dialect, seeds, gold_dialect, dd_variant, selection,
-     template_id, environment_file) = _RUN_CONFIG.read(config, "run config")
+     environment_file) = _RUN_CONFIG.read(config, "run config")
     k, method = _SELECTION.read(selection, "run config", within="selection")
     gold_dialect = dialect if gold_dialect is None else gold_dialect
     temperature = client.get("temperature", DEFAULT_TEMPERATURE)
@@ -218,7 +217,7 @@ def read_run_config(config: dict) -> RunSpec:
         raise SemkitError("seeds list must be nonempty")
     # -0.0 becomes 0.0: the same temperature, and the fingerprint encodes the float as written
     return RunSpec(client, dataset, split, environment, dialect, gold_dialect, tuple(seeds),
-                   dd_variant, method, k, template_id, environment_file, float(temperature) + 0.0)
+                   dd_variant, method, k, environment_file, float(temperature) + 0.0)
 
 
 def run_output_dir(config: dict, base: Path, given: str | None) -> Path:
@@ -241,7 +240,7 @@ class RunState(NamedTuple):
 
 def load_run(spec: RunSpec, base: Path) -> RunState:
     """Everything ``spec`` names, each read once, with its paths resolved against ``base``."""
-    template = default_template(spec.template_id)  # a bundled resource, not a file the config names
+    template = default_template()
     client, model = make_client(spec.client, base, "run config")
     selector = load_selector(spec.dataset, spec.split, spec.dialect, base)
     if not selector.split.test_ids:

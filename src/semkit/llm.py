@@ -10,16 +10,18 @@ Both digests are streamed.  The canonical JSON,
 ``json.dumps({"model", "prompt", "temperature"}, sort_keys=True,
 ensure_ascii=False)``, escapes a string one character at a time, so the
 escape of a prompt ``lead + rest`` is the escape of ``lead`` followed by that
-of ``rest``.  A :class:`PromptLead` holds the two sha256 states after a
-leading text (the canonical JSON open inside the prompt string, and the raw
-UTF-8 prompt); a request's digests ``copy()`` them and take only the rest of
-the prompt (and, for the fingerprint, the closing quote and the temperature).
-A request without a lead streams from the empty one.  Within one experiment
-the model, temperature, header and DD never change, and under random or
-coverage selection neither do a seed's demos, so :func:`example_evaluator`
-hashes that constant text once and gives its requests its lead.  The text
-comes from :mod:`semkit.prompts`, the one module that knows where the test
-utterance goes: it is the prompt's first segment.
+of ``rest``.  A request carries its prompt's constant leading text as
+``lead``; the two sha256 states after it (the canonical JSON open inside the
+prompt string, and the raw UTF-8 prompt) come from a cache bounded at eight
+``(model, lead)`` entries.  A request's digests ``copy()`` them and take only
+the rest of the prompt (and, for the fingerprint, the closing quote and the
+temperature, encoded on each call, so that ``1``, ``1.0`` and ``-0.0`` keep
+their own encodings).  A prompt that does not start with its lead streams
+from the empty one.  Within one experiment the model, header and DD never
+change, and under random or coverage selection neither do a seed's demos, so
+:func:`example_evaluator` hashes that constant text once.  The text comes from
+:mod:`semkit.prompts`, the one module that knows where the test utterance
+goes: it is the prompt's first segment.
 
 The live transport posts ``{"model", "prompt", "temperature", "max_tokens":
 512, "stop": []}`` as JSON to the configured endpoint (bearer token from an
@@ -45,6 +47,7 @@ import os
 import re
 import threading
 import time
+from functools import lru_cache
 
 from .corpus import Example, sample_demos
 from .errors import CacheMissError, SemkitError, TransportError
@@ -64,38 +67,25 @@ DEFAULT_TIMEOUT_SECONDS = 60.0
 _escape = json.encoder.encode_basestring  # json.dumps's string escape under ensure_ascii=False
 
 
-class PromptLead:
-    """A prompt's leading ``text`` for one model and temperature, and the sha256 states
-    after it, hashed on the first call of :meth:`states`."""
-
-    __slots__ = ("model", "temperature", "text", "_states")
-
-    def __init__(self, model: str, temperature: float, text: str = ""):
-        self.model, self.temperature, self.text, self._states = model, temperature, text, None
-
-    def states(self) -> tuple:
-        """``(fingerprint, prompt, ending)``: ``fingerprint`` has taken the canonical JSON of
-        a request up to the end of the text, ``{"model": <model>, "prompt": "<escaped
-        text>``; ``prompt`` has taken the text's UTF-8 bytes; ``ending`` closes the JSON
-        after the prompt string.  Copy a state before updating it.  Threads may race here:
-        the loser only hashes equal states again."""
-        if self._states is None:
-            self._states = (
-                hashlib.sha256(f'{{"model": {_escape(self.model)}, "prompt": '
-                               f'{_escape(self.text)[:-1]}'.encode("utf-8")),
-                hashlib.sha256(self.text.encode("utf-8")),
-                f', "temperature": {json.dumps(self.temperature)}}}'.encode())
-        return self._states
+@lru_cache(maxsize=8)
+def _lead_states(model: str, lead: str) -> tuple:
+    """``(fingerprint, prompt)``, the sha256 states after a prompt's leading text ``lead``
+    for ``model``: ``fingerprint`` has taken the canonical JSON of a request up to the end of
+    the text, ``{"model": <model>, "prompt": "<escaped lead>``, and ``prompt`` the text's
+    UTF-8 bytes.  Copy a state before updating it."""
+    return (hashlib.sha256(f'{{"model": {_escape(model)}, "prompt": {_escape(lead)[:-1]}'
+                           .encode("utf-8")),
+            hashlib.sha256(lead.encode("utf-8")))
 
 
 class CompletionRequest(Frozen):
-    """One prompt for one model and temperature; ``lead`` is the lead of the prompt's
-    constant leading text, to stream the digests from."""
+    """One prompt for one model and temperature; ``lead`` is the prompt's constant leading
+    text, to stream the digests from."""
 
     __slots__ = ("prompt", "model", "temperature", "lead")
 
     def __init__(self, prompt: str, model: str, temperature: float = DEFAULT_TEMPERATURE,
-                 lead: PromptLead | None = None):
+                 lead: str = ""):
         if not 0.0 <= temperature <= 2.0:
             raise ValueError("temperature must be within [0, 2]")
         object.__setattr__(self, "prompt", prompt)
@@ -106,29 +96,24 @@ class CompletionRequest(Frozen):
     def fingerprint(self) -> str:
         """sha256 of ``json.dumps({"model", "prompt", "temperature"}, sort_keys=True,
         ensure_ascii=False)``, streamed (see the module docstring)."""
-        lead = self._lead()
-        fingerprint, _, ending = lead.states()
-        state = fingerprint.copy()
-        state.update(_escape(self.prompt[len(lead.text):])[1:].encode("utf-8"))  # and the quote
-        state.update(ending)
+        rest, (state, _) = self._states()
+        state = state.copy()
+        state.update(f'{_escape(rest)[1:]}, "temperature": {json.dumps(self.temperature)}}}'
+                     .encode("utf-8"))  # from the quote that closes the prompt
         return state.hexdigest()
 
     def prompt_digest(self) -> str:
         """sha256 of the prompt's UTF-8 bytes, streamed."""
-        lead = self._lead()
-        state = lead.states()[1].copy()
-        state.update(self.prompt[len(lead.text):].encode("utf-8"))
+        rest, (_, state) = self._states()
+        state = state.copy()
+        state.update(rest.encode("utf-8"))
         return state.hexdigest()
 
-    def _lead(self) -> PromptLead:
-        """The given lead if it fits, else the empty one.  The step's leads always fit; a
-        request built by hand (a copy of another with one field changed, say) may carry one of
-        another model, temperature object (so another encoding) or leading text."""
-        lead = self.lead
-        if (lead is None or lead.model != self.model or lead.temperature is not self.temperature
-                or not self.prompt.startswith(lead.text)):
-            return PromptLead(self.model, self.temperature)
-        return lead
+    def _states(self) -> tuple:
+        """The prompt after its lead, and the lead's states; a prompt that does not start with
+        ``lead`` (a request built by hand, say) streams from the empty lead."""
+        lead = self.lead if self.prompt.startswith(self.lead) else ""
+        return self.prompt[len(lead):], _lead_states(self.model, lead)
 
 
 _ENTRY = Schema(("fingerprint", STRING), ("prompt_sha256", STRING), ("completion", STRING))
@@ -273,26 +258,20 @@ def example_evaluator(model: str, temperature: float, dialect: str, gold_dialect
     outcome memo per step).  A completion that is a ``SemkitError`` is a
     ``harness-error``, with its message for the program.
 
-    Each request carries the :class:`PromptLead` of its prompt's text before
-    the test utterance, ``segments[0]`` of
-    :func:`~semkit.prompts.prompt_segments`, which depends only on the demos
-    here.  ``request`` keeps that lead for the last demos asked about (a
-    one-entry memo: under random or coverage selection a whole seed shares it,
-    while BM25 and bootstrap demos rebuild it).  A lead hashes on a digest's
-    first use, so a ``live`` client, which never asks for one, pays nothing.
+    Each request carries its prompt's text before the test utterance,
+    ``segments[0]`` of :func:`~semkit.prompts.prompt_segments`, as its
+    ``lead``, so the request half keeps no state.  The lead's hash states are
+    computed on a digest's first use, once per model and lead while they stay
+    in the bounded cache, so a ``live`` client, which never asks for a digest,
+    hashes nothing.
     """
-    memo = None  # (demos, their lead)
     score = scorer(environment, world)
 
     def request(example: Example, demos) -> CompletionRequest:
-        nonlocal memo
         demonstrations = tuple((d.utterance, d.programs[dialect]) for d in demos)
-        prompt = build_prompt(template, dd_variant, dd_text, demonstrations, example.utterance)
-        if memo is None or memo[0] != demonstrations:
-            text = prompt_segments(template, dd_variant, dd_text, demonstrations)[0]
-            memo = demonstrations, PromptLead(model, temperature, text)
-        return CompletionRequest(prompt=prompt, model=model, temperature=temperature,
-                                 lead=memo[1])
+        return CompletionRequest(
+            build_prompt(template, dd_variant, dd_text, demonstrations, example.utterance),
+            model, temperature, prompt_segments(template, dd_variant, dd_text, demonstrations)[0])
 
     def judge(example: Example, completion: str | SemkitError) -> tuple[str, str]:
         if isinstance(completion, SemkitError):

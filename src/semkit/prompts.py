@@ -32,7 +32,7 @@ import re
 from functools import lru_cache
 
 from .errors import DataFormatError, SemkitError
-from .resources import STRING, Schema, read_json, template_path
+from .resources import STRING, Schema, data_path, read_json
 
 DD_VARIANTS = ("none", "operator-list", "no-typing", "full")
 _SLOTS = re.compile(r"(\[(?:DD|query-i|solution-i)\])")  # the markers a demo block fills
@@ -128,8 +128,9 @@ def render_dd(declarations: list[dict], variant: str) -> str:
     return "\n".join(lines)
 
 
-def default_template(template_id: str = "v1") -> str:
-    return template_path(template_id).read_text(encoding="utf-8")
+def default_template() -> str:
+    """The bundled prompt template, ``prompt_template_v1.txt``."""
+    return data_path("prompt_template_v1.txt").read_text(encoding="utf-8")
 
 
 def build_prompt(template: str, dd_variant: str, dd_text: str,

@@ -292,6 +292,3 @@ def environment_path(environment: str) -> Path:
 def dd_path(environment: str, dialect: str) -> Path:
     return data_path("dd", f"{environment}_{dialect.replace('-', '_')}.json")
 
-
-def template_path(template_id: str = "v1") -> Path:
-    return data_path(f"prompt_template_{template_id}.txt")

@@ -383,10 +383,13 @@ class _LdcsEval:
                 return [self.db.find_person_by_id(token)]
             if token.startswith("en."):
                 return [token]
-            raise MrExecError("unknown-property", f"unbound symbol {token!r}")
-        head = node[0].text if isinstance(node[0], Sym) else None
+            raise MrExecError("name-not-found", f"unbound symbol {token!r}")
+        if not isinstance(node[0], Sym):
+            raise MrExecError("type-mismatch",
+                              f"operator is not a symbol: {_render_node(node[0])}")
+        head = node[0].text
         if head not in SIMPLE_OPS:
-            raise MrExecError("unknown-property", f"unknown operator {head!r}")
+            raise MrExecError("name-not-found", f"unknown operator {head!r}")
         args = node[1:]
         if len(args) != len(SIMPLE_OPS[head]):
             raise MrExecError("arity", f"{head} takes {len(SIMPLE_OPS[head])} arguments")

@@ -334,8 +334,6 @@ CONFIG_ERRORS = [
      "run config: field 'output_dir' is not a string: 7\n"),
     ("run", _edited(lambda c: c.update(environment_file=7)),
      "run config: field 'environment_file' is not a string: 7\n"),
-    ("run", _edited(lambda c: c.update(template_id="v9")),
-     "no bundled resource 'prompt_template_v9.txt'\n"),
     ("bootstrap", _CUT_SHORT, "{path}: not valid JSON: "),
     ("bootstrap", _IN_A_LIST, "{path}: expected a JSON object at the top level\n"),
     ("bootstrap", _edited(lambda c: c.pop("dataset")),
@@ -355,7 +353,7 @@ CONFIG_ERROR_IDS = [
     *(f"run {method} k {k}" for method in ("random", "coverage", "bm25") for k in (0, -1)),
     "run mode warp", "run live without endpoint",
     "run replay without cache", "run cache 7", "run model 7", "run output_dir 7",
-    "run environment_file 7", "run template v9", "bootstrap not JSON",
+    "run environment_file 7", "bootstrap not JSON",
     "bootstrap top level a list", "bootstrap without dataset", "bootstrap mode warp",
     "bootstrap output 7", "bootstrap k 0", "bootstrap no seed ids"]
 # The run-config cases that fail before the prompt template is read: the client

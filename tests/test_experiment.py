@@ -184,7 +184,7 @@ def test_run_path_goes_through_build_prompt_and_replay_get(monkeypatch, tmp_path
     digests = [counting(monkeypatch, owner, name)
                for owner, name in ((llm.CompletionRequest, "fingerprint"),
                                    (llm.CompletionRequest, "prompt_digest"),
-                                   (llm.PromptLead, "states"))]
+                                   (llm, "_lead_states"))]
     sent = []
 
     def transport(request):

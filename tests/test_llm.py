@@ -49,7 +49,7 @@ def evaluator_requests(dialect="pymr", dd_variant="full", dd="", model="desk-mod
 def assert_lead_ends_at_the_test_query(req: CompletionRequest, example: Example) -> None:
     """The request streams from the lead of its own demos, which under the bundled
     template is all of the prompt before the test utterance."""
-    assert req.lead.text + example.utterance + "\nsolution:" == req.prompt
+    assert req.lead + example.utterance + "\nsolution:" == req.prompt
 
 
 BUNDLED_PAIRS = [("geo", "funql", "geoquery"), ("geo", "pymr", "geoquery"),
@@ -114,7 +114,7 @@ def test_an_int_temperature_keeps_its_encoding():
     assert assert_reference_digests(whole)[0] != assert_reference_digests(fraction)[0]
 
 
-def test_the_demo_memo_is_rebuilt_when_the_demos_change(geoquery):
+def test_each_request_streams_from_the_lead_of_its_own_demos(geoquery):
     """Requests are digested lazily, in any order: each one streams from its own demos."""
     pool = [ex for ex in geoquery.examples if "pymr" in ex.programs]
     request_of = evaluator_requests(dd=dd_text("geo", "pymr", "full"))
@@ -235,6 +235,25 @@ def test_a_request_whose_lead_does_not_fit_streams_from_the_empty_lead():
                     CompletionRequest(req.prompt, "other", req.temperature, req.lead),
                     CompletionRequest(req.prompt, req.model, 0.5, req.lead)):
         assert_reference_digests(changed)
+
+
+def test_a_negative_zero_temperature_keeps_its_encoding_after_a_zero_one():
+    """The lead's states are shared by every temperature, so each request encodes its own."""
+    lead = evaluator_requests(dd="class State: ...")(Example("t", "q", {}), []).lead
+    zero, negative = (CompletionRequest(lead + "q\nsolution:", "desk-model-1", t, lead)
+                      for t in (0.0, -0.0))
+    assert assert_reference_digests(zero)[0] != assert_reference_digests(negative)[0]
+
+
+def test_the_lead_cache_stays_within_its_bound(geoquery):
+    pool = [ex for ex in geoquery.examples if "pymr" in ex.programs]
+    request_of = evaluator_requests(dd=dd_text("geo", "pymr", "full"))
+    leads = set()
+    for at in range(100):
+        req = request_of(pool[-1], [pool[at % 40], pool[at // 40]])
+        leads.add(req.lead)
+        assert_reference_digests(req)
+    assert len(leads) == 100 and llm._lead_states.cache_info().currsize <= 8
 
 
 def test_temperature_bounds():

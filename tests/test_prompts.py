@@ -146,7 +146,7 @@ def test_golden_prompt_snapshot(geoquery):
 
 
 def test_template_resource_loads():
-    template = default_template("v1")
+    template = default_template()
     for slot in ("[DD]", "[query-i]", "[solution-i]", "[query-test]"):
         assert slot in template
 

@@ -103,8 +103,7 @@ _WORLD = load_environment("calendar", environment_path("calendar"))
 _EMMA, _JOHN = _WORLD.people[0], _WORLD.people[1]
 _EXAMPLE = Example("x", "u", {"funql": "answer(1)"})
 _STATE = (None, None, (_EXAMPLE,), len, abs)
-_SPEC = ({}, "d.jsonl", "s.json", "geo", "funql", "funql", (0,), "full", "random", 3, "v1",
-         None, 0.0)
+_SPEC = ({}, "d.jsonl", "s.json", "geo", "funql", "funql", (0,), "full", "random", 3, None, 0.0)
 
 # (record, an equal one built anew, a different one): the records that compare by value
 VALUES = [
