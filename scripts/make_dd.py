@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate the bundled domain-description sources under src/semkit/data/dd/.
 
-The restricted-Python DDs must declare exactly the binding surface the
-evaluator exposes; this script asserts that before writing anything.
+The restricted-Python DDs must declare exactly the names a program can reach in
+the bundled world (``semkit.pymr.binding_names``, read off the classes the
+sandbox exposes); this script asserts that, in both directions, before writing
+anything.
 """
 
 import json
@@ -12,9 +14,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from semkit.execute import load_environment
 from semkit.prompts import dd_names
 from semkit.pymr import binding_names
-from semkit.resources import DATA_DIR
+from semkit.resources import DATA_DIR, environment_path
 
 
 def cls(name, doc=None):
@@ -275,7 +278,8 @@ def main() -> None:
     for environment, declarations in (("geo", GEO_PYMR), ("social", SOCIAL_PYMR),
                                       ("calendar", CAL_PYMR)):
         declared = dd_names(declarations)
-        expected = binding_names(environment)
+        expected = binding_names(
+            environment, load_environment(environment, environment_path(environment)))
         assert declared == expected, (
             environment, sorted(declared - expected), sorted(expected - declared))
     dd_dir = DATA_DIR / "dd"

@@ -13,14 +13,19 @@ events created.
 Defaults: start time 09:00 when only a date is given, the anchor date when only
 a time is given, and 30-minute duration.  An event takes at most one
 ``ends_at`` clause, and not with a duration.  ``FindTeamOf(p)`` (``find_team_of`` in
-pymr) is everyone sharing p's manager, including p.  A ``date_by_mdy`` without a
+pymr) is everyone sharing p's manager, including p; the people without a manager
+form one team.  A ``date_by_mdy`` without a
 year resolves to the next occurrence at or after the anchor date; ``NextDOW``
 (``get_next_dow``) lands strictly after the anchor date, within 7 days.
 
-One :class:`Event` record serves both dialects: Dataflow-Simple constraints
-(:mod:`semkit.calflow`) fill it, and pymr's ``api.add_event`` checks a program's
-``Event(...)`` into a new one; :func:`build_event` resolves either.  ``PYMR`` is
-what a pymr program sees.
+The world's own records serve both dialects.  A :class:`Person` answers
+``FindManager``/``FindTeamOf`` and pymr's ``find_manager_of``/``find_team_of``
+alike; its id, manager and team are private, so a program reaches them only
+through those methods.  One :class:`Event` record holds a request: Dataflow-Simple
+constraints (:mod:`semkit.calflow`) fill it, and pymr's ``api.add_event`` checks a
+program's ``Event(...)`` into a new one; :func:`build_event` resolves either.
+``PYMR`` is what a pymr program sees: ``api``, a :class:`CalendarApi` over the
+world, which hands out the world's own persons.
 """
 
 from __future__ import annotations
@@ -43,11 +48,24 @@ WEEKDAYS = {
 }
 
 
-class CalPerson:
-    __slots__ = ("id", "name", "manager")
+class Person:
+    """One person of the org chart, as both calendar dialects and pymr programs see it."""
+
+    __slots__ = ("_id", "name", "_manager", "_team")
 
     def __init__(self, id: str, name: str):
-        self.id, self.name, self.manager = id, name, None  # the loader sets the manager
+        self._id, self.name = id, name
+        self._manager, self._team = None, ()  # the loader sets both
+
+    def find_manager_of(self) -> Person:
+        if self._manager is None:
+            raise MrExecError("unresolvable-constraint", f"{self.name} has no manager")
+        return self._manager
+
+    def find_team_of(self) -> list[Person]:
+        """A fresh list of everyone sharing this person's manager, this person included,
+        in world order."""
+        return list(self._team)
 
     def __repr__(self):
         return f"<person {self.name}>"
@@ -56,23 +74,15 @@ class CalPerson:
 class CalendarWorld:
     __slots__ = ("people", "current_user", "now")
 
-    def __init__(self, people: list[CalPerson], current_user: CalPerson, now: dt.datetime):
+    def __init__(self, people: list[Person], current_user: Person, now: dt.datetime):
         self.people, self.current_user, self.now = people, current_user, now
 
-    def find_person(self, name: str) -> CalPerson:
+    def find_person(self, name: str) -> Person:
         wanted = name.lower()
         for person in self.people:
             if person.name.lower() == wanted:
                 return person
         raise MrExecError("unknown-person", f"no person named {name!r}")
-
-    def manager_of(self, person: CalPerson) -> CalPerson:
-        if person.manager is None:
-            raise MrExecError("unresolvable-constraint", f"{person.name} has no manager")
-        return person.manager
-
-    def team_of(self, person: CalPerson) -> list[CalPerson]:
-        return [p for p in self.people if p.manager is person.manager]
 
 
 _WORLD = Schema(("current_user", STRING), ("now", ANY))
@@ -83,25 +93,29 @@ def load_world(path, data=None) -> CalendarWorld:
     """Load and check a calendar world from the file at ``path``, or from its bytes ``data``."""
     record, people_of = read_world(path, data)
     current_user, now = _WORLD.read(record, path)
-    by_id: dict[str, CalPerson] = {}
+    by_id: dict[str, Person] = {}
     manager_ids = {}
     for pid, raw in people_of:
         name, manager_ids[pid] = _PERSON.read(raw, path, pid)
         if pid in by_id:
             raise DataFormatError(f"{path}: duplicate person id {pid!r}")
-        by_id[pid] = CalPerson(id=pid, name=name)
+        by_id[pid] = Person(id=pid, name=name)
+    teams: dict = {}  # manager (None for the people without one) -> team, in world order
     for pid, manager_id in manager_ids.items():
         if manager_id is not None and manager_id not in by_id:
             raise DataFormatError(f"{path}: unknown manager id {manager_id!r}")
-        by_id[pid].manager = by_id.get(manager_id)
+        person = by_id[pid]
+        person._manager = by_id.get(manager_id)
+        teams.setdefault(person._manager, []).append(person)
     people = list(by_id.values())
-    for person in people:  # cycle check: walking up must terminate
-        seen, node = set(), person
+    for person in people:
+        person._team = teams[person._manager]
+        seen, node = set(), person  # cycle check: walking up must terminate
         while node is not None:
-            if node.id in seen:
-                raise DataFormatError(f"{path}: manager cycle through {node.id!r}")
-            seen.add(node.id)
-            node = node.manager
+            if node._id in seen:
+                raise DataFormatError(f"{path}: manager cycle through {node._id!r}")
+            seen.add(node._id)
+            node = node._manager
     if current_user not in by_id:
         raise DataFormatError(f"{path}: current_user {current_user!r} unknown")
     try:
@@ -216,6 +230,9 @@ def _resolve_date(clause: DateClause, now: dt.datetime) -> dt.date:
 class Event:
     """One event request of either dialect (see the module docstring)."""
 
+    __slots__ = ("subject", "starts_at", "ends_at", "location", "attendees",
+                 "attendees_to_avoid", "duration")
+
     def __init__(self, subject=None, starts_at=None, ends_at=None, location=None,
                  attendees=None, attendees_to_avoid=None, duration=None):
         self.subject, self.location, self.duration = subject, location, duration
@@ -243,8 +260,8 @@ def build_event(event: Event, world: CalendarWorld) -> CreatedEvent:
         end = dt.datetime.combine(start.date(), dt.time(clause.hour, clause.minute))
     if not start < end:
         raise MrExecError("invalid-datetime", "event must start before it ends")
-    avoided = {p.id for p in event.attendees_to_avoid}
-    attendees = {p.id for p in event.attendees} - avoided
+    avoided = {p._id for p in event.attendees_to_avoid}
+    attendees = {p._id for p in event.attendees} - avoided
     return CreatedEvent(
         start=start.isoformat(), end=end.isoformat(), subject=event.subject,
         location=event.location, attendees=frozenset(attendees), avoided=frozenset(avoided),
@@ -253,41 +270,20 @@ def build_event(event: Event, world: CalendarWorld) -> CreatedEvent:
 
 # --- the pymr surface ---------------------------------------------------------
 
-class CalendarPerson(Value):
-    """pymr-facing handle around one org-chart person; handles of one person are equal."""
-
-    __slots__ = ("_person", "_world")
-
-    def __init__(self, _person: CalPerson, _world: CalendarWorld):
-        object.__setattr__(self, "_person", _person)
-        object.__setattr__(self, "_world", _world)
-
-    @property
-    def name(self) -> str:
-        return self._person.name
-
-    def find_manager_of(self) -> "CalendarPerson":
-        return CalendarPerson(self._world.manager_of(self._person), self._world)
-
-    def find_team_of(self) -> list["CalendarPerson"]:
-        return [CalendarPerson(p, self._world) for p in self._world.team_of(self._person)]
-
-    def __repr__(self):
-        return f"<person {self.name}>"
-
-
 class CalendarApi:
+    __slots__ = ("_world", "_created")
+
     def __init__(self, world: CalendarWorld):
         self._world = world
         self._created = []
 
-    def find_person(self, name: str) -> CalendarPerson:
+    def find_person(self, name: str) -> Person:
         if not isinstance(name, str):
             raise MrExecError("type-mismatch", "find_person expects a name string")
-        return CalendarPerson(self._world.find_person(name), self._world)
+        return self._world.find_person(name)
 
-    def get_current_user(self) -> CalendarPerson:
-        return CalendarPerson(self._world.current_user, self._world)
+    def get_current_user(self) -> Person:
+        return self._world.current_user
 
     def add_event(self, event: Event) -> None:
         if not isinstance(event, Event):
@@ -298,9 +294,8 @@ class CalendarApi:
             starts_at=[_typed(c, _CLAUSES, "a date/time clause") for c in event.starts_at],
             ends_at=[_typed(c, _CLAUSES, "a date/time clause") for c in event.ends_at],
             duration=_minutes(event.duration),
-            attendees=[_typed(p, CalendarPerson, "a person")._person for p in event.attendees],
-            attendees_to_avoid=[_typed(p, CalendarPerson, "a person")._person
-                                for p in event.attendees_to_avoid])
+            attendees=[_typed(p, Person, "a person") for p in event.attendees],
+            attendees_to_avoid=[_typed(p, Person, "a person") for p in event.attendees_to_avoid])
         self._created.append(build_event(checked, self._world))
 
 
@@ -330,15 +325,7 @@ def _minutes(value):
 PYMR = (
     lambda world: {"api": CalendarApi(world), "Event": Event,
                    "DateTimeClause": DateTimeClause, "DateTimeValues": DateTimeValues},
-    frozenset({
-        "api", "CalendarApi", "Person", "Event", "DateTimeClause", "DateTimeValues",
-        "find_person", "get_current_user", "add_event",
-        "name", "find_manager_of", "find_team_of",
-        "subject", "starts_at", "ends_at", "location", "attendees",
-        "attendees_to_avoid", "duration",
-        "get_next_dow", "date_by_mdy", "time_by_hm", "Today", "Tomorrow",
-    }),
-    (CalendarApi, CalendarPerson, Event),
+    (CalendarApi, Person, Event),
     (DateTimeClause, DateTimeValues),
     lambda value, binding: WorldDelta(created=tuple(binding["api"]._created)),
 )

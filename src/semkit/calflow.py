@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .calendar_world import (CalendarWorld, CalPerson, DateTimeClause, DateTimeValues, Event,
+from .calendar_world import (CalendarWorld, DateTimeClause, DateTimeValues, Event, Person,
                              build_event)
 from .errors import MAX_DEPTH, TOO_DEEP, MrExecError, MrParseError
 from .outcomes import WorldDelta
@@ -178,7 +178,7 @@ def _clause_value(node, world: CalendarWorld):
     raise MrExecError("type-mismatch", f"not a date/time clause: {render_dfs(node)}")
 
 
-def _resolve_people(node, world: CalendarWorld) -> list[CalPerson]:
+def _resolve_people(node, world: CalendarWorld) -> list[Person]:
     if isinstance(node, Word):
         return [world.find_person(node.text)]
     if isinstance(node, Call):
@@ -186,11 +186,11 @@ def _resolve_people(node, world: CalendarWorld) -> list[CalPerson]:
             return [world.current_user]
         if node.head == "FindManager":
             targets = _resolve_people(node.args[0], world)
-            return [world.manager_of(p) for p in targets]
+            return [p.find_manager_of() for p in targets]
         if node.head == "FindTeamOf":
             out = []
             for person in _resolve_people(node.args[0], world):
-                out.extend(world.team_of(person))
+                out.extend(person.find_team_of())
             return out
     raise MrExecError("type-mismatch", f"not people: {render_dfs(node)}")
 

@@ -96,20 +96,22 @@ def exact_match(pred: str, gold: str) -> bool:
 
 # --- person-name canonicalization (calendar) ---------------------------------
 
-# quoted names passed to the person-lookup API in restricted-Python programs,
-# and bare-word person arguments in Dataflow-Simple calls
-_PY_NAME = re.compile(r'find_person\(\s*"([^"]*)"\s*\)')
+# the text inside a single- or double-quoted name passed to the person-lookup API in
+# restricted-Python programs, positionally or as ``name=``, and bare-word person
+# arguments in Dataflow-Simple calls
+_PY_NAME = re.compile(
+    r"""find_person\(\s*(?:name\s*=\s*)?(["'])(?P<name>(?:(?!\1).)*)\1\s*\)""")
 _DFS_NAME = re.compile(
-    r"(?:FindManager|FindTeamOf|with_attendee|avoid_attendee)\(\s*([^(),]*?)\s*\)")
+    r"(?:FindManager|FindTeamOf|with_attendee|avoid_attendee)\(\s*(?P<name>[^(),]*?)\s*\)")
 
 
 def _name_spans(text: str) -> list[tuple[int, int, str]]:
     spans = []
     for pattern in (_PY_NAME, _DFS_NAME):
         for match in pattern.finditer(text):
-            name = match.group(1)
+            name = match.group("name")
             if name and not name[0].isdigit():
-                spans.append((match.start(1), match.end(1), name))
+                spans.append((match.start("name"), match.end("name"), name))
     spans.sort()
     return spans
 

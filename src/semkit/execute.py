@@ -4,7 +4,9 @@
 interpreter module it needs and its parse and execute steps; every interpreter
 module's ``extract_operators`` gives a program's operator set.
 :data:`ENVIRONMENTS` names each environment's loader module and function; that
-module also declares the environment's pymr surface, ``PYMR``.  A module named
+module also declares ``PYMR``, what a pymr program sees of the loaded world (its
+own objects, bound to top-level names, and the classes a program may read), from
+which :func:`semkit.pymr.binding_names` reads the name surface.  A module named
 here is imported on the first call that needs it, so a process compiles only the
 interpreters and worlds it runs.  Programs arrive as text.  An interpreter's
 ``exec_*`` returns its :class:`~semkit.outcomes.Denotation` or

@@ -303,14 +303,6 @@ def _validate(model: GeoModel, path) -> None:
 # what a pymr program sees of a geography model; the fields are laid out in semkit.pymr
 PYMR = (
     lambda model: {"geo_model": model},
-    frozenset({
-        "geo_model", "GeoModel", "State", "City", "River", "Place", "Country",
-        "find_state", "find_city", "find_river", "find_place",
-        "states", "cities", "rivers", "places", "country",
-        "name", "abbreviation", "capital", "area", "population", "density",
-        "high_point", "low_point", "next_to", "size", "is_major",
-        "length", "traverses", "elevation", "state", "kind",
-    }),
     (GeoModel, *ENTITY_KINDS),
     (),
     lambda value, binding: denotation_of(value, tuple(ENTITY_KINDS), entity_ref),

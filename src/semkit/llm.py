@@ -16,8 +16,10 @@ prompt string, and the raw UTF-8 prompt) come from a cache bounded at eight
 ``(model, lead)`` entries.  A request's digests ``copy()`` them and take only
 the rest of the prompt (and, for the fingerprint, the closing quote and the
 temperature, encoded on each call, so that ``1``, ``1.0`` and ``-0.0`` keep
-their own encodings).  A prompt that does not start with its lead streams
-from the empty one.  Within one experiment the model, header and DD never
+their own encodings).  The temperature is encoded with ``repr``, which gives
+``json.dumps``'s text for a finite int or float; a request refuses a bool,
+which ``json.dumps`` would write as ``true``.  A prompt that does not start
+with its lead streams from the empty one.  Within one experiment the model, header and DD never
 change, and under random or coverage selection neither do a seed's demos, so
 :func:`example_evaluator` hashes that constant text once.  The text comes from
 :mod:`semkit.prompts`, the one module that knows where the test utterance
@@ -86,8 +88,8 @@ class CompletionRequest(Frozen):
 
     def __init__(self, prompt: str, model: str, temperature: float = DEFAULT_TEMPERATURE,
                  lead: str = ""):
-        if not 0.0 <= temperature <= 2.0:
-            raise ValueError("temperature must be within [0, 2]")
+        if isinstance(temperature, bool) or not 0.0 <= temperature <= 2.0:
+            raise ValueError("temperature must be a number within [0, 2]")
         object.__setattr__(self, "prompt", prompt)
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "temperature", temperature)
@@ -98,7 +100,7 @@ class CompletionRequest(Frozen):
         ensure_ascii=False)``, streamed (see the module docstring)."""
         rest, (state, _) = self._states()
         state = state.copy()
-        state.update(f'{_escape(rest)[1:]}, "temperature": {json.dumps(self.temperature)}}}'
+        state.update(f'{_escape(rest)[1:]}, "temperature": {self.temperature!r}}}'
                      .encode("utf-8"))  # from the quote that closes the prompt
         return state.hexdigest()
 

@@ -22,11 +22,12 @@ builtin registry, and local assignments; unknown names and attributes become
 captured failures, never host behavior.
 
 This module imports no world.  Each world's module (named in
-:data:`semkit.execute.ENVIRONMENTS`) declares ``PYMR = (bind, names, readable,
-namespaces, answer)``: ``bind(world)`` gives the top-level names, ``names`` the
-closed name surface (:func:`binding_names`); instances of ``readable`` classes and
-``namespaces`` classes themselves expose attributes; ``answer(value, binding)``
-is the outcome value of what the program returned.
+:data:`semkit.execute.ENVIRONMENTS`) declares ``PYMR = (bind, readable, namespaces,
+answer)``: ``bind(world)`` gives the top-level names, which hold the world's own
+objects; instances of ``readable`` classes and ``namespaces`` classes themselves
+expose their public attributes; ``answer(value, binding)`` is the outcome value of
+what the program returned.  The closed name surface (:func:`binding_names`) is read
+off those classes, so it names exactly what a program can reach.
 
 Runtime errors (name-not-found, attribute-not-found, type-mismatch,
 index-out-of-range, empty-input, item-not-found, ...) raise
@@ -277,13 +278,22 @@ def _surface(environment: str) -> tuple:
     return import_module(execute.ENVIRONMENTS[environment][0]).PYMR
 
 
-def binding_names(environment: str) -> frozenset[str]:
-    """The closed name surface of an environment: roots, classes, members.
+def binding_names(environment: str, world) -> frozenset[str]:
+    """The closed name surface of an environment: what a program can name.
 
-    This is exactly the set of names the corresponding full domain
-    description declares (tests assert both directions).
+    That is the top-level names ``bind(world)`` gives, and each readable and namespace
+    class's name and the public names it and its bases (``object`` aside) define.  The
+    full domain description declares exactly this set (tests and ``scripts/make_dd.py``
+    assert both directions).
     """
-    return _surface(environment)[1]
+    bind, readable, namespaces, _ = _surface(environment)
+    names = set(bind(world))
+    for cls in (*readable, *namespaces):
+        names.add(cls.__name__)
+        for base in cls.__mro__:
+            if base is not object:
+                names.update(name for name in vars(base) if not name.startswith("_"))
+    return frozenset(names)
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -487,7 +497,7 @@ class _Interpreter:
 
 def exec_pymr(ast: PymrAst, environment: str, env_object) -> Denotation | WorldDelta:
     """Run a parsed program against an environment: its answer, or raises."""
-    bind, _, readable, namespaces, answer = _surface(environment)
+    bind, readable, namespaces, answer = _surface(environment)
     binding = bind(env_object)
     return answer(_Interpreter(binding, readable, namespaces).run(ast.func), binding)
 

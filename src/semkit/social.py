@@ -37,9 +37,9 @@ import re
 from typing import Callable
 
 from .errors import MAX_DEPTH, TOO_DEEP, MrExecError, MrParseError
-from .outcomes import Denotation
+from .outcomes import Denotation, denotation_of
 from .readonly import Frozen, Value
-from .social_db import Person, SocialDb, value_ref
+from .social_db import Person, SocialApi, value_ref
 
 
 # --- s-expressions --------------------------------------------------------
@@ -369,7 +369,7 @@ def _dedup(items):
 
 
 class _LdcsEval:
-    def __init__(self, db: SocialDb):
+    def __init__(self, db: SocialApi):
         self.db = db
 
     def eval(self, node) -> list:
@@ -516,16 +516,12 @@ class _LdcsEval:
         return [_AGGREGATES[mode.text](values)]
 
 
-def exec_ldcs_simple(ast: LdcsAst, db: SocialDb) -> Denotation:
-    """Execute a simple-dialect program against the people database."""
+def exec_ldcs_simple(ast: LdcsAst, db: SocialApi) -> Denotation:
+    """Execute a simple-dialect program against the people database; its result is read
+    as a social pymr answer is."""
     if ast.dialect != "simple":
         raise ValueError("exec_ldcs_simple expects the simple dialect")
-    items = _LdcsEval(db).eval(ast.root)
-    if items and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
-        return Denotation.of_numbers(items)
-    if any(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
-        raise MrExecError("type-mismatch", "mixed numbers and entities in a result")
-    return Denotation.of_entities(value_ref(v) for v in items)
+    return denotation_of(_LdcsEval(db).eval(ast.root), (Person, str), value_ref)
 
 
 def extract_operators(ast: LdcsAst) -> frozenset[str]:

@@ -5,8 +5,9 @@ The database holds people (``en.person.*`` ids) with enum-valued attributes
 (symmetric), and education/employment history records, their fields declared in
 ``_PERSON``, ``_EDUCATION`` and ``_EMPLOYMENT``.  :func:`value_ref` names a
 result item as the ``(kind, id)`` pair a denotation holds.  ``PYMR`` is what a
-pymr program sees; the λ-DCS dialects that run against the database live in
-:mod:`semkit.social`.
+pymr program sees: the database itself, a :class:`SocialApi`, bound as ``api``,
+with its people and their records; its id index is private.  The λ-DCS dialects
+that run against the database live in :mod:`semkit.social`.
 """
 
 from __future__ import annotations
@@ -59,17 +60,19 @@ class Person:
         return f"<{self.id}>"
 
 
-class SocialDb:
-    __slots__ = ("people", "by_id")
+class SocialApi:
+    """The people database, which pymr programs reach as ``api``."""
+
+    __slots__ = ("people", "_by_id")
 
     def __init__(self, people: list[Person]):
         self.people = people
-        self.by_id = {p.id: p for p in people}
+        self._by_id = {p.id: p for p in people}
 
     def find_person_by_id(self, person_id: str) -> Person:
-        if person_id not in self.by_id:
+        if person_id not in self._by_id:
             raise MrExecError("name-not-found", f"no person {person_id!r}")
-        return self.by_id[person_id]
+        return self._by_id[person_id]
 
 
 _PERSON = Schema(("name", STRING), ("gender", STRING), ("birthdate", INTEGER),
@@ -86,7 +89,7 @@ def _history(path, person_id, raw: dict, key: str, schema: Schema, build) -> lis
             for at, record in enumerate(objects_of(raw, key, path, person_id, ()))]
 
 
-def load_social_db(path, data=None) -> SocialDb:
+def load_social_db(path, data=None) -> SocialApi:
     """Load and check a social db from the file at ``path``, or from its bytes ``data``."""
     _, people_of = read_world(path, data)
     by_id: dict[str, Person] = {}
@@ -118,21 +121,12 @@ def load_social_db(path, data=None) -> SocialDb:
         person.friends = ReadOnlyList(person.friends)
         person.education = ReadOnlyList(person.education)
         person.employment = ReadOnlyList(person.employment)
-    return SocialDb(people=ReadOnlyList(people))
+    return SocialApi(people=ReadOnlyList(people))
 
 
 class Gender:
     male = "en.gender.male"
     female = "en.gender.female"
-
-
-class SocialApi:
-    def __init__(self, db: SocialDb):
-        self.people = db.people
-        self._db = db
-
-    def find_person_by_id(self, person_id: str) -> Person:
-        return self._db.find_person_by_id(person_id)
 
 
 def value_ref(item) -> tuple[str, str]:
@@ -146,15 +140,7 @@ def value_ref(item) -> tuple[str, str]:
 
 # what a pymr program sees of a social database; the fields are laid out in semkit.pymr
 PYMR = (
-    lambda db: {"api": SocialApi(db), "Gender": Gender},
-    frozenset({
-        "api", "SocialApi", "Person", "EducationRecord", "EmploymentRecord", "Gender",
-        "people", "find_person_by_id",
-        "id", "name", "gender", "birthdate", "birthplace", "height",
-        "relationship_status", "is_student", "friends", "education", "employment",
-        "institution", "employer", "job_title", "start_date", "end_date",
-        "male", "female",
-    }),
+    lambda db: {"api": db, "Gender": Gender},
     (Person, EducationRecord, EmploymentRecord, SocialApi),
     (Gender,),
     lambda value, binding: denotation_of(value, (Person, str), value_ref),

@@ -137,9 +137,22 @@ def test_unknown_person(calendar_world):
 
 def test_team_is_subset_of_people_and_includes_self(calendar_world):
     for person in calendar_world.people:
-        team = calendar_world.team_of(person)
+        team = person.find_team_of()
         assert person in team
         assert set(team) <= set(calendar_world.people)
+        assert team == [p for p in calendar_world.people if p in team]  # in world order
+
+
+def test_the_people_without_a_manager_form_one_team():
+    world = load_world("two-heads.json", json.dumps({
+        "people": [{"id": "a", "name": "ann"}, {"id": "c", "name": "cy", "manager": "a"},
+                   {"id": "b", "name": "bo"}],
+        "current_user": "a", "now": "2023-01-02T08:00:00"}).encode())
+    ann, cy, bo = world.people
+    assert ann.find_team_of() == bo.find_team_of() == [ann, bo]
+    assert cy.find_team_of() == [cy]
+    delta = exec_dfs(parse_dfs("CreateEvent( with_attendee( FindTeamOf( bo ) ) )"), world)
+    assert delta.created[0].attendees == frozenset({"a", "b"})
 
 
 def test_avoid_attendee_removes_from_team(calendar_world):

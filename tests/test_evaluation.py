@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -117,6 +118,43 @@ def test_calendar_scorer_canonicalizes_names(calendar_world, smcalflow):
     # a pair naming more people than the world has is the prediction's failure
     assert score("dataflow-simple", CROWD, "dataflow-simple", dfs) == "execution-failure"
     assert score("pymr", pymr, "dataflow-simple", CROWD) == "execution-failure"
+
+
+# the bundled golds quote each name in double quotes; Python reads these spellings the same
+@pytest.mark.parametrize("spelling", ["find_person('{}')", 'find_person(name="{}")',
+                                      "find_person( name = '{}' )"])
+def test_a_name_in_single_quotes_or_by_keyword_is_canonicalized(calendar_world, smcalflow,
+                                                                 spelling):
+    quoted = re.compile(r'find_person\("([^"]*)"\)')
+    golds = [ex for ex in smcalflow.examples if quoted.search(ex.programs.get("pymr", ""))]
+    assert len(golds) == 9
+    score = scorer("calendar", calendar_world)
+    for example in golds:
+        pred = quoted.sub(lambda m: spelling.format(m.group(1)), example.programs["pymr"])
+        for gold_dialect in ("pymr", "dataflow-simple"):
+            gold = example.programs[gold_dialect]
+            assert score("pymr", pred, gold_dialect, gold) == "correct", (example.id, gold_dialect)
+            once = canonicalize_names(pred, gold, calendar_world)
+            assert canonicalize_names(*once, calendar_world) == once
+    # a single-quoted seventh name still exhausts the world's six people
+    six = CROWD.replace(" , with_attendee( G )", "")
+    seventh = "def answer():\n    api.add_event(Event(attendees=[api.find_person('G')]))"
+    assert score("pymr", seventh, "dataflow-simple", six) == "execution-failure"
+
+
+def test_a_name_held_in_a_variable_is_not_canonicalized(calendar_world, smcalflow):
+    """A known gap: the rewrite reads literals only, so a name passed through a variable
+    keeps its spelling, and a name the world lacks fails to resolve."""
+    sm03 = smcalflow["sm-03"]
+    pred = sm03.programs["pymr"].replace('api.find_person("John")',
+                                         'api.find_person(who)').replace(
+        "def answer():\n", 'def answer():\n    who = "John"\n')
+    assert 'who = "John"' in pred
+    assert canonicalize_names(pred, pred, calendar_world) == (pred, pred)
+    assert run_program("pymr", pred, "calendar", calendar_world).error == "unknown-person"
+    score = scorer("calendar", calendar_world)
+    assert score("pymr", pred, "dataflow-simple",
+                 sm03.programs["dataflow-simple"]) == "execution-failure"
 
 
 def test_geo_scorer_keeps_names_and_runs_each_program_once(monkeypatch, geo_model):

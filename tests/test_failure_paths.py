@@ -129,7 +129,7 @@ CASES = [
     ("ldcs-simple", f"(aggregate sum {NOBODY})", NOT_NUMBERS),
     ("ldcs-simple", f"(aggregate sum {PEOPLE})", NOT_NUMBERS),
     ("ldcs-simple", f"(concat (size {PEOPLE}) {PEOPLE})",
-     _mismatch("mixed numbers and entities in a result")),
+     _mismatch("cannot interpret 8 as an answer")),
     # Dataflow-Simple: a date word other than TODAY/TOMORROW, and clauses with bad arguments
     ("dataflow-simple", "CreateEvent( starts_at( YESTERDAY ) )",
      ("invalid-datetime", "invalid-datetime: 'YESTERDAY' is not a date/time clause")),

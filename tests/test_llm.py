@@ -262,6 +262,21 @@ def test_temperature_bounds():
     assert CompletionRequest(prompt="p", model="m").temperature == 0.0
 
 
+@pytest.mark.parametrize("temperature", [True, False])
+def test_a_bool_temperature_is_refused(temperature):
+    with pytest.raises(ValueError, match="temperature must be a number within"):
+        CompletionRequest(prompt="p", model="m", temperature=temperature)
+
+
+# the fingerprint encodes the temperature with repr, which is json.dumps's text for these
+@pytest.mark.parametrize("temperature", [0.0, -0.0, 1, 1.0, 0.7, 2])
+def test_the_temperature_encodes_as_json_does(temperature):
+    lead = evaluator_requests(dd="class State: ...")(Example("t", "q", {}), []).lead
+    for req in (CompletionRequest("p", "m", temperature),
+                CompletionRequest(lead + "q\nsolution:", "desk-model-1", temperature, lead)):
+        assert_reference_digests(req)
+
+
 def test_replay_returns_stored_text(tmp_path):
     cache = ReplayCache(tmp_path / "c.jsonl")
     cache.put(request(), "stored text")

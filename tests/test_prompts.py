@@ -35,10 +35,12 @@ def test_render_empty_source():
 
 @pytest.mark.parametrize("environment,dialect", [
     ("geo", "pymr"), ("social", "pymr"), ("calendar", "pymr")])
-def test_operator_list_matches_binding_closure(environment, dialect):
+def test_operator_list_matches_binding_closure(request, environment, dialect):
+    """The full DD declares exactly what a program can reach, in both directions."""
     declarations = load_dd_source(dd_path(environment, dialect))
     listed = set(render_dd(declarations, "operator-list").splitlines())
-    assert listed == set(binding_names(environment))
+    world = {"geo": "geo_model", "social": "social_db", "calendar": "calendar_world"}[environment]
+    assert listed == set(binding_names(environment, request.getfixturevalue(world)))
     assert listed == set(dd_names(declarations))
 
 

@@ -4,14 +4,12 @@ import re
 
 import pytest
 
-from semkit.calendar_world import (CalendarApi, CalendarPerson, DateTimeClause, DateTimeValues,
-                                   Event)
 from semkit.errors import MAX_DEPTH, TOO_DEEP, MrParseError, UnsupportedConstructError, shown
 from semkit.execute import run_program
 from semkit.funql import exec_funql, parse_funql
-from semkit.geo import City, Country, GeoModel, Place, River, State
-from semkit.pymr import BUILTIN_NAMES, binding_names, exec_pymr, extract_operators, parse_pymr
-from semkit.social_db import EducationRecord, EmploymentRecord, Gender, Person, SocialApi
+from semkit.geo import State
+from semkit.pymr import (BUILTIN_NAMES, _surface, binding_names, exec_pymr, extract_operators,
+                         parse_pymr)
 
 LARGEST_STATE_ELEVATION = ("def answer():\n"
               "    largest_state = max(geo_model.states, key=lambda x: x.size)\n"
@@ -188,6 +186,32 @@ def test_dunder_access_is_blocked(geo_model, expr):
     assert not outcome.ok and outcome.error == "attribute-not-found"
 
 
+# a person's id, manager and team and the database's index are out of a program's reach
+@pytest.mark.parametrize("environment, expr, message", [
+    ("calendar", "api.get_current_user()._manager", "no attribute '_manager'"),
+    ("calendar", "api.get_current_user().id", "'Person' object has no attribute 'id'"),
+    ("social", "api._by_id", "no attribute '_by_id'"),
+])
+def test_private_fields_are_out_of_reach(request, environment, expr, message):
+    world = request.getfixturevalue(
+        {"social": "social_db", "calendar": "calendar_world"}[environment])
+    outcome = run_program("pymr", f"def answer():\n    return {expr}", environment, world)
+    assert outcome.to_json() == {"ok": False, "error": "attribute-not-found",
+                                 "message": f"attribute-not-found: {message}"}
+
+
+def test_a_program_may_change_the_team_it_was_given(calendar_world):
+    program = ("def answer():\n"
+               "    me = api.get_current_user()\n"
+               "    team = me.find_team_of()\n"
+               "    team.remove(me)\n"
+               "    api.add_event(Event(attendees=team))")
+    outcome = run_program("pymr", program, "calendar", calendar_world)
+    assert outcome.ok and outcome.value.created[0].attendees == frozenset({"p2"})
+    team = calendar_world.current_user.find_team_of()
+    assert [p.name for p in team] == ["sarah", "michael"]  # the world's team is unchanged
+
+
 def test_unknown_names_never_reach_host(geo_model):
     # names that would be dangerous or merely common builtins: all unresolved
     for name in ("eval", "exec", "__import__", "globals", "print", "range"):
@@ -314,35 +338,21 @@ def test_extract_operators_includes_constructors_and_enum_members():
     assert "api" not in ops and "DateTimeValues" not in ops
 
 
-_SURFACE = {
-    "geo": {"GeoModel": GeoModel, "State": State, "City": City, "River": River,
-            "Place": Place, "Country": Country},
-    "social": {"SocialApi": SocialApi, "Person": Person, "EducationRecord": EducationRecord,
-               "EmploymentRecord": EmploymentRecord, "Gender": Gender},
-    "calendar": {"CalendarApi": CalendarApi, "Person": CalendarPerson, "Event": Event,
-                 "DateTimeClause": DateTimeClause, "DateTimeValues": DateTimeValues},
-}
-
-_ROOTS = {"geo": {"geo_model"}, "social": {"api"}, "calendar": {"api"}}
-
-_EVENT_FIELDS = {"subject", "starts_at", "ends_at", "location", "attendees",
-                 "attendees_to_avoid", "duration"}
-
-# attributes assigned in __init__, invisible to class-level hasattr
-_INSTANCE_ATTRS = {"social": {"people"}, "geo": set(), "calendar": set()}
+# The surface is read off the classes a program reaches, so a public member added to one
+# joins it, and the check that the full DD declares every name then fails.
+def test_a_public_member_added_to_an_exposed_class_joins_the_surface(monkeypatch, geo_model):
+    before = binding_names("geo", geo_model)
+    assert "population_share" not in before
+    monkeypatch.setattr(State, "population_share", lambda self: 0.0, raising=False)
+    monkeypatch.setattr(State, "_cached_share", 0.0, raising=False)
+    assert binding_names("geo", geo_model) == before | {"population_share"}
 
 
+# An instance attribute would reach programs without being on its class; slots rule it out.
 @pytest.mark.parametrize("environment", ["geo", "social", "calendar"])
-def test_binding_names_exist_on_runtime_classes(environment):
-    names = set(binding_names(environment))
-    names -= _ROOTS[environment]
-    names -= set(_SURFACE[environment])
-    names -= _INSTANCE_ATTRS[environment]
-    for name in sorted(names):
-        found = any(
-            hasattr(cls, name) or (cls is Event and name in _EVENT_FIELDS)
-            for cls in _SURFACE[environment].values())
-        assert found, f"{environment}: {name} not on any runtime class"
+def test_what_an_exposed_instance_holds_is_declared_on_its_class(environment):
+    for cls in _surface(environment)[1]:
+        assert "__dict__" not in dir(cls), cls.__name__
 
 
 def walk_extract_operators(program):
@@ -628,7 +638,7 @@ def test_geo_lookups_refuse_a_name_that_is_not_a_string(geo_model, call):
     ("calendar", "api.add_event(Event(attendees=[Event()]))", "Event is not a person"),
     ("calendar", "api.add_event(Event(attendees=[api]))", "CalendarApi is not a person"),
     ("calendar", "api.add_event(Event(attendees=[api.get_current_user().find_team_of]))",
-     "<bound method CalendarPerson.find_team_of of <person sarah>> is not a person"),
+     "<bound method Person.find_team_of of <person sarah>> is not a person"),
     ("calendar", "api.add_event(Event(starts_at=[Event]))", "Event is not a date/time clause"),
     ("calendar", "api.add_event(Event(starts_at=[api.find_person]))",
      "CalendarApi.find_person is not a date/time clause"),

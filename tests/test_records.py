@@ -11,7 +11,7 @@ from importlib import import_module
 
 import pytest
 
-from semkit.calendar_world import CalendarPerson, DateClause, Event, TimeClause
+from semkit.calendar_world import DateClause, Event, TimeClause
 from semkit.calflow import Call, NumberArg, Word
 from semkit.corpus import Dataset, Example, Split
 from semkit.evaluation import AccuracyReport, ComparisonPolicy
@@ -33,7 +33,7 @@ def _surface(environment):
 def test_no_class_a_pymr_program_reaches_is_a_tuple():
     reachable = {DateClause, TimeClause, Event}
     for environment in ENVIRONMENTS:
-        _, _, readable, namespaces, _ = _surface(environment)
+        _, readable, namespaces, _ = _surface(environment)
         reachable.update(readable, namespaces)
     assert len(reachable) == 18
     assert [cls.__name__ for cls in reachable if issubclass(cls, tuple)] == []
@@ -57,7 +57,7 @@ def _run(environment, body):
     ("calendar", "return [x for x in DateTimeValues.Today]", "type-mismatch",
      "type-mismatch: cannot iterate over DateClause"),
     ("calendar", "return api.get_current_user().index", "attribute-not-found",
-     "attribute-not-found: 'CalendarPerson' object has no attribute 'index'"),
+     "attribute-not-found: 'Person' object has no attribute 'index'"),
 ])
 def test_records_a_program_reaches_are_not_tuples_to_it(environment, body, error, message):
     assert _run(environment, body) == {"ok": False, "error": error, "message": message}
@@ -99,8 +99,6 @@ def _fields(record) -> tuple:
 
 _FUNC = pyast.parse("def answer():\n    return 1").body[0]
 _DIALECT = DIALECTS["funql"]
-_WORLD = load_environment("calendar", environment_path("calendar"))
-_EMMA, _JOHN = _WORLD.people[0], _WORLD.people[1]
 _EXAMPLE = Example("x", "u", {"funql": "answer(1)"})
 _STATE = (None, None, (_EXAMPLE,), len, abs)
 _SPEC = ({}, "d.jsonl", "s.json", "geo", "funql", "funql", (0,), "full", "random", 3, None, 0.0)
@@ -131,7 +129,6 @@ VALUES = [
     (Num(1.0), Num(1.0), Num(2.0)),
     (DateClause("mdy", None, 1, 2), DateClause("mdy", month=1, day=2), DateClause("today")),
     (TimeClause(17), TimeClause(17, 0), TimeClause(17, 30)),
-    (CalendarPerson(_EMMA, _WORLD), CalendarPerson(_EMMA, _WORLD), CalendarPerson(_JOHN, _WORLD)),
     (Dataset("d", (), (_EXAMPLE,)), Dataset("d", (), (_EXAMPLE,)), Dataset("e", (), ())),
 ]
 
