@@ -108,14 +108,16 @@ def load_world(path, data=None) -> CalendarWorld:
         person._manager = by_id.get(manager_id)
         teams.setdefault(person._manager, []).append(person)
     people = list(by_id.values())
+    ends: set[str] = set()  # the people whose chain of managers is known to end
     for person in people:
         person._team = teams[person._manager]
-        seen, node = set(), person  # cycle check: walking up must terminate
-        while node is not None:
+        seen, node = set(), person  # cycle check: walking up must end, or reach such a person
+        while node is not None and node._id not in ends:
             if node._id in seen:
                 raise DataFormatError(f"{path}: manager cycle through {node._id!r}")
             seen.add(node._id)
             node = node._manager
+        ends |= seen
     if current_user not in by_id:
         raise DataFormatError(f"{path}: current_user {current_user!r} unknown")
     try:

@@ -58,7 +58,8 @@ class MrExecError(SemkitError):
     ``attribute-not-found``, ``type-mismatch``, ``index-out-of-range``,
     ``empty-input``, ``item-not-found``, ``unknown-person``,
     ``unresolvable-constraint``, ``unknown-property``, ``conflicting-clause``,
-    ``invalid-datetime``, ``arity``, ``unsupported-construct``, ``read-only``.
+    ``invalid-datetime``, ``arity``, ``unsupported-construct``, ``read-only``,
+    ``division-by-zero``.
     """
 
     def __init__(self, code: str, message: str):

@@ -8,11 +8,11 @@ and literals are bare tokens.  ``simplify_ldcs`` / ``desimplify_ldcs`` convert
 between them and are exact inverses on the supported fragment; canonical
 rendering uses single spaces and parentheses only around applications.
 
-``parse_ldcs`` reads either dialect in one pass over the tokens, with an
-explicit stack: it builds the tree, checks the dialect and collects the
-operator set of the simple-dialect tree, which ``extract_operators`` returns
-without simplifying or walking the tree again.  Brackets nested deeper than
-:data:`~semkit.errors.MAX_DEPTH` are a parse error.
+``parse_ldcs`` reads the tree with an explicit stack (brackets nested deeper
+than :data:`~semkit.errors.MAX_DEPTH` are a parse error), then checks its
+dialect.  ``simplify_ldcs`` reports a full-dialect form it does not support,
+and ``extract_operators`` walks the simple-dialect tree, which for a
+full-dialect program is its simplification.
 
 Simple-dialect operators::
 
@@ -64,141 +64,82 @@ class Num(Value):
 
 
 class LdcsAst(Frozen):
-    """``operators`` holds the symbol unigrams of the simple-dialect tree; ``unsupported``
-    says why a full-dialect tree does not simplify."""
+    __slots__ = ("root", "dialect")
 
-    __slots__ = ("root", "dialect", "operators", "unsupported")
-
-    def __init__(self, root, dialect: str, operators: frozenset[str],
-                 unsupported: str | None = None):
+    def __init__(self, root, dialect: str):
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "dialect", dialect)  # "full" | "simple"
-        object.__setattr__(self, "operators", operators)
-        object.__setattr__(self, "unsupported", unsupported)
 
 
-# "(", or the full dialect's "(call SW.<op>"; ")"; a number (the whole token);
-# any other token: a symbol
-_TOKEN = re.compile(r"(\()(?:\s*call\s+(SW\.[^\s()]*))?|(\))|(-?\d+(?:\.\d+)?(?![^\s()]))|"
-                    r"[^\s()]+")
-# how a list is checked: not at all, its dialect, its dialect and simplification;
-# a simplified "(call SW.<op>" list keeps its symbol arguments as they are read
-_FREE, _CHECKED, _SIMPLIFIED, _KEEPING = range(4)
+# "("; ")"; a number (the whole token); any other token: a symbol
+_TOKEN = re.compile(r"(\()|(\))|(-?\d+(?:\.\d+)?(?![^\s()]))|[^\s()]+")
 
 
 def parse_ldcs(text: str, dialect: str) -> LdcsAst:
     """Parse one s-expression program in the given dialect ("full" or "simple").
 
-    Each list is checked as it closes.  Errors are those of a recursive reader:
-    syntax errors, else the first dialect mismatch in preorder.
+    Syntax errors come first, else the first dialect mismatch in preorder.
     """
     if dialect not in ("full", "simple"):
         raise ValueError(f"unknown dialect {dialect!r}")
-    full = dialect == "full"
-    nodes: dict[str, object] = {}  # token -> its Sym or Num, shared within this parse
-    seen: set[str] = set()  # full dialect: symbols of the simplified tree
-    problems = []  # (kind, "(" position, message) of checked lists: preorder by position
-    stack = []  # the enclosing lists: (items, position, mode)
+    root = _read(text)
+    _check(root, dialect == "full")
+    return LdcsAst(root, dialect)
+
+
+def _read(text: str):
+    """The tree of ``text``: a list is a tuple of its items, a token a Sym or Num."""
+    stack = []  # the enclosing lists: (items, "(" position)
     items = None  # the innermost open list
-    opened, mode = 0, _KEEPING if full else _FREE  # its "(" position, how it is checked
-    root = stack  # none read yet
+    opened, root = 0, None  # its "(" position; the tree, once read
     for match in _TOKEN.finditer(text):
-        group = match.lastindex
-        if group == 3:  # ")"
-            if items is None:
-                raise MrParseError("unexpected ')'" if root is stack else
-                                   "trailing input after program", position=match.start())
-            node = tuple(items)
-            if mode == _KEEPING:
-                if not (items[1].text == "SW.singleton" and len(items) == 3
-                        and _is_entity(items[2])):
-                    seen.add(items[1].text[3:])
-            elif mode:
-                problem = _check_list(node, mode, full, seen)
-                if problem is not None:
-                    problems.append((problem[0], opened, problem[1]))
-            if not stack:
-                root, items = node, None
-                continue
-            items, opened, mode = stack.pop()
-            items.append(node)
-        elif items is None and root is not stack:
+        if root is not None:
             raise MrParseError("trailing input after program", position=match.start())
-        elif group is None or group == 4:  # a symbol or a number
-            token = match.group()
-            node = nodes.get(token)
-            if node is None:
-                node = nodes[token] = Sym(token) if group is None else Num(float(token))
-            if mode == _KEEPING and group is None:  # also a full-dialect root symbol
-                seen.add(token)
-            if items is None:
-                root = node
-            else:
-                items.append(node)
-        else:  # "(", or "(call SW.<op>"
-            if items is None:
-                mode = _SIMPLIFIED if full else _CHECKED
-            else:
+        group = match.lastindex
+        if group == 1:  # "("
+            if items is not None:
                 if len(stack) + 2 > MAX_DEPTH:
                     raise MrParseError(TOO_DEEP, position=match.start())
-                stack.append((items, opened, mode))
-                # a checked list's head is not looked into; its other lists are
-                # checked (one in callee position is already its parent's mismatch)
-                mode = _FREE if not (mode and items) else \
-                    _SIMPLIFIED if mode == _KEEPING else _CHECKED
-            opened, items = match.start(), []
-            if group == 2:
-                callee = match.group(2)
-                items = [nodes.get("call") or nodes.setdefault("call", Sym("call")),
-                         nodes.get(callee) or nodes.setdefault(callee, Sym(callee))]
-                if mode == _SIMPLIFIED:
-                    mode = _KEEPING
+                stack.append((items, opened))
+            items, opened = [], match.start()
+            continue
+        if group == 2:  # ")"
+            if items is None:
+                raise MrParseError("unexpected ')'", position=match.start())
+            node = tuple(items)
+            items, opened = stack.pop() if stack else (None, 0)
+        else:
+            node = Num(float(match.group())) if group == 3 else Sym(match.group())
+        if items is None:
+            root = node
+        else:
+            items.append(node)
     if items is not None:
         raise MrParseError("missing closing parenthesis", position=opened)
-    if root is stack:
+    if root is None:
         raise MrParseError("unexpected end of input", position=0)
-    problem = min(problems, default=(None, 0, None))  # "mismatch" sorts before "unsupported"
-    if problem[0] == "mismatch":
-        raise MrParseError(problem[2])
-    if not full:
-        seen = {token for token, node in nodes.items() if node.__class__ is Sym}
-    return LdcsAst(root, dialect, _operator_names(seen), problem[2])
+    return root
 
 
-def _check_list(node: tuple, mode: int, full: bool, seen: set) -> tuple[str, str] | None:
-    """The dialect mismatch of a checked list or why it does not simplify; a
-    simplified ``string`` wrapper adds the symbol it keeps to ``seen``."""
+def _check(node, full: bool) -> None:
+    """Raise the first dialect mismatch of ``node`` in preorder; a list's head is not
+    looked into."""
+    if node.__class__ is not tuple:
+        return
     if not node:
-        return "mismatch", "empty application ()"
+        raise MrParseError("empty application ()")
     text = node[0].text if node[0].__class__ is Sym else None
     if not full:
         if text is not None and (text == "call" or text.startswith("SW.")):
-            return "mismatch", "dialect-mismatch: 'call'/'SW.' does not belong in the simple dialect"
+            raise MrParseError("dialect-mismatch: 'call'/'SW.' does not belong in the simple dialect")
     elif text == "call":
-        if len(node) < 2 or not (isinstance(node[1], Sym) and node[1].text.startswith("SW.")):
-            return "mismatch", "dialect-mismatch: call requires an SW.-namespaced callee"
+        if len(node) < 2 or not (node[1].__class__ is Sym and node[1].text.startswith("SW.")):
+            raise MrParseError("dialect-mismatch: call requires an SW.-namespaced callee")
     elif text not in ("string", "date", "number"):
         name = text if text is not None else str(node[0])
-        return "mismatch", f"dialect-mismatch: full-dialect head {name!r} is not call/typing"
-    elif mode != _SIMPLIFIED:
-        pass
-    elif text == "string":
-        if len(node) != 2 or not isinstance(node[1], Sym):
-            return "unsupported", "unsupported form: (string ...) must wrap one token"
-        seen.add(node[1].text)
-    elif text == "date":
-        if (len(node) != 4 or not all(isinstance(n, Num) for n in node[1:])
-                or node[2].value != -1 or node[3].value != -1):
-            return "unsupported", "unsupported form: only year-granularity (date y -1 -1) dates"
-    elif len(node) != 2 or not isinstance(node[1], Num):
-        return "unsupported", "unsupported form: (number ...) must wrap one number"
-    return None
-
-
-def _operator_names(symbols) -> frozenset[str]:
-    """Symbols as operator unigrams: an ``en.<kind>.<name>`` entity counts as its kind."""
-    return frozenset(text.split(".")[1] if text.startswith("en.") else text
-                     for text in symbols if not text.startswith("en.") or text.count(".") >= 2)
+        raise MrParseError(f"dialect-mismatch: full-dialect head {name!r} is not call/typing")
+    for child in node[1:]:  # recursion is bounded: _read caps nesting at MAX_DEPTH
+        _check(child, full)
 
 
 def render_ldcs(ast: LdcsAst) -> str:
@@ -257,28 +198,37 @@ def simplify_ldcs(ast: LdcsAst) -> LdcsAst:
     """Strip call/SW./typing/singleton noise from a full-dialect program."""
     if ast.dialect != "full":
         raise ValueError("simplify_ldcs expects a full-dialect program")
-    if ast.unsupported is not None:
-        raise MrParseError(ast.unsupported)
-    return LdcsAst(_simplify(ast.root), "simple", ast.operators)
+    return LdcsAst(_simplify(ast.root), "simple")
 
 
 def _simplify(node):
-    if isinstance(node, (Sym, Num)):
+    """The simplification of a checked full-dialect tree; the first form it does not
+    support, in preorder, raises."""
+    if node.__class__ is not tuple:
         return node
-    if node[0].text != "call":
-        return node[1]  # the token a typing wrapper wraps
-    callee = node[1].text[len("SW."):]
-    args = node[2:]
-    if callee == "singleton" and len(args) == 1 and _is_entity(args[0]):
-        return args[0]
-    return (Sym(callee), *(_simplify(a) for a in args))
+    head, args = node[0].text, node[1:]
+    if head == "call":
+        callee, args = args[0].text[len("SW."):], args[1:]
+        if callee == "singleton" and len(args) == 1 and _is_entity(args[0]):
+            return args[0]
+        return (Sym(callee), *(_simplify(a) for a in args))
+    if head == "string":
+        if len(args) != 1 or args[0].__class__ is not Sym:
+            raise MrParseError("unsupported form: (string ...) must wrap one token")
+    elif head == "date":
+        if (len(args) != 3 or not all(a.__class__ is Num for a in args)
+                or args[1].value != -1 or args[2].value != -1):
+            raise MrParseError("unsupported form: only year-granularity (date y -1 -1) dates")
+    elif len(args) != 1 or args[0].__class__ is not Num:
+        raise MrParseError("unsupported form: (number ...) must wrap one number")
+    return args[0]  # the token a typing wrapper wraps
 
 
 def desimplify_ldcs(ast: LdcsAst) -> LdcsAst:
     """Restore the canonical full dialect; inverse of simplify_ldcs."""
     if ast.dialect != "simple":
         raise ValueError("desimplify_ldcs expects a simple-dialect program")
-    return LdcsAst(_desimplify_set(ast.root), "full", ast.operators)
+    return LdcsAst(_desimplify_set(ast.root), "full")
 
 
 def _desimplify_set(node):
@@ -350,6 +300,13 @@ def _values_of(prop: str) -> Callable[[Person], list]:
     if prop not in PROPERTIES:
         raise MrExecError("unknown-property", f"no property {prop!r}")
     return PROPERTIES[prop][1]
+
+
+def _comparison(op: str) -> str:
+    """``op`` if it is a comparison operator; checked, as a property is, before any set is."""
+    if op not in _ORDERS and op not in ("=", "!="):
+        raise MrExecError("type-mismatch", f"unknown comparison operator {op!r}")
+    return op
 
 
 def _key(item):
@@ -439,24 +396,24 @@ class _LdcsEval:
     def _filter(self, x, prop, op, value):
         if not isinstance(prop, Sym) or not isinstance(op, Sym):
             raise MrExecError("type-mismatch", "filter expects property and operator symbols")
-        values_of = _values_of(prop.text)
+        values_of, op = _values_of(prop.text), _comparison(op.text)
         items = self._persons(self.eval(x), "filter")
         targets = self.eval(value)
         out = []
         for person in items:
-            if self._compare_any(values_of(person), op.text, targets):
+            if self._compare_any(values_of(person), op, targets):
                 out.append(person)
         return out
 
     def _compare_any(self, values, op: str, targets) -> bool:
         if op in ("=", "!="):
             return {_key(v) for v in values}.isdisjoint(map(_key, targets)) == (op == "!=")
-        order = _ORDERS.get(op)  # another operator holds for no numbers
+        order = _ORDERS[op]
         for v in values:
             for t in targets:
                 if not isinstance(v, (int, float)) or not isinstance(t, (int, float)):
                     raise MrExecError("type-mismatch", f"{op} needs numeric operands")
-                if order is not None and order(v, t):
+                if order(v, t):
                     return True
         return False
 
@@ -498,12 +455,12 @@ class _LdcsEval:
         if not isinstance(prop, Sym) or not isinstance(op, Sym):
             raise MrExecError("type-mismatch",
                               "countComparative needs property and operator symbols")
-        values_of = _values_of(prop.text)
+        values_of, op = _values_of(prop.text), _comparison(op.text)
         items = self._persons(self.eval(x), "countComparative")
         out = []
         for person in items:
             n = len(values_of(person))
-            if self._compare_any([n], op.text, [count.value]):
+            if self._compare_any([n], op, [count.value]):
                 out.append(person)
         return out
 
@@ -525,13 +482,21 @@ def exec_ldcs_simple(ast: LdcsAst, db: SocialApi) -> Denotation:
 
 
 def extract_operators(ast: LdcsAst) -> frozenset[str]:
-    """Heads, property/operator symbols and enum kinds of the simple-dialect tree.
-
-    ``parse_ldcs`` collects them while reading; a full-dialect program counts
-    the symbols of its simplification, so one that does not simplify raises here.
-    """
-    if ast.unsupported is not None:
-        raise MrParseError(ast.unsupported)
-    if not ast.operators:
+    """Heads, property/operator symbols and enum kinds of the simple-dialect tree, which
+    for a full-dialect program is its simplification: one that does not simplify raises.
+    An ``en.<kind>.<name>`` entity counts as its kind."""
+    symbols: set[str] = set()
+    _collect(_simplify(ast.root) if ast.dialect == "full" else ast.root, symbols)
+    operators = frozenset(text.split(".")[1] if text.startswith("en.") else text
+                          for text in symbols if not text.startswith("en.") or text.count(".") >= 2)
+    if not operators:
         raise MrParseError("empty program has no operators")
-    return ast.operators
+    return operators
+
+
+def _collect(node, symbols: set) -> None:
+    if node.__class__ is tuple:
+        for child in node:
+            _collect(child, symbols)
+    elif node.__class__ is Sym:
+        symbols.add(node.text)

@@ -94,6 +94,17 @@ CASES = [
     ("ldcs-simple", f"(listValue (superlative {NOBODY} argmax shoe_size))", NO_PROPERTY),
     ("ldcs-simple", f"(listValue (countSuperlative {NOBODY} argmin shoe_size))", NO_PROPERTY),
     ("ldcs-simple", f"(listValue (countComparative {NOBODY} shoe_size > 1))", NO_PROPERTY),
+    # a λ-DCS comparison with an operator outside = != < > <= >=, decided before any set is
+    ("ldcs-simple", f"(listValue (filter {PEOPLE} height ~ 170))",
+     _mismatch("unknown comparison operator '~'")),
+    ("ldcs-simple", f"(listValue (filter {PEOPLE} height => 170))",
+     _mismatch("unknown comparison operator '=>'")),
+    ("ldcs-simple", f"(listValue (countComparative {PEOPLE} friends =< 1))",
+     _mismatch("unknown comparison operator '=<'")),
+    ("ldcs-simple", f"(listValue (filter {NOBODY} height ~ 170))",
+     _mismatch("unknown comparison operator '~'")),
+    ("ldcs-simple", "(listValue (countComparative (size en.person) friends ~ 1))",
+     _mismatch("unknown comparison operator '~'")),
     # λ-DCS: an unbound symbol, an unknown operator, a head that is not a symbol and the
     # wrong number of arguments
     ("ldcs-simple", "(listValue nobody)",

@@ -150,7 +150,7 @@ def test_value_records_compare_and_hash_by_their_fields(record, same, other):
 
 
 FROZEN = [v[0] for v in VALUES] + [
-    CompletionRequest("p", "m"), LdcsAst(Sym("x"), "simple", frozenset())]
+    CompletionRequest("p", "m"), LdcsAst(Sym("x"), "simple")]
 
 
 @pytest.mark.parametrize("record", FROZEN, ids=[type(r).__name__ for r in FROZEN])

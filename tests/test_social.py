@@ -4,7 +4,7 @@ import random
 import pytest
 
 from semkit.errors import DataFormatError, MrParseError
-from semkit.execute import run_program
+from semkit.execute import operators_of, run_program
 from semkit.outcomes import Denotation
 from semkit.resources import environment_path
 from semkit.social import (Sym, desimplify_ldcs, exec_ldcs_simple, extract_operators, parse_ldcs,
@@ -89,6 +89,31 @@ def test_unknown_operator_on_desimplify():
 def test_simplify_rejects_unsupported_typing():
     with pytest.raises(MrParseError, match="unsupported form"):
         simplify_ldcs(parse_ldcs("(call SW.listValue (date 2004 7 15))", "full"))
+
+
+# a full-dialect program that fails to read, to check or to simplify: the one message
+# that both the registry's run and its operator extraction report
+FULL_DIALECT_FAILURES = [
+    ("(call SW.listValue (call SW.getProperty (call SW.singleton en.person) (string !type))",
+     "missing closing parenthesis (at position 0)"),
+    ("(call SW.listValue (getProperty (call SW.singleton en.person) (string !type)))",
+     "dialect-mismatch: full-dialect head 'getProperty' is not call/typing"),
+    ("(call SW.listValue (date 2004 7 15))",
+     "unsupported form: only year-granularity (date y -1 -1) dates"),
+    # the unsupported wrapper comes first in preorder; the mismatch still wins
+    ("(call SW.concat (date 2004 7 15) (size en.person))",
+     "dialect-mismatch: full-dialect head 'size' is not call/typing"),
+]
+
+
+@pytest.mark.parametrize("text, message", FULL_DIALECT_FAILURES,
+                         ids=[text for text, _ in FULL_DIALECT_FAILURES])
+def test_full_dialect_failures_at_the_registry(text, message, social_db):
+    outcome = run_program("ldcs", text, "social", social_db)
+    assert (outcome.ok, outcome.error, outcome.message) == (False, "parse-error", message)
+    with pytest.raises(MrParseError) as info:
+        operators_of("ldcs", text)
+    assert str(info.value) == message
 
 
 def test_round_trip_on_all_bundled_programs(overnight):

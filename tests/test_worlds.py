@@ -223,3 +223,32 @@ def test_social_db_refusals_name_the_fault(edit, message):
 ])
 def test_calendar_world_refusals_name_the_fault(edit, message):
     assert _refusal("calendar", load_world, edit) == f"world.json: {message}"
+
+
+def _chain_world(size: int, top_first: bool, cycle: bool) -> bytes:
+    """A manager chain: p<i> reports to p<i+1>; the last one reports to the one before it
+    when ``cycle``, else to nobody."""
+    people = [{"id": f"p{i}", "name": f"person {i}", "manager": f"p{i + 1}"}
+              for i in range(size - 1)]
+    people.append({"id": f"p{size - 1}", "name": "top"})
+    if cycle:
+        people[-1]["manager"] = f"p{size - 2}"
+    if top_first:
+        people.reverse()
+    world = {"current_user": "p0", "now": "2024-05-01T09:00:00", "people": people}
+    return json.dumps(world).encode("utf-8")
+
+
+@pytest.mark.parametrize("top_first", [False, True])
+def test_a_long_manager_chain_loads_and_a_cycle_at_its_far_end_is_named(top_first):
+    size = 3000
+    world = load_world("world.json", _chain_world(size, top_first, cycle=False))
+    by_id = {person._id: person for person in world.people}
+    assert [by_id[f"p{i}"]._manager._id for i in range(size - 1)] == \
+        [f"p{i + 1}" for i in range(size - 1)]
+    assert by_id[f"p{size - 1}"]._manager is None
+    with pytest.raises(DataFormatError) as info:
+        load_world("world.json", _chain_world(size, top_first, cycle=True))
+    # the walk up from the first person in world order names the first person it repeats
+    first = f"p{size - 1}" if top_first else f"p{size - 2}"
+    assert str(info.value) == f"world.json: manager cycle through {first!r}"
