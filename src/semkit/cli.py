@@ -85,9 +85,8 @@ def cmd_prompt(args) -> int:
     dataset = selector.dataset
     demonstrations = tuple((dataset[i].utterance, dataset[i].programs[args.dialect])
                            for i in ids)
-    sys.stdout.write(build_prompt(default_template(), args.dd,
-                                  dd_text(args.env, args.dialect, args.dd), demonstrations,
-                                  args.utterance))
+    sys.stdout.write(build_prompt(default_template(), dd_text(args.env, args.dialect, args.dd),
+                                  demonstrations, args.utterance))
     return 0
 
 

@@ -51,8 +51,9 @@ class Dialect(NamedTuple):
 DIALECTS = {
     "funql": Dialect("geo", "semkit.funql", lambda m, text: m.parse_funql(text),
                      lambda m, ast, env, world: m.exec_funql(ast, world)),
-    "ldcs": Dialect("social", "semkit.social", lambda m, text: m.parse_ldcs(text, "full"),
-                    lambda m, ast, env, world: m.exec_ldcs_simple(m.simplify_ldcs(ast), world)),
+    "ldcs": Dialect("social", "semkit.social",
+                    lambda m, text: m.simplify_ldcs(m.parse_ldcs(text, "full")),
+                    lambda m, ast, env, world: m.exec_ldcs_simple(ast, world)),
     "ldcs-simple": Dialect("social", "semkit.social",
                            lambda m, text: m.parse_ldcs(text, "simple"),
                            lambda m, ast, env, world: m.exec_ldcs_simple(ast, world)),

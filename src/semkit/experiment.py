@@ -83,10 +83,11 @@ def make_client(client_config: dict, base: Path, where: str) -> tuple[LlmClient,
 
 
 def dd_text(environment: str, dialect: str, variant: str) -> str:
+    """The bundled DD of (environment, dialect) rendered in ``variant``; ``none`` reads no
+    file and is the empty text, which leaves the prompt without a DD header."""
     if variant == "none":
         return ""
-    declarations = load_dd_source(resources.dd_path(environment, dialect))
-    return render_dd(declarations, variant)
+    return render_dd(load_dd_source(resources.dd_path(environment, dialect)), variant)
 
 
 class DemoSelector:
@@ -147,6 +148,8 @@ class DemoSelector:
         return self._index
 
     def select(self, method: str, k: int, seed: int, query: str | None = None) -> list[str]:
+        if k < 1:
+            raise SemkitError(f"k must be at least 1, not {k}")
         if method == "random":
             return sample_demos(self.pool, k, seed)
         if method == "coverage":
@@ -247,7 +250,7 @@ def load_run(spec: RunSpec, base: Path) -> RunState:
         raise SemkitError("experiment has zero test examples")
     env_object = load_config_environment(spec.environment, spec.environment_file, base)
     request, judge = example_evaluator(
-        model, spec.temperature, spec.dialect, spec.gold_dialect, spec.dd_variant,
+        model, spec.temperature, spec.dialect, spec.gold_dialect,
         dd_text(spec.environment, spec.dialect, spec.dd_variant), template, spec.environment,
         env_object)
     examples = tuple(selector.dataset[i] for i in selector.split.test_ids)

@@ -23,7 +23,7 @@ with its lead streams from the empty one.  Within one experiment the model, head
 change, and under random or coverage selection neither do a seed's demos, so
 :func:`example_evaluator` hashes that constant text once.  The text comes from
 :mod:`semkit.prompts`, the one module that knows where the test utterance
-goes: it is the prompt's first segment.
+goes: it is the ``lead`` of the prompt's ``(lead, tail)`` segments.
 
 The live transport posts ``{"model", "prompt", "temperature", "max_tokens":
 512, "stop": []}`` as JSON to the configured endpoint (bearer token from an
@@ -249,7 +249,7 @@ def completion_of(client: LlmClient, request: CompletionRequest) -> str | Semkit
 
 
 def example_evaluator(model: str, temperature: float, dialect: str, gold_dialect: str,
-                      dd_variant: str, dd_text: str, template: str, environment: str, world):
+                      dd_text: str, template: str, environment: str, world):
     """``(request, judge)``: the per-example step shared by run and bootstrap, in two halves.
 
     ``request(example, demos)`` assembles the prompt into a
@@ -260,20 +260,20 @@ def example_evaluator(model: str, temperature: float, dialect: str, gold_dialect
     outcome memo per step).  A completion that is a ``SemkitError`` is a
     ``harness-error``, with its message for the program.
 
-    Each request carries its prompt's text before the test utterance,
-    ``segments[0]`` of :func:`~semkit.prompts.prompt_segments`, as its
-    ``lead``, so the request half keeps no state.  The lead's hash states are
-    computed on a digest's first use, once per model and lead while they stay
-    in the bounded cache, so a ``live`` client, which never asks for a digest,
-    hashes nothing.
+    An empty ``dd_text`` means a prompt without a DD header.  Each request
+    carries its prompt's text before the test utterance, the ``lead`` of
+    :func:`~semkit.prompts.prompt_segments`, so the request half keeps no
+    state.  The lead's hash states are computed on a digest's first use, once
+    per model and lead while they stay in the bounded cache, so a ``live``
+    client, which never asks for a digest, hashes nothing.
     """
     score = scorer(environment, world)
 
     def request(example: Example, demos) -> CompletionRequest:
         demonstrations = tuple((d.utterance, d.programs[dialect]) for d in demos)
         return CompletionRequest(
-            build_prompt(template, dd_variant, dd_text, demonstrations, example.utterance),
-            model, temperature, prompt_segments(template, dd_variant, dd_text, demonstrations)[0])
+            build_prompt(template, dd_text, demonstrations, example.utterance),
+            model, temperature, prompt_segments(template, dd_text, demonstrations)[0])
 
     def judge(example: Example, completion: str | SemkitError) -> tuple[str, str]:
         if isinstance(completion, SemkitError):
@@ -323,7 +323,7 @@ def bootstrap_annotations(seed_pool: list[Example], unlabeled: list[Example],
         raise SemkitError(f"no seed-pool example is annotated in {config.dialect!r}")
     pending = [ex for ex in unlabeled if config.dialect not in ex.programs]
     request, judge = example_evaluator(
-        config.model, DEFAULT_TEMPERATURE, config.dialect, config.gold_dialect, "full",
+        config.model, DEFAULT_TEMPERATURE, config.dialect, config.gold_dialect,
         render_dd(config.dd_declarations, "full"), default_template(), config.environment,
         env_object)
     for pass_index in range(config.passes):

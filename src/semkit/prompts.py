@@ -16,27 +16,24 @@ Rendering variants (``render_dd``):
 * ``operator-list`` — declaration names only, one per line;
 * ``none`` — empty text.
 
-Prompts are assembled from a versioned plain-text template holding the slots
-``[DD]``, ``[query-i]``, ``[solution-i]`` and ``[query-test]``.  Its DD header
-block, the lines through the ``[DD]`` line and the blank line after it, is
-included only when a DD variant is active.  The demo block follows it: the
-``[query-i]`` line through the ``[solution-i]`` line and the blank line after
-it, expanded once per demonstration, in order.  This module alone knows where
-the test utterance goes: :func:`prompt_segments` compiles a template, DD and
-demonstrations into the constant text around the ``[query-test]`` slots.
+Prompts fill the bundled template, ``prompt_template_v1.txt``, whose one
+shape is three paragraphs separated by blank lines: the DD header holding
+``[DD]``, the demo paragraph holding ``[query-i]`` then ``[solution-i]``, and
+the test paragraph holding ``[query-test]``, each slot once.  A prompt is the
+DD header, only when the DD text is non-empty, then the demo paragraph once per
+demonstration, in order, then the test paragraph, joined by blank lines.  This
+module alone knows where the test utterance goes: :func:`prompt_segments` gives
+the constant text before and after it, ``(lead, tail)``.
 """
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 
 from .errors import DataFormatError, SemkitError
 from .resources import STRING, Schema, data_path, read_json
 
 DD_VARIANTS = ("none", "operator-list", "no-typing", "full")
-_SLOTS = re.compile(r"(\[(?:DD|query-i|solution-i)\])")  # the markers a demo block fills
-_DD_SLOT = re.compile(r"(\[DD\])")  # the one marker the lines around it fill
 
 
 _DECLARATION = Schema(("kind", STRING), ("name", STRING), ("parent", STRING, None))
@@ -44,16 +41,20 @@ _KINDS = ("class", "method", "attribute", "constant", "enum-member", "operator")
 
 
 def load_dd_source(path) -> list[dict]:
-    """A DD source's declarations (string ``kind``, ``name`` and optional ``parent``, no two
-    with one parent and name); else a DataFormatError naming the file and the entry."""
+    """A DD source's declarations (at least one; string ``kind``, non-empty ``name``,
+    optional ``parent``; no two share parent and name), else a DataFormatError on the file."""
     declarations = read_json(path)
     if not isinstance(declarations, list):
         raise DataFormatError(f"{path}: expected a JSON list of declarations")
+    if not declarations:
+        raise DataFormatError(f"{path}: a DD source declares nothing")
     seen = set()
     for at, decl in enumerate(declarations):
         kind, name, parent = _DECLARATION.read(decl, path, ("declarations", at))
         if kind not in _KINDS:
             raise DataFormatError(f"{path}: declarations[{at}]: bad declaration kind {kind!r}")
+        if not name:
+            raise DataFormatError(f"{path}: declarations[{at}]: empty name")
         if (parent, name) in seen:
             raise DataFormatError(f"{path}: declarations[{at}]: duplicate declaration "
                                   f"{(parent, name)}")
@@ -133,61 +134,44 @@ def default_template() -> str:
     return data_path("prompt_template_v1.txt").read_text(encoding="utf-8")
 
 
-def build_prompt(template: str, dd_variant: str, dd_text: str,
-                 demonstrations: tuple[tuple[str, str], ...], test_utterance: str) -> str:
-    """Instantiate ``template`` with a DD, (utterance, program) demonstrations and the test
+def build_prompt(template: str, dd_text: str, demonstrations: tuple[tuple[str, str], ...],
+                 test_utterance: str) -> str:
+    """Fill ``template`` with a DD text, (utterance, program) demonstrations and the test
     utterance; byte-deterministic in its inputs."""
-    return test_utterance.join(prompt_segments(template, dd_variant, dd_text, demonstrations))
+    lead, tail = prompt_segments(template, dd_text, demonstrations)
+    return lead + test_utterance + tail
 
 
 @lru_cache(maxsize=8)
-def prompt_segments(template: str, dd_variant: str, dd_text: str,
-                    demonstrations: tuple[tuple[str, str], ...]) -> tuple[str, ...]:
-    """The filled template's constant text around its ``[query-test]`` slots: the prompt
-    for test utterance ``u`` is ``u.join(segments)``, so ``segments[0]`` is all of it
-    before the first slot."""
-    if (dd_variant == "none") != (dd_text == ""):
-        raise SemkitError("dd_variant none requires empty dd_text and vice versa")
-    if dd_variant == "none" and not demonstrations:
+def prompt_segments(template: str, dd_text: str,
+                    demonstrations: tuple[tuple[str, str], ...]) -> tuple[str, str]:
+    """``(lead, tail)``, the filled template's text before and after the test utterance.
+    Slot values go in as written, even one holding a slot marker."""
+    if not dd_text and not demonstrations:
         raise SemkitError("a prompt needs a domain description or at least one demonstration")
-    head, block, tail = _template_parts(template, dd_variant != "none")
-    slots = {"[DD]": dd_text}
-    segments, text = [], []
-    for runs, demo in [(head, ())] + [(block, demo) for demo in demonstrations] + [(tail, ())]:
-        if demo:
-            slots["[query-i]"], slots["[solution-i]"] = demo
-        for cut, run in enumerate(runs):
-            if cut:
-                segments.append("".join(text))
-                text = []
-            # a marker gets its slot's value and data text is kept, even one holding a marker
-            text += map(slots.get, run, run)
-    segments.append("".join(text)[:-1])  # each part ends in a newline, but the prompt does not
-    return tuple(segments)
+    dd_head, dd_foot, demo_head, demo_mid, demo_foot, test_head, tail = _layout(template)
+    parts = [dd_head, dd_text, dd_foot, "\n\n"] if dd_text else []
+    for utterance, program in demonstrations:
+        parts += (demo_head, utterance, demo_mid, program, demo_foot, "\n\n")
+    parts.append(test_head)
+    return "".join(parts), tail
 
 
-@lru_cache(maxsize=8)
-def _template_parts(template: str, with_dd: bool) -> tuple[tuple[tuple[str, ...], ...], ...]:
-    """The lines before the demo block, the block and the lines after it, each with a
-    newline after every line, cut at its ``[query-test]`` slots into runs of text split
-    around the markers the part fills."""
-    lines = template.splitlines()
-    at = {}
-    for slot in ("[DD]", "[query-i]", "[solution-i]", "[query-test]"):
-        at[slot] = next((i for i, line in enumerate(lines) if slot in line), None)
-        if at[slot] is None:
-            raise SemkitError(f"prompt template has no {slot} slot")
+_PARAGRAPH_SLOTS = (("[DD]",), ("[query-i]", "[solution-i]"), ("[query-test]",))
 
-    def paragraph_end(i: int) -> int:  # past line i and the blank line after it, if any
-        return i + 2 if i + 1 < len(lines) and lines[i + 1] == "" else i + 1
 
-    header_end, query_at = paragraph_end(at["[DD]"]), at["[query-i]"]
-    if not header_end <= query_at <= at["[solution-i]"]:
-        raise SemkitError("prompt template: the demo block, from the [query-i] line to the "
-                          "[solution-i] line, must follow the DD header block")
-    block_end = paragraph_end(at["[solution-i]"])
-    parts = ((lines[0 if with_dd else header_end:query_at], _DD_SLOT),
-             (lines[query_at:block_end], _SLOTS), (lines[block_end:], _DD_SLOT))
-    return tuple(tuple(tuple(markers.split(run)) for run in "".join(
-        line + "\n" for line in part).split("[query-test]")) for part, markers in parts)
-
+@lru_cache(maxsize=1)
+def _layout(template: str) -> tuple[str, ...]:
+    """The template's seven pieces of text around its four slots, in order, if it has the
+    shape the module docstring gives; else a SemkitError."""
+    paragraphs, pieces = template.split("\n\n"), []
+    for paragraph, slots in zip(paragraphs, _PARAGRAPH_SLOTS):
+        for slot in slots:
+            before, found, paragraph = paragraph.partition(slot)
+            pieces.append(before if found and template.count(slot) == 1 else None)
+        pieces.append(paragraph)
+    if len(paragraphs) != 3 or None in pieces:
+        raise SemkitError("prompt template must be three paragraphs, separated by blank "
+                          "lines, holding [DD], then [query-i] and [solution-i], then "
+                          "[query-test], each slot once")
+    return tuple(pieces)

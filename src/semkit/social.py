@@ -8,11 +8,14 @@ and literals are bare tokens.  ``simplify_ldcs`` / ``desimplify_ldcs`` convert
 between them and are exact inverses on the supported fragment; canonical
 rendering uses single spaces and parentheses only around applications.
 
-``parse_ldcs`` reads the tree with an explicit stack (brackets nested deeper
-than :data:`~semkit.errors.MAX_DEPTH` are a parse error), then checks its
-dialect.  ``simplify_ldcs`` reports a full-dialect form it does not support,
-and ``extract_operators`` walks the simple-dialect tree, which for a
-full-dialect program is its simplification.
+Programs are plain trees: a list is a tuple of its items, a token a
+:class:`Sym` or :class:`Num`.  ``parse_ldcs`` reads the tree with an explicit
+stack (brackets nested deeper than :data:`~semkit.errors.MAX_DEPTH` are a parse
+error), then checks it against the dialect its caller names and returns it.
+``simplify_ldcs`` turns a checked full-dialect tree into a simple-dialect one
+and reports a full-dialect form it does not support; ``exec_ldcs_simple`` and
+``extract_operators`` take simple-dialect trees, so a full-dialect program is
+simplified first (the registry's ``ldcs`` parse step does that).
 
 Simple-dialect operators::
 
@@ -38,7 +41,7 @@ from typing import Callable
 
 from .errors import MAX_DEPTH, TOO_DEEP, MrExecError, MrParseError
 from .outcomes import Denotation, denotation_of
-from .readonly import Frozen, Value
+from .readonly import Value
 from .social_db import Person, SocialApi, value_ref
 
 
@@ -63,28 +66,16 @@ class Num(Value):
         return repr(self.value)
 
 
-class LdcsAst(Frozen):
-    __slots__ = ("root", "dialect")
-
-    def __init__(self, root, dialect: str):
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "dialect", dialect)  # "full" | "simple"
-
-
 # "("; ")"; a number (the whole token); any other token: a symbol
 _TOKEN = re.compile(r"(\()|(\))|(-?\d+(?:\.\d+)?(?![^\s()]))|[^\s()]+")
 
 
-def parse_ldcs(text: str, dialect: str) -> LdcsAst:
-    """Parse one s-expression program in the given dialect ("full" or "simple").
-
-    Syntax errors come first, else the first dialect mismatch in preorder.
-    """
-    if dialect not in ("full", "simple"):
-        raise ValueError(f"unknown dialect {dialect!r}")
+def parse_ldcs(text: str, dialect: str):
+    """The tree of one s-expression program, checked against ``dialect`` (``"full"``, else
+    simple): syntax errors come first, else the first dialect mismatch in preorder."""
     root = _read(text)
     _check(root, dialect == "full")
-    return LdcsAst(root, dialect)
+    return root
 
 
 def _read(text: str):
@@ -142,17 +133,13 @@ def _check(node, full: bool) -> None:
         _check(child, full)
 
 
-def render_ldcs(ast: LdcsAst) -> str:
+def render_ldcs(node) -> str:
     """Canonical rendering: single spaces, parentheses only around applications."""
-    return _render_node(ast.root)
-
-
-def _render_node(node) -> str:
     if isinstance(node, Sym):
         return node.text
     if isinstance(node, Num):
         return node.render()
-    return "(" + " ".join(_render_node(child) for child in node) + ")"
+    return "(" + " ".join(render_ldcs(child) for child in node) + ")"
 
 
 # --- simplify / desimplify ------------------------------------------------
@@ -194,16 +181,13 @@ def _is_entity(node) -> bool:
     return isinstance(node, Sym) and node.text.startswith("en.")
 
 
-def simplify_ldcs(ast: LdcsAst) -> LdcsAst:
-    """Strip call/SW./typing/singleton noise from a full-dialect program."""
-    if ast.dialect != "full":
-        raise ValueError("simplify_ldcs expects a full-dialect program")
-    return LdcsAst(_simplify(ast.root), "simple")
+def simplify_ldcs(node):
+    """The simple-dialect tree of a checked full-dialect one, stripped of call/SW./typing/
+    singleton noise; the first form it does not support, in preorder, raises."""
+    return _simplify(node)  # recursion stays off the public name, which a tracer may rebind
 
 
 def _simplify(node):
-    """The simplification of a checked full-dialect tree; the first form it does not
-    support, in preorder, raises."""
     if node.__class__ is not tuple:
         return node
     head, args = node[0].text, node[1:]
@@ -224,14 +208,8 @@ def _simplify(node):
     return args[0]  # the token a typing wrapper wraps
 
 
-def desimplify_ldcs(ast: LdcsAst) -> LdcsAst:
-    """Restore the canonical full dialect; inverse of simplify_ldcs."""
-    if ast.dialect != "simple":
-        raise ValueError("desimplify_ldcs expects a simple-dialect program")
-    return LdcsAst(_desimplify_set(ast.root), "full")
-
-
-def _desimplify_set(node):
+def desimplify_ldcs(node):
+    """The canonical full-dialect tree of a simple-dialect one; inverse of simplify_ldcs."""
     if _is_entity(node):
         return (Sym("call"), Sym("SW.singleton"), node)
     if isinstance(node, tuple):
@@ -254,7 +232,7 @@ def _desimplify_app(node: tuple):
         if isinstance(arg, Sym) and arg.text in PROPERTIES:
             prop = arg.text
         if kind == "set":
-            out.append(_desimplify_set(arg))
+            out.append(desimplify_ldcs(arg))
         elif kind in ("prop", "op", "mode"):
             if not isinstance(arg, Sym):
                 raise MrParseError(f"{head.text}: expected a symbol for {kind}")
@@ -343,7 +321,7 @@ class _LdcsEval:
             raise MrExecError("name-not-found", f"unbound symbol {token!r}")
         if not isinstance(node[0], Sym):
             raise MrExecError("type-mismatch",
-                              f"operator is not a symbol: {_render_node(node[0])}")
+                              f"operator is not a symbol: {render_ldcs(node[0])}")
         head = node[0].text
         if head not in SIMPLE_OPS:
             raise MrExecError("name-not-found", f"unknown operator {head!r}")
@@ -473,30 +451,25 @@ class _LdcsEval:
         return [_AGGREGATES[mode.text](values)]
 
 
-def exec_ldcs_simple(ast: LdcsAst, db: SocialApi) -> Denotation:
-    """Execute a simple-dialect program against the people database; its result is read
-    as a social pymr answer is."""
-    if ast.dialect != "simple":
-        raise ValueError("exec_ldcs_simple expects the simple dialect")
-    return denotation_of(_LdcsEval(db).eval(ast.root), (Person, str), value_ref)
+def exec_ldcs_simple(node, db: SocialApi) -> Denotation:
+    """Execute a simple-dialect tree against the people database; its result is read as a
+    social pymr answer is."""
+    return denotation_of(_LdcsEval(db).eval(node), (Person, str), value_ref)
 
 
-def extract_operators(ast: LdcsAst) -> frozenset[str]:
-    """Heads, property/operator symbols and enum kinds of the simple-dialect tree, which
-    for a full-dialect program is its simplification: one that does not simplify raises.
-    An ``en.<kind>.<name>`` entity counts as its kind."""
-    symbols: set[str] = set()
-    _collect(_simplify(ast.root) if ast.dialect == "full" else ast.root, symbols)
+def extract_operators(node) -> frozenset[str]:
+    """Heads, property/operator symbols and enum kinds of a simple-dialect tree.  An
+    ``en.<kind>.<name>`` entity counts as its kind."""
+    symbols, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is tuple:
+            stack.extend(node)
+        elif node.__class__ is Sym:
+            symbols.add(node.text)
     operators = frozenset(text.split(".")[1] if text.startswith("en.") else text
                           for text in symbols if not text.startswith("en.") or text.count(".") >= 2)
     if not operators:
         raise MrParseError("empty program has no operators")
     return operators
 
-
-def _collect(node, symbols: set) -> None:
-    if node.__class__ is tuple:
-        for child in node:
-            _collect(child, symbols)
-    elif node.__class__ is Sym:
-        symbols.add(node.text)

@@ -170,6 +170,17 @@ def test_prompt_stdout_is_pinned(capsys, dd, sha256):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+@pytest.mark.parametrize("method", ["random", "coverage", "bm25"])
+@pytest.mark.parametrize("command", ["select", "prompt"])
+def test_a_k_below_one_is_one_error_line(capsys, command, method, k):
+    extra = (("--query", "rivers ?") if command == "select"
+             else ("--env", "geo", "--utterance", "rivers ?"))
+    code, out, err = run(capsys, command, "--method", method, "--k", k, *extra, *GEOQUERY,
+                         "--dialect", "pymr")
+    assert (code, out, err) == (1, "", f"error: k must be at least 1, not {k}\n")
+
+
 def test_bootstrap_output_is_pinned(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, "bootstrap", "--config", str(data_path("bootstrap_replay.json")))
@@ -916,7 +927,7 @@ def test_run_record_mode_with_selection_methods(tmp_path, capsys, method):
             utterance = dataset[test_id].utterance
             ids = _reference_demo_ids(method, dataset, split, "pymr", 3, utterance)
             expected.append(build_prompt(
-                default_template(), "full", dd,
+                default_template(), dd,
                 tuple((dataset[i].utterance, dataset[i].programs["pymr"]) for i in ids),
                 utterance))
         assert prompts == expected

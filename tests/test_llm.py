@@ -40,10 +40,9 @@ def assert_reference_digests(req: CompletionRequest) -> tuple[str, str]:
     return digests
 
 
-def evaluator_requests(dialect="pymr", dd_variant="full", dd="", model="desk-model-1",
-                       temperature=0.0, template=None):
-    return example_evaluator(model, temperature, dialect, dialect, dd_variant, dd,
-                             template or default_template(), "geo", None)[0]
+def evaluator_requests(dialect="pymr", dd="", model="desk-model-1", temperature=0.0):
+    return example_evaluator(model, temperature, dialect, dialect, dd, default_template(),
+                             "geo", None)[0]
 
 
 def assert_lead_ends_at_the_test_query(req: CompletionRequest, example: Example) -> None:
@@ -71,7 +70,7 @@ def test_streamed_digests_match_the_reference_on_bundled_prompts(environment, di
         for k in (0, 1, 3):
             if variant == "none" and k == 0:
                 continue  # build_prompt rejects a prompt with neither
-            request_of = evaluator_requests(dialect, variant, dd_text(environment, dialect, variant))
+            request_of = evaluator_requests(dialect, dd_text(environment, dialect, variant))
             first, second = annotated[:k], annotated[k:2 * k]
             cases = [(ex, demos) for demos in (first, second, first) for ex in annotated[-4:]]
             requests = [request_of(ex, demos) for ex, demos in cases]
@@ -98,9 +97,8 @@ def test_streamed_digests_match_the_reference_on_awkward_text(seed, temperature)
                         programs={"pymr": awkward_text(rng)}) for i in range(12)]
     dd = "class State:  # " + awkward_text(rng)
     model = 'desk "model" ünï\\' + awkward_text(rng)
-    for variant, text in (("full", dd), ("none", "")):
-        request_of = evaluator_requests(dd_variant=variant, dd=text, model=model,
-                                        temperature=temperature)
+    for text in (dd, ""):
+        request_of = evaluator_requests(dd=text, model=model, temperature=temperature)
         for at, example in enumerate(examples):
             demos = examples[:3] if at % 4 else examples[at - 3:at] or examples[-1:]
             assert_reference_digests(request_of(example, demos))
@@ -126,34 +124,14 @@ def test_each_request_streams_from_the_lead_of_its_own_demos(geoquery):
         assert_lead_ends_at_the_test_query(req, ex)
 
 
-OTHER_TEMPLATES = {
-    "test query unlike a demo":
-        "Header\n[DD]\n\nQ: [query-i]\nA: [solution-i]\n\nTest: [query-test]\nA:",
-    "test query in the header":
-        "For [query-test]:\n[DD]\n\nQ: [query-i]\nA: [solution-i]\n\nQ: [query-test]\nA:",
-    "test query in each demo":
-        "Header\n[DD]\n\nQ: [query-i] ([query-test])\nA: [solution-i]\n\n[query-test]",
-}
-
-
-@pytest.mark.parametrize("template", OTHER_TEMPLATES.values(), ids=OTHER_TEMPLATES.keys())
-def test_streamed_digests_match_the_reference_under_other_templates(geoquery, template):
-    pool = [ex for ex in geoquery.examples if "pymr" in ex.programs]
-    request_of = evaluator_requests(dd=dd_text("geo", "pymr", "full"), template=template)
-    for demos in ([], pool[:2], [], pool[2:4], pool[2:4]):
-        for example in pool[4:6]:
-            assert_reference_digests(request_of(example, demos))
-
-
 # sha256 of the sha256 lines of every prompt_corpus() prompt: a change to the bytes of
 # any prompt, and so to the replay-cache key of its request, shows here
-PROMPT_CORPUS_SHA256 = "be35c6a1c806ee1fdab2f35c218af6fe21ea24267f45f150bf579ec9b6d7d1e0"
+PROMPT_CORPUS_SHA256 = "87de0bafa852f5304a2ab07ed4a4f89c4063f19b1ac0e17f234383373b2fd778"
 
 
 def prompt_corpus():
-    """(template, dialect, DD variant, DD text, test example, demos) of every prompt in
-    the digest tests above: the bundled pairs x DD variants x k, the awkward text and
-    the other templates."""
+    """(dialect, DD text, test example, demos) of every prompt in the digest tests above:
+    the bundled pairs x DD variants x k, and the awkward text."""
     for environment, dialect, dataset in BUNDLED_PAIRS:
         annotated = [ex for ex in load_dataset(dataset_path(dataset)).examples
                      if dialect in ex.programs]
@@ -161,22 +139,16 @@ def prompt_corpus():
             for k in (0, 1, 3) if variant != "none" else (1, 3):
                 for demos in (annotated[:k], annotated[k:2 * k]):
                     for example in annotated[-4:]:
-                        yield (default_template(), dialect, variant,
-                               dd_text(environment, dialect, variant), example, demos)
+                        yield dialect, dd_text(environment, dialect, variant), example, demos
     for seed in range(4):
         rng = Lcg(seed)
         examples = [Example(id=f"x{i}", utterance=awkward_text(rng),
                             programs={"pymr": awkward_text(rng)}) for i in range(12)]
         dd = "class State:  # " + awkward_text(rng)
-        for variant, text in (("full", dd), ("none", "")):
+        for text in (dd, ""):
             for at, example in enumerate(examples):
                 demos = examples[:3] if at % 4 else examples[at - 3:at] or examples[-1:]
-                yield default_template(), "pymr", variant, text, example, demos
-    pool = [ex for ex in load_dataset(dataset_path("geoquery")).examples if "pymr" in ex.programs]
-    for template in OTHER_TEMPLATES.values():
-        for demos in ([], pool[:2], pool[2:4]):
-            for example in pool[4:6]:
-                yield template, "pymr", "full", dd_text("geo", "pymr", "full"), example, demos
+                yield "pymr", text, example, demos
 
 
 def corpus_digest(prompt_digests) -> str:
@@ -185,21 +157,20 @@ def corpus_digest(prompt_digests) -> str:
 
 def test_build_prompt_reproduces_the_frozen_prompt_corpus():
     digests = []
-    for template, dialect, variant, dd, example, demos in prompt_corpus():
-        prompt = build_prompt(template, variant, dd,
+    for dialect, dd, example, demos in prompt_corpus():
+        prompt = build_prompt(default_template(), dd,
                               tuple((d.utterance, d.programs[dialect]) for d in demos),
                               example.utterance)
         digests.append(hashlib.sha256(prompt.encode()).hexdigest())
-    assert corpus_digest(digests) == PROMPT_CORPUS_SHA256
+    assert len(digests) == 712 and corpus_digest(digests) == PROMPT_CORPUS_SHA256
 
 
 def test_the_steps_requests_reproduce_the_frozen_prompt_corpus():
     steps, digests = {}, []
-    for template, dialect, variant, dd, example, demos in prompt_corpus():
-        if (template, dialect, variant, dd) not in steps:
-            steps[template, dialect, variant, dd] = evaluator_requests(dialect, variant, dd,
-                                                                       template=template)
-        digests.append(steps[template, dialect, variant, dd](example, demos).prompt_digest())
+    for dialect, dd, example, demos in prompt_corpus():
+        if (dialect, dd) not in steps:
+            steps[dialect, dd] = evaluator_requests(dialect, dd)
+        digests.append(steps[dialect, dd](example, demos).prompt_digest())
     assert corpus_digest(digests) == PROMPT_CORPUS_SHA256
 
 

@@ -7,7 +7,7 @@ import pytest
 from semkit.errors import DataFormatError, SemkitError
 from semkit.prompts import build_prompt, dd_names, default_template, load_dd_source, render_dd
 from semkit.pymr import binding_names
-from semkit.resources import dd_path
+from semkit.resources import data_path, dd_path
 
 METHOD = [{"kind": "class", "name": "GeoModel"},
           {"kind": "method", "parent": "GeoModel", "name": "find_state",
@@ -55,6 +55,8 @@ def test_operator_list_matches_binding_closure(request, environment, dialect):
     ([{**METHOD[1], "parent": ["GeoModel"]}],
      "declarations[0]: field 'parent' is not a string: ['GeoModel']"),
     (METHOD + [METHOD[1]], "declarations[2]: duplicate declaration ('GeoModel', 'find_state')"),
+    ([], "a DD source declares nothing"),
+    ([{"kind": "operator", "name": ""}], "declarations[0]: empty name"),
 ])
 def test_malformed_dd_source_is_a_data_format_error(tmp_path, declarations, message):
     path = tmp_path / "dd.json"
@@ -80,12 +82,29 @@ def test_no_typing_keeps_every_operator_name():
         assert annotation not in untyped
 
 
-def build(dd_variant="full", dd_text="DDTEXT", demos=(("q1", "s1"),), test="qt", template=None):
-    return build_prompt(template or default_template(), dd_variant, dd_text, tuple(demos), test)
+# the bundled pairs whose no-typing DD is the full DD, byte for byte: their DSL
+# declarations carry no type annotation to strip (see README, "Domain descriptions")
+UNTYPED_DD_IS_FULL = {("geo", "funql"): True, ("geo", "pymr"): False,
+                      ("social", "ldcs"): True, ("social", "ldcs-simple"): True,
+                      ("social", "pymr"): False, ("calendar", "dataflow-simple"): True,
+                      ("calendar", "pymr"): False}
+
+
+def test_which_bundled_no_typing_dds_equal_their_full_dds():
+    assert sorted(dd_path(*pair) for pair in UNTYPED_DD_IS_FULL) == \
+        sorted(data_path("dd").iterdir())
+    for pair, same in UNTYPED_DD_IS_FULL.items():
+        declarations = load_dd_source(dd_path(*pair))
+        assert (render_dd(declarations, "no-typing") == render_dd(declarations, "full")) == same, \
+            pair
+
+
+def build(dd_text="DDTEXT", demos=(("q1", "s1"),), test="qt", template=None):
+    return build_prompt(template or default_template(), dd_text, tuple(demos), test)
 
 
 def test_prompt_without_dd_drops_header_lines():
-    text = build(dd_variant="none", dd_text="")
+    text = build(dd_text="")
     assert text.splitlines()[0] == "query: q1"
     assert "description of the domain" not in text
 
@@ -106,9 +125,7 @@ def test_prompt_demo_and_test_slots():
 
 def test_empty_spec_rejected():
     with pytest.raises(SemkitError):
-        build(dd_variant="none", dd_text="", demos=())
-    with pytest.raises(SemkitError):
-        build(dd_variant="none", dd_text="oops")
+        build(dd_text="", demos=())
 
 
 @pytest.mark.parametrize("marker", ["[DD]", "[query-i]", "[solution-i]", "[query-test]"])
@@ -137,7 +154,7 @@ def test_prompt_length_monotone_in_k(geoquery):
 def golden_prompt(geoquery):
     declarations = load_dd_source(dd_path("geo", "pymr"))
     demos = tuple((ex.utterance, ex.programs["pymr"]) for ex in geoquery.examples[:2])
-    return build_prompt(default_template(), "full", render_dd(declarations, "full"), demos,
+    return build_prompt(default_template(), render_dd(declarations, "full"), demos,
                         "what is the longest river ?")
 
 
@@ -156,25 +173,24 @@ def test_template_resource_loads():
 TEMPLATE = "Intro\n[DD]\n\nQ: [query-i]\nA: [solution-i]\n\nQ: [query-test]\nA:"
 
 
-@pytest.mark.parametrize("slot", ["[DD]", "[query-i]", "[solution-i]", "[query-test]"])
-def test_a_template_without_a_slot_is_an_error_naming_it(slot):
-    with pytest.raises(SemkitError, match=re.escape(f"prompt template has no {slot} slot")):
-        build(template=TEMPLATE.replace(slot, "x"))
+def test_a_template_of_the_bundled_shape_is_filled_by_concatenation():
+    assert build(demos=(("q1", "s1"), ("q2", "s2")), template=TEMPLATE) == \
+        "Intro\nDDTEXT\n\nQ: q1\nA: s1\n\nQ: q2\nA: s2\n\nQ: qt\nA:"
+    assert build(dd_text="", template=TEMPLATE) == "Q: q1\nA: s1\n\nQ: qt\nA:"
+    assert build(demos=(), template=TEMPLATE) == "Intro\nDDTEXT\n\nQ: qt\nA:"
 
 
 @pytest.mark.parametrize("template", [
+    *(TEMPLATE.replace(slot, "x")
+      for slot in ("[DD]", "[query-i]", "[solution-i]", "[query-test]")),
     "Q: [query-i]\nA: [solution-i]\n\n[DD]\n\nQ: [query-test]\nA:",
     "Intro\n[DD] Q: [query-i]\nA: [solution-i]\n\nQ: [query-test]\nA:",
     "Intro\n[DD]\n\nA: [solution-i]\nQ: [query-i]\n\nQ: [query-test]\nA:",
-], ids=["DD after the demo block", "demo block on the DD line", "solution first"])
-def test_a_template_whose_demo_block_does_not_follow_the_dd_header_is_an_error(template):
-    with pytest.raises(SemkitError, match="must follow the DD header block"):
+    TEMPLATE.replace("A: [solution-i]", "A: [solution-i] [query-i]"),
+    "Intro\n[DD]\n\nNote\n\nQ: [query-i]\nA: [solution-i]\n\nQ: [query-test]\nA:",
+], ids=["no [DD]", "no [query-i]", "no [solution-i]", "no [query-test]",
+        "DD after the demo block", "demo block on the DD line", "solution first",
+        "a slot twice", "four paragraphs"])
+def test_a_template_of_any_other_shape_is_one_error(template):
+    with pytest.raises(SemkitError, match=re.escape("prompt template must be three paragraphs")):
         build(template=template)
-
-
-@pytest.mark.parametrize("header", ["[DD]\n\n", "[DD]\n", "A\nB\nC\n[DD]\n\n", "A\n[DD] (end)\n"])
-def test_the_dd_header_block_runs_through_the_dd_line_and_one_blank_line(header):
-    template = header + "Note\n\nQ: [query-i]\nA: [solution-i]\n\nQ: [query-test]\nA:"
-    rest = "Note\n\nQ: q1\nA: s1\n\nQ: qt\nA:"
-    assert build(dd_variant="none", dd_text="", template=template) == rest
-    assert build(template=template) == header.replace("[DD]", "DDTEXT") + rest

@@ -400,13 +400,14 @@ def test_ldcs_reader_matches_reference(overnight):
             assert got == expected, (text, dialect)
             continue
         counts["read"] += 1
-        ast = got[1]
-        assert ast.root == expected[1] and ast.dialect == dialect, (text, dialect)
-        operators = outcome(reference_ldcs_operators, expected[1], dialect)
-        assert outcome(extract_operators, ast) == operators, (text, dialect)
+        tree = got[1]
+        assert tree == expected[1], (text, dialect)
+        simple = outcome(simplify_ldcs, tree) if dialect == "full" else ("ok", tree)
         if dialect == "full":
-            assert outcome(lambda full: simplify_ldcs(full).root, ast) == \
-                outcome(_reference_simplify, expected[1]), text
+            assert simple == outcome(_reference_simplify, expected[1]), text
+        operators = outcome(reference_ldcs_operators, expected[1], dialect)
+        got_operators = simple if simple[0] != "ok" else outcome(extract_operators, simple[1])
+        assert got_operators == operators, (text, dialect)
         counts["operators"] += operators[0] == "ok"
     # every outcome kind is exercised: trees with operators, trees without, errors
     assert counts["operators"] > 800 and counts["read"] > counts["operators"] \
@@ -419,11 +420,11 @@ def test_simplify_and_desimplify_keep_the_operator_set(overnight):
         read = outcome(parse_ldcs, text, dialect)
         if read[0] != "ok":
             continue
-        ast = read[1]
-        converted = outcome(simplify_ldcs if dialect == "full" else desimplify_ldcs, ast)
+        tree = read[1]
+        converted = outcome(simplify_ldcs if dialect == "full" else desimplify_ldcs, tree)
         if converted[0] == "ok":
-            full = converted[1].root if dialect == "simple" else ast.root
-            assert outcome(extract_operators, converted[1]) == \
+            full = tree if dialect == "full" else converted[1]
+            assert outcome(lambda f: extract_operators(simplify_ldcs(f)), full) == \
                 outcome(reference_ldcs_operators, full, "full"), (text, dialect)
             checked += 1
     assert checked > 250, checked

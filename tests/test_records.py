@@ -23,7 +23,7 @@ from semkit.outcomes import CreatedEvent, Denotation, Outcome, WorldDelta
 from semkit.pymr import PymrAst
 from semkit.resources import environment_path
 from semkit.selection import GreedyTrace
-from semkit.social import LdcsAst, Num, Sym
+from semkit.social import Num, Sym
 
 
 def _surface(environment):
@@ -150,7 +150,7 @@ def test_value_records_compare_and_hash_by_their_fields(record, same, other):
 
 
 FROZEN = [v[0] for v in VALUES] + [
-    CompletionRequest("p", "m"), LdcsAst(Sym("x"), "simple")]
+    CompletionRequest("p", "m")]
 
 
 @pytest.mark.parametrize("record", FROZEN, ids=[type(r).__name__ for r in FROZEN])

@@ -28,15 +28,13 @@ def heads(node, out=None):
 
 
 def test_parse_full_structure():
-    ast = parse_ldcs(CANON_FULL, "full")
-    assert ast.dialect == "full"
-    assert heads(ast.root).count("call") == 5
-    assert ast.root[1] == Sym("SW.listValue")
+    tree = parse_ldcs(CANON_FULL, "full")
+    assert heads(tree).count("call") == 5
+    assert tree[1] == Sym("SW.listValue")
 
 
 def test_parse_simple_structure():
-    ast = parse_ldcs(CANON_SIMPLE, "simple")
-    top = [h for h in heads(ast.root)]
+    top = [h for h in heads(parse_ldcs(CANON_SIMPLE, "simple"))]
     assert top == ["listValue", "filter", "filter", "getProperty"]
 
 
