@@ -10,8 +10,9 @@ Registry::
     has_subject(words)      has_duration(minutes)
 
 Bare-word argument spans (e.g. ``Central Park``) end at the matching comma or
-closing parenthesis.  A program's constraints fill one
-:class:`~semkit.calendar_world.Event`, which
+closing parenthesis.  A program is a plain tree: a call is a :class:`Call`, and
+an argument span its text (a ``str``), or an ``int`` when it is a whole number.
+A program's constraints fill one :class:`~semkit.calendar_world.Event`, which
 :func:`~semkit.calendar_world.build_event` resolves with the world's defaults.
 """
 
@@ -30,15 +31,7 @@ from .outcomes import WorldDelta
 
 class Call(NamedTuple):
     head: str
-    args: tuple = ()
-
-
-class Word(NamedTuple):
-    text: str
-
-
-class NumberArg(NamedTuple):
-    value: int
+    args: tuple = ()  # each a Call, a word (str) or a number (int)
 
 
 # head -> (min args, max args or None)
@@ -96,7 +89,7 @@ def parse_dfs(text: str) -> Call:
         elif state == _NEXT_ARG:
             raise MrParseError(f"expected ')', found {token!r}", position=match.start())
         elif group == 1 and state != _HEAD:
-            value = NumberArg(int(token)) if _INT_RE.match(token) else Word(token)
+            value = int(token) if _INT_RE.match(token) else token
         elif group > 2:
             expected = "expected 'span'" if state == _HEAD else "expected an argument"
             raise MrParseError(f"{expected}, found {token!r}", position=match.start())
@@ -127,10 +120,8 @@ def parse_dfs(text: str) -> Call:
 
 def render_dfs(node) -> str:
     """Spaced rendering: ``Head( a , b )``; zero-arg calls print ``Head()``."""
-    if isinstance(node, Word):
-        return node.text
-    if isinstance(node, NumberArg):
-        return str(node.value)
+    if not isinstance(node, Call):
+        return str(node)
     if not node.args:
         return f"{node.head}()"
     return f"{node.head}( " + " , ".join(render_dfs(a) for a in node.args) + " )"
@@ -153,8 +144,8 @@ def extract_operators(ast) -> frozenset[str]:
 # --- execution --------------------------------------------------------------
 
 def _clause_value(node, world: CalendarWorld):
-    if isinstance(node, Word):
-        upper = node.text.upper()
+    if isinstance(node, str):
+        upper = node.upper()
         if upper == "TODAY":
             return DateTimeValues.Today
         if upper == "TOMORROW":
@@ -162,25 +153,24 @@ def _clause_value(node, world: CalendarWorld):
         raise MrExecError("invalid-datetime", f"{render_dfs(node)!r} is not a date/time clause")
     if isinstance(node, Call):
         if node.head == "NextDOW":
-            if not isinstance(node.args[0], Word):
+            if not isinstance(node.args[0], str):
                 raise MrExecError("invalid-datetime", "NextDOW needs a day word")
-            return DateTimeClause.get_next_dow(node.args[0].text)
+            return DateTimeClause.get_next_dow(node.args[0])
         if node.head == "date_by_mdy":
-            nums = [a.value for a in node.args if isinstance(a, NumberArg)]
-            if len(nums) != len(node.args):
+            if not all(isinstance(a, int) for a in node.args):
                 raise MrExecError("invalid-datetime", "date_by_mdy needs numbers")
-            return DateTimeClause.date_by_mdy(*nums)
+            return DateTimeClause.date_by_mdy(*node.args)
         if node.head == "time_by_hm":
             hour, ampm = node.args
-            if not isinstance(hour, NumberArg) or not isinstance(ampm, Word):
+            if not isinstance(hour, int) or not isinstance(ampm, str):
                 raise MrExecError("invalid-datetime", "time_by_hm needs a number and am/pm")
-            return DateTimeClause.time_by_hm(hour.value, ampm.text)
+            return DateTimeClause.time_by_hm(hour, ampm)
     raise MrExecError("type-mismatch", f"not a date/time clause: {render_dfs(node)}")
 
 
 def _resolve_people(node, world: CalendarWorld) -> list[Person]:
-    if isinstance(node, Word):
-        return [world.find_person(node.text)]
+    if isinstance(node, str):
+        return [world.find_person(node)]
     if isinstance(node, Call):
         if node.head == "CurrentUser":
             return [world.current_user]
@@ -197,8 +187,8 @@ def _resolve_people(node, world: CalendarWorld) -> list[Person]:
 
 # a constraint that sets one Event field, at most once: head -> (field, argument kind, what
 # the argument must be)
-_SINGLE = {"at_location": ("location", Word, "words"), "has_subject": ("subject", Word, "words"),
-           "has_duration": ("duration", NumberArg, "minutes")}
+_SINGLE = {"at_location": ("location", str, "words"), "has_subject": ("subject", str, "words"),
+           "has_duration": ("duration", int, "minutes")}
 
 
 def _apply_constraint(node, event: Event, world: CalendarWorld) -> None:
@@ -214,7 +204,7 @@ def _apply_constraint(node, event: Event, world: CalendarWorld) -> None:
             raise MrExecError("type-mismatch", f"{field} must be {what}")
         if getattr(event, field) is not None:
             raise MrExecError("conflicting-clause", f"more than one {node.head} clause")
-        setattr(event, field, arg.text if kind is Word else arg.value)
+        setattr(event, field, arg)
     elif node.head == "starts_at":
         event.starts_at.extend(_clause_value(a, world) for a in node.args)
     elif node.head == "ends_at":

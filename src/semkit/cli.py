@@ -22,7 +22,7 @@ from .execute import DIALECTS, ENVIRONMENTS, dialect_for, load_environment, run_
 from .experiment import (SELECTION_METHODS, dd_text, load_selector, resolve_path, run_bootstrap,
                          run_experiment, run_output_dir)
 from .prompts import DD_VARIANTS, build_prompt, default_template
-from .resources import read_json_object, write_text
+from .resources import read_json_object, read_text, write_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,13 +32,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cmd_execute(args) -> int:
-    program_text = Path(args.program).read_text(encoding="utf-8").strip()
+    program_text = read_text(args.program).strip()
     if not program_text:
         print("error: empty program file", file=sys.stderr)
         return 1
     env_object = load_environment(args.env, resolve_path(args.world))
     outcome = run_program(args.dialect, program_text, args.env, env_object)
-    print(json.dumps(outcome.to_json(), ensure_ascii=False))
+    print(json.dumps(outcome.to_json(), ensure_ascii=False, allow_nan=False))
     if not outcome.ok:
         print(f"execution failed: {outcome.message}", file=sys.stderr)
         return 2
@@ -48,7 +48,7 @@ def cmd_execute(args) -> int:
 def cmd_simplify(args) -> int:
     from .social import desimplify_ldcs, parse_ldcs, render_ldcs, simplify_ldcs
 
-    lines = Path(args.input).read_text(encoding="utf-8").splitlines()
+    lines = read_text(args.input).splitlines()
     out_lines = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -74,7 +74,8 @@ def cmd_select(args) -> int:
     selector = load_selector(args.dataset, args.split, args.dialect)
     ids = selector.select(args.method, args.k, args.seed, args.query)
     print(json.dumps({"method": args.method, "k": args.k, "ids": ids,
-                      "coverage_fraction": selector.coverage_fraction(ids)}, ensure_ascii=False))
+                      "coverage_fraction": selector.coverage_fraction(ids)}, ensure_ascii=False,
+                     allow_nan=False))
     return 0
 
 
@@ -94,14 +95,15 @@ def cmd_run(args) -> int:
     config_path = Path(args.config)
     config, base = read_json_object(config_path), config_path.parent
     out_dir = run_output_dir(config, base, args.output_dir)
-    print(json.dumps(run_experiment(config, base, out_dir, jobs=args.jobs), ensure_ascii=False))
+    print(json.dumps(run_experiment(config, base, out_dir, jobs=args.jobs), ensure_ascii=False,
+                     allow_nan=False))
     return 0
 
 
 def cmd_bootstrap(args) -> int:
     config_path = Path(args.config)
     print(json.dumps(run_bootstrap(read_json_object(config_path), config_path.parent),
-                     ensure_ascii=False))
+                     ensure_ascii=False, allow_nan=False))
     return 0
 
 

@@ -158,7 +158,7 @@ def example_to_json_line(ex: Example) -> str:
         "programs": {d: ex.programs[d] for d in sorted(ex.programs)},
         "tags": sorted(ex.tags),
     }
-    return json.dumps(record, ensure_ascii=False)
+    return json.dumps(record, ensure_ascii=False, allow_nan=False)
 
 
 _SPLIT = Schema(("name", STRING, None), ("train", STRINGS, []), ("test", STRINGS, []))

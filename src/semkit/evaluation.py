@@ -12,9 +12,10 @@ Per-environment comparison rules (:data:`POLICIES`):
   :func:`canonicalize_names`).
 
 Numbers compare with relative tolerance 1e-9; unit tags are informative only.
-Execution failures always score as incorrect and are counted separately;
-harness errors (the completion client failed) score as incorrect and are
-counted in neither.
+Execution failures always score as incorrect and are counted separately.  Two
+verdicts are the harness's, not the model's: ``gold-error`` (the gold program
+fails on its own, whatever the prediction) and ``harness-error`` (the completion
+client failed).  Both score as incorrect and are counted in neither.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def canonicalize_names(pred_program: str, gold_program: str,
 
 # --- scoring ------------------------------------------------------------------
 
-VERDICTS = ("correct", "wrong-result", "execution-failure", "harness-error")
+VERDICTS = ("correct", "wrong-result", "execution-failure", "gold-error", "harness-error")
 
 
 class AccuracyReport(NamedTuple):
@@ -182,6 +183,9 @@ class AccuracyReport(NamedTuple):
 
 
 def verdict_of(pred: Outcome, gold: Outcome, policy: ComparisonPolicy) -> str:
+    """``gold-error`` when the gold failed, before the prediction is looked at."""
+    if not gold.ok:
+        return "gold-error"
     if not pred.ok:
         return "execution-failure"
     return "correct" if compare_outcomes(pred, gold, policy) else "wrong-result"
@@ -190,8 +194,8 @@ def verdict_of(pred: Outcome, gold: Outcome, policy: ComparisonPolicy) -> str:
 def scorer(environment: str, world):
     """``score(dialect, pred, gold_dialect, gold) -> verdict`` under ``POLICIES[environment]``,
     with one outcome memo (:func:`~semkit.execute.memoized_runs`) for both texts.  Names are
-    canonicalized where the policy asks; a pair naming more people than ``world`` has is the
-    prediction's ``execution-failure``."""
+    canonicalized where the policy asks; a pair naming more people than ``world`` has is a
+    ``gold-error`` when the gold alone does, else the prediction's ``execution-failure``."""
     policy = POLICIES[environment]
     run = memoized_runs(environment, world)
 
@@ -200,6 +204,10 @@ def scorer(environment: str, world):
             try:
                 pred, gold = canonicalize_names(pred, gold, world)
             except PoolExhaustedError:
+                try:
+                    canonicalize_names(gold, gold, world)
+                except PoolExhaustedError:
+                    return "gold-error"
                 return "execution-failure"
         return verdict_of(run(dialect, pred), run(gold_dialect, gold), policy)
 

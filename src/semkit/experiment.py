@@ -9,10 +9,10 @@ per-example step (:func:`~semkit.llm.example_evaluator`), whose one
 :func:`run_seed` builds a seed's requests in test order, fetches the
 completions (up to ``jobs`` at once, on worker threads), then judges each
 example in test order on the calling thread and prints each ``harness-error``
-to stderr.  Worlds are read-only, so the memo runs each distinct predicted or
-gold (dialect, text) once per loaded run; on calendar that is the text after
-name canonicalization, which maps gold names first, so the gold text does not
-depend on the prediction.  :func:`run_bootstrap` checks a ``bootstrap``
+and ``gold-error`` to stderr.  Worlds are read-only, so the memo runs each
+distinct predicted or gold (dialect, text) once per loaded run; on calendar
+that is the text after name canonicalization, which maps gold names first, so
+the gold text does not depend on the prediction.  :func:`run_bootstrap` checks a ``bootstrap``
 config, grows its pool (judged by the same step) and writes it.
 
 Config paths resolve relative to the config file; the ``bundled:`` prefix
@@ -259,7 +259,7 @@ def load_run(spec: RunSpec, base: Path) -> RunState:
 
 def run_seed(state: RunState, spec: RunSpec, seed: int, jobs: int = 1) -> list[tuple[str, str]]:
     """Each test example's ``(id, verdict)`` under ``seed``, in test order; prints each
-    ``harness-error`` to stderr as ``seed S ID: message``."""
+    ``harness-error`` and ``gold-error`` to stderr as ``seed S ID: message``."""
     selector = state.selector
     fixed_ids = None if spec.method == "bm25" else selector.select(spec.method, spec.k, seed)
     requests = []
@@ -277,7 +277,7 @@ def run_seed(state: RunState, spec: RunSpec, seed: int, jobs: int = 1) -> list[t
     verdicts = []
     for example, completion in zip(state.examples, completions):
         verdict, detail = state.judge(example, completion)
-        if verdict == "harness-error":
+        if verdict in ("harness-error", "gold-error"):
             print(f"seed {seed} {example.id}: {detail}", file=sys.stderr)
         verdicts.append((example.id, verdict))
     return verdicts
@@ -294,7 +294,8 @@ def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> di
         report = report_from_verdicts(seed, run_seed(state, spec, seed, jobs))
         reports.append(report)
         write_text(out_dir / f"report_seed{seed}.json",
-                   json.dumps(report.to_json(), indent=2, ensure_ascii=False) + "\n")
+                   json.dumps(report.to_json(), indent=2, ensure_ascii=False, allow_nan=False)
+                   + "\n")
         row = _csv_row(seed, split_name, spec.dialect, spec.dd_variant, spec.k,
                        report.accuracy, report.exec_failure_rate)
         per_seed_rows.append(row)
@@ -306,7 +307,7 @@ def run_experiment(config: dict, base: Path, out_dir: Path, jobs: int = 1) -> di
     write_text(out_dir / "aggregate.csv",
                CSV_HEADER + "\n" + "\n".join(per_seed_rows) + "\n" + mean_row + "\n")
     write_text(out_dir / "aggregate.json",
-               json.dumps(aggregate, indent=2, ensure_ascii=False) + "\n")
+               json.dumps(aggregate, indent=2, ensure_ascii=False, allow_nan=False) + "\n")
     return aggregate
 
 

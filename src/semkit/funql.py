@@ -11,7 +11,9 @@ Grammar (EBNF)::
     name    = "'" any chars except "'" "'"
 
 Identifiers match ``[a-z_][a-z0-9_]*``; whitespace is insignificant and the
-printer emits none except after commas.
+printer emits none except after commas.  A program is a plain tree: an
+operator application is an :class:`Apply`, an entity literal an
+:class:`EntityLiteral`, and ``all`` the string :data:`ALL`.
 
 Operator semantics
 ------------------
@@ -40,17 +42,9 @@ from typing import NamedTuple
 from .errors import MAX_DEPTH, TOO_DEEP, MrExecError, MrParseError
 from .geo import ENTITY_KINDS, City, Country, GeoModel, Place, River, State, entity_ref
 from .outcomes import Denotation
-from .readonly import Value
 
 
-class All(Value):
-    __slots__ = ()
-
-    def __repr__(self):
-        return "All"
-
-
-ALL = All()
+ALL = "all"  # the one leaf that is neither an Apply nor an EntityLiteral
 
 
 class EntityLiteral(NamedTuple):
@@ -157,8 +151,8 @@ def _entity(kind: str, pos: int, names: list[str]) -> EntityLiteral:
 
 def render_funql(ast) -> str:
     """Print an AST back to text; parse(render(ast)) == ast."""
-    if isinstance(ast, All):
-        return "all"
+    if isinstance(ast, str):
+        return ast
     if isinstance(ast, EntityLiteral):
         if ast.qualifier is not None:
             return f"{ast.kind}('{ast.name}', '{ast.qualifier}')"
@@ -171,8 +165,8 @@ def extract_operators(ast) -> frozenset[str]:
     found: set[str] = set()
 
     def walk(node):
-        if isinstance(node, All):
-            found.add("all")
+        if isinstance(node, str):
+            found.add(node)
         elif isinstance(node, EntityLiteral):
             found.add(node.kind)
         else:
@@ -298,7 +292,7 @@ SUPERLATIVES = {
 
 
 def _eval(model: GeoModel, node):
-    if isinstance(node, All):
+    if isinstance(node, str):
         return _Entities([*model.states, *model.cities, *model.rivers, *model.places])
     if isinstance(node, EntityLiteral):
         return _Entities(ENTITY_OPS[node.kind](model, node))

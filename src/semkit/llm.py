@@ -157,7 +157,7 @@ class ReplayCache:
         with self._write_lock:
             self.entries[entry["fingerprint"]] = entry
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
+                fh.write(json.dumps(entry, ensure_ascii=False, allow_nan=False) + "\n")
 
 
 def http_transport(endpoint: str, api_key_env: str):
@@ -168,7 +168,7 @@ def http_transport(endpoint: str, api_key_env: str):
         payload = json.dumps({
             "model": request.model, "prompt": request.prompt,
             "temperature": request.temperature, "max_tokens": DEFAULT_MAX_TOKENS, "stop": [],
-        }).encode("utf-8")
+        }, allow_nan=False).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(api_key_env)
         if api_key:
@@ -258,7 +258,8 @@ def example_evaluator(model: str, temperature: float, dialect: str, gold_dialect
     program and scores it against the example's gold program with one
     :func:`~semkit.evaluation.scorer` of ``environment`` and ``world`` (so one
     outcome memo per step).  A completion that is a ``SemkitError`` is a
-    ``harness-error``, with its message for the program.
+    ``harness-error``, with its message for the program; a ``gold-error`` comes with a
+    message for the program too.
 
     An empty ``dd_text`` means a prompt without a DD header.  Each request
     carries its prompt's text before the test utterance, the ``lead`` of
@@ -279,7 +280,10 @@ def example_evaluator(model: str, temperature: float, dialect: str, gold_dialect
         if isinstance(completion, SemkitError):
             return "harness-error", str(completion)
         program = extract_program(completion)
-        return score(dialect, program, gold_dialect, example.programs[gold_dialect]), program
+        verdict = score(dialect, program, gold_dialect, example.programs[gold_dialect])
+        if verdict == "gold-error":
+            return verdict, f"gold-error: the gold {gold_dialect} program fails on its own"
+        return verdict, program
 
     return request, judge
 
@@ -309,7 +313,8 @@ def bootstrap_annotations(seed_pool: list[Example], unlabeled: list[Example],
     canonicalization) and kept, as written, exactly when it is ``correct``.
     The step's one outcome memo runs each distinct proposal or gold program
     once per call.  A ``harness-error`` aborts the remainder of a pass but
-    never discards the pool.
+    never discards the pool; a ``gold-error`` keeps its example pending, as a rejected
+    proposal does.
     """
     if not seed_pool:
         raise ValueError("seed pool must be nonempty")

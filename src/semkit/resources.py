@@ -1,10 +1,11 @@
 """Access to the bundled data files (corpora, environments, DD sources), and the readers
-they go through: :func:`read_jsonl`, :func:`read_json`, :func:`read_json_object`,
-:func:`read_world`, and :class:`Schema`, in which each field a world, replay-cache, dataset,
-split, DD source or config loader reads is declared once as a string, a boolean, a number, a
-whole number, an object or a list of strings or whole numbers (lists of objects go through
-:func:`objects_of`).  :func:`parsed` builds a value from a file's bytes once per process
-while those bytes are unchanged; datasets and worlds are loaded through it.
+they go through: :func:`read_text`, :func:`read_jsonl`, :func:`read_json`,
+:func:`read_json_object`, :func:`read_world`, and :class:`Schema`, in which each field a
+world, replay-cache, dataset, split, DD source or config loader reads is declared once as a
+string, a boolean, a number, a whole number, an object or a list of strings or whole numbers
+(lists of objects go through :func:`objects_of`).  Every file is read as UTF-8; one that is
+not is a DataFormatError naming it.  :func:`parsed` builds a value from a file's bytes once
+per process while those bytes are unchanged; datasets and worlds are loaded through it.
 :func:`write_text` is the one writer of every file semkit writes."""
 
 from __future__ import annotations
@@ -88,6 +89,21 @@ def _text(path, data):
                             encoding="utf-8")
 
 
+def _not_utf8(path, exc: UnicodeDecodeError) -> DataFormatError:
+    return DataFormatError(f"{path}: not valid UTF-8: {exc}")
+
+
+def read_text(path, data=None) -> str:
+    """The text of a UTF-8 file (or of its bytes ``data``, as :func:`read_jsonl` takes
+    them), as :func:`_text` reads it; bytes that are not UTF-8 raise
+    ``DataFormatError("<path>: not valid UTF-8: ...")``."""
+    try:
+        with _text(path, data) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
+
+
 def read_jsonl(path, data=None):
     """Yield (line number, record) for each non-blank line of a JSONL file (of its bytes
     ``data``, when given; ``path`` then only names it).
@@ -96,31 +112,37 @@ def read_jsonl(path, data=None):
     decodes the line stripped of JSON whitespace in one ``raw_decode``; a line
     it cannot take whole goes to ``json.loads``, so a bad line fails with that
     call's message, as ``DataFormatError("<path>: line <n>: not valid JSON: ...")``.
+    Bytes that are not UTF-8 fail as :func:`read_text` says.
     """
-    with _text(path, data) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip(_JSON_SPACE)
-            try:
-                record, end = _raw_decode(text)
-            except ValueError:
-                end = -1
-            if end != len(text):
-                if not line.strip():  # a blank line, by str.strip's whitespace, holds no value
-                    continue
+    try:
+        with _text(path, data) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip(_JSON_SPACE)
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataFormatError(f"{path}: line {lineno}: not valid JSON: {exc}") from exc
-            yield lineno, record
+                    record, end = _raw_decode(text)
+                except ValueError:
+                    end = -1
+                if end != len(text):
+                    if not line.strip():  # a blank line, by str.strip's whitespace, holds no value
+                        continue
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise DataFormatError(f"{path}: line {lineno}: not valid JSON: "
+                                              f"{exc}") from exc
+                yield lineno, record
+    except UnicodeDecodeError as exc:  # found in a chunk: decode the whole file to place it
+        read_text(path, data)
+        raise _not_utf8(path, exc) from exc
 
 
 def read_json(path, data=None):
-    """Decode a JSON file (or its bytes ``data``, as :func:`read_jsonl` does)."""
-    with _text(path, data) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
+    """Decode a JSON file (or its bytes ``data``), read as :func:`read_text` reads it."""
+    text = read_text(path, data)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def read_json_object(path, data=None) -> dict:

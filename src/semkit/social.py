@@ -8,8 +8,8 @@ and literals are bare tokens.  ``simplify_ldcs`` / ``desimplify_ldcs`` convert
 between them and are exact inverses on the supported fragment; canonical
 rendering uses single spaces and parentheses only around applications.
 
-Programs are plain trees: a list is a tuple of its items, a token a
-:class:`Sym` or :class:`Num`.  ``parse_ldcs`` reads the tree with an explicit
+Programs are plain trees: a list is a tuple of its items, a symbol its ``str`` and a
+number its ``float``.  ``parse_ldcs`` reads the tree with an explicit
 stack (brackets nested deeper than :data:`~semkit.errors.MAX_DEPTH` are a parse
 error), then checks it against the dialect its caller names and returns it.
 ``simplify_ldcs`` turns a checked full-dialect tree into a simple-dialect one
@@ -41,30 +41,10 @@ from typing import Callable
 
 from .errors import MAX_DEPTH, TOO_DEEP, MrExecError, MrParseError
 from .outcomes import Denotation, denotation_of
-from .readonly import Value
 from .social_db import Person, SocialApi, value_ref
 
 
 # --- s-expressions --------------------------------------------------------
-
-class Sym(Value):
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        object.__setattr__(self, "text", text)
-
-
-class Num(Value):
-    __slots__ = ("value",)
-
-    def __init__(self, value: float):
-        object.__setattr__(self, "value", value)
-
-    def render(self) -> str:
-        if float(self.value).is_integer():
-            return str(int(self.value))
-        return repr(self.value)
-
 
 # "("; ")"; a number (the whole token); any other token: a symbol
 _TOKEN = re.compile(r"(\()|(\))|(-?\d+(?:\.\d+)?(?![^\s()]))|[^\s()]+")
@@ -79,7 +59,7 @@ def parse_ldcs(text: str, dialect: str):
 
 
 def _read(text: str):
-    """The tree of ``text``: a list is a tuple of its items, a token a Sym or Num."""
+    """The tree of ``text``: a list is a tuple of its items, a token a str or float."""
     stack = []  # the enclosing lists: (items, "(" position)
     items = None  # the innermost open list
     opened, root = 0, None  # its "(" position; the tree, once read
@@ -100,7 +80,7 @@ def _read(text: str):
             node = tuple(items)
             items, opened = stack.pop() if stack else (None, 0)
         else:
-            node = Num(float(match.group())) if group == 3 else Sym(match.group())
+            node = float(match.group()) if group == 3 else match.group()
         if items is None:
             root = node
         else:
@@ -119,26 +99,26 @@ def _check(node, full: bool) -> None:
         return
     if not node:
         raise MrParseError("empty application ()")
-    text = node[0].text if node[0].__class__ is Sym else None
+    head = node[0]
     if not full:
-        if text is not None and (text == "call" or text.startswith("SW.")):
+        if head.__class__ is str and (head == "call" or head.startswith("SW.")):
             raise MrParseError("dialect-mismatch: 'call'/'SW.' does not belong in the simple dialect")
-    elif text == "call":
-        if len(node) < 2 or not (node[1].__class__ is Sym and node[1].text.startswith("SW.")):
+    elif head == "call":
+        if len(node) < 2 or not (node[1].__class__ is str and node[1].startswith("SW.")):
             raise MrParseError("dialect-mismatch: call requires an SW.-namespaced callee")
-    elif text not in ("string", "date", "number"):
-        name = text if text is not None else str(node[0])
-        raise MrParseError(f"dialect-mismatch: full-dialect head {name!r} is not call/typing")
+    elif head not in ("string", "date", "number"):
+        raise MrParseError(f"dialect-mismatch: full-dialect head {render_ldcs(head)!r} "
+                           "is not call/typing")
     for child in node[1:]:  # recursion is bounded: _read caps nesting at MAX_DEPTH
         _check(child, full)
 
 
 def render_ldcs(node) -> str:
     """Canonical rendering: single spaces, parentheses only around applications."""
-    if isinstance(node, Sym):
-        return node.text
-    if isinstance(node, Num):
-        return node.render()
+    if node.__class__ is str:
+        return node
+    if node.__class__ is float:
+        return str(int(node)) if node.is_integer() else repr(node)
     return "(" + " ".join(render_ldcs(child) for child in node) + ")"
 
 
@@ -178,7 +158,7 @@ PROPERTIES: dict[str, tuple[str, Callable[[Person], list]]] = {
 
 
 def _is_entity(node) -> bool:
-    return isinstance(node, Sym) and node.text.startswith("en.")
+    return node.__class__ is str and node.startswith("en.")
 
 
 def simplify_ldcs(node):
@@ -190,20 +170,20 @@ def simplify_ldcs(node):
 def _simplify(node):
     if node.__class__ is not tuple:
         return node
-    head, args = node[0].text, node[1:]
+    head, args = node[0], node[1:]
     if head == "call":
-        callee, args = args[0].text[len("SW."):], args[1:]
+        callee, args = args[0][len("SW."):], args[1:]
         if callee == "singleton" and len(args) == 1 and _is_entity(args[0]):
             return args[0]
-        return (Sym(callee), *(_simplify(a) for a in args))
+        return (callee, *(_simplify(a) for a in args))
     if head == "string":
-        if len(args) != 1 or args[0].__class__ is not Sym:
+        if len(args) != 1 or args[0].__class__ is not str:
             raise MrParseError("unsupported form: (string ...) must wrap one token")
     elif head == "date":
-        if (len(args) != 3 or not all(a.__class__ is Num for a in args)
-                or args[1].value != -1 or args[2].value != -1):
+        if (len(args) != 3 or not all(a.__class__ is float for a in args)
+                or args[1] != -1 or args[2] != -1):
             raise MrParseError("unsupported form: only year-granularity (date y -1 -1) dates")
-    elif len(args) != 1 or args[0].__class__ is not Num:
+    elif len(args) != 1 or args[0].__class__ is not float:
         raise MrParseError("unsupported form: (number ...) must wrap one number")
     return args[0]  # the token a typing wrapper wraps
 
@@ -211,36 +191,34 @@ def _simplify(node):
 def desimplify_ldcs(node):
     """The canonical full-dialect tree of a simple-dialect one; inverse of simplify_ldcs."""
     if _is_entity(node):
-        return (Sym("call"), Sym("SW.singleton"), node)
-    if isinstance(node, tuple):
+        return ("call", "SW.singleton", node)
+    if node.__class__ is tuple:
         return _desimplify_app(node)
-    raise MrParseError(f"cannot desimplify {node!r} in set position")
+    raise MrParseError(f"cannot desimplify {render_ldcs(node)!r} in set position")
 
 
 def _desimplify_app(node: tuple):
-    head = node[0]
-    if not isinstance(head, Sym) or head.text not in SIMPLE_OPS:
-        name = head.text if isinstance(head, Sym) else str(head)
-        raise MrParseError(f"unknown operator {name!r}")
-    kinds = SIMPLE_OPS[head.text]
-    args = node[1:]
+    head, args = node[0], node[1:]
+    if head.__class__ is not str or head not in SIMPLE_OPS:
+        raise MrParseError(f"unknown operator {render_ldcs(head)!r}")
+    kinds = SIMPLE_OPS[head]
     if len(args) != len(kinds):
-        raise MrParseError(f"{head.text} takes {len(kinds)} arguments, got {len(args)}")
-    out = [Sym("call"), Sym("SW." + head.text)]
+        raise MrParseError(f"{head} takes {len(kinds)} arguments, got {len(args)}")
+    out = ["call", "SW." + head]
     prop = None
     for kind, arg in zip(kinds, args):
-        if isinstance(arg, Sym) and arg.text in PROPERTIES:
-            prop = arg.text
+        if arg in PROPERTIES:
+            prop = arg
         if kind == "set":
             out.append(desimplify_ldcs(arg))
         elif kind in ("prop", "op", "mode"):
-            if not isinstance(arg, Sym):
-                raise MrParseError(f"{head.text}: expected a symbol for {kind}")
-            out.append((Sym("string"), arg))
+            if arg.__class__ is not str:
+                raise MrParseError(f"{head}: expected a symbol for {kind}")
+            out.append(("string", arg))
         elif kind == "count":
-            if not isinstance(arg, Num):
-                raise MrParseError(f"{head.text}: expected a number")
-            out.append((Sym("number"), arg))
+            if arg.__class__ is not float:
+                raise MrParseError(f"{head}: expected a number")
+            out.append(("number", arg))
         else:  # value
             out.append(_desimplify_value(arg, prop))
     return tuple(out)
@@ -249,16 +227,16 @@ def _desimplify_app(node: tuple):
 def _desimplify_value(node, prop: str | None):
     if _is_entity(node):
         return node
-    if isinstance(node, tuple):
+    if node.__class__ is tuple:
         return _desimplify_app(node)
-    if isinstance(node, Num):
+    if node.__class__ is float:
         kind = PROPERTIES[prop][0] if prop in PROPERTIES else None
         if kind == "date":
-            return (Sym("date"), node, Num(-1), Num(-1))
+            return ("date", node, -1.0, -1.0)
         if kind == "number":
-            return (Sym("number"), node)
+            return ("number", node)
         raise MrParseError(f"cannot restore typing for a number value of {prop!r}")
-    raise MrParseError(f"cannot desimplify value {node!r}")
+    raise MrParseError(f"cannot desimplify value {render_ldcs(node)!r}")
 
 
 # --- execution -------------------------------------------------------------
@@ -308,21 +286,19 @@ class _LdcsEval:
         self.db = db
 
     def eval(self, node) -> list:
-        if isinstance(node, Num):
-            return [node.value]
-        if isinstance(node, Sym):
-            token = node.text
-            if token == _PERSON_TYPE:
-                return [token]
-            if token.startswith("en.person."):
-                return [self.db.find_person_by_id(token)]
-            if token.startswith("en."):
-                return [token]
-            raise MrExecError("name-not-found", f"unbound symbol {token!r}")
-        if not isinstance(node[0], Sym):
-            raise MrExecError("type-mismatch",
-                              f"operator is not a symbol: {render_ldcs(node[0])}")
-        head = node[0].text
+        if node.__class__ is float:
+            return [node]
+        if node.__class__ is str:
+            if node == _PERSON_TYPE:
+                return [node]
+            if node.startswith("en.person."):
+                return [self.db.find_person_by_id(node)]
+            if node.startswith("en."):
+                return [node]
+            raise MrExecError("name-not-found", f"unbound symbol {node!r}")
+        head = node[0]
+        if head.__class__ is not str:
+            raise MrExecError("type-mismatch", f"operator is not a symbol: {render_ldcs(head)}")
         if head not in SIMPLE_OPS:
             raise MrExecError("name-not-found", f"unknown operator {head!r}")
         args = node[1:]
@@ -347,10 +323,9 @@ class _LdcsEval:
     def _concat(self, a, b):
         return self.eval(a) + self.eval(b)
 
-    def _getProperty(self, x, prop):
-        if not isinstance(prop, Sym):
+    def _getProperty(self, x, name):
+        if name.__class__ is not str:
             raise MrExecError("type-mismatch", "getProperty expects a property symbol")
-        name = prop.text
         if name == "!type":
             out = []
             for item in self.eval(x):
@@ -372,9 +347,9 @@ class _LdcsEval:
         return _dedup(out)
 
     def _filter(self, x, prop, op, value):
-        if not isinstance(prop, Sym) or not isinstance(op, Sym):
+        if prop.__class__ is not str or op.__class__ is not str:
             raise MrExecError("type-mismatch", "filter expects property and operator symbols")
-        values_of, op = _values_of(prop.text), _comparison(op.text)
+        values_of, op = _values_of(prop), _comparison(op)
         items = self._persons(self.eval(x), "filter")
         targets = self.eval(value)
         out = []
@@ -396,9 +371,9 @@ class _LdcsEval:
         return False
 
     def _keyed(self, x, prop, numeric: bool):
-        if not isinstance(prop, Sym):
+        if prop.__class__ is not str:
             raise MrExecError("type-mismatch", "superlative expects a property symbol")
-        values_of = _values_of(prop.text)
+        values_of = _values_of(prop)
         items = self._persons(self.eval(x), "superlative")
         keyed = []
         for person in items:
@@ -407,7 +382,7 @@ class _LdcsEval:
                 if not values:
                     continue
                 if not all(isinstance(v, (int, float)) for v in values):
-                    raise MrExecError("type-mismatch", f"{prop.text} is not numeric")
+                    raise MrExecError("type-mismatch", f"{prop} is not numeric")
                 keyed.append((max(values), person))
             else:
                 keyed.append((len(values), person))
@@ -420,35 +395,35 @@ class _LdcsEval:
         return self._pick(self._keyed(x, prop, numeric=False), mode)
 
     def _pick(self, keyed, mode):
-        if not isinstance(mode, Sym) or mode.text not in _PICKS:
+        if mode.__class__ is not str or mode not in _PICKS:
             raise MrExecError("type-mismatch", "mode must be argmax or argmin")
         if not keyed:
             return []
-        target = _PICKS[mode.text](k for k, _ in keyed)
+        target = _PICKS[mode](k for k, _ in keyed)
         return [p for k, p in keyed if k == target]
 
     def _countComparative(self, x, prop, op, count):
-        if not isinstance(count, Num):
+        if count.__class__ is not float:
             raise MrExecError("type-mismatch", "countComparative needs a number")
-        if not isinstance(prop, Sym) or not isinstance(op, Sym):
+        if prop.__class__ is not str or op.__class__ is not str:
             raise MrExecError("type-mismatch",
                               "countComparative needs property and operator symbols")
-        values_of, op = _values_of(prop.text), _comparison(op.text)
+        values_of, op = _values_of(prop), _comparison(op)
         items = self._persons(self.eval(x), "countComparative")
         out = []
         for person in items:
             n = len(values_of(person))
-            if self._compare_any([n], op, [count.value]):
+            if self._compare_any([n], op, [count]):
                 out.append(person)
         return out
 
     def _aggregate(self, mode, x):
-        if not isinstance(mode, Sym) or mode.text not in _AGGREGATES:
+        if mode.__class__ is not str or mode not in _AGGREGATES:
             raise MrExecError("type-mismatch", f"aggregate mode must be {'/'.join(_AGGREGATES)}")
         values = self.eval(x)
         if not values or not all(isinstance(v, (int, float)) for v in values):
             raise MrExecError("type-mismatch", "aggregate needs a nonempty number set")
-        return [_AGGREGATES[mode.text](values)]
+        return [_AGGREGATES[mode](values)]
 
 
 def exec_ldcs_simple(node, db: SocialApi) -> Denotation:
@@ -465,8 +440,8 @@ def extract_operators(node) -> frozenset[str]:
         node = stack.pop()
         if node.__class__ is tuple:
             stack.extend(node)
-        elif node.__class__ is Sym:
-            symbols.add(node.text)
+        elif node.__class__ is str:
+            symbols.add(node)
     operators = frozenset(text.split(".")[1] if text.startswith("en.") else text
                           for text in symbols if not text.startswith("en.") or text.count(".") >= 2)
     if not operators:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from semkit.calendar_world import DateTimeClause, DateTimeValues, load_world, resolve_datetime
-from semkit.calflow import Call, Word, exec_dfs, extract_operators, parse_dfs, render_dfs
+from semkit.calflow import Call, exec_dfs, extract_operators, parse_dfs, render_dfs
 from semkit.errors import DataFormatError, MrExecError, MrParseError
 from semkit.execute import run_program
 from semkit.outcomes import WorldDelta
@@ -18,8 +18,8 @@ ANCHOR = dt.datetime(2023, 1, 2, 8, 0)  # a Monday
 def test_parse_showcase_tree():
     ast = parse_dfs(SHOWCASE)
     assert ast == Call("CreateEvent", (Call("AND", (
-        Call("at_location", (Word("Central Park"),)),
-        Call("starts_at", (Call("NextDOW", (Word("FRIDAY"),)),)),
+        Call("at_location", ("Central Park",)),
+        Call("starts_at", (Call("NextDOW", ("FRIDAY",)),)),
     )),))
 
 
@@ -49,8 +49,8 @@ def test_render_round_trip():
 def test_bare_word_spans_close_at_comma_or_paren():
     ast = parse_dfs("CreateEvent( AND( at_location( Room 12 ) , has_subject( One on One ) ) )")
     and_node = ast.args[0]
-    assert and_node.args[0].args[0] == Word("Room 12")
-    assert and_node.args[1].args[0] == Word("One on One")
+    assert and_node.args[0].args[0] == "Room 12"
+    assert and_node.args[1].args[0] == "One on One"
 
 
 def test_resolve_next_dow():

@@ -107,6 +107,25 @@ def test_simplify_error_exits_2(tmp_path, capsys):
     assert code == 2 and "line 1" in err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["execute", "--env", "geo", "--dialect", "funql", "--world", "bundled:geobase.jsonl",
+      "--program"], "answer(count(state(all)))"),
+    (["simplify", "--direction", "simplify", "--input"], CANON_LDCS_FULL),
+    (["simplify", "--direction", "desimplify", "--input"], CANON_LDCS_SIMPLE),
+    (["run", "--config"], data_path("experiment_replay.json").read_text(encoding="utf-8")),
+    (["bootstrap", "--config"], data_path("bootstrap_replay.json").read_text(encoding="utf-8")),
+], ids=["execute", "simplify", "desimplify", "run", "bootstrap"])
+def test_an_input_file_that_is_not_utf8_is_one_error_line(tmp_path, monkeypatch, capsys, argv,
+                                                          text):
+    monkeypatch.chdir(tmp_path)  # where run and bootstrap would write by default
+    path = tmp_path / "input"
+    path.write_bytes(text.encode("utf-8") + b"\xff\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: not valid UTF-8: ") and err.count("\n") == 1, err
+    assert sorted(os.listdir(tmp_path)) == ["input"]
+
+
 def test_select_coverage(capsys):
     code, out, _ = run(capsys, "select", "--method", "coverage", "--k", "10",
                        "--dataset", "bundled:datasets/geoquery.jsonl",

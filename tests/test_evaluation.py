@@ -115,9 +115,11 @@ def test_calendar_scorer_canonicalizes_names(calendar_world, smcalflow):
     pymr, dfs = sm07.programs["pymr"], sm07.programs["dataflow-simple"]
     assert run_program("pymr", pymr, "calendar", calendar_world).error == "unknown-person"
     assert score("pymr", pymr, "dataflow-simple", dfs) == "correct"
-    # a pair naming more people than the world has is the prediction's failure
+    # a pair naming more people than the world has is the prediction's failure, unless the
+    # gold alone does: then it is the gold's
     assert score("dataflow-simple", CROWD, "dataflow-simple", dfs) == "execution-failure"
-    assert score("pymr", pymr, "dataflow-simple", CROWD) == "execution-failure"
+    assert score("pymr", pymr, "dataflow-simple", CROWD) == "gold-error"
+    assert score("dataflow-simple", CROWD, "dataflow-simple", CROWD) == "gold-error"
 
 
 # the bundled golds quote each name in double quotes; Python reads these spellings the same
@@ -179,6 +181,13 @@ def test_geo_scorer_keeps_names_and_runs_each_program_once(monkeypatch, geo_mode
     assert runs == [states, rivers, "answer(", states]  # each scorer has its own memo
 
 
+def test_a_gold_that_does_not_run_is_a_gold_error_whatever_the_prediction(geo_model):
+    score = scorer("geo", geo_model)
+    for pred in ("answer(count(state(all)))", "answer(count(state(", "answer(sum(state(all)))"):
+        assert score("funql", pred, "funql", "answer(count(state(") == "gold-error", pred
+        assert score("funql", pred, "funql", "answer(sum(state(all)))") == "gold-error", pred
+
+
 def test_renaming_invariance(tmp_path, smcalflow):
     """Consistently renaming a person across programs and world keeps verdicts."""
     rng = random.Random(1)
@@ -225,11 +234,14 @@ def test_verdicts_and_report():
     assert verdict_of(ok, ok, SET) == "correct"
     assert verdict_of(bad, ok, SET) == "wrong-result"
     assert verdict_of(fail, ok, SET) == "execution-failure"
+    assert verdict_of(ok, fail, SET) == verdict_of(fail, fail, SET) == "gold-error"
     report = report_from_verdicts(0, [("a", "correct"), ("b", "wrong-result"),
                                       ("c", "execution-failure"), ("d", "correct"),
                                       ("e", "harness-error")])  # counts in n_total only
     assert report.n_total == 5 and report.n_correct == 2 and report.n_execution_failures == 1
     assert report.accuracy == 0.4 and report.exec_failure_rate == 0.2
+    gold_fault = report_from_verdicts(0, [*report.verdicts[:4], ("e", "gold-error")])
+    assert gold_fault._replace(verdicts=()) == report._replace(verdicts=())
     assert set(report.to_json()) == {"seed", "n_total", "n_correct", "n_execution_failures",
                                      "accuracy", "exec_failure_rate", "verdicts"}
 

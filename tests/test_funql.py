@@ -5,7 +5,7 @@ import pytest
 
 from semkit.errors import MrExecError, MrParseError
 from semkit.execute import run_program
-from semkit.funql import (All, Apply, EntityLiteral, exec_funql, extract_operators,
+from semkit.funql import (ALL, Apply, EntityLiteral, exec_funql, extract_operators,
                           parse_funql, render_funql)
 from semkit.geo import load_geobase
 from semkit.outcomes import Denotation
@@ -16,7 +16,7 @@ SHOWCASE = "answer(elevation_1(highest(place(loc_2(largest(state(all)))))))"
 
 def test_parse_count_states():
     ast = parse_funql("answer(count(state(all)))")
-    assert ast == Apply("answer", (Apply("count", (Apply("state", (All(),)),)),))
+    assert ast == Apply("answer", (Apply("count", (Apply("state", ("all",)),)),))
 
 
 def test_parse_showcase_shape_and_depth():
@@ -27,7 +27,7 @@ def test_parse_showcase_shape_and_depth():
         ops.append(node.op)
         node = node.args[0]
     assert ops == ["answer", "elevation_1", "highest", "place", "loc_2", "largest", "state"]
-    assert isinstance(node, All)
+    assert node == ALL == "all"
 
 
 def test_unbalanced_parens_error_at_end():
@@ -61,8 +61,8 @@ def test_render_round_trip(text):
 def _random_ast(rng, depth=0):
     if depth > 3 or rng.random() < 0.3:
         return rng.choice([
-            Apply("state", (All(),)),
-            Apply("city", (All(),)),
+            Apply("state", ("all",)),
+            Apply("city", (ALL,)),
             EntityLiteral("stateid", "texas"),
             EntityLiteral("cityid", "austin", "tx"),
             EntityLiteral("riverid", "rio grande"),

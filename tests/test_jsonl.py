@@ -3,18 +3,23 @@
 Each reader of a JSONL file (datasets, the geobase and replay caches) goes
 through :func:`semkit.resources.read_jsonl`.  These tests hold it to the
 per-line ``json.loads`` loop it replaced: equal records on every bundled
-file, and on a bad line the same error message and line.
+file, and on a bad line the same error message and line.  A file of any kind
+the readers load that is not UTF-8 is one DataFormatError naming the file.
 """
 
 import json
+import re
 
 import pytest
 
-from semkit.corpus import Example, load_dataset
+from semkit.corpus import Example, load_dataset, load_split
 from semkit.errors import DataFormatError
+from semkit.execute import load_environment
 from semkit.geo import load_geobase
 from semkit.llm import ReplayCache
-from semkit.resources import DATA_DIR, read_jsonl
+from semkit.prompts import load_dd_source
+from semkit.resources import (DATA_DIR, dataset_path, dd_path, environment_path,
+                              read_json_object, read_jsonl, split_path)
 
 BUNDLED_JSONL = sorted(DATA_DIR.rglob("*.jsonl"))
 
@@ -126,3 +131,33 @@ def test_malformed_line_gives_the_per_line_message(tmp_path, reader, case):
         load(path)
     assert str(info.value) == want
     assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
+
+# kind of file -> (a bundled file of that kind, what loads it)
+FILE_KINDS = {
+    "dataset": (dataset_path("geoquery"), load_dataset),
+    "split": (split_path("geoquery_iid"),
+              lambda path: load_split(path, load_dataset(dataset_path("geoquery")))),
+    "geo world": (environment_path("geo"), lambda path: load_environment("geo", path)),
+    "social world": (environment_path("social"), lambda path: load_environment("social", path)),
+    "calendar world": (environment_path("calendar"),
+                       lambda path: load_environment("calendar", path)),
+    "replay cache": (DATA_DIR / "replay_cache.jsonl", ReplayCache),
+    "DD source": (dd_path("geo", "pymr"), load_dd_source),
+    "config": (DATA_DIR / "experiment_replay.json", read_json_object),
+}
+
+
+@pytest.mark.parametrize("at", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("kind", FILE_KINDS)
+def test_a_file_that_is_not_utf8_is_one_data_format_error(tmp_path, kind, at):
+    bundled, load = FILE_KINDS[kind]
+    data = bundled.read_bytes()
+    cut = round(len(data) * at)
+    path = tmp_path / bundled.name
+    path.write_bytes(data[:cut] + b"\xff" + data[cut:])
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: not valid UTF-8: "
+                                              "'utf-8' codec can't decode byte 0xff in "
+                                              f"position {cut}: invalid start byte$") as info:
+        load(path)
+    assert isinstance(info.value.__cause__, UnicodeDecodeError)

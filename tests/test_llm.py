@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from semkit import experiment, funql, llm
-from semkit.corpus import Example, Lcg, load_dataset
+from semkit.corpus import Dataset, Example, Lcg, load_dataset, save_dataset
 from semkit.errors import CacheMissError, DataFormatError, SemkitError, TransportError
 from semkit.evaluation import POLICIES, canonicalize_names, compare_outcomes
 from semkit.execute import run_program
@@ -534,9 +534,8 @@ CROWD = ("def answer():\n    api.add_event(Event(attendees=["
          + ", ".join(f'api.find_person("{name}")' for name in "ABCDEFG") + "]))")
 
 
-@pytest.mark.parametrize("command", ["run", "bootstrap"])
-def test_run_and_bootstrap_judge_a_calendar_program_alike(monkeypatch, tmp_path, smcalflow,
-                                                          command):
+def judged(monkeypatch, tmp_path, command, client, dataset="bundled:datasets/smcalflow.jsonl"):
+    """The verdict of each calendar test example as ``command`` judges it, with ``client``."""
     verdicts = {}
     evaluator = llm.example_evaluator
 
@@ -550,11 +549,10 @@ def test_run_and_bootstrap_judge_a_calendar_program_alike(monkeypatch, tmp_path,
 
         return request, recorded
 
-    client = gold_echo(smcalflow, {"sm-16": CROWD})
     monkeypatch.setattr(experiment, "make_client", lambda *args: (client, "desk-model-1"))
     for module in (experiment, llm):
         monkeypatch.setattr(module, "example_evaluator", recording)
-    config = {"dataset": "bundled:datasets/smcalflow.jsonl", "environment": "calendar",
+    config = {"dataset": dataset, "environment": "calendar",
               "dialect": "pymr", "gold_dialect": "dataflow-simple", "client": {}}
     if command == "run":
         run_experiment({**config, "split": "bundled:splits/smcalflow_iid.json", "seeds": [0]},
@@ -563,8 +561,52 @@ def test_run_and_bootstrap_judge_a_calendar_program_alike(monkeypatch, tmp_path,
         run_bootstrap({**config, "seed_ids": ["sm-01", "sm-02", "sm-03", "sm-05", "sm-06"],
                        "unlabeled_ids": CALENDAR_TEST_IDS, "passes": 1,
                        "output": str(tmp_path / "pool.jsonl")}, tmp_path)
-    assert verdicts == {**dict.fromkeys(CALENDAR_TEST_IDS, "correct"),
+    return verdicts
+
+
+@pytest.mark.parametrize("command", ["run", "bootstrap"])
+def test_run_and_bootstrap_judge_a_calendar_program_alike(monkeypatch, tmp_path, smcalflow,
+                                                          command):
+    client = gold_echo(smcalflow, {"sm-16": CROWD})
+    assert judged(monkeypatch, tmp_path, command, client) == {
+        **dict.fromkeys(CALENDAR_TEST_IDS, "correct"), "sm-16": "execution-failure"}
+
+
+@pytest.mark.parametrize("command", ["run", "bootstrap"])
+def test_run_and_bootstrap_book_a_gold_naming_seven_people_alike(monkeypatch, tmp_path, capsys,
+                                                                 smcalflow, command):
+    """sm-08's gold names seven people, one more than the world has: that is the gold's
+    fault, whatever the prediction; sm-16's prediction naming seven stays the model's."""
+    crowd = ("CreateEvent( AND( " + " , ".join(f"with_attendee( {name} )" for name in "ABCDEFG")
+             + " ) )")
+    examples = tuple(ex._replace(programs={**ex.programs, "dataflow-simple": crowd})
+                     if ex.id == "sm-08" else ex for ex in smcalflow.examples)
+    save_dataset(Dataset("smcalflow", smcalflow.dialects, examples), tmp_path / "data.jsonl")
+    client = gold_echo(smcalflow, {"sm-16": CROWD})
+    verdicts = judged(monkeypatch, tmp_path, command, client, str(tmp_path / "data.jsonl"))
+    # bootstrap judges every example after sm-08 in the same pass
+    assert verdicts == {**dict.fromkeys(CALENDAR_TEST_IDS, "correct"), "sm-08": "gold-error",
                         "sm-16": "execution-failure"}
+    err = capsys.readouterr().err
+    if command == "run":
+        assert err == ("seed 0 sm-08: gold-error: the gold dataflow-simple program fails "
+                       "on its own\n")
+    else:
+        pool = load_dataset(tmp_path / "pool.jsonl")
+        assert err == "" and [ex.id for ex in pool.examples[5:]] == ["sm-04", "sm-12", "sm-20"]
+
+
+def test_bootstrap_keeps_an_example_whose_gold_fails_pending(geo_model, geoquery,
+                                                             bootstrap_setup):
+    seed_pool, unlabeled, config = bootstrap_setup
+    broken = unlabeled[0]._replace(programs={"funql": "answer(count(state("})
+    echo = gold_echo(geoquery)
+    requests = []
+    client = LlmClient(mode="live", transport=lambda r: requests.append(r.prompt)
+                       or echo.transport(r))
+    pool = bootstrap_annotations(seed_pool, [broken, *unlabeled[1:]], geo_model, client, config)
+    assert [ex.id for ex in pool[5:]] == ["gq-08", "gq-09", "gq-11", "gq-12"]
+    assert len(requests) == 5 + 1 + 1  # the pass goes on; gq-07 is asked again on each pass
 
 
 class _Endpoint:

@@ -8,12 +8,12 @@ import time
 import pytest
 
 from semkit import calflow, funql
-from semkit.calflow import Call, NumberArg, Word, parse_dfs
+from semkit.calflow import Call, parse_dfs
 from semkit.errors import MAX_DEPTH, TOO_DEEP, MrParseError
 from semkit.execute import run_program
 from semkit.funql import ALL, Apply, EntityLiteral, parse_funql
-from semkit.social import (Num, Sym, desimplify_ldcs, extract_operators, parse_ldcs,
-                           render_ldcs, simplify_ldcs)
+from semkit.social import (desimplify_ldcs, extract_operators, parse_ldcs, render_ldcs,
+                           simplify_ldcs)
 
 # --- reference: the recursive λ-DCS reader, dialect check and simplify-and-walk ---
 
@@ -38,8 +38,8 @@ def _read(tokens, index):
     if token == ")":
         raise MrParseError("unexpected ')'", position=pos)
     if _NUMBER.match(token):
-        return Num(float(token)), index + 1
-    return Sym(token), index + 1
+        return float(token), index + 1
+    return token, index + 1
 
 
 def _check_dialect(node, dialect):
@@ -49,17 +49,17 @@ def _check_dialect(node, dialect):
         raise MrParseError("empty application ()")
     head = node[0]
     if dialect == "full":
-        if isinstance(head, Sym) and head.text == "call":
-            if len(node) < 2 or not (isinstance(node[1], Sym) and node[1].text.startswith("SW.")):
+        if head == "call":
+            if len(node) < 2 or not (isinstance(node[1], str) and node[1].startswith("SW.")):
                 raise MrParseError("dialect-mismatch: call requires an SW.-namespaced callee")
             rest = node[2:]
-        elif isinstance(head, Sym) and head.text in ("string", "date", "number"):
+        elif head in ("string", "date", "number"):
             rest = node[1:]
         else:
-            name = head.text if isinstance(head, Sym) else str(head)
-            raise MrParseError(f"dialect-mismatch: full-dialect head {name!r} is not call/typing")
+            raise MrParseError(f"dialect-mismatch: full-dialect head {render_ldcs(head)!r} "
+                               "is not call/typing")
     else:
-        if isinstance(head, Sym) and (head.text == "call" or head.text.startswith("SW.")):
+        if isinstance(head, str) and (head == "call" or head.startswith("SW.")):
             raise MrParseError("dialect-mismatch: 'call'/'SW.' does not belong in the simple dialect")
         rest = node[1:]
     for child in rest:
@@ -83,30 +83,30 @@ def reference_parse_ldcs(text, dialect):
 
 
 def _reference_simplify(node):
-    if isinstance(node, (Sym, Num)):
+    if isinstance(node, (str, float)):
         return node
     head = node[0]
-    if head.text == "call":
-        callee = node[1].text[len("SW."):]
+    if head == "call":
+        callee = node[1][len("SW."):]
         args = node[2:]
-        if callee == "singleton" and len(args) == 1 and isinstance(args[0], Sym) \
-                and args[0].text.startswith("en."):
+        if callee == "singleton" and len(args) == 1 and isinstance(args[0], str) \
+                and args[0].startswith("en."):
             return args[0]
-        return (Sym(callee), *(_reference_simplify(a) for a in args))
-    if head.text == "string":
-        if len(node) != 2 or not isinstance(node[1], Sym):
+        return (callee, *(_reference_simplify(a) for a in args))
+    if head == "string":
+        if len(node) != 2 or not isinstance(node[1], str):
             raise MrParseError("unsupported form: (string ...) must wrap one token")
         return node[1]
-    if head.text == "date":
-        if (len(node) != 4 or not all(isinstance(n, Num) for n in node[1:])
-                or node[2].value != -1 or node[3].value != -1):
+    if head == "date":
+        if (len(node) != 4 or not all(isinstance(n, float) for n in node[1:])
+                or node[2] != -1 or node[3] != -1):
             raise MrParseError("unsupported form: only year-granularity (date y -1 -1) dates")
         return node[1]
-    if head.text == "number":
-        if len(node) != 2 or not isinstance(node[1], Num):
+    if head == "number":
+        if len(node) != 2 or not isinstance(node[1], float):
             raise MrParseError("unsupported form: (number ...) must wrap one number")
         return node[1]
-    raise MrParseError(f"unsupported form: head {head.text!r}")
+    raise MrParseError(f"unsupported form: head {head!r}")
 
 
 def reference_ldcs_operators(root, dialect):
@@ -114,15 +114,15 @@ def reference_ldcs_operators(root, dialect):
     found = set()
 
     def walk(item):
-        if isinstance(item, Num):
+        if isinstance(item, float):
             return
-        if isinstance(item, Sym):
-            parts = item.text.split(".")
-            if item.text.startswith("en."):
+        if isinstance(item, str):
+            parts = item.split(".")
+            if item.startswith("en."):
                 if len(parts) >= 3:
                     found.add(parts[1])
             else:
-                found.add(item.text)
+                found.add(item)
             return
         for child in item:
             walk(child)
@@ -222,7 +222,7 @@ def reference_funql_operators(ast):
     found = set()
 
     def walk(node):
-        if node is ALL:
+        if node == ALL:
             found.add("all")
         elif isinstance(node, EntityLiteral):
             found.add(node.kind)
@@ -309,8 +309,8 @@ class ReferenceDfsParser:
                 return self.call()
             self.take("span")
             if _INT_RE.match(token[1]):
-                return NumberArg(int(token[1]))
-            return Word(token[1])
+                return int(token[1])
+            return token[1]
         raise MrParseError(f"expected an argument, found {token[1]!r}", position=token[2])
 
 

@@ -7,7 +7,7 @@ from semkit.errors import DataFormatError, MrParseError
 from semkit.execute import operators_of, run_program
 from semkit.outcomes import Denotation
 from semkit.resources import environment_path
-from semkit.social import (Sym, desimplify_ldcs, exec_ldcs_simple, extract_operators, parse_ldcs,
+from semkit.social import (desimplify_ldcs, exec_ldcs_simple, extract_operators, parse_ldcs,
                            render_ldcs, simplify_ldcs)
 from semkit.social_db import load_social_db
 
@@ -21,7 +21,7 @@ CANON_SIMPLE = ("(listValue (filter (filter (getProperty en.person !type) "
 def heads(node, out=None):
     out = out if out is not None else []
     if isinstance(node, tuple):
-        out.append(node[0].text)
+        out.append(node[0])
         for child in node[1:]:
             heads(child, out)
     return out
@@ -30,7 +30,7 @@ def heads(node, out=None):
 def test_parse_full_structure():
     tree = parse_ldcs(CANON_FULL, "full")
     assert heads(tree).count("call") == 5
-    assert tree[1] == Sym("SW.listValue")
+    assert tree[1] == "SW.listValue"
 
 
 def test_parse_simple_structure():

@@ -2,14 +2,17 @@
 ``Path.write_text`` would write, put in place over an existing file instead of after
 truncating it to zero."""
 
+import ast
 import errno
 import json
 import os
 import stat
+from pathlib import Path
 
 import pytest
 
-from semkit.corpus import load_dataset, save_dataset
+import semkit
+from semkit.corpus import Example, example_to_json_line, load_dataset, save_dataset
 from semkit.experiment import run_experiment
 from semkit.resources import data_path, dataset_path, write_text
 
@@ -105,3 +108,21 @@ def test_run_experiment_writes_every_output_in_place(tmp_path, monkeypatch):
     assert not [path for path, flags in written.items() if flags & os.O_TRUNC]
     for name in names:
         assert (rerun / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_every_json_writer_refuses_non_finite_numbers():
+    """``NaN`` and ``Infinity`` are not JSON, so no writer may emit them."""
+    calls = []
+    for path in sorted(Path(semkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                raise AssertionError(f"{path.name}: imports from json by name")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("dump", "dumps")
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"):
+                strict = any(k.arg == "allow_nan" and isinstance(k.value, ast.Constant)
+                             and k.value.value is False for k in node.keywords)
+                calls.append((path.name, node.lineno, strict))
+    assert len(calls) == 9 and all(strict for *_, strict in calls), calls
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        example_to_json_line(Example("x", "u", {"funql": float("nan")}))
